@@ -120,10 +120,18 @@ class DistanceTrinomial:
         For ``a > 0`` uses the substitution ``u = tau + b/2a`` and
         ``k^2 = (4ac - b^2) / 4a^2`` so that the integrand becomes
         ``sqrt(a) * sqrt(u^2 + k^2)`` with antiderivative
-        ``sqrt(a) * (u/2 sqrt(u^2 + k^2) + k^2/2 asinh(u/k))`` — the
-        paper's arcsinh formula in a numerically stable form.  The
-        degenerate perfect-square case ``k = 0`` integrates
-        ``sqrt(a) |u|``.
+        ``sqrt(a)/2 * (u r + k^2 asinh(u/k))``, ``r = sqrt(u^2 + k^2)``
+        — the paper's arcsinh formula.  Near lock-step motion
+        (``a tau^2 << c``) puts ``|u|`` far above the interval length,
+        where subtracting two antiderivative values cancels
+        catastrophically, so both differences are taken in closed
+        form instead: with ``du = tau1 - tau0``,
+        ``u1 r1 - u0 r0 = du ((r0 + r1)/2 + (u0 + u1)^2 / 2(r0 + r1))``
+        and ``asinh(u1/k) - asinh(u0/k) = log((u1 + r1) / (u0 + r0))``,
+        evaluated as ``log1p`` of a positive ratio on whichever side of
+        the flex both ends lie (a sum of two positive ``asinh`` when
+        they straddle it).  Every term is a sum or product of same-sign
+        quantities; the perfect square ``k = 0`` needs no special case.
         """
         if tau1 < tau0:
             raise ValueError(f"inverted interval [{tau0}, {tau1}]")
@@ -131,33 +139,33 @@ class DistanceTrinomial:
             _obs.ACTIVE.registry.inc("distance.exact_integrals")
         if tau1 == tau0:
             return 0.0
-        scale = max(abs(tau0), abs(tau1))
-        if (
-            self.a <= _A_EPS
-            or self.a * scale * scale <= 1e-16 * self.c
-        ):
-            # a == 0 implies b == 0 (else f would go negative); and
-            # when a*tau^2 is < 1e-16 of c the quadratic terms are
-            # below double precision at this scale (b^2 <= 4ac keeps b
-            # negligible too) while the closed form would suffer
-            # catastrophic cancellation — integrate the constant.
-            return math.sqrt(max(self.c, 0.0)) * (tau1 - tau0)
-        sqrt_a = math.sqrt(self.a)
-        shift = self.b / (2.0 * self.a)
-        k_sq = max(4.0 * self.a * self.c - self.b * self.b, 0.0) / (
-            4.0 * self.a * self.a
-        )
+        du = tau1 - tau0
+        a = self.a
+        if a <= _A_EPS:
+            # a == 0 implies b == 0 (else f would go negative).
+            return math.sqrt(max(self.c, 0.0)) * du
+        shift = self.b / (2.0 * a)
+        k_sq = max(4.0 * a * self.c - self.b * self.b, 0.0) / (4.0 * a * a)
         u0 = tau0 + shift
         u1 = tau1 + shift
-        if k_sq == 0.0:
-            # D(tau) = sqrt(a) |u|; antiderivative sqrt(a) * u|u|/2.
-            return sqrt_a * (u1 * abs(u1) - u0 * abs(u0)) / 2.0
-        k = math.sqrt(k_sq)
-
-        def anti(u: float) -> float:
-            return 0.5 * (u * math.sqrt(u * u + k_sq) + k_sq * math.asinh(u / k))
-
-        return sqrt_a * (anti(u1) - anti(u0))
+        r0 = math.sqrt(u0 * u0 + k_sq)
+        r1 = math.sqrt(u1 * u1 + k_sq)
+        r_sum = r0 + r1
+        if r_sum == 0.0:
+            # A perfect square whose u^2 underflowed at both ends.
+            return 0.0
+        u_sum = u0 + u1
+        total = du * (0.5 * r_sum + u_sum * u_sum / (2.0 * r_sum))
+        if k_sq > 0.0:
+            if u0 >= 0.0:
+                spread = math.log1p(du * (1.0 + u_sum / r_sum) / (r0 + u0))
+            elif u1 <= 0.0:
+                spread = math.log1p(du * (1.0 - u_sum / r_sum) / (r1 - u1))
+            else:
+                k = math.sqrt(k_sq)
+                spread = math.asinh(u1 / k) + math.asinh(-u0 / k)
+            total += k_sq * spread
+        return 0.5 * math.sqrt(a) * total
 
     # ------------------------------------------------------------------
     # trapezoid approximation (Lemma 1)

@@ -1,14 +1,13 @@
 """Signature filter tier: compact per-trajectory lower bounds.
 
 A *signature* is a tiny in-RAM summary of one indexed trajectory — a
-TD-TR-downsampled polyline with certified per-segment error radii plus
-the set of grid cells its path crosses.  From it the filter computes a
-provable lower bound on the trajectory's DISSIM against any query, so
-BFMST can reject hopeless candidates before touching their index pages
-or running exact integrals.  Answers are byte-identical to unfiltered
-search by construction: a candidate is only pruned when its lower bound
-strictly exceeds the current k-th-best upper bound, which certifies it
-can never enter the answer set.
+TD-TR-downsampled polyline with certified per-segment error radii.
+From it the filter computes a provable lower bound on the trajectory's
+DISSIM against any query, so BFMST can reject hopeless candidates before
+touching their index pages or running exact integrals.  Answers are
+byte-identical to unfiltered search by construction: a candidate is only
+pruned when its lower bound strictly exceeds the current k-th-best upper
+bound, which certifies it can never enter the answer set.
 
 Signatures are built at index build / ingest compaction time
 (:func:`build_signatures`), persisted as a ``.sig`` sidecar next to the

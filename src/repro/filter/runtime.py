@@ -1,9 +1,8 @@
-"""Query-time signature evaluation: provable DISSIM lower bounds.
+"""Query-time signature evaluation: a provable DISSIM lower bound.
 
 For one query ``Q`` over period ``[t1, tn]`` with relative speed bound
 ``V_max``, :class:`SignatureFilter` turns a trajectory's signature into
-a number ``lb`` with ``lb <= DISSIM(Q, S, t1, tn)``.  Two independent
-bounds are combined with ``max``:
+a number ``lb`` with ``lb <= DISSIM(Q, S, t1, tn)``.
 
 **Probe bound.**  The covered stretch ``[lo, hi]`` (period ∩ signature
 span) is cut into ``M`` equal subintervals probed at their midpoints
@@ -18,20 +17,18 @@ Summing the ``M`` pieces lower-bounds the integral over ``[lo, hi]``,
 and the integrand is non-negative elsewhere, so the sum lower-bounds
 the full DISSIM.
 
-**Cell bound.**  The query's path cells and the trajectory's signature
-cells are conservative covers, so the distance at any covered time is
-at least the minimal gap between the two cell sets:
-``g = min over pairs of max((|dcx|-1)^+ cell_w, (|dcy|-1)^+ cell_h)``;
-``g * |period ∩ span|`` lower-bounds the integral.
-
-Both bounds are valid for *partial* candidates too: a candidate's
+The bound is valid for *partial* candidates too: a candidate's
 reported value is always an upper bound on (or the exact value of) its
 full-period DISSIM, which the signature bound lower-bounds.
 
-The numpy kernel performs the exact same IEEE operations in the same
-order as the scalar fallback (interpolation as ``x_i + frac * (x_{i+1}
-- x_i)``, ``sqrt(dx*dx + dy*dy)``, per-probe hinge, final sum
-accumulated by a Python loop in both paths), so the two are bit-equal
+The scalar kernel evaluates one trajectory per lookup.  The numpy
+kernel evaluates *every* row of the sidecar on the first lookup of a
+query — a few dozen array operations over the stacked knot columns
+instead of one interpreter round trip per candidate — performing the
+exact same IEEE operations in the same order (probe times as ``lo +
+(j + 0.5) * L``, the knot index by bisection, interpolation as ``x_i +
+frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx + dy*dy)``, per-probe hinge,
+the ``M`` contributions added left to right), so the two are bit-equal
 and ``kernels=`` never changes an answer.
 """
 
@@ -42,7 +39,7 @@ from bisect import bisect_right
 
 from ..distance.kernels import _numpy
 from ..exceptions import QueryError
-from .signature import TrajectorySignatures, rasterize_cells, unpack_cell
+from .signature import TrajectorySignatures
 
 __all__ = ["SignatureFilter", "DEFAULT_PROBES"]
 
@@ -50,14 +47,18 @@ __all__ = ["SignatureFilter", "DEFAULT_PROBES"]
 #: the Lipschitz slack (the subintervals shrink) at linear cost.
 DEFAULT_PROBES = 32
 
+#: Sidecar rows per numpy pass: bounds the ``[probes, rows]`` work
+#: arrays at a few hundred kilobytes each however large the store is.
+_ROW_BLOCK = 1024
+
 
 class SignatureFilter:
-    """Per-query evaluator of the signature lower bounds.
+    """Per-query evaluator of the signature lower bound.
 
     One instance is built per ``(query, period, vmax)`` triple — the
     engine creates it at the top of each search — and memoises the
     per-trajectory bounds, so repeated checks against a tightening
-    threshold cost one dict lookup.
+    threshold cost one lookup.
 
     ``kernels`` must be concrete (``"numpy"`` or ``"python"``); the
     ``"auto"`` resolution happens in the search layer alongside the
@@ -75,8 +76,6 @@ class SignatureFilter:
         "checks",
         "pruned",
         "_bounds",
-        "_query_cells",
-        "_query_cells_np",
         "_qpos",
         "_np",
     )
@@ -109,9 +108,9 @@ class SignatureFilter:
         self.probes = probes
         self.checks = 0
         self.pruned = 0
-        self._bounds: dict[int, float | None] = {}
-        self._query_cells: tuple[list[int], list[int]] | None = None
-        self._query_cells_np = None
+        # One slot per sidecar row, allocated on the first lookup: the
+        # numpy kernel fills them all at once, the scalar one as asked.
+        self._bounds: list[float | None] | None = None
         self._qpos: dict[tuple[float, float], tuple[list, list]] = {}
         self._np = _numpy() if kernels == "numpy" else None
 
@@ -138,32 +137,32 @@ class SignatureFilter:
     def bound(self, tid: int) -> float | None:
         """Memoised lower bound for one trajectory (``None`` when the
         sidecar has no signature for it — never prune then)."""
-        try:
-            return self._bounds[tid]
-        except KeyError:
-            pass
-        knots = self.sigs.knots(tid)
-        lb = None if knots is None else self._evaluate(tid, knots)
-        self._bounds[tid] = lb
+        pos = self.sigs.position(tid)
+        if pos is None:
+            return None
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = (
+                [None] * len(self.sigs)
+                if self._np is None
+                else self._probe_bounds_numpy()
+            )
+        lb = bounds[pos]
+        if lb is None:
+            lb = bounds[pos] = self._evaluate(*self.sigs.knots(tid))
         return lb
 
     # ------------------------------------------------------------------
     # bound evaluation
     # ------------------------------------------------------------------
-    def _evaluate(self, tid: int, knots) -> float:
-        kt, kx, ky, radii = knots
+    def _evaluate(self, kt, kx, ky, radii) -> float:
+        if len(kt) < 2:
+            return 0.0
         lo = kt[0] if kt[0] > self.t_start else self.t_start
         hi = kt[-1] if kt[-1] < self.t_end else self.t_end
         if lo >= hi:
             return 0.0
-        lb_cells = self._cell_gap(tid) * (hi - lo)
-        if len(kt) < 2:
-            return lb_cells
-        if self.kernels == "numpy":
-            lb_probe = self._probe_bound_numpy(kt, kx, ky, radii, lo, hi)
-        else:
-            lb_probe = self._probe_bound_python(kt, kx, ky, radii, lo, hi)
-        return lb_probe if lb_probe > lb_cells else lb_cells
+        return self._probe_bound_python(kt, kx, ky, radii, lo, hi)
 
     def _probe_times(self, lo: float, hi: float) -> tuple[float, list[float]]:
         span = hi - lo
@@ -171,19 +170,18 @@ class SignatureFilter:
         length = span / m
         return length, [lo + (j + 0.5) * length for j in range(m)]
 
-    def _query_positions(
-        self, lo: float, hi: float, times: list[float]
-    ) -> tuple[list, list]:
-        # Scalar interpolation against the query polyline on both
-        # kernel paths — identical values by construction.  Memoised by
-        # probe window: trajectories spanning the whole query period
-        # (the common case) share one evaluation.
+    def _query_positions(self, lo: float, hi: float) -> tuple[list, list]:
+        # Scalar interpolation against the query polyline at the probe
+        # times of ``[lo, hi]``, on both kernel paths — identical
+        # values by construction.  Memoised by probe window:
+        # trajectories spanning the whole query period (the common
+        # case) share one evaluation.
         cached = self._qpos.get((lo, hi))
         if cached is not None:
             return cached
         qx: list[float] = []
         qy: list[float] = []
-        for t in times:
+        for t in self._probe_times(lo, hi)[1]:
             p = self.query.position_at(t)
             qx.append(p.x)
             qy.append(p.y)
@@ -192,7 +190,7 @@ class SignatureFilter:
 
     def _probe_bound_python(self, kt, kx, ky, radii, lo, hi) -> float:
         length, times = self._probe_times(lo, hi)
-        qx, qy = self._query_positions(lo, hi, times)
+        qx, qy = self._query_positions(lo, hi)
         vmax = self.vmax
         cap = vmax * length * 0.5
         last = len(kt) - 2
@@ -224,125 +222,84 @@ class SignatureFilter:
             total += c
         return total
 
-    def _probe_bound_numpy(self, kt, kx, ky, radii, lo, hi) -> float:
+    def _probe_bounds_numpy(self) -> list[float]:
+        """The bound of every sidecar row, each value bit-equal to
+        :meth:`_evaluate` on that row's knots.  Work arrays are
+        probe-major — ``[probes, rows]`` — so each per-probe step runs
+        over contiguous rows; rows go through in blocks of
+        ``_ROW_BLOCK``.  Nothing returned or kept views the columns."""
         np = self._np
-        length, times = self._probe_times(lo, hi)
-        qx, qy = self._query_positions(lo, hi, times)
+        kt, kx, ky, radii, offsets = self.sigs.knot_columns(np)
+        m = self.probes
         vmax = self.vmax
-        cap = vmax * length * 0.5
-        t = np.asarray(times, dtype=np.float64)
-        kt_a = np.asarray(kt, dtype=np.float64)
-        kx_a = np.asarray(kx, dtype=np.float64)
-        ky_a = np.asarray(ky, dtype=np.float64)
-        r_a = np.asarray(radii, dtype=np.float64)
-        idx = np.searchsorted(kt_a, t, side="right") - 1
-        np.clip(idx, 0, len(kt) - 2, out=idx)
-        frac = (t - kt_a[idx]) / (kt_a[idx + 1] - kt_a[idx])
-        px = kx_a[idx] + frac * (kx_a[idx + 1] - kx_a[idx])
-        py = ky_a[idx] + frac * (ky_a[idx + 1] - ky_a[idx])
-        dx = np.asarray(qx, dtype=np.float64) - px
-        dy = np.asarray(qy, dtype=np.float64) - py
-        d = np.sqrt(dx * dx + dy * dy) - r_a[idx]
-        np.maximum(d, 0.0, out=d)
-        if vmax > 0.0:
-            far = d * length - vmax * length * length * 0.25
-            near = d * d / vmax
-            contributions = np.where(d >= cap, far, near)
-        else:
-            contributions = d * length
-        # Linear Python accumulation, matching the scalar path exactly
-        # (numpy's pairwise summation would reorder the additions).
-        total = 0.0
-        for c in contributions.tolist():
-            total += c
-        return total
+        starts = offsets[:-1]
+        counts = offsets[1:] - starts
+        bounds = np.zeros(len(counts))
+        rows = np.flatnonzero(counts >= 2)
+        first = kt[starts[rows]]
+        last = kt[offsets[1:][rows] - 1]
+        lo = np.where(first > self.t_start, first, self.t_start)
+        hi = np.where(last < self.t_end, last, self.t_end)
+        covered = lo < hi
+        rows, lo, hi = rows[covered], lo[covered], hi[covered]
+        steps = (np.arange(m) + 0.5)[:, None]
+        for at in range(0, len(rows), _ROW_BLOCK):
+            block = slice(at, at + _ROW_BLOCK)
+            row, b_lo, b_hi = rows[block], lo[block], hi[block]
+            start, count = starts[row], counts[row]
+            length = (b_hi - b_lo) / m
+            times = b_lo + steps * length
+            qx, qy = self._query_positions_block(b_lo, b_hi)
 
-    # ------------------------------------------------------------------
-    # cell bound
-    # ------------------------------------------------------------------
-    def _ensure_query_cells(self) -> tuple[list[int], list[int]]:
-        if self._query_cells is None:
-            pts = []
-            for seg in self.query.segments():
-                a, b = seg.start, seg.end
-                if b.t <= self.t_start or a.t >= self.t_end:
-                    continue
-                if not pts:
-                    pts.append(_clip_point(seg, max(a.t, self.t_start)))
-                pts.append(_clip_point(seg, min(b.t, self.t_end)))
-            packed = sorted(
-                rasterize_cells(
-                    pts, self.sigs.x0, self.sigs.y0, self.sigs.cell_w, self.sigs.cell_h
-                )
-            )
-            qcx = []
-            qcy = []
-            for p in packed:
-                cx, cy = unpack_cell(p)
-                qcx.append(cx)
-                qcy.append(cy)
-            self._query_cells = (qcx, qcy)
-        return self._query_cells
+            # bisect_right(row's knots, t) for every probe at once, as
+            # a count: ``known`` knots are <= t, and each halving step
+            # asks whether ``step`` more are (knots ascend, so looking
+            # at the last of them answers for all).
+            known = np.zeros(times.shape, dtype=np.int64)
+            before_row = start - 1
+            step = 1 << (int(count.max()).bit_length() - 1)
+            while step:
+                reach = known + step
+                # Past the row's end the clamped read is masked out.
+                more = kt[before_row + np.minimum(reach, count)] <= times
+                more &= reach <= count
+                known += step * more
+                step >>= 1
+            idx = np.clip(known - 1, 0, count - 2)
 
-    def _cell_gap(self, tid: int) -> float:
-        """Minimal certified distance between the query's cells and the
-        trajectory's cells (0 when the sets touch).  Pure min/max over
-        exact integer differences — order-independent, so the numpy and
-        scalar paths agree bit-for-bit."""
-        qcx, qcy = self._ensure_query_cells()
-        if not qcx:
-            return 0.0
-        cell_w = self.sigs.cell_w
-        cell_h = self.sigs.cell_h
-        if self._np is not None:
-            np = self._np
-            tcx, tcy = self.sigs.cell_coords_np(tid, np)
-            if not len(tcx):
-                return 0.0
-            if self._query_cells_np is None:
-                self._query_cells_np = (
-                    np.asarray(qcx, dtype=np.int64),
-                    np.asarray(qcy, dtype=np.int64),
-                )
-            qcx_a, qcy_a = self._query_cells_np
-            dcx = np.abs(tcx[:, None] - qcx_a[None, :]) - 1
-            dcy = np.abs(tcy[:, None] - qcy_a[None, :]) - 1
-            np.maximum(dcx, 0, out=dcx)
-            np.maximum(dcy, 0, out=dcy)
-            gaps = np.maximum(dcx * cell_w, dcy * cell_h)
-            return float(gaps.min())
-        cells = self.sigs.cell_list(tid)
-        if not cells:
-            return 0.0
-        best = math.inf
-        for p in cells:
-            tcx, tcy = unpack_cell(p)
-            for i in range(len(qcx)):
-                dcx = tcx - qcx[i]
-                if dcx < 0:
-                    dcx = -dcx
-                dcx -= 1
-                if dcx < 0:
-                    dcx = 0
-                dcy = tcy - qcy[i]
-                if dcy < 0:
-                    dcy = -dcy
-                dcy -= 1
-                if dcy < 0:
-                    dcy = 0
-                gap = max(dcx * cell_w, dcy * cell_h)
-                if gap < best:
-                    best = gap
-                    if best == 0.0:
-                        return 0.0
-        return best
+            seg = start + idx
+            t0 = kt[seg]
+            frac = (times - t0) / (kt[seg + 1] - t0)
+            x0 = kx[seg]
+            y0 = ky[seg]
+            dx = qx - (x0 + frac * (kx[seg + 1] - x0))
+            dy = qy - (y0 + frac * (ky[seg + 1] - y0))
+            # The radii column omits one slot per row.
+            d = np.sqrt(dx * dx + dy * dy) - radii[seg - row]
+            np.maximum(d, 0.0, out=d)
+            if vmax > 0.0:
+                far = d * length - vmax * length * length * 0.25
+                near = d * d / vmax
+                contributions = np.where(d >= vmax * length * 0.5, far, near)
+            else:
+                contributions = d * length
+            # Probe by probe, matching the scalar path's left-to-right
+            # accumulation (numpy's pairwise summation would reorder it).
+            total = np.zeros(len(row))
+            for contribution in contributions:
+                total += contribution
+            bounds[row] = total
+        return bounds.tolist()
 
-
-def _clip_point(seg, t: float) -> tuple[float, float]:
-    a, b = seg.start, seg.end
-    if t <= a.t:
-        return a.x, a.y
-    if t >= b.t:
-        return b.x, b.y
-    frac = (t - a.t) / (b.t - a.t)
-    return a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y)
+    def _query_positions_block(self, lo, hi):
+        """``[probes, rows]`` query coordinates at a block's probe
+        times: one scalar evaluation per distinct ``(lo, hi)`` window
+        (the memo of :meth:`_query_positions`), fanned out to its rows."""
+        np = self._np
+        windows = list(zip(lo.tolist(), hi.tolist()))
+        slots = {w: i for i, w in enumerate(dict.fromkeys(windows))}
+        qpos = [self._query_positions(*window) for window in slots]
+        fan = [slots[window] for window in windows]
+        qx = np.array([x for x, _y in qpos]).T[:, fan]
+        qy = np.array([y for _x, y in qpos]).T[:, fan]
+        return qx, qy

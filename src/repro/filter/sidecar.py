@@ -9,17 +9,15 @@ which simply serves unfiltered.
 Layout (little-endian, all array sections 8-byte aligned):
 
 ========================  =======================================
-``<4sI``                  magic ``RSIG``, format version
+``<4sI``                  magic ``RSIG``, format version (2)
 ``<3q``                   binding: num_nodes, num_entries, root_page
-``<5d``                   simplify_p, x0, y0, cell_w, cell_h
-``<5q``                   n_traj, n_leaf_pages, total_knots,
-                          total_cells, total_leaf_tids
+``<d``                    simplify_p
+``<4q``                   n_traj, n_leaf_pages, total_knots,
+                          total_leaf_tids
 ``n_traj × q``            trajectory ids (sorted)
 ``(n_traj+1) × q``        knot offsets (CSR)
-``(n_traj+1) × q``        cell offsets (CSR)
 ``total_knots × d`` ×3    knot t / x / y
 ``(total_knots-n) × d``   per-segment radii
-``total_cells × q``       packed grid cells (sorted per object)
 ``n_leaf_pages × q``      leaf page ids (sorted)
 ``(n_leaf_pages+1) × q``  leaf-tid offsets (CSR)
 ``total_leaf_tids × q``   per-leaf trajectory ids (sorted)
@@ -28,6 +26,8 @@ Layout (little-endian, all array sections 8-byte aligned):
 
 Loading mmaps the file read-only and serves the arrays as zero-copy
 ``memoryview`` casts; :meth:`TrajectorySignatures.close` releases them.
+Version 1 also carried a grid-cell cover per trajectory; it is refused
+by the version check — rebuild the sidecar.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from .signature import TrajectorySignatures
 __all__ = ["signature_sidecar_path", "write_signatures", "load_signatures"]
 
 MAGIC = b"RSIG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_HEADER = struct.Struct("<4sI3q5d5q")
+_HEADER = struct.Struct("<4sI3q1d4q")
 
 
 def _as_bytes(fmt: str, seq) -> bytes:
@@ -77,24 +77,17 @@ def write_signatures(sigs: TrajectorySignatures, sig_path: str | Path) -> dict:
             sigs.binding[1],
             sigs.binding[2],
             sigs.simplify_p,
-            sigs.x0,
-            sigs.y0,
-            sigs.cell_w,
-            sigs.cell_h,
             n,
             len(sigs.leaf_pages),
             len(sigs.knot_t),
-            len(sigs.cells),
             len(sigs.leaf_tids),
         ),
         _as_bytes("q", sigs.tids),
         _as_bytes("q", sigs.knot_offsets),
-        _as_bytes("q", sigs.cell_offsets),
         _as_bytes("d", sigs.knot_t),
         _as_bytes("d", sigs.knot_x),
         _as_bytes("d", sigs.knot_y),
         _as_bytes("d", sigs.radii),
-        _as_bytes("q", sigs.cells),
         _as_bytes("q", sigs.leaf_pages),
         _as_bytes("q", sigs.leaf_tid_offsets),
         _as_bytes("q", sigs.leaf_tids),
@@ -108,7 +101,6 @@ def write_signatures(sigs: TrajectorySignatures, sig_path: str | Path) -> dict:
         "trajectories": n,
         "leaf_pages": len(sigs.leaf_pages),
         "knots": len(sigs.knot_t),
-        "cells": len(sigs.cells),
     }
 
 
@@ -141,6 +133,8 @@ def load_signatures(
         (crc_stored,) = struct.unpack_from("<I", base, size - 4)
         if zlib.crc32(base[: size - 4]) != crc_stored:
             raise StorageError(f"{sig_path}: signature sidecar CRC mismatch")
+        # Magic and version sit first in every format version, so an
+        # older file fails the version check, not the field parse.
         (
             magic,
             version,
@@ -148,14 +142,9 @@ def load_signatures(
             num_entries,
             root_page,
             simplify_p,
-            x0,
-            y0,
-            cell_w,
-            cell_h,
             n_traj,
             n_leaf_pages,
             total_knots,
-            total_cells,
             total_leaf_tids,
         ) = _HEADER.unpack_from(base, 0)
         if magic != MAGIC:
@@ -163,9 +152,10 @@ def load_signatures(
         if version != FORMAT_VERSION:
             raise StorageError(
                 f"{sig_path}: unsupported sidecar version {version} "
-                f"(this build speaks {FORMAT_VERSION})"
+                f"(this build speaks {FORMAT_VERSION}); rebuild it with "
+                f"`repro build` or save_index(..., signatures=True)"
             )
-        if min(n_traj, n_leaf_pages, total_knots, total_cells, total_leaf_tids) < 0:
+        if min(n_traj, n_leaf_pages, total_knots, total_leaf_tids) < 0:
             raise StorageError(f"{sig_path}: negative section count")
         binding = (num_nodes, num_entries, root_page)
         if expected_binding is not None and binding != tuple(expected_binding):
@@ -178,12 +168,10 @@ def load_signatures(
         sections = [
             ("q", n_traj),
             ("q", n_traj + 1),
-            ("q", n_traj + 1),
             ("d", total_knots),
             ("d", total_knots),
             ("d", total_knots),
             ("d", total_knots - n_traj),
-            ("q", total_cells),
             ("q", n_leaf_pages),
             ("q", n_leaf_pages + 1),
             ("q", total_leaf_tids),
@@ -209,21 +197,15 @@ def load_signatures(
         return TrajectorySignatures(
             binding=binding,
             simplify_p=simplify_p,
-            x0=x0,
-            y0=y0,
-            cell_w=cell_w,
-            cell_h=cell_h,
             tids=arrays[0],
             knot_offsets=arrays[1],
-            cell_offsets=arrays[2],
-            knot_t=arrays[3],
-            knot_x=arrays[4],
-            knot_y=arrays[5],
-            radii=arrays[6],
-            cells=arrays[7],
-            leaf_pages=arrays[8],
-            leaf_tid_offsets=arrays[9],
-            leaf_tids=arrays[10],
+            knot_t=arrays[2],
+            knot_x=arrays[3],
+            knot_y=arrays[4],
+            radii=arrays[5],
+            leaf_pages=arrays[6],
+            leaf_tid_offsets=arrays[7],
+            leaf_tids=arrays[8],
             close=close,
         )
     except StorageError:

@@ -1,15 +1,12 @@
 """Building per-trajectory signatures from a finished index.
 
 The builder walks the tree once, reconstructs each trajectory's sample
-sequence from its leaf segments, and distils three things per object:
-
-* a TD-TR-simplified polyline (knots) with a certified radius per kept
-  segment — the maximum Synchronized Euclidean Distance of the dropped
-  samples, so the true position at time ``t`` is always within
-  ``radius`` of the simplified position at ``t``,
-* the set of grid cells the original path crosses (conservative: the
-  per-segment bounding-box cells, a superset of the swept cells),
-* nothing else — a signature is a few hundred bytes.
+sequence from its leaf segments, and distils one thing per object: a
+TD-TR-simplified polyline (knots) with a certified radius per kept
+segment — the maximum Synchronized Euclidean Distance of the dropped
+samples, so the true position at time ``t`` is always within ``radius``
+of the simplified position at ``t``.  A signature is a few hundred
+bytes.
 
 The builder also records, per leaf page, the distinct trajectory ids
 stored on it, so the search can skip reading a leaf whose candidates
@@ -25,78 +22,12 @@ from ..compression.tdtr import td_tr_with_radii
 from ..exceptions import IndexError_
 from ..trajectory import Trajectory
 
-__all__ = ["TrajectorySignatures", "build_signatures", "rasterize_cells"]
+__all__ = ["TrajectorySignatures", "build_signatures"]
 
 #: Default TD-TR tolerance as a fraction of each trajectory's travelled
 #: length (the paper's ``p`` parameterisation; 2 % keeps signatures tiny
 #: while the radii stay small enough to prune with).
 DEFAULT_SIMPLIFY_P = 0.02
-
-#: Grid resolution (cells per axis over the indexed extent).
-GRID_CELLS = 64
-
-
-def pack_cell(cx: int, cy: int) -> int:
-    """Pack a cell coordinate pair into one signed 64-bit integer."""
-    return (cx << 32) | (cy & 0xFFFFFFFF)
-
-
-def unpack_cell(packed: int) -> tuple[int, int]:
-    cy = packed & 0xFFFFFFFF
-    if cy >= 1 << 31:
-        cy -= 1 << 32
-    return packed >> 32, cy
-
-
-def rasterize_cells(
-    points: list[tuple[float, float]],
-    x0: float,
-    y0: float,
-    cell_w: float,
-    cell_h: float,
-) -> set[int]:
-    """Packed grid cells covering a polyline, conservatively.
-
-    Each consecutive point pair is subdivided at its midpoint until
-    every piece's bounding box spans at most two cells per axis, then
-    that box's cells are added.  Every sub-segment lies inside its own
-    bounding box, so the union is a superset of the cells the straight
-    segments actually sweep — exactly what a lower bound needs — while
-    staying within a small constant factor of the true swept set (the
-    naive whole-segment bounding box of a long diagonal segment covers
-    quadratically many cells).  The grid extends infinitely (cell
-    indexes are plain floor divisions), so out-of-extent points stay
-    sound.
-    """
-    cells: set[int] = set()
-    if not points:
-        return cells
-    if len(points) == 1:
-        px, py = points[0]
-        cells.add(pack_cell(int((px - x0) // cell_w), int((py - y0) // cell_h)))
-        return cells
-    for pair in zip(points, points[1:]):
-        stack = [pair]
-        while stack:
-            (ax, ay), (bx, by) = stack.pop()
-            cx_lo = int((min(ax, bx) - x0) // cell_w)
-            cx_hi = int((max(ax, bx) - x0) // cell_w)
-            cy_lo = int((min(ay, by) - y0) // cell_h)
-            cy_hi = int((max(ay, by) - y0) // cell_h)
-            if cx_hi - cx_lo > 1 or cy_hi - cy_lo > 1:
-                mx = (ax + bx) / 2.0
-                my = (ay + by) / 2.0
-                # Midpoint splitting always terminates: each half's
-                # bounding box shrinks towards a point.
-                if (mx, my) != (ax, ay) and (mx, my) != (bx, by):
-                    stack.append(((ax, ay), (mx, my)))
-                    stack.append(((mx, my), (bx, by)))
-                    continue
-            for cx in range(cx_lo, cx_hi + 1):
-                for cy in range(cy_lo, cy_hi + 1):
-                    cells.add(pack_cell(cx, cy))
-    return cells
-
 
 class TrajectorySignatures:
     """Column-oriented signature store for one index.
@@ -110,24 +41,18 @@ class TrajectorySignatures:
     __slots__ = (
         "binding",
         "simplify_p",
-        "x0",
-        "y0",
-        "cell_w",
-        "cell_h",
         "tids",
         "knot_offsets",
-        "cell_offsets",
         "knot_t",
         "knot_x",
         "knot_y",
         "radii",
-        "cells",
         "leaf_pages",
         "leaf_tid_offsets",
         "leaf_tids",
         "_tid_pos",
         "_leaf_pos",
-        "_cell_np",
+        "_knot_columns",
         "_close",
     )
 
@@ -135,18 +60,12 @@ class TrajectorySignatures:
         self,
         binding: tuple[int, int, int],
         simplify_p: float,
-        x0: float,
-        y0: float,
-        cell_w: float,
-        cell_h: float,
         tids,
         knot_offsets,
-        cell_offsets,
         knot_t,
         knot_x,
         knot_y,
         radii,
-        cells,
         leaf_pages,
         leaf_tid_offsets,
         leaf_tids,
@@ -154,24 +73,18 @@ class TrajectorySignatures:
     ) -> None:
         self.binding = binding
         self.simplify_p = simplify_p
-        self.x0 = x0
-        self.y0 = y0
-        self.cell_w = cell_w
-        self.cell_h = cell_h
         self.tids = tids
         self.knot_offsets = knot_offsets
-        self.cell_offsets = cell_offsets
         self.knot_t = knot_t
         self.knot_x = knot_x
         self.knot_y = knot_y
         self.radii = radii
-        self.cells = cells
         self.leaf_pages = leaf_pages
         self.leaf_tid_offsets = leaf_tid_offsets
         self.leaf_tids = leaf_tids
         self._tid_pos = {tid: i for i, tid in enumerate(tids)}
         self._leaf_pos = {page: i for i, page in enumerate(leaf_pages)}
-        self._cell_np: dict = {}
+        self._knot_columns = None
         self._close = close
 
     def __len__(self) -> int:
@@ -198,32 +111,23 @@ class TrajectorySignatures:
             list(self.radii[ra:rb]),
         )
 
-    def cell_list(self, tid: int) -> list[int] | None:
-        i = self._tid_pos.get(tid)
-        if i is None:
-            return None
-        a, b = self.cell_offsets[i], self.cell_offsets[i + 1]
-        return list(self.cells[a:b])
-
-    def cell_coords_np(self, tid: int, np):
-        """One trajectory's unpacked ``(cx, cy)`` int64 ndarrays,
-        memoised on the store (queries share a store, so the unpacking
-        cost is paid once per trajectory, not once per query).  Values
-        match :func:`unpack_cell` exactly.  ``None`` for unknown tids."""
-        cached = self._cell_np.get(tid)
-        if cached is not None:
-            return cached
-        i = self._tid_pos.get(tid)
-        if i is None:
-            return None
-        a, b = self.cell_offsets[i], self.cell_offsets[i + 1]
-        packed = np.asarray(self.cells[a:b], dtype=np.int64)
-        tcy = packed & np.int64(0xFFFFFFFF)
-        tcy = np.where(tcy >= 1 << 31, tcy - (1 << 32), tcy)
-        tcx = packed >> 32
-        coords = (tcx, tcy)
-        self._cell_np[tid] = coords
-        return coords
+    def knot_columns(self, np) -> tuple:
+        """``(knot_t, knot_x, knot_y, radii, knot_offsets)`` of the whole
+        store as zero-copy ndarray views over the backing buffers,
+        memoised until :meth:`close`.  Threads racing the first call
+        each build equivalent views and one tuple wins.  Callers must
+        not keep a view (or a slice of one) past their own call: an
+        exported buffer cannot be released."""
+        columns = self._knot_columns
+        if columns is None:
+            columns = self._knot_columns = (
+                np.frombuffer(self.knot_t, dtype=np.float64),
+                np.frombuffer(self.knot_x, dtype=np.float64),
+                np.frombuffer(self.knot_y, dtype=np.float64),
+                np.frombuffer(self.radii, dtype=np.float64),
+                np.frombuffer(self.knot_offsets, dtype=np.int64),
+            )
+        return columns
 
     def page_tids(self, page_id: int) -> list[int] | None:
         """Distinct trajectory ids on a leaf page (``None`` when the
@@ -235,7 +139,9 @@ class TrajectorySignatures:
         return list(self.leaf_tids[a:b])
 
     def close(self) -> None:
-        """Release the mmap backing (no-op for in-memory stores)."""
+        """Release the mmap backing (no-op for in-memory stores).  The
+        ndarray views go first — they export the buffers they wrap."""
+        self._knot_columns = None
         if self._close is not None:
             close, self._close = self._close, None
             close()
@@ -248,17 +154,14 @@ def build_signatures(
 
     Walks the tree once: leaf segments are regrouped per object (their
     endpoints reconstruct the original sample sequence exactly — both
-    endpoints of every segment are original samples), TD-TR-simplified
-    with certified radii, and rasterised onto a ``GRID_CELLS`` ×
-    ``GRID_CELLS`` grid over the indexed extent.
+    endpoints of every segment are original samples) and
+    TD-TR-simplified with certified radii.
     """
     if getattr(index, "num_entries", 0) <= 0:
         raise IndexError_("cannot build signatures for an empty index")
 
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     page_tid_sets: dict[int, set[int]] = {}
-    xmin = ymin = float("inf")
-    xmax = ymax = float("-inf")
     for node in index.nodes():
         if not node.is_leaf:
             continue
@@ -269,30 +172,13 @@ def build_signatures(
             seq = samples.setdefault(tid, {})
             for pt in (entry.segment.start, entry.segment.end):
                 seq[pt.t] = (pt.x, pt.y)
-                if pt.x < xmin:
-                    xmin = pt.x
-                if pt.x > xmax:
-                    xmax = pt.x
-                if pt.y < ymin:
-                    ymin = pt.y
-                if pt.y > ymax:
-                    ymax = pt.y
-
-    cell_w = (xmax - xmin) / GRID_CELLS
-    cell_h = (ymax - ymin) / GRID_CELLS
-    if cell_w <= 0.0:
-        cell_w = 1.0
-    if cell_h <= 0.0:
-        cell_h = 1.0
 
     tids = array("q", sorted(samples))
     knot_offsets = array("q", [0])
-    cell_offsets = array("q", [0])
     knot_t = array("d")
     knot_x = array("d")
     knot_y = array("d")
     radii = array("d")
-    cells = array("q")
     for tid in tids:
         pts = [(t, xy[0], xy[1]) for t, xy in sorted(samples[tid].items())]
         traj = Trajectory(int(tid), [(x, y, t) for t, x, y in pts])
@@ -304,11 +190,6 @@ def build_signatures(
             knot_y.append(y)
         radii.extend(seg_radii)
         knot_offsets.append(len(knot_t))
-        tid_cells = rasterize_cells(
-            [(x, y) for _t, x, y in pts], xmin, ymin, cell_w, cell_h
-        )
-        cells.extend(sorted(tid_cells))
-        cell_offsets.append(len(cells))
 
     leaf_pages = array("q", sorted(page_tid_sets))
     leaf_tid_offsets = array("q", [0])
@@ -320,18 +201,12 @@ def build_signatures(
     return TrajectorySignatures(
         binding=(index.num_nodes, index.num_entries, index.root_page),
         simplify_p=simplify_p,
-        x0=xmin,
-        y0=ymin,
-        cell_w=cell_w,
-        cell_h=cell_h,
         tids=tids,
         knot_offsets=knot_offsets,
-        cell_offsets=cell_offsets,
         knot_t=knot_t,
         knot_x=knot_x,
         knot_y=knot_y,
         radii=radii,
-        cells=cells,
         leaf_pages=leaf_pages,
         leaf_tid_offsets=leaf_tid_offsets,
         leaf_tids=leaf_tids,

@@ -29,7 +29,9 @@ class LeafEntry:
 
     The segment's 3D box is precomputed: ``mbr`` sits on every index
     hot path (choose-subtree, splits, MINDIST) and must not be rebuilt
-    per access.
+    per access.  Entries decoded from a page (:meth:`decoded`) compute
+    it on first access instead — a search reads their segments and
+    almost never their boxes.
     """
 
     __slots__ = ("trajectory_id", "segment", "mbr")
@@ -38,6 +40,22 @@ class LeafEntry:
         self.trajectory_id = trajectory_id
         self.segment = segment
         self.mbr: MBR3D = segment.mbr()
+
+    @classmethod
+    def decoded(cls, trajectory_id: int, segment: STSegment) -> "LeafEntry":
+        """An entry read back from a page: ``mbr`` stays unset until
+        something asks for it."""
+        entry = cls.__new__(cls)
+        entry.trajectory_id = trajectory_id
+        entry.segment = segment
+        return entry
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot, i.e. ``mbr`` of a decoded entry.
+        if name == "mbr":
+            mbr = self.mbr = self.segment.mbr()
+            return mbr
+        raise AttributeError(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeafEntry):
@@ -76,7 +94,9 @@ class LeafEntry:
     @classmethod
     def from_bytes(cls, data: bytes) -> "LeafEntry":
         tid, x1, y1, t1, x2, y2, t2 = _LEAF_FMT.unpack(data)
-        return cls(tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2)))
+        return cls.decoded(
+            tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -268,7 +268,7 @@ class Node:
             ]
             offset += need
             for a, b in zip(points, points[1:]):
-                entries.append(LeafEntry(owner, STSegment(a, b)))
+                entries.append(LeafEntry.decoded(owner, STSegment(a, b)))
         if len(entries) != count:
             raise IndexError_(
                 f"page {page_id}: chained leaf decoded {len(entries)} of "

@@ -394,19 +394,27 @@ def _search_shard(
             batch_items = []
             batch_threshold = top.threshold if sig_filter is not None else math.inf
             sig_check = sig_filter is not None and math.isfinite(batch_threshold)
+            # Decided once per trajectory: nothing below moves between
+            # the candidate sets until the replay, and a TB-tree leaf
+            # holds one trajectory.
+            batched: dict[int, bool] = {}
             for i, entry in enumerate(entries):
                 tid = entry.trajectory_id
-                if tid in rejected or tid in completed:
+                wanted = batched.get(tid)
+                if wanted is None:
+                    wanted = not (tid in rejected or tid in completed)
+                    if wanted and sig_check and tid not in valid:
+                        # First touch of this trajectory in this leaf:
+                        # when its signature bound already exceeds the
+                        # threshold now, the (monotonically tightening)
+                        # threshold guarantees the sequential replay
+                        # below prunes it too, so its integrals need
+                        # not be batched at all.
+                        lb = sig_filter.bound(tid)
+                        wanted = lb is None or not lb > batch_threshold
+                    batched[tid] = wanted
+                if not wanted:
                     continue
-                if sig_check and tid not in valid:
-                    # First touch of this trajectory in this leaf: when
-                    # its signature bound already exceeds the threshold
-                    # now, the (monotonically tightening) threshold
-                    # guarantees the sequential replay below prunes it
-                    # too, so its integrals need not be batched at all.
-                    lb = sig_filter.bound(tid)
-                    if lb is not None and lb > batch_threshold:
-                        continue
                 lo = max(entry.segment.ts, t_start)
                 hi = min(entry.segment.te, t_end)
                 if lo >= hi:
@@ -858,6 +866,24 @@ def bfmst_search_sharded(
     return matches, stats
 
 
+def _per_shard_row(shard_id: int, pruned: bool, s: SearchStats) -> dict:
+    """One ``per_shard`` row: the same keys whether the shard was
+    searched or skipped by the planner."""
+    return {
+        "shard": shard_id,
+        "pruned": pruned,
+        "node_accesses": s.node_accesses,
+        "leaf_accesses": s.leaf_accesses,
+        "entries_processed": s.entries_processed,
+        "candidates_created": s.candidates_created,
+        "candidates_rejected": s.candidates_rejected,
+        "signature_pruned": s.signature_pruned,
+        "leaf_skips": s.leaf_skips,
+        "terminated_early": s.terminated_early,
+        "total_nodes": s.total_nodes,
+    }
+
+
 def merge_shard_records(
     outcomes,
     *,
@@ -912,37 +938,14 @@ def merge_shard_records(
         stats.signature_checks += s.signature_checks
         stats.signature_pruned += s.signature_pruned
         stats.leaf_skips += s.leaf_skips
-        per_shard.append(
-            {
-                "shard": shard_id,
-                "pruned": False,
-                "node_accesses": s.node_accesses,
-                "leaf_accesses": s.leaf_accesses,
-                "entries_processed": s.entries_processed,
-                "candidates_created": s.candidates_created,
-                "candidates_rejected": s.candidates_rejected,
-                "signature_pruned": s.signature_pruned,
-                "leaf_skips": s.leaf_skips,
-                "terminated_early": s.terminated_early,
-                "total_nodes": s.total_nodes,
-            }
-        )
+        per_shard.append(_per_shard_row(shard_id, False, s))
     searched = set(selected)
     for shard_id in range(len(shard_nodes)):
         if shard_id not in searched:
-            per_shard.append(
-                {
-                    "shard": shard_id,
-                    "pruned": True,
-                    "node_accesses": 0,
-                    "leaf_accesses": 0,
-                    "entries_processed": 0,
-                    "candidates_created": 0,
-                    "candidates_rejected": 0,
-                    "terminated_early": False,
-                    "total_nodes": shard_nodes[shard_id],
-                }
-            )
+            # A planner-pruned shard did no work: the zero counters of
+            # a fresh SearchStats, under the same keys.
+            idle = SearchStats(total_nodes=shard_nodes[shard_id])
+            per_shard.append(_per_shard_row(shard_id, True, idle))
     per_shard.sort(key=lambda row: row["shard"])
     stats.extra["per_shard"] = per_shard
     stats.extra["shards_searched"] = len(selected)

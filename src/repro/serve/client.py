@@ -1,16 +1,17 @@
 """Blocking HTTP client for the serving tier.
 
-A thin wrapper over :mod:`http.client` keep-alive connections that
-speaks the tier's wire format: :class:`~repro.search.spec.QuerySpec`
-out, :class:`~repro.search.results.SearchResult` back.  One
-:class:`ServeClient` owns one connection — use one per thread (the
-load generator in ``benchmarks/bench_serving.py`` does exactly that).
+Speaks the tier's wire format — :class:`~repro.search.spec.QuerySpec`
+out, :class:`~repro.search.results.SearchResult` back — over its own
+keep-alive socket.  A request leaves as *one* buffer (headers and body
+in a single ``sendall``, ``TCP_NODELAY`` set), so the server's event
+loop wakes once per request; the reply is framed here.  One
+:class:`ServeClient` owns one connection — use one per thread.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 
 from ..exceptions import ServeError
 from ..search.results import SearchResult
@@ -42,25 +43,56 @@ class ServeClient:
         timeout: float = 30.0,
     ) -> None:
         self.client_id = client_id
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._address = (host, port)
+        self._timeout = timeout
+        self._sock: socket.socket | None = None
+        self._reader = None
+        self._head = f"Host: {host}:{port}\r\n"
+        if client_id is not None:
+            self._head += f"X-Client-Id: {client_id}\r\n"
 
     # ------------------------------------------------------------------
     def _request(
         self, method: str, path: str, body: bytes | None = None
     ) -> tuple[int, dict, bytes]:
-        headers = {}
+        head = f"{method} {path} HTTP/1.1\r\n{self._head}"
         if body is not None:
-            headers["Content-Type"] = "application/json"
-        if self.client_id is not None:
-            headers["X-Client-Id"] = self.client_id
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
         try:
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            payload = response.read()
-        except (ConnectionError, http.client.HTTPException, OSError) as exc:
-            self._conn.close()
+            if self._sock is None:  # lazily, and again after a close
+                sock = socket.create_connection(self._address, self._timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._sock, self._reader = sock, sock.makefile("rb")
+            self._sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
+            status, headers, payload = self._read_reply()
+        except (OSError, ValueError) as exc:
+            self.close()
             raise ServeError(f"transport failure: {exc!r}") from exc
-        return response.status, dict(response.headers), payload
+        if headers.get("Connection", "").lower() == "close":
+            self.close()
+        return status, headers, payload
+
+    def _read_reply(self) -> tuple[int, dict, bytes]:
+        """Status line, headers (names in ``Title-Case``), then
+        ``Content-Length`` bytes of body."""
+        reader = self._reader
+        status_line = reader.readline()
+        if not status_line.startswith(b"HTTP/1."):
+            raise ValueError(f"no HTTP reply: {status_line[:40]!r}")
+        headers: dict[str, str] = {}
+        for line in iter(reader.readline, b"\r\n"):
+            if not line:
+                raise ConnectionError("connection closed mid-reply")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().title()] = value.strip()
+        length = int(headers.get("Content-Length", 0))
+        payload = reader.read(length)
+        if len(payload) != length:
+            raise ConnectionError("reply shorter than its Content-Length")
+        return int(status_line[9:12]), headers, payload
 
     @staticmethod
     def _raise_for_status(status: int, headers: dict, payload: bytes) -> None:
@@ -108,7 +140,10 @@ class ServeClient:
         return status == 200
 
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -1,17 +1,28 @@
 """Signature filter tier tests (:mod:`repro.filter`).
 
 Covers the certified-radius construction, the provable-lower-bound
-property of the probe/cell bounds (both kernels, bit-equal), the binary
-sidecar round-trip and its corruption handling, byte-identity of
+property of the probe bound (both kernels, bit-equal — the batched
+numpy pass against the scalar reference), the binary sidecar
+round-trip, its lifetime and its corruption handling, byte-identity of
 filtered vs unfiltered answers across trees, partitioners, executors
 (including the process pool) and live ingestion, and the observability
 counters the tier reports.
 """
 
+import itertools
 import math
 import random
+import struct
+import sys
+import threading
+import zlib
+from array import array
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     RTree3D,
@@ -26,10 +37,13 @@ from repro.distance.dissim import dissim_exact
 from repro.exceptions import IndexError_, QueryError, StorageError
 from repro.filter import (
     SignatureFilter,
+    TrajectorySignatures,
     build_signatures,
+    load_signatures,
     signature_sidecar_path,
     write_signatures,
 )
+from repro.filter import runtime as filter_runtime
 from repro.filter.signature import segment_index
 from repro.index import fsck_index
 from repro.search.bfmst import (
@@ -112,8 +126,6 @@ class TestSignatureBuild:
             assert len(radii) == len(kt) - 1
             assert kt == sorted(kt)
             assert all(r >= 0.0 for r in radii)
-            cells = sigs.cell_list(tid)
-            assert cells and cells == sorted(cells)
 
     def test_radii_certify_sed(self, dataset, sigs):
         # Every original sample must lie within the containing
@@ -201,6 +213,299 @@ class TestLowerBound:
 
 
 # ----------------------------------------------------------------------
+# the batched numpy pass against the scalar reference
+# ----------------------------------------------------------------------
+def synthetic_store(rows):
+    """A signature store over hand-made rows of
+    ``(tid, [(t, x, y), ...], [radius, ...])`` — no index needed."""
+    tids = array("q")
+    offsets = array("q", [0])
+    kt, kx, ky, radii = array("d"), array("d"), array("d"), array("d")
+    for tid, knots, row_radii in rows:
+        assert len(row_radii) == len(knots) - 1
+        tids.append(tid)
+        for t, x, y in knots:
+            kt.append(t)
+            kx.append(x)
+            ky.append(y)
+        radii.extend(row_radii)
+        offsets.append(len(kt))
+    return TrajectorySignatures(
+        binding=(0, 0, 0),
+        simplify_p=0.0,
+        tids=tids,
+        knot_offsets=offsets,
+        knot_t=kt,
+        knot_x=kx,
+        knot_y=ky,
+        radii=radii,
+        leaf_pages=array("q"),
+        leaf_tid_offsets=array("q", [0]),
+        leaf_tids=array("q"),
+    )
+
+
+def both_kernels(store, query, period, vmax, probes=32):
+    return [
+        SignatureFilter(
+            store, query, period[0], period[1], vmax,
+            kernels=kernels, probes=probes,
+        )
+        for kernels in ("numpy", "python")
+    ]
+
+
+coordinate = st.floats(min_value=-100.0, max_value=100.0)
+
+#: Query periods.  Against the first three, a row spanning the whole
+#: period has unit-length (or half-length) subintervals, so its probes
+#: sit at k + 0.5 or k + 0.25 — exactly on knots drawn from the
+#: half-integer grid below.
+PERIODS = [(0.0, 32.0), (8.0, 40.0), (0.0, 16.0), (10.25, 11.0), (-3.0, 70.0)]
+
+
+@st.composite
+def signature_rows(draw):
+    rows = []
+    for tid in range(draw(st.integers(min_value=1, max_value=9))):
+        count = draw(st.integers(min_value=2, max_value=7))
+        gaps = draw(
+            st.lists(
+                st.sampled_from([0.5, 1.0, 2.5, 16.0, 0.1]),
+                min_size=count - 1,
+                max_size=count - 1,
+            )
+        )
+        start = draw(st.integers(min_value=-20, max_value=150)) / 2.0
+        times = itertools.accumulate(gaps, initial=start)
+        knots = [(t, draw(coordinate), draw(coordinate)) for t in times]
+        row_radii = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+                min_size=count - 1,
+                max_size=count - 1,
+            )
+        )
+        rows.append((tid, knots, row_radii))
+    return rows
+
+
+@st.composite
+def covering_queries(draw):
+    inner = draw(
+        st.lists(
+            st.floats(min_value=-29.0, max_value=129.0),
+            max_size=5,
+            unique=True,
+        )
+    )
+    times = [-30.0] + sorted(inner) + [130.0]
+    return Trajectory(-1, [(draw(coordinate), draw(coordinate), t) for t in times])
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestBatchedBounds:
+    """``kernels="numpy"`` computes every row's bound in one pass; each
+    must ``==`` the scalar ``_probe_bound_python`` value, no tolerance."""
+
+    @given(
+        rows=signature_rows(),
+        query=covering_queries(),
+        period=st.sampled_from(PERIODS),
+        vmax=st.sampled_from([0.0, 0.5, 3.0, 50.0]),
+        probes=st.sampled_from([1, 5, 32]),
+        block=st.sampled_from([1, 2, 1024]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_scalar_on_every_row(
+        self, rows, query, period, vmax, probes, block
+    ):
+        store = synthetic_store(rows)
+        f_np, f_py = both_kernels(store, query, period, vmax, probes)
+        with mock.patch.object(filter_runtime, "_ROW_BLOCK", block):
+            got = [f_np.bound(tid) for tid, _k, _r in rows]
+        assert got == [f_py.bound(tid) for tid, _k, _r in rows]
+        for (_tid, knots, _r), lb in zip(rows, got):
+            if knots[-1][0] <= period[0] or knots[0][0] >= period[1]:
+                assert lb == 0.0  # no overlap with the period
+        absent = len(rows)
+        assert f_np.bound(absent) is None
+        assert not f_np.should_prune(absent, -1.0)
+
+    def test_named_corners(self):
+        far = 1e3  # the query sits this far from every row
+        rows = [
+            # probes at k + 0.5: three of them exactly on knot times
+            (0, [(0.0, 0, 0), (0.5, 9, 9), (1.5, -9, 9), (31.5, 0, 0), (32.0, 1, 1)],
+             [0.0, 4.0, 1.0, 2.0]),
+            (1, [(-10.0, 0, 0), (64.0, 5, 5)], [0.25]),  # single segment
+            (2, [(20.0, 1, 1), (25.0, 2, 2), (90.0, 3, 3)], [0.0, 0.0]),  # partial
+            (3, [(-9.0, 0, 0), (-1.0, 1, 1), (0.0, 2, 2)], [0.0, 0.0]),  # ends at t1
+            (4, [(32.0, 0, 0), (40.0, 1, 1)], [0.0]),  # starts at tn
+        ]
+        store = synthetic_store(rows)
+        query = Trajectory(-1, [(far, far, -30.0), (far + 5, far, 130.0)])
+        for vmax in (0.0, 2.0):
+            f_np, f_py = both_kernels(store, query, (0.0, 32.0), vmax)
+            got = [f_np.bound(tid) for tid in range(5)]
+            assert got == [f_py.bound(tid) for tid in range(5)]
+            assert all(lb > 0.0 for lb in got[:3])
+            assert got[3:] == [0.0, 0.0]
+
+    def test_store_larger_than_one_row_block(self):
+        rng = random.Random(5)
+        rows = []
+        for tid in range(filter_runtime._ROW_BLOCK + 7):
+            count = rng.randint(2, 6)
+            times = itertools.accumulate(
+                (rng.choice([0.5, 3.0, 11.0]) for _ in range(count - 1)),
+                initial=rng.randint(-10, 60) / 2.0,
+            )
+            knots = [(t, rng.uniform(-50, 50), rng.uniform(-50, 50)) for t in times]
+            rows.append((tid, knots, [rng.uniform(0, 3) for _ in range(count - 1)]))
+        store = synthetic_store(rows)
+        query = Trajectory(-1, [(0.0, 0.0, -30.0), (20.0, -5.0, 40.0), (1.0, 1.0, 130.0)])
+        f_np, f_py = both_kernels(store, query, (0.0, 32.0), 1.5)
+        assert [f_np.bound(t) for t, _k, _r in rows] == [
+            f_py.bound(t) for t, _k, _r in rows
+        ]
+
+
+# ----------------------------------------------------------------------
+# sidecar lifetime: nothing may keep a view of an mmap'd column
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestSidecarLifetime:
+    """``close()`` releases the mmap; a surviving ndarray view of a
+    column would make that raise ``BufferError``."""
+
+    def test_index_closes_after_filtered_query(self, rtree, dataset, tmp_path):
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path, signatures=True)
+        index = load_index(path)
+        query, period = workload(dataset, n=1)[0]
+        _, stats = bfmst_search(
+            index, query, period, k=3, filter="on", kernels="numpy"
+        )
+        assert stats.signature_checks > 0
+        index.signatures.close()
+        index.pagefile.close()
+        signature_sidecar_path(path).unlink()
+
+    def test_stale_worker_cache_entry_closes(self, dataset, tmp_path):
+        from repro.engine.executor import _WORKER_INDEXES, _execute_shard_plan
+        from repro.engine.planner import ShardPlan
+        from repro.search.spec import QuerySpec
+
+        path = tmp_path / "shard_0000.pages"
+        query, period = workload(dataset, n=1)[0]
+
+        def run_generation(objects):
+            for suffix in ("", ".meta.json", ".sig"):
+                path.with_name(path.name + suffix).unlink(missing_ok=True)
+            index = RTree3D()
+            index.bulk_insert([dataset.get(t) for t in objects])
+            index.finalize()
+            save_index(index, path, signatures=True)
+            plan = ShardPlan(
+                spec=QuerySpec("mst", query, period, k=3),
+                shard_id=0,
+                shard_path=str(path),
+                signature=(index.num_nodes, index.num_entries, index.root_page),
+                vmax=index.max_speed + query.max_speed(),
+                kernels="numpy",
+                filter="on",
+            )
+            return _execute_shard_plan(plan)
+
+        try:
+            first = run_generation(dataset.ids())
+            assert first.stats["signature_checks"] > 0
+            # Same path, new generation: the worker drops its stale
+            # mapping — sidecar included — before reopening.
+            second = run_generation(dataset.ids()[:12])
+            assert second.stats["signature_checks"] > 0
+        finally:
+            index, _signature = _WORKER_INDEXES.pop(str(path))
+            index.signatures.close()
+            index.pagefile.close()
+
+    def test_retired_ingest_generation_closes(self, tmp_path):
+        from repro.ingest import IngestStore
+
+        small = generate_gstd(10, samples_per_object=30, seed=3)
+        source = small.get(small.ids()[0])
+        query = source.sliced(
+            source.t_start, source.t_start + 0.3 * source.duration
+        ).with_id(-1)
+        with IngestStore.create(tmp_path / "store", tree="tbtree") as store:
+            for t, oid, x, y in sorted(
+                (p.t, tr.object_id, p.x, p.y) for tr in small for p in tr
+            ):
+                store.append(oid, x, y, t)
+            store.compact()
+            filtered = store.generation_number
+            _, stats = store.kmst(query, (query.t_start, query.t_end), k=3)
+            assert stats.signature_checks > 0
+            store.append(999, 0.0, 0.0, 1.0)
+            store.append(999, 1.0, 1.0, 2.0)
+            store.compact()  # retires the generation just queried
+            assert store.metrics.value("ingest.generations_retired") == 1
+            assert not list(store.directory.glob(f"gen-{filtered:06d}*"))
+
+    def test_column_memo_race_is_benign(self, rtree, dataset, tmp_path):
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path, signatures=True)
+        index = load_index(path)  # a fresh store: no memo yet
+        jobs = workload(dataset, n=6, seed=23)
+        barrier = threading.Barrier(len(jobs))
+
+        def bounds(job, kernels="numpy"):
+            query, period = job
+            filt = SignatureFilter(
+                index.signatures, query, period[0], period[1],
+                rtree.max_speed + query.max_speed(), kernels=kernels,
+            )
+            if kernels == "numpy":
+                barrier.wait(timeout=30)
+            return [filt.bound(tid) for tid in dataset.ids()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                got = list(pool.map(bounds, jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [bounds(job, "python") for job in jobs]
+        index.signatures.close()
+        index.pagefile.close()
+
+    def test_thread_executor_engine(self, rtree, dataset, tmp_path):
+        from repro.engine import EngineConfig, QueryEngine, QueryRequest
+
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path, signatures=True)
+        requests = [
+            QueryRequest("mst", query, period, k=3)
+            for query, period in workload(dataset, n=8, seed=29)
+        ]
+        answers = {}
+        for executor in ("serial", "thread"):
+            engine = QueryEngine.open(
+                path, config=EngineConfig(executor=executor, max_workers=4)
+            )
+            try:
+                batch = engine.run_batch(requests)
+                answers[executor] = [match_keys(r.matches) for r in batch]
+            finally:
+                engine.close()
+                engine.index.signatures.close()
+                engine.index.pagefile.close()
+        assert answers["thread"] == answers["serial"]
+
+
+# ----------------------------------------------------------------------
 # sidecar persistence
 # ----------------------------------------------------------------------
 class TestSidecar:
@@ -215,7 +520,6 @@ class TestSidecar:
             assert index.signatures.binding == sigs.binding
             for tid in sigs.tids:
                 assert index.signatures.knots(tid) == sigs.knots(tid)
-                assert index.signatures.cell_list(tid) == sigs.cell_list(tid)
         finally:
             index.signatures.close()
             index.pagefile.close()
@@ -259,6 +563,38 @@ class TestSidecar:
         with pytest.raises(StorageError):
             load_index(path)
         assert not fsck_index(path).ok
+
+    def test_version_1_sidecar_refused_with_rebuild_hint(
+        self, rtree, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path)
+        # A well-formed RSIG v1 file (the grid-cell era): one
+        # two-knot trajectory with one cell, no leaf pages.
+        body = struct.pack(
+            "<4sI3q5d5q",
+            b"RSIG", 1,
+            rtree.num_nodes, rtree.num_entries, rtree.root_page,
+            0.02, 0.0, 0.0, 1.0, 1.0,
+            1, 0, 2, 1, 0,
+        )
+        body += struct.pack("<q", 7)  # tids
+        body += struct.pack("<2q", 0, 2)  # knot offsets
+        body += struct.pack("<2q", 0, 1)  # cell offsets
+        body += struct.pack("<6d", 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)  # knot t/x/y
+        body += struct.pack("<d", 0.5)  # radii
+        body += struct.pack("<q", 0)  # cells
+        body += struct.pack("<q", 0)  # leaf-tid offsets
+        sig_path = signature_sidecar_path(path)
+        sig_path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(StorageError, match=r"version 1 .*rebuild"):
+            load_signatures(sig_path)
+        with pytest.raises(StorageError, match="rebuild"):
+            load_index(path)
+        assert main(["fsck", str(path)]) == 1
+        assert "version 1" in capsys.readouterr().out
 
     def test_binding_mismatch_rejected(self, rtree, dataset, tmp_path):
         other = TBTree()
@@ -505,6 +841,30 @@ class TestCounters:
         round_tripped = SearchStats.from_dict(doc)
         assert round_tripped.signature_checks == stats.signature_checks
         assert round_tripped.signature_pruned == stats.signature_pruned
+
+    def test_pruning_counts(self, tmp_path):
+        # The legacy filter bench's bars, as counts (they repeat
+        # exactly): GSTD 100 x 25, k = 5, TB-tree.
+        data = generate_gstd(100, samples_per_object=25, seed=7)
+        built = TBTree(page_size=512)
+        built.bulk_insert(data)
+        built.finalize()
+        save_index(built, tmp_path / "tb.pages", signatures=True)
+        index = load_index(tmp_path / "tb.pages")
+        try:
+            work = {"on": [0, 0], "off": [0, 0]}
+            for query, period in make_workload(data, 12, 0.05, seed=17):
+                for mode, totals in work.items():
+                    _, stats = bfmst_search(
+                        index, query, period, k=5, filter=mode, kernels="auto"
+                    )
+                    totals[0] += stats.dissim_evaluations
+                    totals[1] += stats.node_accesses
+        finally:
+            index.signatures.close()
+            index.pagefile.close()
+        assert work["off"][0] >= 2.0 * work["on"][0]  # exact-DISSIM integrations
+        assert work["off"][1] >= 1.5 * work["on"][1]  # node accesses
 
     def test_refinement_skip_avoids_cache_lookup(self):
         # A candidate whose signature bound clears the k-th boundary

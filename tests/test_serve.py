@@ -358,6 +358,52 @@ class TestBackpressure:
                 client.query(_any_spec())
 
 
+class TestClientTransport:
+    def test_each_request_leaves_as_one_write(self, monkeypatch):
+        """Headers and body go out in a single ``sendall`` that fits
+        one TCP segment, so the server's loop wakes once per request
+        (two writes cost a cache hit a second wake-up)."""
+        import socket
+
+        writes = []
+
+        class RecordingSocket(socket.socket):
+            def sendall(self, data, *flags):
+                writes.append(bytes(data))
+                return super().sendall(data, *flags)
+
+            def send(self, data, *flags):
+                writes.append(bytes(data))
+                return super().send(data, *flags)
+
+        connect = socket.create_connection
+
+        def recording_connection(address, timeout=None, *args, **kwargs):
+            plain = connect(address, timeout, *args, **kwargs)
+            sock = RecordingSocket(fileno=plain.detach())
+            sock.settimeout(timeout)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", recording_connection)
+        spec = _any_spec()
+        with BackgroundServer(
+            _StubEngine(), ServeConfig(port=0, workers=1)
+        ) as bg:
+            with ServeClient(*bg.address, client_id="one-write") as client:
+                assert client.query(spec).algorithm == "stub"
+                assert client.query(spec).served_from_cache
+                assert client.health()
+        assert len(writes) == 3
+        body = spec.to_json().encode()
+        for request in writes[:2]:
+            head, _, sent_body = request.partition(b"\r\n\r\n")
+            assert head.startswith(b"POST /v1/query HTTP/1.1\r\n")
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert sent_body == body
+            assert len(request) < 1400
+        assert writes[2].startswith(b"GET /healthz HTTP/1.1\r\n")
+
+
 # ----------------------------------------------------------------------
 # admission / cache units
 # ----------------------------------------------------------------------

@@ -385,6 +385,11 @@ class TestPlanner:
             ] == match_tuples(all_shards)
             assert sel_stats.node_accesses <= all_shards.stats.node_accesses
             assert sel_stats.extra["shards_pruned"] == 2
+            # Searched and planner-pruned rows have one shape.
+            rows = sel_stats.extra["per_shard"]
+            assert [r["pruned"] for r in rows] == [True, False, True]
+            assert len({frozenset(r) for r in rows}) == 1
+            assert {"signature_pruned", "leaf_skips"} <= set(rows[0])
         finally:
             sharded.close()
 

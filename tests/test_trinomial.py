@@ -4,7 +4,7 @@ quadrature, and the Lemma 1 trapezoid bound (the load-bearing math)."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 quad = pytest.importorskip(
@@ -51,6 +51,53 @@ intervals = st.tuples(
     st.floats(min_value=0.01, max_value=10.0),
 ).map(lambda p: (p[0], p[0] + p[1]))
 
+# Near-lock-step motion drawn by ``trinomials()`` itself: ``a tau^2`` is
+# ~1e-16 of ``c`` while ``b tau`` is not negligible.  The closed form
+# used to cancel catastrophically here (off by up to 2.8e-6 relative).
+NEAR_LOCK_STEP = [
+    (
+        DistanceTrinomial(
+            a=3.552713678800501e-15, b=5.960464477539062e-07, c=25.0
+        ),
+        (0.5, 1.0),
+    ),
+    (
+        DistanceTrinomial(
+            a=9.43689570931383e-16,
+            b=4.6706917497487656e-07,
+            c=100.5334488032944,
+        ),
+        (-5.0, -4.99),
+    ),
+]
+
+
+def reference_integral(tri, lo, hi):
+    """``exact_integral`` in 400-digit arithmetic — the arcsinh closed
+    form where the float discriminant is positive (it cancels by a
+    factor of up to ``b / 4a``, ~1e165 for the slowest relative motion
+    hypothesis draws), quadrature of the clamped integrand otherwise."""
+    mp = pytest.importorskip("mpmath", reason="high-precision oracle")
+    with mp.workdps(400):
+        a, b, c = mp.mpf(tri.a), mp.mpf(tri.b), mp.mpf(tri.c)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        if a == 0:
+            return mp.sqrt(c) * (hi - lo)
+        disc = 4 * a * c - b * b
+        if disc > 0:
+
+            def anti(t):
+                lin = 2 * a * t + b
+                return lin * mp.sqrt((a * t + b) * t + c) / (4 * a) + disc / (
+                    8 * a ** mp.mpf(1.5)
+                ) * mp.asinh(lin / mp.sqrt(disc))
+
+            return anti(hi) - anti(lo)
+        root = mp.sqrt(-disc)
+        roots = ((-b - root) / (2 * a), (-b + root) / (2 * a))
+        cuts = sorted({lo, hi} | {r for r in roots if lo < r < hi})
+        return mp.quad(lambda t: mp.sqrt(max((a * t + b) * t + c, 0)), cuts)
+
 
 class TestConstruction:
     def test_negative_a_rejected(self):
@@ -93,11 +140,17 @@ class TestExactIntegral:
     @settings(max_examples=200, deadline=None)
     def test_matches_numeric_quadrature(self, tri, interval):
         lo, hi = interval
-        expected, est_err = quad(tri.value_at, lo, hi, limit=200)
+        # A perfect square has a kink at the flex; without the
+        # breakpoint quad misses it and under-reports its own error.
+        flex = tri.flex
+        kink = [flex] if flex is not None and lo < flex < hi else None
+        expected, est_err = quad(tri.value_at, lo, hi, limit=200, points=kink)
         got = tri.exact_integral(lo, hi)
         assert got == pytest.approx(expected, rel=1e-6, abs=max(1e-7, 10 * est_err))
 
     @given(trinomials(), intervals)
+    @example(*NEAR_LOCK_STEP[0])
+    @example(*NEAR_LOCK_STEP[1])
     @settings(max_examples=100)
     def test_additive_over_subintervals(self, tri, interval):
         lo, hi = interval
@@ -105,6 +158,19 @@ class TestExactIntegral:
         whole = tri.exact_integral(lo, hi)
         parts = tri.exact_integral(lo, mid) + tri.exact_integral(mid, hi)
         assert whole == pytest.approx(parts, rel=1e-9, abs=1e-9)
+
+    @given(st.one_of(trinomials(), raw_trinomials()), intervals)
+    @example(*NEAR_LOCK_STEP[0])
+    @example(*NEAR_LOCK_STEP[1])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_high_precision_reference(self, tri, interval):
+        lo, hi = interval
+        expected = float(reference_integral(tri, lo, hi))
+        # The absolute floor covers ``a <= 1e-30`` being integrated as
+        # a constant: at most sqrt(a) tau^2 / 2 ~ 1e-13 on this domain.
+        assert tri.exact_integral(lo, hi) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12
+        )
 
 
 class TestTrapezoidLemma1:
