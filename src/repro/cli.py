@@ -596,12 +596,10 @@ def _cmd_batch(args) -> int:
             f"({batch.queries_per_sec:.1f} q/s, {batch.executor} executor)"
         )
         cache = batch.cache_counters
-        for level in ("dissim", "mindist", "segdissim"):
-            hits = cache.get(f"engine.cache.{level}.hits", 0)
-            misses = cache.get(f"engine.cache.{level}.misses", 0)
-            total = hits + misses
-            ratio = hits / total if total else 0.0
-            print(f"  {level} cache: {hits}/{total} hits ({ratio:.0%})")
+        hits = cache.get("engine.cache.dissim.hits", 0)
+        total = hits + cache.get("engine.cache.dissim.misses", 0)
+        ratio = hits / total if total else 0.0
+        print(f"  dissim cache: {hits}/{total} hits ({ratio:.0%})")
         print(
             f"  buffer: {cache.get('engine.buffer.hits', 0)} hits, "
             f"{cache.get('engine.buffer.pinned', 0)} pages pinned"

@@ -1,13 +1,13 @@
-"""repro.engine — batched query execution with multi-level caching.
+"""repro.engine — batched query execution over warm sessions.
 
 See :mod:`repro.engine.engine` for the session model,
-:mod:`repro.engine.cache` for the cache levels,
+:mod:`repro.engine.cache` for what a session keeps warm,
 :mod:`repro.engine.planner` + :mod:`repro.engine.sharded` for
 shard-parallel serving and ``docs/ENGINE.md`` / ``docs/SHARDING.md``
 for the narrative documentation.
 """
 
-from .cache import DissimRefinementCache, LRUCache, MindistCache
+from .cache import DissimRefinementCache, LRUCache
 from .engine import (
     SESSION_BUFFER_FRACTION,
     BatchResult,
@@ -43,7 +43,6 @@ __all__ = [
     "SESSION_BUFFER_FRACTION",
     "LRUCache",
     "DissimRefinementCache",
-    "MindistCache",
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessPoolShardExecutor",

@@ -1,32 +1,24 @@
-"""The engine's multi-level cache layer.
+"""What the engine keeps warm between queries.
 
-Four levels, cheapest to invalidate first:
+* :class:`DissimRefinementCache` — cross-query LRU of the exact
+  refinement integrals BFMST computes for ambiguous candidates,
+  keyed ``(query key, period, trajectory id)``.  A *completed*
+  candidate's retrieved windows tile the full query period
+  deterministically, so the exact total depends only on that key —
+  it is safe to reuse across different ``k`` and across repeats of
+  the same query.  It sits in the shared merge step behind one
+  ``get``/``put`` pair.
+* Buffer-pool pinning (implemented by
+  :class:`~repro.storage.buffer.LRUBufferManager`) — the engine pins
+  the upper index levels so batch-long hot pages never thrash.
 
-1. :class:`MindistCache` — per-query memo of node-MBB MINDIST
-   evaluations.  MINDIST depends only on (query, MBB, period), so
-   within one logical query every repeat evaluation (re-executed
-   queries in a batch, browse resumption) is a pure lookup.  Scopes
-   are LRU-bounded so a long batch cannot hoard memory.
-2. :class:`SegmentDissimCache` — per-query memo of the per-leaf-entry
-   DISSIM window integrals (BFMST Figure 7, line 18).  The trapezoid
-   integral of one data segment over one window is a pure function of
-   (query, segment, window), and it dominates leaf processing — on a
-   re-executed query every leaf entry hits this memo instead of
-   re-integrating.
-3. :class:`DissimRefinementCache` — cross-query LRU of the exact
-   refinement integrals BFMST computes for ambiguous candidates,
-   keyed ``(query key, period, trajectory id)``.  A *completed*
-   candidate's retrieved windows tile the full query period
-   deterministically, so the exact total depends only on that key —
-   it is safe to reuse across different ``k`` and across repeats of
-   the same query.
-4. Buffer-pool pinning (implemented by
-   :class:`~repro.storage.buffer.LRUBufferManager`) — the engine pins
-   the upper index levels so batch-long hot pages never thrash.
+The traversal itself is not memoised: the queries of a session are
+distinct, and a served repeat is answered one level up by the result
+cache (docs/ENGINE.md has the measurements).
 
 All counters are plain ints guarded by a lock; the engine mirrors
 them into its :class:`~repro.obs.registry.MetricsRegistry` (and any
-active :func:`~repro.obs.query_trace`) after every query.
+active :func:`~repro.obs.query_trace`) after every batch.
 """
 
 from __future__ import annotations
@@ -34,12 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-__all__ = [
-    "LRUCache",
-    "DissimRefinementCache",
-    "MindistCache",
-    "SegmentDissimCache",
-]
+__all__ = ["LRUCache", "DissimRefinementCache"]
 
 
 class LRUCache:
@@ -135,192 +122,3 @@ class DissimRefinementCache:
     def counters(self) -> dict[str, int]:
         return self.lru.counters("engine.cache.dissim")
 
-
-class MindistCache:
-    """Per-query-scope memo of node-MBB MINDIST evaluations.
-
-    One *scope* is a ``(query_key, period)`` pair; each scope holds a
-    plain dict keyed by the node MBB's 6-tuple (``None`` results — no
-    temporal overlap — are cached too).  Scopes themselves live in an
-    LRU so only the most recent ``scope_capacity`` queries keep their
-    memos warm.
-    """
-
-    __slots__ = ("scopes", "hits", "misses", "_lock")
-
-    def __init__(self, scope_capacity: int = 64):
-        self.scopes = LRUCache(scope_capacity)
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-
-    def wrap(self, base_fn, query, query_key, t_start: float, t_end: float):
-        """A drop-in for :func:`repro.index.mindist.mindist`, memoised
-        for this scope (signature ``fn(query, mbr, t_start, t_end)``)."""
-        scope_key = (query_key, (t_start, t_end))
-        memo = self.scopes.get(scope_key)
-        if memo is None:
-            memo = {}
-            self.scopes.put(scope_key, memo)
-        _MISS = object()
-
-        def cached_mindist(q, mbr, lo, hi):
-            key = (mbr.xmin, mbr.ymin, mbr.tmin, mbr.xmax, mbr.ymax, mbr.tmax)
-            value = memo.get(key, _MISS)
-            if value is not _MISS:
-                with self._lock:
-                    self.hits += 1
-                return value
-            with self._lock:
-                self.misses += 1
-            value = base_fn(q, mbr, lo, hi)
-            memo[key] = value
-            return value
-
-        return cached_mindist
-
-    def wrap_batch(
-        self, base_batch_fn, query, query_key, t_start: float, t_end: float
-    ):
-        """A drop-in for :func:`repro.index.mindist.mindist_batch` over
-        the *same* scope memo as :meth:`wrap` — entries already resolved
-        by a scalar (or earlier batched) evaluation are looked up, and
-        ``base_batch_fn`` only sees the still-missing boxes."""
-        scope_key = (query_key, (t_start, t_end))
-        memo = self.scopes.get(scope_key)
-        if memo is None:
-            memo = {}
-            self.scopes.put(scope_key, memo)
-        _MISS = object()
-
-        def cached_mindist_batch(q, boxes, lo, hi):
-            results = [None] * len(boxes)
-            missing_idx: list[int] = []
-            missing_boxes = []
-            for i, mbr in enumerate(boxes):
-                key = (
-                    mbr.xmin, mbr.ymin, mbr.tmin,
-                    mbr.xmax, mbr.ymax, mbr.tmax,
-                )
-                value = memo.get(key, _MISS)
-                if value is _MISS:
-                    missing_idx.append(i)
-                    missing_boxes.append(mbr)
-                else:
-                    results[i] = value
-            with self._lock:
-                self.hits += len(boxes) - len(missing_idx)
-                self.misses += len(missing_idx)
-            if missing_idx:
-                fresh = base_batch_fn(q, missing_boxes, lo, hi)
-                for i, mbr, value in zip(missing_idx, missing_boxes, fresh):
-                    memo[
-                        (mbr.xmin, mbr.ymin, mbr.tmin,
-                         mbr.xmax, mbr.ymax, mbr.tmax)
-                    ] = value
-                    results[i] = value
-            return results
-
-        return cached_mindist_batch
-
-    def clear(self) -> None:
-        self.scopes.clear()
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "engine.cache.mindist.hits": self.hits,
-            "engine.cache.mindist.misses": self.misses,
-            "engine.cache.mindist.scopes": len(self.scopes),
-        }
-
-
-class SegmentDissimCache:
-    """Per-query-scope memo of per-leaf-entry DISSIM window integrals.
-
-    Same scoping scheme as :class:`MindistCache`: one scope per
-    ``(query_key, period)`` pair, scopes held in an LRU.  Keys are the
-    (frozen, hashable) :class:`~repro.geometry.segment.STSegment` plus
-    the clipped window; values are the ``(integral, d_start, d_end)``
-    triple ``segment_dissim`` returns, which is immutable and safe to
-    share.  Exact (refinement) evaluations bypass the memo — they are
-    covered by :class:`DissimRefinementCache` at candidate granularity.
-    """
-
-    __slots__ = ("scopes", "hits", "misses", "_lock")
-
-    def __init__(self, scope_capacity: int = 64):
-        self.scopes = LRUCache(scope_capacity)
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-
-    def wrap(self, base_fn, query_key, t_start: float, t_end: float):
-        """A drop-in for :func:`repro.distance.segment_dissim`, memoised
-        for this scope (signature ``fn(query, seg, lo, hi, exact=False)``)."""
-        scope_key = (query_key, (t_start, t_end))
-        memo = self.scopes.get(scope_key)
-        if memo is None:
-            memo = {}
-            self.scopes.put(scope_key, memo)
-
-        def cached_segment_dissim(q, seg, lo, hi, exact=False):
-            if exact:
-                return base_fn(q, seg, lo, hi, exact=True)
-            key = (seg, lo, hi)
-            value = memo.get(key)
-            if value is not None:
-                with self._lock:
-                    self.hits += 1
-                return value
-            with self._lock:
-                self.misses += 1
-            value = base_fn(q, seg, lo, hi)
-            memo[key] = value
-            return value
-
-        return cached_segment_dissim
-
-    def wrap_batch(self, base_batch_fn, query_key, t_start: float, t_end: float):
-        """A drop-in for :func:`repro.distance.segment_dissim_batch`
-        over the *same* scope memo as :meth:`wrap` — already-integrated
-        windows are looked up and ``base_batch_fn`` only sees the
-        still-missing ``(segment, lo, hi)`` items."""
-        scope_key = (query_key, (t_start, t_end))
-        memo = self.scopes.get(scope_key)
-        if memo is None:
-            memo = {}
-            self.scopes.put(scope_key, memo)
-
-        def cached_segment_dissim_batch(q, items):
-            results = [None] * len(items)
-            missing_idx: list[int] = []
-            missing_items = []
-            for i, item in enumerate(items):
-                key = (item[0], item[1], item[2])
-                value = memo.get(key)
-                if value is None:
-                    missing_idx.append(i)
-                    missing_items.append(item)
-                else:
-                    results[i] = value
-            with self._lock:
-                self.hits += len(items) - len(missing_idx)
-                self.misses += len(missing_idx)
-            if missing_idx:
-                fresh = base_batch_fn(q, missing_items)
-                for i, item, value in zip(missing_idx, missing_items, fresh):
-                    memo[(item[0], item[1], item[2])] = value
-                    results[i] = value
-            return results
-
-        return cached_segment_dissim_batch
-
-    def clear(self) -> None:
-        self.scopes.clear()
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "engine.cache.segdissim.hits": self.hits,
-            "engine.cache.segdissim.misses": self.misses,
-            "engine.cache.segdissim.scopes": len(self.scopes),
-        }

@@ -6,28 +6,26 @@ queries (k-MST, linear scan, point NN, range, continuous NN,
 time-relaxed) through one shared execution context, so work that a
 one-off call throws away is amortised:
 
-* node MINDIST evaluations are memoised per query scope
-  (:class:`~repro.engine.cache.MindistCache`),
-* per-leaf-entry DISSIM window integrals are memoised per query scope
-  (:class:`~repro.engine.cache.SegmentDissimCache`),
-* exact refinement integrals are memoised across queries
-  (:class:`~repro.engine.cache.DissimRefinementCache`),
 * the upper index levels are pinned in the buffer pool for the
   session (:meth:`QueryEngine.pin_upper_levels`),
-* the best-first priority queue's backing list is reused per worker.
+* exact refinement integrals are memoised across queries
+  (:class:`~repro.engine.cache.DissimRefinementCache`).
 
 The engine is an execution *context* in the sense of the unified
 search API: it exposes ``.index``, ``.dataset`` and
-``search_hooks(query, period)``, so any :mod:`repro.search.api`
-function accepts it in the first argument slot —
-``bfmst_search(engine, None, query, k=5)`` uses the engine's caches
-transparently.
+``search_context(query, period)`` — the session's kernels and filter
+defaults and its refinement cache, as plain keyword data for the one
+search driver — so any :mod:`repro.search.api` function accepts it in
+the first argument slot: ``bfmst_search(engine, None, query, k=5)``
+searches exactly as ``engine.execute`` does.  The traversal itself
+keeps no state between queries: the same request executed twice does
+the same work.
 
-Caches are invalidated automatically when the index's structural
-signature ``(num_nodes, num_entries, root_page)`` changes (e.g. after
-a rebuild or insertion); hit/miss counters live in the engine's
-always-on :class:`~repro.obs.registry.MetricsRegistry` and are
-mirrored into any active :func:`~repro.obs.query_trace`.
+The pins and the refinement cache are refreshed automatically when the
+index's structural signature ``(num_nodes, num_entries, root_page)``
+changes (e.g. after a rebuild or insertion); hit/miss counters live in
+the engine's always-on :class:`~repro.obs.registry.MetricsRegistry`
+and are mirrored into any active :func:`~repro.obs.query_trace`.
 """
 
 from __future__ import annotations
@@ -35,22 +33,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from threading import local as _thread_local
 
 from ..exceptions import DeadlineExceeded, QueryError
 from ..geometry import MBR2D, Point
 from ..index import NO_PAGE, TrajectoryIndex, load_index
-from ..index.mindist import mindist as _base_mindist
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search import api as _api
 from ..search.results import SearchResult
 from ..search.spec import QuerySpec
 from ..trajectory import Trajectory, TrajectoryDataset, read_csv, read_json
-from ..distance import segment_dissim as _base_segment_dissim
-from ..distance.kernels import make_segment_dissim_batch, resolve_kernels
-from ..index.mindist import make_mindist_batch
-from .cache import DissimRefinementCache, MindistCache, SegmentDissimCache
+from .cache import DissimRefinementCache
 from .executor import make_executor
 
 __all__ = [
@@ -84,17 +77,11 @@ def query_key(query):
     raise QueryError(f"unsupported query object {type(query).__name__}")
 
 
-def _deadline_guard(fn, deadline: float):
-    """Wrap a search hook so it aborts the query once the absolute
-    ``time.monotonic()`` deadline passes (the wrapped hook is hot —
-    one branch and one clock read per call)."""
-
-    def guarded(*args, **kwargs):
-        if time.monotonic() >= deadline:
-            raise DeadlineExceeded("query exceeded its deadline budget")
-        return fn(*args, **kwargs)
-
-    return guarded
+def refinement_view(cache: DissimRefinementCache, query: Trajectory, period):
+    """The refinement LRU bound to one ``(query, period)`` scope — the
+    ``refinement_cache`` an engine hands the search driver."""
+    span = tuple(period) if period is not None else (query.t_start, query.t_end)
+    return cache.view(query_key(query), span)
 
 
 @dataclass
@@ -102,23 +89,22 @@ class EngineConfig:
     """Tunables for a :class:`QueryEngine` session.
 
     ``pin_upper_levels`` counts index levels from the root downwards
-    (2 = root + its children; 0 disables pinning).  Cache sizes of 0
-    disable the corresponding level.  ``executor`` is ``"serial"`` or
-    ``"thread"``; the threaded executor treats the index as read-only
-    and enables the buffer manager's lock.  ``kernels`` selects the
-    hot-path implementation for k-MST queries (``"auto"`` picks the
-    vectorised numpy kernels when numpy is importable and the
-    pure-Python reference otherwise; ``"numpy"``/``"python"`` force
-    one; ``None`` keeps the classic per-entry scalar path) — see
-    :mod:`repro.distance.kernels`.  ``filter`` is the session default
+    (2 = root + its children; 0 disables pinning).  A
+    ``dissim_cache_size`` of 0 disables the refinement cache.
+    ``executor`` is ``"serial"``, ``"thread"`` or ``"process"``; the
+    threaded executor treats the index as read-only and enables the
+    buffer manager's lock.  ``kernels`` selects the hot-path
+    implementation for k-MST queries (``"auto"`` picks the vectorised
+    numpy kernels when numpy is importable and the pure-Python
+    reference otherwise; ``"numpy"``/``"python"`` force one; ``None``
+    leaves the choice to each request, whose own default is ``"auto"``)
+    — see :mod:`repro.distance.kernels`.  ``filter`` is the session default
     for the signature filter tier (``"auto"``/``"on"``/``"off"``, see
     :mod:`repro.filter`); a request that names a filter mode
     explicitly overrides it.
     """
 
     dissim_cache_size: int = 4096
-    mindist_cache_scopes: int = 64
-    segdissim_cache_scopes: int = 64
     pin_upper_levels: int = 2
     executor: str = "serial"
     max_workers: int | None = None
@@ -188,13 +174,6 @@ class QueryEngine:
         self.dissim_cache = DissimRefinementCache(
             max(1, self.config.dissim_cache_size)
         )
-        self.mindist_cache = MindistCache(
-            max(1, self.config.mindist_cache_scopes)
-        )
-        self.segdissim_cache = SegmentDissimCache(
-            max(1, self.config.segdissim_cache_scopes)
-        )
-        self._local = _thread_local()
         self._signature = None
         self._closed = False
         # One executor per session: the threaded pool is reused across
@@ -274,8 +253,6 @@ class QueryEngine:
     def _refresh_session(self) -> None:
         self._signature = self._index_signature()
         self.dissim_cache.clear()
-        self.mindist_cache.clear()
-        self.segdissim_cache.clear()
         pinned = self.pin_upper_levels()
         self.metrics.inc("engine.sessions")
         self.metrics.inc("engine.pinned_pages", pinned)
@@ -321,70 +298,20 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # unified-API execution context protocol
     # ------------------------------------------------------------------
-    def search_hooks(self, query, period) -> dict:
-        """Per-query hook bundle for :mod:`repro.search.api` — memoised
-        MINDIST, the cross-query refinement cache view and the
-        worker-local heap scratch."""
+    def search_context(self, query, period) -> dict:
+        """What steers one k-MST search in this session, as keyword
+        data for :func:`repro.search.bfmst.bfmst_search`: the
+        configured kernels and filter default, and the cross-query
+        refinement cache bound to this ``(query, period)``."""
         self.check_signature()
-        hooks: dict = {"heap_scratch": self._heap_scratch()}
         if not isinstance(query, Trajectory):
-            return hooks
-        hooks["filter"] = self.config.filter
-        key = query_key(query)
-        span = tuple(period) if period is not None else (
-            query.t_start,
-            query.t_end,
-        )
-        if self.config.mindist_cache_scopes > 0:
-            hooks["mindist_fn"] = self.mindist_cache.wrap(
-                _base_mindist, query, key, span[0], span[1]
-            )
-        if self.config.segdissim_cache_scopes > 0:
-            hooks["segment_dissim_fn"] = self.segdissim_cache.wrap(
-                _base_segment_dissim, key, span[0], span[1]
-            )
+            return {}
+        context = {"kernels": self.config.kernels, "filter": self.config.filter}
         if self.config.dissim_cache_size > 0:
-            hooks["refinement_cache"] = self.dissim_cache.view(key, span)
-        if self.config.kernels is not None:
-            mode = resolve_kernels(self.config.kernels)
-            hooks["kernels"] = mode
-            base_mindist_batch = make_mindist_batch(mode)
-            base_segdissim_batch = make_segment_dissim_batch(mode)
-            if self.config.mindist_cache_scopes > 0:
-                hooks["mindist_batch_fn"] = self.mindist_cache.wrap_batch(
-                    base_mindist_batch, query, key, span[0], span[1]
-                )
-            else:
-                hooks["mindist_batch_fn"] = base_mindist_batch
-            if self.config.segdissim_cache_scopes > 0:
-                hooks["segment_dissim_batch_fn"] = (
-                    self.segdissim_cache.wrap_batch(
-                        base_segdissim_batch, key, span[0], span[1]
-                    )
-                )
-            else:
-                hooks["segment_dissim_batch_fn"] = base_segdissim_batch
-        deadline = getattr(self._local, "deadline", None)
-        if deadline is not None:
-            # MINDIST runs once per dequeued node — the natural
-            # mid-query cancellation point.  The guard closes over the
-            # absolute deadline at hook-build time, so it works
-            # unchanged when the hooks run on a pool thread.
-            hooks["mindist_fn"] = _deadline_guard(
-                hooks.get("mindist_fn", _base_mindist), deadline
+            context["refinement_cache"] = refinement_view(
+                self.dissim_cache, query, period
             )
-            if "mindist_batch_fn" in hooks:
-                hooks["mindist_batch_fn"] = _deadline_guard(
-                    hooks["mindist_batch_fn"], deadline
-                )
-        return hooks
-
-    def _heap_scratch(self) -> list:
-        heap = getattr(self._local, "heap", None)
-        if heap is None:
-            heap = []
-            self._local.heap = heap
-        return heap
+        return context
 
     # ------------------------------------------------------------------
     # execution
@@ -398,8 +325,8 @@ class QueryEngine:
         omitted, the request's own ``deadline_ms`` budget (if any)
         starts counting now.  A query past its deadline raises
         :class:`~repro.exceptions.DeadlineExceeded` — checked up front
-        and (for k-MST) at every node MINDIST evaluation, so runaway
-        queries stop consuming their worker promptly.
+        and (for k-MST) at every node the traversal dequeues, so
+        runaway queries stop consuming their worker promptly.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -416,16 +343,16 @@ class QueryEngine:
         self.metrics.inc(f"engine.queries.{kind}")
         if kind in ("linear_scan", "continuous_nn", "time_relaxed"):
             self._require_dataset(kind)
-        self._local.deadline = deadline
         try:
-            result = _api.execute_spec(self, None, request)
-            self._mirror_filter_stats(result.stats)
-            return result
+            result = _api.execute_spec(self, None, request, deadline=deadline)
         except DeadlineExceeded:
             self.metrics.inc("engine.deadline_misses")
             raise
-        finally:
-            self._local.deadline = None
+        # Per-query filter counters also surface in the stats block;
+        # the registry view feeds ``GET /stats``.
+        for name, value in result.stats.filter_counters().items():
+            self.metrics.inc(name, value)
+        return result
 
     def run_batch(
         self, requests: list[QueryRequest], *, executor=None
@@ -467,23 +394,6 @@ class QueryEngine:
             metrics=dict(self.metrics.counters),
         )
 
-    def _mirror_filter_stats(self, stats) -> None:
-        """Accumulate per-query signature-filter counters into the
-        session registry (they also surface per-query in the stats
-        block; the registry view feeds ``GET /stats``)."""
-        if (
-            stats.signature_checks
-            or stats.signature_pruned
-            or stats.leaf_skips
-            or stats.refinement_skipped
-        ):
-            self.metrics.inc("filter.signature_checks", stats.signature_checks)
-            self.metrics.inc("filter.pruned", stats.signature_pruned)
-            self.metrics.inc("filter.leaf_skips", stats.leaf_skips)
-            self.metrics.inc(
-                "filter.refinement_skipped", stats.refinement_skipped
-            )
-
     def _require_dataset(self, kind: str) -> TrajectoryDataset:
         if self.dataset is None:
             raise QueryError(
@@ -496,11 +406,9 @@ class QueryEngine:
     # telemetry
     # ------------------------------------------------------------------
     def cache_counters(self) -> dict[str, int]:
-        """Current absolute hit/miss/eviction counters of every cache
-        level, plus the buffer pool's session totals."""
+        """Current absolute hit/miss/eviction counters of the
+        refinement cache, plus the buffer pool's session totals."""
         out = dict(self.dissim_cache.counters())
-        out.update(self.mindist_cache.counters())
-        out.update(self.segdissim_cache.counters())
         io = self.index.buffer.stats
         out["engine.buffer.hits"] = io.buffer_hits
         out["engine.buffer.misses"] = io.buffer_misses

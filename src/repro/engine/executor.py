@@ -152,23 +152,21 @@ def _execute_shard_plan(plan):
     (nothing inherited from the parent), so the counters it ships back
     are per-call deltas by construction; the absolute
     ``time.monotonic()`` deadline in the plan is checked up front and
-    enforced on the MINDIST hot path (the monotonic clock is
+    then by the traversal at every node dequeue (the monotonic clock is
     system-wide on Linux, so the parent's deadline is meaningful
-    here).  Returns a :class:`~repro.engine.planner.ShardAnswer`.
+    here).  The search itself is the same
+    :func:`~repro.search.bfmst.search_part` the in-process executors
+    run, under a bound of this worker's own.  Returns a
+    :class:`~repro.engine.planner.ShardAnswer`.
     """
-    from ..distance.kernels import make_segment_dissim_batch
     from ..exceptions import DeadlineExceeded
-    from ..index.mindist import make_mindist_batch, mindist
     from ..obs import MetricsRegistry, query_trace
     from ..search.bfmst import (
         _TopK,
-        _search_shard,
         _validate,
-        candidate_records,
         make_signature_filter,
+        search_part,
     )
-    from ..search.results import SearchStats
-    from .engine import _deadline_guard
     from .planner import ShardAnswer
 
     if plan.deadline is not None and time.monotonic() >= plan.deadline:
@@ -179,37 +177,18 @@ def _execute_shard_plan(plan):
     spec = plan.spec
     t_start, t_end = _validate(spec.query, spec.period, spec.k)
     opts = spec.options
-    exclude_ids = frozenset(opts.get("exclude_ids") or ())
-
-    mindist_fn = None
-    mindist_batch_fn = None
-    segment_dissim_batch_fn = None
-    if plan.kernels is not None:
-        mindist_batch_fn = make_mindist_batch(plan.kernels)
-        segment_dissim_batch_fn = make_segment_dissim_batch(plan.kernels)
-    if plan.deadline is not None:
-        mindist_fn = _deadline_guard(mindist, plan.deadline)
-        if mindist_batch_fn is not None:
-            mindist_batch_fn = _deadline_guard(mindist_batch_fn, plan.deadline)
 
     # The sidecar (auto-attached by load_index) feeds a worker-local
     # signature filter; ``plan.filter`` is the parent-resolved mode.
     sig_filter = make_signature_filter(
-        index,
-        spec.query,
-        t_start,
-        t_end,
-        plan.vmax,
-        getattr(plan, "filter", "auto"),
-        plan.kernels,
+        index, spec.query, t_start, t_end, plan.vmax, plan.filter, plan.kernels
     )
 
     registry = MetricsRegistry()
-    stats = SearchStats(total_nodes=index.num_nodes)
     with query_trace(
         index, name=f"shard-{plan.shard_id}", registry=registry
     ):
-        completed, valid = _search_shard(
+        records, stats = search_part(
             index,
             spec.query,
             t_start,
@@ -218,14 +197,11 @@ def _execute_shard_plan(plan):
             opts.get("use_heuristic1", True),
             opts.get("use_heuristic2", True),
             _TopK(spec.k),
-            exclude_ids,
-            stats,
-            mindist_fn=mindist_fn,
-            mindist_batch_fn=mindist_batch_fn,
-            segment_dissim_batch_fn=segment_dissim_batch_fn,
-            sig_filter=sig_filter,
+            frozenset(opts.get("exclude_ids") or ()),
+            plan.kernels,
+            sig_filter,
+            plan.deadline,
         )
-        records = candidate_records(completed, valid, plan.vmax)
     # The traversal's heap high-water lives in a worker-side gauge;
     # carry it in the stats dict so the parent can surface it.
     stats.heap_high_water = int(registry.gauge("index.heap_high_water").value)
@@ -247,11 +223,13 @@ class ProcessPoolShardExecutor:
     start method (falling back to spawn) and live until :meth:`close`;
     each keeps a warm per-process index cache (see
     :func:`_execute_shard_plan`), so only the first query against a
-    shard pays the open cost.  ``map`` — the in-process shard-callable
+    shard pays the open cost.  ``map`` — the in-process callable
     convention of the other executors — intentionally degrades to a
     serial loop: closures over live engines cannot cross a process
     boundary, and the sharded engine routes plan-shaped work through
-    :meth:`run_plans` instead.
+    :meth:`run_plans` instead
+    (:meth:`ShardedQueryEngine.run_parts
+    <repro.engine.ShardedQueryEngine.run_parts>`).
     """
 
     kind = "process"

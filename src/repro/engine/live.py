@@ -19,14 +19,31 @@ sharding partitioners) and the merged search covers their union.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from ..exceptions import DeadlineExceeded, QueryError
-from ..ingest import IngestStore, merged_kmst
+from ..ingest import IngestStore
+from ..search import api as _api
 from ..search.results import SearchResult
 from .engine import BatchResult, EngineConfig, QueryRequest
 from .executor import make_executor
 
 __all__ = ["LiveQueryEngine"]
+
+
+class _Snapshot:
+    """What one request searches — the parts of its pinned views — as
+    a search context (``.index``, ``.dataset``, ``search_context``): a
+    fresh object per request, so concurrent requests share no state."""
+
+    dataset = None
+
+    def __init__(self, views, config: EngineConfig) -> None:
+        self.index = [part for view in views for part in view.parts]
+        self._context = {"kernels": config.kernels, "filter": config.filter}
+
+    def search_context(self, query, period) -> dict:
+        return self._context
 
 
 class LiveQueryEngine:
@@ -46,7 +63,7 @@ class LiveQueryEngine:
         self.executor = make_executor(
             self.config.executor, self.config.max_workers
         )
-        self._filter_counters: dict[str, int] = {}
+        self._counters: Counter = Counter()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -66,7 +83,8 @@ class LiveQueryEngine:
 
         ``deadline`` (absolute ``time.monotonic()``) or the request's
         ``deadline_ms`` budget is checked before the snapshot is
-        pinned; the merged search itself is not interrupted mid-flight.
+        pinned and then by the traversal at every node it dequeues; the
+        pins are released however the search ends.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -78,35 +96,25 @@ class LiveQueryEngine:
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1000.0
         if deadline is not None and time.monotonic() >= deadline:
+            self._counters["engine.deadline_misses"] += 1
             raise DeadlineExceeded(
                 "deadline expired before the mst query started"
             )
-        opts = dict(request.options)
-        opts.setdefault("kernels", self.config.kernels)
-        opts.setdefault("filter", self.config.filter)
         views = []
         try:
             for store in self.stores:
                 views.append(store.view())
-            matches, stats = merged_kmst(
-                views, request.query, request.period, request.k, **opts
+            result = _api.execute_spec(
+                _Snapshot(views, self.config), None, request, deadline=deadline
             )
+        except DeadlineExceeded:
+            self._counters["engine.deadline_misses"] += 1
+            raise
         finally:
             for view in views:
                 view.close()
-        for name, value in (
-            ("filter.signature_checks", stats.signature_checks),
-            ("filter.pruned", stats.signature_pruned),
-            ("filter.leaf_skips", stats.leaf_skips),
-            ("filter.refinement_skipped", stats.refinement_skipped),
-        ):
-            if value:
-                self._filter_counters[name] = (
-                    self._filter_counters.get(name, 0) + value
-                )
-        return SearchResult(
-            algorithm="bfmst", matches=matches, stats=stats, spec=request
-        )
+        self._counters.update(result.stats.filter_counters())
+        return result
 
     def run_batch(
         self, requests: list[QueryRequest], *, executor=None
@@ -145,15 +153,12 @@ class LiveQueryEngine:
     # ------------------------------------------------------------------
     def counters(self) -> dict[str, int]:
         """Summed ingest counters across the stores, plus the
-        signature-filter counters of queries served by this engine
-        (``GET /stats`` shows both for a live target)."""
-        out: dict[str, int] = {}
+        signature-filter counters and deadline misses of queries served
+        by this engine (``GET /stats`` shows both for a live target)."""
+        out = Counter(self._counters)
         for store in self.stores:
-            for name, value in store.metrics.counters.items():
-                out[name] = out.get(name, 0) + value
-        for name, value in self._filter_counters.items():
-            out[name] = out.get(name, 0) + value
-        return out
+            out.update(store.metrics.counters)
+        return dict(out)
 
     def close(self) -> None:
         """Release the executor (the stores stay open — the engine

@@ -90,11 +90,11 @@ class ShardPlan:
       speed, because a per-shard recomputation would change bounds and
       break byte-identity with the serial executor.
     * ``deadline`` — absolute ``time.monotonic()`` deadline (system-wide
-      on Linux, so it is meaningful across processes); thread-local
-      deadlines do not survive ``fork``, this field replaces them for
-      every executor.
-    * ``kernels`` — the parent-resolved concrete kernel mode (never
-      ``"auto"``: resolution happens once, in one process).
+      on Linux, so it is meaningful across processes), the same value
+      the in-process executors hand the traversal.
+    * ``kernels`` — the parent-resolved concrete kernel mode
+      (``"numpy"`` or ``"python"``, never ``"auto"``: resolution
+      happens once, in one process).
     * ``filter`` — the parent-resolved signature-filter mode
       (``auto``/``on``/``off``, see :mod:`repro.filter`); the worker
       builds its own :class:`~repro.filter.SignatureFilter` from the
@@ -108,7 +108,7 @@ class ShardPlan:
     vmax: float
     deadline: float | None = None
     backend: str = "mmap"
-    kernels: str | None = None
+    kernels: str = "python"
     filter: str = "auto"
     buffer_fraction: float = 0.10
     buffer_max_pages: int = 1000
@@ -173,13 +173,11 @@ class ShardPlan:
         )
         kernels = doc.get("kernels")
         _require(
-            kernels in (None, "numpy", "python"),
-            f"plan kernels must be numpy|python or null (auto must be "
-            f"resolved by the parent), got {kernels!r}",
+            kernels in ("numpy", "python"),
+            f"plan kernels must be numpy|python (auto must be resolved "
+            f"by the parent), got {kernels!r}",
         )
-        # Absent in plans from older writers: default to "auto" (filter
-        # iff the worker finds a sidecar), which preserves answers.
-        filter_mode = doc.get("filter", "auto")
+        filter_mode = doc.get("filter")
         _require(
             filter_mode in ("auto", "on", "off"),
             f"plan filter must be auto|on|off, got {filter_mode!r}",

@@ -1,4 +1,4 @@
-"""The sharded query engine: planner + per-shard execution contexts.
+"""The sharded query engine: planner + per-shard sessions.
 
 A :class:`ShardedQueryEngine` fronts a
 :class:`~repro.sharding.ShardedIndex` the way a
@@ -8,18 +8,18 @@ A :class:`ShardedQueryEngine` fronts a
   selects the shards whose extents can intersect the query and splits
   one global buffer budget across the shard pools
   (:func:`~repro.engine.planner.budget_buffers`),
-* an **execution layer** keeps one per-shard :class:`QueryEngine`
-  context (MINDIST / segment-DISSIM caches, pinned upper levels,
-  per-worker heap scratch) and drives the selected shards through the
-  session's executor — serially or on the shared thread pool,
-* the cross-shard k-MST itself happens in
-  :func:`repro.search.bfmst.bfmst_search_sharded`: all selected shards
-  advance under one shared k-th-best bound, then merge into a single
+* one per-shard :class:`QueryEngine` session keeps that shard's upper
+  levels pinned and watches its signature,
+* the cross-shard k-MST itself is the one driver,
+  :func:`repro.search.bfmst.bfmst_search`: all selected shards advance
+  under one shared k-th-best bound, then merge into a single
   ranking/refinement step that uses this engine's *global* refinement
-  cache.
+  cache.  The engine only says *where* the shards run — here, on the
+  session's thread pool, or (``executor="process"``) in worker
+  processes through :meth:`ShardedQueryEngine.run_parts`.
 
 The engine satisfies the unified search API's context protocol
-(``.index``, ``.dataset``, ``search_hooks``), so every
+(``.index``, ``.dataset``, ``search_context``), so every
 :mod:`repro.search.api` entry point accepts it unchanged.
 """
 
@@ -28,14 +28,11 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from ..distance.kernels import resolve_kernels
 from ..exceptions import DeadlineExceeded, QueryError
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search import api as _api
-from ..search import bfmst as _bfmst
 from ..search.results import SearchResult, SearchStats
-from ..search.spec import QuerySpec
 from ..sharding import ShardedIndex, load_sharded_index
 from ..sharding.persistence import read_manifest
 from ..trajectory import Trajectory, TrajectoryDataset, read_csv, read_json
@@ -46,7 +43,7 @@ from .engine import (
     EngineConfig,
     QueryEngine,
     QueryRequest,
-    query_key,
+    refinement_view,
 )
 from .executor import make_executor
 from .planner import QueryPlanner, ShardPlan, budget_buffers
@@ -110,16 +107,11 @@ class ShardedQueryEngine:
         self.buffer_capacities = budget_buffers(
             index.shards, buffer_fraction, buffer_max_pages
         )
-        # Per-shard execution contexts run serially *inside* a shard —
+        # Per-shard sessions only pin and watch their shard —
         # parallelism happens across shards through this engine's
         # executor, never nested.
         shard_config = EngineConfig(
-            dissim_cache_size=self.config.dissim_cache_size,
-            mindist_cache_scopes=self.config.mindist_cache_scopes,
-            segdissim_cache_scopes=self.config.segdissim_cache_scopes,
-            pin_upper_levels=self.config.pin_upper_levels,
-            executor="serial",
-            kernels=self.config.kernels,
+            pin_upper_levels=self.config.pin_upper_levels, executor="serial"
         )
         self.shard_engines = [
             QueryEngine(shard, None, config=shard_config)
@@ -203,41 +195,33 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------
     # unified-API execution context protocol
     # ------------------------------------------------------------------
-    def search_hooks(self, query, period) -> dict:
-        """Plan the shard fan-out for one query and bundle the selected
-        shards' cache hooks for
-        :func:`~repro.search.bfmst.bfmst_search_sharded`."""
+    def search_context(self, query, period) -> dict:
+        """Plan the shard fan-out for one query: the selected shards,
+        the session's kernels and filter defaults, the global
+        refinement cache bound to this ``(query, period)`` and where the
+        shards run, as keyword data for
+        :func:`repro.search.bfmst.bfmst_search`."""
         plan = self.planner.plan(query, period)
         self.metrics.inc("engine.planner.plans")
         self.metrics.inc("engine.planner.shards_selected", len(plan.selected))
         self.metrics.inc("engine.planner.shards_pruned", len(plan.pruned))
-        shard_hooks: dict[int, dict] = {}
         for shard_id in plan.selected:
-            hooks = self.shard_engines[shard_id].search_hooks(query, period)
-            # The merge-step refinement uses the global cache below.
-            hooks.pop("refinement_cache", None)
-            shard_hooks[shard_id] = hooks
-        out: dict = {
+            self.shard_engines[shard_id].check_signature()
+        context: dict = {
             "selected": plan.selected,
-            "shard_hooks": shard_hooks,
+            "kernels": self.config.kernels,
             "filter": self.config.filter,
         }
-        if self.config.kernels is not None:
-            # Per-shard batch fns are already in shard_hooks; this makes
-            # the mode visible to the cross-shard driver for any shard
-            # hook bundle that lacks them.
-            out["kernels"] = self.config.kernels
         if isinstance(query, Trajectory) and self.config.dissim_cache_size > 0:
-            span = tuple(period) if period is not None else (
-                query.t_start,
-                query.t_end,
-            )
-            out["refinement_cache"] = self.dissim_cache.view(
-                query_key(query), span
+            context["refinement_cache"] = refinement_view(
+                self.dissim_cache, query, period
             )
         if self.executor.kind == "thread":
-            out["shard_executor"] = self.executor
-        return out
+            context["executor"] = self.executor
+        elif self.executor.kind == "process":
+            # The multicore path: plans out, answers back (run_parts).
+            context["executor"] = self
+        return context
 
     def signature(self) -> tuple:
         """Structural signature of the whole sharded collection — the
@@ -255,9 +239,9 @@ class ShardedQueryEngine:
         """Run one request through the planner + shard contexts.
 
         ``deadline`` (absolute ``time.monotonic()``) or the request's
-        own ``deadline_ms`` budget bounds execution; the per-shard
-        engines' MINDIST guards enforce it mid-query on whichever
-        thread each shard runs (see
+        own ``deadline_ms`` budget bounds execution; a k-MST traversal
+        checks it at every node it dequeues, on whichever thread or
+        worker process each shard runs (see
         :meth:`QueryEngine.execute <repro.engine.QueryEngine.execute>`).
         """
         if self._closed:
@@ -274,110 +258,37 @@ class ShardedQueryEngine:
         self.metrics.inc(f"engine.queries.{kind}")
         if kind in ("linear_scan", "continuous_nn", "time_relaxed"):
             self._require_dataset(kind)
-        if kind == "mst" and self.executor.kind == "process":
-            # The multicore path: plans out, answers back.  Other kinds
-            # (dataset scans, point/range lookups) stay in-process —
-            # they are planner-light and not worth a process hop.
-            try:
-                result = self._execute_mst_process(request, deadline)
-            except DeadlineExceeded:
-                self.metrics.inc("engine.deadline_misses")
-                raise
-            self._record_shard_stats(result)
-            return result
-        # Shard hooks are built on the calling thread (inside
-        # search_hooks), so setting the shard engines' thread-local
-        # deadline here lets the guard closures capture it even though
-        # the hooks later run on pool threads.
-        for engine in self.shard_engines:
-            engine._local.deadline = deadline
         try:
-            result = _api.execute_spec(self, None, request)
+            result = _api.execute_spec(self, None, request, deadline=deadline)
         except DeadlineExceeded:
             self.metrics.inc("engine.deadline_misses")
             raise
-        finally:
-            for engine in self.shard_engines:
-                engine._local.deadline = None
         if kind == "mst":
             self._record_shard_stats(result)
         return result
 
-    #: The option keys the mst entry point accepts — the process path
-    #: validates against them so an unknown option raises the same
-    #: ``TypeError`` the in-process keyword dispatch would.
-    _MST_OPTIONS = frozenset(
-        {
-            "vmax",
-            "use_heuristic1",
-            "use_heuristic2",
-            "refine",
-            "exclude_ids",
-            "filter",
-        }
-    )
+    def run_parts(
+        self, specs: dict, vmax: float, kernels: str, filter: str, deadline
+    ) -> list:
+        """Search shards in the process pool — the ``executor`` this
+        engine hands the search driver when ``executor="process"``.
 
-    def _execute_mst_process(
-        self, request: QueryRequest, deadline: float | None
-    ) -> SearchResult:
-        """Fan one k-MST query out to the process pool.
-
-        Builds one self-contained :class:`~repro.engine.planner.ShardPlan`
-        per selected shard (spec + shard path + generation signature +
-        parent-resolved ``vmax``/kernels + the absolute deadline), runs
-        them through :meth:`ProcessPoolShardExecutor.run_plans
-        <repro.engine.executor.ProcessPoolShardExecutor.run_plans>`,
-        validates every answer's generation signature against the open
-        store, and merges through the same
-        :func:`~repro.search.bfmst.merge_shard_records` the in-process
-        path uses — so the answer is byte-identical to the serial
-        executor by construction.  Worker counter deltas are folded
-        into the active trace registry *before* the merge so the
+        ``specs`` maps each selected shard id to the
+        :class:`~repro.search.QuerySpec` its worker runs.  One
+        self-contained :class:`~repro.engine.planner.ShardPlan` per
+        shard goes out (spec + shard path + generation signature + the
+        driver-resolved ``vmax``/kernels/filter + the absolute
+        deadline); every :class:`~repro.engine.planner.ShardAnswer`
+        coming back is validated against the open store and returned as
+        the driver's ``(shard_id, records, stats)`` triple.  Worker
+        counter deltas are folded into the active trace registry here,
+        before the driver harvests it, so the
         :class:`~repro.search.SearchStats` enrichment and per-shard
         breakdown stay executor-agnostic.
         """
-        query = request.query
-        if not isinstance(query, Trajectory):
-            raise QueryError("mst queries take a trajectory query object")
-        period = request.period
-        k = request.k
-        opts = request.options
-        unknown = set(opts) - self._MST_OPTIONS
-        if unknown:
-            raise TypeError(
-                f"bfmst_search() got unexpected options {sorted(unknown)}"
-            )
-        t_start, t_end = _bfmst._validate(query, period, k)
-        vmax = opts.get("vmax")
-        if vmax is None:
-            vmax = self.index.max_speed + query.max_speed()
-        if vmax < 0.0:
-            raise QueryError(f"negative vmax {vmax}")
-        filter_mode = opts.get("filter", self.config.filter)
-        if filter_mode not in _bfmst.FILTER_MODES:
-            raise QueryError(
-                f"filter must be one of {list(_bfmst.FILTER_MODES)}, "
-                f"got {filter_mode!r}"
-            )
-
-        selection = self.planner.plan(query, period)
-        self.metrics.inc("engine.planner.plans")
-        self.metrics.inc(
-            "engine.planner.shards_selected", len(selection.selected)
-        )
-        self.metrics.inc("engine.planner.shards_pruned", len(selection.pruned))
-
-        kernels_mode = (
-            self.config.kernels
-            if self.config.kernels is not None
-            else request.kernels
-        )
-        kernels = (
-            resolve_kernels(kernels_mode) if kernels_mode is not None else None
-        )
         plans = [
             ShardPlan(
-                spec=request,
+                spec=spec,
                 shard_id=shard_id,
                 shard_path=self.shard_paths[shard_id],
                 signature=self.shard_engines[shard_id].signature(),
@@ -385,40 +296,27 @@ class ShardedQueryEngine:
                 deadline=deadline,
                 backend=self.backend,
                 kernels=kernels,
-                filter=filter_mode,
+                filter=filter,
                 buffer_fraction=self._buffer_fraction,
                 buffer_max_pages=self._buffer_max_pages,
             )
-            for shard_id in selection.selected
+            for shard_id, spec in specs.items()
         ]
-        answers = self.executor.run_plans(plans)
-
-        # Parent-side signature filters (over the parent's own mmapped
-        # sidecars) drive the merge step's refinement skip — the same
-        # bounds the workers used, so the process hop changes nothing.
-        shard_filters = []
-        for shard_id in selection.selected:
-            filt = _bfmst.make_signature_filter(
-                self.index.shards[shard_id],
-                query,
-                t_start,
-                t_end,
-                vmax,
-                filter_mode,
-                kernels,
-            )
-            if filt is not None:
-                shard_filters.append(filt)
-
-        def merged_sig_lookup(tid: int):
-            for filt in shard_filters:
-                if tid in filt.sigs:
-                    return filt.bound(tid)
-            return None
-
+        trace = _obs.ACTIVE
+        reg = trace.registry if trace is not None else None
         outcomes = []
-        for answer in answers:
+        for answer in self.executor.run_plans(plans):
             self._validate_answer(answer)
+            # The traversal's heap high-water is a worker-side gauge,
+            # carried in the stats dict; it belongs to the trace, not
+            # to the untraced stats block.
+            high_water = answer.stats.pop("heap_high_water", 0)
+            if reg is not None and reg.enabled:
+                for name, value in answer.counters.items():
+                    if value:
+                        reg.inc(name, value)
+                if high_water:
+                    reg.gauge("index.heap_high_water").record_max(high_water)
             outcomes.append(
                 (
                     answer.shard_id,
@@ -426,66 +324,7 @@ class ShardedQueryEngine:
                     SearchStats.from_dict(answer.stats),
                 )
             )
-
-        stats = SearchStats(total_nodes=self.index.num_nodes)
-        trace = _obs.ACTIVE
-        before = None
-        if trace is not None and trace.registry.enabled:
-            before = _bfmst._counters_before(trace)
-            reg = trace.registry
-            for answer in answers:
-                for name, value in answer.counters.items():
-                    if value:
-                        reg.inc(name, value)
-                high_water = answer.stats.get("heap_high_water", 0)
-                if high_water:
-                    reg.gauge("index.heap_high_water").record_max(high_water)
-        else:
-            trace = None
-
-        refinement_cache = None
-        if self.config.dissim_cache_size > 0:
-            span = tuple(period) if period is not None else (
-                query.t_start,
-                query.t_end,
-            )
-            refinement_cache = self.dissim_cache.view(query_key(query), span)
-
-        matches = _bfmst.merge_shard_records(
-            outcomes,
-            selected=selection.selected,
-            shard_nodes=[shard.num_nodes for shard in self.index.shards],
-            query=query,
-            k=k,
-            refine=opts.get("refine", True),
-            stats=stats,
-            refinement_cache=refinement_cache,
-            trace=trace,
-            before=before,
-            sig_lookup=merged_sig_lookup if shard_filters else None,
-        )
-        result = SearchResult("bfmst", matches, stats)
-        # Mirror the unified API's result envelope: the echoed spec is
-        # rebuilt with the same option normalisation the in-process
-        # dispatch applies.
-        echo_options: dict = {}
-        if opts.get("vmax") is not None:
-            echo_options["vmax"] = opts["vmax"]
-        if not opts.get("use_heuristic1", True):
-            echo_options["use_heuristic1"] = False
-        if not opts.get("use_heuristic2", True):
-            echo_options["use_heuristic2"] = False
-        if not opts.get("refine", True):
-            echo_options["refine"] = False
-        if opts.get("exclude_ids"):
-            echo_options["exclude_ids"] = frozenset(opts["exclude_ids"])
-        if opts.get("filter", "auto") != "auto":
-            echo_options["filter"] = opts["filter"]
-        result.spec = QuerySpec(
-            "mst", query, period, k, echo_options, kernels=request.kernels
-        )
-        result.trace_id = None
-        return result
+        return outcomes
 
     def _validate_answer(self, answer) -> None:
         """Reject a :class:`~repro.engine.planner.ShardAnswer` whose
@@ -546,19 +385,8 @@ class ShardedQueryEngine:
     def _record_shard_stats(self, result: SearchResult) -> None:
         """Mirror the per-shard breakdown of one k-MST answer into the
         engine registry (shard-labelled counters)."""
-        stats = result.stats
-        if (
-            stats.signature_checks
-            or stats.signature_pruned
-            or stats.leaf_skips
-            or stats.refinement_skipped
-        ):
-            self.metrics.inc("filter.signature_checks", stats.signature_checks)
-            self.metrics.inc("filter.pruned", stats.signature_pruned)
-            self.metrics.inc("filter.leaf_skips", stats.leaf_skips)
-            self.metrics.inc(
-                "filter.refinement_skipped", stats.refinement_skipped
-            )
+        for name, value in result.stats.filter_counters().items():
+            self.metrics.inc(name, value)
         for row in result.stats.extra.get("per_shard", ()):
             label = row["shard"]
             if row.get("pruned"):
@@ -574,15 +402,11 @@ class ShardedQueryEngine:
             )
 
     def cache_counters(self) -> dict[str, int]:
-        """Hit/miss/eviction counters summed over the shard engines,
-        plus the global refinement cache and the pooled buffer totals."""
+        """Hit/miss/eviction counters of the global refinement cache,
+        plus the buffer totals summed over the shard pools."""
         out: dict[str, int] = dict(self.dissim_cache.counters())
         hits = misses = pinned = 0
         for engine in self.shard_engines:
-            for name, value in engine.mindist_cache.counters().items():
-                out[name] = out.get(name, 0) + value
-            for name, value in engine.segdissim_cache.counters().items():
-                out[name] = out.get(name, 0) + value
             io = engine.index.buffer.stats
             hits += io.buffer_hits
             misses += io.buffer_misses

@@ -20,7 +20,7 @@ from typing import Iterator
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .base import TrajectoryIndex
-from .mindist import mindist
+from .mindist import make_mindist_batch
 from .node import NO_PAGE, Node
 
 __all__ = ["best_first_nodes"]
@@ -32,9 +32,7 @@ def best_first_nodes(
     t_start: float,
     t_end: float,
     *,
-    mindist_fn=None,
-    mindist_batch_fn=None,
-    heap: list | None = None,
+    kernels: str | None = None,
     leaf_admit=None,
 ) -> Iterator[tuple[float, Node]]:
     """Yield ``(mindist, node)`` pairs in increasing MINDIST order.
@@ -44,15 +42,10 @@ def best_first_nodes(
     their *entry* MBB (the child page itself is only read when
     dequeued, so node accesses reflect true I/O).
 
-    ``mindist_fn`` substitutes the MINDIST evaluation (same signature
-    and semantics as :func:`repro.index.mindist.mindist`); the query
-    engine passes a per-query memoising wrapper here.
-    ``mindist_batch_fn`` (signature of
-    :func:`repro.index.mindist.mindist_batch`) evaluates all entries of
-    a dequeued node in one call instead — when given it takes
-    precedence over ``mindist_fn``.  ``heap`` lets a caller donate a
-    reusable list as the priority-queue scratch buffer (it is cleared
-    first); pass ``None`` for a private one.
+    All entries of a dequeued node are scored in one
+    :func:`~repro.index.mindist.make_mindist_batch` call; ``kernels``
+    (``"auto"``/``"numpy"``/``"python"``, ``None`` meaning ``"auto"``)
+    picks its implementation — the results are bit-equal.
 
     ``leaf_admit`` — when given — is consulted as ``leaf_admit(dist,
     page_id)`` for every dequeued page *known* to be a leaf (its parent
@@ -65,17 +58,12 @@ def best_first_nodes(
     """
     if index.root_page == NO_PAGE:
         return
-    if mindist_fn is None:
-        mindist_fn = mindist
+    mindist_batch = make_mindist_batch(kernels or "auto")
     trace = _obs.ACTIVE
     reg = trace.registry if trace is not None else None
     high_water = 1
     counter = 0  # heap tie-breaker: FIFO among equal distances
-    if heap is None:
-        heap = []
-    else:
-        heap.clear()
-    heap.append((0.0, counter, index.root_page, False))
+    heap = [(0.0, counter, index.root_page, False)]
     try:
         while heap:
             dist, _tie, page_id, known_leaf = heapq.heappop(heap)
@@ -99,17 +87,10 @@ def best_first_nodes(
             if node.is_leaf:
                 continue
             child_level = node.level - 1
-            if mindist_batch_fn is not None:
-                dists = mindist_batch_fn(
-                    query, [e.mbr for e in node.entries], t_start, t_end
-                )
-            else:
-                dists = None
-            for i, e in enumerate(node.entries):
-                if dists is not None:
-                    d = dists[i]
-                else:
-                    d = mindist_fn(query, e.mbr, t_start, t_end)
+            dists = mindist_batch(
+                query, [e.mbr for e in node.entries], t_start, t_end
+            )
+            for e, d in zip(node.entries, dists):
                 if reg is not None:
                     reg.inc(f"index.mindist_evaluations.level_{child_level}")
                 if d is None:

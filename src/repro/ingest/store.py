@@ -46,8 +46,7 @@ from ..exceptions import StorageError, TrajectoryError
 from ..index import load_index, save_index
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
-from ..search.bfmst import bfmst_search_sharded
-from ..search.results import SearchStats
+from ..search.bfmst import bfmst_search
 from ..storage import atomic_write_bytes, fsync_directory
 from ..trajectory import Trajectory, TrajectoryDataset
 from .memtable import Memtable
@@ -88,66 +87,23 @@ class Generation:
         self.retired = False
 
 
-class _MergedIndex:
-    """Duck-typed sharded index over disjoint live parts, so the
-    cross-shard BFMST machinery (shared k-th-best bound, global
-    ranking/refinement) merges them exactly like physical shards."""
-
-    is_sharded = True
-
-    def __init__(self, shards: list) -> None:
-        self.shards = shards
-
-    @property
-    def num_nodes(self) -> int:
-        return sum(s.num_nodes for s in self.shards)
-
-    @property
-    def max_speed(self) -> float:
-        return max((s.max_speed for s in self.shards), default=0.0)
-
-
 def merged_kmst(
     views: list["LiveView"],
     query: Trajectory,
     period: tuple[float, float] | None = None,
     k: int = 1,
-    *,
-    kernels: str | None = "auto",
-    filter: str = "auto",
-    use_heuristic1: bool = True,
-    use_heuristic2: bool = True,
-    refine: bool = True,
-    vmax: float | None = None,
+    **options,
 ):
     """k-MST over the union of several pinned views (one per store)
     under a single shared bound; returns ``(matches, stats)``.
 
+    ``options`` are :func:`repro.search.bfmst.bfmst_search`'s.  Its
     ``filter`` is the signature-filter mode: compacted generations
     carry sidecars and get filtered, the memtable part has none and is
     searched unfiltered (mode ``"on"`` therefore requires every part
     to carry one and is mainly useful in tests)."""
     parts = [part for view in views for part in view.parts]
-    if not parts:
-        return [], SearchStats()
-    shard_hooks = {
-        pos: {"exclude_ids": exclude}
-        for pos, (_index, exclude) in enumerate(parts)
-        if exclude
-    }
-    return bfmst_search_sharded(
-        _MergedIndex([index for index, _exclude in parts]),
-        query,
-        period,
-        k,
-        vmax=vmax,
-        use_heuristic1=use_heuristic1,
-        use_heuristic2=use_heuristic2,
-        refine=refine,
-        kernels=kernels,
-        filter=filter,
-        shard_hooks=shard_hooks,
-    )
+    return bfmst_search(parts, query, period, k, **options)
 
 
 class LiveView:

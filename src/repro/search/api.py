@@ -7,9 +7,9 @@ Every entry point accepts the same three leading arguments::
 
 * ``ctx_or_index`` — a :class:`~repro.engine.QueryEngine` execution
   context (anything exposing ``.index``/``.dataset`` and a
-  ``search_hooks(query, period)`` method), a bare
-  :class:`~repro.index.TrajectoryIndex`, or ``None`` for index-free
-  algorithms,
+  ``search_context(query, period)`` method returning plain keyword
+  data for the search), a bare :class:`~repro.index.TrajectoryIndex`,
+  or ``None`` for index-free algorithms,
 * ``dataset`` — the :class:`~repro.trajectory.TrajectoryDataset`
   (``None`` to take the context's, or for index-only algorithms),
 * ``query`` — the query object: a :class:`~repro.trajectory.Trajectory`
@@ -68,7 +68,7 @@ def resolve_context(ctx_or_index, dataset):
     ``(index, dataset, ctx)``.
 
     A *context* is duck-typed — anything with ``.index`` and a callable
-    ``search_hooks`` qualifies (the engine's execution context does; no
+    ``search_context`` qualifies (the engine's execution context does; no
     import of :mod:`repro.engine` happens here, so the layering stays
     acyclic).  An explicit ``dataset`` argument wins over the
     context's.  As an ergonomic special case a
@@ -78,7 +78,7 @@ def resolve_context(ctx_or_index, dataset):
     if (
         ctx_or_index is not None
         and hasattr(ctx_or_index, "index")
-        and callable(getattr(ctx_or_index, "search_hooks", None))
+        and callable(getattr(ctx_or_index, "search_context", None))
     ):
         if dataset is None:
             dataset = getattr(ctx_or_index, "dataset", None)
@@ -161,25 +161,6 @@ def _is_sharded(index) -> bool:
     return bool(getattr(index, "is_sharded", False))
 
 
-def _merge_shard_stats(agg, parts) -> None:
-    """Fold per-shard :class:`SearchStats` into an aggregate (sums for
-    the additive counters; ``total_nodes`` stays the caller's global
-    figure so pruning power is measured against the whole collection).
-    """
-    for s in parts:
-        agg.node_accesses += s.node_accesses
-        agg.leaf_accesses += s.leaf_accesses
-        agg.internal_accesses += s.internal_accesses
-        agg.entries_processed += s.entries_processed
-        agg.candidates_created += s.candidates_created
-        agg.candidates_completed += s.candidates_completed
-        agg.candidates_rejected += s.candidates_rejected
-        agg.dissim_evaluations += s.dissim_evaluations
-        agg.buffer_hits += s.buffer_hits
-        agg.buffer_misses += s.buffer_misses
-        agg.heap_high_water = max(agg.heap_high_water, s.heap_high_water)
-
-
 # ----------------------------------------------------------------------
 # k-MST (BFMST)
 # ----------------------------------------------------------------------
@@ -197,12 +178,7 @@ def bfmst_search(
     exclude_ids=frozenset(),
     kernels: str | None = None,
     filter: str = "auto",
-    mindist_fn=None,
-    segment_dissim_fn=None,
-    mindist_batch_fn=None,
-    segment_dissim_batch_fn=None,
-    refinement_cache=None,
-    heap_scratch: list | None = None,
+    deadline: float | None = None,
     trace=None,
 ) -> SearchResult:
     """Index-based k-Most-Similar-Trajectory search (the paper's BFMST).
@@ -211,15 +187,21 @@ def bfmst_search(
     period=None, k=1, ...) -> SearchResult`` (``dataset`` may be
     ``None`` — BFMST reads only the index).  ``kernels`` selects the
     hot-path implementation (``"auto"``/``"numpy"``/``"python"``; see
-    :mod:`repro.distance.kernels`) — ``None`` keeps the classic
-    per-entry scalar path.  ``filter`` controls the signature filter
-    tier (``"auto"`` filters when the index carries a signature
-    sidecar, ``"on"`` requires one, ``"off"`` disables it; answers are
-    identical either way — see :mod:`repro.filter`).  An explicit
-    ``"on"``/``"off"`` always wins over an engine context's configured
-    default.  The removed legacy form
-    ``bfmst_search(index, query, period, k=...)`` raises
-    :class:`TypeError`.
+    :mod:`repro.distance.kernels`) — unspecified means ``"auto"``, and
+    an engine context's configured kernels win over the call's.
+    ``filter`` controls the signature filter tier (``"auto"`` filters
+    when the index carries a signature sidecar, ``"on"`` requires one,
+    ``"off"`` disables it; answers are identical either way — see
+    :mod:`repro.filter`).  An explicit ``"on"``/``"off"`` always wins
+    over an engine context's configured default.  ``deadline`` is an
+    absolute ``time.monotonic()`` instant past which the traversal
+    raises :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else
+    steers the search — the planner's shard selection, the refinement
+    cache, the executor the parts run on — is the context's
+    ``search_context(query, period)``, plain data handed to the one
+    driver (:func:`repro.search.bfmst.bfmst_search`) unchanged.  The
+    removed legacy form ``bfmst_search(index, query, period, k=...)``
+    raises :class:`TypeError`.
     """
     if args and isinstance(args[0], Trajectory):
         raise _legacy_error(
@@ -243,42 +225,17 @@ def bfmst_search(
     spec = QuerySpec("mst", query, period, k, options, kernels=kernels)
     index, dataset, ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "bfmst_search")
-    hooks = ctx.search_hooks(query, period) if ctx is not None else {}
+    context = dict(ctx.search_context(query, period)) if ctx is not None else {}
+    if context.get("kernels") is None:
+        context["kernels"] = kernels
+    if filter != "auto":
+        context["filter"] = filter
     with _tracing(trace):
-        if _is_sharded(index):
-            matches, stats = _bfmst.bfmst_search_sharded(
-                index, query, period, k, vmax,
-                use_heuristic1, use_heuristic2, refine, exclude_ids,
-                kernels=hooks.get("kernels", kernels),
-                filter=filter if filter != "auto" else hooks.get("filter", "auto"),
-                selected=hooks.get("selected"),
-                shard_hooks=hooks.get("shard_hooks"),
-                refinement_cache=hooks.get(
-                    "refinement_cache", refinement_cache
-                ),
-                executor=hooks.get("shard_executor"),
-            )
-        else:
-            matches, stats = _bfmst.bfmst_search(
-                index, query, period, k, vmax,
-                use_heuristic1, use_heuristic2, refine, exclude_ids,
-                kernels=hooks.get("kernels", kernels),
-                filter=filter if filter != "auto" else hooks.get("filter", "auto"),
-                mindist_fn=hooks.get("mindist_fn", mindist_fn),
-                segment_dissim_fn=hooks.get(
-                    "segment_dissim_fn", segment_dissim_fn
-                ),
-                mindist_batch_fn=hooks.get(
-                    "mindist_batch_fn", mindist_batch_fn
-                ),
-                segment_dissim_batch_fn=hooks.get(
-                    "segment_dissim_batch_fn", segment_dissim_batch_fn
-                ),
-                refinement_cache=hooks.get(
-                    "refinement_cache", refinement_cache
-                ),
-                heap_scratch=hooks.get("heap_scratch", heap_scratch),
-            )
+        matches, stats = _bfmst.bfmst_search(
+            index, query, period, k, vmax,
+            use_heuristic1, use_heuristic2, refine, exclude_ids,
+            deadline=deadline, **context,
+        )
     return _attach(SearchResult("bfmst", matches, stats), spec, trace)
 
 
@@ -378,7 +335,8 @@ def nearest_neighbours(
             pairs.sort(key=lambda p: (p[1], p[0]))
             pairs = pairs[:k]
             stats = SearchStats(total_nodes=index.num_nodes)
-            _merge_shard_stats(stats, parts)
+            for shard_stats in parts:
+                stats.accumulate(shard_stats)
         else:
             pairs, stats = _nn.nearest_neighbours_with_stats(
                 index, point, t_start, t_end, k
@@ -568,7 +526,9 @@ _DISPATCH = {
 }
 
 
-def execute_spec(ctx_or_index, dataset, spec: QuerySpec, *, trace=None) -> SearchResult:
+def execute_spec(
+    ctx_or_index, dataset, spec: QuerySpec, *, trace=None, deadline=None
+) -> SearchResult:
     """Dispatch a :class:`~repro.search.spec.QuerySpec` against any
     context — the single execution path shared by the unified API's
     callers, the batched engines and ``repro serve``.
@@ -576,8 +536,11 @@ def execute_spec(ctx_or_index, dataset, spec: QuerySpec, *, trace=None) -> Searc
     ``spec.options`` are forwarded as keyword arguments to the entry
     point (unknown options therefore raise ``TypeError`` — the serving
     layer maps both that and :class:`QueryError` to a 400).
-    ``spec.deadline_ms`` is *not* enforced here: deadline budgets are
-    the executing engine's job (:meth:`repro.engine.QueryEngine.execute`).
+    ``spec.deadline_ms`` is *not* read here: turning the budget into
+    the absolute ``deadline`` is the executing engine's job
+    (:meth:`repro.engine.QueryEngine.execute`); a k-MST search is
+    handed it and stops mid-flight once it passes, the other kinds are
+    bounded by the engine's check before they start.
     """
     kind = spec.canonical_kind()
     fn, takes_period, takes_k = _DISPATCH[kind]
@@ -592,4 +555,12 @@ def execute_spec(ctx_or_index, dataset, spec: QuerySpec, *, trace=None) -> Searc
         kwargs["k"] = spec.k
     elif spec.k != 1:
         raise QueryError(f"{kind} queries do not take k")
+    if kind == "mst":
+        # Passed beside the options, never through them: an option
+        # named "deadline" is a duplicate keyword, rejected like any
+        # other unknown option.
+        return fn(
+            ctx_or_index, dataset, spec.query,
+            trace=trace, deadline=deadline, **kwargs,
+        )
     return fn(ctx_or_index, dataset, spec.query, trace=trace, **kwargs)

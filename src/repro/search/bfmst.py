@@ -25,16 +25,17 @@ valid throughout the query period; candidates that never complete
 their coverage are returned (if they make the top k) as certified
 upper bounds with ``exact=False``.
 
-**Sharded execution.** The traversal core (:func:`_search_shard`)
-operates on one tree and one shared :class:`_TopK` bound, so the same
-code serves both the classic single-index search and
-:func:`bfmst_search_sharded`, which advances one best-first heap per
-shard under a shared (lock-protected) k-th-best bound: a tight
-candidate completed in shard 0 immediately raises the H1/H2 pruning
-threshold seen by every other shard.  Because trajectories are never
-split across shards, candidate accumulation stays local to one shard
-and the per-shard candidate sets merge disjointly before the common
-ranking/refinement step.
+**One driver over parts.** :func:`bfmst_search` treats what it is
+given as a list of *parts* — a bare index is one part, a
+:class:`~repro.sharding.ShardedIndex` one per shard, a live store one
+per pinned generation or memtable — and runs the same per-part
+function (:func:`search_part`: one tree, one best-first heap) for each
+under one shared (lock-protected) k-th-best bound: a tight candidate
+completed in part 0 immediately raises the H1/H2 pruning threshold
+seen by every other part.  Because trajectories are never split across
+parts, candidate accumulation stays local to one part and the disjoint
+per-part candidate sets merge before the common ranking/refinement
+step.
 
 A candidate's final DISSIM is the **canonical sum** of its retrieved
 window integrals in time order — not the arrival-order association the
@@ -48,24 +49,25 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import nullcontext
+from time import monotonic
 
 from ..distance import PartialDissim, segment_dissim
 from ..distance.kernels import make_segment_dissim_batch, resolve_kernels
 from ..distance.trinomial import IntegralResult
-from ..exceptions import QueryError, TemporalCoverageError
+from ..exceptions import DeadlineExceeded, QueryError, TemporalCoverageError
 from ..filter.runtime import SignatureFilter
 from ..geometry import STSegment
 from ..index import TrajectoryIndex, best_first_nodes
-from ..index.mindist import make_mindist_batch
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .results import MSTMatch, SearchStats
+from .spec import QuerySpec
 
 FILTER_MODES = ("auto", "on", "off")
 
 __all__ = [
     "bfmst_search",
-    "bfmst_search_sharded",
+    "search_part",
     "CandidateRecord",
     "candidate_records",
     "merge_shard_records",
@@ -81,10 +83,9 @@ def make_signature_filter(
 
     ``mode`` — ``"auto"`` filters when the index has a signature
     sidecar attached and stays silent otherwise, ``"on"`` demands one,
-    ``"off"`` disables filtering.  The filter kernel follows the
-    search's ``kernels`` choice (``None`` — the classic scalar path —
-    maps to the scalar filter; the two filter kernels are bit-equal, so
-    this is presentation only).
+    ``"off"`` disables filtering.  ``kernels`` is the search's resolved
+    choice (``"numpy"`` or ``"python"``; the two filter kernels are
+    bit-equal).
     """
     if mode not in FILTER_MODES:
         raise QueryError(
@@ -105,10 +106,7 @@ def make_signature_filter(
                 "filter='auto')"
             )
         return None
-    kern = kernels if kernels in ("numpy", "python") else (
-        resolve_kernels(kernels) if kernels == "auto" else "python"
-    )
-    return SignatureFilter(sigs, query, t_start, t_end, vmax, kernels=kern)
+    return SignatureFilter(sigs, query, t_start, t_end, vmax, kernels=kernels)
 
 
 class _Candidate:
@@ -283,28 +281,25 @@ def _search_shard(
     exclude_ids,
     stats: SearchStats,
     *,
-    mindist_fn=None,
-    segment_dissim_fn=None,
-    mindist_batch_fn=None,
-    segment_dissim_batch_fn=None,
-    heap_scratch: list | None = None,
+    kernels: str,
     sig_filter: SignatureFilter | None = None,
+    deadline: float | None = None,
 ) -> tuple[dict[int, _Candidate], dict[int, _Candidate]]:
     """Advance one tree's best-first traversal to completion under a
     (possibly shared) top-k bound.
 
     Returns ``(completed, valid)`` candidate maps; prunes with H1/H2
     against ``top.threshold``, which — when ``top`` is shared across
-    shards — may tighten at any moment from another shard's progress.
-    Mutates ``stats`` (one shard's counters) in place.
+    parts — may tighten at any moment from another part's progress.
+    Mutates ``stats`` (one part's counters) in place.
 
-    The two batch hooks switch the hot path to the vectorised kernels:
-    ``mindist_batch_fn`` scores all entries of a dequeued internal node
-    in one call, ``segment_dissim_batch_fn`` integrates all qualifying
-    windows of a leaf up front; the per-entry state updates then
-    *replay* those precomputed results in the original sequential
-    order, so pruning/completion decisions — and the answer — are
-    exactly those of the scalar path.
+    ``kernels`` (``"numpy"`` or ``"python"``, already resolved) picks
+    the batch implementations of the hot path: MINDIST scores all
+    entries of a dequeued internal node in one call, segment DISSIM
+    integrates all qualifying windows of a leaf up front; the per-entry
+    state updates then *replay* those precomputed results in the
+    original sequential order, so pruning/completion decisions — and
+    the answer — do not depend on the choice.
 
     ``sig_filter`` plugs in the signature tier: candidates whose
     signature lower bound strictly exceeds the current threshold are
@@ -314,8 +309,12 @@ def _search_shard(
     or below the threshold and thresholds only tighten), and a leaf
     page all of whose trajectories are already settled is skipped
     without being read.
+
+    ``deadline`` — an absolute ``time.monotonic()`` instant — is
+    checked at every node dequeue; past it the traversal raises
+    :class:`~repro.exceptions.DeadlineExceeded`.
     """
-    seg_dissim = segment_dissim_fn or segment_dissim
+    segment_dissim_batch = make_segment_dissim_batch(kernels)
     io_before = index.pagefile.stats.snapshot()
     period_len = t_end - t_start
 
@@ -351,16 +350,11 @@ def _search_shard(
         leaf_admit = None
 
     for node_dist, node in best_first_nodes(
-        index,
-        query,
-        t_start,
-        t_end,
-        mindist_fn=mindist_fn,
-        mindist_batch_fn=mindist_batch_fn,
-        heap=heap_scratch,
-        leaf_admit=leaf_admit,
+        index, query, t_start, t_end, kernels=kernels, leaf_admit=leaf_admit
     ):
         dequeued += 1
+        if deadline is not None and monotonic() >= deadline:
+            raise DeadlineExceeded("query exceeded its deadline budget")
         # ---- Heuristic 2: MINDISSIMINC early termination -------------
         threshold = top.threshold
         if use_heuristic2 and math.isfinite(threshold):
@@ -385,49 +379,44 @@ def _search_shard(
 
         # ---- leaf processing: temporal plane sweep -------------------
         entries = sorted(node.entries, key=lambda e: e.segment.ts)
-        if segment_dissim_batch_fn is not None:
-            # Integrate every window qualifying *now* in one batch; the
-            # sequential replay below may skip a few of them (a
-            # candidate completing or being rejected mid-leaf), which
-            # wastes their integrals but changes no decision.
-            batch_pos: dict[int, int] | None = {}
-            batch_items = []
-            batch_threshold = top.threshold if sig_filter is not None else math.inf
-            sig_check = sig_filter is not None and math.isfinite(batch_threshold)
-            # Decided once per trajectory: nothing below moves between
-            # the candidate sets until the replay, and a TB-tree leaf
-            # holds one trajectory.
-            batched: dict[int, bool] = {}
-            for i, entry in enumerate(entries):
-                tid = entry.trajectory_id
-                wanted = batched.get(tid)
-                if wanted is None:
-                    wanted = not (tid in rejected or tid in completed)
-                    if wanted and sig_check and tid not in valid:
-                        # First touch of this trajectory in this leaf:
-                        # when its signature bound already exceeds the
-                        # threshold now, the (monotonically tightening)
-                        # threshold guarantees the sequential replay
-                        # below prunes it too, so its integrals need
-                        # not be batched at all.
-                        lb = sig_filter.bound(tid)
-                        wanted = lb is None or not lb > batch_threshold
-                    batched[tid] = wanted
-                if not wanted:
-                    continue
-                lo = max(entry.segment.ts, t_start)
-                hi = min(entry.segment.te, t_end)
-                if lo >= hi:
-                    continue
-                batch_pos[i] = len(batch_items)
-                batch_items.append((entry.segment, lo, hi))
-            batch_results = (
-                segment_dissim_batch_fn(query, batch_items)
-                if batch_items
-                else []
-            )
-        else:
-            batch_pos = None
+        # Integrate every window qualifying *now* in one batch; the
+        # sequential replay below may skip a few of them (a
+        # candidate completing or being rejected mid-leaf), which
+        # wastes their integrals but changes no decision.
+        batch_pos: dict[int, int] = {}
+        batch_items = []
+        batch_threshold = top.threshold if sig_filter is not None else math.inf
+        sig_check = sig_filter is not None and math.isfinite(batch_threshold)
+        # Decided once per trajectory: nothing below moves between
+        # the candidate sets until the replay, and a TB-tree leaf
+        # holds one trajectory.
+        batched: dict[int, bool] = {}
+        for i, entry in enumerate(entries):
+            tid = entry.trajectory_id
+            wanted = batched.get(tid)
+            if wanted is None:
+                wanted = not (tid in rejected or tid in completed)
+                if wanted and sig_check and tid not in valid:
+                    # First touch of this trajectory in this leaf:
+                    # when its signature bound already exceeds the
+                    # threshold now, the (monotonically tightening)
+                    # threshold guarantees the sequential replay
+                    # below prunes it too, so its integrals need
+                    # not be batched at all.
+                    lb = sig_filter.bound(tid)
+                    wanted = lb is None or not lb > batch_threshold
+                batched[tid] = wanted
+            if not wanted:
+                continue
+            lo = max(entry.segment.ts, t_start)
+            hi = min(entry.segment.te, t_end)
+            if lo >= hi:
+                continue
+            batch_pos[i] = len(batch_items)
+            batch_items.append((entry.segment, lo, hi))
+        batch_results = (
+            segment_dissim_batch(query, batch_items) if batch_items else []
+        )
         for i, entry in enumerate(entries):
             tid = entry.trajectory_id
             if tid in rejected or tid in completed:
@@ -451,10 +440,7 @@ def _search_shard(
                 cand = _Candidate(tid, t_start, t_end)
                 valid[tid] = cand
                 stats.candidates_created += 1
-            if batch_pos is not None:
-                integral, d_lo, d_hi = batch_results[batch_pos[i]]
-            else:
-                integral, d_lo, d_hi = seg_dissim(query, entry.segment, lo, hi)
+            integral, d_lo, d_hi = batch_results[batch_pos[i]]
             if cand.partial.add_interval(lo, hi, integral, d_lo, d_hi):
                 cand.windows.append((lo, hi, entry.segment, integral))
             stats.entries_processed += 1
@@ -493,6 +479,46 @@ def _search_shard(
     stats.mmap_reads = io_after.mmap_reads
     stats.checksum_failures = io_after.checksum_failures
     return completed, valid
+
+
+def search_part(
+    index: TrajectoryIndex,
+    query: Trajectory,
+    t_start: float,
+    t_end: float,
+    vmax: float,
+    use_heuristic1: bool,
+    use_heuristic2: bool,
+    top: _TopK,
+    exclude_ids,
+    kernels: str,
+    sig_filter: SignatureFilter | None = None,
+    deadline: float | None = None,
+) -> tuple[list[CandidateRecord], SearchStats]:
+    """The per-part unit of work: one tree's traversal under ``top``,
+    detached into merge-ready records plus that part's counters.
+
+    The serial loop, the thread executor and the pool worker
+    (:func:`repro.engine.executor._execute_shard_plan`) all run exactly
+    this function; an executor only decides where.
+    """
+    stats = SearchStats(total_nodes=index.num_nodes)
+    completed, valid = _search_shard(
+        index,
+        query,
+        t_start,
+        t_end,
+        vmax,
+        use_heuristic1,
+        use_heuristic2,
+        top,
+        exclude_ids,
+        stats,
+        kernels=kernels,
+        sig_filter=sig_filter,
+        deadline=deadline,
+    )
+    return candidate_records(completed, valid, vmax), stats
 
 
 def _validate(query, period, k):
@@ -542,16 +568,8 @@ def _harvest(trace, stats, before) -> None:
     reg.inc("search.bfmst.candidates_created", stats.candidates_created)
     reg.inc("search.bfmst.h1_rejections", stats.candidates_rejected)
     reg.inc("search.bfmst.refinements", stats.refinement_candidates)
-    if (
-        stats.signature_checks
-        or stats.signature_pruned
-        or stats.leaf_skips
-        or stats.refinement_skipped
-    ):
-        reg.inc("filter.signature_checks", stats.signature_checks)
-        reg.inc("filter.pruned", stats.signature_pruned)
-        reg.inc("filter.leaf_skips", stats.leaf_skips)
-        reg.inc("filter.refinement_skipped", stats.refinement_skipped)
+    for name, value in stats.filter_counters().items():
+        reg.inc(name, value)
     if stats.terminated_early:
         reg.inc("search.bfmst.h2_terminations")
         reg.gauge("search.bfmst.h2_termination_depth").set(
@@ -561,160 +579,6 @@ def _harvest(trace, stats, before) -> None:
 
 
 def bfmst_search(
-    index: TrajectoryIndex,
-    query: Trajectory,
-    period: tuple[float, float] | None = None,
-    k: int = 1,
-    vmax: float | None = None,
-    use_heuristic1: bool = True,
-    use_heuristic2: bool = True,
-    refine: bool = True,
-    exclude_ids: set[int] | frozenset[int] = frozenset(),
-    *,
-    kernels: str | None = None,
-    filter: str = "auto",
-    mindist_fn=None,
-    segment_dissim_fn=None,
-    mindist_batch_fn=None,
-    segment_dissim_batch_fn=None,
-    refinement_cache=None,
-    heap_scratch: list | None = None,
-) -> tuple[list[MSTMatch], SearchStats]:
-    """Run a k-MST search and return ``(matches, stats)``.
-
-    This is the algorithm implementation; the documented entry point is
-    the unified :func:`repro.search.bfmst_search` dispatcher, which
-    adds the engine/context plumbing and the :class:`SearchResult`
-    return shape.  The keyword-only hooks are how the
-    :class:`repro.engine.QueryEngine` amortises work across a batch —
-    ``mindist_fn`` memoises node MINDIST evaluations,
-    ``segment_dissim_fn`` memoises the per-leaf-entry DISSIM window
-    integrals, ``refinement_cache`` (a mapping-like ``get``/``put``
-    pair keyed by trajectory id) memoises exact refinement integrals
-    for repeated queries, and ``heap_scratch`` donates a reusable
-    priority-queue buffer.  None of them changes the answer, only the
-    work done.
-
-    ``kernels`` selects the hot-path implementation: ``"numpy"`` (the
-    vectorised kernels), ``"python"`` (the batched call plumbing over
-    the scalar reference code) or ``"auto"`` (numpy when importable).
-    ``None`` — the default — keeps the classic per-entry scalar path.
-    Explicit ``mindist_batch_fn`` / ``segment_dissim_batch_fn`` hooks
-    (the engine's caching wrappers) override the resolved kernels.
-
-    ``filter`` engages the signature tier (``"auto"`` — the default —
-    when the index carries a signature sidecar, ``"on"`` to require
-    one, ``"off"`` never): candidates whose signature lower bound
-    certifies them out of the answer are rejected before any page read
-    or integral, and ambiguous-ranking refinement skips candidates the
-    bound already places outside the k-th boundary.  Answers are
-    byte-identical to ``filter="off"`` by construction.
-
-    A :class:`~repro.sharding.ShardedIndex` is accepted too and
-    delegates to :func:`bfmst_search_sharded` (the per-shard hooks are
-    then unavailable — use the sharded engine for cached sharded
-    serving).
-
-    Parameters
-    ----------
-    index:
-        A finalized (or at least fully built) :class:`RTree3D` or
-        :class:`TBTree` — or a :class:`~repro.sharding.ShardedIndex`.
-    query:
-        The query trajectory ``Q``.
-    period:
-        The query period ``[t1, tn]``; defaults to the query's
-        lifetime.  The query must cover it.
-    k:
-        Number of most similar trajectories to return.
-    vmax:
-        The paper's ``V_max`` — sum of the maximum indexed speed and
-        the maximum query speed; computed from the index metadata when
-        omitted.  Must dominate the true maximum for the bounds to be
-        safe (it does when derived from the data).
-    use_heuristic1 / use_heuristic2:
-        Ablation switches for OPTDISSIM candidate pruning and
-        MINDISSIMINC early termination.
-    refine:
-        Re-integrate exactly (arcsinh closed form) the candidates whose
-        certified intervals straddle the k-th boundary before ranking.
-    exclude_ids:
-        Trajectory ids never to report (e.g. the query itself when it
-        is also indexed).
-    """
-    if getattr(index, "is_sharded", False):
-        return bfmst_search_sharded(
-            index,
-            query,
-            period,
-            k,
-            vmax,
-            use_heuristic1,
-            use_heuristic2,
-            refine,
-            exclude_ids,
-            kernels=kernels,
-            filter=filter,
-            refinement_cache=refinement_cache,
-        )
-    t_start, t_end = _validate(query, period, k)
-    if vmax is None:
-        vmax = index.max_speed + query.max_speed()
-    if vmax < 0.0:
-        raise QueryError(f"negative vmax {vmax}")
-    sig_filter = make_signature_filter(
-        index, query, t_start, t_end, vmax, filter, kernels
-    )
-    if kernels is not None:
-        if mindist_batch_fn is None:
-            mindist_batch_fn = make_mindist_batch(kernels)
-        if segment_dissim_batch_fn is None:
-            segment_dissim_batch_fn = make_segment_dissim_batch(kernels)
-
-    stats = SearchStats(total_nodes=index.num_nodes)
-
-    # Counter baseline so the SearchStats enrichment reports *this*
-    # query's work even when one trace spans several queries.
-    trace = _obs.ACTIVE
-    if trace is not None and trace.registry.enabled:
-        before = _counters_before(trace)
-    else:
-        trace = None
-
-    top = _TopK(k)
-    completed, valid = _search_shard(
-        index,
-        query,
-        t_start,
-        t_end,
-        vmax,
-        use_heuristic1,
-        use_heuristic2,
-        top,
-        exclude_ids,
-        stats,
-        mindist_fn=mindist_fn,
-        segment_dissim_fn=segment_dissim_fn,
-        mindist_batch_fn=mindist_batch_fn,
-        segment_dissim_batch_fn=segment_dissim_batch_fn,
-        heap_scratch=heap_scratch,
-        sig_filter=sig_filter,
-    )
-    matches = _assemble(
-        candidate_records(completed, valid, vmax),
-        query,
-        k,
-        refine,
-        stats,
-        refinement_cache,
-        sig_lookup=None if sig_filter is None else sig_filter.bound,
-    )
-    if trace is not None:
-        _harvest(trace, stats, before)
-    return matches, stats
-
-
-def bfmst_search_sharded(
     index,
     query: Trajectory,
     period: tuple[float, float] | None = None,
@@ -728,100 +592,149 @@ def bfmst_search_sharded(
     kernels: str | None = None,
     filter: str = "auto",
     selected: list[int] | None = None,
-    shard_hooks: dict[int, dict] | None = None,
     refinement_cache=None,
     executor=None,
+    deadline: float | None = None,
 ) -> tuple[list[MSTMatch], SearchStats]:
-    """Cross-shard k-MST over a :class:`~repro.sharding.ShardedIndex`.
+    """Run a k-MST search and return ``(matches, stats)``.
 
-    Every selected shard runs the same best-first traversal as the
-    single-index search, but all of them share one k-th-best bound, so
-    pruning crosses shard boundaries.  The disjoint per-shard candidate
-    sets are merged and ranked/refined once, globally.  ``vmax``
-    defaults to the *global* maximum over shards plus the query's — the
-    same value the unsharded search would use, which (together with the
-    canonical window summation) makes the answer bit-identical to the
-    single-index path.
+    This is the algorithm's one driver; the documented entry point is
+    the unified :func:`repro.search.bfmst_search`, which adds the
+    engine-context plumbing and the :class:`SearchResult` return shape.
+    Whatever ``index`` is, it is searched as a list of *parts*, each by
+    :func:`search_part`, all under one shared k-th-best bound, and the
+    disjoint per-part candidate sets are ranked/refined once, globally.
+    Everything that steers the search is plain data; nothing here
+    changes the answer, only the work done and where it runs.
 
-    Parameters beyond :func:`bfmst_search`'s:
-
+    Parameters
+    ----------
+    index:
+        What to search: a finalized (or at least fully built)
+        :class:`RTree3D` or :class:`TBTree` — one part, whose stats
+        carry no ``per_shard`` block; anything with ``.shards`` (a
+        :class:`~repro.sharding.ShardedIndex`) — one part per shard; or
+        a list of ``(index, exclude_ids)`` pairs (a live store's pinned
+        generation and memtable, see :class:`repro.ingest.LiveView`),
+        where each part's own exclusions are unioned onto
+        ``exclude_ids`` — that is how dirty objects are masked out of
+        an immutable generation while the memtable serves them.
+    query:
+        The query trajectory ``Q``.
+    period:
+        The query period ``[t1, tn]``; defaults to the query's
+        lifetime.  The query must cover it.
+    k:
+        Number of most similar trajectories to return.
+    vmax:
+        The paper's ``V_max`` — sum of the maximum indexed speed and
+        the maximum query speed; computed over *all* parts when
+        omitted — the value an unsharded search would use, which
+        (together with the canonical window summation) makes the answer
+        bit-identical however the data is split.  Must dominate the
+        true maximum for the bounds to be safe (it does when derived
+        from the data).
+    use_heuristic1 / use_heuristic2:
+        Ablation switches for OPTDISSIM candidate pruning and
+        MINDISSIMINC early termination.
+    refine:
+        Re-integrate exactly (arcsinh closed form) the candidates whose
+        certified intervals straddle the k-th boundary before ranking.
+    exclude_ids:
+        Trajectory ids never to report (e.g. the query itself when it
+        is also indexed).
+    kernels:
+        The hot-path implementation: ``"numpy"`` (the vectorised
+        kernels), ``"python"`` (the same batched call shape over the
+        scalar reference code, bit-equal) or ``"auto"`` (numpy when
+        importable).  ``None`` means unspecified, hence ``"auto"``.
+        Resolved once, here.
+    filter:
+        The signature tier (``"auto"`` — the default — for every part
+        that carries a signature sidecar, ``"on"`` to require one,
+        ``"off"`` never): candidates whose signature lower bound
+        certifies them out of the answer are rejected before any page
+        read or integral, and ambiguous-ranking refinement skips
+        candidates the bound already places outside the k-th boundary.
+        Answers are byte-identical to ``filter="off"`` by construction.
     selected:
-        Shard ids to search (the planner's pre-filter); ``None``
-        searches all.  Skipping a shard whose extent cannot overlap the
-        query period is answer-preserving.
-    shard_hooks:
-        Optional per-shard-id dict of ``mindist_fn`` /
-        ``segment_dissim_fn`` / ``mindist_batch_fn`` /
-        ``segment_dissim_batch_fn`` / ``heap_scratch`` hooks (the
-        sharded engine's caches).  ``kernels`` (same semantics as
-        :func:`bfmst_search`) supplies batch implementations to shards
-        whose hooks leave them unset.  An ``exclude_ids`` hook unions
-        extra per-shard exclusions onto the global set — the live
-        ingestion path uses it to mask dirty objects out of an
-        immutable generation while the memtable serves them.
+        Positions of the parts to search (the planner's pre-filter);
+        ``None`` searches all.  Skipping a part whose extent cannot
+        overlap the query period is answer-preserving.
+    refinement_cache:
+        A mapping-like ``get``/``put`` pair keyed by trajectory id that
+        memoises exact refinement integrals across repeats of one
+        ``(query, period)``.
     executor:
-        Anything with ``.map(fn, items)`` (e.g. the engine's
-        :class:`~repro.engine.executor.ThreadedExecutor`) to advance
-        shards concurrently; ``None`` runs them serially.
+        Where :func:`search_part` runs.  ``None`` — here, one part
+        after another.  Anything with ``.map(fn, items)`` (the engine's
+        :class:`~repro.engine.executor.ThreadedExecutor`) — on its
+        workers, concurrently.  Anything with ``.run_parts(specs, vmax,
+        kernels, filter, deadline)`` (a process-backed
+        :class:`~repro.engine.ShardedQueryEngine`) — in other
+        processes, from plain data: one ``QuerySpec`` per part out,
+        ``(position, records, stats)`` triples back, each worker under
+        a bound of its own.
+    deadline:
+        An absolute ``time.monotonic()`` instant; the traversal checks
+        it at every node dequeue and raises
+        :class:`~repro.exceptions.DeadlineExceeded` once it has passed.
     """
     t_start, t_end = _validate(query, period, k)
-    shards = index.shards
+    one_tree = not isinstance(index, list) and not hasattr(index, "shards")
+    if isinstance(index, list):
+        parts = [part for part, _extra in index]
+        excludes = [
+            frozenset(exclude_ids) | frozenset(extra) if extra else exclude_ids
+            for _part, extra in index
+        ]
+    else:
+        parts = [index] if one_tree else index.shards
+        excludes = [exclude_ids] * len(parts)
     if vmax is None:
-        vmax = index.max_speed + query.max_speed()
+        vmax = max((p.max_speed for p in parts), default=0.0) + query.max_speed()
     if vmax < 0.0:
         raise QueryError(f"negative vmax {vmax}")
     if selected is None:
-        selected = list(range(len(shards)))
+        selected = list(range(len(parts)))
     else:
         selected = list(selected)
-        for sid in selected:
-            if not 0 <= sid < len(shards):
-                raise QueryError(f"shard id {sid} out of range [0, {len(shards)})")
+        for pos in selected:
+            if not 0 <= pos < len(parts):
+                raise QueryError(f"shard id {pos} out of range [0, {len(parts)})")
+    kernels = resolve_kernels(kernels or "auto")
 
-    stats = SearchStats(total_nodes=index.num_nodes)
-    trace = _obs.ACTIVE
-    if trace is not None and trace.registry.enabled:
-        before = _counters_before(trace)
-    else:
-        trace = None
-
-    top: _TopK = _SharedTopK(k) if len(selected) > 1 else _TopK(k)
-    hooks_by_shard = shard_hooks or {}
-    if kernels is not None:
-        default_mindist_batch = make_mindist_batch(kernels)
-        default_segdissim_batch = make_segment_dissim_batch(kernels)
-    else:
-        default_mindist_batch = None
-        default_segdissim_batch = None
-
-    # One signature filter per shard (each shard carries its own
-    # sidecar); trajectory ids are disjoint across shards, so the merge
-    # step can probe them in any order.
-    shard_filters: dict[int, SignatureFilter] = {}
-    for sid in selected:
+    # One signature filter per part (each carries its own sidecar);
+    # trajectory ids are disjoint across parts, so the merge step can
+    # probe them in any order.
+    filters: dict[int, SignatureFilter] = {}
+    for pos in selected:
         filt = make_signature_filter(
-            shards[sid], query, t_start, t_end, vmax, filter, kernels
+            parts[pos], query, t_start, t_end, vmax, filter, kernels
         )
         if filt is not None:
-            shard_filters[sid] = filt
+            filters[pos] = filt
 
-    def merged_sig_lookup(tid: int):
-        for filt in shard_filters.values():
+    def sig_lookup(tid: int):
+        for filt in filters.values():
             if tid in filt.sigs:
                 return filt.bound(tid)
         return None
 
-    def run(shard_id: int):
-        shard_stats = SearchStats(total_nodes=shards[shard_id].num_nodes)
-        hooks = hooks_by_shard.get(shard_id, {})
-        extra_excludes = hooks.get("exclude_ids")
-        shard_excludes = (
-            exclude_ids
-            if not extra_excludes
-            else frozenset(exclude_ids) | frozenset(extra_excludes)
-        )
-        completed, valid = _search_shard(
-            shards[shard_id],
+    stats = SearchStats(total_nodes=sum(p.num_nodes for p in parts))
+    # Counter baseline so the SearchStats enrichment reports *this*
+    # query's work even when one trace spans several queries.
+    trace = _obs.ACTIVE
+    if trace is not None and trace.registry.enabled:
+        before = _counters_before(trace)
+    else:
+        trace = before = None
+
+    top: _TopK = _SharedTopK(k) if len(selected) > 1 else _TopK(k)
+
+    def run(pos: int):
+        records, part_stats = search_part(
+            parts[pos],
             query,
             t_start,
             t_end,
@@ -829,39 +742,47 @@ def bfmst_search_sharded(
             use_heuristic1,
             use_heuristic2,
             top,
-            shard_excludes,
-            shard_stats,
-            mindist_fn=hooks.get("mindist_fn"),
-            segment_dissim_fn=hooks.get("segment_dissim_fn"),
-            mindist_batch_fn=hooks.get(
-                "mindist_batch_fn", default_mindist_batch
-            ),
-            segment_dissim_batch_fn=hooks.get(
-                "segment_dissim_batch_fn", default_segdissim_batch
-            ),
-            heap_scratch=hooks.get("heap_scratch"),
-            sig_filter=shard_filters.get(shard_id),
+            excludes[pos],
+            kernels,
+            filters.get(pos),
+            deadline,
         )
-        return shard_id, candidate_records(completed, valid, vmax), shard_stats
+        return pos, records, part_stats
 
-    if executor is not None and len(selected) > 1:
+    if hasattr(executor, "run_parts"):
+        specs = {
+            pos: QuerySpec(
+                "mst",
+                query,
+                (t_start, t_end),
+                k,
+                {
+                    "use_heuristic1": use_heuristic1,
+                    "use_heuristic2": use_heuristic2,
+                    "exclude_ids": excludes[pos],
+                },
+            )
+            for pos in selected
+        }
+        outcomes = executor.run_parts(specs, vmax, kernels, filter, deadline)
+    elif executor is not None and len(selected) > 1:
         # Engine executors use the (index, item) map convention.
-        outcomes = executor.map(lambda _i, sid: run(sid), selected)
+        outcomes = executor.map(lambda _i, pos: run(pos), selected)
     else:
-        outcomes = [run(sid) for sid in selected]
+        outcomes = [run(pos) for pos in selected]
 
     matches = merge_shard_records(
         outcomes,
         selected=selected,
-        shard_nodes=[shard.num_nodes for shard in shards],
+        shard_nodes=None if one_tree else [p.num_nodes for p in parts],
         query=query,
         k=k,
         refine=refine,
         stats=stats,
         refinement_cache=refinement_cache,
         trace=trace,
-        before=before if trace is not None else None,
-        sig_lookup=merged_sig_lookup if shard_filters else None,
+        before=before,
+        sig_lookup=sig_lookup if filters else None,
     )
     return matches, stats
 
@@ -888,7 +809,7 @@ def merge_shard_records(
     outcomes,
     *,
     selected: list[int],
-    shard_nodes: list[int],
+    shard_nodes: list[int] | None,
     query: Trajectory,
     k: int,
     refine: bool,
@@ -898,64 +819,46 @@ def merge_shard_records(
     before=None,
     sig_lookup=None,
 ) -> list[MSTMatch]:
-    """Merge per-shard search outcomes into the global ranked answer.
+    """Merge per-part search outcomes into the global ranked answer.
 
-    ``outcomes`` is an iterable of ``(shard_id, records, shard_stats)``
-    triples — one per searched shard, each produced by
-    :func:`candidate_records` over that shard's traversal result.
-    Aggregates the shard counters into ``stats`` (including the
-    ``per_shard`` breakdown with pruned-shard rows, sized from
-    ``shard_nodes``), ranks/refines the concatenated records, and —
-    when ``trace``/``before`` are given — harvests the trace counters
-    exactly like the in-process path.
+    ``outcomes`` is an iterable of ``(position, records, part_stats)``
+    triples — one per searched part, each produced by
+    :func:`search_part`, in this process or (reconstituted from
+    :class:`~repro.engine.planner.ShardAnswer` buffers) in a pool
+    worker.  Aggregates the part counters into ``stats``, ranks/refines
+    the concatenated records, and — when ``trace``/``before`` are
+    given — harvests the trace counters.  ``shard_nodes`` sizes the
+    ``per_shard`` breakdown (with a row for every planner-pruned part);
+    ``None`` — a bare index, searched as one part — reports none.
 
-    This is the *single* merge implementation: both the in-process
-    :func:`bfmst_search_sharded` and the process-pool executor path
-    (which reconstitutes records from :class:`ShardAnswer` buffers)
-    call it, so the two executors produce byte-identical results by
-    construction.
+    Every executor's results pass through this one merge, so they are
+    byte-identical by construction.
     """
     records: list[CandidateRecord] = []
     per_shard: list[dict] = []
     for shard_id, shard_records, s in outcomes:
         records.extend(shard_records)
-        stats.node_accesses += s.node_accesses
-        stats.leaf_accesses += s.leaf_accesses
-        stats.internal_accesses += s.internal_accesses
-        stats.entries_processed += s.entries_processed
-        stats.candidates_created += s.candidates_created
-        stats.candidates_completed += s.candidates_completed
-        stats.candidates_rejected += s.candidates_rejected
-        stats.dissim_evaluations += s.dissim_evaluations
-        stats.buffer_hits += s.buffer_hits
-        stats.buffer_misses += s.buffer_misses
-        stats.mmap_reads += s.mmap_reads
-        stats.checksum_failures += s.checksum_failures
-        stats.terminated_early = stats.terminated_early or s.terminated_early
-        stats.h2_termination_depth = max(
-            stats.h2_termination_depth, s.h2_termination_depth
-        )
-        stats.signature_checks += s.signature_checks
-        stats.signature_pruned += s.signature_pruned
-        stats.leaf_skips += s.leaf_skips
+        stats.accumulate(s)
         per_shard.append(_per_shard_row(shard_id, False, s))
-    searched = set(selected)
-    for shard_id in range(len(shard_nodes)):
-        if shard_id not in searched:
-            # A planner-pruned shard did no work: the zero counters of
-            # a fresh SearchStats, under the same keys.
-            idle = SearchStats(total_nodes=shard_nodes[shard_id])
-            per_shard.append(_per_shard_row(shard_id, True, idle))
-    per_shard.sort(key=lambda row: row["shard"])
-    stats.extra["per_shard"] = per_shard
-    stats.extra["shards_searched"] = len(selected)
-    stats.extra["shards_pruned"] = len(shard_nodes) - len(selected)
+    if shard_nodes is not None:
+        searched = set(selected)
+        for shard_id in range(len(shard_nodes)):
+            if shard_id not in searched:
+                # A planner-pruned shard did no work: the zero counters
+                # of a fresh SearchStats, under the same keys.
+                idle = SearchStats(total_nodes=shard_nodes[shard_id])
+                per_shard.append(_per_shard_row(shard_id, True, idle))
+        per_shard.sort(key=lambda row: row["shard"])
+        stats.extra["per_shard"] = per_shard
+        stats.extra["shards_searched"] = len(selected)
+        stats.extra["shards_pruned"] = len(shard_nodes) - len(selected)
 
     matches = _assemble(
         records, query, k, refine, stats, refinement_cache, sig_lookup
     )
     if trace is not None:
         _harvest(trace, stats, before)
+    if trace is not None and shard_nodes is not None:
         reg = trace.registry
         reg.inc("search.bfmst.sharded_queries")
         reg.inc("search.bfmst.shards_searched", len(selected))

@@ -88,7 +88,7 @@ class SearchStats:
     # vectorised-kernel usage: how much of the query ran batched.
     # kernel_batches / kernel_segments count segment-DISSIM batches and
     # the windows they covered; mindist_batched counts batched node
-    # expansions.  All zero on the scalar (kernels="python"/None) path.
+    # expansions.  All zero on the scalar (kernels="python") path.
     kernel_batches: int = 0
     kernel_segments: int = 0
     mindist_batched: int = 0
@@ -108,6 +108,34 @@ class SearchStats:
         total = self.buffer_hits + self.buffer_misses
         return self.buffer_hits / total if total else 0.0
 
+    def accumulate(self, part: "SearchStats") -> None:
+        """Fold one part's (shard's, generation's) counters into this
+        aggregate: every counter adds, ``terminated_early`` ORs and the
+        two high-water marks take the maximum.  ``total_nodes`` and
+        ``extra`` stay the aggregate's own, so pruning power is
+        measured against the whole collection."""
+        for name in _ACCUMULATED:
+            mine, theirs = getattr(self, name), getattr(part, name)
+            if name in ("heap_high_water", "h2_termination_depth"):
+                value = max(mine, theirs)
+            elif name == "terminated_early":
+                value = mine or theirs
+            else:
+                value = mine + theirs
+            setattr(self, name, value)
+
+    def filter_counters(self) -> dict[str, int]:
+        """This query's signature-filter work under the ``filter.*``
+        metric names — empty when the filter did nothing, so a session
+        that never filters grows no ``filter.*`` keys."""
+        counters = {
+            "filter.signature_checks": self.signature_checks,
+            "filter.pruned": self.signature_pruned,
+            "filter.leaf_skips": self.leaf_skips,
+            "filter.refinement_skipped": self.refinement_skipped,
+        }
+        return counters if any(counters.values()) else {}
+
     def as_dict(self) -> dict:
         """All fields plus the derived ratios, JSON-ready."""
         out = asdict(self)
@@ -126,6 +154,11 @@ class SearchStats:
         """
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in doc.items() if k in known})
+
+
+_ACCUMULATED = tuple(
+    f.name for f in fields(SearchStats) if f.name not in ("total_nodes", "extra")
+)
 
 
 @dataclass

@@ -248,12 +248,11 @@ class ReproServer:
         self, spec
     ) -> tuple[int, bytes, dict | None]:
         # The absolute monotonic deadline computed here crosses every
-        # executor boundary: thread-pool engines capture it in their
-        # per-shard deadline guards, and a process-pool
-        # ShardedQueryEngine carries it as an explicit ShardPlan field
-        # (thread-locals do not survive the process hop; the monotonic
-        # clock is system-wide on Linux), so 504 enforcement is
-        # executor-agnostic.
+        # executor boundary as plain data: the engines hand it to the
+        # traversal as an argument, and a process-pool
+        # ShardedQueryEngine carries it as a ShardPlan field (the
+        # monotonic clock is system-wide on Linux), so 504 enforcement
+        # is executor-agnostic.
         budget_ms = spec.deadline_ms
         if budget_ms is None:
             budget_ms = self.config.default_deadline_ms

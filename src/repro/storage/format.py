@@ -25,8 +25,8 @@ as a garbage MBR three layers up.
 
 The checksum is ``zlib.crc32`` (the IEEE CRC-32 polynomial): it runs at
 C speed from the standard library, which is what keeps verification
-affordable on the hot read path — ``bench_storage_backends`` gates the
-overhead at < 10 %.  Hardware CRC32C would need a third-party wheel.
+affordable on the hot read path.  Hardware CRC32C would need a
+third-party wheel.
 
 v1 pages (the pre-frame format, raw node bytes at offset 0) fail the
 magic check with an error naming the version mismatch; see

@@ -9,7 +9,56 @@ import zlib
 import pytest
 from hypothesis import strategies as st
 
-from repro import RTree3D, TBTree, Trajectory, TrajectoryDataset, generate_gstd
+from repro import (
+    RTree3D,
+    TBTree,
+    Trajectory,
+    TrajectoryDataset,
+    generate_gstd,
+    make_workload,
+)
+
+# ----------------------------------------------------------------------
+# helpers shared by several test modules
+# ----------------------------------------------------------------------
+def work_counters(stats) -> dict:
+    """A traced k-MST search's work, as counts that repeat exactly."""
+    return {
+        name: getattr(stats, name)
+        for name in (
+            "node_accesses",
+            "entries_processed",
+            "mindist_evaluations",
+            "trapezoid_evals",
+            "kernel_segments",
+        )
+    }
+
+
+def staggered_fleet(epochs=3, gap=2500.0):
+    """GSTD epochs laid back to back, so the temporal partitioner gives
+    each epoch its own shard and per-epoch queries select exactly one
+    shard — the regime where serial and process traversals see the same
+    bounds and must report the same work counters.  Returns the dataset
+    and a workload of two queries per epoch."""
+    dataset = TrajectoryDataset()
+    workloads = []
+    for epoch in range(epochs):
+        raw = generate_gstd(8, samples_per_object=16, seed=40 + epoch)
+        offset = epoch * gap
+        shifted = TrajectoryDataset()
+        for tr in raw:
+            shifted.add(
+                Trajectory(
+                    epoch * 1000 + tr.object_id,
+                    [(p.x, p.y, p.t + offset) for p in tr.samples],
+                )
+            )
+        for tr in shifted:
+            dataset.add(tr)
+        workloads.extend(make_workload(shifted, 2, 0.25, seed=9 + epoch))
+    return dataset, workloads
+
 
 # ----------------------------------------------------------------------
 # hypothesis strategies

@@ -2,9 +2,10 @@
 invalidation, executors and telemetry.
 
 The load-bearing property: a batch run through the engine — with the
-MINDIST memo, the refinement cache, buffer pinning and scratch reuse
-all active — returns answers *identical* to one-off
-:func:`repro.search.bfmst.bfmst_search` calls on a pristine stack.
+refinement cache and buffer pinning active — returns answers
+*identical* to one-off :func:`repro.search.bfmst.bfmst_search` calls
+on a pristine stack, and the engine keeps no per-query state: a
+repeated request does the same work as its first execution.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from repro.engine import (
     DissimRefinementCache,
     EngineConfig,
     LRUCache,
-    MindistCache,
     QueryEngine,
     QueryRequest,
+    ShardedQueryEngine,
     ThreadedExecutor,
     make_executor,
     query_key,
@@ -27,8 +28,12 @@ from repro.engine import (
 from repro.exceptions import QueryError
 from repro.geometry import MBR2D, Point
 from repro.index import RTree3D, TBTree
+from repro.obs import query_trace
 from repro.search.bfmst import bfmst_search as raw_bfmst
 from repro.search.linear_scan import linear_scan_kmst as raw_scan
+from repro.sharding import ShardedDataset, build_sharded_index, make_partitioner
+
+from conftest import work_counters
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,14 @@ def _build(tree_cls, dataset):
 def _key(matches):
     return [(m.trajectory_id, m.dissim, m.error_bound, m.exact)
             for m in matches]
+
+
+def _traced_work(engine, request):
+    """One execution under its own trace: the answer and the
+    traversal's work as counts that repeat exactly."""
+    with query_trace(None):
+        result = engine.execute(request)
+    return result.answer_json(), work_counters(result.stats)
 
 
 class TestBatchedIdentity:
@@ -152,58 +165,40 @@ class TestCaches:
         assert len(cache.lru) == 3
 
     def test_mindist_memo_hits_on_repeat(self, dataset, workload):
+        # The engine keeps no MINDIST memo: every repeat traverses
+        # again, evaluates the same boxes and gives the same answer.
         index = _build(RTree3D, dataset)
         q, p = workload[0]
+        request = QueryRequest("mst", q, p, k=2)
         with QueryEngine(index, dataset) as engine:
-            engine.run_batch([QueryRequest("mst", q, p, k=2)] * 3)
-            counters = engine.cache_counters()
-        assert counters["engine.cache.mindist.hits"] > 0
-        assert counters["engine.cache.mindist.misses"] > 0
-        # repeats only re-evaluate nothing: hits >= 2x misses impossible
-        # to guarantee in general, but hits must cover the two repeats.
-        assert (
-            counters["engine.cache.mindist.hits"]
-            >= counters["engine.cache.mindist.misses"]
-        )
+            runs = [_traced_work(engine, request) for _ in range(3)]
+        first_answer, first_work = runs[0]
+        assert first_work["mindist_evaluations"] > 0
+        assert first_work["node_accesses"] > 0
+        for answer, work in runs[1:]:
+            assert answer == first_answer
+            assert work == first_work
 
     def test_segdissim_memo_hits_on_repeat(self, dataset, workload):
-        index = _build(RTree3D, dataset)
+        # Nor a segment-DISSIM memo, on any engine: the repeat over a
+        # sharded index re-integrates every window it retrieves.
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 3)),
+            TBTree,
+            page_size=512,
+        )
         q, p = workload[0]
-        with QueryEngine(index, dataset) as engine:
-            first = engine.execute(QueryRequest("mst", q, p, k=3))
-            counters = engine.cache_counters()
-            assert counters["engine.cache.segdissim.hits"] == 0
-            assert counters["engine.cache.segdissim.misses"] > 0
-            repeat = engine.execute(QueryRequest("mst", q, p, k=3))
-            counters = engine.cache_counters()
-        # the repeat re-reads every window integral from the memo
-        assert counters["engine.cache.segdissim.hits"] > 0
-        assert [m.trajectory_id for m in repeat.matches] == [
-            m.trajectory_id for m in first.matches
-        ]
-        assert [m.dissim for m in repeat.matches] == [
-            m.dissim for m in first.matches
-        ]
-
-    def test_mindist_scope_lru_bound(self):
-        cache = MindistCache(scope_capacity=2)
-        calls = []
-
-        def base(q, mbr, lo, hi):
-            calls.append(mbr)
-            return 1.0
-
-        box = MBR2D(0, 0, 1, 1)
-
-        class FakeMBR:
-            xmin = ymin = tmin = 0.0
-            xmax = ymax = tmax = 1.0
-
-        for i in range(5):
-            fn = cache.wrap(base, None, ("traj", i), 0.0, 1.0)
-            fn(None, FakeMBR(), 0.0, 1.0)
-        assert len(cache.scopes) == 2
-        assert box is not None  # silence lint on unused helper
+        request = QueryRequest("mst", q, p, k=3)
+        try:
+            with ShardedQueryEngine(sharded, dataset) as engine:
+                first_answer, first_work = _traced_work(engine, request)
+                repeat_answer, repeat_work = _traced_work(engine, request)
+        finally:
+            sharded.close()
+        assert first_work["entries_processed"] > 0
+        assert first_work["trapezoid_evals"] > 0
+        assert repeat_work == first_work
+        assert repeat_answer == first_answer
 
 
 class TestInvalidation:
@@ -271,7 +266,7 @@ class TestEngineSurface:
         assert doc["num_queries"] == 1
         assert doc["queries_per_sec"] > 0
         assert "engine.cache.dissim.hits" in doc["cache"]
-        assert "engine.cache.mindist.hits" in doc["cache"]
+        assert "engine.buffer.hits" in doc["cache"]
 
     def test_query_key_types(self, dataset):
         tr = next(iter(dataset))

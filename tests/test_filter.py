@@ -927,9 +927,17 @@ class TestShardPlanCodec:
     def test_missing_filter_defaults_to_auto(self, dataset):
         from repro.engine.planner import ShardPlan
 
-        doc = self._plan(dataset).as_dict()
-        del doc["filter"]  # an older writer's plan
+        # A plan built without naming a mode filters iff the worker
+        # finds a sidecar, and says so on the wire ...
+        plan = self._plan(dataset)
+        assert plan.filter == "auto"
+        doc = plan.as_dict()
         assert ShardPlan.from_dict(doc).filter == "auto"
+        # ... where the field is never absent: a plan does not outlive
+        # the parent/worker pair that made it, so no older writer exists.
+        del doc["filter"]
+        with pytest.raises(QueryError, match="filter"):
+            ShardPlan.from_dict(doc)
 
     def test_invalid_filter_rejected(self, dataset):
         from repro.engine.planner import ShardPlan

@@ -47,6 +47,8 @@ from repro.sharding import (
 from repro.trajectory import columns as columns_mod
 from repro.trajectory import dataset_columns
 
+from conftest import work_counters
+
 coord = st.floats(min_value=-50.0, max_value=50.0)
 
 
@@ -359,9 +361,9 @@ class TestBFMSTKernelParity:
             vector, v_stats = bfmst_search(
                 index, query, period, k, kernels="numpy"
             )
-            classic, _ = bfmst_search(index, query, period, k)
+            default, _ = bfmst_search(index, query, period, k)
             assert_same_answers(vector, scalar)
-            assert_same_answers(vector, classic)
+            assert_same_answers(vector, default)
             assert v_stats.candidates_rejected == s_stats.candidates_rejected
             assert v_stats.node_accesses == s_stats.node_accesses
 
@@ -409,19 +411,23 @@ class TestBFMSTKernelParity:
                 index, dataset, config=EngineConfig(kernels=mode)
             ) as engine:
                 request = QueryRequest("mst", query, period, k=5)
-                first = engine.execute(request)
-                # the second run must be answered from the batch-aware
-                # per-query memos, not recomputed
-                second = engine.execute(request)
-                assert [m.trajectory_id for m in first.matches] == [
-                    m.trajectory_id for m in second.matches
-                ]
-                if mode is not None:
-                    assert engine.mindist_cache.hits > 0
-                    assert engine.segdissim_cache.hits > 0
+                with query_trace(index):
+                    first = engine.execute(request)
+                # the engine keeps no per-query memo: the second run
+                # traverses again and does the same work
+                with query_trace(index):
+                    second = engine.execute(request)
+                assert second.answer_json() == first.answer_json()
+                assert work_counters(second.stats) == work_counters(
+                    first.stats
+                )
+                # an engine without a kernels default leaves the choice
+                # to the request, whose own default is "auto"
+                batched = first.stats.kernel_batches > 0
+                assert batched == (mode != "python")
                 answers[mode] = first.matches
         assert_same_answers(answers["numpy"], answers["python"])
-        assert_same_answers(answers["numpy"], answers[None])
+        assert_same_answers(answers[None], answers["python"])
 
 
 # ----------------------------------------------------------------------
@@ -447,14 +453,34 @@ class TestKernelCounters:
     def test_scalar_paths_report_zero(self, gstd_world):
         dataset, query, period = gstd_world
         index = build_tree(RTree3D, dataset)
-        for mode in ("python", None):
-            with query_trace(index, name=f"kernels-{mode}"):
-                _matches, stats = bfmst_search(
-                    index, query, period, 5, kernels=mode
-                )
-            assert stats.kernel_batches == 0
-            assert stats.kernel_segments == 0
-            assert stats.mindist_batched == 0
+        with query_trace(index, name="kernels-python"):
+            _matches, stats = bfmst_search(
+                index, query, period, 5, kernels="python"
+            )
+        assert stats.kernel_batches == 0
+        assert stats.kernel_segments == 0
+        assert stats.mindist_batched == 0
+
+    @pytest.mark.parametrize(
+        "tree_cls", (RTree3D, TBTree), ids=lambda c: c.__name__
+    )
+    def test_unspecified_kernels_mean_auto(self, tree_cls, gstd_world):
+        """The documented entry point with no ``kernels`` runs the
+        vectorised kernels and answers exactly as the scalar reference."""
+        pytest.importorskip("numpy")
+        dataset, query, period = gstd_world
+        index = build_tree(tree_cls, dataset)
+        with query_trace(index, name="kernels-default"):
+            default = search_api.bfmst_search(
+                index, None, query, period=period, k=5
+            )
+        assert default.stats.kernel_batches > 0
+        assert default.stats.mindist_batched > 0
+        scalar = search_api.bfmst_search(
+            index, None, query, period=period, k=5, kernels="python"
+        )
+        assert default.ids == scalar.ids
+        assert [m.dissim for m in default] == [m.dissim for m in scalar]
 
 
 # ----------------------------------------------------------------------
@@ -505,11 +531,12 @@ class TestPythonFallback:
         dataset = generate_gstd(8, samples_per_object=10, seed=3)
         (query, period), = make_workload(dataset, 1, 0.2, seed=3)
         index = build_tree(RTree3D, dataset)
-        classic, _ = bfmst_search(index, query, period, 3)
-        auto, stats = bfmst_search(index, query, period, 3, kernels="auto")
-        assert [m.trajectory_id for m in auto] == [
-            m.trajectory_id for m in classic
-        ]
-        for g, w in zip(auto, classic):
-            assert g.dissim == w.dissim
-        assert stats.kernel_batches == 0  # python path counts nothing
+        scalar, _ = bfmst_search(index, query, period, 3, kernels="python")
+        for mode in ("auto", None):  # unspecified means auto
+            got, stats = bfmst_search(index, query, period, 3, kernels=mode)
+            assert [m.trajectory_id for m in got] == [
+                m.trajectory_id for m in scalar
+            ]
+            for g, w in zip(got, scalar):
+                assert g.dissim == w.dissim
+            assert stats.kernel_batches == 0  # python path counts nothing

@@ -1,0 +1,255 @@
+"""One k-MST search path behind every entry point.
+
+The bare index, the three engines and the pool worker all run
+:func:`repro.search.bfmst.bfmst_search` over parts, so an option or a
+deadline means the same wherever a spec is executed.  These tests pin
+that down across the entry points at once; the per-feature identity
+matrices live in their own files.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+
+import pytest
+
+from repro import IngestStore
+from repro.datagen import generate_gstd, make_workload
+from repro.engine import (
+    EngineConfig,
+    LiveQueryEngine,
+    QueryEngine,
+    ShardedQueryEngine,
+    ShardPlan,
+)
+from repro.engine.executor import _execute_shard_plan
+from repro.exceptions import DeadlineExceeded
+from repro.index import TBTree
+from repro.search import QuerySpec, bfmst as bfmst_module, bfmst_search
+from repro.sharding import (
+    ShardedDataset,
+    build_sharded_index,
+    make_partitioner,
+    save_sharded_index,
+)
+
+EXECUTORS = ("serial", "thread", "process")
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_gstd(24, samples_per_object=20, seed=13)
+
+
+@pytest.fixture(scope="module")
+def query_and_period(dataset):
+    (pair,) = make_workload(dataset, 1, 0.3, seed=5)
+    return pair
+
+
+@pytest.fixture(scope="module")
+def single_index(dataset):
+    """The from-scratch rebuild every other path must agree with."""
+    index = TBTree(page_size=512)
+    for tr in dataset:
+        index.insert(tr)
+    index.finalize()
+    return index
+
+
+@pytest.fixture(scope="module")
+def shards_dir(dataset, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("one_path") / "shards"
+    sharded = build_sharded_index(
+        ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
+        TBTree,
+        page_size=512,
+    )
+    save_sharded_index(sharded, directory)
+    sharded.close()
+    return directory
+
+
+def sharded_engine(shards_dir, executor):
+    return ShardedQueryEngine.open(
+        shards_dir,
+        config=EngineConfig(executor=executor, max_workers=2),
+        backend="mmap",
+    )
+
+
+def feed_objects(store, trajectories):
+    for tr in trajectories:
+        for p in tr:
+            store.append(tr.object_id, p.x, p.y, p.t)
+
+
+def live_store(directory, dataset, layout):
+    """A store holding ``dataset``: all in the memtable, all in one
+    compacted generation, or half and half (the layout in which the
+    generation part and the memtable part are both searched)."""
+    store = IngestStore.create(directory, sync_every=64, page_size=512)
+    trajectories = list(dataset)
+    if layout == "uncompacted":
+        feed_objects(store, trajectories)
+    elif layout == "compacted":
+        feed_objects(store, trajectories)
+        store.compact()
+    else:
+        half = len(trajectories) // 2
+        feed_objects(store, trajectories[:half])
+        store.compact()
+        feed_objects(store, trajectories[half:])
+    return store
+
+
+# ----------------------------------------------------------------------
+# one spec, every engine
+# ----------------------------------------------------------------------
+class TestOptionsMeanTheSameEverywhere:
+    def test_exclude_ids_on_every_engine(
+        self, dataset, query_and_period, single_index, shards_dir, tmp_path
+    ):
+        query, period = query_and_period
+        with QueryEngine(single_index, dataset) as engine:
+            best = engine.execute(QuerySpec("mst", query, period, k=3)).ids[0]
+            spec = QuerySpec(
+                "mst", query, period, k=3, options={"exclude_ids": [best]}
+            )
+            want = engine.execute(spec)
+        assert best not in want.ids and len(want.ids) == 3
+
+        for executor in EXECUTORS:
+            with sharded_engine(shards_dir, executor) as engine:
+                got = engine.execute(spec)
+                engine.index.close()
+            assert got.answer_json() == want.answer_json(), executor
+        for layout in ("uncompacted", "compacted", "mixed"):
+            with live_store(tmp_path / layout, dataset, layout) as store:
+                with LiveQueryEngine(store) as engine:
+                    got = engine.execute(spec)
+            assert got.answer_json() == want.answer_json(), layout
+            # the echoed spec is normalised in one place for all engines
+            assert got.spec.options == want.spec.options
+
+    def test_unknown_option_is_a_type_error_on_every_engine(
+        self, dataset, query_and_period, single_index, shards_dir, tmp_path
+    ):
+        query, period = query_and_period
+        spec = QuerySpec("mst", query, period, options={"selected": [0]})
+        with QueryEngine(single_index, dataset) as engine:
+            with pytest.raises(TypeError, match="selected"):
+                engine.execute(spec)
+        for executor in EXECUTORS:
+            with sharded_engine(shards_dir, executor) as engine:
+                with pytest.raises(TypeError, match="selected"):
+                    engine.execute(spec)
+                engine.index.close()
+        with live_store(tmp_path / "s", dataset, "uncompacted") as store:
+            with LiveQueryEngine(store) as engine:
+                with pytest.raises(TypeError, match="selected"):
+                    engine.execute(spec)
+
+    def test_process_engine_through_the_unified_api(
+        self, query_and_period, shards_dir
+    ):
+        query, period = query_and_period
+        with sharded_engine(shards_dir, "process") as engine:
+            assert engine.executor._pool is None  # the pool starts lazily
+            via_api = bfmst_search(engine, None, query, period=period, k=3)
+            assert engine.executor._pool is not None
+            spec = QuerySpec("mst", query, period, k=3)
+            assert via_api.answer_json() == engine.execute(spec).answer_json()
+            engine.index.close()
+
+
+# ----------------------------------------------------------------------
+# deadlines stop a query mid-flight on every path
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def clock(monkeypatch):
+    """Patch the clock the traversal reads: real time for the first
+    ``after`` dequeues, then past ``deadline``.  Engines read their own
+    clock for the check before a query starts, so that check passes and
+    the abort comes from inside the traversal."""
+
+    class Clock:
+        deadline = time.monotonic() + 3600.0
+        after = 1
+
+        def __init__(self):
+            self.reads = itertools.count()  # next() is atomic under the GIL
+
+        def __call__(self):
+            if next(self.reads) < self.after:
+                return time.monotonic()
+            return self.deadline + 1.0
+
+    fake = Clock()
+    monkeypatch.setattr(bfmst_module, "monotonic", fake)
+    return fake
+
+
+class TestDeadlinesStopTheTraversal:
+    def test_bare_search(self, clock, single_index, query_and_period):
+        query, period = query_and_period
+        with pytest.raises(DeadlineExceeded, match="exceeded"):
+            bfmst_search(
+                single_index, None, query, period=period, k=3,
+                deadline=clock.deadline,
+            )
+        # aborted at the dequeue after the last one the budget covered
+        assert next(clock.reads) == clock.after + 1
+
+    def test_query_engine(self, clock, dataset, single_index, query_and_period):
+        query, period = query_and_period
+        spec = QuerySpec("mst", query, period, k=3)
+        with QueryEngine(single_index, dataset) as engine:
+            for aborted in (1, 2):
+                with pytest.raises(DeadlineExceeded, match="exceeded"):
+                    engine.execute(spec, deadline=clock.deadline)
+                assert engine.metrics.value("engine.deadline_misses") == aborted
+
+    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    def test_sharded_engine(self, executor, clock, query_and_period, shards_dir):
+        query, period = query_and_period
+        spec = QuerySpec("mst", query, period, k=3)
+        with sharded_engine(shards_dir, executor) as engine:
+            with pytest.raises(DeadlineExceeded, match="exceeded"):
+                engine.execute(spec, deadline=clock.deadline)
+            assert engine.metrics.value("engine.deadline_misses") == 1
+            engine.index.close()
+
+    def test_pool_worker(self, clock, query_and_period, shards_dir):
+        # What a pool worker imports and runs, called in-process so the
+        # patched clock applies (expired-before-open is test_procpool's).
+        query, period = query_and_period
+        with sharded_engine(shards_dir, "serial") as engine:
+            signature = engine.shard_engines[0].signature()
+            engine.index.close()
+        plan = ShardPlan(
+            spec=QuerySpec("mst", query, period, k=3),
+            shard_id=0,
+            shard_path=str(shards_dir / "shard_0000.pages"),
+            signature=signature,
+            vmax=10.0,
+            deadline=clock.deadline,
+        )
+        with pytest.raises(DeadlineExceeded, match="exceeded"):
+            _execute_shard_plan(plan)
+        assert next(clock.reads) == clock.after + 1
+
+    def test_live_engine_releases_its_pins(
+        self, clock, dataset, query_and_period, tmp_path
+    ):
+        query, period = query_and_period
+        spec = QuerySpec("mst", query, period, k=3)
+        with live_store(tmp_path / "s", dataset, "mixed") as store:
+            with LiveQueryEngine(store) as engine:
+                with pytest.raises(DeadlineExceeded, match="exceeded"):
+                    engine.execute(spec, deadline=clock.deadline)
+                assert engine.counters()["engine.deadline_misses"] == 1
+            pins = store.metrics.value("ingest.generation_pins")
+            assert pins == 1
+            assert store.metrics.value("ingest.generation_unpins") == pins

@@ -28,14 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    RTree3D,
-    TBTree,
-    Trajectory,
-    TrajectoryDataset,
-    generate_gstd,
-    make_workload,
-)
+from repro import RTree3D, TBTree, generate_gstd, make_workload
 from repro.engine import (
     EngineConfig,
     ProcessPoolShardExecutor,
@@ -56,7 +49,7 @@ from repro.sharding import (
     save_sharded_index,
 )
 
-from conftest import trajectories
+from conftest import staggered_fleet, trajectories
 
 ALL_KINDS = ("round_robin", "hash", "spatial", "temporal")
 
@@ -309,7 +302,7 @@ class TestSerializationContract:
             shard_path=str(directory / "shard_0000.pages"),
             signature=(1, 1, 1),  # no real generation looks like this
             deadline=None,
-            kernels=None,
+            kernels="python",
         )
         # _execute_shard_plan is the exact function pool workers import;
         # running it in-process exercises the same open-and-verify path.
@@ -361,30 +354,6 @@ class TestDeadlinePropagation:
 # ----------------------------------------------------------------------
 # worker obs isolation
 # ----------------------------------------------------------------------
-def _staggered_dataset(epochs=3, gap=2500.0):
-    """GSTD epochs laid back to back, so the temporal partitioner gives
-    each epoch its own shard and per-epoch queries select exactly one
-    shard — the regime where serial and process traversals see the same
-    bounds and must report the same work counters."""
-    dataset = TrajectoryDataset()
-    workloads = []
-    for epoch in range(epochs):
-        raw = generate_gstd(8, samples_per_object=16, seed=40 + epoch)
-        offset = epoch * gap
-        shifted = TrajectoryDataset()
-        for tr in raw:
-            shifted.add(
-                Trajectory(
-                    epoch * 1000 + tr.object_id,
-                    [(p.x, p.y, p.t + offset) for p in tr.samples],
-                )
-            )
-        for tr in shifted:
-            dataset.add(tr)
-        workloads.extend(make_workload(shifted, 2, 0.25, seed=9 + epoch))
-    return dataset, workloads
-
-
 class TestWorkerObsIsolation:
     def test_fresh_registry_ships_per_call_deltas(self, dataset, tmp_path):
         directory = tmp_path / "shards"
@@ -399,7 +368,7 @@ class TestWorkerObsIsolation:
             shard_path=str(directory / "shard_0000.pages"),
             signature=signature,
             deadline=None,
-            kernels=None,
+            kernels="python",
         )
         _execute_shard_plan(plan)  # cold call warms the buffer pool
         first = _execute_shard_plan(plan)
@@ -412,7 +381,7 @@ class TestWorkerObsIsolation:
         assert second.stats == first.stats
 
     def test_parent_shard_totals_match_serial_executor(self, tmp_path):
-        dataset, workloads = _staggered_dataset()
+        dataset, workloads = staggered_fleet()
         directory = tmp_path / "shards"
         _save_sharded(dataset, RTree3D, "temporal", directory, num_shards=3)
         requests = [

@@ -37,7 +37,7 @@ from repro.search import (
     nearest_neighbours,
     range_query,
 )
-from repro.search.bfmst import bfmst_search_sharded
+from repro.search.bfmst import bfmst_search as raw_bfmst_search
 from repro.sharding import (
     PARTITIONER_KINDS,
     ShardedDataset,
@@ -46,6 +46,8 @@ from repro.sharding import (
     make_partitioner,
     partitioner_from_params,
 )
+
+from conftest import staggered_fleet
 
 ALL_KINDS = ("round_robin", "hash", "spatial", "temporal")
 
@@ -376,7 +378,7 @@ class TestPlanner:
             all_shards = bfmst_search(
                 sharded, None, query, period=(22.0, 28.0), k=3
             )
-            sel_matches, sel_stats = bfmst_search_sharded(
+            sel_matches, sel_stats = raw_bfmst_search(
                 sharded, query, (22.0, 28.0), 3, selected=plan.selected
             )
             assert [
@@ -408,6 +410,36 @@ class TestPlanner:
         assert planner.plan(far_query, (2.0, 8.0)).selected == [0]
         far_window = MBR2D(500, 500, 600, 600)
         assert planner.plan(far_window, (2.0, 8.0)).selected == []
+
+    def test_sharded_node_expansions_stay_near_one_tree(self):
+        """Planner pruning plus the shared bound keep the shards from
+        expanding nodes one tree would have pruned: on a fleet whose
+        epochs are logged back to back, total node accesses stay within
+        1.25x the single index's at every shard count, answers equal."""
+        dataset, workload = staggered_fleet(epochs=4)
+        requests = [QueryRequest("mst", q, p, k=5) for q, p in workload]
+
+        single = RTree3D(page_size=1024)
+        single.bulk_insert(dataset)
+        single.finalize()
+        with QueryEngine(single, dataset) as engine:
+            want = engine.run_batch(requests).results
+        baseline = sum(r.stats.node_accesses for r in want)
+        for num_shards in (1, 2, 4):
+            sharded_ds = ShardedDataset.partition(
+                dataset, make_partitioner("temporal", num_shards)
+            )
+            sharded = build_sharded_index(sharded_ds, RTree3D, page_size=1024)
+            try:
+                with ShardedQueryEngine(sharded, sharded_ds) as engine:
+                    got = engine.run_batch(requests).results
+            finally:
+                sharded.close()
+            assert [match_tuples(r) for r in got] == [
+                match_tuples(r) for r in want
+            ]
+            expansions = sum(r.stats.node_accesses for r in got)
+            assert expansions <= 1.25 * baseline, (num_shards, expansions)
 
     def test_budget_buffers_respects_global_cap(self, dataset):
         sharded_ds = ShardedDataset.partition(
