@@ -23,14 +23,14 @@ Quickstart::
     for m in result:
         print(m.trajectory_id, m.dissim)
 
-For batches, open a :class:`repro.engine.QueryEngine` — it caches
-MINDIST/refinement work and pins the hot index levels across queries::
+For batches, open a :class:`repro.engine.QueryEngine` — it keeps the
+hot index levels pinned in the buffer pool across queries::
 
-    from repro.engine import QueryEngine, QueryRequest
+    from repro import QueryEngine, QuerySpec
 
     with QueryEngine(index, dataset) as engine:
         batch = engine.run_batch(
-            [QueryRequest("mst", query, period, k=3)]
+            [QuerySpec("mst", query, period, k=3)]
         )
 """
 
@@ -73,7 +73,6 @@ from .engine import (
     EngineConfig,
     LiveQueryEngine,
     QueryEngine,
-    QueryRequest,
 )
 from .exceptions import (
     IndexError_,
@@ -189,7 +188,6 @@ __all__ = [
     # batched query engine
     "QueryEngine",
     "EngineConfig",
-    "QueryRequest",
     "BatchResult",
     # live ingestion
     "IngestStore",

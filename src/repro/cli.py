@@ -10,11 +10,11 @@ Python::
     python -m repro query index.pages out.csv --k 5 --backend mmap
     python -m repro fsck index.pages
     python -m repro stats index.pages out.csv --k 5
-    python -m repro batch index.pages out.csv --queries 8 --k 5 --repeat 2
+    python -m repro batch index.pages out.csv --queries 8 --k 5
     python -m repro shard build out.csv shards/ --shards 4 --partitioner hash
     python -m repro shard query shards/ out.csv --k 5 --executor thread
     python -m repro shard inspect shards/
-    python -m repro stats shards/ out.csv --k 5 --per-shard
+    python -m repro stats shards/ out.csv --k 5
     python -m repro ingest init store/ --tree tbtree
     python -m repro ingest feed store/ out.csv --compact-every 5000
     python -m repro ingest query store/ --object 3 --k 5
@@ -22,8 +22,12 @@ Python::
     python -m repro experiment table2
     python -m repro experiment quality --trucks 20 --queries 10
 
-Each subcommand is a thin wrapper over the public API; the heavy
-lifting (and the testing surface) lives in the library.
+``query``, ``stats``, ``shard query`` and ``ingest query`` are one
+verb: each opens the engine its target calls for (an index file, a
+shard directory or a live store — auto-detected, as ``serve`` does),
+slices a query and runs one k-MST.  Each subcommand is a thin wrapper
+over the public API; the heavy lifting (and the testing surface) lives
+in the library.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import json
 import random
 import sys
 import time
+from contextlib import ExitStack, contextmanager, nullcontext
+from pathlib import Path
 
 from . import __version__
 from .datagen import generate_gstd, generate_trucks
@@ -47,13 +53,57 @@ from .experiments import (
     scaled_specs,
     table2,
 )
+from .engine.engine import read_dataset as _read_dataset
 from .index import load_index, save_index
-from .search import bfmst_search
-from .trajectory import read_csv, read_json, write_csv, write_json
+from .trajectory import write_csv, write_json
 
 __all__ = ["main", "build_parser"]
 
-_TREE_CHOICES = ("rtree", "tbtree", "strtree")
+#: The flags several verbs share, declared once.
+_FLAGS = {
+    "object": dict(
+        type=int, default=None,
+        help="source object id for the query slice (default: random)",
+    ),
+    "window": dict(
+        type=float, default=0.1,
+        help="query length as a fraction of the source lifetime",
+    ),
+    "k": dict(type=int, default=5),
+    "seed": dict(type=int, default=1),
+    "backend": dict(
+        choices=("disk", "mmap"), default="disk",
+        help="page-store backend for serving (mmap is read-only, "
+        "zero-copy)",
+    ),
+    "kernels": dict(
+        choices=("auto", "numpy", "python"), default="auto",
+        help="hot-path kernels: 'numpy' forces the vectorised batch "
+        "kernels, 'python' the pure-Python reference, 'auto' "
+        "(default) picks numpy when importable",
+    ),
+    "filter": dict(
+        choices=("auto", "on", "off"), default="auto",
+        help="signature filter tier: 'auto' (default) uses the "
+        "per-trajectory signature sidecar when the index carries "
+        "one, 'on' requires it, 'off' never consults it "
+        "(answers are byte-identical either way)",
+    ),
+    "tree": dict(choices=("rtree", "tbtree", "strtree"), default="rtree"),
+    "page-size": dict(type=int, default=4096),
+    "signatures": dict(
+        action=argparse.BooleanOptionalAction, default=True,
+        help="write the trajectory-signature sidecar (<index>.sig, one "
+        "per shard) that powers the query-time filter tier (default: on)",
+    ),
+}
+_SLICE_FLAGS = ("object", "window", "k", "seed")
+_ENGINE_FLAGS = ("backend", "kernels", "filter")
+
+
+def _add_flags(parser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,31 +115,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a synthetic dataset")
+    def verb(group, name, handler, help, **defaults):
+        """One sub-command; ``defaults`` stand in for the flags of the
+        shared k-MST verb that this one does not declare."""
+        p = group.add_parser(name, help=help)
+        p.set_defaults(handler=handler, **defaults)
+        return p
+
+    gen = verb(sub, "generate", _cmd_generate, "generate a synthetic dataset")
     gen.add_argument("output", help="output file (.csv or .json)")
     gen.add_argument("--kind", choices=("gstd", "trucks"), default="gstd")
     gen.add_argument("--objects", type=int, default=100)
     gen.add_argument("--samples", type=int, default=100)
     gen.add_argument("--seed", type=int, default=7)
 
-    build = sub.add_parser("build", help="build and save an index")
+    build = verb(sub, "build", _cmd_build, "build and save an index")
     build.add_argument("dataset", help="dataset file (.csv or .json)")
     build.add_argument("index", help="output index file")
-    build.add_argument("--tree", choices=_TREE_CHOICES, default="rtree")
-    build.add_argument("--page-size", type=int, default=4096)
-    build.add_argument(
-        "--signatures", action=argparse.BooleanOptionalAction, default=True,
-        help="write the trajectory-signature sidecar (<index>.sig) that "
-        "powers the query-time filter tier (default: on)",
-    )
+    _add_flags(build, "tree", "page-size", "signatures")
 
-    info = sub.add_parser("info", help="describe a saved index")
+    info = verb(sub, "info", _cmd_info, "describe a saved index")
     info.add_argument("index", help="index file")
 
-    fsck = sub.add_parser(
-        "fsck",
-        help="verify a saved index (or shard directory): sidecar, "
-        "digest and every page's checksum frame",
+    fsck = verb(
+        sub, "fsck", _cmd_fsck,
+        "verify a saved index (or shard directory): sidecar, digest and "
+        "every page's checksum frame",
     )
     fsck.add_argument("path", help="index file or sharded manifest directory")
     fsck.add_argument(
@@ -97,93 +148,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a verdict for every page, not just the bad ones",
     )
 
-    def add_backend_flag(p):
-        p.add_argument(
-            "--backend", choices=("disk", "mmap"), default="disk",
-            help="page-store backend for serving (mmap is read-only, "
-            "zero-copy)",
-        )
-
-    def add_kernels_flag(p):
-        p.add_argument(
-            "--kernels", choices=("auto", "numpy", "python"), default="auto",
-            help="hot-path kernels: 'numpy' forces the vectorised batch "
-            "kernels, 'python' the pure-Python reference, 'auto' "
-            "(default) picks numpy when importable",
-        )
-
-    def add_filter_flag(p):
-        p.add_argument(
-            "--filter", choices=("auto", "on", "off"), default="auto",
-            help="signature filter tier: 'auto' (default) uses the "
-            "per-trajectory signature sidecar when the index carries "
-            "one, 'on' requires it, 'off' never consults it "
-            "(answers are byte-identical either way)",
-        )
-
-    query = sub.add_parser("query", help="run a k-MST query")
-    query.add_argument("index", help="index file")
+    query = verb(
+        sub, "query", _cmd_kmst, "run a k-MST query",
+        executor="serial", workers=None, trace=False,
+    )
+    query.add_argument("target", help="index file")
     query.add_argument("dataset", help="dataset the query is drawn from")
-    query.add_argument(
-        "--object", type=int, default=None,
-        help="source object id for the query slice (default: random)",
-    )
-    query.add_argument(
-        "--window", type=float, default=0.1,
-        help="query length as a fraction of the source lifetime",
-    )
-    query.add_argument("--k", type=int, default=5)
-    query.add_argument("--seed", type=int, default=1)
-    add_backend_flag(query)
-    add_kernels_flag(query)
-    add_filter_flag(query)
+    _add_flags(query, *_SLICE_FLAGS, *_ENGINE_FLAGS)
 
-    stats = sub.add_parser(
-        "stats",
-        help="run a k-MST query under a live trace and print JSON counters",
+    stats = verb(
+        sub, "stats", _cmd_kmst,
+        "run a k-MST query under a live trace and print JSON counters",
+        executor="serial", workers=None, trace=True,
     )
-    stats.add_argument("index", help="index file")
+    stats.add_argument("target", help="index file or shard directory")
     stats.add_argument("dataset", help="dataset the query is drawn from")
-    stats.add_argument(
-        "--object", type=int, default=None,
-        help="source object id for the query slice (default: random)",
-    )
-    stats.add_argument(
-        "--window", type=float, default=0.1,
-        help="query length as a fraction of the source lifetime",
-    )
-    stats.add_argument("--k", type=int, default=5)
-    stats.add_argument("--seed", type=int, default=1)
+    _add_flags(stats, *_SLICE_FLAGS, *_ENGINE_FLAGS)
     stats.add_argument(
         "--output", default=None,
         help="write the JSON document here instead of stdout",
     )
-    stats.add_argument(
-        "--per-shard", action="store_true",
-        help="index is a sharded manifest directory; include the "
-        "per-shard breakdown in the JSON document",
-    )
-    add_backend_flag(stats)
-    add_kernels_flag(stats)
-    add_filter_flag(stats)
 
-    batch = sub.add_parser(
-        "batch",
-        help="run a k-MST workload through the batched query engine",
+    batch = verb(
+        sub, "batch", _cmd_batch,
+        "run a k-MST workload through the batched query engine",
     )
-    batch.add_argument("index", help="index file")
+    batch.add_argument("target", help="index file")
     batch.add_argument("dataset", help="dataset the queries are drawn from")
     batch.add_argument("--queries", type=int, default=8)
-    batch.add_argument(
-        "--window", type=float, default=0.1,
-        help="query length as a fraction of the source lifetime",
-    )
-    batch.add_argument("--k", type=int, default=5)
-    batch.add_argument("--seed", type=int, default=1)
-    batch.add_argument(
-        "--repeat", type=int, default=2,
-        help="how many times each query appears in the batch",
-    )
+    _add_flags(batch, "window", "k", "seed", *_ENGINE_FLAGS)
     batch.add_argument(
         "--executor", choices=("serial", "thread"), default="serial"
     )
@@ -192,14 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None,
         help="write per-query + batch JSONL rows here",
     )
-    add_backend_flag(batch)
-    add_kernels_flag(batch)
-    add_filter_flag(batch)
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve queries over HTTP with admission control "
+    serve = verb(
+        sub, "serve", _cmd_serve,
+        "serve queries over HTTP with admission control "
         "(POST /v1/query, GET /stats)",
+        executor="thread",
     )
     serve.add_argument(
         "target",
@@ -248,49 +239,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace", type=float, default=10.0,
         help="seconds to let admitted requests finish on SIGTERM",
     )
-    add_backend_flag(serve)
-    add_kernels_flag(serve)
-    add_filter_flag(serve)
+    _add_flags(serve, *_ENGINE_FLAGS)
 
-    shard = sub.add_parser(
+    shard_sub = sub.add_parser(
         "shard", help="build, query and inspect sharded indexes"
-    )
-    shard_sub = shard.add_subparsers(dest="shard_command", required=True)
+    ).add_subparsers(dest="shard_command", required=True)
 
-    sbuild = shard_sub.add_parser(
-        "build", help="partition a dataset and save a sharded index"
+    sbuild = verb(
+        shard_sub, "build", _cmd_shard_build,
+        "partition a dataset and save a sharded index",
     )
     sbuild.add_argument("dataset", help="dataset file (.csv or .json)")
     sbuild.add_argument("directory", help="output manifest directory")
-    sbuild.add_argument("--tree", choices=_TREE_CHOICES, default="rtree")
-    sbuild.add_argument("--page-size", type=int, default=4096)
+    _add_flags(sbuild, "tree", "page-size", "signatures")
     sbuild.add_argument("--shards", type=int, default=4)
     sbuild.add_argument(
         "--partitioner",
         choices=("round_robin", "hash", "spatial", "temporal"),
         default="hash",
     )
-    sbuild.add_argument(
-        "--signatures", action=argparse.BooleanOptionalAction, default=True,
-        help="write a trajectory-signature sidecar per shard "
-        "(default: on)",
-    )
 
-    squery = shard_sub.add_parser(
-        "query", help="run a k-MST query against a sharded index"
+    squery = verb(
+        shard_sub, "query", _cmd_kmst,
+        "run a k-MST query against a sharded index", trace=False,
     )
-    squery.add_argument("directory", help="sharded manifest directory")
+    squery.add_argument("target", help="sharded manifest directory")
     squery.add_argument("dataset", help="dataset the query is drawn from")
-    squery.add_argument(
-        "--object", type=int, default=None,
-        help="source object id for the query slice (default: random)",
-    )
-    squery.add_argument(
-        "--window", type=float, default=0.1,
-        help="query length as a fraction of the source lifetime",
-    )
-    squery.add_argument("--k", type=int, default=5)
-    squery.add_argument("--seed", type=int, default=1)
+    _add_flags(squery, *_SLICE_FLAGS, *_ENGINE_FLAGS)
     squery.add_argument(
         "--executor",
         choices=("serial", "thread", "process"),
@@ -299,28 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
         "process per shard over shared mmap pages",
     )
     squery.add_argument("--workers", type=int, default=None)
-    add_backend_flag(squery)
-    add_kernels_flag(squery)
-    add_filter_flag(squery)
 
-    sinspect = shard_sub.add_parser(
-        "inspect", help="describe a saved sharded index"
+    sinspect = verb(
+        shard_sub, "inspect", _cmd_shard_inspect,
+        "describe a saved sharded index",
     )
     sinspect.add_argument("directory", help="sharded manifest directory")
 
-    ingest = sub.add_parser(
+    ingest_sub = sub.add_parser(
         "ingest", help="live ingestion: WAL, memtable, generations"
+    ).add_subparsers(dest="ingest_command", required=True)
+
+    iinit = verb(
+        ingest_sub, "init", _cmd_ingest_init, "initialise a store directory"
     )
-    ingest_sub = ingest.add_subparsers(dest="ingest_command", required=True)
-
-    iinit = ingest_sub.add_parser("init", help="initialise a store directory")
     iinit.add_argument("directory", help="store directory to create")
-    iinit.add_argument("--tree", choices=_TREE_CHOICES, default="tbtree")
-    iinit.add_argument("--page-size", type=int, default=4096)
+    _add_flags(iinit, "tree", "page-size")
+    iinit.set_defaults(tree="tbtree")
 
-    ifeed = ingest_sub.add_parser(
-        "feed",
-        help="stream a dataset's points into the store in time order",
+    ifeed = verb(
+        ingest_sub, "feed", _cmd_ingest_feed,
+        "stream a dataset's points into the store in time order",
     )
     ifeed.add_argument("directory", help="store directory")
     ifeed.add_argument("dataset", help="dataset file (.csv or .json)")
@@ -333,32 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact after absorbing this many memtable points",
     )
 
-    iquery = ingest_sub.add_parser(
-        "query", help="run a k-MST query against the live store"
+    iquery = verb(
+        ingest_sub, "query", _cmd_kmst,
+        "run a k-MST query against the live store",
+        dataset=None, backend="disk", executor="serial", workers=None,
+        trace=False,
     )
-    iquery.add_argument("directory", help="store directory")
-    iquery.add_argument(
-        "--object", type=int, default=None,
-        help="source object id for the query slice (default: random)",
-    )
-    iquery.add_argument(
-        "--window", type=float, default=0.1,
-        help="query length as a fraction of the source lifetime",
-    )
-    iquery.add_argument("--k", type=int, default=5)
-    iquery.add_argument("--seed", type=int, default=1)
-    add_kernels_flag(iquery)
-    add_filter_flag(iquery)
+    iquery.add_argument("target", help="store directory")
+    _add_flags(iquery, *_SLICE_FLAGS, "kernels", "filter")
 
-    icompact = ingest_sub.add_parser(
-        "compact", help="flush the memtable into a new generation"
+    icompact = verb(
+        ingest_sub, "compact", _cmd_ingest_compact,
+        "flush the memtable into a new generation",
     )
     icompact.add_argument("directory", help="store directory")
 
-    iinfo = ingest_sub.add_parser("info", help="describe a live store")
+    iinfo = verb(ingest_sub, "info", _cmd_ingest_info, "describe a live store")
     iinfo.add_argument("directory", help="store directory")
 
-    exp = sub.add_parser("experiment", help="regenerate a paper experiment")
+    exp = verb(
+        sub, "experiment", _cmd_experiment, "regenerate a paper experiment"
+    )
     exp.add_argument(
         "which",
         choices=("table2", "quality", "q1", "q2", "q3"),
@@ -370,25 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_dataset(path: str):
-    if path.endswith(".json"):
-        return read_json(path)
-    return read_csv(path)
-
-
-def _write_dataset(dataset, path: str) -> None:
-    if path.endswith(".json"):
-        write_json(dataset, path)
-    else:
-        write_csv(dataset, path)
-
-
 def _cmd_generate(args) -> int:
     if args.kind == "gstd":
         dataset = generate_gstd(args.objects, args.samples, seed=args.seed)
     else:
         dataset = generate_trucks(args.objects, args.samples, seed=args.seed)
-    _write_dataset(dataset, args.output)
+    writer = write_json if args.output.endswith(".json") else write_csv
+    writer(dataset, args.output)
     print(
         f"wrote {len(dataset)} trajectories / "
         f"{dataset.total_segments()} segments to {args.output}"
@@ -443,14 +400,14 @@ def _cmd_info(args) -> int:
 
 
 def _pick_query(args, dataset):
-    """Slice a query out of the dataset per the query/stats options;
-    returns ``(source_id, query)`` or ``(source_id, None)`` when the
-    requested object does not exist."""
+    """Slice a query out of the dataset per the ``--object/--window/
+    --seed`` flags; returns ``(source_id, query)``, or ``(source_id,
+    None)`` when there is no such object to slice."""
     rng = random.Random(args.seed)
     ids = dataset.ids()
-    source_id = args.object if args.object is not None else ids[
-        rng.randrange(len(ids))
-    ]
+    source_id = args.object
+    if source_id is None and ids:
+        source_id = ids[rng.randrange(len(ids))]
     source = dataset.get(source_id) or dataset.get(str(source_id))
     if source is None:
         return source_id, None
@@ -473,136 +430,167 @@ def _cmd_fsck(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_query(args) -> int:
-    index = load_index(args.index, backend=args.backend)
-    try:
-        dataset = _read_dataset(args.dataset)
-        source_id, query = _pick_query(args, dataset)
-        if query is None:
-            print(f"error: no trajectory {source_id!r} in {args.dataset}",
-                  file=sys.stderr)
-            return 2
-        start = time.perf_counter()
-        result = bfmst_search(
-            index, None, query, period=(query.t_start, query.t_end),
-            k=args.k, kernels=args.kernels, filter=args.filter,
-        )
-        matches, stats = result.matches, result.stats
-        elapsed = time.perf_counter() - start
-        print(
-            f"query: {args.window:.0%} slice of object {source_id} "
-            f"([{query.t_start:.2f}, {query.t_end:.2f}])"
-        )
-        for rank, m in enumerate(matches, start=1):
-            print(f"  {rank:2d}. object {m.trajectory_id}  DISSIM={m.dissim:.6g}")
-        print(
-            f"{elapsed * 1000:.1f} ms, pruning power "
-            f"{stats.pruning_power:.1%} "
-            f"({stats.node_accesses}/{stats.total_nodes} nodes)"
-        )
-        if stats.signature_checks or stats.leaf_skips:
-            print(
-                f"filter: {stats.signature_pruned}/{stats.signature_checks} "
-                f"signature checks pruned, {stats.leaf_skips} leaves "
-                f"skipped, {stats.refinement_skipped} refinements skipped"
-            )
-    finally:
-        index.pagefile.close()
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    from .obs import query_trace
-
-    if args.per_shard:
-        from .sharding import load_sharded_index
-
-        index = load_sharded_index(args.index, backend=args.backend)
-    else:
-        index = load_index(args.index, backend=args.backend)
-    try:
-        dataset = _read_dataset(args.dataset)
-        source_id, query = _pick_query(args, dataset)
-        if query is None:
-            print(f"error: no trajectory {source_id!r} in {args.dataset}",
-                  file=sys.stderr)
-            return 2
-        with query_trace(index, name=f"object-{source_id}") as trace:
-            result = bfmst_search(
-                index, None, query,
-                period=(query.t_start, query.t_end), k=args.k,
-                kernels=args.kernels, filter=args.filter,
-            )
-        matches, stats = result.matches, result.stats
-        doc = {
-            "query": {
-                "source_object": source_id,
-                "window_fraction": args.window,
-                "period": [query.t_start, query.t_end],
-                "k": args.k,
-                "seed": args.seed,
-            },
-            "matches": [
-                {"trajectory_id": m.trajectory_id, "dissim": m.dissim,
-                 "error_bound": m.error_bound, "exact": m.exact}
-                for m in matches
-            ],
-            "search_stats": stats.as_dict(),
-            "trace": trace.as_dict(),
-        }
-        if args.per_shard:
-            doc["per_shard"] = stats.extra.get("per_shard", [])
-            doc["shards_searched"] = stats.extra.get("shards_searched")
-            doc["shards_pruned"] = stats.extra.get("shards_pruned")
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote trace to {args.output}")
-        else:
-            print(text)
-    finally:
-        if args.per_shard:
-            index.close()
-        else:
-            index.pagefile.close()
-    return 0
-
-
-def _cmd_batch(args) -> int:
-    from .datagen import make_workload
-    from .engine import EngineConfig, QueryEngine, QueryRequest
+@contextmanager
+def _open_engine(args):
+    """Open the engine ``args.target`` calls for — a sharded manifest
+    directory, a live ingest store, or a single index file — and close
+    it and what is under it on exit.  Yields ``(engine, draw_from)``:
+    ``draw_from()`` is the dataset a query is sliced from (the dataset
+    file, or what a live store holds now)."""
+    from .engine import (
+        EngineConfig,
+        LiveQueryEngine,
+        QueryEngine,
+        ShardedQueryEngine,
+    )
+    from .ingest import IngestStore
+    from .ingest.store import MANIFEST_NAME as INGEST_MANIFEST
+    from .sharding import MANIFEST_NAME as SHARD_MANIFEST
 
     config = EngineConfig(
         executor=args.executor, max_workers=args.workers,
         kernels=args.kernels, filter=args.filter,
     )
-    engine = QueryEngine.open(
-        args.index, args.dataset, config=config, backend=args.backend
-    )
-    try:
-        workload = list(
-            make_workload(
-                engine.dataset, args.queries,
-                query_length=args.window, seed=args.seed,
+    target = Path(args.target)
+    draw_from = lambda: engine.dataset
+    with ExitStack() as under:
+        if (target / SHARD_MANIFEST).exists():
+            engine = ShardedQueryEngine.open(
+                target, args.dataset, config=config, backend=args.backend
             )
+            under.callback(engine.index.close)
+        elif (target / INGEST_MANIFEST).exists():
+            store = under.enter_context(IngestStore.open(target))
+            engine = LiveQueryEngine(store, config=config)
+            draw_from = store.current_dataset
+        elif target.is_dir():
+            raise ReproError(
+                f"{target} is a directory but holds neither a sharded "
+                f"manifest ({SHARD_MANIFEST}) nor an ingest store "
+                f"({INGEST_MANIFEST})"
+            )
+        else:
+            engine = QueryEngine.open(
+                target, args.dataset, config=config, backend=args.backend
+            )
+            under.callback(engine.index.pagefile.close)
+        with engine:
+            yield engine, draw_from
+
+
+def _cmd_kmst(args) -> int:
+    """The one k-MST verb behind ``query``, ``stats``, ``shard query``
+    and ``ingest query``: slice a query, execute it on the target's
+    engine, print the ranks (or, traced, the JSON document)."""
+    from .obs import query_trace
+    from .search import QuerySpec
+
+    with _open_engine(args) as (engine, draw_from):
+        source_id, query = _pick_query(args, draw_from())
+        if query is None:
+            print(f"error: no trajectory {source_id!r} to draw a query from "
+                  f"in {args.dataset or args.target}", file=sys.stderr)
+            return 2
+        spec = QuerySpec("mst", query, (query.t_start, query.t_end), k=args.k)
+        tracing = (
+            query_trace(engine.index, name=f"object-{source_id}")
+            if args.trace else nullcontext()
         )
-        requests = [
-            QueryRequest("mst", q, p, k=args.k) for q, p in workload
-        ] * max(1, args.repeat)
-        batch = engine.run_batch(requests)
+        start = time.perf_counter()
+        with tracing as trace:
+            result = engine.execute(spec)
+        elapsed = time.perf_counter() - start
+        if trace is None:
+            _print_ranks(args, source_id, query, result, elapsed)
+        else:
+            _print_trace_doc(args, source_id, query, result, trace)
+    return 0
+
+
+def _print_ranks(args, source_id, query, result, elapsed: float) -> None:
+    stats = result.stats
+    per_shard = stats.extra.get("per_shard", [])
+    over = f" over {len(per_shard)} shards" if per_shard else ""
+    print(
+        f"query: {args.window:.0%} slice of object {source_id} "
+        f"([{query.t_start:.2f}, {query.t_end:.2f}]){over}"
+    )
+    for rank, m in enumerate(result.matches, start=1):
+        print(f"  {rank:2d}. object {m.trajectory_id}  DISSIM={m.dissim:.6g}")
+    shards = (
+        f", {stats.extra['shards_searched']} shards searched / "
+        f"{stats.extra['shards_pruned']} pruned" if per_shard else ""
+    )
+    print(
+        f"{elapsed * 1000:.1f} ms, pruning power {stats.pruning_power:.1%} "
+        f"({stats.node_accesses}/{stats.total_nodes} nodes){shards}"
+    )
+    if stats.signature_checks or stats.leaf_skips:
+        print(
+            f"filter: {stats.signature_pruned}/{stats.signature_checks} "
+            f"signature checks pruned, {stats.leaf_skips} leaves "
+            f"skipped, {stats.refinement_skipped} refinements skipped"
+        )
+    for row in per_shard:
+        if row["pruned"]:
+            print(f"  shard {row['shard']}: pruned by planner")
+        else:
+            print(
+                f"  shard {row['shard']}: "
+                f"{row['node_accesses']}/{row['total_nodes']} nodes, "
+                f"{row['entries_processed']} entries"
+            )
+
+
+def _print_trace_doc(args, source_id, query, result, trace) -> None:
+    stats = result.stats
+    doc = {
+        "query": {
+            "source_object": source_id,
+            "window_fraction": args.window,
+            "period": [query.t_start, query.t_end],
+            "k": args.k,
+            "seed": args.seed,
+        },
+        "matches": [
+            {"trajectory_id": m.trajectory_id, "dissim": m.dissim,
+             "error_bound": m.error_bound, "exact": m.exact}
+            for m in result.matches
+        ],
+        "search_stats": stats.as_dict(),
+        "trace": trace.as_dict(),
+    }
+    if "per_shard" in stats.extra:
+        for key in ("per_shard", "shards_searched", "shards_pruned"):
+            doc[key] = stats.extra[key]
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+        print(f"wrote trace to {args.output}")
+    else:
+        print(text)
+
+
+def _cmd_batch(args) -> int:
+    from .datagen import make_workload
+    from .search import QuerySpec
+
+    with _open_engine(args) as (engine, draw_from):
+        workload = make_workload(
+            draw_from(), args.queries, query_length=args.window, seed=args.seed
+        )
+        batch = engine.run_batch(
+            [QuerySpec("mst", q, p, k=args.k) for q, p in workload]
+        )
         print(
             f"{len(batch)} queries in {batch.wall_time_s * 1000:.1f} ms "
             f"({batch.queries_per_sec:.1f} q/s, {batch.executor} executor)"
         )
         cache = batch.cache_counters
-        hits = cache.get("engine.cache.dissim.hits", 0)
-        total = hits + cache.get("engine.cache.dissim.misses", 0)
-        ratio = hits / total if total else 0.0
-        print(f"  dissim cache: {hits}/{total} hits ({ratio:.0%})")
         print(
-            f"  buffer: {cache.get('engine.buffer.hits', 0)} hits, "
-            f"{cache.get('engine.buffer.pinned', 0)} pages pinned"
+            f"  buffer: {cache['engine.buffer.hits']} hits, "
+            f"{cache['engine.buffer.pinned']} pages pinned"
         )
         if args.output:
             with open(args.output, "w") as fh:
@@ -614,69 +602,7 @@ def _cmd_batch(args) -> int:
                 summary.update(batch.as_dict())
                 fh.write(json.dumps(summary, sort_keys=True) + "\n")
             print(f"wrote {len(batch) + 1} JSONL rows to {args.output}")
-    finally:
-        engine.close()
-        engine.index.pagefile.close()
     return 0
-
-
-def _open_serving_engine(args):
-    """Open the right engine for ``repro serve``'s target: a sharded
-    manifest directory, a live ingest store, or a single index file.
-    Returns ``(engine, cleanup)``."""
-    from pathlib import Path
-
-    from .engine import (
-        EngineConfig,
-        LiveQueryEngine,
-        QueryEngine,
-        ShardedQueryEngine,
-    )
-
-    config = EngineConfig(
-        executor="thread", max_workers=args.workers, kernels=args.kernels,
-        filter=args.filter,
-    )
-    target = Path(args.target)
-    if target.is_dir():
-        from .ingest.store import MANIFEST_NAME as INGEST_MANIFEST
-        from .sharding import MANIFEST_NAME as SHARD_MANIFEST
-
-        if (target / SHARD_MANIFEST).exists():
-            engine = ShardedQueryEngine.open(
-                target, args.dataset, config=config, backend=args.backend
-            )
-
-            def cleanup():
-                engine.close()
-                engine.index.close()
-
-            return engine, cleanup
-        if (target / INGEST_MANIFEST).exists():
-            from .ingest import IngestStore
-
-            store = IngestStore.open(target)
-            engine = LiveQueryEngine(store, config=config)
-
-            def cleanup():
-                engine.close()
-                store.close()
-
-            return engine, cleanup
-        raise ReproError(
-            f"{target} is a directory but holds neither a sharded "
-            f"manifest ({SHARD_MANIFEST}) nor an ingest store "
-            f"({INGEST_MANIFEST})"
-        )
-    engine = QueryEngine.open(
-        target, args.dataset, config=config, backend=args.backend
-    )
-
-    def cleanup():
-        engine.close()
-        engine.index.pagefile.close()
-
-    return engine, cleanup
 
 
 def _cmd_serve(args) -> int:
@@ -684,7 +610,6 @@ def _cmd_serve(args) -> int:
 
     from .serve import ReproServer, ServeConfig
 
-    engine, cleanup = _open_serving_engine(args)
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -698,7 +623,7 @@ def _cmd_serve(args) -> int:
         drain_grace_s=args.drain_grace,
     )
 
-    async def run() -> None:
+    async def run(engine) -> None:
         server = ReproServer(engine, serve_config)
         await server.start()
         host, port = server.address
@@ -711,22 +636,13 @@ def _cmd_serve(args) -> int:
         )
         await server.serve_until_drained()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        cleanup()
+    with _open_engine(args) as (engine, _draw_from):
+        try:
+            asyncio.run(run(engine))
+        except KeyboardInterrupt:
+            pass
     print("drained; all admitted requests finished")
     return 0
-
-
-def _cmd_shard(args) -> int:
-    return {
-        "build": _cmd_shard_build,
-        "query": _cmd_shard_query,
-        "inspect": _cmd_shard_inspect,
-    }[args.shard_command](args)
 
 
 def _cmd_shard_build(args) -> int:
@@ -766,69 +682,8 @@ def _cmd_shard_build(args) -> int:
     return 0
 
 
-def _cmd_shard_query(args) -> int:
-    from .engine import EngineConfig, QueryRequest, ShardedQueryEngine
-
-    config = EngineConfig(
-        executor=args.executor, max_workers=args.workers,
-        kernels=args.kernels, filter=args.filter,
-    )
-    engine = ShardedQueryEngine.open(
-        args.directory, config=config, backend=args.backend
-    )
-    try:
-        dataset = _read_dataset(args.dataset)
-        source_id, query = _pick_query(args, dataset)
-        if query is None:
-            print(f"error: no trajectory {source_id!r} in {args.dataset}",
-                  file=sys.stderr)
-            return 2
-        start = time.perf_counter()
-        result = engine.execute(
-            QueryRequest(
-                "mst", query, (query.t_start, query.t_end), k=args.k
-            )
-        )
-        elapsed = time.perf_counter() - start
-        matches, stats = result.matches, result.stats
-        print(
-            f"query: {args.window:.0%} slice of object {source_id} "
-            f"([{query.t_start:.2f}, {query.t_end:.2f}]) over "
-            f"{engine.index.num_shards} shards ({args.executor})"
-        )
-        for rank, m in enumerate(matches, start=1):
-            print(f"  {rank:2d}. object {m.trajectory_id}  DISSIM={m.dissim:.6g}")
-        print(
-            f"{elapsed * 1000:.1f} ms, pruning power "
-            f"{stats.pruning_power:.1%} "
-            f"({stats.node_accesses}/{stats.total_nodes} nodes), "
-            f"{stats.extra.get('shards_searched', 0)} shards searched / "
-            f"{stats.extra.get('shards_pruned', 0)} pruned"
-        )
-        if stats.signature_checks or stats.leaf_skips:
-            print(
-                f"filter: {stats.signature_pruned}/{stats.signature_checks} "
-                f"signature checks pruned, {stats.leaf_skips} leaves "
-                f"skipped, {stats.refinement_skipped} refinements skipped"
-            )
-        for row in stats.extra.get("per_shard", []):
-            if row.get("pruned"):
-                print(f"  shard {row['shard']}: pruned by planner")
-            else:
-                print(
-                    f"  shard {row['shard']}: "
-                    f"{row['node_accesses']}/{row['total_nodes']} nodes, "
-                    f"{row['entries_processed']} entries"
-                )
-    finally:
-        engine.close()
-        engine.index.close()
-    return 0
-
-
 def _cmd_shard_inspect(args) -> int:
     from .sharding import MANIFEST_NAME, load_sharded_index
-    from pathlib import Path
 
     manifest = json.loads(
         (Path(args.directory) / MANIFEST_NAME).read_text()
@@ -858,16 +713,6 @@ def _cmd_shard_inspect(args) -> int:
     finally:
         index.close()
     return 0
-
-
-def _cmd_ingest(args) -> int:
-    return {
-        "init": _cmd_ingest_init,
-        "feed": _cmd_ingest_feed,
-        "query": _cmd_ingest_query,
-        "compact": _cmd_ingest_compact,
-        "info": _cmd_ingest_info,
-    }[args.ingest_command](args)
 
 
 def _cmd_ingest_init(args) -> int:
@@ -906,42 +751,6 @@ def _cmd_ingest_feed(args) -> int:
             f"in {elapsed:.2f}s ({rate:.0f} points/s); "
             f"generation {store.generation_number}, "
             f"{store.memtable_points} memtable points"
-        )
-    return 0
-
-
-def _cmd_ingest_query(args) -> int:
-    from .ingest import IngestStore
-
-    with IngestStore.open(args.directory) as store:
-        dataset = store.current_dataset()
-        if len(dataset) == 0:
-            print("error: the store holds no queryable trajectories",
-                  file=sys.stderr)
-            return 2
-        source_id, query = _pick_query(args, dataset)
-        if query is None:
-            print(f"error: no object {source_id!r} in the store",
-                  file=sys.stderr)
-            return 2
-        start = time.perf_counter()
-        matches, stats = store.kmst(
-            query, (query.t_start, query.t_end), k=args.k,
-            kernels=args.kernels, filter=args.filter,
-        )
-        elapsed = time.perf_counter() - start
-        print(
-            f"query from object {source_id} over "
-            f"[{query.t_start:.1f}, {query.t_end:.1f}] "
-            f"(generation {store.generation_number}, "
-            f"{store.memtable_points} memtable points)"
-        )
-        for rank, m in enumerate(matches, start=1):
-            print(f"  {rank}. object {m.trajectory_id}  "
-                  f"dissim={m.dissim:.4f}")
-        print(
-            f"{elapsed * 1000.0:.1f} ms, {stats.node_accesses} node "
-            f"accesses, pruning power {stats.pruning_power:.3f}"
         )
     return 0
 
@@ -1018,25 +827,9 @@ def _cmd_experiment(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    handler = {
-        "generate": _cmd_generate,
-        "build": _cmd_build,
-        "info": _cmd_info,
-        "fsck": _cmd_fsck,
-        "query": _cmd_query,
-        "stats": _cmd_stats,
-        "batch": _cmd_batch,
-        "serve": _cmd_serve,
-        "shard": _cmd_shard,
-        "ingest": _cmd_ingest,
-        "experiment": _cmd_experiment,
-    }[args.command]
     try:
-        return handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return args.handler(args)
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

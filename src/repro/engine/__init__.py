@@ -1,20 +1,17 @@
 """repro.engine — batched query execution over warm sessions.
 
-See :mod:`repro.engine.engine` for the session model,
-:mod:`repro.engine.cache` for what a session keeps warm,
-:mod:`repro.engine.planner` + :mod:`repro.engine.sharded` for
-shard-parallel serving and ``docs/ENGINE.md`` / ``docs/SHARDING.md``
-for the narrative documentation.
+See :mod:`repro.engine.engine` for the session body every engine
+shares, :mod:`repro.engine.planner` + :mod:`repro.engine.sharded` for
+shard-parallel serving, :mod:`repro.engine.live` for live stores and
+``docs/ENGINE.md`` / ``docs/SHARDING.md`` for the narrative
+documentation.
 """
 
-from .cache import DissimRefinementCache, LRUCache
 from .engine import (
     SESSION_BUFFER_FRACTION,
     BatchResult,
     EngineConfig,
     QueryEngine,
-    QueryRequest,
-    query_key,
 )
 from .executor import (
     ProcessPoolShardExecutor,
@@ -37,12 +34,8 @@ __all__ = [
     "ShardedQueryEngine",
     "LiveQueryEngine",
     "EngineConfig",
-    "QueryRequest",
     "BatchResult",
-    "query_key",
     "SESSION_BUFFER_FRACTION",
-    "LRUCache",
-    "DissimRefinementCache",
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessPoolShardExecutor",

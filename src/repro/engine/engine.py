@@ -1,110 +1,92 @@
-"""The batched query engine.
+"""The query engine: one session body over parts.
 
 A :class:`QueryEngine` owns an index, its dataset and the index's
-buffer manager for a session and executes *batches* of heterogeneous
-queries (k-MST, linear scan, point NN, range, continuous NN,
-time-relaxed) through one shared execution context, so work that a
-one-off call throws away is amortised:
+buffer manager for a session and executes heterogeneous queries
+(k-MST, linear scan, point NN, range, continuous NN, time-relaxed)
+one by one or in batches.  What a session keeps warm is the buffer
+pool, with the upper index levels pinned (:class:`PinnedIndex`); the
+traversal itself keeps no state between queries, so the same request
+executed twice does the same work.
 
-* the upper index levels are pinned in the buffer pool for the
-  session (:meth:`QueryEngine.pin_upper_levels`),
-* exact refinement integrals are memoised across queries
-  (:class:`~repro.engine.cache.DissimRefinementCache`).
+Everything a session does around a search lives here once — the closed
+check, the deadline, the ``engine.*`` / ``filter.*`` counting into one
+:class:`~repro.obs.registry.MetricsRegistry`, the dataset requirement
+of the scan kinds, :meth:`QueryEngine.run_batch`, the buffer telemetry
+and the lifecycle.  :class:`~repro.engine.ShardedQueryEngine` and
+:class:`~repro.engine.LiveQueryEngine` subclass it and override only
+how a request obtains and releases the parts it searches.
 
 The engine is an execution *context* in the sense of the unified
 search API: it exposes ``.index``, ``.dataset`` and
-``search_context(query, period)`` — the session's kernels and filter
-defaults and its refinement cache, as plain keyword data for the one
+``search_context(query, period)`` — plain keyword data for the one
 search driver — so any :mod:`repro.search.api` function accepts it in
 the first argument slot: ``bfmst_search(engine, None, query, k=5)``
-searches exactly as ``engine.execute`` does.  The traversal itself
-keeps no state between queries: the same request executed twice does
-the same work.
-
-The pins and the refinement cache are refreshed automatically when the
-index's structural signature ``(num_nodes, num_entries, root_page)``
-changes (e.g. after a rebuild or insertion); hit/miss counters live in
-the engine's always-on :class:`~repro.obs.registry.MetricsRegistry`
-and are mirrored into any active :func:`~repro.obs.query_trace`.
+searches exactly as ``engine.execute`` does.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exceptions import DeadlineExceeded, QueryError
-from ..geometry import MBR2D, Point
 from ..index import NO_PAGE, TrajectoryIndex, load_index
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search import api as _api
 from ..search.results import SearchResult
 from ..search.spec import QuerySpec
-from ..trajectory import Trajectory, TrajectoryDataset, read_csv, read_json
-from .cache import DissimRefinementCache
+from ..trajectory import TrajectoryDataset, read_csv, read_json
 from .executor import make_executor
 
 __all__ = [
     "EngineConfig",
-    "QueryRequest",
     "BatchResult",
+    "PinnedIndex",
     "QueryEngine",
-    "query_key",
+    "read_dataset",
     "SESSION_BUFFER_FRACTION",
 ]
 
-#: Default buffer fraction for an engine *session*.  A one-off CLI
-#: query opens the index at the paper's 10 % operating point; a session
-#: that executes whole batches against the same index amortises a
-#: warmer buffer across every query, so :meth:`QueryEngine.open` sizes
+#: Default buffer fraction for an engine *session*.  A one-off
+#: ``load_index`` opens at the paper's 10 % operating point; a session
+#: that executes many queries against the same index amortises a
+#: warmer buffer across all of them, so :meth:`QueryEngine.open` sizes
 #: it at 25 % (still capped at ``buffer_max_pages``).
 SESSION_BUFFER_FRACTION = 0.25
 
-def query_key(query):
-    """A hashable identity for a query object (cache scope key)."""
-    if isinstance(query, Trajectory):
-        return (
-            "traj",
-            query.object_id,
-            tuple((p.x, p.y, p.t) for p in query.samples),
-        )
-    if isinstance(query, Point):
-        return ("point", query.x, query.y)
-    if isinstance(query, MBR2D):
-        return ("window", query.xmin, query.ymin, query.xmax, query.ymax)
-    raise QueryError(f"unsupported query object {type(query).__name__}")
+#: The query kinds that read the dataset rather than the index.
+_SCAN_KINDS = ("linear_scan", "continuous_nn", "time_relaxed")
 
 
-def refinement_view(cache: DissimRefinementCache, query: Trajectory, period):
-    """The refinement LRU bound to one ``(query, period)`` scope — the
-    ``refinement_cache`` an engine hands the search driver."""
-    span = tuple(period) if period is not None else (query.t_start, query.t_end)
-    return cache.view(query_key(query), span)
+def read_dataset(path: str | Path) -> TrajectoryDataset:
+    """Read a dataset file, JSON or CSV by its suffix."""
+    path = Path(path)
+    return read_json(path) if path.suffix == ".json" else read_csv(path)
 
 
 @dataclass
 class EngineConfig:
-    """Tunables for a :class:`QueryEngine` session.
+    """Tunables for an engine session.
 
     ``pin_upper_levels`` counts index levels from the root downwards
-    (2 = root + its children; 0 disables pinning).  A
-    ``dissim_cache_size`` of 0 disables the refinement cache.
-    ``executor`` is ``"serial"``, ``"thread"`` or ``"process"``; the
-    threaded executor treats the index as read-only and enables the
-    buffer manager's lock.  ``kernels`` selects the hot-path
-    implementation for k-MST queries (``"auto"`` picks the vectorised
-    numpy kernels when numpy is importable and the pure-Python
-    reference otherwise; ``"numpy"``/``"python"`` force one; ``None``
-    leaves the choice to each request, whose own default is ``"auto"``)
-    — see :mod:`repro.distance.kernels`.  ``filter`` is the session default
-    for the signature filter tier (``"auto"``/``"on"``/``"off"``, see
-    :mod:`repro.filter`); a request that names a filter mode
-    explicitly overrides it.
+    (2 = root + its children; 0 disables pinning).  ``executor`` is
+    ``"serial"``, ``"thread"`` or ``"process"`` (the last needs shard
+    page files to hand to its workers, so only an engine opened from a
+    shard directory accepts it); the threaded executor treats the index
+    as read-only and enables the buffer manager's lock.  ``kernels``
+    selects the hot-path implementation for k-MST queries (``"auto"``
+    picks the vectorised numpy kernels when numpy is importable and the
+    pure-Python reference otherwise; ``"numpy"``/``"python"`` force
+    one; ``None`` leaves the choice to each request, whose own default
+    is ``"auto"``) — see :mod:`repro.distance.kernels`.  ``filter`` is
+    the session default for the signature filter tier
+    (``"auto"``/``"on"``/``"off"``, see :mod:`repro.filter`); a request
+    that names a filter mode explicitly overrides it.
     """
 
-    dissim_cache_size: int = 4096
     pin_upper_levels: int = 2
     executor: str = "serial"
     max_workers: int | None = None
@@ -112,17 +94,9 @@ class EngineConfig:
     filter: str = "auto"
 
 
-#: ``QueryRequest`` was promoted to the public, wire-serializable
-#: :class:`repro.search.spec.QuerySpec` (same fields, same positional
-#: order, plus ``kernels``/``deadline_ms`` and a JSON round-trip).  The
-#: engine keeps the old name as an alias so every existing call site —
-#: ``QueryRequest("mst", query, period, k=5)`` — keeps working.
-QueryRequest = QuerySpec
-
-
 @dataclass
 class BatchResult:
-    """A batch's answers plus its throughput and cache telemetry."""
+    """A batch's answers plus its throughput and buffer telemetry."""
 
     results: list[SearchResult]
     wall_time_s: float
@@ -148,15 +122,67 @@ class BatchResult:
         }
 
 
+class PinnedIndex:
+    """One index's share of a session: its top ``levels`` levels pinned
+    in its buffer pool and its structural signature remembered, so the
+    pins follow a rebuild or insertion."""
+
+    def __init__(self, index: TrajectoryIndex, levels: int):
+        self.index = index
+        self.levels = levels
+        self._pinned_at = None
+        self.refresh()
+
+    def signature(self) -> tuple:
+        """``(num_nodes, num_entries, root_page)`` as the index is now."""
+        return (
+            self.index.num_nodes,
+            self.index.num_entries,
+            self.index.root_page,
+        )
+
+    def refresh(self) -> bool:
+        """Pin again if the index changed shape since the last pin;
+        returns ``True`` when it had."""
+        current = self.signature()
+        if current == self._pinned_at:
+            return False
+        self._pinned_at = current
+        self.pinned = self._pin()
+        return True
+
+    def release(self) -> None:
+        self.index.buffer.unpin_all()
+
+    def _pin(self) -> int:
+        buf = self.index.buffer
+        buf.unpin_all()
+        if self.levels <= 0 or self.index.root_page == NO_PAGE:
+            return 0
+        floor = self.index.height - self.levels  # pin node.level >= floor
+        pinned = 0
+        stack = [self.index.root_page]
+        while stack:
+            page_id = stack.pop()
+            node = self.index.read_node(page_id)
+            if node.level < floor:
+                continue
+            buf.pin(page_id)
+            pinned += 1
+            if not node.is_leaf and node.level > floor:
+                stack.extend(e.child_page for e in node.entries)
+        return pinned
+
+
 class QueryEngine:
-    """Session owner for an index + dataset, executing query batches.
+    """Session owner for an index + dataset, executing queries.
 
     Use as a context manager, or call :meth:`close` to release pins::
 
         with QueryEngine(index, dataset) as engine:
             batch = engine.run_batch([
-                QueryRequest("mst", query, period, k=5),
-                QueryRequest("range", window, period),
+                QuerySpec("mst", query, period, k=5),
+                QuerySpec("range", window, period),
             ])
     """
 
@@ -167,23 +193,40 @@ class QueryEngine:
         *,
         config: EngineConfig | None = None,
     ):
+        self._start(index, dataset, config, [index])
+
+    def _start(self, index, dataset, config, pinned, shard_paths=None) -> None:
+        """The shared constructor body: ``pinned`` are the indexes whose
+        buffer pools belong to this session (one, one per shard, or
+        none for a live engine, whose generations come and go)."""
         self.index = index
         self.dataset = dataset
-        self.config = config or EngineConfig()
+        self.config = config if config is not None else EngineConfig()
+        # The process pool fans out *paths*, not objects: workers reopen
+        # the shard page files themselves.
+        self.shard_paths: list[str] | None = shard_paths
+        if self.config.executor == "process" and shard_paths is None:
+            raise QueryError(
+                "executor=\"process\" needs shard page-file paths; open "
+                "a sharded engine from a manifest directory "
+                "(ShardedQueryEngine.open(...)) or pass manifest_dir="
+            )
         self.metrics = MetricsRegistry()
-        self.dissim_cache = DissimRefinementCache(
-            max(1, self.config.dissim_cache_size)
-        )
-        self._signature = None
         self._closed = False
-        # One executor per session: the threaded pool is reused across
-        # batches and shut down with the engine.
+        # One executor per session: a pool is reused across requests
+        # and shut down with the engine.
         self.executor = make_executor(
             self.config.executor, self.config.max_workers
         )
+        self._pins = [
+            PinnedIndex(ix, self.config.pin_upper_levels) for ix in pinned
+        ]
         if self.executor.kind == "thread":
             self.enable_thread_safety()
-        self._refresh_session()
+        self.metrics.inc("engine.sessions")
+        self.metrics.inc(
+            "engine.pinned_pages", sum(pin.pinned for pin in self._pins)
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -213,120 +256,96 @@ class QueryEngine:
             backend=backend,
             verify=verify,
         )
-        dataset = None
-        if dataset_path is not None:
-            dataset_path = Path(dataset_path)
-            reader = read_json if dataset_path.suffix == ".json" else read_csv
-            dataset = reader(dataset_path)
+        dataset = read_dataset(dataset_path) if dataset_path is not None else None
         return cls(index, dataset, config=config)
 
     def close(self) -> None:
-        """Release buffer pins and the session executor's pool (caches
-        are just dropped with the object)."""
+        """Release the buffer pins and the session executor's pool
+        (what the engine was handed — index, stores — stays open)."""
         if not self._closed:
-            self.index.buffer.unpin_all()
+            for pin in self._pins:
+                pin.release()
             self.executor.close()
             self._closed = True
 
-    def __enter__(self) -> "QueryEngine":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # cache/session management
-    # ------------------------------------------------------------------
-    def _index_signature(self) -> tuple:
-        return (
-            self.index.num_nodes,
-            self.index.num_entries,
-            self.index.root_page,
-        )
-
     def enable_thread_safety(self) -> None:
-        """Lock the buffer manager — required before concurrent
-        :meth:`execute` calls from multiple threads (the threaded
-        batch executor and the serving tier both do this)."""
-        self.index.buffer.enable_thread_safety()
-
-    def _refresh_session(self) -> None:
-        self._signature = self._index_signature()
-        self.dissim_cache.clear()
-        pinned = self.pin_upper_levels()
-        self.metrics.inc("engine.sessions")
-        self.metrics.inc("engine.pinned_pages", pinned)
+        """Lock the session's buffer managers — required before
+        concurrent :meth:`execute` calls from multiple threads (the
+        threaded executor and the serving tier both do this)."""
+        for pin in self._pins:
+            pin.index.buffer.enable_thread_safety()
 
     def signature(self) -> tuple:
-        """The index's current structural signature — the same value
-        cache invalidation keys on.  The serving tier's result cache
-        compares signatures across requests: a changed signature means
-        previously cached answers may be stale."""
-        return self._index_signature()
+        """The index's current structural signature.  The serving
+        tier's result cache compares signatures across requests: a
+        changed signature means previously cached answers may be
+        stale."""
+        return self._pins[0].signature()
 
     def check_signature(self) -> bool:
-        """Invalidate every cache level if the index changed shape
-        since the last query; returns ``True`` when invalidation ran."""
-        if self._index_signature() != self._signature:
-            self.metrics.inc("engine.cache.invalidations")
-            self._refresh_session()
-            return True
-        return False
-
-    def pin_upper_levels(self) -> int:
-        """Pin the top ``config.pin_upper_levels`` index levels in the
-        buffer pool; returns how many pages were pinned."""
-        buf = self.index.buffer
-        buf.unpin_all()
-        levels = self.config.pin_upper_levels
-        if levels <= 0 or self.index.root_page == NO_PAGE:
-            return 0
-        floor = self.index.height - levels  # pin node.level >= floor
-        pinned = 0
-        stack = [self.index.root_page]
-        while stack:
-            page_id = stack.pop()
-            node = self.index.read_node(page_id)
-            if node.level < floor:
-                continue
-            buf.pin(page_id)
-            pinned += 1
-            if not node.is_leaf and node.level > floor:
-                stack.extend(e.child_page for e in node.entries)
-        return pinned
+        """Pin again whichever index changed shape since the last
+        query; returns ``True`` when one had."""
+        changed = False
+        for pin in self._pins:
+            if pin.refresh():
+                changed = True
+                self.metrics.inc("engine.cache.invalidations")
+                self.metrics.inc("engine.sessions")
+                self.metrics.inc("engine.pinned_pages", pin.pinned)
+        return changed
 
     # ------------------------------------------------------------------
-    # unified-API execution context protocol
+    # the parts seam
     # ------------------------------------------------------------------
+    @contextmanager
+    def _parts(self, kind: str):
+        """Obtain what one request searches, as a search context
+        (``.index``, ``.dataset``, ``search_context``), and release it
+        however the search ends.  Here: the session's own index, its
+        pins brought up to date."""
+        self.check_signature()
+        yield self
+
     def search_context(self, query, period) -> dict:
         """What steers one k-MST search in this session, as keyword
-        data for :func:`repro.search.bfmst.bfmst_search`: the
-        configured kernels and filter default, and the cross-query
-        refinement cache bound to this ``(query, period)``."""
-        self.check_signature()
-        if not isinstance(query, Trajectory):
-            return {}
-        context = {"kernels": self.config.kernels, "filter": self.config.filter}
-        if self.config.dissim_cache_size > 0:
-            context["refinement_cache"] = refinement_view(
-                self.dissim_cache, query, period
-            )
-        return context
+        data for :func:`repro.search.bfmst.bfmst_search`."""
+        return {"kernels": self.config.kernels, "filter": self.config.filter}
+
+    def _run_requests(self, requests: list[QuerySpec]) -> list[SearchResult]:
+        """Where a batch spends the session executor: here, across the
+        requests."""
+        return self.executor.map(
+            lambda _i, request: self.execute(request), requests
+        )
+
+    def _record(self, result: SearchResult) -> None:
+        """Mirror one answer's counters into the session registry (the
+        view ``GET /stats`` serves)."""
+        for name, value in result.stats.filter_counters().items():
+            self.metrics.inc(name, value)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def execute(
-        self, request: QueryRequest, *, deadline: float | None = None
+        self, request: QuerySpec, *, deadline: float | None = None
     ) -> SearchResult:
-        """Run one request through the shared context.
+        """Run one request.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant; if
         omitted, the request's own ``deadline_ms`` budget (if any)
         starts counting now.  A query past its deadline raises
-        :class:`~repro.exceptions.DeadlineExceeded` — checked up front
-        and (for k-MST) at every node the traversal dequeues, so
-        runaway queries stop consuming their worker promptly.
+        :class:`~repro.exceptions.DeadlineExceeded` — checked before
+        any part is obtained and (for k-MST) at every node the
+        traversal dequeues, on whichever thread or worker process a
+        part runs, so runaway queries stop consuming their worker
+        promptly.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -338,91 +357,72 @@ class QueryEngine:
             raise DeadlineExceeded(
                 f"deadline expired before the {kind} query started"
             )
-        self.check_signature()
         self.metrics.inc("engine.queries")
         self.metrics.inc(f"engine.queries.{kind}")
-        if kind in ("linear_scan", "continuous_nn", "time_relaxed"):
+        if kind in _SCAN_KINDS:
             self._require_dataset(kind)
         try:
-            result = _api.execute_spec(self, None, request, deadline=deadline)
+            with self._parts(kind) as context:
+                result = _api.execute_spec(
+                    context, None, request, deadline=deadline
+                )
         except DeadlineExceeded:
             self.metrics.inc("engine.deadline_misses")
             raise
-        # Per-query filter counters also surface in the stats block;
-        # the registry view feeds ``GET /stats``.
-        for name, value in result.stats.filter_counters().items():
-            self.metrics.inc(name, value)
+        self._record(result)
         return result
 
-    def run_batch(
-        self, requests: list[QueryRequest], *, executor=None
-    ) -> BatchResult:
+    def run_batch(self, requests: list[QuerySpec]) -> BatchResult:
         """Execute the batch and return answers in request order with
-        throughput and cache hit/miss telemetry."""
+        throughput and buffer hit/miss telemetry."""
         if self._closed:
             raise QueryError("engine is closed")
-        self.check_signature()
-        ephemeral = None
-        if executor is None:
-            ex = self.executor
-        elif isinstance(executor, str):
-            ex = ephemeral = make_executor(executor, self.config.max_workers)
-        else:
-            ex = executor
-        if getattr(ex, "kind", "serial") == "thread":
-            self.enable_thread_safety()
         before = self.cache_counters()
         t0 = time.perf_counter()
-        try:
-            results = ex.map(
-                lambda _i, request: self.execute(request), requests
-            )
-        finally:
-            if ephemeral is not None:
-                ephemeral.close()
+        results = self._run_requests(requests)
         wall = time.perf_counter() - t0
         after = self.cache_counters()
-        self._publish_cache_deltas(before, after)
+        # This batch's buffer traffic, into the session registry and
+        # any active query trace.
+        trace = _obs.ACTIVE
+        for name in ("engine.buffer.hits", "engine.buffer.misses"):
+            delta = after[name] - before[name]
+            if delta > 0:
+                self.metrics.inc(name, delta)
+                if trace is not None:
+                    trace.registry.inc(name, delta)
         self.metrics.inc("engine.batches")
         qps = len(requests) / wall if wall > 0 else float("inf")
         return BatchResult(
             results=results,
             wall_time_s=wall,
             queries_per_sec=qps,
-            executor=getattr(ex, "kind", "serial"),
+            executor=self.executor.kind,
             cache_counters=after,
             metrics=dict(self.metrics.counters),
         )
 
-    def _require_dataset(self, kind: str) -> TrajectoryDataset:
+    def _require_dataset(self, kind: str) -> None:
         if self.dataset is None:
             raise QueryError(
-                f"{kind} queries need the engine to own a dataset "
-                f"(pass one to QueryEngine(...) or .open(dataset_path=...))"
+                f"{kind} queries need the engine to own a dataset (pass "
+                f"one to the constructor or .open(dataset_path=...))"
             )
-        return self.dataset
 
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
     def cache_counters(self) -> dict[str, int]:
-        """Current absolute hit/miss/eviction counters of the
-        refinement cache, plus the buffer pool's session totals."""
-        out = dict(self.dissim_cache.counters())
-        io = self.index.buffer.stats
-        out["engine.buffer.hits"] = io.buffer_hits
-        out["engine.buffer.misses"] = io.buffer_misses
-        out["engine.buffer.pinned"] = len(self.index.buffer.pinned_pages)
-        return out
-
-    def _publish_cache_deltas(self, before: dict, after: dict) -> None:
-        """Push this batch's counter deltas into the engine registry
-        and mirror them into any active query trace."""
-        trace = _obs.ACTIVE
-        for name, value in after.items():
-            delta = value - before.get(name, 0)
-            if delta <= 0 or name.endswith((".size", ".scopes", ".pinned")):
-                continue
-            self.metrics.inc(name, delta)
-            if trace is not None:
-                trace.registry.inc(name, delta)
+        """Session totals of the buffer pools: hits, misses and pages
+        pinned, summed over the session's indexes."""
+        hits = misses = pinned = 0
+        for pin in self._pins:
+            buf = pin.index.buffer
+            hits += buf.stats.buffer_hits
+            misses += buf.stats.buffer_misses
+            pinned += len(buf.pinned_pages)
+        return {
+            "engine.buffer.hits": hits,
+            "engine.buffer.misses": misses,
+            "engine.buffer.pinned": pinned,
+        }

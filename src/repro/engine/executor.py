@@ -39,7 +39,20 @@ __all__ = [
 ]
 
 
-class SerialExecutor:
+class _Executor:
+    """What every executor is: a context manager that closes itself."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class SerialExecutor(_Executor):
     """Run the batch in submission order on the calling thread."""
 
     kind = "serial"
@@ -47,17 +60,8 @@ class SerialExecutor:
     def map(self, fn: Callable, requests: Sequence) -> list:
         return [fn(i, request) for i, request in enumerate(requests)]
 
-    def close(self) -> None:
-        """Nothing to release; present for interface symmetry."""
 
-    def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ThreadedExecutor:
+class ThreadedExecutor(_Executor):
     """Run batches on one persistent thread pool (results stay in
     request order).
 
@@ -92,12 +96,6 @@ class ThreadedExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __enter__(self) -> "ThreadedExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 #: Per-worker-process warm index cache: ``shard_path -> (index,
@@ -214,7 +212,7 @@ def _execute_shard_plan(plan):
     )
 
 
-class ProcessPoolShardExecutor:
+class ProcessPoolShardExecutor(_Executor):
     """Run :class:`~repro.engine.planner.ShardPlan` work units on a
     persistent pool of worker processes.
 
@@ -223,13 +221,12 @@ class ProcessPoolShardExecutor:
     start method (falling back to spawn) and live until :meth:`close`;
     each keeps a warm per-process index cache (see
     :func:`_execute_shard_plan`), so only the first query against a
-    shard pays the open cost.  ``map`` — the in-process callable
-    convention of the other executors — intentionally degrades to a
-    serial loop: closures over live engines cannot cross a process
-    boundary, and the sharded engine routes plan-shaped work through
-    :meth:`run_plans` instead
-    (:meth:`ShardedQueryEngine.run_parts
-    <repro.engine.ShardedQueryEngine.run_parts>`).
+    shard pays the open cost.  There is no ``map``: closures over live
+    engines cannot cross a process boundary, so only an engine that
+    can describe its parts as plans — the sharded one, through
+    :meth:`ShardedQueryEngine.run_parts
+    <repro.engine.ShardedQueryEngine.run_parts>` — accepts
+    ``executor="process"``.
     """
 
     kind = "process"
@@ -259,21 +256,12 @@ class ProcessPoolShardExecutor:
         pool = self._ensure_pool()
         return list(pool.map(_execute_shard_plan, plans))
 
-    def map(self, fn: Callable, requests: Sequence) -> list:
-        return SerialExecutor().map(fn, requests)
-
     def close(self) -> None:
         """Shut the worker pool down (idempotent); a later
         :meth:`run_plans` re-creates it."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __enter__(self) -> "ProcessPoolShardExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def make_executor(kind: str, max_workers: int | None = None):

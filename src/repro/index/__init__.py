@@ -5,7 +5,7 @@ from .entry import ENTRY_BYTES, InternalEntry, LeafEntry
 from .fsck import FsckReport, PageVerdict, fsck, fsck_index, fsck_sharded
 from .mindist import make_mindist_batch, mindist, mindist_batch, mindist_batch_python
 from .node import NO_PAGE, NODE_OVERHEAD_BYTES, Node, node_capacity
-from .persistence import load_index, migrate_index_v1, save_index
+from .persistence import load_index, save_index
 from .rstar import RStarTree
 from .rtree3d import RTree3D
 from .strtree import STRTree
@@ -33,7 +33,6 @@ __all__ = [
     "best_first_nodes",
     "save_index",
     "load_index",
-    "migrate_index_v1",
     "fsck",
     "fsck_index",
     "fsck_sharded",

@@ -213,11 +213,8 @@ class Node:
 
     @classmethod
     def from_payload(cls, page_id: int, data) -> "Node":
-        """Parse a raw (unframed) node payload.
-
-        This is the pre-v2 on-page layout; it stays public so the v1
-        migration path (``migrate_index_v1``) can read legacy files.
-        """
+        """Parse a raw (unframed) node payload — what
+        :meth:`from_bytes` finds inside a verified page frame."""
         if len(data) < HEADER_BYTES:
             raise IndexError_(f"page {page_id}: truncated node header")
         kind, level, count, _pad, owner, prev_leaf, next_leaf = _HEADER_FMT.unpack(

@@ -15,8 +15,7 @@ a chosen backend (``"disk"`` or the read-only zero-copy ``"mmap"``)
 and returns a *finalized* (query-only) index.
 
 v1 files (unframed pages, ``"version": 1`` sidecars) are rejected with
-an error naming the mismatch; :func:`migrate_index_v1` rewrites them
-in place-adjacent fashion into the v2 format.
+an error naming the mismatch: rebuild them from the source dataset.
 
 The TB-tree's per-trajectory leaf-chain anchors are persisted too, so
 ``trajectory_segments`` keeps working on a loaded tree.
@@ -35,13 +34,12 @@ from ..storage import (
     open_pagefile,
 )
 from .base import TrajectoryIndex
-from .node import Node
 from .rstar import RStarTree
 from .rtree3d import RTree3D
 from .strtree import STRTree
 from .tbtree import TBTree
 
-__all__ = ["save_index", "load_index", "migrate_index_v1"]
+__all__ = ["save_index", "load_index"]
 
 _FORMAT_VERSION = 2
 
@@ -154,9 +152,8 @@ def _read_meta(meta_file: Path) -> dict:
     if version == 1:
         raise StorageError(
             f"{meta_file}: this is a v1 index file; this build reads "
-            f"format version {_FORMAT_VERSION}.  Migrate it with "
-            f"repro.index.migrate_index_v1 (or rebuild from the source "
-            f"dataset) — see docs/STORAGE.md"
+            f"format version {_FORMAT_VERSION}.  Rebuild it from the "
+            f"source dataset — see docs/STORAGE.md"
         )
     if version != _FORMAT_VERSION:
         raise StorageError(
@@ -247,71 +244,3 @@ def load_index(
             ),
         )
     return index
-
-
-def migrate_index_v1(src: str | Path, dst: str | Path) -> dict:
-    """Rewrite a v1 index (raw unframed pages) into the v2 format.
-
-    Reads the v1 pages with the legacy parser
-    (:meth:`~repro.index.node.Node.from_payload`), re-serialises every
-    node behind the checksummed v2 frame, and writes ``dst`` (pages +
-    sidecar) with the same atomic protocol as :func:`save_index`.
-    All-zero pages (freed, never-rewritten slots) are carried over
-    verbatim.  Returns the new metadata dict.
-    """
-    src, dst = Path(src), Path(dst)
-    meta_file = _meta_path(src)
-    if not meta_file.exists():
-        raise StorageError(f"missing metadata sidecar {meta_file}")
-    try:
-        meta = json.loads(meta_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"{meta_file}: corrupt metadata: {exc}") from exc
-    if meta.get("version") != 1:
-        raise StorageError(
-            f"{meta_file}: migration expects a v1 index, found version "
-            f"{meta.get('version')!r}"
-        )
-    if meta.get("kind") not in _KINDS:
-        raise StorageError(f"{meta_file}: unknown index kind {meta.get('kind')!r}")
-    if not src.exists():
-        raise StorageError(f"missing page file {src}")
-    if dst.exists():
-        raise StorageError(f"{dst} already exists; refusing to overwrite")
-
-    from ..exceptions import PageOverflowError
-    from ..storage import commit_file
-
-    page_size = meta["page_size"]
-    tmp = dst.with_name(dst.name + ".tmp")
-    try:
-        with DiskPageFile(src, page_size=page_size) as old, DiskPageFile(
-            tmp, page_size=page_size
-        ) as new:
-            for pid in range(old.num_pages):
-                raw = old.read(pid)
-                new.allocate()
-                if bytes(raw).strip(b"\x00"):
-                    node = Node.from_payload(pid, raw)
-                    try:
-                        new.write(pid, node.to_bytes(page_size))
-                    except PageOverflowError as exc:
-                        # A v1 page could pack 16 more payload bytes
-                        # than the framed format leaves room for.
-                        raise StorageError(
-                            f"{src}: page {pid} is packed too tightly "
-                            f"to fit behind the v2 page frame ({exc}); "
-                            f"rebuild this index from the source "
-                            f"dataset instead of migrating"
-                        ) from exc
-            num_pages = new.num_pages
-        commit_file(tmp, dst)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    new_meta = dict(meta)
-    new_meta["version"] = _FORMAT_VERSION
-    new_meta["num_pages"] = num_pages
-    new_meta["pages_sha256"] = file_sha256(dst)
-    atomic_write_bytes(_meta_path(dst), json.dumps(new_meta).encode("ascii"))
-    return new_meta

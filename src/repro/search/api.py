@@ -24,19 +24,13 @@ was built from (``result.spec``), so any answer can be re-asked —
 in-process, from a batch file, or over the ``repro serve`` wire.
 :func:`execute_spec` is the inverse: it dispatches a spec against any
 context.
-
-**Legacy forms.**  The pre-unification positional forms (discriminated
-by the type of the second positional argument) were deprecated in the
-engine PR and are now **removed**: they raise :class:`TypeError` with
-a migration hint.  See the migration table in the README.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from ..exceptions import QueryError
-from ..geometry import MBR2D, Point
 from ..obs import state as _obs
 from ..trajectory import Trajectory, TrajectoryDataset
 from . import bfmst as _bfmst
@@ -88,57 +82,25 @@ def resolve_context(ctx_or_index, dataset):
     return ctx_or_index, dataset, None
 
 
-def _legacy_error(name: str, hint: str) -> TypeError:
-    """The pre-unification positional forms went through a deprecation
-    cycle (DeprecationWarning since the engine PR) and are now removed;
-    point the caller at the replacement instead of failing obscurely
-    inside argument binding."""
-    return TypeError(
-        f"the positional {name} form was removed; call the unified form "
-        f"{hint} (returns SearchResult) — see the migration table in the "
-        f"README"
-    )
-
-
 @contextmanager
-def _installed(trace):
+def _tracing(trace):
+    """Install ``trace`` (if any) as the active QueryTrace for the call;
+    it is started/finished only if the caller has not already started
+    it."""
+    if trace is None:
+        yield
+        return
     previous = _obs.ACTIVE
     _obs.ACTIVE = trace
     fresh = getattr(trace, "_t0", None) is None
     if fresh:
         trace.start()
     try:
-        yield trace
+        yield
     finally:
         if fresh:
             trace.finish()
         _obs.ACTIVE = previous
-
-
-def _tracing(trace):
-    """Install ``trace`` as the active QueryTrace for the call (it is
-    started/finished only if the caller has not already started it)."""
-    return _installed(trace) if trace is not None else nullcontext()
-
-
-def _new_form_args(args: tuple, dataset, query, name: str):
-    """Bind the new form's trailing positionals ``(dataset, query)``."""
-    if len(args) > 2:
-        raise TypeError(
-            f"unified {name}() takes 3 positional arguments "
-            f"(ctx_or_index, dataset, query); got {len(args) + 1}"
-        )
-    if args:
-        if dataset is not None:
-            raise TypeError(f"{name}() got duplicate 'dataset'")
-        dataset = args[0]
-    if len(args) == 2:
-        if query is not None:
-            raise TypeError(f"{name}() got duplicate 'query'")
-        query = args[1]
-    if query is None:
-        raise TypeError(f"{name}() missing required argument: 'query'")
-    return dataset, query
 
 
 def _attach(result: SearchResult, spec: QuerySpec, trace) -> SearchResult:
@@ -155,20 +117,14 @@ def _require_index(index, name: str):
     return index
 
 
-def _is_sharded(index) -> bool:
-    """True for a :class:`~repro.sharding.ShardedIndex` (duck-typed so
-    the search layer keeps no import of :mod:`repro.sharding`)."""
-    return bool(getattr(index, "is_sharded", False))
-
-
 # ----------------------------------------------------------------------
 # k-MST (BFMST)
 # ----------------------------------------------------------------------
 def bfmst_search(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     period: tuple[float, float] | None = None,
     k: int = 1,
     vmax: float | None = None,
@@ -196,19 +152,16 @@ def bfmst_search(
     over an engine context's configured default.  ``deadline`` is an
     absolute ``time.monotonic()`` instant past which the traversal
     raises :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else
-    steers the search — the planner's shard selection, the refinement
-    cache, the executor the parts run on — is the context's
-    ``search_context(query, period)``, plain data handed to the one
-    driver (:func:`repro.search.bfmst.bfmst_search`) unchanged.  The
-    removed legacy form ``bfmst_search(index, query, period, k=...)``
-    raises :class:`TypeError`.
+    steers the search — the planner's shard selection, the executor
+    the parts run on — is the context's ``search_context(query,
+    period)``, plain data handed to the one driver
+    (:func:`repro.search.bfmst.bfmst_search`) unchanged.
     """
-    if args and isinstance(args[0], Trajectory):
-        raise _legacy_error(
-            "bfmst_search(index, query, ...)",
-            "bfmst_search(index, None, query, k=...)",
+    if not isinstance(query, Trajectory):
+        raise TypeError(
+            f"bfmst_search takes a Trajectory in the query slot "
+            f"(ctx_or_index, dataset, query), got {type(query).__name__}"
         )
-    dataset, query, = _new_form_args(args, dataset, query, "bfmst_search")
     options = {}
     if vmax is not None:
         options["vmax"] = vmax
@@ -244,9 +197,9 @@ def bfmst_search(
 # ----------------------------------------------------------------------
 def linear_scan_kmst(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     period: tuple[float, float] | None = None,
     k: int = 1,
     exact: bool = False,
@@ -259,16 +212,8 @@ def linear_scan_kmst(
     Unified form: ``linear_scan_kmst(None, dataset, query, *, k=1,
     exact=False, ...) -> SearchResult``.  ``kernels`` is accepted for
     schema uniformity (every entry point shares the QuerySpec field
-    set) but the scan has no vectorised path yet.  The removed legacy
-    form ``linear_scan_kmst(dataset, query, period, k, ...)`` raises
-    :class:`TypeError`.
+    set) but the scan has no vectorised path yet.
     """
-    if args and isinstance(args[0], Trajectory):
-        raise _legacy_error(
-            "linear_scan_kmst(dataset, query, ...)",
-            "linear_scan_kmst(None, dataset, query, k=...)",
-        )
-    dataset, query = _new_form_args(args, dataset, query, "linear_scan_kmst")
     options = {}
     if exact:
         options["exact"] = True
@@ -290,9 +235,9 @@ def linear_scan_kmst(
 # ----------------------------------------------------------------------
 def nearest_neighbours(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     period: tuple[float, float] | None = None,
     k: int = 1,
     kernels: str | None = None,
@@ -303,32 +248,24 @@ def nearest_neighbours(
     Unified form: ``nearest_neighbours(ctx_or_index, dataset, point, *,
     period=(t_start, t_end), k=1, ...) -> SearchResult`` — the match
     ``dissim`` slot carries the point distance.  ``kernels`` is
-    accepted for schema uniformity (no vectorised path yet).  The
-    removed legacy form
-    ``nearest_neighbours(index, point, t_start, t_end, k)`` raises
-    :class:`TypeError`.
+    accepted for schema uniformity (no vectorised path yet).
     """
-    if args and isinstance(args[0], Point):
-        raise _legacy_error(
-            "nearest_neighbours(index, point, t_start, t_end, ...)",
-            "nearest_neighbours(index, None, point, period=(t_start, t_end))",
-        )
-    dataset, point = _new_form_args(args, dataset, query, "nearest_neighbours")
-    spec = QuerySpec("nn", point, period, k, kernels=kernels)
+    spec = QuerySpec("nn", query, period, k, kernels=kernels)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "nearest_neighbours")
     if period is None:
         raise QueryError("nearest_neighbours requires period=(t_start, t_end)")
     t_start, t_end = period
     with _tracing(trace):
-        if _is_sharded(index):
-            # Disjoint shards: the global k best is the k best of the
-            # per-shard k bests.
+        if getattr(index, "is_sharded", False):
+            # A ShardedIndex (duck-typed: no import of repro.sharding
+            # here).  Disjoint shards: the global k best is the k best
+            # of the per-shard k bests.
             pairs = []
             parts = []
             for shard in index.shards:
                 shard_pairs, shard_stats = _nn.nearest_neighbours_with_stats(
-                    shard, point, t_start, t_end, k
+                    shard, query, t_start, t_end, k
                 )
                 pairs.extend(shard_pairs)
                 parts.append(shard_stats)
@@ -339,7 +276,7 @@ def nearest_neighbours(
                 stats.accumulate(shard_stats)
         else:
             pairs, stats = _nn.nearest_neighbours_with_stats(
-                index, point, t_start, t_end, k
+                index, query, t_start, t_end, k
             )
     matches = [MSTMatch(tid, dist, 0.0, True) for tid, dist in pairs]
     return _attach(SearchResult("nn", matches, stats), spec, trace)
@@ -350,9 +287,9 @@ def nearest_neighbours(
 # ----------------------------------------------------------------------
 def range_query(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     period: tuple[float, float] | None = None,
     kernels: str | None = None,
     trace=None,
@@ -362,17 +299,9 @@ def range_query(
     Unified form: ``range_query(ctx_or_index, dataset, window, *,
     period=(t_start, t_end), ...) -> SearchResult`` — hits are unranked
     :class:`MSTMatch` rows (``dissim`` 0) sorted by id.  ``kernels`` is
-    accepted for schema uniformity (no vectorised path yet).  The
-    removed legacy form ``range_query(index, window, t_start, t_end)``
-    raises :class:`TypeError`.
+    accepted for schema uniformity (no vectorised path yet).
     """
-    if args and isinstance(args[0], MBR2D):
-        raise _legacy_error(
-            "range_query(index, window, t_start, t_end)",
-            "range_query(index, None, window, period=(t_start, t_end))",
-        )
-    dataset, window = _new_form_args(args, dataset, query, "range_query")
-    spec = QuerySpec("range", window, period, kernels=kernels)
+    spec = QuerySpec("range", query, period, kernels=kernels)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "range_query")
     if period is None:
@@ -380,7 +309,7 @@ def range_query(
     t_start, t_end = period
     with _tracing(trace):
         hits, stats = _range.range_query_with_stats(
-            index, window, t_start, t_end
+            index, query, t_start, t_end
         )
     matches = [MSTMatch(tid, 0.0, 0.0, True) for tid in sorted(hits)]
     return _attach(
@@ -395,12 +324,11 @@ def range_query(
 # ----------------------------------------------------------------------
 def continuous_nearest_neighbour(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     period: tuple[float, float] | None = None,
     exclude_ids=frozenset(),
-    index=None,
     kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
@@ -412,28 +340,14 @@ def continuous_nearest_neighbour(
     ``result.intervals``); ``matches`` lists the distinct winners in
     order of first appearance.  An index in the context slot enables
     candidate pruning.  ``kernels`` is accepted for schema uniformity
-    (no vectorised path yet).  The removed legacy form
-    ``continuous_nearest_neighbour(dataset, query, t_start, t_end,
-    index=...)`` raises :class:`TypeError`.
+    (no vectorised path yet).
     """
-    if args and isinstance(args[0], Trajectory):
-        raise _legacy_error(
-            "continuous_nearest_neighbour(dataset, query, t_start, t_end, ...)",
-            "continuous_nearest_neighbour(index, dataset, query, "
-            "period=(t_start, t_end))",
-        )
-    if index is not None:
-        raise TypeError(
-            "the unified continuous_nearest_neighbour() takes the index "
-            "through the first (ctx_or_index) argument, not index="
-        )
-    dataset, q = _new_form_args(
-        args, dataset, query, "continuous_nearest_neighbour"
-    )
     options = {}
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("continuous_nn", q, period, options=options, kernels=kernels)
+    spec = QuerySpec(
+        "continuous_nn", query, period, options=options, kernels=kernels
+    )
     index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("continuous_nearest_neighbour requires a dataset")
@@ -444,7 +358,7 @@ def continuous_nearest_neighbour(
     t_start, t_end = period
     with _tracing(trace):
         intervals, stats = _cnn.continuous_nn_with_stats(
-            dataset, q, t_start, t_end, index, exclude_ids
+            dataset, query, t_start, t_end, index, exclude_ids
         )
     winners: list[int] = []
     for piece in intervals:
@@ -465,9 +379,9 @@ def continuous_nearest_neighbour(
 # ----------------------------------------------------------------------
 def time_relaxed_kmst(
     ctx_or_index,
-    *args,
     dataset=None,
     query=None,
+    *,
     k: int = 1,
     grid: int = 64,
     exclude_ids=frozenset(),
@@ -480,28 +394,20 @@ def time_relaxed_kmst(
     grid=64, ...) -> SearchResult`` — the optimal shift per answer is
     in ``result.extras["shifts"]`` (a ``{trajectory_id: shift}``
     mapping).  ``kernels`` is accepted for schema uniformity (no
-    vectorised path yet).  The removed legacy form
-    ``time_relaxed_kmst(dataset, query, k, grid)`` raises
-    :class:`TypeError`.
+    vectorised path yet).
     """
-    if args and isinstance(args[0], Trajectory):
-        raise _legacy_error(
-            "time_relaxed_kmst(dataset, query, ...)",
-            "time_relaxed_kmst(None, dataset, query, k=...)",
-        )
-    dataset, q = _new_form_args(args, dataset, query, "time_relaxed_kmst")
     options = {}
     if grid != 64:
         options["grid"] = grid
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("time_relaxed", q, None, k, options, kernels=kernels)
+    spec = QuerySpec("time_relaxed", query, None, k, options, kernels=kernels)
     _index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("time_relaxed_kmst requires a dataset")
     with _tracing(trace):
         pairs, stats = _trx.time_relaxed_with_stats(
-            dataset, q, k, grid, exclude_ids
+            dataset, query, k, grid, exclude_ids
         )
     matches = [m for m, _shift in pairs]
     shifts = {m.trajectory_id: shift for m, shift in pairs}
@@ -534,8 +440,10 @@ def execute_spec(
     callers, the batched engines and ``repro serve``.
 
     ``spec.options`` are forwarded as keyword arguments to the entry
-    point (unknown options therefore raise ``TypeError`` — the serving
-    layer maps both that and :class:`QueryError` to a 400).
+    point, so an unknown option of an in-process spec is Python's own
+    ``TypeError``; a spec off the wire never gets here with one
+    (:meth:`QuerySpec.from_dict <repro.search.spec.QuerySpec.from_dict>`
+    rejects it, a served 400).
     ``spec.deadline_ms`` is *not* read here: turning the budget into
     the absolute ``deadline`` is the executing engine's job
     (:meth:`repro.engine.QueryEngine.execute`); a k-MST search is

@@ -61,9 +61,7 @@ from ..index import TrajectoryIndex, best_first_nodes
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .results import MSTMatch, SearchStats
-from .spec import QuerySpec
-
-FILTER_MODES = ("auto", "on", "off")
+from .spec import FILTER_MODES, QuerySpec
 
 __all__ = [
     "bfmst_search",
@@ -592,7 +590,6 @@ def bfmst_search(
     kernels: str | None = None,
     filter: str = "auto",
     selected: list[int] | None = None,
-    refinement_cache=None,
     executor=None,
     deadline: float | None = None,
 ) -> tuple[list[MSTMatch], SearchStats]:
@@ -661,10 +658,6 @@ def bfmst_search(
         Positions of the parts to search (the planner's pre-filter);
         ``None`` searches all.  Skipping a part whose extent cannot
         overlap the query period is answer-preserving.
-    refinement_cache:
-        A mapping-like ``get``/``put`` pair keyed by trajectory id that
-        memoises exact refinement integrals across repeats of one
-        ``(query, period)``.
     executor:
         Where :func:`search_part` runs.  ``None`` — here, one part
         after another.  Anything with ``.map(fn, items)`` (the engine's
@@ -779,7 +772,6 @@ def bfmst_search(
         k=k,
         refine=refine,
         stats=stats,
-        refinement_cache=refinement_cache,
         trace=trace,
         before=before,
         sig_lookup=sig_lookup if filters else None,
@@ -814,7 +806,6 @@ def merge_shard_records(
     k: int,
     refine: bool,
     stats: SearchStats,
-    refinement_cache=None,
     trace=None,
     before=None,
     sig_lookup=None,
@@ -853,9 +844,7 @@ def merge_shard_records(
         stats.extra["shards_searched"] = len(selected)
         stats.extra["shards_pruned"] = len(shard_nodes) - len(selected)
 
-    matches = _assemble(
-        records, query, k, refine, stats, refinement_cache, sig_lookup
-    )
+    matches = _assemble(records, query, k, refine, stats, sig_lookup)
     if trace is not None:
         _harvest(trace, stats, before)
     if trace is not None and shard_nodes is not None:
@@ -884,7 +873,6 @@ def _assemble(
     k: int,
     refine: bool,
     stats: SearchStats,
-    refinement_cache=None,
     sig_lookup=None,
 ) -> list[MSTMatch]:
     """Rank the candidate records, exactly re-integrating the ambiguous
@@ -914,35 +902,21 @@ def _assemble(
                 if sig_lookup is not None:
                     # A signature bound above the k-th upper proves the
                     # exact value cannot enter the answer set — skip the
-                    # exact re-integration (and keep the miss out of the
-                    # refinement-LRU's hit-rate denominator).
+                    # exact re-integration.
                     lb = sig_lookup(m.trajectory_id)
                     if lb is not None and lb > kth_upper:
                         stats.refinement_skipped += 1
                         continue
-                record = by_tid[m.trajectory_id]
-                # A completed candidate's windows tile the whole query
-                # period, so its exact total is a function of (query,
-                # period, trajectory) alone — safe to memoise across
-                # repeated queries regardless of k.
-                exact_total = (
-                    refinement_cache.get(m.trajectory_id)
-                    if refinement_cache is not None
-                    else None
-                )
-                if exact_total is None:
-                    # Time-ordered summation: the exact value must not
-                    # depend on segment arrival order either.
-                    exact_total = 0.0
-                    for lo, hi, seg in sorted(
-                        record.windows, key=lambda w: w[0]
-                    ):
-                        integral, _dl, _dh = segment_dissim(
-                            query, seg, lo, hi, exact=True
-                        )
-                        exact_total += integral.approx
-                    if refinement_cache is not None:
-                        refinement_cache.put(m.trajectory_id, exact_total)
+                # Time-ordered summation: the exact value must not
+                # depend on segment arrival order either.
+                exact_total = 0.0
+                for lo, hi, seg in sorted(
+                    by_tid[m.trajectory_id].windows, key=lambda w: w[0]
+                ):
+                    integral, _dl, _dh = segment_dissim(
+                        query, seg, lo, hi, exact=True
+                    )
+                    exact_total += integral.approx
                 refined[m.trajectory_id] = exact_total
                 stats.refinement_candidates += 1
         scored = [

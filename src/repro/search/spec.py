@@ -8,8 +8,7 @@ points construct one for each call, the batched engines
 :class:`~repro.engine.LiveQueryEngine`) execute them directly, the
 ``repro batch`` / ``repro serve`` CLIs read them from files and
 sockets, and :mod:`repro.serve` uses the JSON form verbatim as its
-wire format.  ``engine.QueryRequest`` is the same class under its
-pre-promotion name.
+wire format.
 
 The JSON envelope is versioned (``"spec": 1``) and uses stable field
 names::
@@ -66,6 +65,60 @@ KIND_ALIASES = {
 _RESERVED_OPTION_KEYS = frozenset(
     {"kind", "query", "period", "k", "kernels", "deadline_ms", "trace"}
 )
+
+#: The signature filter tier's modes (see :mod:`repro.filter`).
+FILTER_MODES = ("auto", "on", "off")
+
+
+# (accepts, what it accepts) pairs; ``type(v) is`` keeps JSON's true
+# and false out of the numeric options.
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_FLAG = (lambda v: type(v) is bool, "true or false")
+_POSITIVE_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
+_ID_LIST = (
+    lambda v: isinstance(v, (list, tuple, set, frozenset))
+    and all(type(i) in (int, str) for i in v),
+    "a list of ids",
+)
+_FILTER_MODE = (lambda v: v in FILTER_MODES, f"one of {FILTER_MODES}")
+
+#: canonical kind -> option name -> (accepts, what it accepts): every
+#: option a spec of that kind may carry on the wire.  The names are the
+#: keyword arguments of the kind's :mod:`repro.search.api` entry point
+#: (a test holds the two together).
+OPTIONS = {
+    "mst": {
+        "vmax": _NUMBER,
+        "use_heuristic1": _FLAG,
+        "use_heuristic2": _FLAG,
+        "refine": _FLAG,
+        "exclude_ids": _ID_LIST,
+        "filter": _FILTER_MODE,
+    },
+    "linear_scan": {"exact": _FLAG, "exclude_ids": _ID_LIST},
+    "nn": {},
+    "range": {},
+    "continuous_nn": {"exclude_ids": _ID_LIST},
+    "time_relaxed": {"grid": _POSITIVE_INT, "exclude_ids": _ID_LIST},
+}
+
+
+def _check_options(kind: str, options: dict) -> dict:
+    """Hold wire options against :data:`OPTIONS`; returns them ready
+    for dispatch (``exclude_ids`` as a frozenset)."""
+    accepted = OPTIONS[kind]
+    checked = {}
+    for name, value in options.items():
+        if name not in accepted:
+            raise QueryError(
+                f"unknown option {name!r} for {kind} queries; accepted: "
+                f"{sorted(accepted) or 'none'}"
+            )
+        accepts, what = accepted[name]
+        if not accepts(value):
+            raise QueryError(f"option {name!r} must be {what}, got {value!r}")
+        checked[name] = frozenset(value) if name == "exclude_ids" else value
+    return checked
 
 
 def encode_query(query) -> dict:
@@ -199,8 +252,9 @@ class QuerySpec:
 
         Raises :class:`QueryError` on anything malformed — unknown
         version or kind, bad ``k``/``period``/``deadline_ms``, options
-        that would shadow spec fields — so wire-facing callers can map
-        it straight to a 400.
+        that would shadow spec fields, that the kind does not take or
+        that are ill-typed (:data:`OPTIONS`) — so wire-facing callers
+        can map it straight to a 400.
         """
         if not isinstance(doc, dict):
             raise QueryError(
@@ -257,25 +311,15 @@ class QuerySpec:
                 f"options {sorted(shadowed)} shadow spec fields; set them "
                 f"as top-level spec fields instead"
             )
-        options = dict(options)
-        if "exclude_ids" in options:
-            try:
-                options["exclude_ids"] = frozenset(options["exclude_ids"])
-            except TypeError:
-                raise QueryError(
-                    f"exclude_ids must be a list of ids, got "
-                    f"{options['exclude_ids']!r}"
-                ) from None
         spec = cls(
             kind=doc["kind"],
             query=decode_query(doc["query"]),
             period=period,
             k=k,
-            options=options,
             kernels=kernels,
             deadline_ms=deadline_ms,
         )
-        spec.canonical_kind()  # validates the kind eagerly
+        spec.options = _check_options(spec.canonical_kind(), options)
         return spec
 
     @classmethod

@@ -13,9 +13,10 @@ Endpoints::
     GET  /stats      serve.* metrics + engine metrics + config
     GET  /healthz    200 once accepting, 503 while draining
 
-Status codes: 400 malformed spec/framing, 404/405 routing, 413 body
-too large, 429 overload or quota (with ``Retry-After``), 422 engine
-rejected the query, 500 unexpected, 503 draining, 504 deadline
+Status codes: 400 malformed spec/framing (an option the query kind
+does not take, or an ill-typed one, included), 404/405 routing, 413
+body too large, 429 overload or quota (with ``Retry-After``), 422
+engine rejected the query, 500 unexpected, 503 draining, 504 deadline
 exceeded.
 """
 
@@ -60,10 +61,10 @@ class ReproServer:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        for method in ("execute", "signature"):
-            if not callable(getattr(engine, method, None)):
+        for name in ("execute", "signature", "metrics"):
+            if not hasattr(engine, name):
                 raise ServeError(
-                    f"engine {type(engine).__name__} has no {method}(); "
+                    f"engine {type(engine).__name__} has no {name}; "
                     "ReproServer fronts QueryEngine, ShardedQueryEngine "
                     "or LiveQueryEngine"
                 )
@@ -293,18 +294,12 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     def _stats_body(self) -> bytes:
-        engine_metrics = None
-        metrics = getattr(self.engine, "metrics", None)
-        if metrics is not None and hasattr(metrics, "as_dict"):
-            engine_metrics = metrics.as_dict()
-        elif callable(getattr(self.engine, "counters", None)):
-            engine_metrics = {"counters": self.engine.counters()}
         doc = {
             "serve": self.metrics.as_dict(),
             "engine": {
                 "type": type(self.engine).__name__,
                 "signature": _jsonable(self.engine.signature()),
-                "metrics": engine_metrics,
+                "metrics": self.engine.metrics.as_dict(),
             },
             "config": self.config.as_dict(),
             "inflight": self.admission.inflight,

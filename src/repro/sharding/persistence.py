@@ -129,9 +129,8 @@ def read_manifest(directory: str | Path) -> dict:
     if version == 1:
         raise StorageError(
             f"{manifest_path}: this is a v1 shard directory; this build "
-            f"reads manifest version {_MANIFEST_VERSION}.  Migrate each "
-            f"shard with repro.index.migrate_index_v1 (or rebuild) — "
-            f"see docs/STORAGE.md"
+            f"reads manifest version {_MANIFEST_VERSION}.  Rebuild it "
+            f"from the source dataset — see docs/STORAGE.md"
         )
     if version != _MANIFEST_VERSION:
         raise StorageError(

@@ -122,7 +122,7 @@ def unframe_page(data, page_id: int | None = None):
         _fail(
             f"{where}: bad magic 0x{magic:04x} (expected 0x{PAGE_MAGIC:04x}); "
             f"not a v{FORMAT_VERSION} framed page — v1 index files must be "
-            f"migrated or rebuilt (see docs/STORAGE.md)"
+            f"rebuilt from the source dataset (see docs/STORAGE.md)"
         )
     if version != FORMAT_VERSION:
         _fail(

@@ -149,7 +149,7 @@ class TestShard:
         out_path = tmp_path / "trace.json"
         rc = main(
             ["stats", str(directory), str(small_csv), "--k", "3",
-             "--seed", "2", "--per-shard", "--output", str(out_path)]
+             "--seed", "2", "--output", str(out_path)]
         )
         assert rc == 0
         import json
@@ -163,6 +163,33 @@ class TestShard:
             ["shard", "query", str(tmp_path / "nope"), str(small_csv)]
         )
         assert rc == 1
+
+
+def test_one_kmst_verb_over_three_targets(small_csv, tmp_path, capsys):
+    """``query``, ``shard query`` and ``ingest query`` are one verb:
+    over the same points they print the same ranks, and an unknown
+    ``--object`` is exit code 2 on each."""
+    csv = str(small_csv)
+    index, shards, store = (str(tmp_path / n) for n in ("idx", "sh", "st"))
+    assert main(["build", csv, index, "--tree", "tbtree"]) == 0
+    assert main(["shard", "build", csv, shards, "--shards", "3"]) == 0
+    assert main(["ingest", "init", store]) == 0
+    assert main(["ingest", "feed", store, csv, "--compact-every", "200"]) == 0
+    capsys.readouterr()
+    ranked = []
+    for verb in (
+        ["query", index, csv],
+        ["shard", "query", shards, csv],
+        ["ingest", "query", store],
+    ):
+        assert main(verb + ["--object", "999"]) == 2
+        assert "999" in capsys.readouterr().err
+        assert main(verb + ["--object", "3", "--k", "4", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "pruning power" in out
+        ranked.append([ln for ln in out.splitlines() if "DISSIM=" in ln])
+    assert len(ranked[0]) == 4 and "object 3 " in ranked[0][0]
+    assert ranked[0] == ranked[1] == ranked[2]
 
 
 def test_version_flag(capsys):

@@ -1,11 +1,11 @@
-"""The batched query engine: correctness under caching, LRU bounds,
-invalidation, executors and telemetry.
+"""The batched query engine: correctness with pinned buffers,
+re-pinning after a rebuild, executors and telemetry.
 
-The load-bearing property: a batch run through the engine — with the
-refinement cache and buffer pinning active — returns answers
-*identical* to one-off :func:`repro.search.bfmst.bfmst_search` calls
-on a pristine stack, and the engine keeps no per-query state: a
-repeated request does the same work as its first execution.
+The load-bearing property: a batch run through the engine — with
+buffer pinning active — returns answers *identical* to one-off
+:func:`repro.search.bfmst.bfmst_search` calls on a pristine stack, and
+the engine keeps no per-query state: a repeated request does the same
+work as its first execution.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ import pytest
 from repro.datagen import generate_gstd, make_workload
 from repro.engine import (
     BatchResult,
-    DissimRefinementCache,
     EngineConfig,
-    LRUCache,
     QueryEngine,
-    QueryRequest,
     ShardedQueryEngine,
     ThreadedExecutor,
     make_executor,
-    query_key,
 )
 from repro.exceptions import QueryError
 from repro.geometry import MBR2D, Point
 from repro.index import RTree3D, TBTree
 from repro.obs import query_trace
+from repro.search import QuerySpec
 from repro.search.bfmst import bfmst_search as raw_bfmst
 from repro.search.linear_scan import linear_scan_kmst as raw_scan
 from repro.sharding import ShardedDataset, build_sharded_index, make_partitioner
@@ -75,8 +72,8 @@ class TestBatchedIdentity:
         index = _build(tree_cls, dataset)
         with QueryEngine(index, dataset) as engine:
             requests = [
-                QueryRequest("mst", q, p, k=k) for q, p in workload
-            ] * 2  # repeats exercise every cache level
+                QuerySpec("mst", q, p, k=k) for q, p in workload
+            ] * 2  # repeats run against warm, pinned buffers
             batch = engine.run_batch(requests)
             for i, (q, p) in enumerate(workload):
                 want, _stats = raw_bfmst(index, q, p, k)
@@ -86,7 +83,7 @@ class TestBatchedIdentity:
 
     def test_threaded_batch_matches_serial(self, dataset, workload):
         index = _build(RTree3D, dataset)
-        requests = [QueryRequest("mst", q, p, k=3) for q, p in workload] * 2
+        requests = [QuerySpec("mst", q, p, k=3) for q, p in workload] * 2
         serial = QueryEngine(index, dataset).run_batch(requests)
         threaded = QueryEngine(
             index, dataset,
@@ -101,12 +98,12 @@ class TestBatchedIdentity:
         q, p = workload[0]
         with QueryEngine(index, dataset) as engine:
             batch = engine.run_batch([
-                QueryRequest("mst", q, p, k=3),
-                QueryRequest("linear_scan", q, p, k=3,
+                QuerySpec("mst", q, p, k=3),
+                QuerySpec("linear_scan", q, p, k=3,
                              options={"exact": True}),
-                QueryRequest("nn", Point(0.5, 0.5), p, k=2),
-                QueryRequest("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
-                QueryRequest("time_relaxed", q, k=2),
+                QuerySpec("nn", Point(0.5, 0.5), p, k=2),
+                QuerySpec("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
+                QuerySpec("time_relaxed", q, k=2),
             ])
         algorithms = [r.algorithm for r in batch]
         assert algorithms == [
@@ -130,46 +127,12 @@ class TestBatchedIdentity:
 
 
 class TestCaches:
-    def test_lru_eviction_bound(self):
-        cache = LRUCache(capacity=4)
-        for i in range(10):
-            cache.put(i, i * 10)
-        assert len(cache) == 4
-        assert cache.evictions == 6
-        assert cache.get(9) == 90
-        assert cache.get(0) is None  # evicted
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_lru_recency_order(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh 'a'
-        cache.put("c", 3)  # evicts 'b'
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-
-    def test_refinement_cache_scoped_by_query(self):
-        cache = DissimRefinementCache(capacity=16)
-        view_a = cache.view(("traj", 1), (0.0, 1.0))
-        view_b = cache.view(("traj", 2), (0.0, 1.0))
-        view_a.put(7, 1.25)
-        assert view_a.get(7) == 1.25
-        assert view_b.get(7) is None  # different query scope
-
-    def test_refinement_cache_capacity_is_bounded(self):
-        cache = DissimRefinementCache(capacity=3)
-        view = cache.view(("traj", 1), (0.0, 1.0))
-        for tid in range(10):
-            view.put(tid, float(tid))
-        assert len(cache.lru) == 3
-
     def test_mindist_memo_hits_on_repeat(self, dataset, workload):
         # The engine keeps no MINDIST memo: every repeat traverses
         # again, evaluates the same boxes and gives the same answer.
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        request = QueryRequest("mst", q, p, k=2)
+        request = QuerySpec("mst", q, p, k=2)
         with QueryEngine(index, dataset) as engine:
             runs = [_traced_work(engine, request) for _ in range(3)]
         first_answer, first_work = runs[0]
@@ -188,7 +151,7 @@ class TestCaches:
             page_size=512,
         )
         q, p = workload[0]
-        request = QueryRequest("mst", q, p, k=3)
+        request = QuerySpec("mst", q, p, k=3)
         try:
             with ShardedQueryEngine(sharded, dataset) as engine:
                 first_answer, first_work = _traced_work(engine, request)
@@ -209,12 +172,12 @@ class TestInvalidation:
             index.insert(tr)
         (q, p), = make_workload(dataset, 1, query_length=0.2, seed=9)
         engine = QueryEngine(index, dataset)
-        engine.run_batch([QueryRequest("mst", q, p, k=2)])
+        engine.run_batch([QuerySpec("mst", q, p, k=2)])
         assert engine.metrics.counters.get(
             "engine.cache.invalidations", 0
         ) == 0
         index.insert(trajectories[-1])  # structural change
-        result = engine.run_batch([QueryRequest("mst", q, p, k=2)])
+        result = engine.run_batch([QuerySpec("mst", q, p, k=2)])
         assert engine.metrics.counters["engine.cache.invalidations"] == 1
         # and the post-invalidation answer is still correct
         want, _ = raw_bfmst(index, q, p, 2)
@@ -237,7 +200,7 @@ class TestEngineSurface:
         q, p = workload[0]
         engine = QueryEngine(index)  # no dataset
         with pytest.raises(QueryError, match="dataset"):
-            engine.execute(QueryRequest("linear_scan", q, p, k=1))
+            engine.execute(QuerySpec("linear_scan", q, p, k=1))
         engine.close()
 
     def test_unknown_kind_rejected(self, dataset, workload):
@@ -245,7 +208,7 @@ class TestEngineSurface:
         q, p = workload[0]
         with QueryEngine(index, dataset) as engine:
             with pytest.raises(QueryError, match="unknown query kind"):
-                engine.execute(QueryRequest("voronoi", q, p))
+                engine.execute(QuerySpec("voronoi", q, p))
 
     def test_closed_engine_rejects_queries(self, dataset, workload):
         index = _build(RTree3D, dataset)
@@ -253,28 +216,19 @@ class TestEngineSurface:
         engine = QueryEngine(index, dataset)
         engine.close()
         with pytest.raises(QueryError, match="closed"):
-            engine.run_batch([QueryRequest("mst", q, p)])
+            engine.run_batch([QuerySpec("mst", q, p)])
 
     def test_batch_result_shape(self, dataset, workload):
         index = _build(RTree3D, dataset)
         q, p = workload[0]
         with QueryEngine(index, dataset) as engine:
-            batch = engine.run_batch([QueryRequest("mst", q, p, k=1)])
+            batch = engine.run_batch([QuerySpec("mst", q, p, k=1)])
         assert isinstance(batch, BatchResult)
         assert len(batch) == 1
         doc = batch.as_dict()
         assert doc["num_queries"] == 1
         assert doc["queries_per_sec"] > 0
-        assert "engine.cache.dissim.hits" in doc["cache"]
         assert "engine.buffer.hits" in doc["cache"]
-
-    def test_query_key_types(self, dataset):
-        tr = next(iter(dataset))
-        assert query_key(tr)[0] == "traj"
-        assert query_key(Point(1.0, 2.0)) == ("point", 1.0, 2.0)
-        assert query_key(MBR2D(0, 0, 1, 1)) == ("window", 0, 0, 1, 1)
-        with pytest.raises(QueryError):
-            query_key(object())
 
     def test_executor_factory(self):
         assert make_executor("serial").kind == "serial"

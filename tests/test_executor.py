@@ -3,11 +3,10 @@ batches, shut down with close() — plus the engine-owned executor."""
 
 import pytest
 
-from repro import RTree3D, generate_gstd, make_workload
+from repro import QuerySpec, RTree3D, generate_gstd, make_workload
 from repro.engine import (
     EngineConfig,
     QueryEngine,
-    QueryRequest,
     SerialExecutor,
     ThreadedExecutor,
     make_executor,
@@ -84,7 +83,7 @@ class TestEngineOwnedExecutor:
         index, dataset, workload = world
         config = EngineConfig(executor="thread", max_workers=2)
         with QueryEngine(index, dataset, config=config) as engine:
-            requests = [QueryRequest("mst", q, p, k=2) for q, p in workload]
+            requests = [QuerySpec("mst", q, p, k=2) for q, p in workload]
             engine.run_batch(requests)
             pool = engine.executor._pool
             engine.run_batch(requests)
@@ -92,12 +91,3 @@ class TestEngineOwnedExecutor:
             # threaded batches must have locked the buffer manager
             assert index.buffer._lock is not None
         assert engine.executor._pool is None  # close() tears it down
-
-    def test_string_override_is_ephemeral(self, world):
-        index, dataset, workload = world
-        with QueryEngine(index, dataset) as engine:
-            requests = [QueryRequest("mst", q, p, k=2) for q, p in workload]
-            batch = engine.run_batch(requests, executor="thread")
-            assert batch.executor == "thread"
-            # the session executor is untouched (and serial)
-            assert engine.executor.kind == "serial"

@@ -482,12 +482,13 @@ class TestSidecarLifetime:
         index.pagefile.close()
 
     def test_thread_executor_engine(self, rtree, dataset, tmp_path):
-        from repro.engine import EngineConfig, QueryEngine, QueryRequest
+        from repro.engine import EngineConfig, QueryEngine
+        from repro.search.spec import QuerySpec
 
         path = tmp_path / "idx.pages"
         save_index(rtree, path, signatures=True)
         requests = [
-            QueryRequest("mst", query, period, k=3)
+            QuerySpec("mst", query, period, k=3)
             for query, period in workload(dataset, n=8, seed=29)
         ]
         answers = {}
@@ -713,7 +714,8 @@ class TestByteIdentity:
             loaded.close()
 
     def test_process_executor(self, dataset, tmp_path):
-        from repro.engine import EngineConfig, QueryRequest, ShardedQueryEngine
+        from repro.engine import EngineConfig, ShardedQueryEngine
+        from repro.search.spec import QuerySpec
         from repro.sharding import (
             ShardedDataset,
             build_sharded_index,
@@ -741,7 +743,7 @@ class TestByteIdentity:
             )
             try:
                 result = engine.execute(
-                    QueryRequest("mst", query, period, k=5)
+                    QuerySpec("mst", query, period, k=5)
                 )
                 results[mode] = match_keys(result.matches)
                 stats[mode] = result.stats
@@ -868,17 +870,7 @@ class TestCounters:
 
     def test_refinement_skip_avoids_cache_lookup(self):
         # A candidate whose signature bound clears the k-th boundary
-        # must be skipped *before* the refinement LRU is consulted, so
-        # the cache hit-rate denominator only counts real refinements.
-        class BombCache:
-            def get(self, tid):
-                raise AssertionError(
-                    "refinement cache consulted for a pruned candidate"
-                )
-
-            def put(self, tid, value):
-                raise AssertionError("pruned candidate refined")
-
+        # is skipped, not counted as a refinement and not re-integrated.
         records = [
             CandidateRecord(1, 1.0, 0.0, True, ()),
             CandidateRecord(2, 1.5, 0.6, True, ()),
@@ -886,8 +878,7 @@ class TestCounters:
         stats = SearchStats()
         query = Trajectory(-1, [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
         out = _assemble(
-            records, query, 1, True, stats, BombCache(),
-            sig_lookup={2: 1.2}.get,
+            records, query, 1, True, stats, sig_lookup={2: 1.2}.get
         )
         assert [m.trajectory_id for m in out] == [1]
         assert stats.refinement_skipped == 1

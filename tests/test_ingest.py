@@ -18,7 +18,7 @@ import pytest
 from repro import IngestStore, StorageError, TrajectoryError
 from repro.cli import main
 from repro.datagen import generate_gstd, make_query
-from repro.engine import EngineConfig, LiveQueryEngine, QueryRequest
+from repro.engine import EngineConfig, LiveQueryEngine
 from repro.exceptions import ChecksumError, QueryError
 from repro.ingest import (
     WAL_RECORD_BYTES,
@@ -28,6 +28,7 @@ from repro.ingest import (
     recover_wal,
     replay_wal,
 )
+from repro.search import QuerySpec
 from repro.search.api import bfmst_search
 from repro.storage import RECORD_HEADER_BYTES, frame_record, parse_record
 from repro.storage.format import KIND_WAL
@@ -451,7 +452,7 @@ class TestLiveQueryEngine:
             feed(store, ingest_dataset)
             want = live_answers(store, query, period, 4)
             with LiveQueryEngine(store) as engine:
-                result = engine.execute(QueryRequest("mst", query, period, k=4))
+                result = engine.execute(QuerySpec("mst", query, period, k=4))
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
             assert got == want
 
@@ -470,7 +471,7 @@ class TestLiveQueryEngine:
             store_a.compact()
             want = oracle_answers(ingest_dataset, query, period, 5)
             with LiveQueryEngine([store_a, store_b]) as engine:
-                result = engine.execute(QueryRequest("mst", query, period, k=5))
+                result = engine.execute(QuerySpec("mst", query, period, k=5))
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
             assert got == want
         finally:
@@ -482,7 +483,7 @@ class TestLiveQueryEngine:
             with LiveQueryEngine(store) as engine:
                 with pytest.raises(QueryError):
                     engine.execute(
-                        QueryRequest(
+                        QuerySpec(
                             "range", Trajectory(-1, [(0, 0, 0), (1, 1, 1)]), None
                         )
                     )
@@ -490,7 +491,7 @@ class TestLiveQueryEngine:
     def test_run_batch(self, tmp_path, ingest_dataset):
         rng = random.Random(16)
         requests = [
-            QueryRequest("mst", *make_query(ingest_dataset, 0.3, rng), k=2)
+            QuerySpec("mst", *make_query(ingest_dataset, 0.3, rng), k=2)
             for _ in range(3)
         ]
         with IngestStore.create(tmp_path / "s") as store:
@@ -500,7 +501,8 @@ class TestLiveQueryEngine:
             ) as engine:
                 batch = engine.run_batch(requests)
             assert len(batch.results) == 3
-            assert batch.metrics["generations"] == [-1]
+            assert batch.metrics["engine.queries.mst"] == 3
+            assert engine.signature()[0][0] == -1  # nothing compacted yet
             counters = engine.counters()
             assert counters.get("ingest.generation_pins", 0) == counters.get(
                 "ingest.generation_unpins", 0
@@ -525,6 +527,7 @@ class TestIngestCli:
         out = capsys.readouterr().out
         assert "absorbed" in out
         assert "generation" in out
+        assert "DISSIM=" in out and "pruning power" in out
         # the info verb prints a JSON document last (its opening brace
         # is the only one that starts a line)
         doc = json.loads(out[out.rfind("\n{") + 1 :])

@@ -17,7 +17,8 @@ import pytest
 
 from repro import IngestStore
 from repro.datagen import generate_gstd, make_query
-from repro.engine import EngineConfig, LiveQueryEngine, QueryRequest
+from repro.engine import EngineConfig, LiveQueryEngine
+from repro.search import QuerySpec
 from repro.search.api import bfmst_search
 from repro.trajectory import Trajectory
 
@@ -79,7 +80,7 @@ def test_threaded_queries_race_compactions(base_store):
     thread = threading.Thread(target=writer, name="ingest-writer")
     thread.start()
     try:
-        requests = [QueryRequest("mst", query, period, k=4)] * 32
+        requests = [QuerySpec("mst", query, period, k=4)] * 32
         with LiveQueryEngine(
             store, EngineConfig(executor="thread", max_workers=4)
         ) as engine:

@@ -18,7 +18,8 @@ import pytest
 from repro import IngestStore
 from repro.datagen import generate_gstd, make_query
 from repro.distance.kernels import have_numpy
-from repro.engine import LiveQueryEngine, QueryRequest
+from repro.engine import LiveQueryEngine
+from repro.search import QuerySpec
 from repro.search.api import bfmst_search
 from repro.sharding import make_partitioner
 from repro.trajectory import Trajectory, TrajectoryDataset
@@ -138,7 +139,7 @@ def test_random_interleavings_partitioned_fleet(tmp_path, partitioner):
                 k = rng.choice(K_CHOICES)
                 with LiveQueryEngine(stores) as engine:
                     result = engine.execute(
-                        QueryRequest("mst", query, period, k=k)
+                        QuerySpec("mst", query, period, k=k)
                     )
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
                 merged = TrajectoryDataset(
@@ -168,7 +169,7 @@ def test_random_interleavings_partitioned_fleet(tmp_path, partitioner):
             for k in K_CHOICES:
                 with LiveQueryEngine(stores) as engine:
                     result = engine.execute(
-                        QueryRequest("mst", query, period, k=k)
+                        QuerySpec("mst", query, period, k=k)
                     )
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
                 assert got == _oracle(

@@ -26,7 +26,7 @@ from repro.distance.kernels import (
     segment_dissim_batch_python,
 )
 from repro.distance.trinomial import DistanceTrinomial
-from repro.engine import EngineConfig, QueryEngine, QueryRequest
+from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import QueryError, TemporalCoverageError
 from repro.geometry import MBR3D, STSegment, distance_trinomial_coefficients
 from repro.index.mindist import (
@@ -36,6 +36,7 @@ from repro.index.mindist import (
     mindist_batch_python,
 )
 from repro.obs import query_trace
+from repro.search import QuerySpec
 from repro.search import api as search_api
 from repro.search.bfmst import bfmst_search
 from repro.sharding import (
@@ -410,7 +411,7 @@ class TestBFMSTKernelParity:
             with QueryEngine(
                 index, dataset, config=EngineConfig(kernels=mode)
             ) as engine:
-                request = QueryRequest("mst", query, period, k=5)
+                request = QuerySpec("mst", query, period, k=5)
                 with query_trace(index):
                     first = engine.execute(request)
                 # the engine keeps no per-query memo: the second run

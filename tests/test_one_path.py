@@ -17,6 +17,7 @@ import pytest
 from repro import IngestStore
 from repro.datagen import generate_gstd, make_workload
 from repro.engine import (
+    BatchResult,
     EngineConfig,
     LiveQueryEngine,
     QueryEngine,
@@ -24,12 +25,14 @@ from repro.engine import (
     ShardPlan,
 )
 from repro.engine.executor import _execute_shard_plan
-from repro.exceptions import DeadlineExceeded
+from repro.exceptions import DeadlineExceeded, QueryError
 from repro.index import TBTree
 from repro.search import QuerySpec, bfmst as bfmst_module, bfmst_search
+from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.sharding import (
     ShardedDataset,
     build_sharded_index,
+    load_sharded_index,
     make_partitioner,
     save_sharded_index,
 )
@@ -226,7 +229,7 @@ class TestDeadlinesStopTheTraversal:
         # patched clock applies (expired-before-open is test_procpool's).
         query, period = query_and_period
         with sharded_engine(shards_dir, "serial") as engine:
-            signature = engine.shard_engines[0].signature()
+            signature = engine.signature()[0]
             engine.index.close()
         plan = ShardPlan(
             spec=QuerySpec("mst", query, period, k=3),
@@ -253,3 +256,84 @@ class TestDeadlinesStopTheTraversal:
             pins = store.metrics.value("ingest.generation_pins")
             assert pins == 1
             assert store.metrics.value("ingest.generation_unpins") == pins
+
+
+# ----------------------------------------------------------------------
+# one session body behind the three engine classes
+# ----------------------------------------------------------------------
+@pytest.fixture(params=("single", "sharded", "live"))
+def any_engine(request, dataset, single_index, shards_dir, tmp_path):
+    """The same data behind each engine class, serial executor."""
+    if request.param == "single":
+        with QueryEngine(single_index, dataset) as engine:
+            yield engine
+    elif request.param == "sharded":
+        with sharded_engine(shards_dir, "serial") as engine:
+            yield engine
+            engine.index.close()
+    else:
+        with live_store(tmp_path / "s", dataset, "mixed") as store:
+            with LiveQueryEngine(store) as engine:
+                yield engine
+
+
+def test_one_behaviour_three_engines(any_engine, query_and_period):
+    """What the shared session body guarantees, on every engine class:
+    requests counted in one registry, an expired deadline refused
+    before any part is obtained, batch telemetry, the same ``/stats``
+    shape, nothing after ``close()``."""
+    engine, (query, period) = any_engine, query_and_period
+    spec = QuerySpec("mst", query, period, k=3)
+    for served in (1, 2):
+        engine.execute(spec)
+        assert engine.metrics.value("engine.queries") == served
+        assert engine.metrics.value("engine.queries.mst") == served
+
+    stores = getattr(engine, "stores", ())
+    pins = [s.metrics.value("ingest.generation_pins") for s in stores]
+    plans = engine.metrics.value("engine.planner.plans")
+    with pytest.raises(DeadlineExceeded, match="before the mst query"):
+        engine.execute(spec, deadline=time.monotonic() - 1.0)
+    assert engine.metrics.value("engine.deadline_misses") == 1
+    assert engine.metrics.value("engine.planner.plans") == plans
+    assert pins == [s.metrics.value("ingest.generation_pins") for s in stores]
+
+    batch = engine.run_batch([spec] * 2)
+    assert isinstance(batch, BatchResult) and len(batch) == 2
+    assert batch.executor == engine.executor.kind == "serial"
+    assert set(batch.cache_counters) == {
+        "engine.buffer.hits", "engine.buffer.misses", "engine.buffer.pinned"
+    }
+    assert batch.metrics["engine.queries"] == 4  # the refused one is not one
+    assert batch.metrics["engine.batches"] == 1
+
+    with BackgroundServer(engine, ServeConfig(port=0, workers=1)) as bg:
+        with ServeClient(*bg.address) as client:
+            doc = client.stats()["engine"]
+    assert doc["type"] == type(engine).__name__
+    assert set(doc["metrics"]) == {"counters", "gauges", "timers", "histograms"}
+    assert doc["metrics"]["counters"]["engine.queries.mst"] == 4
+
+    engine.close()
+    for call in (engine.execute, lambda s: engine.run_batch([s])):
+        with pytest.raises(QueryError, match="closed"):
+            call(spec)
+
+
+def test_process_executor_needs_shard_paths(
+    dataset, single_index, shards_dir, tmp_path
+):
+    """Only an engine that can hand its workers page-file paths takes
+    ``executor="process"``; the others refuse it rather than run
+    in-process under its name."""
+    config = EngineConfig(executor="process")
+    sharded = load_sharded_index(shards_dir)  # an index, no manifest_dir
+    with live_store(tmp_path / "s", dataset, "uncompacted") as store:
+        for build in (
+            lambda: QueryEngine(single_index, dataset, config=config),
+            lambda: LiveQueryEngine(store, config),
+            lambda: ShardedQueryEngine(sharded, config=config),
+        ):
+            with pytest.raises(QueryError, match="shard page-file paths"):
+                build()
+    sharded.close()

@@ -22,8 +22,7 @@ from repro import (
 )
 from repro.datagen import make_query
 from repro.exceptions import IndexError_, StorageError
-from repro.index import fsck, fsck_index, migrate_index_v1
-from repro.storage import unframe_page
+from repro.index import fsck, fsck_index
 from repro.sharding import (
     MANIFEST_NAME,
     ShardedDataset,
@@ -433,31 +432,17 @@ class TestBackendIdentity:
 
 
 # ----------------------------------------------------------------------
-# v1 migration
+# v1 files are refused
 # ----------------------------------------------------------------------
 def _downgrade_to_v1(path, meta):
-    """Rewrite a saved v2 index as a genuine v1 file: raw unframed node
-    payloads in the page slots, a ``"version": 1`` sidecar without the
-    v2 digest fields."""
-    page_size = meta["page_size"]
-    raw = path.read_bytes()
-    v1_pages = []
-    for pid in range(len(raw) // page_size):
-        page = raw[pid * page_size : (pid + 1) * page_size]
-        if not page.strip(b"\x00"):
-            v1_pages.append(page)
-            continue
-        _, payload = unframe_page(page, pid)
-        v1_pages.append(bytes(payload).ljust(page_size, b"\x00"))
-    path.write_bytes(b"".join(v1_pages))
+    """Mark a saved index as v1 the way a v1 writer did: a
+    ``"version": 1`` sidecar without the v2 digest fields (the sidecar
+    is read first, so the pages are never looked at)."""
     v1_meta = {
-        k: v
-        for k, v in meta.items()
-        if k not in ("num_pages", "pages_sha256")
+        k: v for k, v in meta.items() if k not in ("num_pages", "pages_sha256")
     }
     v1_meta["version"] = 1
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(v1_meta))
+    path.with_name(path.name + ".meta.json").write_text(json.dumps(v1_meta))
 
 
 class TestV1Migration:
@@ -467,43 +452,8 @@ class TestV1Migration:
     ):
         _, path, meta = _saved_index(dataset, tmp_path, cls=cls)
         _downgrade_to_v1(path, meta)
-        with pytest.raises(StorageError, match="migrate_index_v1"):
+        with pytest.raises(StorageError, match="v1 index file.*version 2"):
             load_index(path)
-
-    @pytest.mark.parametrize("cls", [RTree3D, TBTree])
-    def test_migration_round_trip(self, cls, dataset, tmp_path):
-        index, path, meta = _saved_index(dataset, tmp_path, cls=cls)
-        _downgrade_to_v1(path, meta)
-        dst = tmp_path / "migrated.pages"
-        new_meta = migrate_index_v1(path, dst)
-        assert new_meta["version"] == 2
-        assert fsck_index(dst).ok
-
-        loaded = load_index(dst, verify=True)
-        try:
-            rng = random.Random(5)
-            for _ in range(3):
-                query, period = make_query(dataset, 0.2, rng)
-                got = bfmst_search(loaded, None, query, period=period, k=3).matches
-                want = bfmst_search(index, None, query, period=period, k=3).matches
-                assert [
-                    (m.trajectory_id, m.dissim) for m in got
-                ] == [(m.trajectory_id, m.dissim) for m in want]
-        finally:
-            loaded.pagefile.close()
-
-    def test_migrate_rejects_v2_input(self, dataset, tmp_path):
-        _, path, _ = _saved_index(dataset, tmp_path)
-        with pytest.raises(StorageError, match="expects a v1"):
-            migrate_index_v1(path, tmp_path / "out.pages")
-
-    def test_migrate_refuses_overwrite(self, dataset, tmp_path):
-        _, path, meta = _saved_index(dataset, tmp_path)
-        _downgrade_to_v1(path, meta)
-        dst = tmp_path / "out.pages"
-        dst.write_bytes(b"")
-        with pytest.raises(StorageError, match="refusing to overwrite"):
-            migrate_index_v1(path, dst)
 
 
 # ----------------------------------------------------------------------

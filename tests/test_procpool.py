@@ -32,7 +32,6 @@ from repro import RTree3D, TBTree, generate_gstd, make_workload
 from repro.engine import (
     EngineConfig,
     ProcessPoolShardExecutor,
-    QueryRequest,
     ShardAnswer,
     ShardedQueryEngine,
     ShardPlan,
@@ -96,9 +95,9 @@ class TestProcessExecutorIdentity:
             for query, period in workload:
                 for k in (1, 5, 10):
                     want = serial.execute(
-                        QueryRequest("mst", query, period, k=k)
+                        QuerySpec("mst", query, period, k=k)
                     )
-                    got = proc.execute(QueryRequest("mst", query, period, k=k))
+                    got = proc.execute(QuerySpec("mst", query, period, k=k))
                     assert got.answer_json() == want.answer_json()
         finally:
             proc.close()
@@ -113,7 +112,7 @@ class TestProcessExecutorIdentity:
             backend="mmap",
         )
         query, period = workload[0]
-        proc.execute(QueryRequest("mst", query, period, k=3))
+        proc.execute(QuerySpec("mst", query, period, k=3))
         assert multiprocessing.active_children()  # pool is actually up
         proc.close()
         assert multiprocessing.active_children() == []
@@ -141,10 +140,10 @@ class TestProcessExecutorIdentity:
         )
         query, period = workload[0]
         try:
-            first = proc.execute(QueryRequest("mst", query, period, k=3))
+            first = proc.execute(QuerySpec("mst", query, period, k=3))
             proc.executor.close()
             proc.executor.close()  # second close is a no-op
-            again = proc.execute(QueryRequest("mst", query, period, k=3))
+            again = proc.execute(QuerySpec("mst", query, period, k=3))
             assert again.answer_json() == first.answer_json()
         finally:
             proc.close()
@@ -285,7 +284,7 @@ class TestSerializationContract:
             with pytest.raises(QueryError, match="signature"):
                 engine._validate_answer(stale)
             good = ShardAnswer(
-                shard_id=0, signature=engine.shard_engines[0].signature()
+                shard_id=0, signature=engine.signature()[0]
             )
             engine._validate_answer(good)  # current generation passes
         finally:
@@ -360,7 +359,7 @@ class TestWorkerObsIsolation:
         _save_sharded(dataset, RTree3D, "hash", directory)
         query = next(iter(dataset))
         engine = ShardedQueryEngine.open(directory, backend="mmap")
-        signature = engine.shard_engines[0].signature()
+        signature = engine.signature()[0]
         engine.close()
         plan = _plan_for(
             query,
@@ -385,7 +384,7 @@ class TestWorkerObsIsolation:
         directory = tmp_path / "shards"
         _save_sharded(dataset, RTree3D, "temporal", directory, num_shards=3)
         requests = [
-            QueryRequest("mst", q, p, k=3) for q, p in workloads
+            QuerySpec("mst", q, p, k=3) for q, p in workloads
         ]
         serial = ShardedQueryEngine.open(
             directory, config=EngineConfig(executor="serial"), backend="mmap"

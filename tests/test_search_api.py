@@ -1,5 +1,5 @@
-"""The unified search API: single-form dispatch, removed-legacy-form
-errors, SearchResult envelopes and cross-algorithm stats parity."""
+"""The unified search API: single-form dispatch, SearchResult
+envelopes and cross-algorithm stats parity."""
 
 from __future__ import annotations
 
@@ -241,17 +241,17 @@ class TestInternalCodeIsWarningClean:
             mod.nearest(Point(0.5, 0.5), p[0], p[1], k=2)
 
     def test_engine_paths_are_clean(self, index, dataset, qp):
-        from repro.engine import QueryEngine, QueryRequest
+        from repro.engine import QueryEngine
 
         q, p = qp
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with QueryEngine(index, dataset) as engine:
                 engine.run_batch([
-                    QueryRequest("mst", q, p, k=2),
-                    QueryRequest("linear_scan", q, p, k=2),
-                    QueryRequest("nn", Point(0.5, 0.5), p, k=1),
-                    QueryRequest("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
+                    QuerySpec("mst", q, p, k=2),
+                    QuerySpec("linear_scan", q, p, k=2),
+                    QuerySpec("nn", Point(0.5, 0.5), p, k=1),
+                    QuerySpec("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
                 ])
 
     def test_experiment_workload_runner_is_clean(self, dataset):
@@ -268,38 +268,65 @@ class TestInternalCodeIsWarningClean:
 
 
 class TestLegacyFormsRemoved:
-    """The pre-unification positional forms raise a clear TypeError
-    pointing at the unified replacement (they went through a full
-    DeprecationWarning cycle first)."""
-
-    def test_every_legacy_form_raises(self, index, dataset, qp):
-        q, p = qp
-        lo, hi = p
-        calls = [
-            lambda: bfmst_search(index, q, p, k=2),
-            lambda: linear_scan_kmst(dataset, q, p, 2),
-            lambda: nearest_neighbours(index, Point(0.5, 0.5), lo, hi, 2),
-            lambda: range_query(index, MBR2D(0.2, 0.2, 0.8, 0.8), lo, hi),
-            lambda: continuous_nearest_neighbour(dataset, q, lo, hi),
-            lambda: time_relaxed_kmst(dataset, q.sliced(lo, (lo + hi) / 2), 1),
-        ]
-        for call in calls:
-            with pytest.raises(TypeError, match="was removed"):
-                call()
+    """The pre-unification positional forms are gone; the entry points
+    are plain ``fn(ctx_or_index, dataset, query, *, ...)`` functions."""
 
     def test_error_carries_migration_hint(self, index, qp):
+        """The old ``bfmst_search(index, query, period)`` form puts a
+        period where the query goes: rejected, naming the slots, before
+        the index is read."""
         q, p = qp
+        reads = index.pagefile.stats.snapshot()
         with pytest.raises(TypeError) as err:
             bfmst_search(index, q, p, k=2)
-        message = str(err.value)
-        assert "bfmst_search(index, None, query, k=...)" in message
-        assert "migration table" in message
+        assert "(ctx_or_index, dataset, query)" in str(err.value)
+        assert index.pagefile.stats.diff(reads).logical_reads == 0
 
     def test_raw_implementations_stay_importable(self, index, qp):
         q, p = qp
         matches, stats = raw_bfmst(index, q, p, 2)
         assert isinstance(stats, SearchStats)
         assert matches
+
+
+class TestOptionTable:
+    def test_table_names_the_entry_points_keywords(self):
+        """What ``QuerySpec.from_dict`` accepts per kind is what the
+        kind's entry point takes: the table cannot drift from the
+        signatures it guards."""
+        import inspect
+
+        from repro.search.api import _DISPATCH
+        from repro.search.spec import OPTIONS
+
+        assert set(OPTIONS) == set(_DISPATCH)
+        spec_fields = {"period", "k", "kernels", "trace", "deadline"}
+        for kind, (fn, _takes_period, _takes_k) in _DISPATCH.items():
+            keyword_only = {
+                name
+                for name, param in inspect.signature(fn).parameters.items()
+                if param.kind is param.KEYWORD_ONLY
+            }
+            assert set(OPTIONS[kind]) == keyword_only - spec_fields, kind
+
+    def test_wire_options_are_held_against_the_table(self, qp):
+        q, p = qp
+        doc = QuerySpec("mst", q, p).as_dict()
+        good = {
+            "vmax": 2.5, "use_heuristic1": False, "use_heuristic2": False,
+            "refine": False, "exclude_ids": [3, "7"], "filter": "off",
+        }
+        revived = QuerySpec.from_dict({**doc, "options": good})
+        assert revived.options == {**good, "exclude_ids": frozenset({3, "7"})}
+        for kind, bad in [
+            ("mst", {"vmax": True}), ("mst", {"filter": "sometimes"}),
+            ("mst", {"exclude_ids": 5}), ("mst", {"exclude_ids": [[1]]}),
+            ("linear_scan", {"exact": 1}), ("nn", {"exclude_ids": [1]}),
+            ("time_relaxed", {"grid": 0}), ("time_relaxed", {"grid": 2.5}),
+        ]:
+            (name,) = bad
+            with pytest.raises(QueryError, match=name):
+                QuerySpec.from_dict({**doc, "kind": kind, "options": bad})
 
 
 class TestSpecAttachment:

@@ -11,6 +11,7 @@ deterministic.
 from __future__ import annotations
 
 import concurrent.futures
+import json
 import threading
 import time
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro import MBR2D, Point, RTree3D, generate_gstd, make_workload
 from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import DeadlineExceeded, QueryError, ServeError
+from repro.obs import MetricsRegistry
 from repro.search.results import SearchResult, SearchStats
 from repro.search.spec import QuerySpec
 from repro.serve import (
@@ -210,10 +212,42 @@ class TestRejectionPaths:
         doc["period"] = [0.0, 1.0]  # time_relaxed takes no period
         with ServeClient(*bg.address) as client:
             status, _headers, payload = client.query_raw(
-                __import__("json").dumps(doc).encode()
+                json.dumps(doc).encode()
             )
             assert status == 422
             assert b"rejected" in payload
+
+    @pytest.mark.parametrize(
+        "options, names",
+        [
+            ({"bogus": 1}, ("bogus", "exclude_ids")),
+            ({"selected": [0]}, ("selected", "vmax")),
+            ({"executor": 1}, ("executor", "filter")),
+            ({"deadline": 1}, ("deadline", "refine")),
+            ({"vmax": "fast"}, ("vmax", "a number")),
+            ({"refine": "no"}, ("refine", "true or false")),
+        ],
+        ids=["bogus", "selected", "executor", "deadline", "vmax", "refine"],
+    )
+    def test_bad_option_is_400(self, options, names, served_world):
+        """An option the kind does not take, or an ill-typed one, is
+        refused at the boundary: the body names it and what is
+        accepted, and shows nothing of the Python underneath."""
+        dataset, _engine, bg = served_world
+        query, period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
+        doc = QuerySpec("mst", query, period, k=2).as_dict()
+        doc["options"] = options
+        with ServeClient(*bg.address) as client:
+            malformed = lambda: client.stats()["serve"]["counters"].get(
+                "serve.rejected.malformed", 0
+            )
+            before = malformed()
+            status, _h, payload = client.query_raw(json.dumps(doc).encode())
+            assert malformed() == before + 1
+        body = json.loads(payload)
+        assert (status, body["error"]) == (400, "malformed")
+        assert all(name in body["detail"] for name in names)
+        assert "TypeError" not in body["detail"]
 
     def test_stats_and_health_endpoints(self, served_world):
         *_x, bg = served_world
@@ -234,6 +268,7 @@ class _StubEngine:
 
     def __init__(self):
         self._signature = ("stub", 1)
+        self.metrics = MetricsRegistry()
 
     def signature(self):
         return self._signature

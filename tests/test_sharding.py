@@ -25,13 +25,13 @@ from repro.engine import (
     EngineConfig,
     QueryEngine,
     QueryPlanner,
-    QueryRequest,
     ShardedQueryEngine,
     budget_buffers,
 )
 from repro.exceptions import QueryError, TrajectoryError
 from repro.geometry import MBR2D, Point
 from repro.search import (
+    QuerySpec,
     bfmst_search,
     linear_scan_kmst,
     nearest_neighbours,
@@ -417,7 +417,7 @@ class TestPlanner:
         epochs are logged back to back, total node accesses stay within
         1.25x the single index's at every shard count, answers equal."""
         dataset, workload = staggered_fleet(epochs=4)
-        requests = [QueryRequest("mst", q, p, k=5) for q, p in workload]
+        requests = [QuerySpec("mst", q, p, k=5) for q, p in workload]
 
         single = RTree3D(page_size=1024)
         single.bulk_insert(dataset)
@@ -469,7 +469,7 @@ class TestShardedQueryEngine:
         )
         sharded = build_sharded_index(sharded_ds, tree_cls, page_size=1024)
         requests = [
-            QueryRequest("mst", q, p, k=5) for q, p in workload
+            QuerySpec("mst", q, p, k=5) for q, p in workload
         ]
         with QueryEngine(single_index, dataset) as ref:
             want = ref.run_batch(requests)
@@ -497,7 +497,7 @@ class TestShardedQueryEngine:
                 shard.buffer._lock is not None for shard in sharded.shards
             )
             got = engine.run_batch(
-                [QueryRequest("mst", q, p, k=5) for q, p in workload]
+                [QuerySpec("mst", q, p, k=5) for q, p in workload]
             )
             assert got.executor == "thread"
         sharded.close()
@@ -511,7 +511,7 @@ class TestShardedQueryEngine:
         engine.close()
         query, period = workload[0]
         with pytest.raises(QueryError):
-            engine.execute(QueryRequest("mst", query, period, k=1))
+            engine.execute(QuerySpec("mst", query, period, k=1))
         sharded.close()
 
     def test_dataset_required_for_scan_kinds(self, dataset, workload):
@@ -522,5 +522,5 @@ class TestShardedQueryEngine:
         with ShardedQueryEngine(sharded) as engine:
             query, period = workload[0]
             with pytest.raises(QueryError):
-                engine.execute(QueryRequest("linear_scan", query, period, k=1))
+                engine.execute(QuerySpec("linear_scan", query, period, k=1))
         sharded.close()
