@@ -15,7 +15,7 @@ Quickstart::
 
     dataset = generate_gstd(100)
     index = RTree3D()
-    index.bulk_insert(dataset)
+    index.bulk_insert(dataset)      # a whole dataset: packed in one pass
     index.finalize()
 
     (query, period), = make_workload(dataset, 1, query_length=0.05)

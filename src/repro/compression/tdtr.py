@@ -23,6 +23,7 @@ __all__ = [
     "td_tr",
     "td_tr_fraction",
     "td_tr_with_radii",
+    "td_tr_columns",
     "douglas_peucker",
     "uniform_downsample",
 ]
@@ -47,7 +48,8 @@ def td_tr(traj: Trajectory, tolerance: float) -> Trajectory:
     """
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
-    keep = _select_indices(traj, tolerance, _sed_error)
+    x, y, t = traj.coordinate_arrays()
+    keep = _select_indices(t, x, y, tolerance, _worst_sed)
     return Trajectory(traj.object_id, [traj[i] for i in keep])
 
 
@@ -64,7 +66,14 @@ def td_tr_fraction(traj: Trajectory, p: float) -> Trajectory:
 def td_tr_with_radii(
     traj: Trajectory, tolerance: float
 ) -> tuple[list[int], list[float]]:
-    """TD-TR selection plus a certified per-segment error radius.
+    """TD-TR selection plus a certified per-segment error radius
+    (:func:`td_tr_columns` on the trajectory's samples)."""
+    x, y, t = traj.coordinate_arrays()
+    return td_tr_columns(t, x, y, tolerance)
+
+
+def td_tr_columns(t, x, y, tolerance: float) -> tuple[list[int], list[float]]:
+    """TD-TR over the ``t``/``x``/``y`` columns of one trajectory.
 
     Returns ``(kept, radii)`` where ``kept`` is the sorted list of kept
     sample indexes and ``radii[j]`` is the maximum SED of the samples
@@ -76,18 +85,17 @@ def td_tr_with_radii(
     equals the maximum SED at the dropped samples, and every point of
     the original path stays within ``radii[j]`` of the simplified
     segment at the synchronized timestamp.
+
+    Every SED is the expression of
+    :func:`synchronized_euclidean_distance`, term for term, so the
+    kept indexes and radii are the ones that function would give.
     """
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
-    kept = _select_indices(traj, tolerance, _sed_error)
-    radii: list[float] = []
-    for a, b in zip(kept, kept[1:]):
-        worst = 0.0
-        for i in range(a + 1, b):
-            err = synchronized_euclidean_distance(traj, i, a, b)
-            if err > worst:
-                worst = err
-        radii.append(worst)
+    kept = _select_indices(t, x, y, tolerance, _worst_sed)
+    radii = [
+        max(_worst_sed(t, x, y, a, b)[1], 0.0) for a, b in zip(kept, kept[1:])
+    ]
     return kept, radii
 
 
@@ -96,7 +104,8 @@ def douglas_peucker(traj: Trajectory, tolerance: float) -> Trajectory:
     chord, time ignored) — included for comparison with TD-TR."""
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
-    keep = _select_indices(traj, tolerance, _perpendicular_error)
+    x, y, t = traj.coordinate_arrays()
+    keep = _select_indices(t, x, y, tolerance, _worst_perpendicular)
     return Trajectory(traj.object_id, [traj[i] for i in keep])
 
 
@@ -111,37 +120,52 @@ def uniform_downsample(traj: Trajectory, keep_every: int) -> Trajectory:
 
 
 # ----------------------------------------------------------------------
-def _sed_error(traj: Trajectory, i: int, a: int, b: int) -> float:
-    return synchronized_euclidean_distance(traj, i, a, b)
+# Span searches: the sample strictly between ``a`` and ``b`` with the
+# largest error against the chord a -> b (the first one on ties), as
+# ``(index, error)``; ``(-1, -1.0)`` for a span with nothing inside.
+def _worst_sed(t, x, y, a: int, b: int) -> tuple[int, float]:
+    ta, xa, ya = t[a], x[a], y[a]
+    span = t[b] - ta
+    dx = x[b] - xa
+    dy = y[b] - ya
+    worst_i = -1
+    worst_err = -1.0
+    for i in range(a + 1, b):
+        frac = 0.0 if span <= 0.0 else (t[i] - ta) / span
+        err = math.hypot(x[i] - (xa + frac * dx), y[i] - (ya + frac * dy))
+        if err > worst_err:
+            worst_err = err
+            worst_i = i
+    return worst_i, worst_err
 
 
-def _perpendicular_error(traj: Trajectory, i: int, a: int, b: int) -> float:
-    pa, pb, pi = traj[a], traj[b], traj[i]
-    dx = pb.x - pa.x
-    dy = pb.y - pa.y
+def _worst_perpendicular(t, x, y, a: int, b: int) -> tuple[int, float]:
+    xa, ya = x[a], y[a]
+    dx = x[b] - xa
+    dy = y[b] - ya
     norm_sq = dx * dx + dy * dy
-    if norm_sq == 0.0:
-        return math.hypot(pi.x - pa.x, pi.y - pa.y)
-    t = ((pi.x - pa.x) * dx + (pi.y - pa.y) * dy) / norm_sq
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(pi.x - (pa.x + t * dx), pi.y - (pa.y + t * dy))
+    worst_i = -1
+    worst_err = -1.0
+    for i in range(a + 1, b):
+        if norm_sq == 0.0:
+            err = math.hypot(x[i] - xa, y[i] - ya)
+        else:
+            u = ((x[i] - xa) * dx + (y[i] - ya) * dy) / norm_sq
+            u = min(max(u, 0.0), 1.0)
+            err = math.hypot(x[i] - (xa + u * dx), y[i] - (ya + u * dy))
+        if err > worst_err:
+            worst_err = err
+            worst_i = i
+    return worst_i, worst_err
 
 
-def _select_indices(traj: Trajectory, tolerance: float, error_fn) -> list[int]:
+def _select_indices(t, x, y, tolerance: float, worst_in_span) -> list[int]:
     """Shared top-down recursion; returns the sorted kept indexes."""
-    keep = {0, len(traj) - 1}
-    stack = [(0, len(traj) - 1)]
+    keep = {0, len(t) - 1}
+    stack = [(0, len(t) - 1)]
     while stack:
         a, b = stack.pop()
-        if b - a < 2:
-            continue
-        worst_i = -1
-        worst_err = -1.0
-        for i in range(a + 1, b):
-            err = error_fn(traj, i, a, b)
-            if err > worst_err:
-                worst_err = err
-                worst_i = i
+        worst_i, worst_err = worst_in_span(t, x, y, a, b)
         if worst_err > tolerance:
             keep.add(worst_i)
             stack.append((a, worst_i))

@@ -1,7 +1,7 @@
 """Building per-trajectory signatures from a finished index.
 
-The builder walks the tree once, reconstructs each trajectory's sample
-sequence from its leaf segments, and distils one thing per object: a
+The builder walks the tree's pages once, reconstructs each trajectory's
+sample sequence from its leaf segments, and distils one thing per object: a
 TD-TR-simplified polyline (knots) with a certified radius per kept
 segment — the maximum Synchronized Euclidean Distance of the dropped
 samples, so the true position at time ``t`` is always within ``radius``
@@ -15,12 +15,14 @@ are all already settled.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 
-from ..compression.tdtr import td_tr_with_radii
+from ..compression.tdtr import td_tr_columns
 from ..exceptions import IndexError_
-from ..trajectory import Trajectory
+from ..index.node import payload_rows
+from ..storage.format import unframe_page
 
 __all__ = ["TrajectorySignatures", "build_signatures"]
 
@@ -152,26 +154,37 @@ def build_signatures(
 ) -> TrajectorySignatures:
     """Build signatures for every trajectory of a finished index.
 
-    Walks the tree once: leaf segments are regrouped per object (their
-    endpoints reconstruct the original sample sequence exactly — both
-    endpoints of every segment are original samples) and
-    TD-TR-simplified with certified radii.
+    Walks the tree's pages once, reading each as rows of numbers
+    (:func:`repro.index.node.payload_rows` — no node, entry or point
+    objects): leaf segments are regrouped per object (their endpoints
+    reconstruct the original sample sequence exactly — both endpoints
+    of every segment are original samples) and TD-TR-simplified with
+    certified radii.  Works the same on a tree built a moment ago and
+    on one loaded from disk; nodes still dirty in the buffer are
+    written to their pages first.
     """
     if getattr(index, "num_entries", 0) <= 0:
         raise IndexError_("cannot build signatures for an empty index")
 
+    index.buffer.flush(index._serializer)
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     page_tid_sets: dict[int, set[int]] = {}
-    for node in index.nodes():
-        if not node.is_leaf:
+    stack = [index.root_page]
+    while stack:
+        page = stack.pop()
+        _kind, payload = unframe_page(index.pagefile.read(page), page)
+        level, rows = payload_rows(page, payload)
+        if level:
+            stack.extend(row[0] for row in rows)
             continue
-        tid_set = page_tid_sets.setdefault(node.page_id, set())
-        for entry in node.entries:
-            tid = entry.trajectory_id
+        tid_set = page_tid_sets[page] = set()
+        for tid, x1, y1, t1, x2, y2, t2 in rows:
+            seq = samples.get(tid)
+            if seq is None:
+                seq = samples[tid] = {}
             tid_set.add(tid)
-            seq = samples.setdefault(tid, {})
-            for pt in (entry.segment.start, entry.segment.end):
-                seq[pt.t] = (pt.x, pt.y)
+            seq[t1] = (x1, y1)
+            seq[t2] = (x2, y2)
 
     tids = array("q", sorted(samples))
     knot_offsets = array("q", [0])
@@ -180,14 +193,18 @@ def build_signatures(
     knot_y = array("d")
     radii = array("d")
     for tid in tids:
-        pts = [(t, xy[0], xy[1]) for t, xy in sorted(samples[tid].items())]
-        traj = Trajectory(int(tid), [(x, y, t) for t, x, y in pts])
-        kept, seg_radii = td_tr_with_radii(traj, simplify_p * traj.length())
-        for i in kept:
-            t, x, y = pts[i]
-            knot_t.append(t)
-            knot_x.append(x)
-            knot_y.append(y)
+        seq = samples[tid]
+        t = sorted(seq)
+        x = [seq[ti][0] for ti in t]
+        y = [seq[ti][1] for ti in t]
+        length = sum(
+            math.hypot(x0 - x1, y0 - y1)
+            for x0, y0, x1, y1 in zip(x, y, x[1:], y[1:])
+        )
+        kept, seg_radii = td_tr_columns(t, x, y, simplify_p * length)
+        knot_t.extend(t[i] for i in kept)
+        knot_x.extend(x[i] for i in kept)
+        knot_y.extend(y[i] for i in kept)
         radii.extend(seg_radii)
         knot_offsets.append(len(knot_t))
 

@@ -38,6 +38,10 @@ class TrajectoryIndex:
     #: every search running unfiltered.
     signatures = None
 
+    #: Whether :meth:`bulk_insert` packs an empty tree instead of
+    #: inserting segment by segment.
+    packs_static_builds = False
+
     def __init__(
         self,
         pagefile: PageFile | None = None,
@@ -127,21 +131,28 @@ class TrajectoryIndex:
     def insert_entry(self, entry: LeafEntry) -> None:
         raise NotImplementedError
 
-    def insert(self, trajectory: Trajectory) -> None:
-        """Index every line segment of ``trajectory``.
-
-        Object ids must be integers (they are serialised as int64 in
-        the leaf entries); each object may be inserted once.
-        """
+    def _admit(self, object_ids) -> None:
+        """The checks every build path makes before it touches a page:
+        the tree still accepts writes, ids are integers (they are
+        serialised as int64 in the leaf entries), and no object is
+        indexed twice."""
         if self._finalized:
             raise IndexError_("index already finalized; create a new one to insert")
+        seen: set[int] = set()
+        for oid in object_ids:
+            if not isinstance(oid, int):
+                raise TrajectoryError(
+                    f"index requires integer object ids, got {oid!r}"
+                )
+            if oid in self.trajectory_ids or oid in seen:
+                raise TrajectoryError(f"trajectory {oid} already indexed")
+            seen.add(oid)
+
+    def insert(self, trajectory: Trajectory) -> None:
+        """Index every line segment of ``trajectory`` — the dynamic
+        path: one ``insert_entry`` per segment on a live tree."""
         oid = trajectory.object_id
-        if not isinstance(oid, int):
-            raise TrajectoryError(
-                f"index requires integer object ids, got {oid!r}"
-            )
-        if oid in self.trajectory_ids:
-            raise TrajectoryError(f"trajectory {oid} already indexed")
+        self._admit([oid])
         self.trajectory_ids.add(oid)
         for seg in trajectory.segments():
             if seg.speed > self.max_speed:
@@ -149,9 +160,25 @@ class TrajectoryIndex:
             self.insert_entry(LeafEntry(oid, seg))
 
     def bulk_insert(self, dataset: TrajectoryDataset) -> None:
-        """Index a whole dataset (insertion order = dataset order)."""
-        for tr in dataset:
-            self.insert(tr)
+        """Index a whole dataset.
+
+        On an empty :class:`RTree3D` or :class:`TBTree` this is the
+        *static build*: the tree is packed bottom-up in one pass
+        (:meth:`_pack`).  A tree that already holds something, and the
+        trees whose insertion policy is their point (R*, STR-tree),
+        insert one trajectory at a time in dataset order.
+        """
+        trajectories = list(dataset)
+        if self.packs_static_builds and self.root_page == NO_PAGE:
+            self._admit(tr.object_id for tr in trajectories)
+            self._pack(trajectories)
+        else:
+            for tr in trajectories:
+                self.insert(tr)
+
+    def _pack(self, trajectories: list[Trajectory]) -> None:
+        """Pack admitted trajectories into this (empty) tree."""
+        raise NotImplementedError
 
     def finalize(
         self, buffer_fraction: float = 0.10, buffer_max_pages: int = 1000

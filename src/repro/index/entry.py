@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 from ..geometry import MBR3D, STPoint, STSegment
 
-__all__ = ["LeafEntry", "InternalEntry", "ENTRY_BYTES"]
+__all__ = ["LeafEntry", "InternalEntry", "ENTRY_BYTES", "ENTRY_FMT"]
 
-_LEAF_FMT = struct.Struct("<q6d")  # id, x1, y1, t1, x2, y2, t2
-_INTERNAL_FMT = struct.Struct("<q6d")  # child, xmin, ymin, tmin, xmax, ymax, tmax
-ENTRY_BYTES = _LEAF_FMT.size
-assert _INTERNAL_FMT.size == ENTRY_BYTES
+# One layout serves both kinds of entry:
+#   leaf      id,    x1,   y1,   t1,   x2,   y2,   t2
+#   internal  child, xmin, ymin, tmin, xmax, ymax, tmax
+ENTRY_FMT = struct.Struct("<q6d")
+ENTRY_BYTES = ENTRY_FMT.size
 
 
 class LeafEntry:
@@ -81,7 +82,7 @@ class LeafEntry:
 
     def to_bytes(self) -> bytes:
         s = self.segment
-        return _LEAF_FMT.pack(
+        return ENTRY_FMT.pack(
             self.trajectory_id,
             s.start.x,
             s.start.y,
@@ -93,7 +94,7 @@ class LeafEntry:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LeafEntry":
-        tid, x1, y1, t1, x2, y2, t2 = _LEAF_FMT.unpack(data)
+        tid, x1, y1, t1, x2, y2, t2 = ENTRY_FMT.unpack(data)
         return cls.decoded(
             tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
         )
@@ -108,11 +109,11 @@ class InternalEntry:
 
     def to_bytes(self) -> bytes:
         m = self.mbr
-        return _INTERNAL_FMT.pack(
+        return ENTRY_FMT.pack(
             self.child_page, m.xmin, m.ymin, m.tmin, m.xmax, m.ymax, m.tmax
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InternalEntry":
-        child, xmin, ymin, tmin, xmax, ymax, tmax = _INTERNAL_FMT.unpack(data)
+        child, xmin, ymin, tmin, xmax, ymax, tmax = ENTRY_FMT.unpack(data)
         return cls(child, MBR3D(xmin, ymin, tmin, xmax, ymax, tmax))

@@ -22,17 +22,20 @@ from __future__ import annotations
 import struct
 
 from ..exceptions import IndexError_, PageOverflowError
-from ..geometry import MBR3D
+from ..geometry import MBR3D, STPoint, STSegment
 from ..storage.format import KIND_NODE, PAGE_HEADER_BYTES, frame_page, unframe_page
-from .entry import ENTRY_BYTES, InternalEntry, LeafEntry
+from .entry import ENTRY_BYTES, ENTRY_FMT, InternalEntry, LeafEntry
 
 __all__ = [
     "Node",
     "node_capacity",
     "tb_leaf_payload_size",
+    "payload_rows",
     "NO_PAGE",
     "HEADER_BYTES",
     "NODE_OVERHEAD_BYTES",
+    "TB_CHAIN_START_BYTES",
+    "TB_CHAIN_STEP_BYTES",
 ]
 
 _HEADER_FMT = struct.Struct("<BBHIqqq")
@@ -45,6 +48,11 @@ _KIND_TB_LEAF = 3  # chained single-trajectory leaf (TB-tree)
 
 _CHAIN_LEN_FMT = struct.Struct("<H")
 _POINT_FMT = struct.Struct("<3d")
+
+#: Payload cost of a chained leaf's segments: one that opens a chain
+#: stores its length and both endpoints, one that extends it a point.
+TB_CHAIN_START_BYTES = _CHAIN_LEN_FMT.size + 2 * _POINT_FMT.size
+TB_CHAIN_STEP_BYTES = _POINT_FMT.size
 
 NO_PAGE = -1
 
@@ -78,9 +86,9 @@ def tb_leaf_payload_size(entries: list) -> int:
     for e in entries:
         s = e.segment
         if prev_end is not None and s.start == prev_end:
-            size += _POINT_FMT.size  # extend the current chain
+            size += TB_CHAIN_STEP_BYTES
         else:
-            size += _CHAIN_LEN_FMT.size + 2 * _POINT_FMT.size  # new chain
+            size += TB_CHAIN_START_BYTES
         prev_end = s.end
     return size
 
@@ -215,25 +223,15 @@ class Node:
     def from_payload(cls, page_id: int, data) -> "Node":
         """Parse a raw (unframed) node payload — what
         :meth:`from_bytes` finds inside a verified page frame."""
-        if len(data) < HEADER_BYTES:
-            raise IndexError_(f"page {page_id}: truncated node header")
-        kind, level, count, _pad, owner, prev_leaf, next_leaf = _HEADER_FMT.unpack(
-            data[: _HEADER_FMT.size]
-        )
-        if kind not in (_KIND_LEAF, _KIND_INTERNAL, _KIND_TB_LEAF):
-            raise IndexError_(f"page {page_id}: corrupt node kind {kind}")
-        if kind in (_KIND_LEAF, _KIND_TB_LEAF) and level != 0:
-            raise IndexError_(f"page {page_id}: leaf with level {level}")
-        if kind == _KIND_INTERNAL and level == 0:
-            raise IndexError_(f"page {page_id}: internal node with level 0")
+        kind, level, count, owner, prev_leaf, next_leaf = _read_header(page_id, data)
         if kind == _KIND_TB_LEAF:
-            return cls._chained_from_bytes(
-                page_id, data, count, owner, prev_leaf, next_leaf
-            )
-        need = HEADER_BYTES + count * ENTRY_BYTES
-        if len(data) < need:
-            raise IndexError_(
-                f"page {page_id}: {count} entries do not fit the page data"
+            entries: list = []
+            for chain in _chains(page_id, data, count):
+                points = [STPoint(*p) for p in chain]
+                for a, b in zip(points, points[1:]):
+                    entries.append(LeafEntry.decoded(owner, STSegment(a, b)))
+            return cls(
+                page_id, 0, entries, owner, prev_leaf, next_leaf, chained=True
             )
         entry_cls = LeafEntry if kind == _KIND_LEAF else InternalEntry
         entries = []
@@ -243,34 +241,65 @@ class Node:
             offset += ENTRY_BYTES
         return cls(page_id, level, entries, owner, prev_leaf, next_leaf)
 
-    @classmethod
-    def _chained_from_bytes(
-        cls, page_id, data, count, owner, prev_leaf, next_leaf
-    ) -> "Node":
-        from ..geometry import STPoint, STSegment
 
-        entries: list[LeafEntry] = []
-        offset = HEADER_BYTES
-        while len(entries) < count:
-            if offset + _CHAIN_LEN_FMT.size > len(data):
-                raise IndexError_(f"page {page_id}: truncated chain header")
-            (segs,) = _CHAIN_LEN_FMT.unpack_from(data, offset)
-            offset += _CHAIN_LEN_FMT.size
-            need = (segs + 1) * _POINT_FMT.size
-            if segs == 0 or offset + need > len(data):
-                raise IndexError_(f"page {page_id}: corrupt chain of {segs}")
-            points = [
-                STPoint(*_POINT_FMT.unpack_from(data, offset + i * _POINT_FMT.size))
-                for i in range(segs + 1)
-            ]
-            offset += need
-            for a, b in zip(points, points[1:]):
-                entries.append(LeafEntry.decoded(owner, STSegment(a, b)))
-        if len(entries) != count:
-            raise IndexError_(
-                f"page {page_id}: chained leaf decoded {len(entries)} of "
-                f"{count} entries"
-            )
-        return cls(
-            page_id, 0, entries, owner, prev_leaf, next_leaf, chained=True
+def _read_header(page_id: int, data) -> tuple[int, int, int, int, int, int]:
+    """``(kind, level, count, owner, prev_leaf, next_leaf)`` of a node
+    payload, checked against its length."""
+    if len(data) < HEADER_BYTES:
+        raise IndexError_(f"page {page_id}: truncated node header")
+    kind, level, count, _pad, owner, prev_leaf, next_leaf = _HEADER_FMT.unpack(
+        data[: _HEADER_FMT.size]
+    )
+    if kind not in (_KIND_LEAF, _KIND_INTERNAL, _KIND_TB_LEAF):
+        raise IndexError_(f"page {page_id}: corrupt node kind {kind}")
+    if kind in (_KIND_LEAF, _KIND_TB_LEAF) and level != 0:
+        raise IndexError_(f"page {page_id}: leaf with level {level}")
+    if kind == _KIND_INTERNAL and level == 0:
+        raise IndexError_(f"page {page_id}: internal node with level 0")
+    if kind != _KIND_TB_LEAF and len(data) < HEADER_BYTES + count * ENTRY_BYTES:
+        raise IndexError_(
+            f"page {page_id}: {count} entries do not fit the page data"
         )
+    return kind, level, count, owner, prev_leaf, next_leaf
+
+
+def _chains(page_id: int, data, count: int):
+    """The point chains of a chained leaf holding ``count`` segments,
+    each a list of ``(x, y, t)`` tuples."""
+    offset = HEADER_BYTES
+    seen = 0
+    while seen < count:
+        if offset + _CHAIN_LEN_FMT.size > len(data):
+            raise IndexError_(f"page {page_id}: truncated chain header")
+        (segs,) = _CHAIN_LEN_FMT.unpack_from(data, offset)
+        offset += _CHAIN_LEN_FMT.size
+        need = (segs + 1) * _POINT_FMT.size
+        if segs == 0 or offset + need > len(data):
+            raise IndexError_(f"page {page_id}: corrupt chain of {segs}")
+        yield list(_POINT_FMT.iter_unpack(data[offset : offset + need]))
+        offset += need
+        seen += segs
+    if seen != count:
+        raise IndexError_(
+            f"page {page_id}: chained leaf decoded {seen} of {count} entries"
+        )
+
+
+def payload_rows(page_id: int, data) -> tuple[int, list[tuple]]:
+    """Read a node payload without building entry objects.
+
+    Returns ``(level, rows)``: a leaf's rows are ``(trajectory_id, x1,
+    y1, t1, x2, y2, t2)``, one per segment in page order; an internal
+    node's are ``(child_page, xmin, ymin, tmin, xmax, ymax, tmax)``.
+    For readers that want the numbers of many pages and none of the
+    objects (the signature builder).
+    """
+    kind, level, count, owner, _prev, _next = _read_header(page_id, data)
+    if kind == _KIND_TB_LEAF:
+        return 0, [
+            (owner, *a, *b)
+            for chain in _chains(page_id, data, count)
+            for a, b in zip(chain, chain[1:])
+        ]
+    stop = HEADER_BYTES + count * ENTRY_BYTES
+    return level, list(ENTRY_FMT.iter_unpack(data[HEADER_BYTES:stop]))

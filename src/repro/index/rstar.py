@@ -32,6 +32,9 @@ _REINSERT_FRACTION = 0.3
 class RStarTree(RTree3D):
     """A paged 3D R*-tree over trajectory segments."""
 
+    # the insertion policy is what this tree is for: never packed
+    packs_static_builds = False
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._reinsert_armed: set[int] = set()  # levels already reinserted

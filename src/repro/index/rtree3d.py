@@ -2,19 +2,26 @@
 
 Time is the third axis: every line segment is inserted with its (x, y, t)
 bounding box using Guttman insertion (least volume enlargement
-choose-subtree, quadratic split).  An STR bulk-loading path is provided
-as an extension for building large indexes quickly.
+choose-subtree, quadratic split) while the tree is live.  A whole
+dataset handed to an empty tree (``bulk_insert``, ``bulk_load``) is
+packed bottom-up with Sort-Tile-Recursive instead.
 """
 
 from __future__ import annotations
-
-import math
 
 from ..exceptions import IndexError_
 from ..geometry import MBR3D
 from .base import TrajectoryIndex, quadratic_split
 from .entry import InternalEntry, LeafEntry
 from .node import NO_PAGE, Node
+from .packing import (
+    append_box,
+    box_columns,
+    pack_upper_levels,
+    segment_boxes,
+    str_tiles,
+    union_box,
+)
 
 __all__ = ["RTree3D"]
 
@@ -207,85 +214,40 @@ class RTree3D(TrajectoryIndex):
             root = self.read_node(child_page)
 
     # ------------------------------------------------------------------
-    # STR bulk loading (extension)
+    # the static build: STR packing
     # ------------------------------------------------------------------
+    packs_static_builds = True
+
+    def _pack(self, trajectories) -> None:
+        self.bulk_load(
+            [
+                LeafEntry.decoded(tr.object_id, seg)
+                for tr in trajectories
+                for seg in tr.segments()
+            ]
+        )
+
     def bulk_load(self, entries: list[LeafEntry]) -> None:
-        """Build the tree bottom-up with Sort-Tile-Recursive packing on
-        the (x, y, t) box centres.  The tree must be empty."""
+        """Build the tree bottom-up with Sort-Tile-Recursive packing
+        (:mod:`repro.index.packing`).  The tree must be empty; the
+        checks of :meth:`insert` apply, and nothing is allocated when
+        one of them fails."""
         if self.root_page != NO_PAGE:
             raise IndexError_("bulk_load requires an empty index")
+        ids = {e.trajectory_id for e in entries}
+        self._admit(ids)
         if not entries:
             return
-        self.trajectory_ids.update(e.trajectory_id for e in entries)
+        boxes = segment_boxes([e.segment for e in entries])
+        pages, leaf_boxes = [], box_columns()
+        for group in str_tiles(boxes, self.capacity):
+            leaf = self.new_node(level=0)
+            leaf.entries = [entries[i] for i in group]
+            pages.append(leaf.page_id)
+            append_box(leaf_boxes, union_box(boxes, group))
+        pack_upper_levels(self, pages, leaf_boxes)
+        self.trajectory_ids.update(ids)
         self.max_speed = max(
             self.max_speed, max(e.segment.speed for e in entries)
         )
         self.num_entries = len(entries)
-        level_nodes = self._pack_leaves(entries)
-        level = 1
-        while len(level_nodes) > 1:
-            parents = self._pack_internal(level_nodes, level)
-            level_nodes = parents
-            level += 1
-        self.root_page = level_nodes[0].page_id
-
-    def _pack_leaves(self, entries: list[LeafEntry]) -> list[Node]:
-        groups = _str_tiles(
-            entries,
-            lambda e: _center(e.mbr),
-            self.capacity,
-        )
-        nodes = []
-        for group in groups:
-            node = self.new_node(level=0)
-            node.entries = list(group)
-            self.touch(node)
-            nodes.append(node)
-        return nodes
-
-    def _pack_internal(self, children: list[Node], level: int) -> list[Node]:
-        child_entries = [InternalEntry(c.page_id, c.mbr()) for c in children]
-        groups = _str_tiles(
-            child_entries,
-            lambda e: _center(e.mbr),
-            self.capacity,
-        )
-        nodes = []
-        for group in groups:
-            node = self.new_node(level=level)
-            node.entries = list(group)
-            self.touch(node)
-            nodes.append(node)
-        return nodes
-
-
-def _center(box: MBR3D) -> tuple[float, float, float]:
-    return (
-        (box.xmin + box.xmax) / 2.0,
-        (box.ymin + box.ymax) / 2.0,
-        (box.tmin + box.tmax) / 2.0,
-    )
-
-
-def _str_tiles(items: list, center_of, capacity: int) -> list[list]:
-    """Sort-Tile-Recursive grouping of ``items`` into runs of at most
-    ``capacity``: slab by x-centre, slice by y-centre, pack by t-centre."""
-    n = len(items)
-    pages = math.ceil(n / capacity)
-    slabs_x = max(1, round(pages ** (1.0 / 3.0)))
-    per_slab = math.ceil(n / slabs_x)
-    by_x = sorted(items, key=lambda it: center_of(it)[0])
-    groups: list[list] = []
-    for sx in range(0, n, per_slab):
-        slab = by_x[sx : sx + per_slab]
-        slab_pages = math.ceil(len(slab) / capacity)
-        slices_y = max(1, round(math.sqrt(slab_pages)))
-        per_slice = math.ceil(len(slab) / slices_y)
-        by_y = sorted(slab, key=lambda it: center_of(it)[1])
-        for sy in range(0, len(slab), per_slice):
-            chunk = sorted(
-                by_y[sy : sy + per_slice], key=lambda it: center_of(it)[2]
-            )
-            for st in range(0, len(chunk), capacity):
-                groups.append(chunk[st : st + capacity])
-    return groups

@@ -32,6 +32,10 @@ class STRTree(RTree3D):
     so that preservation cannot starve them.
     """
 
+    # the insertion policy is what this tree is for: ``bulk_insert``
+    # never packs (``bulk_load`` still does, when asked by name)
+    packs_static_builds = False
+
     def __init__(self, *args, reserve: int | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if reserve is None:

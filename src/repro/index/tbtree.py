@@ -13,14 +13,27 @@ the bundling/chaining property, which is what the paper's experiments
 exercise, is identical).  Internal-node overflows use the quadratic
 split; a parent map is maintained in memory so MBR adjustments and
 splits can walk upwards from any leaf.
+
+A whole dataset handed to an empty tree (``bulk_insert``) skips all of
+that: the same leaves are cut in one pass per trajectory, each chain on
+consecutive pages, and the upper levels are packed over them.
 """
 
 from __future__ import annotations
 
 from ..exceptions import IndexError_
+from ..geometry import STSegment
 from .base import TrajectoryIndex, quadratic_split
 from .entry import InternalEntry, LeafEntry
-from .node import NODE_OVERHEAD_BYTES, NO_PAGE, Node, tb_leaf_payload_size
+from .node import (
+    NODE_OVERHEAD_BYTES,
+    NO_PAGE,
+    TB_CHAIN_START_BYTES,
+    TB_CHAIN_STEP_BYTES,
+    Node,
+    tb_leaf_payload_size,
+)
+from .packing import append_box, box_columns, pack_upper_levels
 
 __all__ = ["TBTree"]
 
@@ -40,6 +53,51 @@ class TBTree(TrajectoryIndex):
         super().__init__(*args, **kwargs)
         self._active_leaf: dict[int, int] = {}  # trajectory id -> leaf page
         self._parent_of: dict[int, int] = {}  # page -> parent page
+
+    # ------------------------------------------------------------------
+    # the static build: leaves cut per trajectory, upper levels packed
+    # ------------------------------------------------------------------
+    packs_static_builds = True
+
+    def _pack(self, trajectories) -> None:
+        """Every trajectory becomes one chain of leaves, each filled by
+        the payload rule ``_leaf_fits`` applies on insertion (the
+        segments of a trajectory share endpoints, so a leaf is one
+        point chain), on consecutive pages, ``prev_leaf``/``next_leaf``
+        linked; the levels above are STR-packed over the leaf boxes."""
+        room = self.page_size - NODE_OVERHEAD_BYTES - TB_CHAIN_START_BYTES
+        per_leaf = 1 + room // TB_CHAIN_STEP_BYTES
+        pages, boxes = [], box_columns()
+        for tr in trajectories:
+            oid = tr.object_id
+            samples = tr.samples
+            prev = None
+            for first in range(0, len(samples) - 1, per_leaf):
+                pts = samples[first : first + per_leaf + 1]
+                leaf = self.new_node(level=0, owner_id=oid)
+                leaf.chained = True
+                leaf.entries = [
+                    LeafEntry.decoded(oid, STSegment(a, b))
+                    for a, b in zip(pts, pts[1:])
+                ]
+                if prev is not None:
+                    prev.next_leaf = leaf.page_id
+                    leaf.prev_leaf = prev.page_id
+                prev = leaf
+                xs = [p.x for p in pts]
+                ys = [p.y for p in pts]
+                pages.append(leaf.page_id)
+                append_box(
+                    boxes, (min(xs), min(ys), pts[0].t, max(xs), max(ys), pts[-1].t)
+                )
+                self.num_entries += len(leaf.entries)
+                self.max_speed = max(
+                    self.max_speed, max(e.segment.speed for e in leaf.entries)
+                )
+            self._active_leaf[oid] = prev.page_id
+            self.trajectory_ids.add(oid)
+        if pages:
+            self._parent_of = pack_upper_levels(self, pages, boxes)
 
     # ------------------------------------------------------------------
     # insertion

@@ -42,6 +42,13 @@ def best_first_nodes(
     their *entry* MBB (the child page itself is only read when
     dequeued, so node accesses reflect true I/O).
 
+    Equal MINDISTs are the rule, not the exception — a query passes
+    *through* many boxes, all at distance 0 — and the order they are
+    tried in decides how fast the k-th-best bound tightens.  Ties go to
+    the box whose centre lies nearest the query's position at the
+    middle of the period, not to whichever the tree's layout happens to
+    list first (a packed tree lists them corner to corner).
+
     All entries of a dequeued node are scored in one
     :func:`~repro.index.mindist.make_mindist_batch` call; ``kernels``
     (``"auto"``/``"numpy"``/``"python"``, ``None`` meaning ``"auto"``)
@@ -62,8 +69,9 @@ def best_first_nodes(
     trace = _obs.ACTIVE
     reg = trace.registry if trace is not None else None
     high_water = 1
-    counter = 0  # heap tie-breaker: FIFO among equal distances
-    heap = [(0.0, counter, index.root_page, False)]
+    mid = (max(t_start, query.t_start) + min(t_end, query.t_end)) / 2.0
+    here = query.position_at(min(max(mid, query.t_start), query.t_end))
+    heap = [(0.0, 0.0, index.root_page, False)]
     try:
         while heap:
             dist, _tie, page_id, known_leaf = heapq.heappop(heap)
@@ -95,9 +103,11 @@ def best_first_nodes(
                     reg.inc(f"index.mindist_evaluations.level_{child_level}")
                 if d is None:
                     continue
-                counter += 1
+                box = e.mbr
+                dx = (box.xmin + box.xmax) / 2.0 - here.x
+                dy = (box.ymin + box.ymax) / 2.0 - here.y
                 heapq.heappush(
-                    heap, (d, counter, e.child_page, child_level == 0)
+                    heap, (d, dx * dx + dy * dy, e.child_page, child_level == 0)
                 )
                 if reg is not None:
                     reg.inc("index.nodes_enqueued")

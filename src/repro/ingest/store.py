@@ -540,10 +540,11 @@ class IngestStore:
         from ..index.persistence import _KINDS
 
         index = _KINDS[self.tree](page_size=self.page_size)
-        for oid in sorted(self._history):
-            pts = self._history[oid]
-            if len(pts) >= 2:
-                index.insert(Trajectory(oid, pts))
+        index.bulk_insert(
+            Trajectory(oid, pts)
+            for oid, pts in sorted(self._history.items())
+            if len(pts) >= 2
+        )
         index.finalize()
         return index
 

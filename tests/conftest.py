@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro import (
+    RStarTree,
     RTree3D,
     TBTree,
     Trajectory,
@@ -33,6 +34,24 @@ def work_counters(stats) -> dict:
             "kernel_segments",
         )
     }
+
+
+def inserted(cls, dataset, **kwargs):
+    """An index built the dynamic way — one ``insert`` per trajectory,
+    so choose-subtree, splits and the TB-tree's leaf appends run.
+    (``bulk_insert`` packs an empty ``RTree3D``/``TBTree`` instead.)"""
+    index = cls(**kwargs)
+    for tr in dataset:
+        index.insert(tr)
+    return index
+
+
+def packed(cls, dataset, **kwargs):
+    """An index built the static way: ``bulk_insert`` on an empty tree
+    (packs an ``RTree3D``/``TBTree``; other trees insert one by one)."""
+    index = cls(**kwargs)
+    index.bulk_insert(dataset)
+    return index
 
 
 def staggered_fleet(epochs=3, gap=2500.0):
@@ -175,6 +194,16 @@ def small_rtree(small_dataset) -> RTree3D:
 def small_tbtree(small_dataset) -> TBTree:
     index = TBTree()
     index.bulk_insert(small_dataset)
+    index.finalize()
+    return index
+
+
+@pytest.fixture(scope="session")
+def small_rstar(small_dataset) -> RStarTree:
+    """The suite's one R*-tree over ``small_dataset`` — forced
+    reinsertion makes it by far the slowest build, so every read-only
+    user shares this finalized one."""
+    index = inserted(RStarTree, small_dataset)
     index.finalize()
     return index
 

@@ -17,6 +17,8 @@ from repro.search.linear_scan import linear_scan_kmst
 from repro.datagen import make_query
 from repro.exceptions import QueryError, TemporalCoverageError
 
+from conftest import inserted, packed
+
 
 def ids(matches):
     return [m.trajectory_id for m in matches]
@@ -30,11 +32,17 @@ _TREES = {
 }
 
 
-@pytest.fixture(scope="module", params=["rtree", "rstar", "tbtree", "strtree"])
+@pytest.fixture(
+    scope="module",
+    params=["rtree", "rstar", "tbtree", "strtree", "rtree-packed", "tbtree-packed"],
+)
 def tree_and_dataset(request, small_dataset):
-    cls = _TREES[request.param]
-    index = cls()
-    index.bulk_insert(small_dataset)
+    """The four trees as insertion grows them, plus the two packed
+    layouts ``bulk_insert`` gives an empty R-tree / TB-tree."""
+    kind, _, layout = request.param.partition("-")
+    if kind == "rstar":
+        return request.getfixturevalue("small_rstar"), small_dataset
+    index = (packed if layout else inserted)(_TREES[kind], small_dataset)
     index.finalize()
     return index, small_dataset
 

@@ -24,15 +24,26 @@ from repro.exceptions import IndexError_, TrajectoryError
 from repro.index import NO_PAGE
 from repro.trajectory import TrajectoryDataset
 
+from conftest import inserted, packed
 from test_indexes import check_structure
 
-TREES = [RTree3D, RStarTree, STRTree, TBTree]
+
+# Deletion's subject is the tree insertion grew; the two packed layouts
+# ride along, because condensation assumes every node it has not
+# touched holds ``min_fill`` and a packed tree must keep that promise.
+TREES = {
+    "RTree3D": (RTree3D, inserted),
+    "RStarTree": (RStarTree, inserted),
+    "STRTree": (STRTree, inserted),
+    "TBTree": (TBTree, inserted),
+    "RTree3D-packed": (RTree3D, packed),
+    "TBTree-packed": (TBTree, packed),
+}
 
 
-def build(cls, dataset, page_size=512):
-    index = cls(page_size=page_size)
-    index.bulk_insert(dataset)
-    return index
+def build(tree, dataset, page_size=512):
+    cls, how = TREES[tree]
+    return how(cls, dataset, page_size=page_size)
 
 
 def surviving(dataset, removed_ids):
@@ -41,10 +52,10 @@ def surviving(dataset, removed_ids):
     )
 
 
-@pytest.mark.parametrize("cls", TREES)
+@pytest.mark.parametrize("tree", TREES)
 class TestDeleteBasics:
-    def test_delete_removes_all_segments(self, tiny_dataset, cls):
-        index = build(cls, tiny_dataset)
+    def test_delete_removes_all_segments(self, tiny_dataset, tree):
+        index = build(tree, tiny_dataset)
         victim = tiny_dataset.ids()[3]
         removed = index.delete_trajectory(victim)
         assert removed == tiny_dataset[victim].num_segments
@@ -57,20 +68,20 @@ class TestDeleteBasics:
         )
         check_structure(index)
 
-    def test_unknown_id_rejected(self, tiny_dataset, cls):
-        index = build(cls, tiny_dataset)
+    def test_unknown_id_rejected(self, tiny_dataset, tree):
+        index = build(tree, tiny_dataset)
         with pytest.raises(TrajectoryError):
             index.delete_trajectory(424242)
 
-    def test_finalized_index_rejects_deletion(self, tiny_dataset, cls):
-        index = build(cls, tiny_dataset)
+    def test_finalized_index_rejects_deletion(self, tiny_dataset, tree):
+        index = build(tree, tiny_dataset)
         index.finalize()
         with pytest.raises(IndexError_):
             index.delete_trajectory(tiny_dataset.ids()[0])
 
-    def test_delete_everything_empties_tree(self, cls):
+    def test_delete_everything_empties_tree(self, tree):
         dataset = generate_gstd(6, samples_per_object=20, seed=3)
-        index = build(cls, dataset)
+        index = build(tree, dataset)
         for oid in dataset.ids():
             index.delete_trajectory(oid)
         assert index.num_entries == 0
@@ -78,9 +89,9 @@ class TestDeleteBasics:
         assert index.num_nodes == 0
         assert list(index.leaf_entries()) == []
 
-    def test_pages_recycled_after_delete(self, cls):
+    def test_pages_recycled_after_delete(self, tree):
         dataset = generate_gstd(8, samples_per_object=30, seed=5)
-        index = build(cls, dataset)
+        index = build(tree, dataset)
         pages_before = index.pagefile.num_pages
         for oid in dataset.ids()[:4]:
             index.delete_trajectory(oid)
@@ -89,15 +100,21 @@ class TestDeleteBasics:
         fresh = generate_gstd(3, samples_per_object=30, seed=99)
         for i, tr in enumerate(fresh):
             index.insert(tr.with_id(1000 + i))
-        assert index.pagefile.num_pages <= pages_before + 2
+        grown = index.pagefile.num_pages - pages_before
+        assert grown == 0 or not index._free_pages  # free pages go first
+        if "packed" not in tree:
+            # a packed tree starts on the fewest pages that hold the
+            # data, full leaves and all; insertion leaves the slack
+            # that makes the freed pages (nearly) enough
+            assert grown <= 2
         check_structure(index)
 
 
-@pytest.mark.parametrize("cls", TREES)
+@pytest.mark.parametrize("tree", TREES)
 class TestSearchAfterDeletion:
-    def test_search_matches_scan_over_survivors(self, cls):
+    def test_search_matches_scan_over_survivors(self, tree):
         dataset = generate_gstd(20, samples_per_object=30, seed=9)
-        index = build(cls, dataset)
+        index = build(tree, dataset)
         rng = random.Random(1)
         removed = set(rng.sample(dataset.ids(), 7))
         for oid in removed:
@@ -113,10 +130,10 @@ class TestSearchAfterDeletion:
                 m.trajectory_id for m in want
             ]
 
-    def test_interleaved_delete_and_insert(self, cls):
+    def test_interleaved_delete_and_insert(self, tree):
         dataset = generate_gstd(12, samples_per_object=25, seed=4)
         extra = generate_gstd(4, samples_per_object=25, seed=44)
-        index = build(cls, dataset)
+        index = build(tree, dataset)
         live = {tr.object_id: tr for tr in dataset}
         rng = random.Random(6)
         for i, tr in enumerate(extra):
@@ -140,8 +157,7 @@ class TestSearchAfterDeletion:
 class TestTBTreeDeletionSpecifics:
     def test_other_chains_intact_after_delete(self):
         dataset = generate_gstd(10, samples_per_object=60, seed=8)
-        index = TBTree(page_size=512)  # multi-leaf chains
-        index.bulk_insert(dataset)
+        index = inserted(TBTree, dataset, page_size=512)  # multi-leaf chains
         index.delete_trajectory(dataset.ids()[0])
         index.delete_trajectory(dataset.ids()[5])
         for tr in dataset:
@@ -153,8 +169,7 @@ class TestTBTreeDeletionSpecifics:
 
     def test_leaf_purity_preserved(self):
         dataset = generate_gstd(10, samples_per_object=60, seed=8)
-        index = TBTree(page_size=512)
-        index.bulk_insert(dataset)
+        index = inserted(TBTree, dataset, page_size=512)
         for oid in dataset.ids()[:5]:
             index.delete_trajectory(oid)
         for node in index.nodes():

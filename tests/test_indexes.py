@@ -21,15 +21,25 @@ from repro.index import NO_PAGE, LeafEntry
 from repro.search import range_query_brute_force
 from repro.geometry import MBR2D
 
+from conftest import inserted, packed
 
-def check_structure(index):
-    """Assert the R-tree family invariants on every node."""
+
+def check_structure(index, min_fill=False):
+    """Assert the R-tree family invariants on every node; with
+    ``min_fill`` also the packed trees' fill guarantee (every non-root
+    node but a TB-tree leaf, which is cut per trajectory, holds at
+    least ``index.min_fill`` entries)."""
     seen_entries = 0
     for node in index.nodes():
         if node.chained:
             node.to_bytes(index.page_size)  # raises on page overflow
         else:
             assert len(node.entries) <= index.capacity
+            if min_fill and node.page_id != index.root_page:
+                assert len(node.entries) >= index.min_fill, (
+                    f"node {node.page_id} (level {node.level}) holds "
+                    f"{len(node.entries)} < min_fill {index.min_fill}"
+                )
         if node.is_leaf:
             seen_entries += len(node.entries)
         else:
@@ -52,18 +62,26 @@ _TREES = {
 }
 
 
-@pytest.fixture(scope="module", params=["rtree", "rstar", "tbtree", "strtree"])
+@pytest.fixture(
+    scope="module",
+    params=["rtree", "rstar", "tbtree", "strtree", "rtree-packed", "tbtree-packed"],
+)
 def built_index(request, small_dataset):
-    cls = _TREES[request.param]
-    index = cls()
-    index.bulk_insert(small_dataset)
+    """Every tree built by insertion, plus the two that pack built by
+    the static path — the common invariants hold for both layouts."""
+    kind, _, layout = request.param.partition("-")
+    if kind == "rstar":
+        return request.getfixturevalue("small_rstar")
+    index = (packed if layout else inserted)(_TREES[kind], small_dataset)
     index.finalize()
     return index
 
 
 class TestCommonInvariants:
-    def test_structure(self, built_index):
-        check_structure(built_index)
+    def test_structure(self, built_index, request):
+        check_structure(
+            built_index, min_fill="packed" in request.node.callspec.id
+        )
 
     def test_all_segments_indexed(self, built_index, small_dataset):
         assert built_index.num_entries == small_dataset.total_segments()
@@ -190,8 +208,7 @@ class TestRTreeSpecific:
         assert index.root_page == NO_PAGE
 
     def test_bulk_load_is_denser_than_insertion(self, small_dataset):
-        inserted = RTree3D()
-        inserted.bulk_insert(small_dataset)
+        grown = inserted(RTree3D, small_dataset)
         packed = RTree3D()
         packed.bulk_load(
             [
@@ -200,15 +217,13 @@ class TestRTreeSpecific:
                 for seg in tr.segments()
             ]
         )
-        assert packed.num_nodes <= inserted.num_nodes
+        assert packed.num_nodes <= grown.num_nodes
 
 
 class TestRStarTreeSpecific:
-    def test_forced_reinsertion_fires(self, small_dataset):
-        index = RStarTree()
-        index.bulk_insert(small_dataset)
-        assert index.reinsertions > 0
-        check_structure(index)
+    def test_forced_reinsertion_fires(self, small_rstar):
+        assert small_rstar.reinsertions > 0
+        check_structure(small_rstar)
 
     def test_structure_with_tiny_pages(self, tiny_dataset):
         """Deep trees with fanout 8 exercise internal reinsertion and
@@ -274,8 +289,7 @@ class TestSTRTreeSpecific:
                         )
             return sum(len(s) for s in spread.values()) / len(spread)
 
-        plain = RTree3D()
-        plain.bulk_insert(small_dataset)
+        plain = inserted(RTree3D, small_dataset)
         preserved = STRTree()
         preserved.bulk_insert(small_dataset)
         assert leaves_per_trajectory(preserved) <= leaves_per_trajectory(plain)
@@ -297,8 +311,7 @@ class TestSTRTreeSpecific:
 
 class TestTBTreeSpecific:
     def test_leaves_are_single_trajectory(self, small_dataset):
-        index = TBTree()
-        index.bulk_insert(small_dataset)
+        index = inserted(TBTree, small_dataset)
         for node in index.nodes():
             if node.is_leaf:
                 owners = {e.trajectory_id for e in node.entries}
@@ -306,15 +319,13 @@ class TestTBTreeSpecific:
                 assert node.owner_id in owners
 
     def test_leaf_chain_enumerates_in_order(self, small_dataset):
-        index = TBTree()
-        index.bulk_insert(small_dataset)
+        index = inserted(TBTree, small_dataset)
         for tr in small_dataset:
             segs = index.trajectory_segments(tr.object_id)
             assert [e.segment for e in segs] == list(tr.segments())
 
     def test_leaf_chain_links_are_mutual(self, small_dataset):
-        index = TBTree()
-        index.bulk_insert(small_dataset)
+        index = inserted(TBTree, small_dataset)
         for tr in small_dataset:
             chain = index.leaf_chain(tr.object_id)
             for prev, cur in zip(chain, chain[1:]):

@@ -36,11 +36,16 @@ def _events(dataset):
 
 
 def _oracle(dataset, query, period, k, *, tree, kernels):
+    """The from-scratch rebuild, made the way the compactor makes a
+    generation: the static build (``bulk_insert`` on an empty tree).
+    The floats are compared with ``==``, and a DISSIM is summed leaf by
+    leaf, so the oracle has to group segments into leaves the way the
+    store does — an insert-built oracle differs from a packed
+    generation in the last ulp."""
     from repro.index.persistence import _KINDS
 
     index = _KINDS[tree](page_size=4096)
-    for tr in dataset:
-        index.insert(tr)
+    index.bulk_insert(dataset)
     index.finalize()
     if index.num_entries == 0:
         return []
