@@ -3,12 +3,21 @@
 The scalar DISSIM machinery (:mod:`repro.distance.dissim`,
 :mod:`repro.distance.trinomial`) evaluates one merged-timestamp piece
 at a time in pure Python; during a search that cost dominates — every
-qualifying leaf entry triggers a :func:`segment_dissim` and every node
+qualifying leaf row triggers a :func:`segment_dissim` and every node
 expansion a string of MINDIST evaluations.  This module batches the
 former (the latter lives in :mod:`repro.index.mindist`): the trinomial
 coefficients, the trapezoid integral and its Lemma 1 error bound for
 *all* pieces of *many* leaf windows are computed in a handful of numpy
 passes over the query's columnar view (:meth:`Trajectory.columns`).
+
+A *window* is the kernels' unit of work: ``(lo, hi, x1, y1, t1, x2, y2,
+t2)`` — integrate the distance between the query and the segment
+``(x1, y1, t1) -> (x2, y2, t2)`` over ``[lo, hi]``.  It is a leaf row
+(:func:`repro.index.node.payload_rows`) clipped to the query period:
+the BFMST sweep builds it, a candidate keeps it for the exact
+refinement, and a shard answer ships it as it is.
+:func:`segment_dissim_batch` takes ``(segment, lo, hi)`` items instead
+and runs the window kernel on their windows.
 
 The vectorised path replays the scalar arithmetic operation for
 operation (same clipping special cases, same accumulation order), so
@@ -29,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from ..exceptions import QueryError, TemporalCoverageError
-from ..geometry import STSegment
+from ..geometry import STPoint, STSegment
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .dissim import segment_dissim
@@ -39,6 +48,10 @@ __all__ = [
     "KERNEL_MODES",
     "have_numpy",
     "resolve_kernels",
+    "segment_window",
+    "window_segment",
+    "window_dissim_batch",
+    "window_dissim_batch_python",
     "segment_dissim_batch",
     "segment_dissim_batch_python",
     "make_segment_dissim_batch",
@@ -107,6 +120,26 @@ def resolve_kernels(mode: str) -> str:
 # batched segment DISSIM
 # ----------------------------------------------------------------------
 
+def segment_window(seg: STSegment, t_lo: float, t_hi: float) -> tuple:
+    """The window of ``seg`` over ``[t_lo, t_hi]``."""
+    s, e = seg.start, seg.end
+    return (t_lo, t_hi, s.x, s.y, s.t, e.x, e.y, e.t)
+
+
+def window_segment(window) -> STSegment:
+    """A window's segment, as the object the scalar code takes."""
+    _lo, _hi, x1, y1, t1, x2, y2, t2 = window
+    return STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
+
+
+def window_dissim_batch_python(
+    q: Trajectory, windows: Sequence[tuple]
+) -> list[tuple[IntegralResult, float, float]]:
+    """Loop-based reference batch: one scalar :func:`segment_dissim`
+    per window."""
+    return [segment_dissim(q, window_segment(w), w[0], w[1]) for w in windows]
+
+
 def segment_dissim_batch_python(
     q: Trajectory, items: Sequence[tuple[STSegment, float, float]]
 ) -> list[tuple[IntegralResult, float, float]]:
@@ -118,21 +151,29 @@ def segment_dissim_batch_python(
 def segment_dissim_batch(
     q: Trajectory, items: Sequence[tuple[STSegment, float, float]]
 ) -> list[tuple[IntegralResult, float, float]]:
+    """:func:`window_dissim_batch` over ``(segment, t_lo, t_hi)`` items:
+    the same windows, the same bits."""
+    return window_dissim_batch(q, [segment_window(*item) for item in items])
+
+
+def window_dissim_batch(
+    q: Trajectory, windows: Sequence[tuple]
+) -> list[tuple[IntegralResult, float, float]]:
     """Vectorised batch of :func:`repro.distance.dissim.segment_dissim`.
 
-    Computes the dissimilarity contribution of many ``(segment, t_lo,
-    t_hi)`` windows against the query in one numpy pass over all their
-    merged-timestamp pieces.  Returns one ``(integral, d_start, d_end)``
-    triple per item, matching the scalar function's values (bit-equal
-    on the regular path; the perfect-square interior-flex piece is
-    delegated to the scalar code, so it is bit-equal too).
+    Computes the dissimilarity contribution of many windows against
+    the query in one numpy pass over all their merged-timestamp pieces.
+    Returns one ``(integral, d_start, d_end)`` triple per window,
+    matching the scalar function's values (bit-equal on the regular
+    path; the perfect-square interior-flex piece is delegated to the
+    scalar code, so it is bit-equal too).
     """
     np = _numpy()
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
         reg.inc("distance.kernel_batches")
-        reg.inc("distance.kernel_segments", len(items))
-        reg.inc("distance.segment_windows", len(items))
+        reg.inc("distance.kernel_segments", len(windows))
+        reg.inc("distance.segment_windows", len(windows))
 
     cols = q.columns()
     qt_buf = cols.t
@@ -143,17 +184,12 @@ def segment_dissim_batch(
     piece_lo: list[float] = []
     piece_hi: list[float] = []
     counts: list[int] = []
-    s_ts: list[float] = []
-    s_te: list[float] = []
-    s_x0: list[float] = []
-    s_y0: list[float] = []
-    s_xe: list[float] = []
-    s_ye: list[float] = []
-    for seg, t_lo, t_hi in items:
-        if not (seg.ts <= t_lo < t_hi <= seg.te):
+    per_piece: list[tuple] = []  # each piece's window
+    for window in windows:
+        t_lo, t_hi, _x0, _y0, ts, _xe, _ye, te = window
+        if not (ts <= t_lo < t_hi <= te):
             raise QueryError(
-                f"window [{t_lo}, {t_hi}] outside segment span "
-                f"[{seg.ts}, {seg.te}]"
+                f"window [{t_lo}, {t_hi}] outside segment span [{ts}, {te}]"
             )
         if not q.covers(t_lo, t_hi):
             raise TemporalCoverageError(
@@ -176,18 +212,13 @@ def segment_dissim_batch(
         n = len(piece_lo) - n_before
         counts.append(n)
         if n:
-            s_ts.extend([seg.ts] * n)
-            s_te.extend([seg.te] * n)
-            s_x0.extend([seg.start.x] * n)
-            s_y0.extend([seg.start.y] * n)
-            s_xe.extend([seg.end.x] * n)
-            s_ye.extend([seg.end.y] * n)
+            per_piece.extend([window] * n)
 
     n_pieces = len(piece_lo)
     if n_pieces == 0:
         # Every window collapsed to float-resolution slivers; the
         # scalar fallback distances are cheap, reuse them directly.
-        return [_degenerate_window(q, seg, lo, hi) for seg, lo, hi in items]
+        return [_degenerate_window(q, w) for w in windows]
 
     lo_a = np.asarray(piece_lo)
     hi_a = np.asarray(piece_hi)
@@ -219,12 +250,8 @@ def segment_dissim_batch(
     qx_hi = np.where(hi_a == qte, qxe, qx0 + frac_hi * (qxe - qx0))
     qy_hi = np.where(hi_a == qte, qye, qy0 + frac_hi * (qye - qy0))
 
-    sts = np.asarray(s_ts)
-    ste = np.asarray(s_te)
-    sx0 = np.asarray(s_x0)
-    sy0 = np.asarray(s_y0)
-    sxe = np.asarray(s_xe)
-    sye = np.asarray(s_ye)
+    # One transpose gives the six per-piece segment columns.
+    _lo, _hi, sx0, sy0, sts, sxe, sye, ste = np.array(per_piece).T
     sdur = ste - sts
     sfrac_lo = (lo_a - sts) / sdur
     sfrac_hi = (hi_a - sts) / sdur
@@ -284,9 +311,9 @@ def segment_dissim_batch(
     d1_l = d1.tolist()
     out: list[tuple[IntegralResult, float, float]] = []
     pos = 0
-    for (seg, t_lo, t_hi), n in zip(items, counts):
+    for window, n in zip(windows, counts):
         if n == 0:
-            out.append(_degenerate_window(q, seg, t_lo, t_hi))
+            out.append(_degenerate_window(q, window))
             continue
         total_a = 0.0
         total_e = 0.0
@@ -299,10 +326,12 @@ def segment_dissim_batch(
 
 
 def _degenerate_window(
-    q: Trajectory, seg: STSegment, t_lo: float, t_hi: float
+    q: Trajectory, window: tuple
 ) -> tuple[IntegralResult, float, float]:
     """The scalar fallback for a window where every sub-interval sits
     at float resolution: zero integral, direct endpoint distances."""
+    t_lo, t_hi = window[0], window[1]
+    seg = window_segment(window)
     d_start = q.position_at(t_lo).distance_to(seg.position_at(t_lo))
     d_end = q.position_at(t_hi).distance_to(seg.position_at(t_hi))
     return (IntegralResult(0.0, 0.0), d_start, d_end)

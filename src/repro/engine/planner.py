@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exceptions import QueryError
-from ..geometry import MBR2D, MBR3D, STPoint, STSegment
+from ..geometry import MBR2D, MBR3D
 from ..search.bfmst import CandidateRecord
 from ..search.spec import QuerySpec
 from ..trajectory import Trajectory
@@ -212,8 +212,8 @@ class ShardAnswer:
     ``(tid, value)`` pairs for never-completed candidates, the shard's
     :class:`~repro.search.SearchStats` as a plain dict, and the
     worker-side metrics counters (deltas from a fresh registry).  No
-    object graphs cross the boundary; :class:`~repro.geometry.STSegment`
-    objects are rebuilt on :meth:`to_records`.
+    object graphs cross the boundary: a window is the same eight
+    numbers in a record and on the wire.
     """
 
     shard_id: int
@@ -248,14 +248,8 @@ class ShardAnswer:
                 answer.exact_values.append(record.dissim)
                 answer.exact_error_bounds.append(record.error_bound)
                 answer.window_counts.append(len(record.windows))
-                for lo, hi, seg in record.windows:
-                    answer.window_data.extend(
-                        (
-                            lo, hi,
-                            seg.start.x, seg.start.y, seg.start.t,
-                            seg.end.x, seg.end.y, seg.end.t,
-                        )
-                    )
+                for window in record.windows:
+                    answer.window_data.extend(window)
             else:
                 answer.partial_tids.append(record.tid)
                 answer.partial_values.append(record.dissim)
@@ -269,17 +263,12 @@ class ShardAnswer:
         produces, so the merged ranking is byte-identical to the
         in-process path."""
         records: list[CandidateRecord] = []
+        data = self.window_data
         offset = 0
         for i, tid in enumerate(self.exact_tids):
-            windows: list[tuple[float, float, STSegment]] = []
-            for _ in range(self.window_counts[i]):
-                lo, hi, x1, y1, t1, x2, y2, t2 = self.window_data[
-                    offset : offset + 8
-                ]
-                windows.append(
-                    (lo, hi, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2)))
-                )
-                offset += 8
+            stop = offset + 8 * self.window_counts[i]
+            windows = [tuple(data[at : at + 8]) for at in range(offset, stop, 8)]
+            offset = stop
             records.append(
                 CandidateRecord(
                     tid,

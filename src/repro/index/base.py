@@ -207,7 +207,11 @@ class TrajectoryIndex:
         while stack:
             node = self.read_node(stack.pop())
             if node.is_leaf:
-                out.extend(e for e in node.entries if e.mbr.intersects(box))
+                out.extend(
+                    e
+                    for e in map(LeafEntry.from_row, node.rows)
+                    if e.mbr.intersects(box)
+                )
             else:
                 stack.extend(
                     e.child_page for e in node.entries if e.mbr.intersects(box)
@@ -232,7 +236,7 @@ class TrajectoryIndex:
         """Every indexed segment."""
         for node in self.nodes():
             if node.is_leaf:
-                yield from node.entries
+                yield from map(LeafEntry.from_row, node.rows)
 
     def count_nodes(self) -> int:
         """Number of nodes by traversal (must equal ``num_nodes``)."""

@@ -7,6 +7,9 @@ is derived.  Internal entries hold a child page id and the child's MBB.
 
 Both serialise to a fixed 56-byte layout so a 4 KB page holds 72 of
 them — the index fanout is *derived from the byte layout*, not chosen.
+The same seven numbers, as a tuple, are an entry's *row*
+(:attr:`LeafEntry.row`, :attr:`InternalEntry.row`): the form a page
+decodes into (:func:`repro.index.node.payload_rows`).
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ class LeafEntry:
     """One trajectory line segment owned by ``trajectory_id``.
 
     The segment's 3D box is precomputed: ``mbr`` sits on every index
-    hot path (choose-subtree, splits, MINDIST) and must not be rebuilt
-    per access.  Entries decoded from a page (:meth:`decoded`) compute
-    it on first access instead — a search reads their segments and
-    almost never their boxes.
+    write path (choose-subtree, splits) and must not be rebuilt per
+    access.  Searches never build these objects; they read a leaf's
+    rows (:attr:`repro.index.node.Node.rows`).
     """
 
     __slots__ = ("trajectory_id", "segment", "mbr")
@@ -41,22 +43,6 @@ class LeafEntry:
         self.trajectory_id = trajectory_id
         self.segment = segment
         self.mbr: MBR3D = segment.mbr()
-
-    @classmethod
-    def decoded(cls, trajectory_id: int, segment: STSegment) -> "LeafEntry":
-        """An entry read back from a page: ``mbr`` stays unset until
-        something asks for it."""
-        entry = cls.__new__(cls)
-        entry.trajectory_id = trajectory_id
-        entry.segment = segment
-        return entry
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot, i.e. ``mbr`` of a decoded entry.
-        if name == "mbr":
-            mbr = self.mbr = self.segment.mbr()
-            return mbr
-        raise AttributeError(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeafEntry):
@@ -80,9 +66,11 @@ class LeafEntry:
     def t_end(self) -> float:
         return self.segment.te
 
-    def to_bytes(self) -> bytes:
+    @property
+    def row(self) -> tuple:
+        """``(trajectory_id, x1, y1, t1, x2, y2, t2)``."""
         s = self.segment
-        return ENTRY_FMT.pack(
+        return (
             self.trajectory_id,
             s.start.x,
             s.start.y,
@@ -93,11 +81,16 @@ class LeafEntry:
         )
 
     @classmethod
+    def from_row(cls, row) -> "LeafEntry":
+        tid, x1, y1, t1, x2, y2, t2 = row
+        return cls(tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2)))
+
+    def to_bytes(self) -> bytes:
+        return ENTRY_FMT.pack(*self.row)
+
+    @classmethod
     def from_bytes(cls, data: bytes) -> "LeafEntry":
-        tid, x1, y1, t1, x2, y2, t2 = ENTRY_FMT.unpack(data)
-        return cls.decoded(
-            tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
-        )
+        return cls.from_row(ENTRY_FMT.unpack(data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +100,19 @@ class InternalEntry:
     child_page: int
     mbr: MBR3D
 
+    @property
+    def row(self) -> tuple:
+        """``(child_page, xmin, ymin, tmin, xmax, ymax, tmax)``."""
+        return (self.child_page, *self.mbr.as_tuple())
+
+    @classmethod
+    def from_row(cls, row) -> "InternalEntry":
+        child, xmin, ymin, tmin, xmax, ymax, tmax = row
+        return cls(child, MBR3D(xmin, ymin, tmin, xmax, ymax, tmax))
+
     def to_bytes(self) -> bytes:
-        m = self.mbr
-        return ENTRY_FMT.pack(
-            self.child_page, m.xmin, m.ymin, m.tmin, m.xmax, m.ymax, m.tmax
-        )
+        return ENTRY_FMT.pack(*self.row)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InternalEntry":
-        child, xmin, ymin, tmin, xmax, ymax, tmax = ENTRY_FMT.unpack(data)
-        return cls(child, MBR3D(xmin, ymin, tmin, xmax, ymax, tmax))
+        return cls.from_row(ENTRY_FMT.unpack(data))

@@ -1,10 +1,16 @@
 """Index nodes and their page serialisation.
 
 A node is one page worth of entries.  Leaf nodes (level 0) hold
-:class:`~repro.index.entry.LeafEntry` segments, internal nodes hold
+trajectory segments, internal nodes hold
 :class:`~repro.index.entry.InternalEntry` child pointers.  The TB-tree
 additionally stamps each leaf with the single trajectory it bundles and
 doubly links the leaves of one trajectory (``prev_leaf``/``next_leaf``).
+
+A leaf has one read form, its *rows*: ``(trajectory_id, x1, y1, t1, x2,
+y2, t2)`` tuples, one per segment in page order.  A page decodes into
+them (:func:`payload_rows`, the one page decoder) and the searches read
+them; the :class:`~repro.index.entry.LeafEntry` objects the writers
+mutate are a view built on first access of :attr:`Node.entries`.
 
 Serialisation sits on the self-verifying v2 page format
 (:mod:`repro.storage.format`): :meth:`Node.to_bytes` frames the node
@@ -20,9 +26,11 @@ With 4 KB pages this still yields a fanout of 72.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
+from operator import itemgetter, lt
 
 from ..exceptions import IndexError_, PageOverflowError
-from ..geometry import MBR3D, STPoint, STSegment
+from ..geometry import MBR3D
 from ..storage.format import KIND_NODE, PAGE_HEADER_BYTES, frame_page, unframe_page
 from .entry import ENTRY_BYTES, ENTRY_FMT, InternalEntry, LeafEntry
 
@@ -60,6 +68,9 @@ NO_PAGE = -1
 #: header.  Everything after it is entry payload.
 NODE_OVERHEAD_BYTES = PAGE_HEADER_BYTES + HEADER_BYTES
 
+_T1 = itemgetter(3)
+_T2 = itemgetter(6)
+
 
 def node_capacity(page_size: int) -> int:
     """Maximum entries per node for the given page size."""
@@ -94,16 +105,27 @@ def tb_leaf_payload_size(entries: list) -> int:
 
 
 class Node:
-    """One index node, always resident behind the buffer manager."""
+    """One index node, always resident behind the buffer manager.
+
+    A leaf holds its segments as :attr:`rows` — what a page decodes
+    into and what every search reads — and builds the
+    :class:`~repro.index.entry.LeafEntry` view (:attr:`entries`) only
+    when something asks for it.  Whoever takes :attr:`entries` may
+    change the list, so taking it drops the rows; the next read
+    rebuilds them from the objects, once.  Internal nodes decode
+    straight into :class:`~repro.index.entry.InternalEntry` objects.
+    """
 
     __slots__ = (
         "page_id",
         "level",
-        "entries",
         "owner_id",
         "prev_leaf",
         "next_leaf",
         "chained",
+        "_entries",
+        "_rows",
+        "_sweep",
     )
 
     def __init__(
@@ -115,34 +137,98 @@ class Node:
         prev_leaf: int = NO_PAGE,
         next_leaf: int = NO_PAGE,
         chained: bool = False,
+        *,
+        rows: list[tuple] | None = None,
     ) -> None:
         self.page_id = page_id
         self.level = level
-        self.entries: list = entries if entries is not None else []
         # TB-tree leaf metadata; unused (-1) for plain R-tree nodes.
         self.owner_id = owner_id
         self.prev_leaf = prev_leaf
         self.next_leaf = next_leaf
         # Chained leaves (TB-tree) use the shared-endpoint layout.
         self.chained = chained
+        if entries is None and rows is None:
+            entries = []
+        self._entries: list | None = entries
+        self._rows: list[tuple] | None = rows
+        self._sweep: tuple[list[tuple], bool] | None = None
+
+    # ------------------------------------------------------------------
+    # the two forms of a node's entries
+    # ------------------------------------------------------------------
+    @property
+    def entries(self) -> list:
+        """The entries as objects, for writers and introspection."""
+        entries = self._entries
+        if entries is None:
+            make = LeafEntry.from_row if self.level == 0 else InternalEntry.from_row
+            entries = self._entries = [make(row) for row in self._rows]
+        self._rows = self._sweep = None
+        return entries
+
+    @entries.setter
+    def entries(self, entries: list) -> None:
+        self._entries = entries
+        self._rows = self._sweep = None
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The entries as :func:`payload_rows` tuples, in page order."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [e.row for e in self._entries]
+        return rows
+
+    @rows.setter
+    def rows(self, rows: list[tuple]) -> None:
+        self._rows = rows
+        self._entries = self._sweep = None
+
+    def rows_in_period(self, t_start: float, t_end: float) -> list[tuple]:
+        """A leaf's rows sorted by ``t1``, cut to those that may overlap
+        ``(t_start, t_end)``: every row starting at or after ``t_end``
+        is gone, and on a chained leaf every row ending at or before
+        ``t_start`` too.
+
+        A chained leaf is stored in time order — by ``t1`` and by
+        ``t2`` — so both ends are cut by bisection and nothing is
+        sorted.  Any other leaf, and a chained one whose rows are out
+        of order, is sorted by ``t1`` (stably) and cut at ``t_end``
+        only.  The order check and the sort run once per decoded (or
+        rewritten) leaf.
+        """
+        sweep = self._sweep
+        if sweep is None:
+            rows = self.rows
+            if self.chained and _time_ordered(rows):
+                sweep = (rows, True)
+            else:
+                sweep = (sorted(rows, key=_T1), False)
+            self._sweep = sweep
+        rows, by_end = sweep
+        first = bisect_right(rows, t_start, key=_T2) if by_end else 0
+        return rows[first : bisect_left(rows, t_end, first, key=_T1)]
 
     @property
     def is_leaf(self) -> bool:
         return self.level == 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        rows = self._rows
+        return len(rows) if rows is not None else len(self._entries)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
-        return f"Node(page={self.page_id}, {kind}, entries={len(self.entries)})"
+        return f"Node(page={self.page_id}, {kind}, entries={len(self)})"
 
     def mbr(self) -> MBR3D:
         """Bounding box of all entries; raises on an empty node."""
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise IndexError_(f"node {self.page_id} is empty, no MBR")
-        out = self.entries[0].mbr
-        for e in self.entries[1:]:
+        out = entries[0].mbr
+        for e in entries[1:]:
             out = out.union(e.mbr)
         return out
 
@@ -156,61 +242,34 @@ class Node:
 
     def to_payload(self, page_size: int) -> bytes:
         """The raw node payload (header + entries), unframed."""
+        rows = self.rows
         if self.chained and self.is_leaf:
-            return self._chained_payload(page_size)
-        cap = node_capacity(page_size)
-        if len(self.entries) > cap:
-            raise PageOverflowError(
-                f"node {self.page_id} holds {len(self.entries)} entries, "
-                f"page capacity is {cap}"
-            )
-        kind = _KIND_LEAF if self.is_leaf else _KIND_INTERNAL
+            body = _chained_body(rows)
+            if NODE_OVERHEAD_BYTES + len(body) > page_size:
+                raise PageOverflowError(
+                    f"chained leaf {self.page_id} payload of {len(body)} "
+                    f"bytes exceeds page size {page_size}"
+                )
+            kind = _KIND_TB_LEAF
+        else:
+            cap = node_capacity(page_size)
+            if len(rows) > cap:
+                raise PageOverflowError(
+                    f"node {self.page_id} holds {len(rows)} entries, "
+                    f"page capacity is {cap}"
+                )
+            body = b"".join([ENTRY_FMT.pack(*row) for row in rows])
+            kind = _KIND_LEAF if self.is_leaf else _KIND_INTERNAL
         header = _HEADER_FMT.pack(
             kind,
             self.level,
-            len(self.entries),
+            len(rows),
             0,
             self.owner_id,
             self.prev_leaf,
             self.next_leaf,
         )
-        parts = [header, b"\x00" * (HEADER_BYTES - len(header))]
-        for e in self.entries:
-            parts.append(e.to_bytes())
-        return b"".join(parts)
-
-    def _chained_payload(self, page_size: int) -> bytes:
-        payload = tb_leaf_payload_size(self.entries)
-        if NODE_OVERHEAD_BYTES + payload > page_size:
-            raise PageOverflowError(
-                f"chained leaf {self.page_id} payload of {payload} bytes "
-                f"exceeds page size {page_size}"
-            )
-        header = _HEADER_FMT.pack(
-            _KIND_TB_LEAF,
-            self.level,
-            len(self.entries),
-            0,
-            self.owner_id,
-            self.prev_leaf,
-            self.next_leaf,
-        )
-        parts = [header, b"\x00" * (HEADER_BYTES - len(header))]
-        # Group maximal runs of endpoint-sharing segments into chains.
-        chains: list[list] = []
-        prev_end = None
-        for e in self.entries:
-            s = e.segment
-            if prev_end is not None and s.start == prev_end:
-                chains[-1].append(s.end)
-            else:
-                chains.append([s.start, s.end])
-            prev_end = s.end
-        for chain in chains:
-            parts.append(_CHAIN_LEN_FMT.pack(len(chain) - 1))
-            for p in chain:
-                parts.append(_POINT_FMT.pack(p.x, p.y, p.t))
-        return b"".join(parts)
+        return header + body
 
     @classmethod
     def from_bytes(cls, page_id: int, data) -> "Node":
@@ -223,28 +282,53 @@ class Node:
     def from_payload(cls, page_id: int, data) -> "Node":
         """Parse a raw (unframed) node payload — what
         :meth:`from_bytes` finds inside a verified page frame."""
-        kind, level, count, owner, prev_leaf, next_leaf = _read_header(page_id, data)
-        if kind == _KIND_TB_LEAF:
-            entries: list = []
-            for chain in _chains(page_id, data, count):
-                points = [STPoint(*p) for p in chain]
-                for a, b in zip(points, points[1:]):
-                    entries.append(LeafEntry.decoded(owner, STSegment(a, b)))
-            return cls(
-                page_id, 0, entries, owner, prev_leaf, next_leaf, chained=True
-            )
-        entry_cls = LeafEntry if kind == _KIND_LEAF else InternalEntry
-        entries = []
-        offset = HEADER_BYTES
-        for _ in range(count):
-            entries.append(entry_cls.from_bytes(data[offset : offset + ENTRY_BYTES]))
-            offset += ENTRY_BYTES
-        return cls(page_id, level, entries, owner, prev_leaf, next_leaf)
+        kind, level, owner, prev_leaf, next_leaf, rows = _decode(page_id, data)
+        if kind == _KIND_INTERNAL:
+            entries = [InternalEntry.from_row(row) for row in rows]
+            return cls(page_id, level, entries, owner, prev_leaf, next_leaf)
+        return cls(
+            page_id,
+            0,
+            None,
+            owner,
+            prev_leaf,
+            next_leaf,
+            chained=kind == _KIND_TB_LEAF,
+            rows=rows,
+        )
 
 
-def _read_header(page_id: int, data) -> tuple[int, int, int, int, int, int]:
-    """``(kind, level, count, owner, prev_leaf, next_leaf)`` of a node
-    payload, checked against its length."""
+def _time_ordered(rows: list[tuple]) -> bool:
+    """True when ``rows`` ascend by ``t1`` and by ``t2``."""
+    t1 = list(map(_T1, rows))
+    t2 = list(map(_T2, rows))
+    return t1 == sorted(t1) and t2 == sorted(t2)
+
+
+def _chained_body(rows: list[tuple]) -> bytes:
+    """A chained leaf's entry payload: maximal runs of
+    endpoint-sharing segments, each as a length and a point chain."""
+    chains: list[list[tuple]] = []
+    prev_end = None
+    for _tid, x1, y1, t1, x2, y2, t2 in rows:
+        start = (x1, y1, t1)
+        end = (x2, y2, t2)
+        if prev_end is not None and start == prev_end:
+            chains[-1].append(end)
+        else:
+            chains.append([start, end])
+        prev_end = end
+    parts = []
+    for chain in chains:
+        parts.append(_CHAIN_LEN_FMT.pack(len(chain) - 1))
+        parts.extend(_POINT_FMT.pack(*p) for p in chain)
+    return b"".join(parts)
+
+
+def _decode(page_id: int, data) -> tuple[int, int, int, int, int, list[tuple]]:
+    """``(kind, level, owner, prev_leaf, next_leaf, rows)`` of a node
+    payload, every header and chain field checked against its length
+    and every leaf segment against its time span."""
     if len(data) < HEADER_BYTES:
         raise IndexError_(f"page {page_id}: truncated node header")
     kind, level, count, _pad, owner, prev_leaf, next_leaf = _HEADER_FMT.unpack(
@@ -256,11 +340,26 @@ def _read_header(page_id: int, data) -> tuple[int, int, int, int, int, int]:
         raise IndexError_(f"page {page_id}: leaf with level {level}")
     if kind == _KIND_INTERNAL and level == 0:
         raise IndexError_(f"page {page_id}: internal node with level 0")
-    if kind != _KIND_TB_LEAF and len(data) < HEADER_BYTES + count * ENTRY_BYTES:
+    if kind == _KIND_TB_LEAF:
+        rows = [
+            (owner, *a, *b)
+            for chain in _chains(page_id, data, count)
+            for a, b in zip(chain, chain[1:])
+        ]
+    else:
+        stop = HEADER_BYTES + count * ENTRY_BYTES
+        if len(data) < stop:
+            raise IndexError_(
+                f"page {page_id}: {count} entries do not fit the page data"
+            )
+        rows = list(ENTRY_FMT.iter_unpack(data[HEADER_BYTES:stop]))
+    if kind != _KIND_INTERNAL and not all(
+        map(lt, map(_T1, rows), map(_T2, rows))
+    ):
         raise IndexError_(
-            f"page {page_id}: {count} entries do not fit the page data"
+            f"page {page_id}: a segment does not span positive time"
         )
-    return kind, level, count, owner, prev_leaf, next_leaf
+    return kind, level, owner, prev_leaf, next_leaf, rows
 
 
 def _chains(page_id: int, data, count: int):
@@ -286,20 +385,14 @@ def _chains(page_id: int, data, count: int):
 
 
 def payload_rows(page_id: int, data) -> tuple[int, list[tuple]]:
-    """Read a node payload without building entry objects.
+    """Read a node payload as rows — the one page decoder.
 
     Returns ``(level, rows)``: a leaf's rows are ``(trajectory_id, x1,
     y1, t1, x2, y2, t2)``, one per segment in page order; an internal
     node's are ``(child_page, xmin, ymin, tmin, xmax, ymax, tmax)``.
-    For readers that want the numbers of many pages and none of the
-    objects (the signature builder).
+    :meth:`Node.from_payload` caches a leaf's rows as they come from
+    here; readers that want the numbers of many pages and no node (the
+    signature builder) call it directly.
     """
-    kind, level, count, owner, _prev, _next = _read_header(page_id, data)
-    if kind == _KIND_TB_LEAF:
-        return 0, [
-            (owner, *a, *b)
-            for chain in _chains(page_id, data, count)
-            for a, b in zip(chain, chain[1:])
-        ]
-    stop = HEADER_BYTES + count * ENTRY_BYTES
-    return level, list(ENTRY_FMT.iter_unpack(data[HEADER_BYTES:stop]))
+    _kind, level, _owner, _prev, _next, rows = _decode(page_id, data)
+    return level, rows

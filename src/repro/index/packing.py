@@ -33,7 +33,9 @@ from .entry import InternalEntry
 __all__ = [
     "box_columns",
     "append_box",
-    "segment_boxes",
+    "trajectory_rows",
+    "row_speeds",
+    "row_boxes",
     "shares",
     "even_chunks",
     "str_tiles",
@@ -53,19 +55,35 @@ def append_box(boxes: tuple[array, ...], box: tuple) -> None:
         col.append(value)
 
 
-def segment_boxes(segments) -> tuple[array, ...]:
-    """The boxes of a list of trajectory segments, as columns."""
-    starts = [s.start for s in segments]
-    ends = [s.end for s in segments]
-    x1, x2 = [p.x for p in starts], [p.x for p in ends]
-    y1, y2 = [p.y for p in starts], [p.y for p in ends]
+def trajectory_rows(object_id: int, points) -> list[tuple]:
+    """The leaf rows (:func:`repro.index.node.payload_rows`) of the
+    segments between consecutive sample ``points`` of one object."""
+    return [
+        (object_id, a.x, a.y, a.t, b.x, b.y, b.t)
+        for a, b in zip(points, points[1:])
+    ]
+
+
+def row_speeds(rows):
+    """Each row's speed, by :attr:`repro.geometry.STSegment.speed`'s
+    arithmetic."""
+    for _tid, x1, y1, t1, x2, y2, t2 in rows:
+        dt = t2 - t1
+        yield math.hypot((x2 - x1) / dt, (y2 - y1) / dt)
+
+
+def row_boxes(rows) -> tuple[array, ...]:
+    """The boxes of leaf rows, as columns."""
+    x1, y1, t1, x2, y2, t2 = (
+        [row[i] for row in rows] for i in range(1, 7)
+    )
     return (
         array("d", map(min, x1, x2)),
         array("d", map(min, y1, y2)),
-        array("d", [p.t for p in starts]),
+        array("d", t1),
         array("d", map(max, x1, x2)),
         array("d", map(max, y1, y2)),
-        array("d", [p.t for p in ends]),
+        array("d", t2),
     )
 
 

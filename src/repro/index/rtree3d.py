@@ -18,8 +18,10 @@ from .packing import (
     append_box,
     box_columns,
     pack_upper_levels,
-    segment_boxes,
+    row_boxes,
+    row_speeds,
     str_tiles,
+    trajectory_rows,
     union_box,
 )
 
@@ -219,11 +221,11 @@ class RTree3D(TrajectoryIndex):
     packs_static_builds = True
 
     def _pack(self, trajectories) -> None:
-        self.bulk_load(
+        self._pack_rows(
             [
-                LeafEntry.decoded(tr.object_id, seg)
+                row
                 for tr in trajectories
-                for seg in tr.segments()
+                for row in trajectory_rows(tr.object_id, tr.samples)
             ]
         )
 
@@ -232,22 +234,25 @@ class RTree3D(TrajectoryIndex):
         (:mod:`repro.index.packing`).  The tree must be empty; the
         checks of :meth:`insert` apply, and nothing is allocated when
         one of them fails."""
+        self._pack_rows([e.row for e in entries])
+
+    def _pack_rows(self, rows: list[tuple]) -> None:
+        """:meth:`bulk_load` of leaf rows: each leaf gets its rows, and
+        no entry object is built."""
         if self.root_page != NO_PAGE:
             raise IndexError_("bulk_load requires an empty index")
-        ids = {e.trajectory_id for e in entries}
+        ids = {row[0] for row in rows}
         self._admit(ids)
-        if not entries:
+        if not rows:
             return
-        boxes = segment_boxes([e.segment for e in entries])
+        boxes = row_boxes(rows)
         pages, leaf_boxes = [], box_columns()
         for group in str_tiles(boxes, self.capacity):
             leaf = self.new_node(level=0)
-            leaf.entries = [entries[i] for i in group]
+            leaf.rows = [rows[i] for i in group]
             pages.append(leaf.page_id)
             append_box(leaf_boxes, union_box(boxes, group))
         pack_upper_levels(self, pages, leaf_boxes)
         self.trajectory_ids.update(ids)
-        self.max_speed = max(
-            self.max_speed, max(e.segment.speed for e in entries)
-        )
-        self.num_entries = len(entries)
+        self.max_speed = max(self.max_speed, max(row_speeds(rows)))
+        self.num_entries = len(rows)

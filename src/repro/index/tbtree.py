@@ -22,7 +22,6 @@ consecutive pages, and the upper levels are packed over them.
 from __future__ import annotations
 
 from ..exceptions import IndexError_
-from ..geometry import STSegment
 from .base import TrajectoryIndex, quadratic_split
 from .entry import InternalEntry, LeafEntry
 from .node import (
@@ -33,7 +32,13 @@ from .node import (
     Node,
     tb_leaf_payload_size,
 )
-from .packing import append_box, box_columns, pack_upper_levels
+from .packing import (
+    append_box,
+    box_columns,
+    pack_upper_levels,
+    row_speeds,
+    trajectory_rows,
+)
 
 __all__ = ["TBTree"]
 
@@ -76,10 +81,7 @@ class TBTree(TrajectoryIndex):
                 pts = samples[first : first + per_leaf + 1]
                 leaf = self.new_node(level=0, owner_id=oid)
                 leaf.chained = True
-                leaf.entries = [
-                    LeafEntry.decoded(oid, STSegment(a, b))
-                    for a, b in zip(pts, pts[1:])
-                ]
+                leaf.rows = rows = trajectory_rows(oid, pts)
                 if prev is not None:
                     prev.next_leaf = leaf.page_id
                     leaf.prev_leaf = prev.page_id
@@ -90,10 +92,8 @@ class TBTree(TrajectoryIndex):
                 append_box(
                     boxes, (min(xs), min(ys), pts[0].t, max(xs), max(ys), pts[-1].t)
                 )
-                self.num_entries += len(leaf.entries)
-                self.max_speed = max(
-                    self.max_speed, max(e.segment.speed for e in leaf.entries)
-                )
+                self.num_entries += len(rows)
+                self.max_speed = max(self.max_speed, max(row_speeds(rows)))
             self._active_leaf[oid] = prev.page_id
             self.trajectory_ids.add(oid)
         if pages:
@@ -250,7 +250,7 @@ class TBTree(TrajectoryIndex):
         """
         self._check_deletable(trajectory_id)
         chain = self.leaf_chain(trajectory_id)
-        deleted = sum(len(leaf.entries) for leaf in chain)
+        deleted = sum(len(leaf) for leaf in chain)
         for leaf in chain:
             self._detach_leaf(leaf)
         self._active_leaf.pop(trajectory_id, None)
@@ -377,5 +377,5 @@ class TBTree(TrajectoryIndex):
         the access path the leaf chain exists for."""
         out: list[LeafEntry] = []
         for leaf in self.leaf_chain(trajectory_id):
-            out.extend(leaf.entries)
+            out.extend(map(LeafEntry.from_row, leaf.rows))
         return out

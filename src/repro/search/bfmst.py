@@ -49,14 +49,19 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import nullcontext
+from operator import itemgetter
 from time import monotonic
 
 from ..distance import PartialDissim, segment_dissim
-from ..distance.kernels import make_segment_dissim_batch, resolve_kernels
+from ..distance.kernels import (
+    resolve_kernels,
+    window_dissim_batch,
+    window_dissim_batch_python,
+    window_segment,
+)
 from ..distance.trinomial import IntegralResult
 from ..exceptions import DeadlineExceeded, QueryError, TemporalCoverageError
 from ..filter.runtime import SignatureFilter
-from ..geometry import STSegment
 from ..index import TrajectoryIndex, best_first_nodes
 from ..obs import state as _obs
 from ..trajectory import Trajectory
@@ -107,28 +112,32 @@ def make_signature_filter(
     return SignatureFilter(sigs, query, t_start, t_end, vmax, kernels=kernels)
 
 
+_LO = itemgetter(0)
+
+
 class _Candidate:
     """Per-trajectory bookkeeping: coverage record plus the retrieved
-    segment windows with their integrals (kept so the final value and
-    the exact refinement are canonical time-ordered sums, and ambiguous
-    answers can be re-integrated exactly)."""
+    windows (``(lo, hi, x1, y1, t1, x2, y2, t2)``, see
+    :mod:`repro.distance.kernels`) with their integrals, kept so the
+    final value and the exact refinement are canonical time-ordered
+    sums, and ambiguous answers can be re-integrated exactly."""
 
-    __slots__ = ("tid", "partial", "windows", "total")
+    __slots__ = ("tid", "partial", "windows", "integrals", "total")
 
     def __init__(self, tid: int, t_start: float, t_end: float) -> None:
         self.tid = tid
         self.partial = PartialDissim(t_start, t_end)
-        self.windows: list[tuple[float, float, STSegment, IntegralResult]] = []
+        self.windows: list[tuple] = []
+        self.integrals: list[IntegralResult] = []
         self.total: IntegralResult | None = None  # set on completion
 
     def canonical_total(self) -> IntegralResult:
         """Sum of the window integrals in time order — independent of
         the order the index traversal delivered them."""
         total = IntegralResult(0.0, 0.0)
-        for _lo, _hi, _seg, integral in sorted(
-            self.windows, key=lambda w: w[0]
-        ):
-            total = total + integral
+        windows = self.windows
+        for i in sorted(range(len(windows)), key=lambda i: windows[i][0]):
+            total = total + self.integrals[i]
         return total
 
 
@@ -141,9 +150,9 @@ class CandidateRecord:
     records (:func:`candidate_records`), and the process-pool executor
     ships the same records across the process boundary inside a
     columnar :class:`~repro.engine.planner.ShardAnswer`.  ``windows``
-    — ``(lo, hi, segment)`` triples, time-clipped — are carried only
-    for completed (``exact=True``) candidates so the merge step can
-    re-integrate them exactly during refinement.
+    — ``(lo, hi, x1, y1, t1, x2, y2, t2)`` rows, time-clipped — are
+    carried only for completed (``exact=True``) candidates so the merge
+    step can re-integrate them exactly during refinement.
     """
 
     __slots__ = ("tid", "dissim", "error_bound", "exact", "windows")
@@ -154,7 +163,7 @@ class CandidateRecord:
         dissim: float,
         error_bound: float,
         exact: bool,
-        windows: list[tuple[float, float, STSegment]] = (),
+        windows: list[tuple] = (),
     ) -> None:
         self.tid = tid
         self.dissim = dissim
@@ -192,7 +201,7 @@ def candidate_records(
                 total.upper,
                 total.error_bound,
                 True,
-                [(lo, hi, seg) for lo, hi, seg, _integral in cand.windows],
+                cand.windows,
             )
         )
     for cand in valid.values():
@@ -312,7 +321,9 @@ def _search_shard(
     checked at every node dequeue; past it the traversal raises
     :class:`~repro.exceptions.DeadlineExceeded`.
     """
-    segment_dissim_batch = make_segment_dissim_batch(kernels)
+    integrate = (
+        window_dissim_batch if kernels == "numpy" else window_dissim_batch_python
+    )
     io_before = index.pagefile.stats.snapshot()
     period_len = t_end - t_start
 
@@ -376,12 +387,21 @@ def _search_shard(
         stats.leaf_accesses += 1
 
         # ---- leaf processing: temporal plane sweep -------------------
-        entries = sorted(node.entries, key=lambda e: e.segment.ts)
+        # The leaf's rows in time order, cut to the period; each row
+        # left is clipped to it once, and the batch pass and the
+        # replay below share the window.
+        tids: list[int] = []
+        windows: list[tuple] = []
+        for tid, x1, y1, t1, x2, y2, t2 in node.rows_in_period(t_start, t_end):
+            lo = t_start if t_start > t1 else t1
+            hi = t_end if t_end < t2 else t2
+            if lo < hi:
+                tids.append(tid)
+                windows.append((lo, hi, x1, y1, t1, x2, y2, t2))
         # Integrate every window qualifying *now* in one batch; the
         # sequential replay below may skip a few of them (a
         # candidate completing or being rejected mid-leaf), which
         # wastes their integrals but changes no decision.
-        batch_pos: dict[int, int] = {}
         batch_items = []
         batch_threshold = top.threshold if sig_filter is not None else math.inf
         sig_check = sig_filter is not None and math.isfinite(batch_threshold)
@@ -389,8 +409,7 @@ def _search_shard(
         # the candidate sets until the replay, and a TB-tree leaf
         # holds one trajectory.
         batched: dict[int, bool] = {}
-        for i, entry in enumerate(entries):
-            tid = entry.trajectory_id
+        for tid, window in zip(tids, windows):
             wanted = batched.get(tid)
             if wanted is None:
                 wanted = not (tid in rejected or tid in completed)
@@ -404,24 +423,12 @@ def _search_shard(
                     lb = sig_filter.bound(tid)
                     wanted = lb is None or not lb > batch_threshold
                 batched[tid] = wanted
-            if not wanted:
-                continue
-            lo = max(entry.segment.ts, t_start)
-            hi = min(entry.segment.te, t_end)
-            if lo >= hi:
-                continue
-            batch_pos[i] = len(batch_items)
-            batch_items.append((entry.segment, lo, hi))
-        batch_results = (
-            segment_dissim_batch(query, batch_items) if batch_items else []
-        )
-        for i, entry in enumerate(entries):
-            tid = entry.trajectory_id
+            if wanted:
+                batch_items.append(window)
+        results = iter(integrate(query, batch_items) if batch_items else ())
+        for tid, window in zip(tids, windows):
+            result = next(results) if batched[tid] else None
             if tid in rejected or tid in completed:
-                continue
-            lo = max(entry.segment.ts, t_start)
-            hi = min(entry.segment.te, t_end)
-            if lo >= hi:
                 continue
             cand = valid.get(tid)
             if cand is None:
@@ -438,9 +445,12 @@ def _search_shard(
                 cand = _Candidate(tid, t_start, t_end)
                 valid[tid] = cand
                 stats.candidates_created += 1
-            integral, d_lo, d_hi = batch_results[batch_pos[i]]
-            if cand.partial.add_interval(lo, hi, integral, d_lo, d_hi):
-                cand.windows.append((lo, hi, entry.segment, integral))
+            integral, d_lo, d_hi = result
+            if cand.partial.add_interval(
+                window[0], window[1], integral, d_lo, d_hi
+            ):
+                cand.windows.append(window)
+                cand.integrals.append(integral)
             stats.entries_processed += 1
             stats.dissim_evaluations += 1
 
@@ -910,11 +920,13 @@ def _assemble(
                 # Time-ordered summation: the exact value must not
                 # depend on segment arrival order either.
                 exact_total = 0.0
-                for lo, hi, seg in sorted(
-                    by_tid[m.trajectory_id].windows, key=lambda w: w[0]
-                ):
+                for window in sorted(by_tid[m.trajectory_id].windows, key=_LO):
                     integral, _dl, _dh = segment_dissim(
-                        query, seg, lo, hi, exact=True
+                        query,
+                        window_segment(window),
+                        window[0],
+                        window[1],
+                        exact=True,
                     )
                     exact_total += integral.approx
                 refined[m.trajectory_id] = exact_total

@@ -26,6 +26,7 @@ from typing import Iterator
 
 from ..distance import PartialDissim, segment_dissim
 from ..exceptions import QueryError, TemporalCoverageError
+from ..geometry import STPoint, STSegment
 from ..index import TrajectoryIndex, best_first_nodes
 from ..trajectory import Trajectory
 from .results import MSTMatch
@@ -71,21 +72,21 @@ def bfmst_browse(
     ready: list[tuple[float, int]] = []
 
     def process_leaf(node) -> None:
-        for entry in sorted(node.entries, key=lambda e: e.segment.ts):
-            tid = entry.trajectory_id
+        for tid, x1, y1, t1, x2, y2, t2 in node.rows_in_period(t_start, t_end):
             if tid in done:
                 continue
-            lo = max(entry.segment.ts, t_start)
-            hi = min(entry.segment.te, t_end)
+            lo = max(t1, t_start)
+            hi = min(t2, t_end)
             if lo >= hi:
                 continue
             cand = valid.get(tid)
             if cand is None:
                 cand = _Candidate(tid, t_start, t_end)
                 valid[tid] = cand
-            integral, d_lo, d_hi = segment_dissim(query, entry.segment, lo, hi)
+            seg = STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
+            integral, d_lo, d_hi = segment_dissim(query, seg, lo, hi)
             cand.partial.add_interval(lo, hi, integral, d_lo, d_hi)
-            cand.windows.append((entry.segment, lo, hi))
+            cand.windows.append((seg, lo, hi))
             if cand.partial.is_complete():
                 del valid[tid]
                 done.add(tid)

@@ -14,7 +14,13 @@ import heapq
 import math
 
 from ..exceptions import QueryError
-from ..geometry import MBR2D, Point, min_moving_point_rect_distance
+from ..geometry import (
+    MBR2D,
+    Point,
+    STPoint,
+    STSegment,
+    min_moving_point_rect_distance,
+)
 from ..index import NO_PAGE, TrajectoryIndex
 from ..obs import state as _obs
 from ..trajectory import TrajectoryDataset
@@ -88,18 +94,19 @@ def nearest_neighbours_with_stats(
         if reg is not None:
             reg.inc("search.nn.nodes_visited")
         if node.is_leaf:
-            for e in node.entries:
-                if e.trajectory_id in seen:
+            for tid, x1, y1, t1, x2, y2, t2 in node.rows:
+                if tid in seen:
                     continue
-                d = _segment_point_distance(e.segment, point, t_start, t_end)
                 stats.entries_processed += 1
                 if reg is not None:
                     reg.inc("search.nn.entries_evaluated")
-                if d is None:
-                    continue
+                if t1 > t_end or t2 < t_start:
+                    continue  # no temporal overlap
+                seg = STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
+                d = _segment_point_distance(seg, point, t_start, t_end)
                 counter += 1
                 stats.candidates_created += 1
-                heapq.heappush(heap, (d, counter, 1, e.trajectory_id))
+                heapq.heappush(heap, (d, counter, 1, tid))
         else:
             for e in node.entries:
                 if not e.mbr.overlaps_period(t_start, t_end):
