@@ -19,13 +19,7 @@ from .edr import edr_distance, edr_i_distance, edr_normalised_distance
 from .erp import erp_distance
 from .euclidean import euclidean_distance, mean_euclidean_distance
 from .frechet import discrete_frechet_distance
-from .kernels import (
-    KERNEL_MODES,
-    make_segment_dissim_batch,
-    resolve_kernels,
-    segment_dissim_batch,
-    segment_dissim_batch_python,
-)
+from .kernels import KERNEL_MODES, resolve_kernels, segment_dissim_batch
 from .lcss import lcss_distance, lcss_i_distance, lcss_length, lcss_similarity
 from .ldd import ldd
 from .profile import DistanceProfile, ProfilePiece, distance_profile
@@ -43,8 +37,6 @@ __all__ = [
     "KERNEL_MODES",
     "resolve_kernels",
     "segment_dissim_batch",
-    "segment_dissim_batch_python",
-    "make_segment_dissim_batch",
     "ldd",
     "DistanceProfile",
     "ProfilePiece",

@@ -1,16 +1,15 @@
-"""Vectorised hot-path kernels for the BFMST search.
+"""Hot-path kernels for the BFMST search.
 
 The scalar DISSIM machinery (:mod:`repro.distance.dissim`,
 :mod:`repro.distance.trinomial`) evaluates one merged-timestamp piece
-at a time in pure Python; during a search that cost dominates — every
-qualifying leaf row triggers a :func:`segment_dissim` and every node
-expansion a string of MINDIST evaluations.  This module batches the
-former (the latter lives in :mod:`repro.index.mindist`): the trinomial
-coefficients, the trapezoid integral and its Lemma 1 error bound for
-*all* pieces of *many* leaf windows are computed in a handful of numpy
-passes over the query's columnar view (:meth:`Trajectory.columns`).
+at a time through segment and trinomial objects; during a search that
+cost dominates — every qualifying leaf row needs a segment DISSIM and
+every node expansion a string of MINDIST evaluations.  This module
+holds the former's one kernel (the latter lives in
+:mod:`repro.index.mindist`) and the ``kernels=`` switch that picks the
+MINDIST and signature-filter implementations.
 
-A *window* is the kernels' unit of work: ``(lo, hi, x1, y1, t1, x2, y2,
+A *window* is the kernel's unit of work: ``(lo, hi, x1, y1, t1, x2, y2,
 t2)`` — integrate the distance between the query and the segment
 ``(x1, y1, t1) -> (x2, y2, t2)`` over ``[lo, hi]``.  It is a leaf row
 (:func:`repro.index.node.payload_rows`) clipped to the query period:
@@ -19,21 +18,24 @@ refinement, and a shard answer ships it as it is.
 :func:`segment_dissim_batch` takes ``(segment, lo, hi)`` items instead
 and runs the window kernel on their windows.
 
-The vectorised path replays the scalar arithmetic operation for
-operation (same clipping special cases, same accumulation order), so
-the numbers agree to the last bit on the regular path; the one
-exception is the rare perfect-square piece with an interior flex,
-which is delegated to the scalar code.
+:func:`window_dissim_batch` is one fused scalar loop over the pieces of
+every window: the trinomial coefficients, the trapezoid value and its
+Lemma 1 bound (or, with ``exact=True``, the closed-form integral) are
+computed inline on plain floats, with the operations of
+:func:`repro.distance.dissim.segment_dissim` in the same order — so
+the numbers agree with that reference to the last bit.  There is no
+numpy twin: at the few windows per call a search sends, a vectorised
+pass costs more than the loop it replaces.
 
-numpy stays an *optional* extra — the same deferral idiom as
-:mod:`repro.distance.fast`.  ``kernels="python"`` (and ``"auto"``
-without numpy) selects loop-based batch functions built on the scalar
-reference implementations, so the batched call plumbing is exercised,
-and trivially answer-identical, on interpreters without numpy.
+numpy stays an *optional* extra for the MINDIST and filter kernels —
+the same deferral idiom as :mod:`repro.distance.fast`.
+``kernels="python"`` (and ``"auto"`` without numpy) selects their
+loop-based twins built on the scalar reference implementations.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
@@ -41,7 +43,6 @@ from ..exceptions import QueryError, TemporalCoverageError
 from ..geometry import STPoint, STSegment
 from ..obs import state as _obs
 from ..trajectory import Trajectory
-from .dissim import segment_dissim
 from .trinomial import _A_EPS, DistanceTrinomial, IntegralResult
 
 __all__ = [
@@ -49,12 +50,8 @@ __all__ = [
     "have_numpy",
     "resolve_kernels",
     "segment_window",
-    "window_segment",
     "window_dissim_batch",
-    "window_dissim_batch_python",
     "segment_dissim_batch",
-    "segment_dissim_batch_python",
-    "make_segment_dissim_batch",
 ]
 
 KERNEL_MODES = ("auto", "numpy", "python")
@@ -117,35 +114,13 @@ def resolve_kernels(mode: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# batched segment DISSIM
+# segment DISSIM
 # ----------------------------------------------------------------------
 
 def segment_window(seg: STSegment, t_lo: float, t_hi: float) -> tuple:
     """The window of ``seg`` over ``[t_lo, t_hi]``."""
     s, e = seg.start, seg.end
     return (t_lo, t_hi, s.x, s.y, s.t, e.x, e.y, e.t)
-
-
-def window_segment(window) -> STSegment:
-    """A window's segment, as the object the scalar code takes."""
-    _lo, _hi, x1, y1, t1, x2, y2, t2 = window
-    return STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
-
-
-def window_dissim_batch_python(
-    q: Trajectory, windows: Sequence[tuple]
-) -> list[tuple[IntegralResult, float, float]]:
-    """Loop-based reference batch: one scalar :func:`segment_dissim`
-    per window."""
-    return [segment_dissim(q, window_segment(w), w[0], w[1]) for w in windows]
-
-
-def segment_dissim_batch_python(
-    q: Trajectory, items: Sequence[tuple[STSegment, float, float]]
-) -> list[tuple[IntegralResult, float, float]]:
-    """Loop-based reference batch: one scalar :func:`segment_dissim`
-    per ``(segment, t_lo, t_hi)`` item."""
-    return [segment_dissim(q, seg, lo, hi) for seg, lo, hi in items]
 
 
 def segment_dissim_batch(
@@ -157,189 +132,173 @@ def segment_dissim_batch(
 
 
 def window_dissim_batch(
-    q: Trajectory, windows: Sequence[tuple]
+    q: Trajectory, windows: Sequence[tuple], exact: bool = False
 ) -> list[tuple[IntegralResult, float, float]]:
-    """Vectorised batch of :func:`repro.distance.dissim.segment_dissim`.
+    """:func:`repro.distance.dissim.segment_dissim` of many windows.
 
-    Computes the dissimilarity contribution of many windows against
-    the query in one numpy pass over all their merged-timestamp pieces.
     Returns one ``(integral, d_start, d_end)`` triple per window,
-    matching the scalar function's values (bit-equal on the regular
-    path; the perfect-square interior-flex piece is delegated to the
-    scalar code, so it is bit-equal too).
+    bit-equal to the scalar function on the window's segment, its
+    typed errors included.  Each window is split at the query's
+    interior sampling instants; a piece whose midpoint rounds onto an
+    endpoint is dropped, as the scalar loop drops it.  ``exact=True``
+    sums the closed-form integral per piece (error bound zero) — the
+    refinement's mode.
     """
-    np = _numpy()
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
-        reg.inc("distance.kernel_batches")
-        reg.inc("distance.kernel_segments", len(windows))
-        reg.inc("distance.segment_windows", len(windows))
+        if exact:
+            reg.inc("distance.segment_windows_exact", len(windows))
+        else:
+            reg.inc("distance.kernel_batches")
+            reg.inc("distance.kernel_segments", len(windows))
+            reg.inc("distance.segment_windows", len(windows))
 
     cols = q.columns()
-    qt_buf = cols.t
-
-    # Enumerate the non-degenerate pieces of every window, exactly as
-    # the scalar loop does: split at the query's interior sampling
-    # instants, drop float-resolution slivers.
-    piece_lo: list[float] = []
-    piece_hi: list[float] = []
-    counts: list[int] = []
-    per_piece: list[tuple] = []  # each piece's window
+    qt, qx, qy = cols.t, cols.x, cols.y
+    q_start, q_end = q.t_start, q.t_end
+    sqrt = math.sqrt
+    isfinite = math.isfinite
+    trapezoids = 0
+    out: list[tuple[IntegralResult, float, float]] = []
     for window in windows:
-        t_lo, t_hi, _x0, _y0, ts, _xe, _ye, te = window
-        if not (ts <= t_lo < t_hi <= te):
+        t_lo, t_hi, sx0, sy0, sts, sxe, sye, ste = window
+        if not (sts <= t_lo < t_hi <= ste):
             raise QueryError(
-                f"window [{t_lo}, {t_hi}] outside segment span [{ts}, {te}]"
+                f"window [{t_lo}, {t_hi}] outside segment span [{sts}, {ste}]"
             )
-        if not q.covers(t_lo, t_hi):
+        if not (q_start <= t_lo and t_hi <= q_end):
             raise TemporalCoverageError(
                 f"query {q.object_id!r} does not cover [{t_lo}, {t_hi}]"
             )
-        n_before = len(piece_lo)
-        prev = t_lo
-        i0 = bisect_right(qt_buf, t_lo)
-        i1 = bisect_left(qt_buf, t_hi)
-        for t in qt_buf[i0:i1]:
-            mid = (prev + t) / 2.0
-            if prev < mid < t:
-                piece_lo.append(prev)
-                piece_hi.append(t)
-            prev = t
-        mid = (prev + t_hi) / 2.0
-        if prev < mid < t_hi:
-            piece_lo.append(prev)
-            piece_hi.append(t_hi)
-        n = len(piece_lo) - n_before
-        counts.append(n)
-        if n:
-            per_piece.extend([window] * n)
-
-    n_pieces = len(piece_lo)
-    if n_pieces == 0:
-        # Every window collapsed to float-resolution slivers; the
-        # scalar fallback distances are cheap, reuse them directly.
-        return [_degenerate_window(q, w) for w in windows]
-
-    lo_a = np.asarray(piece_lo)
-    hi_a = np.asarray(piece_hi)
-    span = hi_a - lo_a
-    mid = (lo_a + hi_a) / 2.0
-
-    # Query segment covering each piece (bisect_right semantics, like
-    # Trajectory.segment_covering; no clamp needed — the midpoint is
-    # strictly inside the query lifetime).
-    qt = cols.t_view()
-    qx = cols.x_view()
-    qy = cols.y_view()
-    k = np.searchsorted(qt, mid, side="right") - 1
-    np.minimum(k, len(qt) - 2, out=k)
-    qts = qt[k]
-    qte = qt[k + 1]
-    qx0 = qx[k]
-    qxe = qx[k + 1]
-    qy0 = qy[k]
-    qye = qy[k + 1]
-    qdur = qte - qts
-
-    # Interpolated endpoints with STSegment.position_at's exact
-    # endpoint special cases (t == ts / t == te return the samples).
-    frac_lo = (lo_a - qts) / qdur
-    frac_hi = (hi_a - qts) / qdur
-    qx_lo = np.where(lo_a == qts, qx0, qx0 + frac_lo * (qxe - qx0))
-    qy_lo = np.where(lo_a == qts, qy0, qy0 + frac_lo * (qye - qy0))
-    qx_hi = np.where(hi_a == qte, qxe, qx0 + frac_hi * (qxe - qx0))
-    qy_hi = np.where(hi_a == qte, qye, qy0 + frac_hi * (qye - qy0))
-
-    # One transpose gives the six per-piece segment columns.
-    _lo, _hi, sx0, sy0, sts, sxe, sye, ste = np.array(per_piece).T
-    sdur = ste - sts
-    sfrac_lo = (lo_a - sts) / sdur
-    sfrac_hi = (hi_a - sts) / sdur
-    sx_lo = np.where(lo_a == sts, sx0, sx0 + sfrac_lo * (sxe - sx0))
-    sy_lo = np.where(lo_a == sts, sy0, sy0 + sfrac_lo * (sye - sy0))
-    sx_hi = np.where(hi_a == ste, sxe, sx0 + sfrac_hi * (sxe - sx0))
-    sy_hi = np.where(hi_a == ste, sye, sy0 + sfrac_hi * (sye - sy0))
-
-    # Trinomial coefficients of the clipped pair (velocities measured
-    # over the clipped span, as STSegment.clipped + velocity do).
-    dx0 = qx_lo - sx_lo
-    dy0 = qy_lo - sy_lo
-    dvx = (qx_hi - qx_lo) / span - (sx_hi - sx_lo) / span
-    dvy = (qy_hi - qy_lo) / span - (sy_hi - sy_lo) / span
-    a = dvx * dvx + dvy * dvy
-    b = 2.0 * (dx0 * dvx + dy0 * dvy)
-    c = dx0 * dx0 + dy0 * dy0
-
-    # One-panel trapezoid with the Lemma 1 bound, vectorised.
-    d0 = np.sqrt(c)  # f(0) = c exactly, and c >= 0 (sum of squares)
-    d1 = np.sqrt(np.maximum((a * span + b) * span + c, 0.0))
-    approx = 0.5 * (d0 + d1) * span
-
-    has_flex = a > _A_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flex = np.where(has_flex, -b / (2.0 * a), 0.0)
-    disc = 4.0 * a * c - b * b
-    tau_eval = np.clip(flex, 0.0, span)
-    disc2 = np.maximum(disc, 0.0)
-    f = np.maximum((a * tau_eval + b) * tau_eval + c, 0.0)
-    f15 = f * np.sqrt(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curvature = np.where(
-            disc2 == 0.0, 0.0, np.where(f15 == 0.0, np.inf, disc2 / (4.0 * f15))
-        )
-    bound = span * span * span / 12.0 * curvature
-    bound = np.where(np.isfinite(bound), bound, approx)
-    bound = np.minimum(bound, approx)
-    bound = np.where(has_flex, bound, 0.0)
-
-    # Perfect square with an interior flex: D has a kink there, the
-    # curvature bound does not apply — the scalar code certifies those
-    # pieces against the (cheap) closed-form integral.
-    ps = has_flex & (disc <= 0.0) & (0.0 < flex) & (flex < span)
-    ps_idx = np.flatnonzero(ps)
-    if reg is not None:
-        reg.inc("distance.trapezoid_integrals", n_pieces - len(ps_idx))
-    for i in ps_idx:
-        tri = DistanceTrinomial(float(a[i]), float(b[i]), float(c[i]))
-        res = tri.trapezoid_integral(0.0, float(span[i]))
-        approx[i] = res.approx
-        bound[i] = res.error_bound
-
-    approx_l = approx.tolist()
-    bound_l = bound.tolist()
-    d0_l = d0.tolist()
-    d1_l = d1.tolist()
-    out: list[tuple[IntegralResult, float, float]] = []
-    pos = 0
-    for window, n in zip(windows, counts):
-        if n == 0:
-            out.append(_degenerate_window(q, window))
-            continue
+        sdur = ste - sts
         total_a = 0.0
         total_e = 0.0
-        for j in range(pos, pos + n):
-            total_a += approx_l[j]
-            total_e += bound_l[j]
-        out.append((IntegralResult(total_a, total_e), d0_l[pos], d1_l[pos + n - 1]))
-        pos += n
+        d_start = d_end = math.nan
+        # Piece k spans query segment k: the first starts at t_lo, the
+        # last ends at t_hi, the ones between are whole query segments.
+        last = bisect_left(qt, t_hi) - 1
+        lo = t_lo
+        for k in range(bisect_right(qt, t_lo) - 1, last + 1):
+            hi = t_hi if k == last else qt[k + 1]
+            mid = (lo + hi) / 2.0
+            if not (lo < mid < hi):
+                lo = hi
+                continue
+            # Both sides clipped to [lo, hi], with STSegment.position_at's
+            # exact endpoint cases.
+            qts = qt[k]
+            qte = qt[k + 1]
+            qx0 = qx[k]
+            qy0 = qy[k]
+            qxe = qx[k + 1]
+            qye = qy[k + 1]
+            qdur = qte - qts
+            if lo == qts:
+                qx_lo = qx0
+                qy_lo = qy0
+            else:
+                frac = (lo - qts) / qdur
+                qx_lo = qx0 + frac * (qxe - qx0)
+                qy_lo = qy0 + frac * (qye - qy0)
+            if hi == qte:
+                qx_hi = qxe
+                qy_hi = qye
+            else:
+                frac = (hi - qts) / qdur
+                qx_hi = qx0 + frac * (qxe - qx0)
+                qy_hi = qy0 + frac * (qye - qy0)
+            if lo == sts:
+                sx_lo = sx0
+                sy_lo = sy0
+            else:
+                frac = (lo - sts) / sdur
+                sx_lo = sx0 + frac * (sxe - sx0)
+                sy_lo = sy0 + frac * (sye - sy0)
+            if hi == ste:
+                sx_hi = sxe
+                sy_hi = sye
+            else:
+                frac = (hi - sts) / sdur
+                sx_hi = sx0 + frac * (sxe - sx0)
+                sy_hi = sy0 + frac * (sye - sy0)
+
+            # Trinomial of the clipped pair (velocities over the
+            # clipped span, as distance_trinomial_coefficients).
+            span = hi - lo
+            dx0 = qx_lo - sx_lo
+            dy0 = qy_lo - sy_lo
+            dvx = (qx_hi - qx_lo) / span - (sx_hi - sx_lo) / span
+            dvy = (qy_hi - qy_lo) / span - (sy_hi - sy_lo) / span
+            a = dvx * dvx + dvy * dvy
+            b = 2.0 * (dx0 * dvx + dy0 * dvy)
+            c = dx0 * dx0 + dy0 * dy0
+            lo = hi
+
+            # D(0) and D(span) as DistanceTrinomial.value_at evaluates
+            # them (``0.0 if f < 0.0 else f`` is ``max(f, 0.0)``, NaN
+            # included).
+            f0 = (a * 0.0 + b) * 0.0 + c
+            d0 = sqrt(0.0 if f0 < 0.0 else f0)
+            f1 = (a * span + b) * span + c
+            d1 = sqrt(0.0 if f1 < 0.0 else f1)
+            if d_start != d_start:
+                d_start = d0
+            d_end = d1
+            if exact:
+                total_a += DistanceTrinomial(a, b, c).exact_integral(0.0, span)
+                continue
+
+            # One-panel trapezoid with the Lemma 1 bound.
+            approx = 0.5 * (d0 + d1) * span
+            bound = 0.0
+            if not a <= _A_EPS:
+                flex = -b / (2.0 * a)
+                disc = 4.0 * a * c - b * b
+                if disc <= 0.0 and 0.0 < flex < span:
+                    # Perfect square with an interior flex: D has a
+                    # kink there, the curvature bound does not apply —
+                    # the scalar code certifies the piece against the
+                    # (cheap) closed-form integral.
+                    res = DistanceTrinomial(a, b, c).trapezoid_integral(0.0, span)
+                    total_a += res.approx
+                    total_e += res.error_bound
+                    continue
+                if disc <= 0.0:
+                    curvature = 0.0
+                else:
+                    if 0.0 <= flex <= span:
+                        tau = flex
+                    else:
+                        tau = 0.0 if flex < 0.0 else span
+                    f = (a * tau + b) * tau + c
+                    if f < 0.0:
+                        f = 0.0
+                    f15 = f * sqrt(f)
+                    curvature = math.inf if f15 == 0.0 else disc / (4.0 * f15)
+                bound = span * span * span / 12.0 * curvature
+                if not isfinite(bound):
+                    # Objects collide inside the piece: the trapezoid
+                    # value itself is always a valid width.
+                    bound = approx
+                if approx < bound:
+                    bound = approx
+            trapezoids += 1
+            total_a += approx
+            total_e += bound
+        if d_start != d_start:
+            d_start, d_end = _degenerate_window(q, window)
+        out.append((IntegralResult(total_a, total_e), d_start, d_end))
+    if reg is not None and trapezoids:
+        reg.inc("distance.trapezoid_integrals", trapezoids)
     return out
 
 
-def _degenerate_window(
-    q: Trajectory, window: tuple
-) -> tuple[IntegralResult, float, float]:
-    """The scalar fallback for a window where every sub-interval sits
-    at float resolution: zero integral, direct endpoint distances."""
-    t_lo, t_hi = window[0], window[1]
-    seg = window_segment(window)
+def _degenerate_window(q: Trajectory, window: tuple) -> tuple[float, float]:
+    """The scalar fallback endpoint distances, taken directly: for a
+    window where every piece sits at float resolution (its integral
+    stays zero), or whose first distance overflowed to NaN."""
+    t_lo, t_hi, x1, y1, t1, x2, y2, t2 = window
+    seg = STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
     d_start = q.position_at(t_lo).distance_to(seg.position_at(t_lo))
     d_end = q.position_at(t_hi).distance_to(seg.position_at(t_hi))
-    return (IntegralResult(0.0, 0.0), d_start, d_end)
-
-
-def make_segment_dissim_batch(mode: str = "auto"):
-    """The batched segment-DISSIM implementation for ``mode``
-    (``"auto" | "numpy" | "python"``)."""
-    if resolve_kernels(mode) == "numpy":
-        return segment_dissim_batch
-    return segment_dissim_batch_python
+    return d_start, d_end

@@ -52,13 +52,8 @@ from contextlib import nullcontext
 from operator import itemgetter
 from time import monotonic
 
-from ..distance import PartialDissim, segment_dissim
-from ..distance.kernels import (
-    resolve_kernels,
-    window_dissim_batch,
-    window_dissim_batch_python,
-    window_segment,
-)
+from ..distance import PartialDissim
+from ..distance.kernels import resolve_kernels, window_dissim_batch
 from ..distance.trinomial import IntegralResult
 from ..exceptions import DeadlineExceeded, QueryError, TemporalCoverageError
 from ..filter.runtime import SignatureFilter
@@ -301,12 +296,12 @@ def _search_shard(
     Mutates ``stats`` (one part's counters) in place.
 
     ``kernels`` (``"numpy"`` or ``"python"``, already resolved) picks
-    the batch implementations of the hot path: MINDIST scores all
-    entries of a dequeued internal node in one call, segment DISSIM
+    the MINDIST implementation, which scores all entries of a dequeued
+    internal node in one call.  Segment DISSIM has one kernel, which
     integrates all qualifying windows of a leaf up front; the per-entry
     state updates then *replay* those precomputed results in the
     original sequential order, so pruning/completion decisions — and
-    the answer — do not depend on the choice.
+    the answer — do not depend on the batching.
 
     ``sig_filter`` plugs in the signature tier: candidates whose
     signature lower bound strictly exceeds the current threshold are
@@ -321,9 +316,6 @@ def _search_shard(
     checked at every node dequeue; past it the traversal raises
     :class:`~repro.exceptions.DeadlineExceeded`.
     """
-    integrate = (
-        window_dissim_batch if kernels == "numpy" else window_dissim_batch_python
-    )
     io_before = index.pagefile.stats.snapshot()
     period_len = t_end - t_start
 
@@ -425,7 +417,9 @@ def _search_shard(
                 batched[tid] = wanted
             if wanted:
                 batch_items.append(window)
-        results = iter(integrate(query, batch_items) if batch_items else ())
+        results = iter(
+            window_dissim_batch(query, batch_items) if batch_items else ()
+        )
         for tid, window in zip(tids, windows):
             result = next(results) if batched[tid] else None
             if tid in rejected or tid in completed:
@@ -651,11 +645,12 @@ def bfmst_search(
         Trajectory ids never to report (e.g. the query itself when it
         is also indexed).
     kernels:
-        The hot-path implementation: ``"numpy"`` (the vectorised
-        kernels), ``"python"`` (the same batched call shape over the
-        scalar reference code, bit-equal) or ``"auto"`` (numpy when
-        importable).  ``None`` means unspecified, hence ``"auto"``.
-        Resolved once, here.
+        The MINDIST and signature-filter implementation: ``"numpy"``
+        (the vectorised kernels), ``"python"`` (the same batched call
+        shape over the scalar reference code, bit-equal) or ``"auto"``
+        (numpy when importable).  ``None`` means unspecified, hence
+        ``"auto"``.  Resolved once, here.  Segment DISSIM runs its one
+        kernel whatever the choice.
     filter:
         The signature tier (``"auto"`` — the default — for every part
         that carries a signature sidecar, ``"on"`` to require one,
@@ -919,15 +914,11 @@ def _assemble(
                         continue
                 # Time-ordered summation: the exact value must not
                 # depend on segment arrival order either.
+                windows = sorted(by_tid[m.trajectory_id].windows, key=_LO)
                 exact_total = 0.0
-                for window in sorted(by_tid[m.trajectory_id].windows, key=_LO):
-                    integral, _dl, _dh = segment_dissim(
-                        query,
-                        window_segment(window),
-                        window[0],
-                        window[1],
-                        exact=True,
-                    )
+                for integral, _dl, _dh in window_dissim_batch(
+                    query, windows, exact=True
+                ):
                     exact_total += integral.approx
                 refined[m.trajectory_id] = exact_total
                 stats.refinement_candidates += 1

@@ -24,9 +24,9 @@ import math
 from bisect import insort
 from typing import Iterator
 
-from ..distance import PartialDissim, segment_dissim
+from ..distance import PartialDissim
+from ..distance.kernels import window_dissim_batch
 from ..exceptions import QueryError, TemporalCoverageError
-from ..geometry import STPoint, STSegment
 from ..index import TrajectoryIndex, best_first_nodes
 from ..trajectory import Trajectory
 from .results import MSTMatch
@@ -83,18 +83,17 @@ def bfmst_browse(
             if cand is None:
                 cand = _Candidate(tid, t_start, t_end)
                 valid[tid] = cand
-            seg = STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2))
-            integral, d_lo, d_hi = segment_dissim(query, seg, lo, hi)
+            window = (lo, hi, x1, y1, t1, x2, y2, t2)
+            ((integral, d_lo, d_hi),) = window_dissim_batch(query, [window])
             cand.partial.add_interval(lo, hi, integral, d_lo, d_hi)
-            cand.windows.append((seg, lo, hi))
+            cand.windows.append(window)
             if cand.partial.is_complete():
                 del valid[tid]
                 done.add(tid)
                 exact_total = 0.0
-                for seg, wlo, whi in cand.windows:
-                    piece, _dl, _dh = segment_dissim(
-                        query, seg, wlo, whi, exact=True
-                    )
+                for piece, _dl, _dh in window_dissim_batch(
+                    query, cand.windows, exact=True
+                ):
                     exact_total += piece.approx
                 insort(ready, (exact_total, tid))
 

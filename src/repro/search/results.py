@@ -85,10 +85,11 @@ class SearchStats:
     exact_integral_evals: int = 0
     trapezoid_evals: int = 0
     h2_termination_depth: int = 0
-    # vectorised-kernel usage: how much of the query ran batched.
+    # kernel usage: how much of the query ran batched.
     # kernel_batches / kernel_segments count segment-DISSIM batches and
-    # the windows they covered; mindist_batched counts batched node
-    # expansions.  All zero on the scalar (kernels="python") path.
+    # the windows they covered (one kernel, every kernels= mode);
+    # mindist_batched counts numpy node expansions, zero on the scalar
+    # (kernels="python") path.
     kernel_batches: int = 0
     kernel_segments: int = 0
     mindist_batched: int = 0

@@ -1,7 +1,7 @@
-"""The vectorised kernel layer: columnar trajectory views, batched
-segment-DISSIM / MINDIST kernels, and end-to-end kernel-dispatch parity
-(numpy vs pure Python) of the BFMST search on both trees and through
-the sharded engine path."""
+"""The kernel layer: columnar trajectory views, the one segment-DISSIM
+kernel against its scalar reference, the batched MINDIST kernels, and
+end-to-end kernel-dispatch parity (numpy vs pure Python) of the BFMST
+search on both trees and through the sharded engine path."""
 
 import builtins
 
@@ -19,12 +19,7 @@ from repro import (
 )
 from repro.distance import fast, kernels
 from repro.distance.dissim import segment_dissim
-from repro.distance.kernels import (
-    make_segment_dissim_batch,
-    resolve_kernels,
-    segment_dissim_batch,
-    segment_dissim_batch_python,
-)
+from repro.distance.kernels import resolve_kernels, segment_dissim_batch
 from repro.distance.trinomial import DistanceTrinomial
 from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import QueryError, TemporalCoverageError
@@ -198,7 +193,6 @@ class TestColumnarView:
 # ----------------------------------------------------------------------
 class TestSegmentDissimBatch:
     def test_matches_scalar_on_gstd(self, gstd_world):
-        pytest.importorskip("numpy")
         dataset, query, period = gstd_world
         items = window_items(dataset, query, period)
         assert len(items) > 100
@@ -217,19 +211,15 @@ class TestSegmentDissimBatch:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_numpy_equals_python_batch_on_arbitrary_worlds(self, world):
-        pytest.importorskip("numpy")
+        """The one kernel equals the scalar reference, window by window
+        (the name is kept from when a numpy and a loop twin existed)."""
         dataset, query, period = world
         items = window_items(dataset, query, period)
         if not items:
             return
         got = segment_dissim_batch(query, items)
-        want = segment_dissim_batch_python(query, items)
-        for (g_int, g0, g1), (w_int, w0, w1) in zip(got, want):
-            rel = 1e-9 * max(1.0, abs(w_int.approx))
-            assert abs(g_int.approx - w_int.approx) <= rel
-            assert abs(g_int.error_bound - w_int.error_bound) <= rel
-            assert g0 == pytest.approx(w0, rel=1e-9, abs=1e-12)
-            assert g1 == pytest.approx(w1, rel=1e-9, abs=1e-12)
+        want = [segment_dissim(query, seg, lo, hi) for seg, lo, hi in items]
+        assert got == want
 
     @given(
         qx0=coord, qy0=coord, qx1=coord, qy1=coord,
@@ -244,7 +234,6 @@ class TestSegmentDissimBatch:
         """One window inside one query segment: the batched result is
         exactly the trapezoid integral of
         :func:`distance_trinomial_coefficients` over the clipped pair."""
-        pytest.importorskip("numpy")
         query = Trajectory(-1, [(qx0, qy0, 0.0), (qx1, qy1, 10.0)])
         seg = Trajectory(1, [(sx0, sy0, 0.5), (sx1, sy1, 9.5)]).segment_covering(5.0)
         q_seg = query.segment_covering((lo + hi) / 2.0)
@@ -260,7 +249,6 @@ class TestSegmentDissimBatch:
         )
 
     def test_rejects_bad_windows_like_scalar(self, gstd_world):
-        pytest.importorskip("numpy")
         _dataset, query, _period = gstd_world
         seg = query.segment_covering(query.t_start)
         with pytest.raises(QueryError):
@@ -423,8 +411,10 @@ class TestBFMSTKernelParity:
                     first.stats
                 )
                 # an engine without a kernels default leaves the choice
-                # to the request, whose own default is "auto"
-                batched = first.stats.kernel_batches > 0
+                # to the request, whose own default is "auto"; segment
+                # DISSIM has one kernel, which batches in every mode
+                assert first.stats.kernel_batches > 0
+                batched = first.stats.mindist_batched > 0
                 assert batched == (mode != "python")
                 answers[mode] = first.matches
         assert_same_answers(answers["numpy"], answers["python"])
@@ -458,8 +448,9 @@ class TestKernelCounters:
             _matches, stats = bfmst_search(
                 index, query, period, 5, kernels="python"
             )
-        assert stats.kernel_batches == 0
-        assert stats.kernel_segments == 0
+        # segment DISSIM has one kernel, which batches in every mode
+        assert stats.kernel_batches > 0
+        assert stats.kernel_segments > 0
         assert stats.mindist_batched == 0
 
     @pytest.mark.parametrize(
@@ -514,7 +505,6 @@ class TestPythonFallback:
         assert resolve_kernels("python") == "python"
         with pytest.raises(ImportError, match="optional extra"):
             resolve_kernels("numpy")
-        assert make_segment_dissim_batch("auto") is segment_dissim_batch_python
         assert make_mindist_batch("auto") is mindist_batch_python
 
     def test_unknown_mode_rejected(self):

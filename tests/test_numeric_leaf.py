@@ -8,7 +8,8 @@ Contract:
   ``t_start`` and ``t_end``; internal entries have ``child_page`` and
   ``mbr``; the rows a ``Node`` caches are ``payload_rows`` of its page;
 * ``segment_dissim_batch`` over ``(STSegment, lo, hi)`` items is
-  bit-equal to the window kernel on the same windows, on both kernels;
+  bit-equal to the window kernel on the same windows and to the scalar
+  ``segment_dissim``, whatever the ``kernels`` choice;
 * no write leaves a leaf searched through stale rows: live trees, the
   ingest memtable and ``repro.mod``'s mutable store answer like the
   exact scan after every insert and delete;
@@ -36,13 +37,12 @@ from repro import (
     generate_gstd,
 )
 from repro.datagen import make_query
+from repro.distance import segment_dissim
 from repro.distance.kernels import (
     have_numpy,
     segment_dissim_batch,
-    segment_dissim_batch_python,
     segment_window,
     window_dissim_batch,
-    window_dissim_batch_python,
 )
 from repro.exceptions import IndexError_
 from repro.geometry import MBR3D, STSegment
@@ -118,11 +118,11 @@ def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
                 items.append((seg, a, b))
     assert len(items) > 100
     windows = [segment_window(*item) for item in items]
-    seg_kernel, window_kernel = {
-        "python": (segment_dissim_batch_python, window_dissim_batch_python),
-        "numpy": (segment_dissim_batch, window_dissim_batch),
-    }[kernels]
-    assert seg_kernel(query, items) == window_kernel(query, windows)
+    # ``kernels`` no longer picks the segment kernel: both ids run the
+    # one kernel, against the scalar reference.
+    got = segment_dissim_batch(query, items)
+    assert got == window_dissim_batch(query, windows)
+    assert got == [segment_dissim(query, *item) for item in items]
 
 
 # ----------------------------------------------------------------------
