@@ -76,12 +76,6 @@ _FLAGS = {
         help="page-store backend for serving (mmap is read-only, "
         "zero-copy)",
     ),
-    "kernels": dict(
-        choices=("auto", "numpy", "python"), default="auto",
-        help="hot-path kernels: 'numpy' forces the vectorised batch "
-        "kernels, 'python' the pure-Python reference, 'auto' "
-        "(default) picks numpy when importable",
-    ),
     "filter": dict(
         choices=("auto", "on", "off"), default="auto",
         help="signature filter tier: 'auto' (default) uses the "
@@ -98,7 +92,7 @@ _FLAGS = {
     ),
 }
 _SLICE_FLAGS = ("object", "window", "k", "seed")
-_ENGINE_FLAGS = ("backend", "kernels", "filter")
+_ENGINE_FLAGS = ("backend", "filter")
 
 
 def _add_flags(parser, *names: str) -> None:
@@ -314,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         trace=False,
     )
     iquery.add_argument("target", help="store directory")
-    _add_flags(iquery, *_SLICE_FLAGS, "kernels", "filter")
+    _add_flags(iquery, *_SLICE_FLAGS, "filter")
 
     icompact = verb(
         ingest_sub, "compact", _cmd_ingest_compact,
@@ -448,8 +442,7 @@ def _open_engine(args):
     from .sharding import MANIFEST_NAME as SHARD_MANIFEST
 
     config = EngineConfig(
-        executor=args.executor, max_workers=args.workers,
-        kernels=args.kernels, filter=args.filter,
+        executor=args.executor, max_workers=args.workers, filter=args.filter
     )
     target = Path(args.target)
     draw_from = lambda: engine.dataset

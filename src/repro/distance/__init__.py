@@ -19,7 +19,7 @@ from .edr import edr_distance, edr_i_distance, edr_normalised_distance
 from .erp import erp_distance
 from .euclidean import euclidean_distance, mean_euclidean_distance
 from .frechet import discrete_frechet_distance
-from .kernels import KERNEL_MODES, resolve_kernels, segment_dissim_batch
+from .kernels import segment_dissim_batch
 from .lcss import lcss_distance, lcss_i_distance, lcss_length, lcss_similarity
 from .ldd import ldd
 from .profile import DistanceProfile, ProfilePiece, distance_profile
@@ -34,8 +34,6 @@ __all__ = [
     "merged_timestamps",
     "resolve_period",
     "segment_dissim",
-    "KERNEL_MODES",
-    "resolve_kernels",
     "segment_dissim_batch",
     "ldd",
     "DistanceProfile",

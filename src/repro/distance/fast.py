@@ -6,10 +6,10 @@ same values orders of magnitude faster, which the Figure 9 quality
 bench needs (hundreds of full DP matrices per data point).
 
 numpy is an *optional* extra, so the import is deferred to first use:
-this module always imports, :func:`have_numpy` probes availability
-without raising, and callers that need the speed get an actionable
-:class:`ImportError` (the quality experiment falls back to the
-reference metrics instead).
+this module always imports, :func:`have_numpy` (the package's one
+probe, :mod:`repro.trajectory.columns`) says whether it can run, and
+callers that need the speed get an actionable :class:`ImportError`
+(the quality experiment falls back to the reference metrics instead).
 
 The sequential in-row dependency of the edit DPs is eliminated with the
 classic running-extremum trick: for EDR,
@@ -22,6 +22,7 @@ a plain accumulated maximum.
 from __future__ import annotations
 
 from ..trajectory import Trajectory
+from ..trajectory.columns import _numpy, have_numpy
 
 __all__ = [
     "have_numpy",
@@ -30,42 +31,6 @@ __all__ = [
     "edr_distance_fast",
     "dtw_distance_fast",
 ]
-
-_np = None
-
-
-def _numpy():
-    """Import numpy on first use, memoised; raises an actionable
-    :class:`ImportError` when it is not installed."""
-    global _np
-    if _np is None:
-        try:
-            import numpy
-
-            # Probe an attribute before memoising: a concurrent failed
-            # import can yield a half-initialized module object, which
-            # must not be cached as "numpy is available".
-            numpy.ndarray
-        except (ImportError, AttributeError) as exc:
-            raise ImportError(
-                "repro.distance.fast needs numpy, which is an optional "
-                "extra: install it with `pip install numpy` (or the "
-                "project's `[test]` extra), or use the pure-Python "
-                "reference metrics in repro.distance.lcss / .edr / .dtw "
-                "— repro.experiments.quality falls back to them "
-                "automatically."
-            ) from exc
-        _np = numpy
-    return _np
-
-
-def have_numpy() -> bool:
-    """``True`` when the vectorised DPs can run (numpy importable)."""
-    try:
-        _numpy()
-    except ImportError:
-        return False
-    return True
 
 
 def coords(traj: Trajectory):

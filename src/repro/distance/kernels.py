@@ -5,9 +5,8 @@ The scalar DISSIM machinery (:mod:`repro.distance.dissim`,
 at a time through segment and trinomial objects; during a search that
 cost dominates — every qualifying leaf row needs a segment DISSIM and
 every node expansion a string of MINDIST evaluations.  This module
-holds the former's one kernel (the latter lives in
-:mod:`repro.index.mindist`) and the ``kernels=`` switch that picks the
-MINDIST and signature-filter implementations.
+holds the former's one kernel; the latter lives in
+:mod:`repro.index.mindist`.
 
 A *window* is the kernel's unit of work: ``(lo, hi, x1, y1, t1, x2, y2,
 t2)`` — integrate the distance between the query and the segment
@@ -27,10 +26,10 @@ the numbers agree with that reference to the last bit.  There is no
 numpy twin: at the few windows per call a search sends, a vectorised
 pass costs more than the loop it replaces.
 
-numpy stays an *optional* extra for the MINDIST and filter kernels —
-the same deferral idiom as :mod:`repro.distance.fast`.
-``kernels="python"`` (and ``"auto"`` without numpy) selects their
-loop-based twins built on the scalar reference implementations.
+numpy stays an *optional* extra for the MINDIST and filter passes:
+they run when it imports (:func:`repro.trajectory.columns.have_numpy`)
+and their loop-based twins, built on the scalar reference code and
+bit-equal, run otherwise.  Nobody chooses between them.
 """
 
 from __future__ import annotations
@@ -46,71 +45,10 @@ from ..trajectory import Trajectory
 from .trinomial import _A_EPS, DistanceTrinomial, IntegralResult
 
 __all__ = [
-    "KERNEL_MODES",
-    "have_numpy",
-    "resolve_kernels",
     "segment_window",
     "window_dissim_batch",
     "segment_dissim_batch",
 ]
-
-KERNEL_MODES = ("auto", "numpy", "python")
-
-_np = None
-
-
-def _numpy():
-    """Import numpy on first use, memoised; raises an actionable
-    :class:`ImportError` when it is not installed."""
-    global _np
-    if _np is None:
-        try:
-            import numpy
-
-            # A concurrent *failed* import can hand this thread the
-            # half-initialized module object (CPython returns the
-            # sys.modules entry it read before waiting on the import
-            # lock); probing an attribute rejects it instead of
-            # memoising a broken module for the rest of the process.
-            numpy.ndarray
-        except (ImportError, AttributeError) as exc:
-            raise ImportError(
-                "kernels='numpy' needs numpy, which is an optional extra: "
-                "install it with `pip install numpy` (or the project's "
-                "`[test]` extra), or select kernels='python' (or 'auto') "
-                "to use the pure-Python reference path."
-            ) from exc
-        _np = numpy
-    return _np
-
-
-def have_numpy() -> bool:
-    """``True`` when the vectorised kernels can run (numpy importable)."""
-    try:
-        _numpy()
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_kernels(mode: str) -> str:
-    """Resolve a ``kernels=`` choice to a concrete implementation.
-
-    ``"auto"`` picks ``"numpy"`` when numpy is importable and
-    ``"python"`` otherwise; ``"numpy"`` raises the actionable
-    :class:`ImportError` when numpy is missing rather than silently
-    degrading.
-    """
-    if mode == "auto":
-        return "numpy" if have_numpy() else "python"
-    if mode == "python":
-        return "python"
-    if mode == "numpy":
-        _numpy()
-        return "numpy"
-    raise ValueError(
-        f"unknown kernels mode {mode!r}; expected one of {KERNEL_MODES}"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -76,12 +76,7 @@ class EngineConfig:
     ``"serial"``, ``"thread"`` or ``"process"`` (the last needs shard
     page files to hand to its workers, so only an engine opened from a
     shard directory accepts it); the threaded executor treats the index
-    as read-only and enables the buffer manager's lock.  ``kernels``
-    selects the hot-path implementation for k-MST queries (``"auto"``
-    picks the vectorised numpy kernels when numpy is importable and the
-    pure-Python reference otherwise; ``"numpy"``/``"python"`` force
-    one; ``None`` leaves the choice to each request, whose own default
-    is ``"auto"``) — see :mod:`repro.distance.kernels`.  ``filter`` is
+    as read-only and enables the buffer manager's lock.  ``filter`` is
     the session default for the signature filter tier
     (``"auto"``/``"on"``/``"off"``, see :mod:`repro.filter`); a request
     that names a filter mode explicitly overrides it.
@@ -90,7 +85,6 @@ class EngineConfig:
     pin_upper_levels: int = 2
     executor: str = "serial"
     max_workers: int | None = None
-    kernels: str | None = "auto"
     filter: str = "auto"
 
 
@@ -315,7 +309,7 @@ class QueryEngine:
     def search_context(self, query, period) -> dict:
         """What steers one k-MST search in this session, as keyword
         data for :func:`repro.search.bfmst.bfmst_search`."""
-        return {"kernels": self.config.kernels, "filter": self.config.filter}
+        return {"filter": self.config.filter}
 
     def _run_requests(self, requests: list[QuerySpec]) -> list[SearchResult]:
         """Where a batch spends the session executor: here, across the

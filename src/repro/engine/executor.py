@@ -179,7 +179,7 @@ def _execute_shard_plan(plan):
     # The sidecar (auto-attached by load_index) feeds a worker-local
     # signature filter; ``plan.filter`` is the parent-resolved mode.
     sig_filter = make_signature_filter(
-        index, spec.query, t_start, t_end, plan.vmax, plan.filter, plan.kernels
+        index, spec.query, t_start, t_end, plan.vmax, plan.filter
     )
 
     registry = MetricsRegistry()
@@ -196,7 +196,6 @@ def _execute_shard_plan(plan):
             opts.get("use_heuristic2", True),
             _TopK(spec.k),
             frozenset(opts.get("exclude_ids") or ()),
-            plan.kernels,
             sig_filter,
             plan.deadline,
         )

@@ -92,9 +92,6 @@ class ShardPlan:
     * ``deadline`` — absolute ``time.monotonic()`` deadline (system-wide
       on Linux, so it is meaningful across processes), the same value
       the in-process executors hand the traversal.
-    * ``kernels`` — the parent-resolved concrete kernel mode
-      (``"numpy"`` or ``"python"``, never ``"auto"``: resolution
-      happens once, in one process).
     * ``filter`` — the parent-resolved signature-filter mode
       (``auto``/``on``/``off``, see :mod:`repro.filter`); the worker
       builds its own :class:`~repro.filter.SignatureFilter` from the
@@ -108,7 +105,6 @@ class ShardPlan:
     vmax: float
     deadline: float | None = None
     backend: str = "mmap"
-    kernels: str = "python"
     filter: str = "auto"
     buffer_fraction: float = 0.10
     buffer_max_pages: int = 1000
@@ -128,7 +124,6 @@ class ShardPlan:
                 float(self.deadline) if self.deadline is not None else None
             ),
             "backend": self.backend,
-            "kernels": self.kernels,
             "filter": self.filter,
             "buffer_fraction": float(self.buffer_fraction),
             "buffer_max_pages": int(self.buffer_max_pages),
@@ -171,12 +166,6 @@ class ShardPlan:
             deadline is None or isinstance(deadline, (int, float)),
             f"deadline must be a number or null, got {deadline!r}",
         )
-        kernels = doc.get("kernels")
-        _require(
-            kernels in ("numpy", "python"),
-            f"plan kernels must be numpy|python (auto must be resolved "
-            f"by the parent), got {kernels!r}",
-        )
         filter_mode = doc.get("filter")
         _require(
             filter_mode in ("auto", "on", "off"),
@@ -190,7 +179,6 @@ class ShardPlan:
             vmax=float(vmax),
             deadline=float(deadline) if deadline is not None else None,
             backend=doc.get("backend", "mmap"),
-            kernels=kernels,
             filter=filter_mode,
             buffer_fraction=float(doc.get("buffer_fraction", 0.10)),
             buffer_max_pages=int(doc.get("buffer_max_pages", 1000)),

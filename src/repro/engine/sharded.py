@@ -129,8 +129,8 @@ class ShardedQueryEngine(QueryEngine):
     # the parts seam
     # ------------------------------------------------------------------
     def search_context(self, query, period) -> dict:
-        """Plan the shard fan-out for one query: the session's kernels
-        and filter defaults, the selected shards and where they run."""
+        """Plan the shard fan-out for one query: the session's filter
+        default, the selected shards and where they run."""
         plan = self.planner.plan(query, period)
         self.metrics.inc("engine.planner.plans")
         self.metrics.inc("engine.planner.shards_selected", len(plan.selected))
@@ -152,7 +152,7 @@ class ShardedQueryEngine(QueryEngine):
         return [self.execute(request) for request in requests]
 
     def run_parts(
-        self, specs: dict, vmax: float, kernels: str, filter: str, deadline
+        self, specs: dict, vmax: float, filter: str, deadline
     ) -> list:
         """Search shards in the process pool — the ``executor`` this
         engine hands the search driver when ``executor="process"``.
@@ -161,7 +161,7 @@ class ShardedQueryEngine(QueryEngine):
         :class:`~repro.search.QuerySpec` its worker runs.  One
         self-contained :class:`~repro.engine.planner.ShardPlan` per
         shard goes out (spec + shard path + generation signature + the
-        driver-resolved ``vmax``/kernels/filter + the absolute
+        driver-resolved ``vmax``/filter + the absolute
         deadline); every :class:`~repro.engine.planner.ShardAnswer`
         coming back is validated against the open store and returned as
         the driver's ``(shard_id, records, stats)`` triple.  Worker
@@ -179,7 +179,6 @@ class ShardedQueryEngine(QueryEngine):
                 vmax=vmax,
                 deadline=deadline,
                 backend=self.backend,
-                kernels=kernels,
                 filter=filter,
                 buffer_fraction=self._buffer_fraction,
                 buffer_max_pages=self._buffer_max_pages,

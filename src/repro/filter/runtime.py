@@ -21,15 +21,16 @@ The bound is valid for *partial* candidates too: a candidate's
 reported value is always an upper bound on (or the exact value of) its
 full-period DISSIM, which the signature bound lower-bounds.
 
-The scalar kernel evaluates one trajectory per lookup.  The numpy
-kernel evaluates *every* row of the sidecar on the first lookup of a
-query — a few dozen array operations over the stacked knot columns
-instead of one interpreter round trip per candidate — performing the
+Without numpy the filter evaluates one trajectory per lookup.  With
+numpy (:func:`repro.trajectory.columns.have_numpy`) it evaluates
+*every* row of the sidecar on the first lookup of a query — a few
+dozen array operations over the stacked knot columns instead of one
+interpreter round trip per candidate — performing the
 exact same IEEE operations in the same order (probe times as ``lo +
 (j + 0.5) * L``, the knot index by bisection, interpolation as ``x_i +
 frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx + dy*dy)``, per-probe hinge,
 the ``M`` contributions added left to right), so the two are bit-equal
-and ``kernels=`` never changes an answer.
+and the host's numpy never changes an answer.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from ..distance.kernels import _numpy
 from ..exceptions import QueryError
+from ..trajectory.columns import _numpy, have_numpy
 from .signature import TrajectorySignatures
 
 __all__ = ["SignatureFilter", "DEFAULT_PROBES"]
@@ -59,10 +60,6 @@ class SignatureFilter:
     engine creates it at the top of each search — and memoises the
     per-trajectory bounds, so repeated checks against a tightening
     threshold cost one lookup.
-
-    ``kernels`` must be concrete (``"numpy"`` or ``"python"``); the
-    ``"auto"`` resolution happens in the search layer alongside the
-    distance kernels.
     """
 
     __slots__ = (
@@ -71,7 +68,6 @@ class SignatureFilter:
         "t_start",
         "t_end",
         "vmax",
-        "kernels",
         "probes",
         "checks",
         "pruned",
@@ -88,15 +84,10 @@ class SignatureFilter:
         t_end: float,
         vmax: float,
         *,
-        kernels: str = "python",
         probes: int = DEFAULT_PROBES,
     ) -> None:
-        if kernels not in ("numpy", "python"):
-            raise QueryError(
-                f"filter kernels must be 'numpy' or 'python', got {kernels!r}"
-            )
-        if vmax < 0.0:
-            raise QueryError(f"negative vmax {vmax}")
+        if not vmax >= 0.0:  # NaN too
+            raise QueryError(f"vmax must be a non-negative number, got {vmax}")
         if probes < 1:
             raise QueryError(f"probes must be >= 1, got {probes}")
         self.sigs = sigs
@@ -104,7 +95,6 @@ class SignatureFilter:
         self.t_start = t_start
         self.t_end = t_end
         self.vmax = vmax
-        self.kernels = kernels
         self.probes = probes
         self.checks = 0
         self.pruned = 0
@@ -112,7 +102,7 @@ class SignatureFilter:
         # numpy kernel fills them all at once, the scalar one as asked.
         self._bounds: list[float | None] | None = None
         self._qpos: dict[tuple[float, float], tuple[list, list]] = {}
-        self._np = _numpy() if kernels == "numpy" else None
+        self._np = _numpy() if have_numpy() else None
 
     # ------------------------------------------------------------------
     # pruning interface

@@ -3,7 +3,7 @@
 from .base import TrajectoryIndex, quadratic_split
 from .entry import ENTRY_BYTES, InternalEntry, LeafEntry
 from .fsck import FsckReport, PageVerdict, fsck, fsck_index, fsck_sharded
-from .mindist import make_mindist_batch, mindist, mindist_batch, mindist_batch_python
+from .mindist import mindist, mindist_batch, mindist_batch_python
 from .node import NO_PAGE, NODE_OVERHEAD_BYTES, Node, node_capacity
 from .persistence import load_index, save_index
 from .rstar import RStarTree
@@ -29,7 +29,6 @@ __all__ = [
     "mindist",
     "mindist_batch",
     "mindist_batch_python",
-    "make_mindist_batch",
     "best_first_nodes",
     "save_index",
     "load_index",

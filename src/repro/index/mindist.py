@@ -17,16 +17,15 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..distance import kernels as _kernels
 from ..geometry import MBR3D, min_moving_point_rect_distance
 from ..obs import state as _obs
 from ..trajectory import Trajectory
+from ..trajectory.columns import _numpy
 
 __all__ = [
     "mindist",
     "mindist_batch",
     "mindist_batch_python",
-    "make_mindist_batch",
 ]
 
 
@@ -68,7 +67,8 @@ def mindist_batch_python(
     t_start: float,
     t_end: float,
 ) -> list[float | None]:
-    """Loop-based reference batch: one scalar :func:`mindist` per box."""
+    """Loop-based reference batch: one scalar :func:`mindist` per box —
+    what the traversal runs when numpy does not import."""
     return [mindist(query, box, t_start, t_end) for box in boxes]
 
 
@@ -89,7 +89,7 @@ def mindist_batch(
     (breakpoints padded to six slots, vertex of each adjacent piece),
     so the values match the scalar path bit for bit.
     """
-    np = _kernels._numpy()
+    np = _numpy()
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
         reg.inc("index.mindist_batched")
@@ -232,11 +232,3 @@ def mindist_batch(
     for j, d in zip(ord_list, box_best.tolist()):
         results[j] = d
     return results
-
-
-def make_mindist_batch(mode: str = "auto"):
-    """The batched MINDIST implementation for ``mode``
-    (``"auto" | "numpy" | "python"``)."""
-    if _kernels.resolve_kernels(mode) == "numpy":
-        return mindist_batch
-    return mindist_batch_python

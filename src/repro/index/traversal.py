@@ -19,8 +19,9 @@ from typing import Iterator
 
 from ..obs import state as _obs
 from ..trajectory import Trajectory
+from ..trajectory.columns import have_numpy
 from .base import TrajectoryIndex
-from .mindist import make_mindist_batch
+from .mindist import mindist_batch, mindist_batch_python
 from .node import NO_PAGE, Node
 
 __all__ = ["best_first_nodes"]
@@ -32,7 +33,6 @@ def best_first_nodes(
     t_start: float,
     t_end: float,
     *,
-    kernels: str | None = None,
     leaf_admit=None,
 ) -> Iterator[tuple[float, Node]]:
     """Yield ``(mindist, node)`` pairs in increasing MINDIST order.
@@ -49,10 +49,10 @@ def best_first_nodes(
     middle of the period, not to whichever the tree's layout happens to
     list first (a packed tree lists them corner to corner).
 
-    All entries of a dequeued node are scored in one
-    :func:`~repro.index.mindist.make_mindist_batch` call; ``kernels``
-    (``"auto"``/``"numpy"``/``"python"``, ``None`` meaning ``"auto"``)
-    picks its implementation — the results are bit-equal.
+    All entries of a dequeued node are scored in one batched MINDIST
+    call: :func:`~repro.index.mindist.mindist_batch` when numpy
+    imports, :func:`~repro.index.mindist.mindist_batch_python`
+    otherwise — the results are bit-equal.
 
     ``leaf_admit`` — when given — is consulted as ``leaf_admit(dist,
     page_id)`` for every dequeued page *known* to be a leaf (its parent
@@ -65,7 +65,7 @@ def best_first_nodes(
     """
     if index.root_page == NO_PAGE:
         return
-    mindist_batch = make_mindist_batch(kernels or "auto")
+    score = mindist_batch if have_numpy() else mindist_batch_python
     trace = _obs.ACTIVE
     reg = trace.registry if trace is not None else None
     high_water = 1
@@ -95,7 +95,7 @@ def best_first_nodes(
             if node.is_leaf:
                 continue
             child_level = node.level - 1
-            dists = mindist_batch(
+            dists = score(
                 query, [e.mbr for e in node.entries], t_start, t_end
             )
             for e, d in zip(node.entries, dists):

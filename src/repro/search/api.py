@@ -141,26 +141,31 @@ def bfmst_search(
 
     Unified form: ``bfmst_search(ctx_or_index, dataset, query, *,
     period=None, k=1, ...) -> SearchResult`` (``dataset`` may be
-    ``None`` — BFMST reads only the index).  ``kernels`` selects the
-    hot-path implementation (``"auto"``/``"numpy"``/``"python"``; see
-    :mod:`repro.distance.kernels`) — unspecified means ``"auto"``, and
-    an engine context's configured kernels win over the call's.
-    ``filter`` controls the signature filter tier (``"auto"`` filters
-    when the index carries a signature sidecar, ``"on"`` requires one,
-    ``"off"`` disables it; answers are identical either way — see
-    :mod:`repro.filter`).  An explicit ``"on"``/``"off"`` always wins
-    over an engine context's configured default.  ``deadline`` is an
-    absolute ``time.monotonic()`` instant past which the traversal
-    raises :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else
-    steers the search — the planner's shard selection, the executor
-    the parts run on — is the context's ``search_context(query,
-    period)``, plain data handed to the one driver
+    ``None`` — BFMST reads only the index).  The platform picks the
+    MINDIST and filter implementations (numpy when it imports);
+    ``kernels`` is kept for callers that name that default and takes
+    only ``None`` or ``"auto"``.  ``filter`` controls the signature
+    filter tier (``"auto"`` filters when the index carries a signature
+    sidecar, ``"on"`` requires one, ``"off"`` disables it; answers are
+    identical either way — see :mod:`repro.filter`).  An explicit
+    ``"on"``/``"off"`` always wins over an engine context's configured
+    default.  ``deadline`` is an absolute ``time.monotonic()`` instant
+    past which the traversal raises
+    :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else steers
+    the search — the planner's shard selection, the executor the parts
+    run on — is the context's ``search_context(query, period)``, plain
+    data handed to the one driver
     (:func:`repro.search.bfmst.bfmst_search`) unchanged.
     """
     if not isinstance(query, Trajectory):
         raise TypeError(
             f"bfmst_search takes a Trajectory in the query slot "
             f"(ctx_or_index, dataset, query), got {type(query).__name__}"
+        )
+    if kernels is not None and kernels != "auto":
+        raise QueryError(
+            f"kernels takes only None or 'auto' (the platform picks the "
+            f"implementation), got {kernels!r}"
         )
     options = {}
     if vmax is not None:
@@ -175,12 +180,10 @@ def bfmst_search(
         options["exclude_ids"] = frozenset(exclude_ids)
     if filter != "auto":
         options["filter"] = filter
-    spec = QuerySpec("mst", query, period, k, options, kernels=kernels)
+    spec = QuerySpec("mst", query, period, k, options)
     index, dataset, ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "bfmst_search")
     context = dict(ctx.search_context(query, period)) if ctx is not None else {}
-    if context.get("kernels") is None:
-        context["kernels"] = kernels
     if filter != "auto":
         context["filter"] = filter
     with _tracing(trace):
@@ -204,22 +207,19 @@ def linear_scan_kmst(
     k: int = 1,
     exact: bool = False,
     exclude_ids=frozenset(),
-    kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
     """Exhaustive k-MST — the index-free ground truth.
 
     Unified form: ``linear_scan_kmst(None, dataset, query, *, k=1,
-    exact=False, ...) -> SearchResult``.  ``kernels`` is accepted for
-    schema uniformity (every entry point shares the QuerySpec field
-    set) but the scan has no vectorised path yet.
+    exact=False, ...) -> SearchResult``.
     """
     options = {}
     if exact:
         options["exact"] = True
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("linear_scan", query, period, k, options, kernels=kernels)
+    spec = QuerySpec("linear_scan", query, period, k, options)
     _index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("linear_scan_kmst requires a dataset")
@@ -240,17 +240,15 @@ def nearest_neighbours(
     *,
     period: tuple[float, float] | None = None,
     k: int = 1,
-    kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
     """Historical point-NN: the k objects passing closest to a location.
 
     Unified form: ``nearest_neighbours(ctx_or_index, dataset, point, *,
     period=(t_start, t_end), k=1, ...) -> SearchResult`` — the match
-    ``dissim`` slot carries the point distance.  ``kernels`` is
-    accepted for schema uniformity (no vectorised path yet).
+    ``dissim`` slot carries the point distance.
     """
-    spec = QuerySpec("nn", query, period, k, kernels=kernels)
+    spec = QuerySpec("nn", query, period, k)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "nearest_neighbours")
     if period is None:
@@ -291,17 +289,15 @@ def range_query(
     query=None,
     *,
     period: tuple[float, float] | None = None,
-    kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
     """Objects whose path enters a spatial window during an interval.
 
     Unified form: ``range_query(ctx_or_index, dataset, window, *,
     period=(t_start, t_end), ...) -> SearchResult`` — hits are unranked
-    :class:`MSTMatch` rows (``dissim`` 0) sorted by id.  ``kernels`` is
-    accepted for schema uniformity (no vectorised path yet).
+    :class:`MSTMatch` rows (``dissim`` 0) sorted by id.
     """
-    spec = QuerySpec("range", query, period, kernels=kernels)
+    spec = QuerySpec("range", query, period)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "range_query")
     if period is None:
@@ -329,7 +325,6 @@ def continuous_nearest_neighbour(
     *,
     period: tuple[float, float] | None = None,
     exclude_ids=frozenset(),
-    kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
     """Nearest object at every instant of the period.
@@ -339,15 +334,12 @@ def continuous_nearest_neighbour(
     interval partition is in ``result.extras["intervals"]`` (also via
     ``result.intervals``); ``matches`` lists the distinct winners in
     order of first appearance.  An index in the context slot enables
-    candidate pruning.  ``kernels`` is accepted for schema uniformity
-    (no vectorised path yet).
+    candidate pruning.
     """
     options = {}
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec(
-        "continuous_nn", query, period, options=options, kernels=kernels
-    )
+    spec = QuerySpec("continuous_nn", query, period, options=options)
     index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("continuous_nearest_neighbour requires a dataset")
@@ -385,7 +377,6 @@ def time_relaxed_kmst(
     k: int = 1,
     grid: int = 64,
     exclude_ids=frozenset(),
-    kernels: str | None = None,
     trace=None,
 ) -> SearchResult:
     """k-MST minimised over all admissible query time shifts.
@@ -393,15 +384,14 @@ def time_relaxed_kmst(
     Unified form: ``time_relaxed_kmst(None, dataset, query, *, k=1,
     grid=64, ...) -> SearchResult`` — the optimal shift per answer is
     in ``result.extras["shifts"]`` (a ``{trajectory_id: shift}``
-    mapping).  ``kernels`` is accepted for schema uniformity (no
-    vectorised path yet).
+    mapping).
     """
     options = {}
     if grid != 64:
         options["grid"] = grid
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("time_relaxed", query, None, k, options, kernels=kernels)
+    spec = QuerySpec("time_relaxed", query, None, k, options)
     _index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("time_relaxed_kmst requires a dataset")
@@ -453,8 +443,6 @@ def execute_spec(
     kind = spec.canonical_kind()
     fn, takes_period, takes_k = _DISPATCH[kind]
     kwargs = dict(spec.options)
-    if spec.kernels is not None:
-        kwargs.setdefault("kernels", spec.kernels)
     if takes_period:
         kwargs["period"] = spec.period
     elif spec.period is not None:

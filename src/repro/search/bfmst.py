@@ -53,7 +53,7 @@ from operator import itemgetter
 from time import monotonic
 
 from ..distance import PartialDissim
-from ..distance.kernels import resolve_kernels, window_dissim_batch
+from ..distance.kernels import window_dissim_batch
 from ..distance.trinomial import IntegralResult
 from ..exceptions import DeadlineExceeded, QueryError, TemporalCoverageError
 from ..filter.runtime import SignatureFilter
@@ -75,15 +75,13 @@ __all__ = [
 
 
 def make_signature_filter(
-    index, query, t_start, t_end, vmax, mode, kernels
+    index, query, t_start, t_end, vmax, mode
 ) -> SignatureFilter | None:
     """Build the per-query :class:`SignatureFilter` for one tree.
 
     ``mode`` — ``"auto"`` filters when the index has a signature
     sidecar attached and stays silent otherwise, ``"on"`` demands one,
-    ``"off"`` disables filtering.  ``kernels`` is the search's resolved
-    choice (``"numpy"`` or ``"python"``; the two filter kernels are
-    bit-equal).
+    ``"off"`` disables filtering.
     """
     if mode not in FILTER_MODES:
         raise QueryError(
@@ -104,7 +102,7 @@ def make_signature_filter(
                 "filter='auto')"
             )
         return None
-    return SignatureFilter(sigs, query, t_start, t_end, vmax, kernels=kernels)
+    return SignatureFilter(sigs, query, t_start, t_end, vmax)
 
 
 _LO = itemgetter(0)
@@ -283,7 +281,6 @@ def _search_shard(
     exclude_ids,
     stats: SearchStats,
     *,
-    kernels: str,
     sig_filter: SignatureFilter | None = None,
     deadline: float | None = None,
 ) -> tuple[dict[int, _Candidate], dict[int, _Candidate]]:
@@ -295,10 +292,9 @@ def _search_shard(
     parts — may tighten at any moment from another part's progress.
     Mutates ``stats`` (one part's counters) in place.
 
-    ``kernels`` (``"numpy"`` or ``"python"``, already resolved) picks
-    the MINDIST implementation, which scores all entries of a dequeued
-    internal node in one call.  Segment DISSIM has one kernel, which
-    integrates all qualifying windows of a leaf up front; the per-entry
+    MINDIST scores all entries of a dequeued internal node in one call
+    (:func:`~repro.index.best_first_nodes`).  Segment DISSIM integrates
+    all qualifying windows of a leaf up front; the per-entry
     state updates then *replay* those precomputed results in the
     original sequential order, so pruning/completion decisions — and
     the answer — do not depend on the batching.
@@ -351,7 +347,7 @@ def _search_shard(
         leaf_admit = None
 
     for node_dist, node in best_first_nodes(
-        index, query, t_start, t_end, kernels=kernels, leaf_admit=leaf_admit
+        index, query, t_start, t_end, leaf_admit=leaf_admit
     ):
         dequeued += 1
         if deadline is not None and monotonic() >= deadline:
@@ -493,7 +489,6 @@ def search_part(
     use_heuristic2: bool,
     top: _TopK,
     exclude_ids,
-    kernels: str,
     sig_filter: SignatureFilter | None = None,
     deadline: float | None = None,
 ) -> tuple[list[CandidateRecord], SearchStats]:
@@ -516,7 +511,6 @@ def search_part(
         top,
         exclude_ids,
         stats,
-        kernels=kernels,
         sig_filter=sig_filter,
         deadline=deadline,
     )
@@ -591,7 +585,6 @@ def bfmst_search(
     refine: bool = True,
     exclude_ids: set[int] | frozenset[int] = frozenset(),
     *,
-    kernels: str | None = None,
     filter: str = "auto",
     selected: list[int] | None = None,
     executor=None,
@@ -644,13 +637,6 @@ def bfmst_search(
     exclude_ids:
         Trajectory ids never to report (e.g. the query itself when it
         is also indexed).
-    kernels:
-        The MINDIST and signature-filter implementation: ``"numpy"``
-        (the vectorised kernels), ``"python"`` (the same batched call
-        shape over the scalar reference code, bit-equal) or ``"auto"``
-        (numpy when importable).  ``None`` means unspecified, hence
-        ``"auto"``.  Resolved once, here.  Segment DISSIM runs its one
-        kernel whatever the choice.
     filter:
         The signature tier (``"auto"`` — the default — for every part
         that carries a signature sidecar, ``"on"`` to require one,
@@ -668,7 +654,7 @@ def bfmst_search(
         after another.  Anything with ``.map(fn, items)`` (the engine's
         :class:`~repro.engine.executor.ThreadedExecutor`) — on its
         workers, concurrently.  Anything with ``.run_parts(specs, vmax,
-        kernels, filter, deadline)`` (a process-backed
+        filter, deadline)`` (a process-backed
         :class:`~repro.engine.ShardedQueryEngine`) — in other
         processes, from plain data: one ``QuerySpec`` per part out,
         ``(position, records, stats)`` triples back, each worker under
@@ -691,8 +677,8 @@ def bfmst_search(
         excludes = [exclude_ids] * len(parts)
     if vmax is None:
         vmax = max((p.max_speed for p in parts), default=0.0) + query.max_speed()
-    if vmax < 0.0:
-        raise QueryError(f"negative vmax {vmax}")
+    if not vmax >= 0.0:  # NaN too
+        raise QueryError(f"vmax must be a non-negative number, got {vmax}")
     if selected is None:
         selected = list(range(len(parts)))
     else:
@@ -700,7 +686,6 @@ def bfmst_search(
         for pos in selected:
             if not 0 <= pos < len(parts):
                 raise QueryError(f"shard id {pos} out of range [0, {len(parts)})")
-    kernels = resolve_kernels(kernels or "auto")
 
     # One signature filter per part (each carries its own sidecar);
     # trajectory ids are disjoint across parts, so the merge step can
@@ -708,7 +693,7 @@ def bfmst_search(
     filters: dict[int, SignatureFilter] = {}
     for pos in selected:
         filt = make_signature_filter(
-            parts[pos], query, t_start, t_end, vmax, filter, kernels
+            parts[pos], query, t_start, t_end, vmax, filter
         )
         if filt is not None:
             filters[pos] = filt
@@ -741,7 +726,6 @@ def bfmst_search(
             use_heuristic2,
             top,
             excludes[pos],
-            kernels,
             filters.get(pos),
             deadline,
         )
@@ -762,7 +746,7 @@ def bfmst_search(
             )
             for pos in selected
         }
-        outcomes = executor.run_parts(specs, vmax, kernels, filter, deadline)
+        outcomes = executor.run_parts(specs, vmax, filter, deadline)
     elif executor is not None and len(selected) > 1:
         # Engine executors use the (index, item) map convention.
         outcomes = executor.map(lambda _i, pos: run(pos), selected)

@@ -87,9 +87,9 @@ class SearchStats:
     h2_termination_depth: int = 0
     # kernel usage: how much of the query ran batched.
     # kernel_batches / kernel_segments count segment-DISSIM batches and
-    # the windows they covered (one kernel, every kernels= mode);
-    # mindist_batched counts numpy node expansions, zero on the scalar
-    # (kernels="python") path.
+    # the windows they covered (one kernel, with or without numpy);
+    # mindist_batched counts numpy node expansions, zero on a host
+    # without numpy.
     kernel_batches: int = 0
     kernel_segments: int = 0
     mindist_batched: int = 0

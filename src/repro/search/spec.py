@@ -16,7 +16,7 @@ names::
     {"spec": 1, "kind": "mst", "k": 5,
      "query": {"type": "trajectory", "id": -1, "samples": [[x, y, t], ...]},
      "period": [t_lo, t_hi] | null,
-     "kernels": "auto" | "numpy" | "python" | null,
+     "kernels": null,
      "deadline_ms": 250.0 | null,
      "options": {...}}
 
@@ -25,12 +25,22 @@ names::
 *budget*: admission control turns it into an absolute deadline and the
 engines abort work past it (see :mod:`repro.serve`); it is therefore
 excluded from :meth:`cache_key`, which identifies the *answer* a spec
-determines.
+determines.  ``kernels`` is reserved: the platform picks the MINDIST and
+filter implementations (numpy when it imports), so the field is always
+written ``null`` and read as ``null`` or ``"auto"`` — both one cache
+key — and any other value is rejected.  It stays in the envelope so
+that the version-1 wire form, and every cache key made from it, does
+not change.
+
+Every number on the wire is finite: a NaN or infinite ``period`` end,
+``deadline_ms`` or ``vmax`` is rejected rather than handed to the
+bounds, where a NaN compares false and silently disables pruning.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..exceptions import QueryError
@@ -72,7 +82,11 @@ FILTER_MODES = ("auto", "on", "off")
 
 # (accepts, what it accepts) pairs; ``type(v) is`` keeps JSON's true
 # and false out of the numeric options.
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+_SPEED = (lambda v: _finite(v) and v >= 0, "a number (finite, >= 0)")
 _FLAG = (lambda v: type(v) is bool, "true or false")
 _POSITIVE_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
 _ID_LIST = (
@@ -88,7 +102,7 @@ _FILTER_MODE = (lambda v: v in FILTER_MODES, f"one of {FILTER_MODES}")
 #: (a test holds the two together).
 OPTIONS = {
     "mst": {
-        "vmax": _NUMBER,
+        "vmax": _SPEED,
         "use_heuristic1": _FLAG,
         "use_heuristic2": _FLAG,
         "refine": _FLAG,
@@ -197,9 +211,8 @@ class QuerySpec:
     matching query object (trajectory, point or window); ``options``
     passes algorithm-specific keywords through to the unified API
     (``vmax``, ``exact``, ``grid``, ``exclude_ids``, ...).
-    ``kernels`` picks the hot-path implementation when the executing
-    context does not impose its own; ``deadline_ms`` is the caller's
-    latency budget, enforced by deadline-aware executors.
+    ``deadline_ms`` is the caller's latency budget, enforced by
+    deadline-aware executors.
     """
 
     kind: str
@@ -207,7 +220,6 @@ class QuerySpec:
     period: tuple[float, float] | None = None
     k: int = 1
     options: dict = field(default_factory=dict)
-    kernels: str | None = None
     deadline_ms: float | None = None
 
     def canonical_kind(self) -> str:
@@ -233,7 +245,7 @@ class QuerySpec:
                 if self.period is not None
                 else None
             ),
-            "kernels": self.kernels,
+            "kernels": None,
             "deadline_ms": (
                 float(self.deadline_ms) if self.deadline_ms is not None else None
             ),
@@ -251,7 +263,8 @@ class QuerySpec:
         """Validating inverse of :meth:`as_dict`.
 
         Raises :class:`QueryError` on anything malformed — unknown
-        version or kind, bad ``k``/``period``/``deadline_ms``, options
+        version or kind, bad ``k``/``period``/``deadline_ms``, a
+        ``kernels`` other than ``null``/``"auto"``, options
         that would shadow spec fields, that the kind does not take or
         that are ill-typed (:data:`OPTIONS`) — so wire-facing callers
         can map it straight to a 400.
@@ -282,24 +295,27 @@ class QuerySpec:
             if (
                 not isinstance(period, (list, tuple))
                 or len(period) != 2
-                or not all(isinstance(v, (int, float)) for v in period)
+                or not all(_finite(v) for v in period)
             ):
                 raise QueryError(
-                    f"period must be [t_start, t_end] or null, got {period!r}"
+                    f"period must be [t_start, t_end] of finite numbers or "
+                    f"null, got {period!r}"
                 )
             period = (float(period[0]), float(period[1]))
             if period[0] > period[1]:
                 raise QueryError(f"inverted period {period!r}")
         kernels = doc.get("kernels")
-        if kernels not in (None, "auto", "numpy", "python"):
+        if kernels is not None and kernels != "auto":
             raise QueryError(
-                f"kernels must be auto|numpy|python or null, got {kernels!r}"
+                f"kernels is reserved: null or \"auto\" (the platform picks "
+                f"the implementation), got {kernels!r}"
             )
         deadline_ms = doc.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            if not _finite(deadline_ms) or deadline_ms <= 0:
                 raise QueryError(
-                    f"deadline_ms must be a positive number, got {deadline_ms!r}"
+                    f"deadline_ms must be a finite positive number, got "
+                    f"{deadline_ms!r}"
                 )
             deadline_ms = float(deadline_ms)
         options = doc.get("options") or {}
@@ -316,7 +332,6 @@ class QuerySpec:
             query=decode_query(doc["query"]),
             period=period,
             k=k,
-            kernels=kernels,
             deadline_ms=deadline_ms,
         )
         spec.options = _check_options(spec.canonical_kind(), options)

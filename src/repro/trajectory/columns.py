@@ -10,8 +10,8 @@ that, backed by this module.
 The columns themselves are :class:`array.array` buffers so the view is
 fully functional without numpy; when numpy *is* available the arrays
 are wrapped zero-copy (``np.frombuffer`` on the buffer protocol) and
-marked read-only.  The same deferred-import idiom as
-:mod:`repro.distance.fast` keeps numpy an optional extra.
+marked read-only.  numpy is imported on first use and memoised here:
+:func:`have_numpy` is the package's one probe for the optional extra.
 """
 
 from __future__ import annotations
@@ -24,30 +24,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dataset import TrajectoryDataset
     from .trajectory import Trajectory
 
-__all__ = ["TrajectoryColumns", "dataset_columns"]
+__all__ = ["TrajectoryColumns", "dataset_columns", "have_numpy"]
 
+#: numpy once probed: the module, ``False`` when it does not import,
+#: ``None`` before the first probe.  The one memo of the optional
+#: extra — every numpy path in the package asks :func:`have_numpy` or
+#: :func:`_numpy` here.
 _np = None
 
 
 def _numpy():
-    """Import numpy on first use, with an actionable error message."""
+    """Import numpy on first use, memoised; raises an actionable
+    :class:`ImportError` when it is not installed."""
     global _np
     if _np is None:
         try:
             import numpy
 
-            # Probe an attribute before memoising: a concurrent failed
-            # import can yield a half-initialized module object, which
-            # must not be cached as "numpy is available".
+            # A concurrent *failed* import can hand this thread the
+            # half-initialized module object (CPython returns the
+            # sys.modules entry it read before waiting on the import
+            # lock); probing an attribute rejects it instead of
+            # memoising a broken module as "numpy is available".
             numpy.ndarray
-        except (ImportError, AttributeError) as exc:  # pragma: no cover
-            raise ImportError(
-                "numpy is required for the array views of TrajectoryColumns; "
-                "install it with 'pip install numpy' (it is an optional "
-                "dependency; the plain buffer columns work without it)"
-            ) from exc
-        _np = numpy
+        except (ImportError, AttributeError):
+            _np = False
+        else:
+            _np = numpy
+    if _np is False:
+        raise ImportError(
+            "numpy is an optional extra: install it with `pip install "
+            "numpy` (or the project's `[test]` extra).  Without it the "
+            "search runs its pure-Python MINDIST and signature-filter "
+            "paths, and the quality experiment its reference metrics."
+        )
     return _np
+
+
+def have_numpy() -> bool:
+    """``True`` when numpy imports.  The search takes its numpy
+    MINDIST and signature-filter passes then, and their pure-Python
+    twins (bit-equal) otherwise."""
+    try:
+        _numpy()
+    except ImportError:
+        return False
+    return True
 
 
 class TrajectoryColumns:

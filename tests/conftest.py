@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import math
 import random
 import zlib
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +20,52 @@ from repro import (
     generate_gstd,
     make_workload,
 )
+from repro.trajectory import columns as _columns
+
+#: The MINDIST and signature-filter implementations this host can run:
+#: the pure-Python ones always, numpy's when it imports.
+KERNELS = ["python"] + (["numpy"] if _columns.have_numpy() else [])
+
+
+# ----------------------------------------------------------------------
+# running without numpy
+# ----------------------------------------------------------------------
+@contextmanager
+def numpy_blocked():
+    """Make ``import numpy`` fail and clear the package's one numpy
+    memo (:mod:`repro.trajectory.columns`) for the duration — both come
+    back afterwards — so the search takes its pure-Python paths as on a
+    host without numpy."""
+    real_import = builtins.__import__
+
+    def blocked(name, *args, **kwargs):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is not installed (simulated)")
+        return real_import(name, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_columns, "_np", None)
+        patch.setattr(builtins, "__import__", blocked)
+        yield
+
+
+@pytest.fixture()
+def no_numpy():
+    """The test runs as on a host without numpy."""
+    with numpy_blocked():
+        yield
+
+
+@pytest.fixture()
+def kernels(request):
+    """Indirect parameter over :data:`KERNELS`: ``"python"`` runs the
+    test under :func:`numpy_blocked`, ``"numpy"`` as the host is."""
+    if request.param == "python":
+        with numpy_blocked():
+            yield "python"
+    else:
+        yield request.param
+
 
 # ----------------------------------------------------------------------
 # helpers shared by several test modules
@@ -34,6 +82,12 @@ def work_counters(stats) -> dict:
             "kernel_segments",
         )
     }
+
+
+def hexes(values):
+    """Floats as their exact hex spelling (``None`` kept): equal lists
+    mean bit-equal values."""
+    return [None if v is None else float.hex(v) for v in values]
 
 
 def inserted(cls, dataset, **kwargs):

@@ -1,8 +1,6 @@
 """Lazy-numpy behaviour of repro.distance.fast and the quality
 experiment's pure-Python fallback."""
 
-import builtins
-
 import pytest
 
 from repro.datagen import generate_trucks
@@ -12,23 +10,9 @@ from repro.distance.edr import edr_distance
 from repro.distance.lcss import lcss_distance
 from repro.experiments import quality
 
+from conftest import numpy_blocked
+
 MEASURES = ("LCSS", "EDR", "LCSS-I", "EDR-I", "DTW")
-
-
-@pytest.fixture()
-def no_numpy(monkeypatch):
-    """Make ``import numpy`` fail and clear the memoised module."""
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is not installed (simulated)")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(fast, "_np", None)
-    monkeypatch.setattr(builtins, "__import__", blocked)
-    yield
-    fast._np = None  # don't leak the blocked state to other tests
 
 
 @pytest.fixture(scope="module")
@@ -75,26 +59,16 @@ class TestQualityFallback:
                     dtw_distance(q, tr), abs=1e-9
                 )
 
-def test_quality_winners_match_between_paths(world, monkeypatch):
+def test_quality_winners_match_between_paths(world):
     """The experiment picks identical winners with and without numpy."""
     dataset, eps = world
     query = next(iter(dataset))
     fast_winners = {
         m: quality._most_similar_dp(m, query, dataset, eps) for m in MEASURES
     }
-
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is not installed (simulated)")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(fast, "_np", None)
-    monkeypatch.setattr(builtins, "__import__", blocked)
-    slow_winners = {
-        m: quality._most_similar_dp(m, query, dataset, eps) for m in MEASURES
-    }
-    monkeypatch.undo()
-    fast._np = None
+    with numpy_blocked():
+        slow_winners = {
+            m: quality._most_similar_dp(m, query, dataset, eps)
+            for m in MEASURES
+        }
     assert slow_winners == fast_winners

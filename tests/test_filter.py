@@ -1,8 +1,8 @@
 """Signature filter tier tests (:mod:`repro.filter`).
 
 Covers the certified-radius construction, the provable-lower-bound
-property of the probe bound (both kernels, bit-equal — the batched
-numpy pass against the scalar reference), the binary sidecar
+property of the probe bound (with and without numpy, bit-equal — the
+batched numpy pass against the scalar reference), the binary sidecar
 round-trip, its lifetime and its corruption handling, byte-identity of
 filtered vs unfiltered answers across trees, partitioners, executors
 (including the process pool) and live ingestion, and the observability
@@ -54,14 +54,14 @@ from repro.search.bfmst import (
 )
 from repro.search.results import SearchStats
 
+from conftest import KERNELS, hexes
+
 try:
     import numpy  # noqa: F401
 
     HAVE_NUMPY = True
 except ImportError:
     HAVE_NUMPY = False
-
-KERNELS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 TREES = {"rtree": RTree3D, "tbtree": TBTree}
 
@@ -162,15 +162,13 @@ class TestSignatureBuild:
 # the lower-bound property
 # ----------------------------------------------------------------------
 class TestLowerBound:
-    @pytest.mark.parametrize("kernels", KERNELS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     def test_bound_never_exceeds_exact_dissim(
         self, dataset, rtree, sigs, kernels
     ):
         for query, period in workload(dataset, n=6, length=0.25):
             vmax = rtree.max_speed + query.max_speed()
-            filt = SignatureFilter(
-                sigs, query, period[0], period[1], vmax, kernels=kernels
-            )
+            filt = SignatureFilter(sigs, query, period[0], period[1], vmax)
             for tid in dataset.ids():
                 lb = filt.bound(tid)
                 exact = dissim_exact(query, dataset.get(tid), period)
@@ -180,20 +178,14 @@ class TestLowerBound:
     def test_kernels_bit_equal(self, dataset, rtree, sigs):
         for query, period in workload(dataset, n=4, length=0.3, seed=7):
             vmax = rtree.max_speed + query.max_speed()
-            f_py = SignatureFilter(
-                sigs, query, period[0], period[1], vmax, kernels="python"
-            )
-            f_np = SignatureFilter(
-                sigs, query, period[0], period[1], vmax, kernels="numpy"
-            )
-            for tid in dataset.ids():
-                assert f_py.bound(tid) == f_np.bound(tid)
+            filt = SignatureFilter(sigs, query, period[0], period[1], vmax)
+            tids = dataset.ids()
+            want = scalar_bounds(filt, tids)
+            assert hexes(map(filt.bound, tids)) == hexes(want)
 
     def test_unknown_trajectory_never_prunes(self, dataset, rtree, sigs):
         query, period = workload(dataset, n=1)[0]
-        filt = SignatureFilter(
-            sigs, query, period[0], period[1], 1.0, kernels="python"
-        )
+        filt = SignatureFilter(sigs, query, period[0], period[1], 1.0)
         assert filt.bound(987654) is None
         assert not filt.should_prune(987654, 0.0)
 
@@ -202,9 +194,7 @@ class TestLowerBound:
         # candidate.
         query, period = workload(dataset, n=1)[0]
         vmax = rtree.max_speed + query.max_speed()
-        filt = SignatureFilter(
-            sigs, query, period[0], period[1], vmax, kernels="python"
-        )
+        filt = SignatureFilter(sigs, query, period[0], period[1], vmax)
         tid = max(dataset.ids(), key=lambda t: filt.bound(t))
         lb = filt.bound(tid)
         assert lb > 0.0
@@ -245,14 +235,10 @@ def synthetic_store(rows):
     )
 
 
-def both_kernels(store, query, period, vmax, probes=32):
-    return [
-        SignatureFilter(
-            store, query, period[0], period[1], vmax,
-            kernels=kernels, probes=probes,
-        )
-        for kernels in ("numpy", "python")
-    ]
+def scalar_bounds(filt, tids):
+    """The scalar reference (:meth:`SignatureFilter._evaluate`) for each
+    trajectory, whatever pass ``filt.bound`` takes on this host."""
+    return [filt._evaluate(*filt.sigs.knots(tid)) for tid in tids]
 
 
 coordinate = st.floats(min_value=-100.0, max_value=100.0)
@@ -305,8 +291,8 @@ def covering_queries(draw):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestBatchedBounds:
-    """``kernels="numpy"`` computes every row's bound in one pass; each
-    must ``==`` the scalar ``_probe_bound_python`` value, no tolerance."""
+    """With numpy the filter computes every row's bound in one pass; each
+    must be bit-equal to the scalar ``_evaluate`` value, no tolerance."""
 
     @given(
         rows=signature_rows(),
@@ -321,16 +307,19 @@ class TestBatchedBounds:
         self, rows, query, period, vmax, probes, block
     ):
         store = synthetic_store(rows)
-        f_np, f_py = both_kernels(store, query, period, vmax, probes)
+        filt = SignatureFilter(
+            store, query, period[0], period[1], vmax, probes=probes
+        )
+        tids = [tid for tid, _k, _r in rows]
         with mock.patch.object(filter_runtime, "_ROW_BLOCK", block):
-            got = [f_np.bound(tid) for tid, _k, _r in rows]
-        assert got == [f_py.bound(tid) for tid, _k, _r in rows]
+            got = [filt.bound(tid) for tid in tids]
+        assert hexes(got) == hexes(scalar_bounds(filt, tids))
         for (_tid, knots, _r), lb in zip(rows, got):
             if knots[-1][0] <= period[0] or knots[0][0] >= period[1]:
                 assert lb == 0.0  # no overlap with the period
         absent = len(rows)
-        assert f_np.bound(absent) is None
-        assert not f_np.should_prune(absent, -1.0)
+        assert filt.bound(absent) is None
+        assert not filt.should_prune(absent, -1.0)
 
     def test_named_corners(self):
         far = 1e3  # the query sits this far from every row
@@ -346,9 +335,9 @@ class TestBatchedBounds:
         store = synthetic_store(rows)
         query = Trajectory(-1, [(far, far, -30.0), (far + 5, far, 130.0)])
         for vmax in (0.0, 2.0):
-            f_np, f_py = both_kernels(store, query, (0.0, 32.0), vmax)
-            got = [f_np.bound(tid) for tid in range(5)]
-            assert got == [f_py.bound(tid) for tid in range(5)]
+            filt = SignatureFilter(store, query, 0.0, 32.0, vmax)
+            got = [filt.bound(tid) for tid in range(5)]
+            assert hexes(got) == hexes(scalar_bounds(filt, range(5)))
             assert all(lb > 0.0 for lb in got[:3])
             assert got[3:] == [0.0, 0.0]
 
@@ -365,10 +354,9 @@ class TestBatchedBounds:
             rows.append((tid, knots, [rng.uniform(0, 3) for _ in range(count - 1)]))
         store = synthetic_store(rows)
         query = Trajectory(-1, [(0.0, 0.0, -30.0), (20.0, -5.0, 40.0), (1.0, 1.0, 130.0)])
-        f_np, f_py = both_kernels(store, query, (0.0, 32.0), 1.5)
-        assert [f_np.bound(t) for t, _k, _r in rows] == [
-            f_py.bound(t) for t, _k, _r in rows
-        ]
+        filt = SignatureFilter(store, query, 0.0, 32.0, 1.5)
+        tids = [tid for tid, _k, _r in rows]
+        assert hexes(map(filt.bound, tids)) == hexes(scalar_bounds(filt, tids))
 
 
 # ----------------------------------------------------------------------
@@ -384,9 +372,7 @@ class TestSidecarLifetime:
         save_index(rtree, path, signatures=True)
         index = load_index(path)
         query, period = workload(dataset, n=1)[0]
-        _, stats = bfmst_search(
-            index, query, period, k=3, filter="on", kernels="numpy"
-        )
+        _, stats = bfmst_search(index, query, period, k=3, filter="on")
         assert stats.signature_checks > 0
         index.signatures.close()
         index.pagefile.close()
@@ -413,7 +399,6 @@ class TestSidecarLifetime:
                 shard_path=str(path),
                 signature=(index.num_nodes, index.num_entries, index.root_page),
                 vmax=index.max_speed + query.max_speed(),
-                kernels="numpy",
                 filter="on",
             )
             return _execute_shard_plan(plan)
@@ -460,14 +445,15 @@ class TestSidecarLifetime:
         jobs = workload(dataset, n=6, seed=23)
         barrier = threading.Barrier(len(jobs))
 
-        def bounds(job, kernels="numpy"):
+        def bounds(job, reference=False):
             query, period = job
             filt = SignatureFilter(
                 index.signatures, query, period[0], period[1],
-                rtree.max_speed + query.max_speed(), kernels=kernels,
+                rtree.max_speed + query.max_speed(),
             )
-            if kernels == "numpy":
-                barrier.wait(timeout=30)
+            if reference:
+                return scalar_bounds(filt, dataset.ids())
+            barrier.wait(timeout=30)
             return [filt.bound(tid) for tid in dataset.ids()]
 
         interval = sys.getswitchinterval()
@@ -477,7 +463,7 @@ class TestSidecarLifetime:
                 got = list(pool.map(bounds, jobs))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [bounds(job, "python") for job in jobs]
+        assert got == [bounds(job, reference=True) for job in jobs]
         index.signatures.close()
         index.pagefile.close()
 
@@ -639,12 +625,12 @@ class TestFilterModes:
         query, period = workload(dataset, n=1)[0]
         assert (
             make_signature_filter(
-                index, query, period[0], period[1], 1.0, "off", None
+                index, query, period[0], period[1], 1.0, "off"
             )
             is None
         )
         filt = make_signature_filter(
-            index, query, period[0], period[1], 1.0, "on", "python"
+            index, query, period[0], period[1], 1.0, "on"
         )
         assert isinstance(filt, SignatureFilter)
 
@@ -665,16 +651,12 @@ class TestByteIdentity:
             assert s_off.signature_checks == 0
             assert s_off.signature_pruned == 0
 
-    @pytest.mark.parametrize("kernels", KERNELS)
+    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
     def test_single_index_kernels(self, served, dataset, kernels):
         index = served["rtree"]
         for query, period in workload(dataset, n=2, seed=55):
-            on, _ = bfmst_search(
-                index, query, period, k=5, filter="on", kernels=kernels
-            )
-            off, _ = bfmst_search(
-                index, query, period, k=5, filter="off", kernels=kernels
-            )
+            on, _ = bfmst_search(index, query, period, k=5, filter="on")
+            off, _ = bfmst_search(index, query, period, k=5, filter="off")
             assert match_keys(on) == match_keys(off)
 
     @pytest.mark.parametrize(
@@ -858,7 +840,7 @@ class TestCounters:
             for query, period in make_workload(data, 12, 0.05, seed=17):
                 for mode, totals in work.items():
                     _, stats = bfmst_search(
-                        index, query, period, k=5, filter=mode, kernels="auto"
+                        index, query, period, k=5, filter=mode
                     )
                     totals[0] += stats.dissim_evaluations
                     totals[1] += stats.node_accesses

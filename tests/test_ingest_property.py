@@ -1,8 +1,8 @@
 """Randomized-interleaving property test for the live ingestion path.
 
 A seeded RNG drives arbitrary interleavings of *append batch / query /
-compact / reopen* against one store (both tree kinds, both kernel
-modes) and against a multi-store fleet split by every partitioner.
+compact / reopen* against one store (both tree kinds, with numpy and
+without it) and against a multi-store fleet split by every partitioner.
 After every query op the live answer — generation + memtable merged
 under one shared bound — must be **byte-identical** (same ids, same
 float dissims) to a from-scratch rebuild of the store's current state.
@@ -17,14 +17,13 @@ import pytest
 
 from repro import IngestStore
 from repro.datagen import generate_gstd, make_query
-from repro.distance.kernels import have_numpy
 from repro.engine import LiveQueryEngine
 from repro.search import QuerySpec
 from repro.search.api import bfmst_search
 from repro.sharding import make_partitioner
 from repro.trajectory import Trajectory, TrajectoryDataset
 
-KERNEL_MODES = ["python"] + (["numpy"] if have_numpy() else [])
+from conftest import KERNELS
 K_CHOICES = (1, 5, 10)
 
 
@@ -35,7 +34,7 @@ def _events(dataset):
     )
 
 
-def _oracle(dataset, query, period, k, *, tree, kernels):
+def _oracle(dataset, query, period, k, *, tree):
     """The from-scratch rebuild, made the way the compactor makes a
     generation: the static build (``bulk_insert`` on an empty tree).
     The floats are compared with ``==``, and a DISSIM is summed leaf by
@@ -49,16 +48,14 @@ def _oracle(dataset, query, period, k, *, tree, kernels):
     index.finalize()
     if index.num_entries == 0:
         return []
-    result = bfmst_search(
-        index, None, query, period=period, k=k, kernels=kernels
-    )
+    result = bfmst_search(index, None, query, period=period, k=k)
     return [(m.trajectory_id, m.dissim) for m in result.matches]
 
 
 # ----------------------------------------------------------------------
 # single store
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
 @pytest.mark.parametrize("tree", ["tbtree", "rtree"])
 def test_random_interleavings_single_store(tmp_path, tree, kernels):
     dataset = generate_gstd(10, samples_per_object=16, seed=29)
@@ -79,11 +76,11 @@ def test_random_interleavings_single_store(tmp_path, tree, kernels):
             elif op == "query":
                 query, period = rng.choice(queries)
                 k = rng.choice(K_CHOICES)
-                matches, _ = store.kmst(query, period, k, kernels=kernels)
+                matches, _ = store.kmst(query, period, k)
                 got = [(m.trajectory_id, m.dissim) for m in matches]
                 want = _oracle(
                     store.current_dataset(), query, period, k,
-                    tree=tree, kernels=kernels,
+                    tree=tree,
                 )
                 assert got == want, f"drift at step {_step} ({op})"
                 checked += 1
@@ -98,11 +95,11 @@ def test_random_interleavings_single_store(tmp_path, tree, kernels):
             store.append(oid, x, y, t)
         for query, period in queries:
             for k in K_CHOICES:
-                matches, _ = store.kmst(query, period, k, kernels=kernels)
+                matches, _ = store.kmst(query, period, k)
                 got = [(m.trajectory_id, m.dissim) for m in matches]
                 assert got == _oracle(
                     store.current_dataset(), query, period, k,
-                    tree=tree, kernels=kernels,
+                    tree=tree,
                 )
                 checked += 1
         assert checked >= len(queries) * len(K_CHOICES)
@@ -153,7 +150,7 @@ def test_random_interleavings_partitioned_fleet(tmp_path, partitioner):
                     for tr in store.current_dataset()
                 )
                 want = _oracle(
-                    merged, query, period, k, tree="tbtree", kernels="auto"
+                    merged, query, period, k, tree="tbtree"
                 )
                 assert got == want, f"drift at step {_step} ({partitioner})"
             elif op == "compact":
@@ -178,7 +175,7 @@ def test_random_interleavings_partitioned_fleet(tmp_path, partitioner):
                     )
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
                 assert got == _oracle(
-                    merged, query, period, k, tree="tbtree", kernels="auto"
+                    merged, query, period, k, tree="tbtree"
                 )
     finally:
         for store in stores:

@@ -1,9 +1,10 @@
 """The kernel layer: columnar trajectory views, the one segment-DISSIM
 kernel against its scalar reference, the batched MINDIST kernels, and
-end-to-end kernel-dispatch parity (numpy vs pure Python) of the BFMST
-search on both trees and through the sharded engine path."""
+end-to-end parity of the BFMST search with numpy and without it (its
+pure-Python MINDIST and filter paths) on both trees and through the
+sharded engine path."""
 
-import builtins
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,19 +18,14 @@ from repro import (
     generate_gstd,
     make_workload,
 )
-from repro.distance import fast, kernels
+from repro.distance import fast
 from repro.distance.dissim import segment_dissim
-from repro.distance.kernels import resolve_kernels, segment_dissim_batch
+from repro.distance.kernels import segment_dissim_batch
 from repro.distance.trinomial import DistanceTrinomial
-from repro.engine import EngineConfig, QueryEngine
+from repro.engine import QueryEngine
 from repro.exceptions import QueryError, TemporalCoverageError
 from repro.geometry import MBR3D, STSegment, distance_trinomial_coefficients
-from repro.index.mindist import (
-    make_mindist_batch,
-    mindist,
-    mindist_batch,
-    mindist_batch_python,
-)
+from repro.index.mindist import mindist, mindist_batch, mindist_batch_python
 from repro.obs import query_trace
 from repro.search import QuerySpec
 from repro.search import api as search_api
@@ -43,7 +39,7 @@ from repro.sharding import (
 from repro.trajectory import columns as columns_mod
 from repro.trajectory import dataset_columns
 
-from conftest import work_counters
+from conftest import hexes, numpy_blocked, work_counters
 
 coord = st.floats(min_value=-50.0, max_value=50.0)
 
@@ -305,12 +301,8 @@ class TestMindistBatch:
             boxes.append(MBR3D(x1, y1, t1, x2, y2, t2))
         period = (traj.t_start, traj.t_end)
         got = mindist_batch(traj, boxes, *period)
-        want = [mindist(traj, box, *period) for box in boxes]
-        for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-            else:
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-12)
+        want = mindist_batch_python(traj, boxes, *period)
+        assert hexes(got) == hexes(want)
 
     def test_instant_window_and_disjoint_boxes(self):
         pytest.importorskip("numpy")
@@ -323,16 +315,18 @@ class TestMindistBatch:
 
 
 # ----------------------------------------------------------------------
-# BFMST parity: kernels="python" vs kernels="numpy"
+# BFMST parity: with numpy vs without it
 # ----------------------------------------------------------------------
 def assert_same_answers(got, want):
-    assert [m.trajectory_id for m in got] == [m.trajectory_id for m in want]
-    for g, w in zip(got, want):
-        assert g.dissim == pytest.approx(w.dissim, rel=1e-9, abs=1e-12)
-        assert g.error_bound == pytest.approx(
-            w.error_bound, rel=1e-9, abs=1e-12
-        )
-        assert g.exact == w.exact
+    """Same ids, DISSIMs, error bounds and exact flags, to the bit."""
+
+    def keys(matches):
+        return [
+            (m.trajectory_id, m.dissim.hex(), m.error_bound.hex(), m.exact)
+            for m in matches
+        ]
+
+    assert keys(got) == keys(want)
 
 
 class TestBFMSTKernelParity:
@@ -344,15 +338,10 @@ class TestBFMSTKernelParity:
         dataset, query, period = gstd_world
         index = build_tree(tree_cls, dataset)
         for k in (1, 5, 10):
-            scalar, s_stats = bfmst_search(
-                index, query, period, k, kernels="python"
-            )
-            vector, v_stats = bfmst_search(
-                index, query, period, k, kernels="numpy"
-            )
-            default, _ = bfmst_search(index, query, period, k)
+            vector, v_stats = bfmst_search(index, query, period, k)
+            with numpy_blocked():
+                scalar, s_stats = bfmst_search(index, query, period, k)
             assert_same_answers(vector, scalar)
-            assert_same_answers(vector, default)
             assert v_stats.candidates_rejected == s_stats.candidates_rejected
             assert v_stats.node_accesses == s_stats.node_accesses
 
@@ -365,12 +354,13 @@ class TestBFMSTKernelParity:
         )
         sharded = build_sharded_index(sharded_ds, RTree3D, page_size=512)
         try:
-            scalar = search_api.bfmst_search(
-                sharded, None, query, period=period, k=5, kernels="python"
-            )
             vector = search_api.bfmst_search(
-                sharded, None, query, period=period, k=5, kernels="numpy"
+                sharded, None, query, period=period, k=5
             )
+            with numpy_blocked():
+                scalar = search_api.bfmst_search(
+                    sharded, None, query, period=period, k=5
+                )
             assert_same_answers(vector.matches, scalar.matches)
         finally:
             sharded.close()
@@ -386,19 +376,20 @@ class TestBFMSTKernelParity:
         dataset, query, period = world
         for tree_cls in (RTree3D, TBTree):
             index = build_tree(tree_cls, dataset)
-            scalar, _ = bfmst_search(index, query, period, 3, kernels="python")
-            vector, _ = bfmst_search(index, query, period, 3, kernels="numpy")
+            vector, _ = bfmst_search(index, query, period, 3)
+            with numpy_blocked():
+                scalar, _ = bfmst_search(index, query, period, 3)
             assert_same_answers(vector, scalar)
 
     def test_engine_dispatch_and_batch_caches(self, gstd_world):
         pytest.importorskip("numpy")
         dataset, query, period = gstd_world
         answers = {}
-        for mode in ("numpy", "python", None):
+        for mode in ("numpy", "python"):
             index = build_tree(RTree3D, dataset)
-            with QueryEngine(
-                index, dataset, config=EngineConfig(kernels=mode)
-            ) as engine:
+            with QueryEngine(index, dataset) as engine, (
+                numpy_blocked() if mode == "python" else nullcontext()
+            ):
                 request = QuerySpec("mst", query, period, k=5)
                 with query_trace(index):
                     first = engine.execute(request)
@@ -410,15 +401,13 @@ class TestBFMSTKernelParity:
                 assert work_counters(second.stats) == work_counters(
                     first.stats
                 )
-                # an engine without a kernels default leaves the choice
-                # to the request, whose own default is "auto"; segment
-                # DISSIM has one kernel, which batches in every mode
+                # segment DISSIM has one kernel, which batches on every
+                # host; MINDIST batches through numpy only where it is
                 assert first.stats.kernel_batches > 0
                 batched = first.stats.mindist_batched > 0
-                assert batched == (mode != "python")
+                assert batched == (mode == "numpy")
                 answers[mode] = first.matches
         assert_same_answers(answers["numpy"], answers["python"])
-        assert_same_answers(answers[None], answers["python"])
 
 
 # ----------------------------------------------------------------------
@@ -430,9 +419,7 @@ class TestKernelCounters:
         dataset, query, period = gstd_world
         index = build_tree(RTree3D, dataset)
         with query_trace(index, name="kernels-numpy") as trace:
-            _matches, stats = bfmst_search(
-                index, query, period, 5, kernels="numpy"
-            )
+            _matches, stats = bfmst_search(index, query, period, 5)
         assert stats.kernel_batches > 0
         assert stats.kernel_segments > 0
         assert stats.mindist_batched > 0
@@ -441,14 +428,12 @@ class TestKernelCounters:
         assert trace.registry.value("distance.kernel_batches") > 0
         assert trace.registry.value("index.mindist_batched") > 0
 
-    def test_scalar_paths_report_zero(self, gstd_world):
+    def test_scalar_paths_report_zero(self, gstd_world, no_numpy):
         dataset, query, period = gstd_world
         index = build_tree(RTree3D, dataset)
         with query_trace(index, name="kernels-python"):
-            _matches, stats = bfmst_search(
-                index, query, period, 5, kernels="python"
-            )
-        # segment DISSIM has one kernel, which batches in every mode
+            _matches, stats = bfmst_search(index, query, period, 5)
+        # segment DISSIM has one kernel, which batches on every host
         assert stats.kernel_batches > 0
         assert stats.kernel_segments > 0
         assert stats.mindist_batched == 0
@@ -457,8 +442,9 @@ class TestKernelCounters:
         "tree_cls", (RTree3D, TBTree), ids=lambda c: c.__name__
     )
     def test_unspecified_kernels_mean_auto(self, tree_cls, gstd_world):
-        """The documented entry point with no ``kernels`` runs the
-        vectorised kernels and answers exactly as the scalar reference."""
+        """The documented entry point, with no ``kernels`` or with the
+        one value it takes, runs the numpy passes and answers exactly as
+        the pure-Python ones do."""
         pytest.importorskip("numpy")
         dataset, query, period = gstd_world
         index = build_tree(tree_cls, dataset)
@@ -468,48 +454,42 @@ class TestKernelCounters:
             )
         assert default.stats.kernel_batches > 0
         assert default.stats.mindist_batched > 0
-        scalar = search_api.bfmst_search(
-            index, None, query, period=period, k=5, kernels="python"
+        auto = search_api.bfmst_search(
+            index, None, query, period=period, k=5, kernels="auto"
         )
-        assert default.ids == scalar.ids
-        assert [m.dissim for m in default] == [m.dissim for m in scalar]
+        with numpy_blocked():
+            scalar = search_api.bfmst_search(
+                index, None, query, period=period, k=5
+            )
+        assert_same_answers(default.matches, auto.matches)
+        assert_same_answers(default.matches, scalar.matches)
 
 
 # ----------------------------------------------------------------------
 # numpy-less fallback
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def no_numpy(monkeypatch):
-    """Make ``import numpy`` fail and clear every module's memo."""
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is not installed (simulated)")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(fast, "_np", None)
-    monkeypatch.setattr(kernels, "_np", None)
-    monkeypatch.setattr(columns_mod, "_np", None)
-    monkeypatch.setattr(builtins, "__import__", blocked)
-    yield
-    fast._np = None
-    kernels._np = None
-    columns_mod._np = None
-
-
 class TestPythonFallback:
     def test_resolution_without_numpy(self, no_numpy):
-        assert not kernels.have_numpy()
-        assert resolve_kernels("auto") == "python"
-        assert resolve_kernels("python") == "python"
+        """One probe answers for the whole package."""
+        assert not columns_mod.have_numpy()
+        assert not fast.have_numpy()
         with pytest.raises(ImportError, match="optional extra"):
-            resolve_kernels("numpy")
-        assert make_mindist_batch("auto") is mindist_batch_python
+            columns_mod._numpy()
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernels mode"):
-            resolve_kernels("fortran")
+    def test_unknown_mode_rejected(self, gstd_world):
+        """The unified entry point keeps ``kernels`` for callers that
+        name the default; naming an implementation is an error, on the
+        call and on the wire."""
+        dataset, query, period = gstd_world
+        index = build_tree(RTree3D, dataset)
+        for mode in ("numpy", "python", "fortran"):
+            with pytest.raises(QueryError, match="kernels"):
+                search_api.bfmst_search(
+                    index, None, query, period=period, kernels=mode
+                )
+            doc = QuerySpec("mst", query, period).as_dict()
+            with pytest.raises(QueryError, match="kernels"):
+                QuerySpec.from_dict({**doc, "kernels": mode})
 
     def test_columns_build_without_numpy_views_raise(self, no_numpy):
         traj = Trajectory(1, [(0.0, 1.0, 0.0), (2.0, 3.0, 1.0)])
@@ -522,12 +502,10 @@ class TestPythonFallback:
         dataset = generate_gstd(8, samples_per_object=10, seed=3)
         (query, period), = make_workload(dataset, 1, 0.2, seed=3)
         index = build_tree(RTree3D, dataset)
-        scalar, _ = bfmst_search(index, query, period, 3, kernels="python")
+        classic, _ = bfmst_search(index, query, period, 3)
         for mode in ("auto", None):  # unspecified means auto
-            got, stats = bfmst_search(index, query, period, 3, kernels=mode)
-            assert [m.trajectory_id for m in got] == [
-                m.trajectory_id for m in scalar
-            ]
-            for g, w in zip(got, scalar):
-                assert g.dissim == w.dissim
-            assert stats.kernel_batches == 0  # python path counts nothing
+            got = search_api.bfmst_search(
+                index, None, query, period=period, k=3, kernels=mode
+            )
+            assert_same_answers(got.matches, classic)
+            assert got.stats.kernel_batches == 0  # untraced: nothing counted

@@ -9,7 +9,7 @@ Contract:
   ``mbr``; the rows a ``Node`` caches are ``payload_rows`` of its page;
 * ``segment_dissim_batch`` over ``(STSegment, lo, hi)`` items is
   bit-equal to the window kernel on the same windows and to the scalar
-  ``segment_dissim``, whatever the ``kernels`` choice;
+  ``segment_dissim``, with numpy and without it;
 * no write leaves a leaf searched through stale rows: live trees, the
   ingest memtable and ``repro.mod``'s mutable store answer like the
   exact scan after every insert and delete;
@@ -39,7 +39,6 @@ from repro import (
 from repro.datagen import make_query
 from repro.distance import segment_dissim
 from repro.distance.kernels import (
-    have_numpy,
     segment_dissim_batch,
     segment_window,
     window_dissim_batch,
@@ -52,10 +51,9 @@ from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 from repro.storage import unframe_page
 
-from conftest import packed
+from conftest import KERNELS, numpy_blocked, packed
 
 TREES = [RTree3D, TBTree]
-KERNELS = ["python"] + (["numpy"] if have_numpy() else [])
 T1 = itemgetter(3)
 
 
@@ -107,7 +105,7 @@ def test_read_nodes_keep_the_harness_surface(small_dataset, cls, page_size):
     assert leaves > 1
 
 
-@pytest.mark.parametrize("kernels", KERNELS)
+@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
 def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
     query, (lo, hi) = make_query(small_dataset, 0.3, random.Random(8))
     items = []
@@ -118,8 +116,8 @@ def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
                 items.append((seg, a, b))
     assert len(items) > 100
     windows = [segment_window(*item) for item in items]
-    # ``kernels`` no longer picks the segment kernel: both ids run the
-    # one kernel, against the scalar reference.
+    # The segment kernel never uses numpy: both ids run the one
+    # kernel, against the scalar reference.
     got = segment_dissim_batch(query, items)
     assert got == window_dissim_batch(query, windows)
     assert got == [segment_dissim(query, *item) for item in items]
@@ -129,16 +127,18 @@ def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
 # no stale rows after a write
 # ----------------------------------------------------------------------
 def assert_like_scan(search, live, rng, queries=2, k=4):
-    """``search(query, period, k, kernels)`` ranks like the exact scan,
-    on periods every trajectory of ``live`` covers."""
+    """``search(query, period, k)`` ranks like the exact scan, with
+    numpy and without it, on periods every trajectory of ``live``
+    covers."""
     lo = max(tr.t_start for tr in live)
     hi = min(tr.t_end for tr in live)
     pool = TrajectoryDataset(tr.sliced(lo, hi) for tr in live)
     for _ in range(queries):
         query, period = make_query(pool, 0.2, rng)
         want = ids(linear_scan_kmst(live, query, period, k=k, exact=True))
-        for kernels in KERNELS:
-            assert ids(search(query, period, k, kernels)) == want, kernels
+        assert ids(search(query, period, k)) == want
+        with numpy_blocked():
+            assert ids(search(query, period, k)) == want
 
 
 def assert_rows_current(index, live):
@@ -169,8 +169,8 @@ def test_writes_into_resident_leaves_are_searched(cls):
     index = packed(cls, live, page_size=1024)
     rng = random.Random(4)
 
-    def search(query, period, k, kernels):
-        return bfmst_search(index, query, period, k=k, kernels=kernels)[0]
+    def search(query, period, k):
+        return bfmst_search(index, query, period, k=k)[0]
 
     assert_like_scan(search, live, rng)  # every leaf read: rows cached
 
@@ -217,8 +217,8 @@ def test_ingest_memtable_answers_after_every_append(tmp_path):
                 for tr in data
             )
 
-            def search(query, period, k, kernels):
-                return store.kmst(query, period, k, kernels=kernels)[0]
+            def search(query, period, k):
+                return store.kmst(query, period, k)[0]
 
             assert_like_scan(search, live, rng)
 
@@ -231,7 +231,7 @@ def test_mod_mutable_store_answers_after_every_write(tree):
     db.freeze(mutable=True)
     rng = random.Random(9)
 
-    def search(query, period, k, _kernels):
+    def search(query, period, k):
         return db.most_similar(query, k=k, period=period)[0]
 
     assert_like_scan(search, db.dataset, rng)

@@ -168,7 +168,6 @@ def _plan_for(query, **overrides) -> ShardPlan:
         vmax=3.5,
         deadline=1234.5,
         backend="mmap",
-        kernels="python",
     )
     fields.update(overrides)
     return ShardPlan(**fields)
@@ -249,12 +248,6 @@ class TestSerializationContract:
         with pytest.raises(QueryError, match="version"):
             ShardPlan.from_dict(doc)
 
-    def test_auto_kernels_must_be_resolved_before_shipping(self, dataset):
-        doc = _plan_for(next(iter(dataset))).as_dict()
-        doc["kernels"] = "auto"
-        with pytest.raises(QueryError, match="auto"):
-            ShardPlan.from_dict(doc)
-
     @pytest.mark.parametrize(
         "mutation",
         [
@@ -301,7 +294,6 @@ class TestSerializationContract:
             shard_path=str(directory / "shard_0000.pages"),
             signature=(1, 1, 1),  # no real generation looks like this
             deadline=None,
-            kernels="python",
         )
         # _execute_shard_plan is the exact function pool workers import;
         # running it in-process exercises the same open-and-verify path.
@@ -367,7 +359,6 @@ class TestWorkerObsIsolation:
             shard_path=str(directory / "shard_0000.pages"),
             signature=signature,
             deadline=None,
-            kernels="python",
         )
         _execute_shard_plan(plan)  # cold call warms the buffer pool
         first = _execute_shard_plan(plan)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro import MBR2D, Point, RTree3D, generate_gstd, make_workload
 from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import DeadlineExceeded, QueryError, ServeError
 from repro.obs import MetricsRegistry
+from repro.search.bfmst import bfmst_search
 from repro.search.results import SearchResult, SearchStats
 from repro.search.spec import QuerySpec
 from repro.serve import (
@@ -48,7 +50,7 @@ class TestWireRoundTrips:
         deadline_ms=st.one_of(
             st.none(), st.floats(min_value=1.0, max_value=60_000.0)
         ),
-        kernels=st.sampled_from([None, "auto", "numpy", "python"]),
+        kernels=st.sampled_from([None, "auto"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_query_spec_round_trips(self, query, k, deadline_ms, kernels):
@@ -56,10 +58,11 @@ class TestWireRoundTrips:
         spec = QuerySpec(
             "mst", query, period, k=k,
             options={"exclude_ids": frozenset({3, 1})},
-            kernels=kernels, deadline_ms=deadline_ms,
+            deadline_ms=deadline_ms,
         )
         wire = spec.to_json()
-        revived = QuerySpec.from_json(wire)
+        # the reserved field reads either way and writes null
+        revived = QuerySpec.from_dict({**json.loads(wire), "kernels": kernels})
         assert revived.to_json() == wire
         assert revived.cache_key() == spec.cache_key()
         assert revived.k == k
@@ -68,6 +71,15 @@ class TestWireRoundTrips:
         assert [(p.x, p.y, p.t) for p in got] == [
             (p.x, p.y, p.t) for p in query
         ]
+
+    def test_reserved_kernels_field_is_one_cache_key(self):
+        doc = QuerySpec("nn", Point(0.0, 0.0), (0.0, 1.0)).as_dict()
+        assert doc["kernels"] is None
+        auto = QuerySpec.from_dict({**doc, "kernels": "auto"})
+        null = QuerySpec.from_dict({**doc, "kernels": None})
+        assert auto.cache_key() == null.cache_key()
+        assert auto.as_dict() == null.as_dict() == doc
+        assert not hasattr(auto, "kernels")
 
     def test_cache_key_ignores_the_deadline_budget(self):
         a = QuerySpec("range", MBR2D(0, 0, 1, 1),
@@ -248,6 +260,51 @@ class TestRejectionPaths:
         assert (status, body["error"]) == (400, "malformed")
         assert all(name in body["detail"] for name in names)
         assert "TypeError" not in body["detail"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("vmax", math.nan),
+            ("vmax", math.inf),
+            ("deadline_ms", math.nan),
+            ("deadline_ms", math.inf),
+            ("period", math.inf),
+            ("period", math.nan),
+            ("period", True),
+        ],
+        ids=[
+            "vmax-nan", "vmax-inf", "deadline-nan", "deadline-inf",
+            "period-inf", "period-nan", "period-bool",
+        ],
+    )
+    def test_non_finite_wire_number_is_400(self, name, value, served_world):
+        """A NaN compares false, so a NaN ``vmax`` would switch
+        Heuristic 1 off and a NaN deadline never fire: every number on
+        the wire must be finite (and a bool is no number).  The driver
+        refuses a NaN ``vmax`` handed to it in process, too (an infinite
+        one is a valid, if useless, speed bound there)."""
+        dataset, engine, bg = served_world
+        query, period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
+        doc = QuerySpec("mst", query, period, k=2).as_dict()
+        if name == "vmax":
+            doc["options"] = {"vmax": value}
+            if math.isnan(value):
+                with pytest.raises(QueryError, match="vmax"):
+                    bfmst_search(engine.index, query, period, 2, vmax=value)
+        elif name == "period":
+            doc["period"] = [period[0], value] if value is not True else [
+                value, period[1]
+            ]
+        else:
+            doc[name] = value
+        wire = json.dumps(doc)  # NaN / Infinity tokens, as json.loads reads
+        with pytest.raises(QueryError, match=name):
+            QuerySpec.from_json(wire)
+        with ServeClient(*bg.address) as client:
+            status, _h, payload = client.query_raw(wire.encode())
+        body = json.loads(payload)
+        assert (status, body["error"]) == (400, "malformed")
+        assert name in body["detail"]
 
     def test_stats_and_health_endpoints(self, served_world):
         *_x, bg = served_world

@@ -34,7 +34,6 @@ from repro import (
 )
 from repro.compression import synchronized_euclidean_distance, td_tr_with_radii
 from repro.datagen import make_query
-from repro.distance.kernels import have_numpy
 from repro.exceptions import IndexError_, TrajectoryError
 from repro.filter import build_signatures
 from repro.index import NO_PAGE, LeafEntry, fsck
@@ -42,11 +41,10 @@ from repro.index.packing import append_box, box_columns, even_chunks, str_tiles
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 
-from conftest import inserted, packed
+from conftest import KERNELS, inserted, packed
 from test_indexes import check_structure
 
 PACKING = [RTree3D, TBTree]
-KERNELS = ["python"] + (["numpy"] if have_numpy() else [])
 
 
 def entries_of(trajectories):
@@ -220,7 +218,7 @@ def layouts(small_dataset):
     return out
 
 
-@pytest.mark.parametrize("kernels", KERNELS)
+@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
 @pytest.mark.parametrize("filter_mode", ["off", "on"])
 @pytest.mark.parametrize("k", [1, 5, 10])
 @pytest.mark.parametrize("page_size", [512, 4096])
@@ -238,7 +236,7 @@ def test_packed_and_inserted_answer_like_the_exact_scan(
         answers = []
         for index in layouts[cls, page_size]:
             got, _stats = bfmst_search(
-                index, query, period, k=k, filter=filter_mode, kernels=kernels
+                index, query, period, k=k, filter=filter_mode
             )
             assert_ranks_like_the_scan(got, want)
             answers.append({m.trajectory_id: m.dissim for m in got})
