@@ -76,23 +76,16 @@ _FLAGS = {
         help="page-store backend for serving (mmap is read-only, "
         "zero-copy)",
     ),
-    "filter": dict(
-        choices=("auto", "on", "off"), default="auto",
-        help="signature filter tier: 'auto' (default) uses the "
-        "per-trajectory signature sidecar when the index carries "
-        "one, 'on' requires it, 'off' never consults it "
-        "(answers are byte-identical either way)",
-    ),
     "tree": dict(choices=("rtree", "tbtree", "strtree"), default="rtree"),
     "page-size": dict(type=int, default=4096),
     "signatures": dict(
         action=argparse.BooleanOptionalAction, default=True,
         help="write the trajectory-signature sidecar (<index>.sig, one "
-        "per shard) that powers the query-time filter tier (default: on)",
+        "per shard) that powers the query-time filter tier (default: on; "
+        "an index built without it is served unfiltered)",
     ),
 }
 _SLICE_FLAGS = ("object", "window", "k", "seed")
-_ENGINE_FLAGS = ("backend", "filter")
 
 
 def _add_flags(parser, *names: str) -> None:
@@ -148,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("target", help="index file")
     query.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(query, *_SLICE_FLAGS, *_ENGINE_FLAGS)
+    _add_flags(query, *_SLICE_FLAGS, "backend")
 
     stats = verb(
         sub, "stats", _cmd_kmst,
@@ -157,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("target", help="index file or shard directory")
     stats.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(stats, *_SLICE_FLAGS, *_ENGINE_FLAGS)
+    _add_flags(stats, *_SLICE_FLAGS, "backend")
     stats.add_argument(
         "--output", default=None,
         help="write the JSON document here instead of stdout",
@@ -170,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("target", help="index file")
     batch.add_argument("dataset", help="dataset the queries are drawn from")
     batch.add_argument("--queries", type=int, default=8)
-    _add_flags(batch, "window", "k", "seed", *_ENGINE_FLAGS)
+    _add_flags(batch, "window", "k", "seed", "backend")
     batch.add_argument(
         "--executor", choices=("serial", "thread"), default="serial"
     )
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace", type=float, default=10.0,
         help="seconds to let admitted requests finish on SIGTERM",
     )
-    _add_flags(serve, *_ENGINE_FLAGS)
+    _add_flags(serve, "backend")
 
     shard_sub = sub.add_parser(
         "shard", help="build, query and inspect sharded indexes"
@@ -259,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     squery.add_argument("target", help="sharded manifest directory")
     squery.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(squery, *_SLICE_FLAGS, *_ENGINE_FLAGS)
+    _add_flags(squery, *_SLICE_FLAGS, "backend")
     squery.add_argument(
         "--executor",
         choices=("serial", "thread", "process"),
@@ -308,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         trace=False,
     )
     iquery.add_argument("target", help="store directory")
-    _add_flags(iquery, *_SLICE_FLAGS, "filter")
+    _add_flags(iquery, *_SLICE_FLAGS)
 
     icompact = verb(
         ingest_sub, "compact", _cmd_ingest_compact,
@@ -441,9 +434,7 @@ def _open_engine(args):
     from .ingest.store import MANIFEST_NAME as INGEST_MANIFEST
     from .sharding import MANIFEST_NAME as SHARD_MANIFEST
 
-    config = EngineConfig(
-        executor=args.executor, max_workers=args.workers, filter=args.filter
-    )
+    config = EngineConfig(executor=args.executor, max_workers=args.workers)
     target = Path(args.target)
     draw_from = lambda: engine.dataset
     with ExitStack() as under:
@@ -521,8 +512,7 @@ def _print_ranks(args, source_id, query, result, elapsed: float) -> None:
     if stats.signature_checks or stats.leaf_skips:
         print(
             f"filter: {stats.signature_pruned}/{stats.signature_checks} "
-            f"signature checks pruned, {stats.leaf_skips} leaves "
-            f"skipped, {stats.refinement_skipped} refinements skipped"
+            f"signature checks pruned, {stats.leaf_skips} leaves skipped"
         )
     for row in per_shard:
         if row["pruned"]:

@@ -57,6 +57,10 @@ __all__ = [
 #: it at 25 % (still capped at ``buffer_max_pages``).
 SESSION_BUFFER_FRACTION = 0.25
 
+#: How many index levels a session pins, counted from the root
+#: downwards (2 = the root and its children).
+PIN_UPPER_LEVELS = 2
+
 #: The query kinds that read the dataset rather than the index.
 _SCAN_KINDS = ("linear_scan", "continuous_nn", "time_relaxed")
 
@@ -69,23 +73,19 @@ def read_dataset(path: str | Path) -> TrajectoryDataset:
 
 @dataclass
 class EngineConfig:
-    """Tunables for an engine session.
+    """Where an engine session runs its work.
 
-    ``pin_upper_levels`` counts index levels from the root downwards
-    (2 = root + its children; 0 disables pinning).  ``executor`` is
-    ``"serial"``, ``"thread"`` or ``"process"`` (the last needs shard
-    page files to hand to its workers, so only an engine opened from a
-    shard directory accepts it); the threaded executor treats the index
-    as read-only and enables the buffer manager's lock.  ``filter`` is
-    the session default for the signature filter tier
-    (``"auto"``/``"on"``/``"off"``, see :mod:`repro.filter`); a request
-    that names a filter mode explicitly overrides it.
+    ``executor`` is ``"serial"``, ``"thread"`` or ``"process"`` (the
+    last needs shard page files to hand to its workers, so only an
+    engine opened from a shard directory accepts it); the threaded
+    executor treats the index as read-only and enables the buffer
+    manager's lock.  ``max_workers`` sizes its pool.  How a query is
+    searched is the index's business: see
+    :func:`repro.search.bfmst.bfmst_search`.
     """
 
-    pin_upper_levels: int = 2
     executor: str = "serial"
     max_workers: int | None = None
-    filter: str = "auto"
 
 
 @dataclass
@@ -213,7 +213,7 @@ class QueryEngine:
             self.config.executor, self.config.max_workers
         )
         self._pins = [
-            PinnedIndex(ix, self.config.pin_upper_levels) for ix in pinned
+            PinnedIndex(ix, PIN_UPPER_LEVELS) for ix in pinned
         ]
         if self.executor.kind == "thread":
             self.enable_thread_safety()
@@ -308,8 +308,9 @@ class QueryEngine:
 
     def search_context(self, query, period) -> dict:
         """What steers one k-MST search in this session, as keyword
-        data for :func:`repro.search.bfmst.bfmst_search`."""
-        return {"filter": self.config.filter}
+        data for :func:`repro.search.bfmst.bfmst_search`: nothing for
+        one index."""
+        return {}
 
     def _run_requests(self, requests: list[QuerySpec]) -> list[SearchResult]:
         """Where a batch spends the session executor: here, across the

@@ -177,9 +177,9 @@ def _execute_shard_plan(plan):
     opts = spec.options
 
     # The sidecar (auto-attached by load_index) feeds a worker-local
-    # signature filter; ``plan.filter`` is the parent-resolved mode.
+    # signature filter.
     sig_filter = make_signature_filter(
-        index, spec.query, t_start, t_end, plan.vmax, plan.filter
+        index, spec.query, t_start, t_end, plan.vmax
     )
 
     registry = MetricsRegistry()

@@ -92,10 +92,10 @@ class ShardPlan:
     * ``deadline`` — absolute ``time.monotonic()`` deadline (system-wide
       on Linux, so it is meaningful across processes), the same value
       the in-process executors hand the traversal.
-    * ``filter`` — the parent-resolved signature-filter mode
-      (``auto``/``on``/``off``, see :mod:`repro.filter`); the worker
-      builds its own :class:`~repro.filter.SignatureFilter` from the
-      sidecar it mmaps next to ``shard_path``.
+
+    The worker filters iff its shard carries a signature sidecar: it
+    builds its own :class:`~repro.filter.SignatureFilter` from the one
+    it mmaps next to ``shard_path``.
     """
 
     spec: QuerySpec
@@ -105,7 +105,6 @@ class ShardPlan:
     vmax: float
     deadline: float | None = None
     backend: str = "mmap"
-    filter: str = "auto"
     buffer_fraction: float = 0.10
     buffer_max_pages: int = 1000
 
@@ -124,7 +123,6 @@ class ShardPlan:
                 float(self.deadline) if self.deadline is not None else None
             ),
             "backend": self.backend,
-            "filter": self.filter,
             "buffer_fraction": float(self.buffer_fraction),
             "buffer_max_pages": int(self.buffer_max_pages),
         }
@@ -166,11 +164,6 @@ class ShardPlan:
             deadline is None or isinstance(deadline, (int, float)),
             f"deadline must be a number or null, got {deadline!r}",
         )
-        filter_mode = doc.get("filter")
-        _require(
-            filter_mode in ("auto", "on", "off"),
-            f"plan filter must be auto|on|off, got {filter_mode!r}",
-        )
         return cls(
             spec=QuerySpec.from_dict(doc.get("spec")),
             shard_id=shard_id,
@@ -179,7 +172,6 @@ class ShardPlan:
             vmax=float(vmax),
             deadline=float(deadline) if deadline is not None else None,
             backend=doc.get("backend", "mmap"),
-            filter=filter_mode,
             buffer_fraction=float(doc.get("buffer_fraction", 0.10)),
             buffer_max_pages=int(doc.get("buffer_max_pages", 1000)),
         )

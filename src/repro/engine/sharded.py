@@ -129,14 +129,13 @@ class ShardedQueryEngine(QueryEngine):
     # the parts seam
     # ------------------------------------------------------------------
     def search_context(self, query, period) -> dict:
-        """Plan the shard fan-out for one query: the session's filter
-        default, the selected shards and where they run."""
+        """Plan the shard fan-out for one query: the selected shards
+        and where they run."""
         plan = self.planner.plan(query, period)
         self.metrics.inc("engine.planner.plans")
         self.metrics.inc("engine.planner.shards_selected", len(plan.selected))
         self.metrics.inc("engine.planner.shards_pruned", len(plan.pruned))
-        context = super().search_context(query, period)
-        context["selected"] = plan.selected
+        context = {"selected": plan.selected}
         if self.executor.kind == "thread":
             context["executor"] = self.executor
         elif self.executor.kind == "process":
@@ -151,9 +150,7 @@ class ShardedQueryEngine(QueryEngine):
         nothing on a shared one."""
         return [self.execute(request) for request in requests]
 
-    def run_parts(
-        self, specs: dict, vmax: float, filter: str, deadline
-    ) -> list:
+    def run_parts(self, specs: dict, vmax: float, deadline) -> list:
         """Search shards in the process pool — the ``executor`` this
         engine hands the search driver when ``executor="process"``.
 
@@ -161,10 +158,10 @@ class ShardedQueryEngine(QueryEngine):
         :class:`~repro.search.QuerySpec` its worker runs.  One
         self-contained :class:`~repro.engine.planner.ShardPlan` per
         shard goes out (spec + shard path + generation signature + the
-        driver-resolved ``vmax``/filter + the absolute
-        deadline); every :class:`~repro.engine.planner.ShardAnswer`
-        coming back is validated against the open store and returned as
-        the driver's ``(shard_id, records, stats)`` triple.  Worker
+        driver-resolved ``vmax`` + the absolute deadline); every
+        :class:`~repro.engine.planner.ShardAnswer` coming back is
+        validated against the open store and returned as the driver's
+        ``(shard_id, records, stats)`` triple.  Worker
         counter deltas are folded into the active trace registry here,
         before the driver harvests it, so the
         :class:`~repro.search.SearchStats` enrichment and per-shard
@@ -179,7 +176,6 @@ class ShardedQueryEngine(QueryEngine):
                 vmax=vmax,
                 deadline=deadline,
                 backend=self.backend,
-                filter=filter,
                 buffer_fraction=self._buffer_fraction,
                 buffer_max_pages=self._buffer_max_pages,
             )

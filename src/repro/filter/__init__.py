@@ -14,6 +14,8 @@ Signatures are built at index build / ingest compaction time
 page file (:mod:`repro.filter.sidecar`), mmap-served read-only, and
 evaluated by :class:`SignatureFilter` — in one numpy pass over the
 sidecar when numpy imports, one row at a time otherwise (bit-equal).
+A search filters a tree iff the tree carries a sidecar; an index built
+without one is served unfiltered.
 """
 
 from .runtime import SignatureFilter

@@ -97,11 +97,9 @@ def merged_kmst(
     """k-MST over the union of several pinned views (one per store)
     under a single shared bound; returns ``(matches, stats)``.
 
-    ``options`` are :func:`repro.search.bfmst.bfmst_search`'s.  Its
-    ``filter`` is the signature-filter mode: compacted generations
-    carry sidecars and get filtered, the memtable part has none and is
-    searched unfiltered (mode ``"on"`` therefore requires every part
-    to carry one and is mainly useful in tests)."""
+    ``options`` are :func:`repro.search.bfmst.bfmst_search`'s.
+    Compacted generations carry signature sidecars and get filtered;
+    the memtable part has none and is searched unfiltered."""
     parts = [part for view in views for part in view.parts]
     return bfmst_search(parts, query, period, k, **options)
 

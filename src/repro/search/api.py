@@ -127,7 +127,6 @@ def bfmst_search(
     *,
     period: tuple[float, float] | None = None,
     k: int = 1,
-    vmax: float | None = None,
     use_heuristic1: bool = True,
     use_heuristic2: bool = True,
     refine: bool = True,
@@ -141,16 +140,15 @@ def bfmst_search(
 
     Unified form: ``bfmst_search(ctx_or_index, dataset, query, *,
     period=None, k=1, ...) -> SearchResult`` (``dataset`` may be
-    ``None`` — BFMST reads only the index).  The platform picks the
-    MINDIST and filter implementations (numpy when it imports);
-    ``kernels`` is kept for callers that name that default and takes
-    only ``None`` or ``"auto"``.  ``filter`` controls the signature
-    filter tier (``"auto"`` filters when the index carries a signature
-    sidecar, ``"on"`` requires one, ``"off"`` disables it; answers are
-    identical either way — see :mod:`repro.filter`).  An explicit
-    ``"on"``/``"off"`` always wins over an engine context's configured
-    default.  ``deadline`` is an absolute ``time.monotonic()`` instant
-    past which the traversal raises
+    ``None`` — BFMST reads only the index).  The index decides how it
+    is searched: ``V_max`` is its parts' maximum speed plus the
+    query's, and a part is filtered iff it carries a signature sidecar
+    (see :mod:`repro.filter`).  Two keywords stay for callers that
+    measure exactly that: ``kernels`` takes only ``None`` or ``"auto"``
+    (the platform picks the MINDIST and filter implementations), and
+    ``filter="off"`` ignores the sidecars (``"auto"`` is the default;
+    answers are identical either way).  ``deadline`` is an absolute
+    ``time.monotonic()`` instant past which the traversal raises
     :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else steers
     the search — the planner's shard selection, the executor the parts
     run on — is the context's ``search_context(query, period)``, plain
@@ -168,8 +166,6 @@ def bfmst_search(
             f"implementation), got {kernels!r}"
         )
     options = {}
-    if vmax is not None:
-        options["vmax"] = vmax
     if not use_heuristic1:
         options["use_heuristic1"] = False
     if not use_heuristic2:
@@ -178,19 +174,15 @@ def bfmst_search(
         options["refine"] = False
     if exclude_ids:
         options["exclude_ids"] = frozenset(exclude_ids)
-    if filter != "auto":
-        options["filter"] = filter
     spec = QuerySpec("mst", query, period, k, options)
     index, dataset, ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "bfmst_search")
-    context = dict(ctx.search_context(query, period)) if ctx is not None else {}
-    if filter != "auto":
-        context["filter"] = filter
+    context = ctx.search_context(query, period) if ctx is not None else {}
     with _tracing(trace):
         matches, stats = _bfmst.bfmst_search(
-            index, query, period, k, vmax,
+            index, query, period, k,
             use_heuristic1, use_heuristic2, refine, exclude_ids,
-            deadline=deadline, **context,
+            filter=filter, deadline=deadline, **context,
         )
     return _attach(SearchResult("bfmst", matches, stats), spec, trace)
 

@@ -61,7 +61,7 @@ from ..index import TrajectoryIndex, best_first_nodes
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .results import MSTMatch, SearchStats
-from .spec import FILTER_MODES, QuerySpec
+from .spec import QuerySpec
 
 __all__ = [
     "bfmst_search",
@@ -70,37 +70,17 @@ __all__ = [
     "candidate_records",
     "merge_shard_records",
     "make_signature_filter",
-    "FILTER_MODES",
 ]
 
 
 def make_signature_filter(
-    index, query, t_start, t_end, vmax, mode
+    index, query, t_start, t_end, vmax
 ) -> SignatureFilter | None:
-    """Build the per-query :class:`SignatureFilter` for one tree.
-
-    ``mode`` — ``"auto"`` filters when the index has a signature
-    sidecar attached and stays silent otherwise, ``"on"`` demands one,
-    ``"off"`` disables filtering.
-    """
-    if mode not in FILTER_MODES:
-        raise QueryError(
-            f"filter must be one of {FILTER_MODES}, got {mode!r}"
-        )
-    if mode == "off":
-        return None
-    if getattr(index, "num_entries", 0) <= 0:
-        # An empty shard never gets a sidecar and has nothing to
-        # prune — filter='on' is vacuously satisfied.
-        return None
+    """Build the per-query :class:`SignatureFilter` for one tree, or
+    ``None`` when it carries no signature sidecar (an empty tree never
+    gets one)."""
     sigs = getattr(index, "signatures", None)
-    if sigs is None:
-        if mode == "on":
-            raise QueryError(
-                "filter='on' requires a signature sidecar, but the index "
-                "has none attached (build with signatures, or use "
-                "filter='auto')"
-            )
+    if sigs is None or getattr(index, "num_entries", 0) <= 0:
         return None
     return SignatureFilter(sigs, query, t_start, t_end, vmax)
 
@@ -579,7 +559,6 @@ def bfmst_search(
     query: Trajectory,
     period: tuple[float, float] | None = None,
     k: int = 1,
-    vmax: float | None = None,
     use_heuristic1: bool = True,
     use_heuristic2: bool = True,
     refine: bool = True,
@@ -599,7 +578,12 @@ def bfmst_search(
     :func:`search_part`, all under one shared k-th-best bound, and the
     disjoint per-part candidate sets are ranked/refined once, globally.
     Everything that steers the search is plain data; nothing here
-    changes the answer, only the work done and where it runs.
+    changes the answer, only the work done and where it runs.  The
+    paper's ``V_max`` is the maximum speed over *all* parts plus the
+    query's — the value an unsharded search would use, which (together
+    with the canonical window summation) makes the answer bit-identical
+    however the data is split, and which dominates the true maximum,
+    so the bounds are safe.
 
     Parameters
     ----------
@@ -620,14 +604,6 @@ def bfmst_search(
         lifetime.  The query must cover it.
     k:
         Number of most similar trajectories to return.
-    vmax:
-        The paper's ``V_max`` — sum of the maximum indexed speed and
-        the maximum query speed; computed over *all* parts when
-        omitted — the value an unsharded search would use, which
-        (together with the canonical window summation) makes the answer
-        bit-identical however the data is split.  Must dominate the
-        true maximum for the bounds to be safe (it does when derived
-        from the data).
     use_heuristic1 / use_heuristic2:
         Ablation switches for OPTDISSIM candidate pruning and
         MINDISSIMINC early termination.
@@ -638,13 +614,13 @@ def bfmst_search(
         Trajectory ids never to report (e.g. the query itself when it
         is also indexed).
     filter:
-        The signature tier (``"auto"`` — the default — for every part
-        that carries a signature sidecar, ``"on"`` to require one,
-        ``"off"`` never): candidates whose signature lower bound
-        certifies them out of the answer are rejected before any page
-        read or integral, and ambiguous-ranking refinement skips
-        candidates the bound already places outside the k-th boundary.
-        Answers are byte-identical to ``filter="off"`` by construction.
+        ``"auto"`` (the default) runs the signature tier on every part
+        that carries a signature sidecar: candidates whose signature
+        lower bound certifies them out of the answer are rejected
+        before any page read or integral.  ``"off"`` ignores the
+        sidecars, for measuring what they save; answers are
+        byte-identical by construction.  A process-backed executor's
+        workers always run ``"auto"``, so it refuses ``"off"``.
     selected:
         Positions of the parts to search (the planner's pre-filter);
         ``None`` searches all.  Skipping a part whose extent cannot
@@ -654,7 +630,7 @@ def bfmst_search(
         after another.  Anything with ``.map(fn, items)`` (the engine's
         :class:`~repro.engine.executor.ThreadedExecutor`) — on its
         workers, concurrently.  Anything with ``.run_parts(specs, vmax,
-        filter, deadline)`` (a process-backed
+        deadline)`` (a process-backed
         :class:`~repro.engine.ShardedQueryEngine`) — in other
         processes, from plain data: one ``QuerySpec`` per part out,
         ``(position, records, stats)`` triples back, each worker under
@@ -665,6 +641,15 @@ def bfmst_search(
         :class:`~repro.exceptions.DeadlineExceeded` once it has passed.
     """
     t_start, t_end = _validate(query, period, k)
+    if filter not in ("auto", "off"):
+        raise QueryError(f"filter must be 'auto' or 'off', got {filter!r}")
+    in_workers = hasattr(executor, "run_parts")
+    if filter == "off" and in_workers:
+        raise QueryError(
+            "filter='off' needs the parts searched in this process; a "
+            "process-backed executor's workers filter iff a shard has "
+            "a sidecar"
+        )
     one_tree = not isinstance(index, list) and not hasattr(index, "shards")
     if isinstance(index, list):
         parts = [part for part, _extra in index]
@@ -675,10 +660,7 @@ def bfmst_search(
     else:
         parts = [index] if one_tree else index.shards
         excludes = [exclude_ids] * len(parts)
-    if vmax is None:
-        vmax = max((p.max_speed for p in parts), default=0.0) + query.max_speed()
-    if not vmax >= 0.0:  # NaN too
-        raise QueryError(f"vmax must be a non-negative number, got {vmax}")
+    vmax = max((p.max_speed for p in parts), default=0.0) + query.max_speed()
     if selected is None:
         selected = list(range(len(parts)))
     else:
@@ -686,23 +668,6 @@ def bfmst_search(
         for pos in selected:
             if not 0 <= pos < len(parts):
                 raise QueryError(f"shard id {pos} out of range [0, {len(parts)})")
-
-    # One signature filter per part (each carries its own sidecar);
-    # trajectory ids are disjoint across parts, so the merge step can
-    # probe them in any order.
-    filters: dict[int, SignatureFilter] = {}
-    for pos in selected:
-        filt = make_signature_filter(
-            parts[pos], query, t_start, t_end, vmax, filter
-        )
-        if filt is not None:
-            filters[pos] = filt
-
-    def sig_lookup(tid: int):
-        for filt in filters.values():
-            if tid in filt.sigs:
-                return filt.bound(tid)
-        return None
 
     stats = SearchStats(total_nodes=sum(p.num_nodes for p in parts))
     # Counter baseline so the SearchStats enrichment reports *this*
@@ -716,8 +681,15 @@ def bfmst_search(
     top: _TopK = _SharedTopK(k) if len(selected) > 1 else _TopK(k)
 
     def run(pos: int):
+        part = parts[pos]
+        # One signature filter per part: each carries its own sidecar.
+        sig_filter = (
+            make_signature_filter(part, query, t_start, t_end, vmax)
+            if filter == "auto"
+            else None
+        )
         records, part_stats = search_part(
-            parts[pos],
+            part,
             query,
             t_start,
             t_end,
@@ -726,12 +698,12 @@ def bfmst_search(
             use_heuristic2,
             top,
             excludes[pos],
-            filters.get(pos),
+            sig_filter,
             deadline,
         )
         return pos, records, part_stats
 
-    if hasattr(executor, "run_parts"):
+    if in_workers:
         specs = {
             pos: QuerySpec(
                 "mst",
@@ -746,7 +718,7 @@ def bfmst_search(
             )
             for pos in selected
         }
-        outcomes = executor.run_parts(specs, vmax, filter, deadline)
+        outcomes = executor.run_parts(specs, vmax, deadline)
     elif executor is not None and len(selected) > 1:
         # Engine executors use the (index, item) map convention.
         outcomes = executor.map(lambda _i, pos: run(pos), selected)
@@ -763,7 +735,6 @@ def bfmst_search(
         stats=stats,
         trace=trace,
         before=before,
-        sig_lookup=sig_lookup if filters else None,
     )
     return matches, stats
 
@@ -797,7 +768,6 @@ def merge_shard_records(
     stats: SearchStats,
     trace=None,
     before=None,
-    sig_lookup=None,
 ) -> list[MSTMatch]:
     """Merge per-part search outcomes into the global ranked answer.
 
@@ -833,7 +803,7 @@ def merge_shard_records(
         stats.extra["shards_searched"] = len(selected)
         stats.extra["shards_pruned"] = len(shard_nodes) - len(selected)
 
-    matches = _assemble(records, query, k, refine, stats, sig_lookup)
+    matches = _assemble(records, query, k, refine, stats)
     if trace is not None:
         _harvest(trace, stats, before)
     if trace is not None and shard_nodes is not None:
@@ -862,7 +832,6 @@ def _assemble(
     k: int,
     refine: bool,
     stats: SearchStats,
-    sig_lookup=None,
 ) -> list[MSTMatch]:
     """Rank the candidate records, exactly re-integrating the ambiguous
     ones (the paper's post-processing step, Section 4.4)."""
@@ -888,14 +857,6 @@ def _assemble(
             for m in scored:
                 if not (m.exact and m.error_bound > 0.0 and m.lower <= kth_upper):
                     continue
-                if sig_lookup is not None:
-                    # A signature bound above the k-th upper proves the
-                    # exact value cannot enter the answer set — skip the
-                    # exact re-integration.
-                    lb = sig_lookup(m.trajectory_id)
-                    if lb is not None and lb > kth_upper:
-                        stats.refinement_skipped += 1
-                        continue
                 # Time-ordered summation: the exact value must not
                 # depend on segment arrival order either.
                 windows = sorted(by_tid[m.trajectory_id].windows, key=_LO)

@@ -70,14 +70,15 @@ class SearchStats:
     checksum_failures: int = 0
     terminated_early: bool = False
     refinement_candidates: int = 0
-    # signature filter tier (all zero when no sidecar is attached or
-    # filter="off"): bound evaluations against a finite threshold,
-    # candidates proven out before their first page touch, whole leaf
-    # pages skipped unread, and exact re-integrations skipped because
-    # the signature bound already cleared the k-th boundary.
+    # signature filter tier (all zero when no sidecar is attached):
+    # bound evaluations against a finite threshold, candidates proven
+    # out before their first page touch and whole leaf pages skipped
+    # unread.
     signature_checks: int = 0
     signature_pruned: int = 0
     leaf_skips: int = 0
+    # Always 0: refinement no longer consults the signatures.  Kept so
+    # that readers of the wire form and the stats block still find it.
     refinement_skipped: int = 0
     # --- trace-harvested enrichment (zero without a live QueryTrace) ---
     mindist_evaluations: int = 0
@@ -133,7 +134,6 @@ class SearchStats:
             "filter.signature_checks": self.signature_checks,
             "filter.pruned": self.signature_pruned,
             "filter.leaf_skips": self.leaf_skips,
-            "filter.refinement_skipped": self.refinement_skipped,
         }
         return counters if any(counters.values()) else {}
 

@@ -32,9 +32,11 @@ key — and any other value is rejected.  It stays in the envelope so
 that the version-1 wire form, and every cache key made from it, does
 not change.
 
-Every number on the wire is finite: a NaN or infinite ``period`` end,
-``deadline_ms`` or ``vmax`` is rejected rather than handed to the
-bounds, where a NaN compares false and silently disables pruning.
+Every number on the wire is finite: a NaN or infinite ``period`` end
+or ``deadline_ms`` is rejected rather than handed to the engine, where
+a NaN compares false and a deadline never fires.  Nothing on the wire
+steers the pruning bounds: ``V_max`` comes from the index and the
+signature filter runs iff the index carries a sidecar.
 """
 
 from __future__ import annotations
@@ -76,17 +78,13 @@ _RESERVED_OPTION_KEYS = frozenset(
     {"kind", "query", "period", "k", "kernels", "deadline_ms", "trace"}
 )
 
-#: The signature filter tier's modes (see :mod:`repro.filter`).
-FILTER_MODES = ("auto", "on", "off")
 
-
-# (accepts, what it accepts) pairs; ``type(v) is`` keeps JSON's true
-# and false out of the numeric options.
 def _finite(v) -> bool:
+    """A finite JSON number; ``type(v) is`` keeps true and false out."""
     return type(v) in (int, float) and math.isfinite(v)
 
 
-_SPEED = (lambda v: _finite(v) and v >= 0, "a number (finite, >= 0)")
+# (accepts, what it accepts) pairs.
 _FLAG = (lambda v: type(v) is bool, "true or false")
 _POSITIVE_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
 _ID_LIST = (
@@ -94,7 +92,6 @@ _ID_LIST = (
     and all(type(i) in (int, str) for i in v),
     "a list of ids",
 )
-_FILTER_MODE = (lambda v: v in FILTER_MODES, f"one of {FILTER_MODES}")
 
 #: canonical kind -> option name -> (accepts, what it accepts): every
 #: option a spec of that kind may carry on the wire.  The names are the
@@ -102,12 +99,10 @@ _FILTER_MODE = (lambda v: v in FILTER_MODES, f"one of {FILTER_MODES}")
 #: (a test holds the two together).
 OPTIONS = {
     "mst": {
-        "vmax": _SPEED,
         "use_heuristic1": _FLAG,
         "use_heuristic2": _FLAG,
         "refine": _FLAG,
         "exclude_ids": _ID_LIST,
-        "filter": _FILTER_MODE,
     },
     "linear_scan": {"exact": _FLAG, "exclude_ids": _ID_LIST},
     "nn": {},
@@ -210,7 +205,7 @@ class QuerySpec:
     plus the aliases in :data:`KIND_ALIASES`); ``query`` is the
     matching query object (trajectory, point or window); ``options``
     passes algorithm-specific keywords through to the unified API
-    (``vmax``, ``exact``, ``grid``, ``exclude_ids``, ...).
+    (``exact``, ``grid``, ``exclude_ids``, ...).
     ``deadline_ms`` is the caller's latency budget, enforced by
     deadline-aware executors.
     """

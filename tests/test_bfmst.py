@@ -132,16 +132,6 @@ class TestHeuristicAblations:
             with_h2.node_accesses == without.node_accesses
         )
 
-    def test_loose_vmax_still_correct(self, tree_and_dataset):
-        """Over-estimating V_max must never change the answer (it only
-        loosens OPTDISSIM/PESDISSIM)."""
-        index, dataset = tree_and_dataset
-        rng = random.Random(31)
-        query, period = make_query(dataset, 0.1, rng)
-        loose, _ = bfmst_search(index, query, period, k=3, vmax=1e6)
-        want = linear_scan_kmst(dataset, query, period, k=3, exact=True)
-        assert ids(loose) == ids(want)
-
 
 class TestValidationAndStats:
     def test_bad_k_rejected(self, tree_and_dataset):
@@ -164,13 +154,6 @@ class TestValidationAndStats:
         query, period = make_query(dataset, 0.1, rng)
         with pytest.raises(TemporalCoverageError):
             bfmst_search(index, query, (period[0] - 100.0, period[1]), k=1)
-
-    def test_negative_vmax_rejected(self, tree_and_dataset):
-        index, dataset = tree_and_dataset
-        rng = random.Random(7)
-        query, period = make_query(dataset, 0.1, rng)
-        with pytest.raises(QueryError):
-            bfmst_search(index, query, period, vmax=-1.0)
 
     def test_empty_index_returns_nothing(self):
         query = Trajectory(-1, [(0, 0, 0), (1, 1, 1)])

@@ -21,6 +21,7 @@ from repro.engine import (
     ThreadedExecutor,
     make_executor,
 )
+from repro.engine.engine import PinnedIndex
 from repro.exceptions import QueryError
 from repro.geometry import MBR2D, Point
 from repro.index import RTree3D, TBTree
@@ -186,11 +187,9 @@ class TestInvalidation:
 
     def test_pinning_tracks_rebuild(self, dataset):
         index = _build(RTree3D, dataset)
-        engine = QueryEngine(
-            index, dataset, config=EngineConfig(pin_upper_levels=1)
-        )
+        pin = PinnedIndex(index, 1)
         assert index.buffer.pinned_pages == {index.root_page}
-        engine.close()
+        pin.release()
         assert index.buffer.pinned_pages == frozenset()
 
 

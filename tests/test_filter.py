@@ -46,12 +46,7 @@ from repro.filter import (
 from repro.filter import runtime as filter_runtime
 from repro.filter.signature import segment_index
 from repro.index import fsck_index
-from repro.search.bfmst import (
-    CandidateRecord,
-    _assemble,
-    bfmst_search,
-    make_signature_filter,
-)
+from repro.search.bfmst import bfmst_search
 from repro.search.results import SearchStats
 
 from conftest import KERNELS, hexes
@@ -372,7 +367,7 @@ class TestSidecarLifetime:
         save_index(rtree, path, signatures=True)
         index = load_index(path)
         query, period = workload(dataset, n=1)[0]
-        _, stats = bfmst_search(index, query, period, k=3, filter="on")
+        _, stats = bfmst_search(index, query, period, k=3)
         assert stats.signature_checks > 0
         index.signatures.close()
         index.pagefile.close()
@@ -399,7 +394,6 @@ class TestSidecarLifetime:
                 shard_path=str(path),
                 signature=(index.num_nodes, index.num_entries, index.root_page),
                 vmax=index.max_speed + query.max_speed(),
-                filter="on",
             )
             return _execute_shard_plan(plan)
 
@@ -604,35 +598,30 @@ class TestSidecar:
 # filter modes
 # ----------------------------------------------------------------------
 class TestFilterModes:
-    def test_on_requires_sidecar(self, rtree, dataset):
-        query, period = workload(dataset, n=1)[0]
-        with pytest.raises(QueryError):
-            bfmst_search(rtree, query, period, k=3, filter="on")
-
     def test_invalid_mode_rejected(self, rtree, dataset):
         query, period = workload(dataset, n=1)[0]
-        with pytest.raises(QueryError):
-            bfmst_search(rtree, query, period, k=3, filter="sometimes")
+        for mode in ("sometimes", "on"):
+            with pytest.raises(QueryError, match="'auto' or 'off'"):
+                bfmst_search(rtree, query, period, k=3, filter=mode)
+
+    def test_off_refused_for_worker_processes(self, rtree, dataset):
+        # Pool workers filter iff their shard has a sidecar, so "off"
+        # cannot be honoured there: refused before any part runs.
+        class Pool:
+            def run_parts(self, specs, vmax, deadline):
+                raise AssertionError("no part may run")
+
+        query, period = workload(dataset, n=1)[0]
+        with pytest.raises(QueryError, match="process"):
+            bfmst_search(
+                rtree, query, period, k=3, filter="off", executor=Pool()
+            )
 
     def test_auto_without_sidecar_is_silent(self, rtree, dataset):
         query, period = workload(dataset, n=1)[0]
         matches, stats = bfmst_search(rtree, query, period, k=3)
         assert matches
         assert stats.signature_checks == 0
-
-    def test_make_signature_filter_modes(self, served, dataset):
-        index = served["rtree"]
-        query, period = workload(dataset, n=1)[0]
-        assert (
-            make_signature_filter(
-                index, query, period[0], period[1], 1.0, "off"
-            )
-            is None
-        )
-        filt = make_signature_filter(
-            index, query, period[0], period[1], 1.0, "on"
-        )
-        assert isinstance(filt, SignatureFilter)
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +633,7 @@ class TestByteIdentity:
     def test_single_index(self, served, dataset, tree, k):
         index = served[tree]
         for query, period in workload(dataset, n=3, seed=100 + k):
-            on, s_on = bfmst_search(index, query, period, k=k, filter="on")
+            on, s_on = bfmst_search(index, query, period, k=k)
             off, s_off = bfmst_search(index, query, period, k=k, filter="off")
             assert match_keys(on) == match_keys(off)
             assert s_on.signature_checks > 0
@@ -655,9 +644,10 @@ class TestByteIdentity:
     def test_single_index_kernels(self, served, dataset, kernels):
         index = served["rtree"]
         for query, period in workload(dataset, n=2, seed=55):
-            on, _ = bfmst_search(index, query, period, k=5, filter="on")
+            on, s_on = bfmst_search(index, query, period, k=5)
             off, _ = bfmst_search(index, query, period, k=5, filter="off")
             assert match_keys(on) == match_keys(off)
+            assert s_on.signature_checks > 0
 
     @pytest.mark.parametrize(
         "partitioner", ["round_robin", "hash", "spatial", "temporal"]
@@ -684,9 +674,7 @@ class TestByteIdentity:
         try:
             for query, period in workload(dataset, n=2, seed=9):
                 for k in (1, 5):
-                    on, s_on = bfmst_search(
-                        loaded, query, period, k=k, filter="on"
-                    )
+                    on, s_on = bfmst_search(loaded, query, period, k=k)
                     off, _ = bfmst_search(
                         loaded, query, period, k=k, filter="off"
                     )
@@ -709,9 +697,12 @@ class TestByteIdentity:
             ShardedDataset.partition(dataset, make_partitioner("hash", 2)),
             RTree3D,
         )
-        directory = tmp_path / "shards"
         try:
-            save_sharded_index(sharded, directory, signatures=True)
+            # The unfiltered side is an index built without sidecars.
+            for mode, signatures in (("on", True), ("off", False)):
+                save_sharded_index(
+                    sharded, tmp_path / mode, signatures=signatures
+                )
         finally:
             sharded.close()
         query, period = workload(dataset, n=1, seed=77)[0]
@@ -719,8 +710,8 @@ class TestByteIdentity:
         stats = {}
         for mode, executor in (("off", "serial"), ("on", "process")):
             engine = ShardedQueryEngine.open(
-                directory,
-                config=EngineConfig(executor=executor, filter=mode),
+                tmp_path / mode,
+                config=EngineConfig(executor=executor),
                 backend="mmap",
             )
             try:
@@ -797,23 +788,22 @@ class TestCounters:
         index = served["rtree"]
         query, period = workload(dataset, n=1, seed=5)[0]
         with query_trace(index) as trace:
-            matches, stats = bfmst_search(
-                index, query, period, k=3, filter="on"
-            )
+            matches, stats = bfmst_search(index, query, period, k=3)
         assert matches
         assert stats.signature_checks > 0
         reg = trace.registry
         assert reg.value("filter.signature_checks") == stats.signature_checks
         assert reg.value("filter.pruned") == stats.signature_pruned
         assert reg.value("filter.leaf_skips") == stats.leaf_skips
-        assert (
-            reg.value("filter.refinement_skipped") == stats.refinement_skipped
-        )
+        # Refinement never consults the signatures.
+        assert stats.refinement_skipped == 0
+        assert "filter.refinement_skipped" not in reg.counters
 
     def test_stats_wire_round_trip(self, served, dataset):
         index = served["rtree"]
         query, period = workload(dataset, n=1, seed=6)[0]
-        _, stats = bfmst_search(index, query, period, k=3, filter="on")
+        _, stats = bfmst_search(index, query, period, k=3)
+        assert stats.signature_checks > 0
         doc = stats.as_dict()
         for field in (
             "signature_checks",
@@ -836,7 +826,7 @@ class TestCounters:
         save_index(built, tmp_path / "tb.pages", signatures=True)
         index = load_index(tmp_path / "tb.pages")
         try:
-            work = {"on": [0, 0], "off": [0, 0]}
+            work = {"auto": [0, 0], "off": [0, 0]}
             for query, period in make_workload(data, 12, 0.05, seed=17):
                 for mode, totals in work.items():
                     _, stats = bfmst_search(
@@ -847,75 +837,29 @@ class TestCounters:
         finally:
             index.signatures.close()
             index.pagefile.close()
-        assert work["off"][0] >= 2.0 * work["on"][0]  # exact-DISSIM integrations
-        assert work["off"][1] >= 1.5 * work["on"][1]  # node accesses
-
-    def test_refinement_skip_avoids_cache_lookup(self):
-        # A candidate whose signature bound clears the k-th boundary
-        # is skipped, not counted as a refinement and not re-integrated.
-        records = [
-            CandidateRecord(1, 1.0, 0.0, True, ()),
-            CandidateRecord(2, 1.5, 0.6, True, ()),
-        ]
-        stats = SearchStats()
-        query = Trajectory(-1, [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
-        out = _assemble(
-            records, query, 1, True, stats, sig_lookup={2: 1.2}.get
-        )
-        assert [m.trajectory_id for m in out] == [1]
-        assert stats.refinement_skipped == 1
-        assert stats.refinement_candidates == 0
+        assert work["off"][0] >= 2.0 * work["auto"][0]  # exact-DISSIM integrations
+        assert work["off"][1] >= 1.5 * work["auto"][1]  # node accesses
 
 
 # ----------------------------------------------------------------------
 # plan codec
 # ----------------------------------------------------------------------
 class TestShardPlanCodec:
-    def _plan(self, dataset, **overrides):
+    def test_plan_names_no_filter_mode(self, dataset):
         from repro.engine.planner import ShardPlan
         from repro.search.spec import QuerySpec
 
+        # The worker filters iff its shard carries a sidecar, so the
+        # plan has no mode to carry; it round-trips without one.
         query = dataset.get(dataset.ids()[0])
-        spec = QuerySpec(
-            "mst", query, period=(query.t_start, query.t_end), k=3
-        )
-        fields = dict(
-            spec=spec,
+        doc = ShardPlan(
+            spec=QuerySpec(
+                "mst", query, period=(query.t_start, query.t_end), k=3
+            ),
             shard_id=0,
             shard_path="shard_0000.pages",
             signature=(3, 50, 1),
             vmax=2.5,
-        )
-        fields.update(overrides)
-        return ShardPlan(**fields)
-
-    def test_filter_round_trips(self, dataset):
-        from repro.engine.planner import ShardPlan
-
-        plan = self._plan(dataset, filter="on")
-        doc = plan.as_dict()
-        assert doc["filter"] == "on"
-        assert ShardPlan.from_dict(doc).filter == "on"
-
-    def test_missing_filter_defaults_to_auto(self, dataset):
-        from repro.engine.planner import ShardPlan
-
-        # A plan built without naming a mode filters iff the worker
-        # finds a sidecar, and says so on the wire ...
-        plan = self._plan(dataset)
-        assert plan.filter == "auto"
-        doc = plan.as_dict()
-        assert ShardPlan.from_dict(doc).filter == "auto"
-        # ... where the field is never absent: a plan does not outlive
-        # the parent/worker pair that made it, so no older writer exists.
-        del doc["filter"]
-        with pytest.raises(QueryError, match="filter"):
-            ShardPlan.from_dict(doc)
-
-    def test_invalid_filter_rejected(self, dataset):
-        from repro.engine.planner import ShardPlan
-
-        doc = self._plan(dataset).as_dict()
-        doc["filter"] = "maybe"
-        with pytest.raises(QueryError):
-            ShardPlan.from_dict(doc)
+        ).as_dict()
+        assert "filter" not in doc
+        assert ShardPlan.from_dict(doc).as_dict() == doc

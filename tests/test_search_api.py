@@ -300,26 +300,32 @@ class TestOptionTable:
         from repro.search.spec import OPTIONS
 
         assert set(OPTIONS) == set(_DISPATCH)
-        spec_fields = {"period", "k", "kernels", "trace", "deadline"}
+        # Spec fields, and the two k-MST keywords that stay off the
+        # wire (the index decides the filter; kernels is reserved).
+        not_options = {"period", "k", "kernels", "filter", "trace", "deadline"}
         for kind, (fn, _takes_period, _takes_k) in _DISPATCH.items():
             keyword_only = {
                 name
                 for name, param in inspect.signature(fn).parameters.items()
                 if param.kind is param.KEYWORD_ONLY
             }
-            assert set(OPTIONS[kind]) == keyword_only - spec_fields, kind
+            assert set(OPTIONS[kind]) == keyword_only - not_options, kind
+        # Nothing on the wire steers V_max or the filter.
+        assert set(OPTIONS["mst"]) == {
+            "use_heuristic1", "use_heuristic2", "refine", "exclude_ids",
+        }
 
     def test_wire_options_are_held_against_the_table(self, qp):
         q, p = qp
         doc = QuerySpec("mst", q, p).as_dict()
         good = {
-            "vmax": 2.5, "use_heuristic1": False, "use_heuristic2": False,
-            "refine": False, "exclude_ids": [3, "7"], "filter": "off",
+            "use_heuristic1": False, "use_heuristic2": False,
+            "refine": False, "exclude_ids": [3, "7"],
         }
         revived = QuerySpec.from_dict({**doc, "options": good})
         assert revived.options == {**good, "exclude_ids": frozenset({3, "7"})}
         for kind, bad in [
-            ("mst", {"vmax": True}), ("mst", {"filter": "sometimes"}),
+            ("mst", {"vmax": 2.5}), ("mst", {"filter": "off"}),
             ("mst", {"exclude_ids": 5}), ("mst", {"exclude_ids": [[1]]}),
             ("linear_scan", {"exact": 1}), ("nn", {"exclude_ids": [1]}),
             ("time_relaxed", {"grid": 0}), ("time_relaxed", {"grid": 2.5}),

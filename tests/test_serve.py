@@ -24,7 +24,6 @@ from repro import MBR2D, Point, RTree3D, generate_gstd, make_workload
 from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import DeadlineExceeded, QueryError, ServeError
 from repro.obs import MetricsRegistry
-from repro.search.bfmst import bfmst_search
 from repro.search.results import SearchResult, SearchStats
 from repro.search.spec import QuerySpec
 from repro.serve import (
@@ -115,6 +114,10 @@ class TestWireRoundTrips:
 # ----------------------------------------------------------------------
 # a real served engine
 # ----------------------------------------------------------------------
+#: Every option a k-MST request may carry.
+MST_OPTIONS = ("exclude_ids", "refine", "use_heuristic1", "use_heuristic2")
+
+
 @pytest.fixture(scope="module")
 def served_world():
     dataset = generate_gstd(15, samples_per_object=15, seed=11)
@@ -233,13 +236,20 @@ class TestRejectionPaths:
         "options, names",
         [
             ({"bogus": 1}, ("bogus", "exclude_ids")),
-            ({"selected": [0]}, ("selected", "vmax")),
-            ({"executor": 1}, ("executor", "filter")),
+            ({"selected": [0]}, ("selected", "use_heuristic1")),
+            ({"executor": 1}, ("executor", "use_heuristic2")),
             ({"deadline": 1}, ("deadline", "refine")),
-            ({"vmax": "fast"}, ("vmax", "a number")),
+            ({"vmax": "fast"}, ("unknown option 'vmax'",)),
             ({"refine": "no"}, ("refine", "true or false")),
+            # V_max and the filter are the index's: a request that sets
+            # either is refused, however well-typed the value.
+            ({"vmax": 0}, ("unknown option 'vmax'", *MST_OPTIONS)),
+            ({"filter": "off"}, ("unknown option 'filter'", *MST_OPTIONS)),
         ],
-        ids=["bogus", "selected", "executor", "deadline", "vmax", "refine"],
+        ids=[
+            "bogus", "selected", "executor", "deadline", "vmax", "refine",
+            "vmax-zero", "filter-off",
+        ],
     )
     def test_bad_option_is_400(self, options, names, served_world):
         """An option the kind does not take, or an ill-typed one, is
@@ -278,19 +288,17 @@ class TestRejectionPaths:
         ],
     )
     def test_non_finite_wire_number_is_400(self, name, value, served_world):
-        """A NaN compares false, so a NaN ``vmax`` would switch
-        Heuristic 1 off and a NaN deadline never fire: every number on
-        the wire must be finite (and a bool is no number).  The driver
-        refuses a NaN ``vmax`` handed to it in process, too (an infinite
-        one is a valid, if useless, speed bound there)."""
-        dataset, engine, bg = served_world
+        """A NaN compares false, so a NaN deadline would never fire:
+        every number on the wire must be finite (and a bool is no
+        number).  ``vmax`` is not an option — the index decides it — so
+        even a NaN one is refused by name."""
+        dataset, _engine, bg = served_world
         query, period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
         doc = QuerySpec("mst", query, period, k=2).as_dict()
+        expect = name
         if name == "vmax":
             doc["options"] = {"vmax": value}
-            if math.isnan(value):
-                with pytest.raises(QueryError, match="vmax"):
-                    bfmst_search(engine.index, query, period, 2, vmax=value)
+            expect = "unknown option 'vmax'"
         elif name == "period":
             doc["period"] = [period[0], value] if value is not True else [
                 value, period[1]
@@ -298,13 +306,13 @@ class TestRejectionPaths:
         else:
             doc[name] = value
         wire = json.dumps(doc)  # NaN / Infinity tokens, as json.loads reads
-        with pytest.raises(QueryError, match=name):
+        with pytest.raises(QueryError, match=expect):
             QuerySpec.from_json(wire)
         with ServeClient(*bg.address) as client:
             status, _h, payload = client.query_raw(wire.encode())
         body = json.loads(payload)
         assert (status, body["error"]) == (400, "malformed")
-        assert name in body["detail"]
+        assert expect in body["detail"]
 
     def test_stats_and_health_endpoints(self, served_world):
         *_x, bg = served_world

@@ -219,7 +219,8 @@ def layouts(small_dataset):
 
 
 @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
-@pytest.mark.parametrize("filter_mode", ["off", "on"])
+# The layouts carry sidecars, so "auto" is the filter-on case.
+@pytest.mark.parametrize("filter_mode", ["off", "auto"], ids=["off", "on"])
 @pytest.mark.parametrize("k", [1, 5, 10])
 @pytest.mark.parametrize("page_size", [512, 4096])
 @pytest.mark.parametrize("cls", PACKING)
@@ -235,9 +236,10 @@ def test_packed_and_inserted_answer_like_the_exact_scan(
         want = linear_scan_kmst(small_dataset, query, period, k=k, exact=True)
         answers = []
         for index in layouts[cls, page_size]:
-            got, _stats = bfmst_search(
+            got, stats = bfmst_search(
                 index, query, period, k=k, filter=filter_mode
             )
+            assert (stats.signature_checks > 0) == (filter_mode == "auto")
             assert_ranks_like_the_scan(got, want)
             answers.append({m.trajectory_id: m.dissim for m in got})
         from_packed, from_inserted = answers
