@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..exceptions import QueryError
 from .ldd import ldd
@@ -38,6 +39,8 @@ __all__ = ["CoveredInterval", "PartialDissim", "mindissim_inc"]
 # Two interval endpoints closer than this (relative to the query period)
 # are considered identical when checking completeness.
 _REL_EPS = 1e-9
+
+_LO = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,16 +63,20 @@ class PartialDissim:
     (in any order); they must be non-overlapping (each line segment is
     stored once).  Adjacent intervals are coalesced so gap enumeration
     stays linear.
+
+    The coverage is kept as sorted rows of plain floats
+    ``(lo, hi, approx, error_bound, d_lo, d_hi)``; every bound and
+    every inspection method is a view of those rows.
     """
 
-    __slots__ = ("t_start", "t_end", "_intervals", "_eps")
+    __slots__ = ("t_start", "t_end", "_rows", "_eps")
 
     def __init__(self, t_start: float, t_end: float) -> None:
-        if t_start >= t_end:
+        if not t_start < t_end:
             raise QueryError(f"empty query period [{t_start}, {t_end}]")
         self.t_start = t_start
         self.t_end = t_end
-        self._intervals: list[CoveredInterval] = []  # sorted by t_lo
+        self._rows: list[tuple[float, float, float, float, float, float]] = []
         self._eps = (t_end - t_start) * _REL_EPS
 
     # ------------------------------------------------------------------
@@ -83,89 +90,106 @@ class PartialDissim:
         d_lo: float,
         d_hi: float,
     ) -> bool:
+        """:meth:`add` with the contribution as an :class:`IntegralResult`."""
+        return self.add(
+            t_lo, t_hi, integral.approx, integral.error_bound, d_lo, d_hi
+        )
+
+    def add(
+        self,
+        t_lo: float,
+        t_hi: float,
+        approx: float,
+        error_bound: float,
+        d_lo: float,
+        d_hi: float,
+    ) -> bool:
         """Record a retrieved stretch; raises on overlap with existing
         coverage beyond floating-point slack.  Returns ``True`` when the
         interval was actually added, ``False`` when it was a duplicate
         or a sub-resolution sliver absorbed by earlier coalescing (so
-        callers tracking the retrieved windows never double-count)."""
-        if not (self.t_start - self._eps <= t_lo < t_hi <= self.t_end + self._eps):
+        callers tracking the retrieved windows never double-count).
+
+        A new row merges with a neighbour closer than the slack; the
+        merged contribution is ``(prev + new) + next``."""
+        eps = self._eps
+        if not (self.t_start - eps <= t_lo < t_hi <= self.t_end + eps):
             raise QueryError(
                 f"interval [{t_lo}, {t_hi}] outside query period "
                 f"[{self.t_start}, {self.t_end}]"
             )
-        item = CoveredInterval(t_lo, t_hi, integral, d_lo, d_hi)
-        idx = bisect_right([iv.t_lo for iv in self._intervals], t_lo)
-        if idx > 0:
-            prev = self._intervals[idx - 1]
-            if t_hi <= prev.t_hi + self._eps:
+        rows = self._rows
+        idx = bisect_right(rows, t_lo, key=_LO)
+        prev = rows[idx - 1] if idx else None
+        if prev is not None:
+            if t_hi <= prev[1] + eps:
                 # A sub-resolution sliver already swallowed by earlier
                 # coalescing (timestamps one ulp apart): absorb it.
                 return False
-            if prev.t_hi > t_lo + self._eps:
+            if prev[1] > t_lo + eps:
                 raise QueryError(
                     f"interval [{t_lo}, {t_hi}] overlaps already retrieved "
-                    f"[{prev.t_lo}, {prev.t_hi}]"
+                    f"[{prev[0]}, {prev[1]}]"
                 )
-        if idx < len(self._intervals):
-            nxt = self._intervals[idx]
-            if nxt.t_lo < t_hi - self._eps:
-                if t_lo >= nxt.t_lo - self._eps and t_hi <= nxt.t_hi + self._eps:
-                    return False  # duplicate of an existing interval
-                raise QueryError(
-                    f"interval [{t_lo}, {t_hi}] overlaps already retrieved "
-                    f"[{nxt.t_lo}, {nxt.t_hi}]"
-                )
-        self._intervals.insert(idx, item)
-        self._coalesce(max(idx - 1, 0))
+        nxt = rows[idx] if idx < len(rows) else None
+        if nxt is not None and nxt[0] < t_hi - eps:
+            if t_lo >= nxt[0] - eps and t_hi <= nxt[1] + eps:
+                return False  # duplicate of an existing interval
+            raise QueryError(
+                f"interval [{t_lo}, {t_hi}] overlaps already retrieved "
+                f"[{nxt[0]}, {nxt[1]}]"
+            )
+        start = end = idx
+        if prev is not None and t_lo - prev[1] <= eps:
+            start -= 1
+            t_lo, approx, error_bound, d_lo = (
+                prev[0], prev[2] + approx, prev[3] + error_bound, prev[4]
+            )
+        if nxt is not None and nxt[0] - t_hi <= eps:
+            end += 1
+            t_hi, approx, error_bound, d_hi = (
+                nxt[1], approx + nxt[2], error_bound + nxt[3], nxt[5]
+            )
+        rows[start:end] = ((t_lo, t_hi, approx, error_bound, d_lo, d_hi),)
         return True
-
-    def _coalesce(self, start: int) -> None:
-        """Merge runs of touching intervals beginning at ``start``."""
-        ivs = self._intervals
-        i = start
-        while i + 1 < len(ivs):
-            cur, nxt = ivs[i], ivs[i + 1]
-            if nxt.t_lo - cur.t_hi <= self._eps:
-                ivs[i] = CoveredInterval(
-                    cur.t_lo,
-                    nxt.t_hi,
-                    cur.integral + nxt.integral,
-                    cur.d_lo,
-                    nxt.d_hi,
-                )
-                del ivs[i + 1]
-            elif nxt.t_lo > cur.t_hi:
-                i += 1
-            else:
-                i += 1
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     @property
     def intervals(self) -> list[CoveredInterval]:
-        return list(self._intervals)
+        return [
+            CoveredInterval(lo, hi, IntegralResult(a, e), d_lo, d_hi)
+            for lo, hi, a, e, d_lo, d_hi in self._rows
+        ]
 
     def covered_duration(self) -> float:
-        return sum(iv.t_hi - iv.t_lo for iv in self._intervals)
+        return sum(row[1] - row[0] for row in self._rows)
 
     def is_complete(self) -> bool:
         """True when the coverage spans the whole query period."""
-        if len(self._intervals) != 1:
+        rows = self._rows
+        if len(rows) != 1:
             return False
-        iv = self._intervals[0]
+        row = rows[0]
         return (
-            iv.t_lo <= self.t_start + self._eps
-            and iv.t_hi >= self.t_end - self._eps
+            row[0] <= self.t_start + self._eps
+            and row[1] >= self.t_end - self._eps
         )
+
+    def _sums(self) -> tuple[float, float]:
+        """The retrieved ``(approx, error_bound)`` totals, summed in
+        time order from ``0.0``."""
+        approx = error_bound = 0.0
+        for row in self._rows:
+            approx += row[2]
+            error_bound += row[3]
+        return approx, error_bound
 
     def retrieved_integral(self) -> IntegralResult:
         """Sum of the retrieved contributions (the fixed part of every
         bound)."""
-        total = IntegralResult(0.0, 0.0)
-        for iv in self._intervals:
-            total = total + iv.integral
-        return total
+        return IntegralResult(*self._sums())
 
     def gaps(self) -> list[tuple[float, float, float | None, float | None]]:
         """The uncovered stretches as ``(lo, hi, d_at_lo, d_at_hi)``;
@@ -173,41 +197,57 @@ class PartialDissim:
         sample has been seen (the one-sided gap cases of Definition 3).
         """
         out: list[tuple[float, float, float | None, float | None]] = []
+        eps = self._eps
         cursor = self.t_start
         prev_d: float | None = None
-        for iv in self._intervals:
-            if iv.t_lo - cursor > self._eps:
-                out.append((cursor, iv.t_lo, prev_d, iv.d_lo))
-            cursor = iv.t_hi
-            prev_d = iv.d_hi
-        if self.t_end - cursor > self._eps:
+        for lo, hi, _a, _e, d_lo, d_hi in self._rows:
+            if lo - cursor > eps:
+                out.append((cursor, lo, prev_d, d_lo))
+            cursor = hi
+            prev_d = d_hi
+        if self.t_end - cursor > eps:
             out.append((cursor, self.t_end, prev_d, None))
         return out
 
     # ------------------------------------------------------------------
     # speed-dependent bounds
     # ------------------------------------------------------------------
-    def optdissim(self, vmax: float) -> float:
-        """Lower bound on DISSIM (Definition 3 / Lemma 2).
+    def bounds(self, vmax: float) -> tuple[float, float]:
+        """``(OPTDISSIM, PESDISSIM)`` in one pass over the rows and
+        their gaps (Definitions 3-4, Lemmas 2-3).
 
-        Uses the *certified lower* end of each retrieved trapezoid
-        integral so the bound survives the approximation error."""
-        if vmax < 0.0:
+        Each starts from the *certified* end of the retrieved integral
+        — lower for OPTDISSIM, upper for PESDISSIM — so the bracket
+        survives the trapezoid approximation error; the gap terms
+        follow left to right."""
+        if not vmax >= 0.0:
             raise QueryError(f"negative vmax {vmax}")
-        total = self.retrieved_integral().lower
-        for lo, hi, d1, d2 in self.gaps():
-            total += _optimistic_gap(lo, hi, d1, d2, vmax)
-        return max(total, 0.0)
+        approx, error_bound = self._sums()
+        opt = approx - error_bound
+        pes = approx
+        eps = self._eps
+        cursor = self.t_start
+        prev_d = None
+        for lo, hi, _a, _e, d_lo, d_hi in self._rows:
+            if lo - cursor > eps:
+                opt += _optimistic_gap(cursor, lo, prev_d, d_lo, vmax)
+                pes += _pessimistic_gap(cursor, lo, prev_d, d_lo, vmax)
+            cursor = hi
+            prev_d = d_hi
+        if self.t_end - cursor > eps:
+            opt += _optimistic_gap(cursor, self.t_end, prev_d, None, vmax)
+            pes += _pessimistic_gap(cursor, self.t_end, prev_d, None, vmax)
+        return max(opt, 0.0), pes
+
+    def optdissim(self, vmax: float) -> float:
+        """Lower bound on DISSIM (Definition 3 / Lemma 2); see
+        :meth:`bounds`."""
+        return self.bounds(vmax)[0]
 
     def pesdissim(self, vmax: float) -> float:
-        """Upper bound on DISSIM (Definition 4 / Lemma 3), using the
-        certified upper end of each retrieved integral."""
-        if vmax < 0.0:
-            raise QueryError(f"negative vmax {vmax}")
-        total = self.retrieved_integral().upper
-        for lo, hi, d1, d2 in self.gaps():
-            total += _pessimistic_gap(lo, hi, d1, d2, vmax)
-        return total
+        """Upper bound on DISSIM (Definition 4 / Lemma 3); see
+        :meth:`bounds`."""
+        return self.bounds(vmax)[1]
 
     # ------------------------------------------------------------------
     # speed-independent bounds
@@ -217,9 +257,10 @@ class PartialDissim:
         least ``mindist`` away (Definition 5): retrieved parts count
         with their certified lower value, every gap as
         ``mindist * gap_length``."""
-        if mindist < 0.0:
+        if not mindist >= 0.0:
             raise QueryError(f"negative mindist {mindist}")
-        total = self.retrieved_integral().lower
+        approx, error_bound = self._sums()
+        total = approx - error_bound
         for lo, hi, _d1, _d2 in self.gaps():
             total += mindist * (hi - lo)
         return max(total, 0.0)

@@ -416,15 +416,21 @@ def _search_shard(
                 valid[tid] = cand
                 stats.candidates_created += 1
             integral, d_lo, d_hi = result
-            if cand.partial.add_interval(
-                window[0], window[1], integral, d_lo, d_hi
+            partial = cand.partial
+            if partial.add(
+                window[0],
+                window[1],
+                integral.approx,
+                integral.error_bound,
+                d_lo,
+                d_hi,
             ):
                 cand.windows.append(window)
                 cand.integrals.append(integral)
             stats.entries_processed += 1
             stats.dissim_evaluations += 1
 
-            if cand.partial.is_complete():
+            if partial.is_complete():
                 del valid[tid]
                 completed[tid] = cand
                 stats.candidates_completed += 1
@@ -432,13 +438,11 @@ def _search_shard(
                 top.update(tid, cand.total.upper)
                 continue
 
-            top.update(tid, cand.partial.pesdissim(vmax))
+            opt, pes = partial.bounds(vmax)
+            top.update(tid, pes)
             if use_heuristic1:
                 threshold = top.threshold
-                if (
-                    math.isfinite(threshold)
-                    and cand.partial.optdissim(vmax) > threshold
-                ):
+                if math.isfinite(threshold) and opt > threshold:
                     del valid[tid]
                     rejected.add(tid)
                     stats.candidates_rejected += 1

@@ -167,10 +167,16 @@ def trajectories(draw, min_samples=2, max_samples=12, id_=0):
     return Trajectory(id_, list(zip(xs, ys, times)))
 
 
-@st.composite
-def cotemporal_trajectory_pairs(draw, max_samples=10):
+def cotemporal_trajectory_pairs(max_samples=10):
     """Two trajectories spanning the same [0, T] window (possibly with
     different sampling instants) — the DISSIM setting."""
+    return cotemporal_trajectories(2, max_samples)
+
+
+@st.composite
+def cotemporal_trajectories(draw, count, max_samples=10):
+    """``count`` trajectories (ids ``0 .. count-1``) spanning the same
+    [0, T] window, each with its own sampling instants."""
     total = draw(st.floats(min_value=1.0, max_value=20.0))
 
     def one(idx: int) -> Trajectory:
@@ -192,7 +198,7 @@ def cotemporal_trajectory_pairs(draw, max_samples=10):
         ys = draw(st.lists(small_coord, min_size=len(times), max_size=len(times)))
         return Trajectory(idx, list(zip(xs, ys, times)))
 
-    return one(0), one(1)
+    return tuple(one(i) for i in range(count))
 
 
 # ----------------------------------------------------------------------

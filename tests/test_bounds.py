@@ -9,6 +9,7 @@ retrievals:
 * ``MINDISSIMINC`` is the minimum of its two ingredients.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import PartialDissim, dissim_exact, distance_at, mindissim_inc
 from repro.distance import IntegralResult, segment_dissim
+from repro.distance.bounds import _optimistic_gap, _pessimistic_gap
 from repro.exceptions import QueryError
 
 from conftest import cotemporal_trajectory_pairs
@@ -34,9 +36,13 @@ def build_partial(q, t, keep_segments):
 
 
 class TestRecordKeeping:
-    def test_empty_period_rejected(self):
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(5.0, 5.0), (0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)],
+    )
+    def test_empty_period_rejected(self, t_start, t_end):
         with pytest.raises(QueryError):
-            PartialDissim(5.0, 5.0)
+            PartialDissim(t_start, t_end)
 
     def test_interval_outside_period_rejected(self):
         p = PartialDissim(0.0, 10.0)
@@ -63,6 +69,17 @@ class TestRecordKeeping:
         assert (iv.d_lo, iv.d_hi) == (2.0, 1.0)
         assert p.is_complete()
 
+    def test_bridge_sums_left_to_right(self):
+        """A stretch that bridges two rows merges as ``(prev + new) +
+        next`` — the order every earlier bound was computed in."""
+        p = PartialDissim(0.0, 6.0)
+        p.add_interval(0.0, 2.0, IntegralResult(0.1, 0.1), 1.0, 1.0)
+        p.add_interval(4.0, 6.0, IntegralResult(0.3, 0.3), 1.0, 1.0)
+        p.add_interval(2.0, 4.0, IntegralResult(0.2, 0.2), 1.0, 1.0)
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        (iv,) = p.intervals
+        assert iv.integral == IntegralResult((0.1 + 0.2) + 0.3, (0.1 + 0.2) + 0.3)
+
     def test_out_of_order_insertion(self):
         p = PartialDissim(0.0, 10.0)
         p.add_interval(6.0, 8.0, IntegralResult(1.0, 0.0), 1.0, 1.0)
@@ -88,14 +105,15 @@ class TestRecordKeeping:
         p.add_interval(1.0, 3.0, IntegralResult(0.0, 0.0), 0.0, 0.0)
         assert p.covered_duration() == pytest.approx(2.0)
 
-    def test_negative_vmax_rejected(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_vmax_rejected(self, bad):
         p = PartialDissim(0.0, 10.0)
         with pytest.raises(QueryError):
-            p.optdissim(-1.0)
+            p.optdissim(bad)
         with pytest.raises(QueryError):
-            p.pesdissim(-1.0)
+            p.pesdissim(bad)
         with pytest.raises(QueryError):
-            p.optdissim_inc(-1.0)
+            p.optdissim_inc(bad)
 
 
 class TestHandComputedBounds:
@@ -153,6 +171,106 @@ class TestHandComputedBounds:
     def test_mindissim_inc_no_candidates(self):
         assert mindissim_inc(3.0, 0.0, 4.0, []) == pytest.approx(12.0)
         assert mindissim_inc(3.0, 0.0, 4.0, None) == pytest.approx(12.0)
+
+
+@st.composite
+def coverage_records(draw):
+    """A query period and disjoint retrieved intervals in a random
+    insertion order: cut points that make adjacent runs, one-ulp
+    slivers, and re-insertions of intervals already in the list."""
+    t_start = draw(st.floats(min_value=-100.0, max_value=100.0))
+    t_end = t_start + draw(st.floats(min_value=1e-3, max_value=1e3))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    cuts = {t_start, t_end}
+    for f in fractions:
+        cut = min(t_start + f * (t_end - t_start), t_end)
+        cuts.add(cut)
+        if draw(st.booleans()):
+            cuts.add(math.nextafter(cut, math.inf))
+    cuts = sorted(c for c in cuts if c <= t_end)
+    spans = [
+        (lo, hi)
+        for lo, hi in zip(cuts, cuts[1:])
+        if draw(st.booleans())
+    ]
+    value = st.floats(min_value=0.0, max_value=100.0)
+    items = [
+        (lo, hi, draw(value), draw(value), draw(value), draw(value))
+        for lo, hi in spans
+    ]
+    if items:
+        items += draw(st.lists(st.sampled_from(items), max_size=3))
+    order = draw(st.permutations(items))
+    return t_start, t_end, order
+
+
+class TestDefinition:
+    @given(
+        coverage_records(),
+        st.floats(min_value=0.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_equal_their_definition(self, record, vmax, mindist):
+        """The record's bounds are, bit for bit, the certified sums of
+        its coalesced intervals plus the gap terms over ``gaps()``."""
+        t_start, t_end, order = record
+        p = PartialDissim(t_start, t_end)
+        eps = (t_end - t_start) * 1e-9
+        accepted = []
+        seen = set()
+        for lo, hi, approx, err, d_lo, d_hi in order:
+            added = p.add_interval(lo, hi, IntegralResult(approx, err), d_lo, d_hi)
+            if (lo, hi) in seen:
+                assert not added
+            seen.add((lo, hi))
+            if added:
+                accepted.append(approx)
+            # Added or absorbed, the stretch is now covered.
+            assert any(
+                iv.t_lo - eps <= lo and hi <= iv.t_hi + eps
+                for iv in p.intervals
+            )
+
+        ivs = p.intervals
+        # Sorted, disjoint and coalesced: neighbours are more than the
+        # slack apart.
+        for iv in ivs:
+            assert iv.t_lo < iv.t_hi
+        for cur, nxt in zip(ivs, ivs[1:]):
+            assert nxt.t_lo - cur.t_hi > eps
+        assert math.isclose(
+            math.fsum(iv.integral.approx for iv in ivs),
+            math.fsum(accepted),
+            rel_tol=1e-12,
+            abs_tol=1e-12,
+        )
+
+        # gaps() is the complement of the intervals, with the distances
+        # at the neighbouring interval ends.
+        gaps = []
+        cursor, prev_d = t_start, None
+        for iv in ivs:
+            if iv.t_lo - cursor > eps:
+                gaps.append((cursor, iv.t_lo, prev_d, iv.d_lo))
+            cursor, prev_d = iv.t_hi, iv.d_hi
+        if t_end - cursor > eps:
+            gaps.append((cursor, t_end, prev_d, None))
+        assert p.gaps() == gaps
+
+        total = IntegralResult(0.0, 0.0)
+        for iv in ivs:
+            total = total + iv.integral
+        assert p.retrieved_integral() == total
+        opt = inc = total.lower
+        pes = total.upper
+        for gap in gaps:
+            opt += _optimistic_gap(*gap, vmax)
+            pes += _pessimistic_gap(*gap, vmax)
+            inc += mindist * (gap[1] - gap[0])
+        assert p.optdissim(vmax).hex() == max(opt, 0.0).hex()
+        assert p.pesdissim(vmax).hex() == pes.hex()
+        assert p.optdissim_inc(mindist).hex() == max(inc, 0.0).hex()
 
 
 class TestLemmas:
