@@ -28,7 +28,7 @@ hot index levels pinned in the buffer pool across queries::
 
     from repro import QueryEngine, QuerySpec
 
-    with QueryEngine(index, dataset) as engine:
+    with QueryEngine(index) as engine:
         batch = engine.run_batch(
             [QuerySpec("mst", query, period, k=3)]
         )
@@ -51,18 +51,14 @@ from .datagen import (
     make_workload,
 )
 from .distance import (
-    DistanceProfile,
     PartialDissim,
-    discrete_frechet_distance,
     dissim,
     dissim_exact,
     distance_at,
     dtw_distance,
     edr_distance,
     edr_i_distance,
-    erp_distance,
     euclidean_distance,
-    distance_profile,
     lcss_distance,
     lcss_i_distance,
     ldd,
@@ -86,7 +82,6 @@ from .exceptions import (
 from .geometry import MBR2D, MBR3D, Point, STPoint, STSegment
 from .index import RStarTree, RTree3D, STRTree, TBTree, load_index, mindist, save_index
 from .ingest import IngestStore, LiveView, WriteAheadLog
-from .mod import MovingObjectDatabase
 from .obs import (
     MetricsRegistry,
     NoopRegistry,
@@ -97,13 +92,11 @@ from .obs import (
 from .selectivity import MSTCostEstimate, SpatioTemporalHistogram
 from .search import (
     MSTMatch,
-    NNInterval,
     QuerySpec,
     SearchResult,
     SearchStats,
     bfmst_browse,
     bfmst_search,
-    continuous_nearest_neighbour,
     execute_spec,
     linear_scan_kmst,
     nearest_neighbours,
@@ -114,9 +107,6 @@ from .search import (
 from .trajectory import (
     Trajectory,
     TrajectoryDataset,
-    detect_stops,
-    sampling_stats,
-    speed_profile,
     read_csv,
     read_json,
     write_csv,
@@ -136,9 +126,6 @@ __all__ = [
     # trajectory model
     "Trajectory",
     "TrajectoryDataset",
-    "speed_profile",
-    "sampling_stats",
-    "detect_stops",
     "read_csv",
     "write_csv",
     "read_json",
@@ -147,8 +134,6 @@ __all__ = [
     "dissim",
     "dissim_exact",
     "distance_at",
-    "distance_profile",
-    "DistanceProfile",
     "ldd",
     "PartialDissim",
     "mindissim_inc",
@@ -158,8 +143,6 @@ __all__ = [
     "edr_distance",
     "edr_i_distance",
     "dtw_distance",
-    "erp_distance",
-    "discrete_frechet_distance",
     "euclidean_distance",
     # indexes
     "RTree3D",
@@ -169,15 +152,12 @@ __all__ = [
     "mindist",
     "save_index",
     "load_index",
-    "MovingObjectDatabase",
     # search
     "bfmst_search",
     "bfmst_browse",
     "linear_scan_kmst",
     "range_query",
     "nearest_neighbours",
-    "continuous_nearest_neighbour",
-    "NNInterval",
     "time_relaxed_dissim",
     "time_relaxed_kmst",
     "MSTMatch",

@@ -53,9 +53,8 @@ from .experiments import (
     scaled_specs,
     table2,
 )
-from .engine.engine import read_dataset as _read_dataset
 from .index import load_index, save_index
-from .trajectory import write_csv, write_json
+from .trajectory import read_csv, read_json, write_csv, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -183,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         help="index file, sharded manifest directory, or live ingest "
         "store directory (auto-detected)",
-    )
-    serve.add_argument(
-        "--dataset", default=None,
-        help="dataset file; required for the scan-based query kinds "
-        "(linear_scan, continuous_nn, time_relaxed)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -340,6 +334,11 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _read_dataset(path):
+    """Read a dataset file, JSON or CSV by its suffix."""
+    return read_json(path) if Path(path).suffix == ".json" else read_csv(path)
+
+
 def _coerce_int_ids(dataset):
     """CSV round-trips ids as strings; the index wants ints."""
     from .trajectory import TrajectoryDataset
@@ -423,7 +422,8 @@ def _open_engine(args):
     directory, a live ingest store, or a single index file — and close
     it and what is under it on exit.  Yields ``(engine, draw_from)``:
     ``draw_from()`` is the dataset a query is sliced from (the dataset
-    file, or what a live store holds now)."""
+    file, or what a live store holds now); the engine itself reads no
+    dataset."""
     from .engine import (
         EngineConfig,
         LiveQueryEngine,
@@ -436,11 +436,11 @@ def _open_engine(args):
 
     config = EngineConfig(executor=args.executor, max_workers=args.workers)
     target = Path(args.target)
-    draw_from = lambda: engine.dataset
+    draw_from = lambda: _read_dataset(args.dataset)
     with ExitStack() as under:
         if (target / SHARD_MANIFEST).exists():
             engine = ShardedQueryEngine.open(
-                target, args.dataset, config=config, backend=args.backend
+                target, config=config, backend=args.backend
             )
             under.callback(engine.index.close)
         elif (target / INGEST_MANIFEST).exists():
@@ -455,7 +455,7 @@ def _open_engine(args):
             )
         else:
             engine = QueryEngine.open(
-                target, args.dataset, config=config, backend=args.backend
+                target, config=config, backend=args.backend
             )
             under.callback(engine.index.pagefile.close)
         with engine:

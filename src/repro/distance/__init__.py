@@ -16,13 +16,10 @@ from .dissim import (
 )
 from .dtw import dtw_distance
 from .edr import edr_distance, edr_i_distance, edr_normalised_distance
-from .erp import erp_distance
 from .euclidean import euclidean_distance, mean_euclidean_distance
-from .frechet import discrete_frechet_distance
 from .kernels import segment_dissim_batch
 from .lcss import lcss_distance, lcss_i_distance, lcss_length, lcss_similarity
 from .ldd import ldd
-from .profile import DistanceProfile, ProfilePiece, distance_profile
 from .trinomial import DistanceTrinomial, IntegralResult
 
 __all__ = [
@@ -36,9 +33,6 @@ __all__ = [
     "segment_dissim",
     "segment_dissim_batch",
     "ldd",
-    "DistanceProfile",
-    "ProfilePiece",
-    "distance_profile",
     "CoveredInterval",
     "PartialDissim",
     "mindissim_inc",
@@ -50,8 +44,6 @@ __all__ = [
     "edr_i_distance",
     "edr_normalised_distance",
     "dtw_distance",
-    "erp_distance",
-    "discrete_frechet_distance",
     "euclidean_distance",
     "mean_euclidean_distance",
 ]

@@ -1,8 +1,7 @@
 """The query engine: one session body over parts.
 
-A :class:`QueryEngine` owns an index, its dataset and the index's
-buffer manager for a session and executes heterogeneous queries
-(k-MST, linear scan, point NN, range, continuous NN, time-relaxed)
+A :class:`QueryEngine` owns an index and its buffer manager for a
+session and executes k-MST queries (:class:`~repro.search.QuerySpec`)
 one by one or in batches.  What a session keeps warm is the buffer
 pool, with the upper index levels pinned (:class:`PinnedIndex`); the
 traversal itself keeps no state between queries, so the same request
@@ -10,14 +9,14 @@ executed twice does the same work.
 
 Everything a session does around a search lives here once — the closed
 check, the deadline, the ``engine.*`` / ``filter.*`` counting into one
-:class:`~repro.obs.registry.MetricsRegistry`, the dataset requirement
-of the scan kinds, :meth:`QueryEngine.run_batch`, the buffer telemetry
-and the lifecycle.  :class:`~repro.engine.ShardedQueryEngine` and
+:class:`~repro.obs.registry.MetricsRegistry`,
+:meth:`QueryEngine.run_batch`, the buffer telemetry and the
+lifecycle.  :class:`~repro.engine.ShardedQueryEngine` and
 :class:`~repro.engine.LiveQueryEngine` subclass it and override only
 how a request obtains and releases the parts it searches.
 
 The engine is an execution *context* in the sense of the unified
-search API: it exposes ``.index``, ``.dataset`` and
+search API: it exposes ``.index`` and
 ``search_context(query, period)`` — plain keyword data for the one
 search driver — so any :mod:`repro.search.api` function accepts it in
 the first argument slot: ``bfmst_search(engine, None, query, k=5)``
@@ -38,7 +37,6 @@ from ..obs import state as _obs
 from ..search import api as _api
 from ..search.results import SearchResult
 from ..search.spec import QuerySpec
-from ..trajectory import TrajectoryDataset, read_csv, read_json
 from .executor import make_executor
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "BatchResult",
     "PinnedIndex",
     "QueryEngine",
-    "read_dataset",
     "SESSION_BUFFER_FRACTION",
 ]
 
@@ -60,16 +57,6 @@ SESSION_BUFFER_FRACTION = 0.25
 #: How many index levels a session pins, counted from the root
 #: downwards (2 = the root and its children).
 PIN_UPPER_LEVELS = 2
-
-#: The query kinds that read the dataset rather than the index.
-_SCAN_KINDS = ("linear_scan", "continuous_nn", "time_relaxed")
-
-
-def read_dataset(path: str | Path) -> TrajectoryDataset:
-    """Read a dataset file, JSON or CSV by its suffix."""
-    path = Path(path)
-    return read_json(path) if path.suffix == ".json" else read_csv(path)
-
 
 @dataclass
 class EngineConfig:
@@ -169,32 +156,30 @@ class PinnedIndex:
 
 
 class QueryEngine:
-    """Session owner for an index + dataset, executing queries.
+    """Session owner for an index, executing k-MST queries.
 
     Use as a context manager, or call :meth:`close` to release pins::
 
-        with QueryEngine(index, dataset) as engine:
+        with QueryEngine(index) as engine:
             batch = engine.run_batch([
                 QuerySpec("mst", query, period, k=5),
-                QuerySpec("range", window, period),
+                QuerySpec("mst", other, period, k=3),
             ])
     """
 
     def __init__(
         self,
         index: TrajectoryIndex,
-        dataset: TrajectoryDataset | None = None,
         *,
         config: EngineConfig | None = None,
     ):
-        self._start(index, dataset, config, [index])
+        self._start(index, config, [index])
 
-    def _start(self, index, dataset, config, pinned, shard_paths=None) -> None:
+    def _start(self, index, config, pinned, shard_paths=None) -> None:
         """The shared constructor body: ``pinned`` are the indexes whose
         buffer pools belong to this session (one, one per shard, or
         none for a live engine, whose generations come and go)."""
         self.index = index
-        self.dataset = dataset
         self.config = config if config is not None else EngineConfig()
         # The process pool fans out *paths*, not objects: workers reopen
         # the shard page files themselves.
@@ -229,7 +214,6 @@ class QueryEngine:
     def open(
         cls,
         index_path: str | Path,
-        dataset_path: str | Path | None = None,
         *,
         config: EngineConfig | None = None,
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
@@ -237,7 +221,7 @@ class QueryEngine:
         backend: str = "disk",
         verify: bool = False,
     ) -> "QueryEngine":
-        """Open a saved index (and optionally its dataset) for querying.
+        """Open a saved index for querying.
 
         ``backend`` selects the page store (``"disk"`` or the zero-copy
         read-only ``"mmap"``); ``verify`` checks the page file's digest
@@ -250,8 +234,7 @@ class QueryEngine:
             backend=backend,
             verify=verify,
         )
-        dataset = read_dataset(dataset_path) if dataset_path is not None else None
-        return cls(index, dataset, config=config)
+        return cls(index, config=config)
 
     def close(self) -> None:
         """Release the buffer pins and the session executor's pool
@@ -298,9 +281,9 @@ class QueryEngine:
     # the parts seam
     # ------------------------------------------------------------------
     @contextmanager
-    def _parts(self, kind: str):
+    def _parts(self):
         """Obtain what one request searches, as a search context
-        (``.index``, ``.dataset``, ``search_context``), and release it
+        (``.index``, ``search_context``), and release it
         however the search ends.  Here: the session's own index, its
         pins brought up to date."""
         self.check_signature()
@@ -333,14 +316,15 @@ class QueryEngine:
     ) -> SearchResult:
         """Run one request.
 
-        ``deadline`` is an absolute ``time.monotonic()`` instant; if
-        omitted, the request's own ``deadline_ms`` budget (if any)
-        starts counting now.  A query past its deadline raises
+        A request of any kind but ``"mst"`` is a
+        :class:`~repro.exceptions.QueryError`.  ``deadline`` is an
+        absolute ``time.monotonic()`` instant; if omitted, the request's
+        own ``deadline_ms`` budget (if any) starts counting now.  A
+        query past its deadline raises
         :class:`~repro.exceptions.DeadlineExceeded` — checked before
-        any part is obtained and (for k-MST) at every node the
-        traversal dequeues, on whichever thread or worker process a
-        part runs, so runaway queries stop consuming their worker
-        promptly.
+        any part is obtained and at every node the traversal dequeues,
+        on whichever thread or worker process a part runs, so runaway
+        queries stop consuming their worker promptly.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -353,11 +337,9 @@ class QueryEngine:
                 f"deadline expired before the {kind} query started"
             )
         self.metrics.inc("engine.queries")
-        self.metrics.inc(f"engine.queries.{kind}")
-        if kind in _SCAN_KINDS:
-            self._require_dataset(kind)
+        self.metrics.inc("engine.queries.mst")
         try:
-            with self._parts(kind) as context:
+            with self._parts() as context:
                 result = _api.execute_spec(
                     context, None, request, deadline=deadline
                 )
@@ -396,13 +378,6 @@ class QueryEngine:
             cache_counters=after,
             metrics=dict(self.metrics.counters),
         )
-
-    def _require_dataset(self, kind: str) -> None:
-        if self.dataset is None:
-            raise QueryError(
-                f"{kind} queries need the engine to own a dataset (pass "
-                f"one to the constructor or .open(dataset_path=...))"
-            )
 
     # ------------------------------------------------------------------
     # telemetry

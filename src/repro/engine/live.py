@@ -30,10 +30,8 @@ __all__ = ["LiveQueryEngine"]
 
 class _Snapshot:
     """What one request searches — the parts of its pinned views — as
-    a search context (``.index``, ``.dataset``, ``search_context``): a
-    fresh object per request, so concurrent requests share no state."""
-
-    dataset = None
+    a search context (``.index``, ``search_context``): a fresh object
+    per request, so concurrent requests share no state."""
 
     def __init__(self, views, search_context) -> None:
         self.index = [part for view in views for part in view.parts]
@@ -55,7 +53,7 @@ class LiveQueryEngine(QueryEngine):
             raise QueryError("LiveQueryEngine needs at least one store")
         self.stores = list(stores)
         # No session-long pins: a request pins the generations it reads.
-        self._start(None, None, config, [])
+        self._start(None, config, [])
 
     def signature(self) -> tuple:
         """Freshness signature of the stores' *visible* contents — the
@@ -67,14 +65,10 @@ class LiveQueryEngine(QueryEngine):
         )
 
     @contextmanager
-    def _parts(self, kind: str):
+    def _parts(self):
         """Pin a consistent view of every store for one request and
         release the pins however the search ends, so ingestion and
         compaction proceed beside the readers."""
-        if kind != "mst":
-            raise QueryError(
-                f"LiveQueryEngine serves k-MST queries only, got {kind!r}"
-            )
         views = []
         try:
             for store in self.stores:

@@ -7,10 +7,9 @@ questions:
   its root MBR (spatial × temporal extent).  A shard whose temporal
   extent misses the query period cannot contain an overlapping segment
   — MINDIST would return ``None`` for every node — so skipping it is
-  answer-preserving for every query kind.  For range queries the
-  spatial window prunes too.  (Similarity queries get **no** spatial
-  pre-filter: a far-away trajectory is still a valid — bad — candidate,
-  and with small k it may even be the answer.)
+  answer-preserving.  There is **no** spatial pre-filter: a far-away
+  trajectory is still a valid — bad — candidate, and with small k it
+  may even be the answer.
 * **How much buffer memory does each shard get?**  One global page
   budget is split across shard buffer pools proportionally to shard
   size via :meth:`~repro.storage.LRUBufferManager.resize_to_fraction`,
@@ -33,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exceptions import QueryError
-from ..geometry import MBR2D, MBR3D
+from ..geometry import MBR3D
 from ..search.bfmst import CandidateRecord
 from ..search.spec import QuerySpec
 from ..trajectory import Trajectory
@@ -59,7 +58,7 @@ class ShardSelection:
 
     selected: list[int] = field(default_factory=list)
     pruned: list[int] = field(default_factory=list)
-    reason: str = "all"  # "all" | "time" | "time+space"
+    reason: str = "all"  # "all" | "time"
 
     @property
     def num_shards(self) -> int:
@@ -346,7 +345,8 @@ class ShardAnswer:
 
 
 class QueryPlanner:
-    """Selects shards by intersecting per-shard extents with the query.
+    """Selects shards by intersecting per-shard extents with the query's
+    time span.
 
     ``extents`` is the per-shard root-MBR list (``None`` marks an empty
     shard, which is always pruned).  The planner is stateless beyond
@@ -360,33 +360,16 @@ class QueryPlanner:
         self.extents = list(extents)
 
     def plan(self, query, period: tuple[float, float] | None) -> ShardSelection:
-        """Shard selection for ``query`` over ``period``.
-
-        The temporal filter applies to every query type; the spatial
-        filter only when the query is itself a hard spatial predicate
-        (an :class:`~repro.geometry.MBR2D` range window).
-        """
+        """Shard selection for ``query`` over ``period``: a shard
+        whose temporal extent misses the query span is pruned."""
         span = self._span(query, period)
-        window = query if isinstance(query, MBR2D) else None
-        plan = ShardSelection(
-            reason="time+space" if window is not None else (
-                "time" if span is not None else "all"
-            )
-        )
+        plan = ShardSelection(reason="time" if span is not None else "all")
         for shard_id, extent in enumerate(self.extents):
             if extent is None:
                 plan.pruned.append(shard_id)
                 continue
             if span is not None and (
                 extent.tmin > span[1] or extent.tmax < span[0]
-            ):
-                plan.pruned.append(shard_id)
-                continue
-            if window is not None and (
-                extent.xmin > window.xmax
-                or extent.xmax < window.xmin
-                or extent.ymin > window.ymax
-                or extent.ymax < window.ymin
             ):
                 plan.pruned.append(shard_id)
                 continue
@@ -399,7 +382,7 @@ class QueryPlanner:
             return (period[0], period[1])
         if isinstance(query, Trajectory):
             return (query.t_start, query.t_end)
-        return None  # point/window queries carry no implicit period
+        return None
 
 
 def budget_buffers(

@@ -29,13 +29,7 @@ from ..obs import state as _obs
 from ..search.results import SearchResult, SearchStats
 from ..sharding import ShardedIndex, load_sharded_index
 from ..sharding.persistence import read_manifest
-from ..trajectory import TrajectoryDataset
-from .engine import (
-    SESSION_BUFFER_FRACTION,
-    EngineConfig,
-    QueryEngine,
-    read_dataset,
-)
+from .engine import SESSION_BUFFER_FRACTION, EngineConfig, QueryEngine
 from .planner import QueryPlanner, ShardPlan, budget_buffers
 
 __all__ = ["ShardedQueryEngine"]
@@ -47,7 +41,7 @@ class ShardedQueryEngine(QueryEngine):
     Use as a context manager, or call :meth:`close` to release the
     shard pins and the executor's pool::
 
-        with ShardedQueryEngine(sharded_index, dataset) as engine:
+        with ShardedQueryEngine(sharded_index) as engine:
             batch = engine.run_batch([
                 QuerySpec("mst", query, period, k=5),
             ])
@@ -56,7 +50,6 @@ class ShardedQueryEngine(QueryEngine):
     def __init__(
         self,
         index: ShardedIndex,
-        dataset: TrajectoryDataset | None = None,
         *,
         config: EngineConfig | None = None,
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
@@ -82,14 +75,13 @@ class ShardedQueryEngine(QueryEngine):
             index.shards, buffer_fraction, buffer_max_pages
         )
         self.planner = QueryPlanner(index.extents())
-        self._start(index, dataset, config, index.shards, shard_paths)
+        self._start(index, config, index.shards, shard_paths)
         self.metrics.inc("engine.shards", len(index.shards))
 
     @classmethod
     def open(
         cls,
         manifest_dir: str | Path,
-        dataset_path: str | Path | None = None,
         *,
         config: EngineConfig | None = None,
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
@@ -97,9 +89,9 @@ class ShardedQueryEngine(QueryEngine):
         backend: str = "disk",
         verify: bool = False,
     ) -> "ShardedQueryEngine":
-        """Open a saved sharded index directory (and optionally its
-        dataset) for querying.  ``backend``/``verify`` are forwarded to
-        the per-shard :func:`~repro.index.persistence.load_index`."""
+        """Open a saved sharded index directory for querying.
+        ``backend``/``verify`` are forwarded to the per-shard
+        :func:`~repro.index.persistence.load_index`."""
         index = load_sharded_index(
             manifest_dir,
             buffer_fraction,
@@ -107,10 +99,8 @@ class ShardedQueryEngine(QueryEngine):
             backend=backend,
             verify=verify,
         )
-        dataset = read_dataset(dataset_path) if dataset_path is not None else None
         return cls(
             index,
-            dataset,
             config=config,
             buffer_fraction=buffer_fraction,
             buffer_max_pages=buffer_max_pages,

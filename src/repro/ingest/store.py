@@ -58,6 +58,8 @@ MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_FORMAT = 1
 
 _TREE_KINDS = ("rtree", "rstar", "tbtree", "strtree")
+#: The object ids a WAL record can carry (it packs them as int64).
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class _Recorder:
@@ -406,9 +408,14 @@ class IngestStore:
         (nothing is written in that case)."""
         with self._lock:
             self._check_open()
-            if not isinstance(object_id, int):
+            # bool is an int subclass.
+            if (
+                not isinstance(object_id, int)
+                or isinstance(object_id, bool)
+                or not _INT64_MIN <= object_id <= _INT64_MAX
+            ):
                 raise TrajectoryError(
-                    f"ingest requires integer object ids, got {object_id!r}"
+                    f"ingest requires int64 object ids, got {object_id!r}"
                 )
             x, y, t = float(x), float(y), float(t)
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):

@@ -4,24 +4,22 @@ extension.
 
 The canonical entry points — :func:`bfmst_search`,
 :func:`linear_scan_kmst`, :func:`nearest_neighbours`,
-:func:`range_query`, :func:`continuous_nearest_neighbour`,
-:func:`time_relaxed_kmst` — are the *unified* dispatchers from
-:mod:`repro.search.api`: one shared signature
+:func:`range_query`, :func:`time_relaxed_kmst` — are the *unified*
+dispatchers from :mod:`repro.search.api`: one shared signature
 ``fn(ctx_or_index, dataset, query, *, period=..., k=..., trace=None)``
 returning a :class:`SearchResult`.  The pre-unification positional
 forms were removed (they raise :class:`TypeError` with a migration
 hint); the raw algorithm implementations remain importable from their
 own modules (e.g. :func:`repro.search.bfmst.bfmst_search`).
 
-:class:`QuerySpec` is the wire-serializable description of any of the
-six calls — the same schema in process, in ``repro batch`` files, and
-on the ``repro serve`` socket — and :func:`execute_spec` dispatches
-one against any context.
+:class:`QuerySpec` is the wire-serializable description of a k-MST
+search — the same schema in process, in ``repro batch`` files, and on
+the ``repro serve`` socket — and :func:`execute_spec` runs one against
+any context.  The other entry points are plain library calls.
 """
 
 from .api import (
     bfmst_search,
-    continuous_nearest_neighbour,
     execute_spec,
     linear_scan_kmst,
     nearest_neighbours,
@@ -30,7 +28,6 @@ from .api import (
     time_relaxed_kmst,
 )
 from .browse import bfmst_browse
-from .continuous_nn import NNInterval, continuous_nn_with_stats
 from .linear_scan import linear_scan_with_stats
 from .nn import nearest_neighbours_brute_force, nearest_neighbours_with_stats
 from .range_query import range_query_brute_force, range_query_with_stats
@@ -44,7 +41,6 @@ __all__ = [
     "linear_scan_kmst",
     "nearest_neighbours",
     "range_query",
-    "continuous_nearest_neighbour",
     "time_relaxed_kmst",
     "resolve_context",
     "execute_spec",
@@ -55,7 +51,6 @@ __all__ = [
     "MSTMatch",
     "SearchStats",
     "SearchResult",
-    "NNInterval",
     # stats-bearing implementations & reference baselines
     "bfmst_browse",
     "linear_scan_with_stats",
@@ -63,7 +58,6 @@ __all__ = [
     "nearest_neighbours_brute_force",
     "range_query_with_stats",
     "range_query_brute_force",
-    "continuous_nn_with_stats",
     "time_relaxed_dissim",
     "time_relaxed_with_stats",
 ]

@@ -6,24 +6,25 @@ Every entry point accepts the same three leading arguments::
     -> SearchResult
 
 * ``ctx_or_index`` — a :class:`~repro.engine.QueryEngine` execution
-  context (anything exposing ``.index``/``.dataset`` and a
+  context (anything exposing ``.index`` and a
   ``search_context(query, period)`` method returning plain keyword
   data for the search), a bare :class:`~repro.index.TrajectoryIndex`,
   or ``None`` for index-free algorithms,
-* ``dataset`` — the :class:`~repro.trajectory.TrajectoryDataset`
-  (``None`` to take the context's, or for index-only algorithms),
+* ``dataset`` — the :class:`~repro.trajectory.TrajectoryDataset` the
+  index-free algorithms read (``None`` for the index-only ones),
 * ``query`` — the query object: a :class:`~repro.trajectory.Trajectory`
-  for (k-)MST / continuous NN / time-relaxed, a
+  for (k-)MST and time-relaxed search, a
   :class:`~repro.geometry.Point` for point NN, an
   :class:`~repro.geometry.MBR2D` window for range queries.
 
 All entry points return a :class:`~repro.search.results.SearchResult`
-whose ``stats`` block has the same field set regardless of algorithm;
-the result carries the :class:`~repro.search.spec.QuerySpec` the call
-was built from (``result.spec``), so any answer can be re-asked —
-in-process, from a batch file, or over the ``repro serve`` wire.
-:func:`execute_spec` is the inverse: it dispatches a spec against any
-context.
+whose ``stats`` block has the same field set regardless of algorithm.
+k-MST by BFMST is the one search the engines and the wire carry: its
+result carries the :class:`~repro.search.spec.QuerySpec` the call was
+built from (``result.spec``), so the answer can be re-asked —
+in-process, from a batch file, or over the ``repro serve`` wire — and
+:func:`execute_spec` is the inverse.  The other entry points are plain
+library calls (``result.spec`` is ``None``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..exceptions import QueryError
 from ..obs import state as _obs
 from ..trajectory import Trajectory, TrajectoryDataset
 from . import bfmst as _bfmst
-from . import continuous_nn as _cnn
 from . import linear_scan as _scan
 from . import nn as _nn
 from . import range_query as _range
@@ -47,7 +47,6 @@ __all__ = [
     "linear_scan_kmst",
     "nearest_neighbours",
     "range_query",
-    "continuous_nearest_neighbour",
     "time_relaxed_kmst",
     "resolve_context",
     "execute_spec",
@@ -64,8 +63,7 @@ def resolve_context(ctx_or_index, dataset):
     A *context* is duck-typed — anything with ``.index`` and a callable
     ``search_context`` qualifies (the engine's execution context does; no
     import of :mod:`repro.engine` happens here, so the layering stays
-    acyclic).  An explicit ``dataset`` argument wins over the
-    context's.  As an ergonomic special case a
+    acyclic).  As an ergonomic special case a
     :class:`~repro.trajectory.TrajectoryDataset` passed in the context
     slot of an index-free algorithm is treated as the dataset.
     """
@@ -74,8 +72,6 @@ def resolve_context(ctx_or_index, dataset):
         and hasattr(ctx_or_index, "index")
         and callable(getattr(ctx_or_index, "search_context", None))
     ):
-        if dataset is None:
-            dataset = getattr(ctx_or_index, "dataset", None)
         return ctx_or_index.index, dataset, ctx_or_index
     if dataset is None and isinstance(ctx_or_index, TrajectoryDataset):
         return None, ctx_or_index, None
@@ -103,9 +99,12 @@ def _tracing(trace):
         _obs.ACTIVE = previous
 
 
-def _attach(result: SearchResult, spec: QuerySpec, trace) -> SearchResult:
-    """Stamp the result envelope with the spec it answers and the trace
-    it ran under, so serialised results are self-describing."""
+def _attach(
+    result: SearchResult, trace, spec: QuerySpec | None = None
+) -> SearchResult:
+    """Stamp the result envelope with the trace it ran under and (for
+    k-MST) the spec it answers, so serialised results are
+    self-describing."""
     result.spec = spec
     result.trace_id = getattr(trace, "name", None) if trace is not None else None
     return result
@@ -184,7 +183,7 @@ def bfmst_search(
             use_heuristic1, use_heuristic2, refine, exclude_ids,
             filter=filter, deadline=deadline, **context,
         )
-    return _attach(SearchResult("bfmst", matches, stats), spec, trace)
+    return _attach(SearchResult("bfmst", matches, stats), trace, spec)
 
 
 # ----------------------------------------------------------------------
@@ -206,12 +205,6 @@ def linear_scan_kmst(
     Unified form: ``linear_scan_kmst(None, dataset, query, *, k=1,
     exact=False, ...) -> SearchResult``.
     """
-    options = {}
-    if exact:
-        options["exact"] = True
-    if exclude_ids:
-        options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("linear_scan", query, period, k, options)
     _index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("linear_scan_kmst requires a dataset")
@@ -219,7 +212,7 @@ def linear_scan_kmst(
         matches, stats = _scan.linear_scan_with_stats(
             dataset, query, period, k, exact, exclude_ids
         )
-    return _attach(SearchResult("linear_scan", matches, stats), spec, trace)
+    return _attach(SearchResult("linear_scan", matches, stats), trace)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +233,6 @@ def nearest_neighbours(
     period=(t_start, t_end), k=1, ...) -> SearchResult`` — the match
     ``dissim`` slot carries the point distance.
     """
-    spec = QuerySpec("nn", query, period, k)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "nearest_neighbours")
     if period is None:
@@ -269,7 +261,7 @@ def nearest_neighbours(
                 index, query, t_start, t_end, k
             )
     matches = [MSTMatch(tid, dist, 0.0, True) for tid, dist in pairs]
-    return _attach(SearchResult("nn", matches, stats), spec, trace)
+    return _attach(SearchResult("nn", matches, stats), trace)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +281,6 @@ def range_query(
     period=(t_start, t_end), ...) -> SearchResult`` — hits are unranked
     :class:`MSTMatch` rows (``dissim`` 0) sorted by id.
     """
-    spec = QuerySpec("range", query, period)
     index, _dataset, _ctx = resolve_context(ctx_or_index, dataset)
     _require_index(index, "range_query")
     if period is None:
@@ -302,58 +293,6 @@ def range_query(
     matches = [MSTMatch(tid, 0.0, 0.0, True) for tid in sorted(hits)]
     return _attach(
         SearchResult("range", matches, stats, extras={"hit_ids": sorted(hits)}),
-        spec,
-        trace,
-    )
-
-
-# ----------------------------------------------------------------------
-# historical continuous NN
-# ----------------------------------------------------------------------
-def continuous_nearest_neighbour(
-    ctx_or_index,
-    dataset=None,
-    query=None,
-    *,
-    period: tuple[float, float] | None = None,
-    exclude_ids=frozenset(),
-    trace=None,
-) -> SearchResult:
-    """Nearest object at every instant of the period.
-
-    Unified form: ``continuous_nearest_neighbour(ctx_or_index, dataset,
-    query, *, period=(t_start, t_end), ...) -> SearchResult`` — the
-    interval partition is in ``result.extras["intervals"]`` (also via
-    ``result.intervals``); ``matches`` lists the distinct winners in
-    order of first appearance.  An index in the context slot enables
-    candidate pruning.
-    """
-    options = {}
-    if exclude_ids:
-        options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("continuous_nn", query, period, options=options)
-    index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
-    if dataset is None:
-        raise QueryError("continuous_nearest_neighbour requires a dataset")
-    if period is None:
-        raise QueryError(
-            "continuous_nearest_neighbour requires period=(t_start, t_end)"
-        )
-    t_start, t_end = period
-    with _tracing(trace):
-        intervals, stats = _cnn.continuous_nn_with_stats(
-            dataset, query, t_start, t_end, index, exclude_ids
-        )
-    winners: list[int] = []
-    for piece in intervals:
-        if piece.object_id not in winners:
-            winners.append(piece.object_id)
-    matches = [MSTMatch(oid, 0.0, 0.0, True) for oid in winners]
-    return _attach(
-        SearchResult(
-            "continuous_nn", matches, stats, extras={"intervals": intervals}
-        ),
-        spec,
         trace,
     )
 
@@ -378,12 +317,6 @@ def time_relaxed_kmst(
     in ``result.extras["shifts"]`` (a ``{trajectory_id: shift}``
     mapping).
     """
-    options = {}
-    if grid != 64:
-        options["grid"] = grid
-    if exclude_ids:
-        options["exclude_ids"] = frozenset(exclude_ids)
-    spec = QuerySpec("time_relaxed", query, None, k, options)
     _index, dataset, _ctx = resolve_context(ctx_or_index, dataset)
     if dataset is None:
         raise QueryError("time_relaxed_kmst requires a dataset")
@@ -395,7 +328,6 @@ def time_relaxed_kmst(
     shifts = {m.trajectory_id: shift for m, shift in pairs}
     return _attach(
         SearchResult("time_relaxed", matches, stats, extras={"shifts": shifts}),
-        spec,
         trace,
     )
 
@@ -403,52 +335,30 @@ def time_relaxed_kmst(
 # ----------------------------------------------------------------------
 # spec dispatch
 # ----------------------------------------------------------------------
-#: canonical kind -> (entry point, takes period, takes k)
-_DISPATCH = {
-    "mst": (bfmst_search, True, True),
-    "linear_scan": (linear_scan_kmst, True, True),
-    "nn": (nearest_neighbours, True, True),
-    "range": (range_query, True, False),
-    "continuous_nn": (continuous_nearest_neighbour, True, False),
-    "time_relaxed": (time_relaxed_kmst, False, True),
-}
-
-
 def execute_spec(
     ctx_or_index, dataset, spec: QuerySpec, *, trace=None, deadline=None
 ) -> SearchResult:
-    """Dispatch a :class:`~repro.search.spec.QuerySpec` against any
-    context — the single execution path shared by the unified API's
-    callers, the batched engines and ``repro serve``.
+    """Run a :class:`~repro.search.spec.QuerySpec` — a k-MST search —
+    against any context: the single execution path shared by the
+    batched engines and ``repro serve``.
 
-    ``spec.options`` are forwarded as keyword arguments to the entry
-    point, so an unknown option of an in-process spec is Python's own
-    ``TypeError``; a spec off the wire never gets here with one
-    (:meth:`QuerySpec.from_dict <repro.search.spec.QuerySpec.from_dict>`
-    rejects it, a served 400).
+    A kind other than ``"mst"`` is a :class:`QueryError`.
+    ``spec.options`` are forwarded as keyword arguments to
+    :func:`bfmst_search`, so an unknown option of an in-process spec is
+    Python's own ``TypeError``; a spec off the wire never gets here with
+    one (:meth:`QuerySpec.from_dict
+    <repro.search.spec.QuerySpec.from_dict>` rejects it, a served 400).
     ``spec.deadline_ms`` is *not* read here: turning the budget into
     the absolute ``deadline`` is the executing engine's job
-    (:meth:`repro.engine.QueryEngine.execute`); a k-MST search is
-    handed it and stops mid-flight once it passes, the other kinds are
-    bounded by the engine's check before they start.
+    (:meth:`repro.engine.QueryEngine.execute`); the search is handed it
+    and stops mid-flight once it passes.
     """
-    kind = spec.canonical_kind()
-    fn, takes_period, takes_k = _DISPATCH[kind]
-    kwargs = dict(spec.options)
-    if takes_period:
-        kwargs["period"] = spec.period
-    elif spec.period is not None:
-        raise QueryError(f"{kind} queries do not take a period")
-    if takes_k:
-        kwargs["k"] = spec.k
-    elif spec.k != 1:
-        raise QueryError(f"{kind} queries do not take k")
-    if kind == "mst":
-        # Passed beside the options, never through them: an option
-        # named "deadline" is a duplicate keyword, rejected like any
-        # other unknown option.
-        return fn(
-            ctx_or_index, dataset, spec.query,
-            trace=trace, deadline=deadline, **kwargs,
-        )
-    return fn(ctx_or_index, dataset, spec.query, trace=trace, **kwargs)
+    spec.canonical_kind()
+    # The deadline is passed beside the options, never through them: an
+    # option named "deadline" is a duplicate keyword, rejected like any
+    # other unknown option.
+    return bfmst_search(
+        ctx_or_index, dataset, spec.query,
+        period=spec.period, k=spec.k, trace=trace, deadline=deadline,
+        **spec.options,
+    )

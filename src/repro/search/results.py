@@ -167,25 +167,25 @@ class SearchResult:
     """The uniform answer envelope of the unified search API.
 
     Every search entry point — k-MST, linear scan, point NN, range,
-    continuous NN, time-relaxed — returns one of these, so callers,
-    the ``repro stats`` CLI and the bench JSONL rows can treat all
-    algorithms alike:
+    time-relaxed — returns one of these, so callers, the ``repro
+    stats`` CLI and the bench JSONL rows can treat all algorithms
+    alike:
 
     * ``algorithm`` — which algorithm produced the answer
       (``"bfmst"``, ``"linear_scan"``, ``"nn"``, ``"range"``,
-      ``"continuous_nn"``, ``"time_relaxed"``),
+      ``"time_relaxed"``),
     * ``matches`` — ranked :class:`MSTMatch` rows.  For point NN the
       ``dissim`` slot carries the point distance; for range queries the
       hits are unranked and ``dissim`` is 0,
     * ``stats`` — a :class:`SearchStats` with the *same field set* for
       every algorithm (fields an algorithm cannot measure stay 0),
-    * ``extras`` — algorithm-specific payload (``"intervals"`` for
-      continuous NN, ``"shifts"`` for time-relaxed),
+    * ``extras`` — algorithm-specific payload (``"hit_ids"`` for
+      range queries, ``"shifts"`` for time-relaxed),
     * ``trace_id`` — name of the :class:`~repro.obs.QueryTrace` the
       query ran under, if any,
-    * ``spec`` — the :class:`~repro.search.spec.QuerySpec` the unified
-      API built for this call (``None`` for results constructed by the
-      raw algorithm functions).
+    * ``spec`` — the :class:`~repro.search.spec.QuerySpec` a k-MST
+      answer was built from (``None`` for the other algorithms and for
+      results constructed by the raw algorithm functions).
 
     Iterating the result iterates ``matches``.
 
@@ -214,11 +214,6 @@ class SearchResult:
     def ids(self) -> list[int]:
         """Trajectory ids of the matches, in rank order."""
         return [m.trajectory_id for m in self.matches]
-
-    @property
-    def intervals(self):
-        """Continuous-NN intervals (``None`` for other algorithms)."""
-        return self.extras.get("intervals")
 
     def as_dict(self) -> dict:
         return {

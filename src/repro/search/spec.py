@@ -1,14 +1,14 @@
 """The canonical, wire-serializable query description.
 
-A :class:`QuerySpec` is the *one* request shape shared by every caller
-of the search stack: the six unified :mod:`repro.search.api` entry
-points construct one for each call, the batched engines
-(:class:`~repro.engine.QueryEngine`,
+A :class:`QuerySpec` is the *one* request shape the engines take: the
+batched engines (:class:`~repro.engine.QueryEngine`,
 :class:`~repro.engine.ShardedQueryEngine`,
 :class:`~repro.engine.LiveQueryEngine`) execute them directly, the
 ``repro batch`` / ``repro serve`` CLIs read them from files and
 sockets, and :mod:`repro.serve` uses the JSON form verbatim as its
-wire format.
+wire format.  A spec asks for one thing: a k-MST search by BFMST
+(``"kind": "mst"``).  The other algorithms of :mod:`repro.search.api`
+are plain library calls and have no spec.
 
 The JSON envelope is versioned (``"spec": 1``) and uses stable field
 names::
@@ -20,17 +20,17 @@ names::
      "deadline_ms": 250.0 | null,
      "options": {...}}
 
-``query`` is a tagged union over the three query object types
-(``trajectory`` / ``point`` / ``window``).  ``deadline_ms`` is a
-*budget*: admission control turns it into an absolute deadline and the
-engines abort work past it (see :mod:`repro.serve`); it is therefore
-excluded from :meth:`cache_key`, which identifies the *answer* a spec
-determines.  ``kernels`` is reserved: the platform picks the MINDIST and
-filter implementations (numpy when it imports), so the field is always
-written ``null`` and read as ``null`` or ``"auto"`` — both one cache
-key — and any other value is rejected.  It stays in the envelope so
-that the version-1 wire form, and every cache key made from it, does
-not change.
+``kind`` and the ``query`` tag stay in the envelope, so that the
+version-1 wire form, and every cache key made from it, does not change;
+any other kind or query type is a :class:`QueryError`.
+``deadline_ms`` is a *budget*: admission control turns it into an
+absolute deadline and the engines abort work past it (see
+:mod:`repro.serve`); it is therefore excluded from :meth:`cache_key`,
+which identifies the *answer* a spec determines.  ``kernels`` is
+reserved: the platform picks the MINDIST and filter implementations
+(numpy when it imports), so the field is always written ``null`` and
+read as ``null`` or ``"auto"`` — both one cache key — and any other
+value is rejected.
 
 Every number on the wire is finite: a NaN or infinite ``period`` end
 or ``deadline_ms`` is rejected rather than handed to the engine, where
@@ -46,11 +46,11 @@ import math
 from dataclasses import dataclass, field
 
 from ..exceptions import QueryError
-from ..geometry import MBR2D, Point
 from ..trajectory import Trajectory
 
 __all__ = [
     "SPEC_VERSION",
+    "KIND",
     "QuerySpec",
     "encode_query",
     "decode_query",
@@ -58,19 +58,8 @@ __all__ = [
 
 SPEC_VERSION = 1
 
-#: Accepted ``kind`` spellings -> canonical algorithm name.
-KIND_ALIASES = {
-    "mst": "mst",
-    "bfmst": "mst",
-    "kmst": "mst",
-    "linear_scan": "linear_scan",
-    "scan": "linear_scan",
-    "nn": "nn",
-    "range": "range",
-    "continuous_nn": "continuous_nn",
-    "cnn": "continuous_nn",
-    "time_relaxed": "time_relaxed",
-}
+#: The one query kind a spec carries: k-MST by BFMST.
+KIND = "mst"
 
 #: Spec fields that ``options`` must never shadow (they would turn
 #: into duplicate keyword arguments at dispatch time).
@@ -86,104 +75,83 @@ def _finite(v) -> bool:
 
 # (accepts, what it accepts) pairs.
 _FLAG = (lambda v: type(v) is bool, "true or false")
-_POSITIVE_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
 _ID_LIST = (
     lambda v: isinstance(v, (list, tuple, set, frozenset))
     and all(type(i) in (int, str) for i in v),
     "a list of ids",
 )
 
-#: canonical kind -> option name -> (accepts, what it accepts): every
-#: option a spec of that kind may carry on the wire.  The names are the
-#: keyword arguments of the kind's :mod:`repro.search.api` entry point
-#: (a test holds the two together).
+#: option name -> (accepts, what it accepts): every option a spec may
+#: carry on the wire.  The names are keyword arguments of
+#: :func:`repro.search.api.bfmst_search` (a test holds the two
+#: together).
 OPTIONS = {
-    "mst": {
-        "use_heuristic1": _FLAG,
-        "use_heuristic2": _FLAG,
-        "refine": _FLAG,
-        "exclude_ids": _ID_LIST,
-    },
-    "linear_scan": {"exact": _FLAG, "exclude_ids": _ID_LIST},
-    "nn": {},
-    "range": {},
-    "continuous_nn": {"exclude_ids": _ID_LIST},
-    "time_relaxed": {"grid": _POSITIVE_INT, "exclude_ids": _ID_LIST},
+    "use_heuristic1": _FLAG,
+    "use_heuristic2": _FLAG,
+    "refine": _FLAG,
+    "exclude_ids": _ID_LIST,
 }
 
 
-def _check_options(kind: str, options: dict) -> dict:
+def _check_options(options: dict) -> dict:
     """Hold wire options against :data:`OPTIONS`; returns them ready
     for dispatch (``exclude_ids`` as a frozenset)."""
-    accepted = OPTIONS[kind]
     checked = {}
     for name, value in options.items():
-        if name not in accepted:
+        if name not in OPTIONS:
             raise QueryError(
-                f"unknown option {name!r} for {kind} queries; accepted: "
-                f"{sorted(accepted) or 'none'}"
+                f"unknown option {name!r} for {KIND} queries; accepted: "
+                f"{sorted(OPTIONS)}"
             )
-        accepts, what = accepted[name]
+        accepts, what = OPTIONS[name]
         if not accepts(value):
             raise QueryError(f"option {name!r} must be {what}, got {value!r}")
         checked[name] = frozenset(value) if name == "exclude_ids" else value
     return checked
 
 
+def _check_kind(kind) -> str:
+    if not isinstance(kind, str) or kind != KIND:
+        raise QueryError(
+            f"unknown query kind {kind!r}; expected {KIND!r} (the other "
+            f"searches are library calls, not query kinds)"
+        )
+    return KIND
+
+
 def encode_query(query) -> dict:
-    """Tagged JSON-ready encoding of a query object."""
-    if isinstance(query, Trajectory):
-        return {
-            "type": "trajectory",
-            "id": query.object_id,
-            "samples": [
-                [float(p.x), float(p.y), float(p.t)] for p in query.samples
-            ],
-        }
-    if isinstance(query, Point):
-        return {"type": "point", "x": float(query.x), "y": float(query.y)}
-    if isinstance(query, MBR2D):
-        return {
-            "type": "window",
-            "xmin": float(query.xmin),
-            "ymin": float(query.ymin),
-            "xmax": float(query.xmax),
-            "ymax": float(query.ymax),
-        }
-    raise QueryError(
-        f"unsupported query object {type(query).__name__}; expected "
-        f"Trajectory, Point or MBR2D"
-    )
+    """Tagged JSON-ready encoding of a query trajectory."""
+    if not isinstance(query, Trajectory):
+        raise QueryError(
+            f"unsupported query object {type(query).__name__}; an {KIND} "
+            f"query is a Trajectory"
+        )
+    return {
+        "type": "trajectory",
+        "id": query.object_id,
+        "samples": [[float(p.x), float(p.y), float(p.t)] for p in query.samples],
+    }
 
 
-def decode_query(doc):
+def decode_query(doc) -> Trajectory:
     """Inverse of :func:`encode_query`; raises :class:`QueryError` on
     malformed documents (bad tag, missing fields, invalid geometry)."""
     if not isinstance(doc, dict):
         raise QueryError(f"query must be a tagged object, got {type(doc).__name__}")
     tag = doc.get("type")
+    if tag != "trajectory":
+        raise QueryError(
+            f"unknown query type {tag!r}; an {KIND} query is a 'trajectory'"
+        )
     try:
-        if tag == "trajectory":
-            return Trajectory(
-                doc["id"],
-                [(float(x), float(y), float(t)) for x, y, t in doc["samples"]],
-            )
-        if tag == "point":
-            return Point(float(doc["x"]), float(doc["y"]))
-        if tag == "window":
-            return MBR2D(
-                float(doc["xmin"]),
-                float(doc["ymin"]),
-                float(doc["xmax"]),
-                float(doc["ymax"]),
-            )
+        return Trajectory(
+            doc["id"],
+            [(float(x), float(y), float(t)) for x, y, t in doc["samples"]],
+        )
     except QueryError:
         raise
     except Exception as exc:  # malformed coordinates, short samples, ...
         raise QueryError(f"malformed {tag!r} query object: {exc}") from exc
-    raise QueryError(
-        f"unknown query type {tag!r}; expected trajectory, point or window"
-    )
 
 
 def _jsonable_option(value):
@@ -198,16 +166,13 @@ def _jsonable_option(value):
 
 @dataclass
 class QuerySpec:
-    """One query, fully described — in process and on the wire.
+    """One k-MST query, fully described — in process and on the wire.
 
-    ``kind`` selects the algorithm (``"mst"``, ``"linear_scan"``,
-    ``"nn"``, ``"range"``, ``"continuous_nn"``, ``"time_relaxed"``,
-    plus the aliases in :data:`KIND_ALIASES`); ``query`` is the
-    matching query object (trajectory, point or window); ``options``
-    passes algorithm-specific keywords through to the unified API
-    (``exact``, ``grid``, ``exclude_ids``, ...).
-    ``deadline_ms`` is the caller's latency budget, enforced by
-    deadline-aware executors.
+    ``kind`` must be ``"mst"`` (:data:`KIND`); ``query`` is the query
+    trajectory; ``options`` are the BFMST switches of :data:`OPTIONS`
+    (``use_heuristic1``, ``use_heuristic2``, ``refine``,
+    ``exclude_ids``).  ``deadline_ms`` is the caller's latency budget,
+    enforced by deadline-aware executors.
     """
 
     kind: str
@@ -218,13 +183,8 @@ class QuerySpec:
     deadline_ms: float | None = None
 
     def canonical_kind(self) -> str:
-        try:
-            return KIND_ALIASES[self.kind]
-        except (KeyError, TypeError):
-            raise QueryError(
-                f"unknown query kind {self.kind!r}; expected one of "
-                f"{sorted(set(KIND_ALIASES.values()))}"
-            ) from None
+        """:data:`KIND`, or :class:`QueryError` for any other kind."""
+        return _check_kind(self.kind)
 
     # ------------------------------------------------------------------
     # wire format
@@ -259,10 +219,10 @@ class QuerySpec:
 
         Raises :class:`QueryError` on anything malformed — unknown
         version or kind, bad ``k``/``period``/``deadline_ms``, a
-        ``kernels`` other than ``null``/``"auto"``, options
-        that would shadow spec fields, that the kind does not take or
-        that are ill-typed (:data:`OPTIONS`) — so wire-facing callers
-        can map it straight to a 400.
+        ``kernels`` other than ``null``/``"auto"``, a query that is not
+        a trajectory, options that would shadow spec fields, that
+        :data:`OPTIONS` does not name or that are ill-typed — so
+        wire-facing callers can map it straight to a 400.
         """
         if not isinstance(doc, dict):
             raise QueryError(
@@ -282,6 +242,7 @@ class QuerySpec:
             raise QueryError(f"unknown spec fields {sorted(unknown)}")
         if "kind" not in doc or "query" not in doc:
             raise QueryError("query spec requires 'kind' and 'query'")
+        kind = _check_kind(doc["kind"])
         k = doc.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise QueryError(f"k must be a positive integer, got {k!r}")
@@ -322,15 +283,14 @@ class QuerySpec:
                 f"options {sorted(shadowed)} shadow spec fields; set them "
                 f"as top-level spec fields instead"
             )
-        spec = cls(
-            kind=doc["kind"],
+        return cls(
+            kind=kind,
             query=decode_query(doc["query"]),
             period=period,
             k=k,
+            options=_check_options(options),
             deadline_ms=deadline_ms,
         )
-        spec.options = _check_options(spec.canonical_kind(), options)
-        return spec
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "QuerySpec":

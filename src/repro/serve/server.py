@@ -13,8 +13,8 @@ Endpoints::
     GET  /stats      serve.* metrics + engine metrics + config
     GET  /healthz    200 once accepting, 503 while draining
 
-Status codes: 400 malformed spec/framing (an option the query kind
-does not take, or an ill-typed one, included), 404/405 routing, 413
+Status codes: 400 malformed spec/framing (a kind other than ``mst``, a
+non-trajectory query, an unknown or ill-typed option included), 404/405 routing, 413
 body too large, 429 overload or quota (with ``Retry-After``), 422
 engine rejected the query, 500 unexpected, 503 draining, 504 deadline
 exceeded.

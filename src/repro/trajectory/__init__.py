@@ -1,15 +1,5 @@
 """Trajectory data model: trajectories, datasets and I/O."""
 
-from .analysis import (
-    SamplingStats,
-    Stop,
-    cumulative_length_at,
-    detect_stops,
-    heading_profile,
-    sampling_stats,
-    speed_profile,
-    total_turning,
-)
 from .columns import TrajectoryColumns, dataset_columns
 from .dataset import TrajectoryDataset
 from .io import read_csv, read_json, write_csv, write_json
@@ -19,14 +9,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryColumns",
     "dataset_columns",
-    "SamplingStats",
-    "Stop",
-    "speed_profile",
-    "heading_profile",
-    "total_turning",
-    "detect_stops",
-    "sampling_stats",
-    "cumulative_length_at",
     "TrajectoryDataset",
     "read_csv",
     "write_csv",

@@ -23,12 +23,10 @@ from repro.engine import (
 )
 from repro.engine.engine import PinnedIndex
 from repro.exceptions import QueryError
-from repro.geometry import MBR2D, Point
 from repro.index import RTree3D, TBTree
 from repro.obs import query_trace
 from repro.search import QuerySpec
 from repro.search.bfmst import bfmst_search as raw_bfmst
-from repro.search.linear_scan import linear_scan_kmst as raw_scan
 from repro.sharding import ShardedDataset, build_sharded_index, make_partitioner
 
 from conftest import work_counters
@@ -71,7 +69,7 @@ class TestBatchedIdentity:
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_mst_batch_matches_one_off(self, tree_cls, k, dataset, workload):
         index = _build(tree_cls, dataset)
-        with QueryEngine(index, dataset) as engine:
+        with QueryEngine(index) as engine:
             requests = [
                 QuerySpec("mst", q, p, k=k) for q, p in workload
             ] * 2  # repeats run against warm, pinned buffers
@@ -85,35 +83,36 @@ class TestBatchedIdentity:
     def test_threaded_batch_matches_serial(self, dataset, workload):
         index = _build(RTree3D, dataset)
         requests = [QuerySpec("mst", q, p, k=3) for q, p in workload] * 2
-        serial = QueryEngine(index, dataset).run_batch(requests)
+        serial = QueryEngine(index).run_batch(requests)
         threaded = QueryEngine(
-            index, dataset,
+            index,
             config=EngineConfig(executor="thread", max_workers=4),
         ).run_batch(requests)
         assert threaded.executor == "thread"
         for a, b in zip(serial.results, threaded.results):
             assert _key(a.matches) == _key(b.matches)
 
-    def test_mixed_kind_batch(self, dataset, workload):
+    def test_mixed_option_batch(self, dataset, workload):
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        with QueryEngine(index, dataset) as engine:
-            batch = engine.run_batch([
-                QuerySpec("mst", q, p, k=3),
-                QuerySpec("linear_scan", q, p, k=3,
-                             options={"exact": True}),
-                QuerySpec("nn", Point(0.5, 0.5), p, k=2),
-                QuerySpec("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
-                QuerySpec("time_relaxed", q, k=2),
-            ])
-        algorithms = [r.algorithm for r in batch]
-        assert algorithms == [
-            "bfmst", "linear_scan", "nn", "range", "time_relaxed"
+        want, _ = raw_bfmst(index, q, p, 3)
+        best = want[0].trajectory_id
+        options = [
+            {},
+            {"exclude_ids": frozenset({best})},
+            {"use_heuristic1": False, "use_heuristic2": False},
+            {"refine": False},
         ]
-        truth = raw_scan(dataset, q, p, 3, True)
-        assert batch.results[1].ids == [m.trajectory_id for m in truth]
-        # every result carries the unified stats block
-        for r in batch:
+        with QueryEngine(index) as engine:
+            batch = engine.run_batch(
+                [QuerySpec("mst", q, p, k=3, options=o) for o in options]
+            )
+        assert [r.algorithm for r in batch] == ["bfmst"] * len(options)
+        assert _key(batch.results[0].matches) == _key(want)
+        assert best not in batch.results[1].ids
+        assert batch.results[2].ids == batch.results[0].ids
+        for r, o in zip(batch, options):
+            assert r.spec.options == o
             assert r.stats.as_dict()["pruning_power"] >= 0.0
 
     def test_engine_as_context_for_unified_api(self, dataset, workload):
@@ -121,7 +120,7 @@ class TestBatchedIdentity:
 
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        with QueryEngine(index, dataset) as engine:
+        with QueryEngine(index) as engine:
             via_ctx = bfmst_search(engine, None, q, period=p, k=4)
         want, _ = raw_bfmst(index, q, p, 4)
         assert _key(via_ctx.matches) == _key(want)
@@ -134,7 +133,7 @@ class TestCaches:
         index = _build(RTree3D, dataset)
         q, p = workload[0]
         request = QuerySpec("mst", q, p, k=2)
-        with QueryEngine(index, dataset) as engine:
+        with QueryEngine(index) as engine:
             runs = [_traced_work(engine, request) for _ in range(3)]
         first_answer, first_work = runs[0]
         assert first_work["mindist_evaluations"] > 0
@@ -154,7 +153,7 @@ class TestCaches:
         q, p = workload[0]
         request = QuerySpec("mst", q, p, k=3)
         try:
-            with ShardedQueryEngine(sharded, dataset) as engine:
+            with ShardedQueryEngine(sharded) as engine:
                 first_answer, first_work = _traced_work(engine, request)
                 repeat_answer, repeat_work = _traced_work(engine, request)
         finally:
@@ -172,7 +171,7 @@ class TestInvalidation:
         for tr in trajectories[:-1]:
             index.insert(tr)
         (q, p), = make_workload(dataset, 1, query_length=0.2, seed=9)
-        engine = QueryEngine(index, dataset)
+        engine = QueryEngine(index)
         engine.run_batch([QuerySpec("mst", q, p, k=2)])
         assert engine.metrics.counters.get(
             "engine.cache.invalidations", 0
@@ -194,25 +193,23 @@ class TestInvalidation:
 
 
 class TestEngineSurface:
-    def test_requires_dataset_for_scan_kinds(self, dataset, workload):
-        index = _build(RTree3D, dataset)
-        q, p = workload[0]
-        engine = QueryEngine(index)  # no dataset
-        with pytest.raises(QueryError, match="dataset"):
-            engine.execute(QuerySpec("linear_scan", q, p, k=1))
-        engine.close()
-
     def test_unknown_kind_rejected(self, dataset, workload):
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        with QueryEngine(index, dataset) as engine:
-            with pytest.raises(QueryError, match="unknown query kind"):
-                engine.execute(QuerySpec("voronoi", q, p))
+        retired = (
+            "bfmst", "kmst", "linear_scan", "scan", "nn", "range",
+            "continuous_nn", "cnn", "time_relaxed",
+        )
+        with QueryEngine(index) as engine:
+            for kind in ("voronoi", *retired):
+                with pytest.raises(QueryError, match="unknown query kind"):
+                    engine.execute(QuerySpec(kind, q, p))
+            assert engine.metrics.value("engine.queries") == 0
 
     def test_closed_engine_rejects_queries(self, dataset, workload):
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        engine = QueryEngine(index, dataset)
+        engine = QueryEngine(index)
         engine.close()
         with pytest.raises(QueryError, match="closed"):
             engine.run_batch([QuerySpec("mst", q, p)])
@@ -220,7 +217,7 @@ class TestEngineSurface:
     def test_batch_result_shape(self, dataset, workload):
         index = _build(RTree3D, dataset)
         q, p = workload[0]
-        with QueryEngine(index, dataset) as engine:
+        with QueryEngine(index) as engine:
             batch = engine.run_batch([QuerySpec("mst", q, p, k=1)])
         assert isinstance(batch, BatchResult)
         assert len(batch) == 1

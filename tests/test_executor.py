@@ -82,7 +82,7 @@ class TestEngineOwnedExecutor:
     def test_threaded_engine_reuses_one_pool(self, world):
         index, dataset, workload = world
         config = EngineConfig(executor="thread", max_workers=2)
-        with QueryEngine(index, dataset, config=config) as engine:
+        with QueryEngine(index, config=config) as engine:
             requests = [QuerySpec("mst", q, p, k=2) for q, p in workload]
             engine.run_batch(requests)
             pool = engine.executor._pool

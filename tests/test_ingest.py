@@ -277,6 +277,20 @@ class TestStoreValidation:
             assert store.num_points == 0
             assert store.info()["wal_bytes"] == 0
 
+    @pytest.mark.parametrize(
+        "object_id", [True, False, 2**63, -(2**63) - 1],
+        ids=["true", "false", "int64-max-plus-1", "int64-min-minus-1"],
+    )
+    def test_id_outside_int64_rejected_before_write(self, tmp_path, object_id):
+        """A bool is no object id, and the WAL packs ids as int64: both
+        are refused with a TrajectoryError before the log grows."""
+        with IngestStore.create(tmp_path / "s") as store:
+            store.append(2**63 - 1, 0.0, 0.0, 1.0)  # the largest id fits
+            with pytest.raises(TrajectoryError, match="int64"):
+                store.append(object_id, 0.0, 0.0, 1.0)
+            assert store.num_points == 1
+            assert store.info()["wal_bytes"] == WAL_RECORD_BYTES
+
     def test_non_finite_point_rejected_before_write(self, tmp_path):
         with IngestStore.create(tmp_path / "s") as store:
             for bad in (math.nan, math.inf, -math.inf):

@@ -387,7 +387,7 @@ class TestBFMSTKernelParity:
         answers = {}
         for mode in ("numpy", "python"):
             index = build_tree(RTree3D, dataset)
-            with QueryEngine(index, dataset) as engine, (
+            with QueryEngine(index) as engine, (
                 numpy_blocked() if mode == "python" else nullcontext()
             ):
                 request = QuerySpec("mst", query, period, k=5)

@@ -10,9 +10,9 @@ Contract:
 * ``segment_dissim_batch`` over ``(STSegment, lo, hi)`` items is
   bit-equal to the window kernel on the same windows and to the scalar
   ``segment_dissim``, with numpy and without it;
-* no write leaves a leaf searched through stale rows: live trees, the
-  ingest memtable and ``repro.mod``'s mutable store answer like the
-  exact scan after every insert and delete;
+* no write leaves a leaf searched through stale rows: live trees,
+  packed trees written after the pack and the ingest memtable answer
+  like the exact scan after every insert and delete;
 * a chained leaf whose rows are out of time order is sorted, never
   bisected; a row that does not span positive time is rejected.
 """
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro import (
     IngestStore,
-    MovingObjectDatabase,
     RTree3D,
     TBTree,
     Trajectory,
@@ -223,24 +222,27 @@ def test_ingest_memtable_answers_after_every_append(tmp_path):
             assert_like_scan(search, live, rng)
 
 
-@pytest.mark.parametrize("tree", ["rtree", "tbtree"])
-def test_mod_mutable_store_answers_after_every_write(tree):
+@pytest.mark.parametrize("cls", TREES)
+def test_packed_tree_answers_after_every_write(cls):
+    """Pack, insert after the pack, delete: the tree ranks like the
+    exact scan after every write."""
     data = list(generate_gstd(16, samples_per_object=25, seed=29))
-    db = MovingObjectDatabase(tree=tree, page_size=512)
-    db.add_all(TrajectoryDataset(data[:12]))
-    db.freeze(mutable=True)
+    live = TrajectoryDataset(data[:12])
+    index = packed(cls, live, page_size=512)
     rng = random.Random(9)
 
     def search(query, period, k):
-        return db.most_similar(query, k=k, period=period)[0]
+        return bfmst_search(index, query, period, k=k)[0]
 
-    assert_like_scan(search, db.dataset, rng)
+    assert_like_scan(search, live, rng)
     for tr in data[12:]:
-        db.insert(tr)
-        assert_like_scan(search, db.dataset, rng, queries=1)
+        index.insert(tr)
+        live.add(tr)
+        assert_like_scan(search, live, rng, queries=1)
     for oid in (data[0].object_id, data[13].object_id):
-        db.remove(oid)
-        assert_like_scan(search, db.dataset, rng, queries=1)
+        index.delete_trajectory(oid)
+        live.remove(oid)
+        assert_like_scan(search, live, rng, queries=1)
 
 
 # ----------------------------------------------------------------------

@@ -115,7 +115,7 @@ class TestOptionsMeanTheSameEverywhere:
         self, dataset, query_and_period, single_index, shards_dir, tmp_path
     ):
         query, period = query_and_period
-        with QueryEngine(single_index, dataset) as engine:
+        with QueryEngine(single_index) as engine:
             best = engine.execute(QuerySpec("mst", query, period, k=3)).ids[0]
             spec = QuerySpec(
                 "mst", query, period, k=3, options={"exclude_ids": [best]}
@@ -141,7 +141,7 @@ class TestOptionsMeanTheSameEverywhere:
     ):
         query, period = query_and_period
         spec = QuerySpec("mst", query, period, options={"selected": [0]})
-        with QueryEngine(single_index, dataset) as engine:
+        with QueryEngine(single_index) as engine:
             with pytest.raises(TypeError, match="selected"):
                 engine.execute(spec)
         for executor in EXECUTORS:
@@ -208,7 +208,7 @@ class TestDeadlinesStopTheTraversal:
     def test_query_engine(self, clock, dataset, single_index, query_and_period):
         query, period = query_and_period
         spec = QuerySpec("mst", query, period, k=3)
-        with QueryEngine(single_index, dataset) as engine:
+        with QueryEngine(single_index) as engine:
             for aborted in (1, 2):
                 with pytest.raises(DeadlineExceeded, match="exceeded"):
                     engine.execute(spec, deadline=clock.deadline)
@@ -265,7 +265,7 @@ class TestDeadlinesStopTheTraversal:
 def any_engine(request, dataset, single_index, shards_dir, tmp_path):
     """The same data behind each engine class, serial executor."""
     if request.param == "single":
-        with QueryEngine(single_index, dataset) as engine:
+        with QueryEngine(single_index) as engine:
             yield engine
     elif request.param == "sharded":
         with sharded_engine(shards_dir, "serial") as engine:
@@ -330,7 +330,7 @@ def test_process_executor_needs_shard_paths(
     sharded = load_sharded_index(shards_dir)  # an index, no manifest_dir
     with live_store(tmp_path / "s", dataset, "uncompacted") as store:
         for build in (
-            lambda: QueryEngine(single_index, dataset, config=config),
+            lambda: QueryEngine(single_index, config=config),
             lambda: LiveQueryEngine(store, config),
             lambda: ShardedQueryEngine(sharded, config=config),
         ):

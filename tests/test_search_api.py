@@ -16,7 +16,6 @@ from repro.search import (
     SearchResult,
     SearchStats,
     bfmst_search,
-    continuous_nearest_neighbour,
     execute_spec,
     linear_scan_kmst,
     nearest_neighbours,
@@ -24,9 +23,6 @@ from repro.search import (
     time_relaxed_kmst,
 )
 from repro.search.bfmst import bfmst_search as raw_bfmst
-from repro.search.continuous_nn import (
-    continuous_nearest_neighbour as raw_cnn,
-)
 from repro.search.linear_scan import linear_scan_kmst as raw_scan
 from repro.search.nn import nearest_neighbours as raw_nn
 from repro.search.range_query import range_query as raw_range
@@ -111,19 +107,6 @@ class TestUnifiedFormMatchesRaw:
         assert set(result.ids) == raw
         assert result.extras["hit_ids"] == sorted(raw)
 
-    def test_continuous_nn(self, index, dataset, qp):
-        q, (lo, hi) = qp
-        raw = raw_cnn(dataset, q, lo, hi)
-        result = _new(
-            lambda: continuous_nearest_neighbour(
-                index, dataset, q, period=(lo, hi)
-            )
-        )
-        assert result.algorithm == "continuous_nn"
-        # the index prunes candidates but must not change the partition
-        assert result.intervals == raw
-        assert result.ids  # winners listed
-
     def test_time_relaxed(self, dataset, qp):
         q, (lo, hi) = qp
         short = q.sliced(lo, lo + (hi - lo) * 0.5)
@@ -164,8 +147,6 @@ class TestStatsParity:
                 index, None, Point(0.5, 0.5), period=p, k=2)),
             _new(lambda: range_query(
                 index, None, MBR2D(0.2, 0.2, 0.8, 0.8), period=p)),
-            _new(lambda: continuous_nearest_neighbour(
-                index, dataset, q, period=p)),
             _new(lambda: time_relaxed_kmst(
                 None, dataset, q.sliced(p[0], (p[0] + p[1]) / 2), k=1)),
         ]
@@ -225,33 +206,16 @@ class TestTraceParameter:
 class TestInternalCodeIsWarningClean:
     """repro's own layers must never call the deprecated shims."""
 
-    def test_mod_paths_are_clean(self, dataset, qp):
-        from repro.mod import MovingObjectDatabase
-
-        q, p = qp
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            mod = MovingObjectDatabase()
-            for tr in dataset:
-                mod.add(tr)
-            mod.freeze()
-            mod.most_similar(q, k=2, period=p)
-            mod.most_similar(q, k=2, period=p, use_index=False)
-            mod.range(MBR2D(0.2, 0.2, 0.8, 0.8), p[0], p[1])
-            mod.nearest(Point(0.5, 0.5), p[0], p[1], k=2)
-
-    def test_engine_paths_are_clean(self, index, dataset, qp):
+    def test_engine_paths_are_clean(self, index, qp):
         from repro.engine import QueryEngine
 
         q, p = qp
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with QueryEngine(index, dataset) as engine:
+            with QueryEngine(index) as engine:
                 engine.run_batch([
                     QuerySpec("mst", q, p, k=2),
-                    QuerySpec("linear_scan", q, p, k=2),
-                    QuerySpec("nn", Point(0.5, 0.5), p, k=1),
-                    QuerySpec("range", MBR2D(0.2, 0.2, 0.8, 0.8), p),
+                    QuerySpec("mst", q, p, k=1, options={"refine": False}),
                 ])
 
     def test_experiment_workload_runner_is_clean(self, dataset):
@@ -291,27 +255,24 @@ class TestLegacyFormsRemoved:
 
 class TestOptionTable:
     def test_table_names_the_entry_points_keywords(self):
-        """What ``QuerySpec.from_dict`` accepts per kind is what the
-        kind's entry point takes: the table cannot drift from the
-        signatures it guards."""
+        """What ``QuerySpec.from_dict`` accepts is what
+        :func:`bfmst_search` takes: the table cannot drift from the
+        signature it guards."""
         import inspect
 
-        from repro.search.api import _DISPATCH
         from repro.search.spec import OPTIONS
 
-        assert set(OPTIONS) == set(_DISPATCH)
         # Spec fields, and the two k-MST keywords that stay off the
         # wire (the index decides the filter; kernels is reserved).
         not_options = {"period", "k", "kernels", "filter", "trace", "deadline"}
-        for kind, (fn, _takes_period, _takes_k) in _DISPATCH.items():
-            keyword_only = {
-                name
-                for name, param in inspect.signature(fn).parameters.items()
-                if param.kind is param.KEYWORD_ONLY
-            }
-            assert set(OPTIONS[kind]) == keyword_only - not_options, kind
+        keyword_only = {
+            name
+            for name, param in inspect.signature(bfmst_search).parameters.items()
+            if param.kind is param.KEYWORD_ONLY
+        }
+        assert set(OPTIONS) == keyword_only - not_options
         # Nothing on the wire steers V_max or the filter.
-        assert set(OPTIONS["mst"]) == {
+        assert set(OPTIONS) == {
             "use_heuristic1", "use_heuristic2", "refine", "exclude_ids",
         }
 
@@ -324,40 +285,41 @@ class TestOptionTable:
         }
         revived = QuerySpec.from_dict({**doc, "options": good})
         assert revived.options == {**good, "exclude_ids": frozenset({3, "7"})}
-        for kind, bad in [
-            ("mst", {"vmax": 2.5}), ("mst", {"filter": "off"}),
-            ("mst", {"exclude_ids": 5}), ("mst", {"exclude_ids": [[1]]}),
-            ("linear_scan", {"exact": 1}), ("nn", {"exclude_ids": [1]}),
-            ("time_relaxed", {"grid": 0}), ("time_relaxed", {"grid": 2.5}),
+        for bad in [
+            {"vmax": 2.5}, {"filter": "off"}, {"exact": True}, {"grid": 8},
+            {"exclude_ids": 5}, {"exclude_ids": [[1]]},
         ]:
             (name,) = bad
             with pytest.raises(QueryError, match=name):
-                QuerySpec.from_dict({**doc, "kind": kind, "options": bad})
+                QuerySpec.from_dict({**doc, "options": bad})
 
 
 class TestSpecAttachment:
-    """Every unified call stamps its QuerySpec on the result, and
-    re-executing that spec reproduces the answer."""
+    """A k-MST answer carries its QuerySpec, and re-executing that spec
+    reproduces the answer; the library calls carry none."""
 
-    def test_all_entry_points_attach_a_spec(self, index, dataset, qp):
+    def test_only_kmst_attaches_a_spec(self, index, dataset, qp):
         q, p = qp
-        results = [
-            bfmst_search(index, None, q, period=p, k=2),
+        result = bfmst_search(index, None, q, period=p, k=2)
+        assert isinstance(result.spec, QuerySpec)
+        again = execute_spec(index, None, QuerySpec.from_json(result.spec.to_json()))
+        assert again.answer_json() == result.answer_json()
+        for call in [
             linear_scan_kmst(None, dataset, q, period=p, k=2, exact=True),
             nearest_neighbours(index, None, Point(0.5, 0.5), period=p, k=2),
             range_query(index, None, MBR2D(0.2, 0.2, 0.8, 0.8), period=p),
-            continuous_nearest_neighbour(index, dataset, q, period=p),
             time_relaxed_kmst(
                 None, dataset, q.sliced(p[0], (p[0] + p[1]) / 2), k=1
             ),
-        ]
-        for result in results:
-            assert isinstance(result.spec, QuerySpec), result.algorithm
-            wire = result.spec.to_json()
-            again = execute_spec(
-                index, dataset, QuerySpec.from_json(wire)
-            )
-            assert again.answer_json() == result.answer_json(), result.algorithm
+        ]:
+            assert call.spec is None, call.algorithm
+            assert call.as_dict()["spec"] is None
+
+    def test_execute_spec_runs_only_kmst(self, index, qp):
+        q, p = qp
+        spec = QuerySpec("linear_scan", q, p, k=2)
+        with pytest.raises(QueryError, match="'mst'"):
+            execute_spec(index, None, spec)
 
     def test_spec_options_survive_the_wire(self, index, qp):
         q, p = qp

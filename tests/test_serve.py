@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MBR2D, Point, RTree3D, generate_gstd, make_workload
+from repro import RTree3D, Trajectory, generate_gstd, make_workload
 from repro.engine import EngineConfig, QueryEngine
 from repro.exceptions import DeadlineExceeded, QueryError, ServeError
 from repro.obs import MetricsRegistry
@@ -38,6 +38,14 @@ from repro.serve.client import ServeRejected
 
 from conftest import trajectories
 
+#: A query trajectory for specs whose answer no test reads.
+TINY = Trajectory(-1, [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
+
+#: The kind spellings the wire took before k-MST became its one kind.
+RETIRED_KINDS = (
+    "bfmst", "kmst", "linear_scan", "scan", "nn", "range",
+    "continuous_nn", "cnn", "time_relaxed",
+)
 
 # ----------------------------------------------------------------------
 # wire formats (no server involved)
@@ -72,7 +80,7 @@ class TestWireRoundTrips:
         ]
 
     def test_reserved_kernels_field_is_one_cache_key(self):
-        doc = QuerySpec("nn", Point(0.0, 0.0), (0.0, 1.0)).as_dict()
+        doc = QuerySpec("mst", TINY, (0.0, 1.0)).as_dict()
         assert doc["kernels"] is None
         auto = QuerySpec.from_dict({**doc, "kernels": "auto"})
         null = QuerySpec.from_dict({**doc, "kernels": None})
@@ -81,10 +89,8 @@ class TestWireRoundTrips:
         assert not hasattr(auto, "kernels")
 
     def test_cache_key_ignores_the_deadline_budget(self):
-        a = QuerySpec("range", MBR2D(0, 0, 1, 1),
-                      (0.0, 1.0), deadline_ms=5.0)
-        b = QuerySpec("range", MBR2D(0, 0, 1, 1),
-                      (0.0, 1.0), deadline_ms=5000.0)
+        a = QuerySpec("mst", TINY, (0.0, 1.0), deadline_ms=5.0)
+        b = QuerySpec("mst", TINY, (0.0, 1.0), deadline_ms=5000.0)
         assert a.cache_key() == b.cache_key()
         assert a.to_json() != b.to_json()
 
@@ -100,15 +106,20 @@ class TestWireRoundTrips:
             {"deadline_ms": -1.0},
             {"query": {"type": "wormhole"}},
             {"options": {"k": 2}},
+            *({"kind": kind} for kind in RETIRED_KINDS),
+            {"query": {"type": "point", "x": 0.0, "y": 0.0}},
+            {"query": {"type": "window", "xmin": 0.0, "ymin": 0.0,
+                       "xmax": 1.0, "ymax": 1.0}},
         ],
     )
     def test_malformed_specs_are_rejected(self, mutation):
-        doc = QuerySpec(
-            "nn", Point(0.0, 0.0), (0.0, 1.0)
-        ).as_dict()
+        doc = QuerySpec("mst", TINY, (0.0, 1.0)).as_dict()
         doc.update(mutation)
-        with pytest.raises(QueryError):
+        with pytest.raises(QueryError) as err:
             QuerySpec.from_dict(doc)
+        if "kind" in mutation or "query" in mutation:
+            # a retired kind or query type names what the wire takes
+            assert "mst" in str(err.value)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +135,7 @@ def served_world():
     index = RTree3D(page_size=1024)
     index.bulk_insert(dataset)
     index.finalize()
-    engine = QueryEngine(
-        index, dataset, config=EngineConfig(executor="thread")
-    )
+    engine = QueryEngine(index, config=EngineConfig(executor="thread"))
     config = ServeConfig(
         port=0, workers=2, max_body_bytes=64 * 1024, quota_rps=0.0
     )
@@ -218,19 +227,28 @@ class TestRejectionPaths:
 
     def test_engine_rejection_is_422(self, served_world):
         dataset, _engine, bg = served_world
-        query, period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
-        # the frozen QueryEngine owns a dataset, but k on a range
-        # query is a spec-level contradiction -> QueryError -> 422
-        spec = QuerySpec("mst", query, period, k=2)
-        doc = spec.as_dict()
-        doc["kind"] = "time_relaxed"
-        doc["period"] = [0.0, 1.0]  # time_relaxed takes no period
+        query, _period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
+        # a well-formed spec whose period the query does not cover:
+        # the search refuses it (TemporalCoverageError) -> 422
+        doc = QuerySpec("mst", query, (query.t_end, query.t_end + 1.0)).as_dict()
         with ServeClient(*bg.address) as client:
             status, _headers, payload = client.query_raw(
                 json.dumps(doc).encode()
             )
             assert status == 422
             assert b"rejected" in payload
+
+    def test_retired_kind_is_400(self, served_world):
+        """Any kind but ``mst`` is refused at the boundary, naming the
+        one the wire takes — a 400, not a 500."""
+        dataset, _engine, bg = served_world
+        query, period = next(iter(make_workload(dataset, 1, 0.2, seed=6)))
+        doc = {**QuerySpec("mst", query, period).as_dict(), "kind": "range"}
+        with ServeClient(*bg.address) as client:
+            status, _h, payload = client.query_raw(json.dumps(doc).encode())
+        body = json.loads(payload)
+        assert (status, body["error"]) == (400, "malformed")
+        assert "'mst'" in body["detail"]
 
     @pytest.mark.parametrize(
         "options, names",
@@ -364,7 +382,7 @@ class _BlockingEngine(_StubEngine):
 
 
 def _any_spec(k=1):
-    return QuerySpec("nn", Point(0.0, 0.0), (0.0, 1.0), k=k)
+    return QuerySpec("mst", TINY, (0.0, 1.0), k=k)
 
 
 class TestDeadlines:

@@ -401,15 +401,16 @@ class TestPlanner:
         assert plan.selected == []
         assert plan.pruned == [0, 1]
 
-    def test_spatial_filter_only_for_windows(self):
+    def test_no_spatial_filter(self):
+        """A far-away trajectory is still a candidate: only time prunes."""
         extent = RTree3D(page_size=512)
         extent.insert(Trajectory(1, [(0, 0, 0), (1, 1, 10)]))
         extent.finalize()
         planner = QueryPlanner([extent.mbr()])
         far_query = Trajectory(-1, [(500, 500, 2), (501, 501, 8)])
-        assert planner.plan(far_query, (2.0, 8.0)).selected == [0]
-        far_window = MBR2D(500, 500, 600, 600)
-        assert planner.plan(far_window, (2.0, 8.0)).selected == []
+        plan = planner.plan(far_query, (2.0, 8.0))
+        assert (plan.selected, plan.reason) == ([0], "time")
+        assert planner.plan(far_query, (20.0, 30.0)).pruned == [0]
 
     def test_sharded_node_expansions_stay_near_one_tree(self):
         """Planner pruning plus the shared bound keep the shards from
@@ -422,7 +423,7 @@ class TestPlanner:
         single = RTree3D(page_size=1024)
         single.bulk_insert(dataset)
         single.finalize()
-        with QueryEngine(single, dataset) as engine:
+        with QueryEngine(single) as engine:
             want = engine.run_batch(requests).results
         baseline = sum(r.stats.node_accesses for r in want)
         for num_shards in (1, 2, 4):
@@ -431,7 +432,7 @@ class TestPlanner:
             )
             sharded = build_sharded_index(sharded_ds, RTree3D, page_size=1024)
             try:
-                with ShardedQueryEngine(sharded, sharded_ds) as engine:
+                with ShardedQueryEngine(sharded) as engine:
                     got = engine.run_batch(requests).results
             finally:
                 sharded.close()
@@ -471,9 +472,9 @@ class TestShardedQueryEngine:
         requests = [
             QuerySpec("mst", q, p, k=5) for q, p in workload
         ]
-        with QueryEngine(single_index, dataset) as ref:
+        with QueryEngine(single_index) as ref:
             want = ref.run_batch(requests)
-        with ShardedQueryEngine(sharded, sharded_ds) as engine:
+        with ShardedQueryEngine(sharded) as engine:
             got = engine.run_batch(requests)
             assert [match_tuples(r) for r in got.results] == [
                 match_tuples(r) for r in want.results
@@ -490,7 +491,7 @@ class TestShardedQueryEngine:
         )
         sharded = build_sharded_index(sharded_ds, RTree3D, page_size=1024)
         config = EngineConfig(executor="thread", max_workers=4)
-        with ShardedQueryEngine(sharded, sharded_ds, config=config) as engine:
+        with ShardedQueryEngine(sharded, config=config) as engine:
             # regression: every shard buffer must be locked up front,
             # not lazily on first touch
             assert all(
@@ -507,20 +508,22 @@ class TestShardedQueryEngine:
             dataset, make_partitioner("hash", 2)
         )
         sharded = build_sharded_index(sharded_ds, RTree3D, page_size=1024)
-        engine = ShardedQueryEngine(sharded, sharded_ds)
+        engine = ShardedQueryEngine(sharded)
         engine.close()
         query, period = workload[0]
         with pytest.raises(QueryError):
             engine.execute(QuerySpec("mst", query, period, k=1))
         sharded.close()
 
-    def test_dataset_required_for_scan_kinds(self, dataset, workload):
+    def test_retired_kinds_rejected(self, dataset, workload):
         sharded_ds = ShardedDataset.partition(
             dataset, make_partitioner("hash", 2)
         )
         sharded = build_sharded_index(sharded_ds, RTree3D, page_size=1024)
         with ShardedQueryEngine(sharded) as engine:
             query, period = workload[0]
-            with pytest.raises(QueryError):
-                engine.execute(QuerySpec("linear_scan", query, period, k=1))
+            for kind in ("linear_scan", "range", "time_relaxed"):
+                with pytest.raises(QueryError, match="'mst'"):
+                    engine.execute(QuerySpec(kind, query, period, k=1))
+            assert engine.metrics.value("engine.planner.plans") == 0
         sharded.close()
