@@ -114,6 +114,13 @@ class Node:
     change the list, so taking it drops the rows; the next read
     rebuilds them from the objects, once.  Internal nodes decode
     straight into :class:`~repro.index.entry.InternalEntry` objects.
+
+    A chained (TB-tree) leaf that the tree is growing also carries
+    :attr:`payload_bytes`, its entry payload size as
+    :func:`tb_leaf_payload_size` counts it, so an append checks the fit
+    without re-measuring the leaf.  It is ``None`` until counted — on a
+    node decoded from a page — and is dropped whenever the entries are
+    handed out or replaced.
     """
 
     __slots__ = (
@@ -126,6 +133,7 @@ class Node:
         "_entries",
         "_rows",
         "_sweep",
+        "payload_bytes",
     )
 
     def __init__(
@@ -153,6 +161,7 @@ class Node:
         self._entries: list | None = entries
         self._rows: list[tuple] | None = rows
         self._sweep: tuple[list[tuple], bool] | None = None
+        self.payload_bytes: int | None = None
 
     # ------------------------------------------------------------------
     # the two forms of a node's entries
@@ -164,13 +173,13 @@ class Node:
         if entries is None:
             make = LeafEntry.from_row if self.level == 0 else InternalEntry.from_row
             entries = self._entries = [make(row) for row in self._rows]
-        self._rows = self._sweep = None
+        self._rows = self._sweep = self.payload_bytes = None
         return entries
 
     @entries.setter
     def entries(self, entries: list) -> None:
         self._entries = entries
-        self._rows = self._sweep = None
+        self._rows = self._sweep = self.payload_bytes = None
 
     @property
     def rows(self) -> list[tuple]:
@@ -183,7 +192,14 @@ class Node:
     @rows.setter
     def rows(self, rows: list[tuple]) -> None:
         self._rows = rows
+        self._entries = self._sweep = self.payload_bytes = None
+
+    def append_row(self, row: tuple) -> None:
+        """Add one row after the last (a TB-tree leaf's append); the
+        caller keeps :attr:`payload_bytes`."""
+        rows = self.rows
         self._entries = self._sweep = None
+        rows.append(row)
 
     def rows_in_period(self, t_start: float, t_end: float) -> list[tuple]:
         """A leaf's rows sorted by ``t1``, cut to those that may overlap

@@ -22,6 +22,7 @@ consecutive pages, and the upper levels are packed over them.
 from __future__ import annotations
 
 from ..exceptions import IndexError_
+from ..geometry import MBR3D
 from .base import TrajectoryIndex, quadratic_split
 from .entry import InternalEntry, LeafEntry
 from .node import (
@@ -65,83 +66,121 @@ class TBTree(TrajectoryIndex):
     packs_static_builds = True
 
     def _pack(self, trajectories) -> None:
-        """Every trajectory becomes one chain of leaves, each filled by
-        the payload rule ``_leaf_fits`` applies on insertion (the
-        segments of a trajectory share endpoints, so a leaf is one
-        point chain), on consecutive pages, ``prev_leaf``/``next_leaf``
-        linked; the levels above are STR-packed over the leaf boxes."""
-        room = self.page_size - NODE_OVERHEAD_BYTES - TB_CHAIN_START_BYTES
-        per_leaf = 1 + room // TB_CHAIN_STEP_BYTES
+        """Every trajectory becomes one chain of leaves
+        (:meth:`_cut_chain`) on consecutive pages; the levels above are
+        STR-packed over the leaf boxes."""
         pages, boxes = [], box_columns()
         for tr in trajectories:
-            oid = tr.object_id
-            samples = tr.samples
-            prev = None
-            for first in range(0, len(samples) - 1, per_leaf):
-                pts = samples[first : first + per_leaf + 1]
-                leaf = self.new_node(level=0, owner_id=oid)
-                leaf.chained = True
-                leaf.rows = rows = trajectory_rows(oid, pts)
-                if prev is not None:
-                    prev.next_leaf = leaf.page_id
-                    leaf.prev_leaf = prev.page_id
-                prev = leaf
-                xs = [p.x for p in pts]
-                ys = [p.y for p in pts]
+            for leaf, pts in self._cut_chain(tr.object_id, tr.samples):
                 pages.append(leaf.page_id)
-                append_box(
-                    boxes, (min(xs), min(ys), pts[0].t, max(xs), max(ys), pts[-1].t)
-                )
-                self.num_entries += len(rows)
-                self.max_speed = max(self.max_speed, max(row_speeds(rows)))
-            self._active_leaf[oid] = prev.page_id
-            self.trajectory_ids.add(oid)
+                append_box(boxes, _samples_box(pts))
         if pages:
             self._parent_of = pack_upper_levels(self, pages, boxes)
+
+    def _cut_chain(self, oid: int, samples):
+        """Cut a fresh object's samples into its chain of leaves, each
+        filled by the payload rule :meth:`insert_row` applies (the
+        segments of a trajectory share endpoints, so a leaf is one point
+        chain), ``prev_leaf``/``next_leaf`` linked.  Yields each new
+        leaf with its samples before allocating the next."""
+        room = self.page_size - NODE_OVERHEAD_BYTES - TB_CHAIN_START_BYTES
+        per_leaf = 1 + room // TB_CHAIN_STEP_BYTES
+        prev = None
+        for first in range(0, len(samples) - 1, per_leaf):
+            pts = samples[first : first + per_leaf + 1]
+            leaf = self.new_node(level=0, owner_id=oid)
+            leaf.chained = True
+            leaf.rows = rows = trajectory_rows(oid, pts)
+            leaf.payload_bytes = (
+                TB_CHAIN_START_BYTES + (len(rows) - 1) * TB_CHAIN_STEP_BYTES
+            )
+            if prev is not None:
+                prev.next_leaf = leaf.page_id
+                leaf.prev_leaf = prev.page_id
+            prev = leaf
+            self.num_entries += len(rows)
+            self.max_speed = max(self.max_speed, max(row_speeds(rows)))
+            self._active_leaf[oid] = leaf.page_id
+            yield leaf, pts
+        self.trajectory_ids.add(oid)
 
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def _leaf_fits(self, leaf: Node, entry: LeafEntry) -> bool:
-        payload = tb_leaf_payload_size(leaf.entries + [entry])
-        return NODE_OVERHEAD_BYTES + payload <= self.page_size
+    def insert(self, trajectory) -> None:
+        """Index a new object on a live tree.  Its leaves are cut as the
+        static build cuts them; each is hung off the upper levels once,
+        by its first segment's box (the box a segment-by-segment insert
+        chooses the subtree by), and then grown by the box of its other
+        segments in one upward walk — the same pages as appending the
+        segments one by one, for one attach and one walk per leaf."""
+        oid = trajectory.object_id
+        self._admit([oid])
+        for leaf, pts in self._cut_chain(oid, trajectory.samples):
+            self._attach_leaf(leaf, MBR3D(*_samples_box(pts[:2])))
+            if len(pts) > 2:
+                self._adjust_upwards(leaf.page_id, MBR3D(*_samples_box(pts[1:])))
 
     def insert_entry(self, entry: LeafEntry) -> None:
-        tid = entry.trajectory_id
+        self.insert_row(entry.row)
+
+    def insert_row(self, row: tuple) -> None:
+        """Append one segment, as its leaf row ``(trajectory_id, x1, y1,
+        t1, x2, y2, t2)``, to its object's active leaf, or start the
+        next leaf of the chain when the page is full.
+
+        The fit check is O(1): the leaf keeps its payload byte count,
+        and a segment adds one chain step when it starts where the
+        leaf's last segment ends, a chain start otherwise.
+        """
+        tid, x1, y1, t1, x2, y2, t2 = row
+        box = MBR3D(min(x1, x2), min(y1, y2), t1, max(x1, x2), max(y1, y2), t2)
         leaf_page = self._active_leaf.get(tid)
         if leaf_page is not None:
             leaf = self.read_node(leaf_page)
-            if leaf.entries and entry.segment.ts < leaf.entries[-1].segment.te:
+            size = leaf.payload_bytes
+            if size is None:  # decoded from a page: count it once
+                size = tb_leaf_payload_size(leaf.entries)
+            last = leaf.rows[-1]
+            if t1 < last[6]:
                 raise IndexError_(
                     f"TB-tree requires temporally ordered insertion per "
                     f"trajectory (object {tid})"
                 )
-            if self._leaf_fits(leaf, entry):
-                leaf.entries.append(entry)
+            if row[1:4] == last[4:]:
+                size += TB_CHAIN_STEP_BYTES
+            else:
+                size += TB_CHAIN_START_BYTES
+            if NODE_OVERHEAD_BYTES + size <= self.page_size:
+                leaf.append_row(row)
+                leaf.payload_bytes = size
                 self.touch(leaf)
                 self.num_entries += 1
-                self._adjust_upwards(leaf.page_id, entry.mbr)
+                self._adjust_upwards(leaf_page, box)
                 return
-        self._start_new_leaf(tid, entry, leaf_page)
+        self._start_new_leaf(tid, row, box, leaf_page)
         self.num_entries += 1
 
     def _start_new_leaf(
-        self, tid: int, entry: LeafEntry, prev_leaf_page: int | None
+        self, tid: int, row: tuple, box: MBR3D, prev_leaf_page: int | None
     ) -> None:
         leaf = self.new_node(level=0, owner_id=tid)
         leaf.chained = True
-        leaf.entries.append(entry)
+        leaf.rows = [row]
+        leaf.payload_bytes = TB_CHAIN_START_BYTES
         if prev_leaf_page is not None:
             leaf.prev_leaf = prev_leaf_page
             prev = self.read_node(prev_leaf_page)
             prev.next_leaf = leaf.page_id
             self.touch(prev)
-        self.touch(leaf)
         self._active_leaf[tid] = leaf.page_id
-        self._attach_leaf(leaf)
+        self._attach_leaf(leaf, box)
 
-    def _attach_leaf(self, leaf: Node) -> None:
-        """Hang a fresh leaf off the upper levels of the tree."""
+    def _attach_leaf(self, leaf: Node, leaf_box: MBR3D | None = None) -> None:
+        """Hang a leaf off the upper levels of the tree, by ``leaf_box``
+        (its MBR unless given)."""
+        if leaf_box is None:
+            leaf_box = leaf.mbr()
         if self.root_page == NO_PAGE:
             self.root_page = leaf.page_id
             return
@@ -151,7 +190,7 @@ class TBTree(TrajectoryIndex):
             new_root = self.new_node(level=1)
             new_root.entries = [
                 InternalEntry(root.page_id, root.mbr()),
-                InternalEntry(leaf.page_id, leaf.mbr()),
+                InternalEntry(leaf.page_id, leaf_box),
             ]
             self.touch(new_root)
             self._parent_of[root.page_id] = new_root.page_id
@@ -159,7 +198,6 @@ class TBTree(TrajectoryIndex):
             self.root_page = new_root.page_id
             return
         # Descend to the level-1 node with least volume enlargement.
-        leaf_box = leaf.mbr()
         target = root
         while target.level > 1:
             best = min(
@@ -379,3 +417,10 @@ class TBTree(TrajectoryIndex):
         for leaf in self.leaf_chain(trajectory_id):
             out.extend(map(LeafEntry.from_row, leaf.rows))
         return out
+
+
+def _samples_box(pts) -> tuple:
+    """``(xmin, ymin, tmin, xmax, ymax, tmax)`` of time-ordered samples."""
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    return (min(xs), min(ys), pts[0].t, max(xs), max(ys), pts[-1].t)

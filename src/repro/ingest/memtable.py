@@ -1,10 +1,13 @@
 """The mutable in-memory index absorbing live appends.
 
 The memtable is a TB-tree — the one structure in the codebase built
-for this access pattern: a new point of an object appends one segment
-to the object's *active leaf* (``TBTree.insert_entry``), an O(1)
-amortised chained-leaf append, exactly the insertion path the original
-TB-tree paper designed for trajectory growth.
+for this access pattern: a new point of an object appends one segment,
+as a leaf row, to the object's *active leaf* (``TBTree.insert_row``),
+exactly the insertion path the original TB-tree paper designed for
+trajectory growth.  The append does constant work in the leaf (the
+leaf keeps its payload byte count, so the fit check compares the new
+segment with the last one only) plus one walk up the tree's height to
+grow the ancestors' boxes.
 
 An object lives in the memtable with its **entire** point history
 ("dirty-set" semantics): the first post-compaction point of an object
@@ -22,9 +25,10 @@ O(pages) pointer copies and shares all page data with the live tree.
 
 from __future__ import annotations
 
+import math
+
 from ..exceptions import TrajectoryError
-from ..geometry import STPoint, STSegment
-from ..index import LeafEntry, TBTree
+from ..index import TBTree
 from ..storage import InMemoryPageFile
 from ..trajectory import Trajectory
 
@@ -68,24 +72,31 @@ class Memtable:
         self.new_points += 1  # the point that made the object dirty
         if len(pts) >= 2:
             self._tree.insert(Trajectory(object_id, pts))
-        if len(pts) > 1:
             self._inc("ingest.memtable_seeds")
+            self._inc("ingest.memtable_seeded_segments", len(pts) - 1)
 
     def append(self, object_id: int, x: float, y: float, t: float) -> None:
         """Absorb one more point of an already-dirty object."""
         pts = self._points[object_id]
-        prev = pts[-1]
+        px, py, pt = pts[-1]
+        if not pt < t:
+            raise TrajectoryError(
+                f"object {object_id}: timestamps must strictly increase "
+                f"({t} after {pt})"
+            )
         pts.append((x, y, t))
         self.num_points += 1
         self.new_points += 1
-        if object_id in self._tree.trajectory_ids:
-            seg = STSegment(STPoint(*prev), STPoint(x, y, t))
-            if seg.speed > self._tree.max_speed:
-                self._tree.max_speed = seg.speed
-            self._tree.insert_entry(LeafEntry(object_id, seg))
+        tree = self._tree
+        if object_id in tree.trajectory_ids:
+            dt = t - pt
+            speed = math.hypot((x - px) / dt, (y - py) / dt)
+            if speed > tree.max_speed:
+                tree.max_speed = speed
+            tree.insert_row((object_id, px, py, pt, x, y, t))
         elif len(pts) >= 2:
             # second point of a brand-new object: its first segment(s)
-            self._tree.insert(Trajectory(object_id, pts))
+            tree.insert(Trajectory(object_id, pts))
 
     # ------------------------------------------------------------------
     # read path
