@@ -1,23 +1,19 @@
-"""Ablation — the index substrates side by side.
+"""Ablation — the paper's two index substrates side by side.
 
-The paper evaluates BFMST on the 3D R-tree and the TB-tree, cites the
-STR-tree as the third family member, and notes the algorithm "can be
-directly applied to any member of the R-tree family" — so the R*-tree
-joins too.  The bench puts all four through the same Q1-style workload
-and reports build time, index size, trajectory clustering, and
-query-time behaviour — the trade-off spectrum (R-tree/R*: spatial
-discrimination; TB-tree: trajectory clustering + smallest; STR-tree:
-in between).
+The paper evaluates BFMST on the 3D R-tree and the TB-tree (Sec. 5).
+The bench puts both through the same Q1-style workload and reports
+build time, index size, trajectory clustering, and query-time
+behaviour — the trade-off Pfoser et al. describe (R-tree: spatial
+discrimination; TB-tree: trajectory clustering + smallest).
 
-The four substrates are built the way their papers build them: one
-``insert`` per trajectory.  Two more rows show what ``build_index``
-gives by default since it packs — the same R-tree and TB-tree built
+Each tree is built twice: the way its paper builds it, one ``insert``
+per trajectory, and the way ``build_index`` builds it, packed
 statically (Sort-Tile-Recursive; see docs/PERFORMANCE.md, "Building").
 """
 
 import time
 
-from repro import RStarTree, RTree3D, STRTree, TBTree, bfmst_search
+from repro import RTree3D, TBTree, bfmst_search
 from repro.datagen import generate_gstd, make_workload
 from repro.experiments import build_index, format_table
 
@@ -44,8 +40,6 @@ def _packed(tree):
 BUILDS = {
     "rtree": _inserted(RTree3D),
     "rtree (packed)": _packed("rtree"),
-    "rstar": _inserted(RStarTree),
-    "strtree": _inserted(STRTree),
     "tbtree": _inserted(TBTree),
     "tbtree (packed)": _packed("tbtree"),
 }
@@ -60,7 +54,7 @@ def _leaves_per_trajectory(index) -> float:
     return sum(len(s) for s in spread.values()) / len(spread)
 
 
-def test_three_tree_comparison(benchmark):
+def test_two_tree_comparison(benchmark):
     dataset = generate_gstd(
         scaled(250), samples_per_object=scaled(150), seed=31, heading="random"
     )
@@ -108,21 +102,19 @@ def test_three_tree_comparison(benchmark):
         ["tree", "build (s)", "nodes", "size MB", "leaves/trajectory",
          "node accesses", "query (ms)", "pruning power"],
         rows,
-        title="Ablation: R-tree vs R*-tree vs STR-tree vs TB-tree (5% queries, k=1)",
+        title="Ablation: R-tree vs TB-tree, inserted and packed (5% queries, k=1)",
     )
     emit("ablation_trees", text)
 
-    # all substrates answer identically
+    # both trees, however built, answer identically
     for other in answer_sets[1:]:
         assert other == answer_sets[0]
 
     by = {r[0]: r for r in rows}
-    # clustering spectrum: TB best (one trajectory per leaf chain),
-    # STR between, plain R-tree worst.
-    assert by["tbtree"][4] <= by["strtree"][4] <= by["rtree"][4] + 1e-9
+    # clustering: TB-tree best (one trajectory per leaf chain)
+    assert by["tbtree"][4] <= by["rtree"][4] + 1e-9
     # TB-tree is the smallest index (chained leaves).
     assert by["tbtree"][3] < by["rtree"][3]
-    assert by["tbtree"][3] < by["strtree"][3]
     # packing never needs more nodes than insertion, and builds faster
     for tree in ("rtree", "tbtree"):
         assert by[f"{tree} (packed)"][2] <= by[tree][2]

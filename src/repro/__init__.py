@@ -80,7 +80,7 @@ from .exceptions import (
     TrajectoryError,
 )
 from .geometry import MBR2D, MBR3D, Point, STPoint, STSegment
-from .index import RStarTree, RTree3D, STRTree, TBTree, load_index, mindist, save_index
+from .index import TREES, RTree3D, TBTree, load_index, mindist, save_index
 from .ingest import IngestStore, LiveView, WriteAheadLog
 from .obs import (
     MetricsRegistry,
@@ -146,9 +146,8 @@ __all__ = [
     "euclidean_distance",
     # indexes
     "RTree3D",
-    "RStarTree",
-    "STRTree",
     "TBTree",
+    "TREES",
     "mindist",
     "save_index",
     "load_index",

@@ -53,7 +53,7 @@ from .experiments import (
     scaled_specs,
     table2,
 )
-from .index import load_index, save_index
+from .index import TREES, load_index, save_index
 from .trajectory import read_csv, read_json, write_csv, write_json
 
 __all__ = ["main", "build_parser"]
@@ -75,7 +75,7 @@ _FLAGS = {
         help="page-store backend for serving (mmap is read-only, "
         "zero-copy)",
     ),
-    "tree": dict(choices=("rtree", "tbtree", "strtree"), default="rtree"),
+    "tree": dict(choices=tuple(TREES), default="rtree"),
     "page-size": dict(type=int, default=4096),
     "signatures": dict(
         action=argparse.BooleanOptionalAction, default=True,
@@ -629,7 +629,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_shard_build(args) -> int:
-    from .index import RTree3D, STRTree, TBTree
     from .sharding import (
         ShardedDataset,
         build_sharded_index,
@@ -637,15 +636,12 @@ def _cmd_shard_build(args) -> int:
         save_sharded_index,
     )
 
-    index_cls = {"rtree": RTree3D, "tbtree": TBTree, "strtree": STRTree}[
-        args.tree
-    ]
     coerced = _coerce_int_ids(_read_dataset(args.dataset))
     partitioner = make_partitioner(args.partitioner, args.shards)
     sharded_ds = ShardedDataset.partition(coerced, partitioner)
     start = time.perf_counter()
     sharded = build_sharded_index(
-        sharded_ds, index_cls, page_size=args.page_size
+        sharded_ds, TREES[args.tree], page_size=args.page_size
     )
     elapsed = time.perf_counter() - start
     try:

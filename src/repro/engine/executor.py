@@ -29,6 +29,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 __all__ = [
@@ -220,7 +221,9 @@ class ProcessPoolShardExecutor(_Executor):
     start method (falling back to spawn) and live until :meth:`close`;
     each keeps a warm per-process index cache (see
     :func:`_execute_shard_plan`), so only the first query against a
-    shard pays the open cost.  There is no ``map``: closures over live
+    shard pays the open cost.  A worker that dies breaks its pool: the
+    call in flight raises ``BrokenProcessPool`` and the next call
+    starts a fresh pool.  There is no ``map``: closures over live
     engines cannot cross a process boundary, so only an engine that
     can describe its parts as plans — the sharded one, through
     :meth:`ShardedQueryEngine.run_parts
@@ -253,7 +256,15 @@ class ProcessPoolShardExecutor(_Executor):
         if not plans:
             return []
         pool = self._ensure_pool()
-        return list(pool.map(_execute_shard_plan, plans))
+        try:
+            return list(pool.map(_execute_shard_plan, plans))
+        except BrokenProcessPool:
+            # A worker died (killed, out of memory): this call fails,
+            # and the pool is dropped so the next call starts a fresh one.
+            if self._pool is pool:
+                self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent); a later

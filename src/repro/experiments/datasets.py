@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datagen import generate_gstd, generate_trucks
-from ..index import RStarTree, RTree3D, STRTree, TBTree, TrajectoryIndex
+from ..index import TrajectoryIndex, tree_class
 from ..trajectory import TrajectoryDataset
 
 __all__ = ["DatasetSpec", "PAPER_SPECS", "build_dataset", "build_index", "table2"]
@@ -98,17 +98,9 @@ def build_index(
 ) -> TrajectoryIndex:
     """Build a finalized 3D R-tree (``tree='rtree'``) or TB-tree
     (``'tbtree'``) over the dataset with the paper's 4 KB pages and
-    10 %-capped-at-1000-pages buffer."""
-    if tree == "rtree":
-        index: TrajectoryIndex = RTree3D(page_size=page_size)
-    elif tree == "tbtree":
-        index = TBTree(page_size=page_size)
-    elif tree == "strtree":
-        index = STRTree(page_size=page_size)
-    elif tree == "rstar":
-        index = RStarTree(page_size=page_size)
-    else:
-        raise ValueError(f"unknown tree kind {tree!r}")
+    10 %-capped-at-1000-pages buffer; any other kind is a
+    ``ValueError``."""
+    index = tree_class(tree, error=ValueError)(page_size=page_size)
     index.bulk_insert(dataset)
     if finalize:
         index.finalize()

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from ..datagen import make_workload
-from ..index import TrajectoryIndex
+from ..index import TREES, TrajectoryIndex
 from ..search import bfmst_search, linear_scan_kmst
 from ..trajectory import TrajectoryDataset
 from .datasets import DatasetSpec, build_dataset, build_index
@@ -120,7 +120,7 @@ def q1_cardinality(
     samples_per_object: int = 100,
     num_queries: int = 20,
     query_length: float = 0.05,
-    trees=("rtree", "tbtree"),
+    trees=tuple(TREES),
     seed: int = 7,
     verify: bool = False,
     page_size: int = 4096,
@@ -158,7 +158,7 @@ def q2_query_length(
     num_objects: int = 500,
     samples_per_object: int = 100,
     num_queries: int = 10,
-    trees=("rtree", "tbtree"),
+    trees=tuple(TREES),
     seed: int = 7,
     verify: bool = False,
     page_size: int = 4096,
@@ -193,7 +193,7 @@ def q3_k(
     samples_per_object: int = 100,
     num_queries: int = 10,
     query_length: float = 0.05,
-    trees=("rtree", "tbtree"),
+    trees=tuple(TREES),
     seed: int = 7,
     verify: bool = False,
     page_size: int = 4096,

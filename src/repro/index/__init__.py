@@ -1,14 +1,14 @@
-"""R-tree-family trajectory indexes over the paged storage layer."""
+"""The paper's two trajectory indexes, the 3D R-tree and the TB-tree,
+over the paged storage layer."""
 
 from .base import TrajectoryIndex, quadratic_split
 from .entry import ENTRY_BYTES, InternalEntry, LeafEntry
 from .fsck import FsckReport, PageVerdict, fsck, fsck_index, fsck_sharded
+from .kinds import TREES, tree_class
 from .mindist import mindist, mindist_batch, mindist_batch_python
 from .node import NO_PAGE, NODE_OVERHEAD_BYTES, Node, node_capacity
 from .persistence import load_index, save_index
-from .rstar import RStarTree
 from .rtree3d import RTree3D
-from .strtree import STRTree
 from .tbtree import TBTree
 from .traversal import best_first_nodes
 
@@ -23,9 +23,9 @@ __all__ = [
     "node_capacity",
     "NODE_OVERHEAD_BYTES",
     "RTree3D",
-    "RStarTree",
-    "STRTree",
     "TBTree",
+    "TREES",
+    "tree_class",
     "mindist",
     "mindist_batch",
     "mindist_batch_python",

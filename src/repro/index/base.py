@@ -38,9 +38,9 @@ class TrajectoryIndex:
     #: every search running unfiltered.
     signatures = None
 
-    #: Whether :meth:`bulk_insert` packs an empty tree instead of
-    #: inserting segment by segment.
-    packs_static_builds = False
+    #: The name :data:`repro.index.TREES` files the tree under, and
+    #: saved indexes, shard manifests and ingest stores record.
+    kind: str
 
     def __init__(
         self,
@@ -160,21 +160,17 @@ class TrajectoryIndex:
             self.insert_entry(LeafEntry(oid, seg))
 
     def bulk_insert(self, dataset: TrajectoryDataset) -> None:
-        """Index a whole dataset.
-
-        On an empty :class:`RTree3D` or :class:`TBTree` this is the
-        *static build*: the tree is packed bottom-up in one pass
-        (:meth:`_pack`).  A tree that already holds something, and the
-        trees whose insertion policy is their point (R*, STR-tree),
-        insert one trajectory at a time in dataset order.
+        """Index a whole dataset on an empty tree: the *static build*,
+        packed bottom-up in one pass (:meth:`_pack`).  A tree that
+        already holds something is live; grow it with :meth:`insert`.
         """
+        if self.root_page != NO_PAGE:
+            raise IndexError_(
+                "bulk_insert packs an empty tree; use insert() on a live one"
+            )
         trajectories = list(dataset)
-        if self.packs_static_builds and self.root_page == NO_PAGE:
-            self._admit(tr.object_id for tr in trajectories)
-            self._pack(trajectories)
-        else:
-            for tr in trajectories:
-                self.insert(tr)
+        self._admit(tr.object_id for tr in trajectories)
+        self._pack(trajectories)
 
     def _pack(self, trajectories: list[Trajectory]) -> None:
         """Pack admitted trajectories into this (empty) tree."""

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from ..exceptions import StorageError
 from ..storage import file_sha256, verify_page
-from .persistence import _FORMAT_VERSION, _KINDS, _meta_path
+from .kinds import tree_class
+from .persistence import _FORMAT_VERSION, _meta_path
 
 __all__ = ["PageVerdict", "FsckReport", "fsck_index", "fsck_sharded", "fsck"]
 
@@ -100,8 +101,11 @@ def fsck_index(path: str | Path) -> FsckReport:
                     f"version {_FORMAT_VERSION})"
                 )
                 meta = None
-            elif meta.get("kind") not in _KINDS:
-                report.errors.append(f"unknown index kind {meta.get('kind')!r}")
+            else:
+                try:
+                    tree_class(meta.get("kind"))
+                except StorageError as exc:
+                    report.errors.append(str(exc))
 
     if not path.exists():
         report.errors.append("missing page file")

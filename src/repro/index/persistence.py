@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..exceptions import IndexError_, StorageError
+from ..exceptions import StorageError
 from ..storage import (
     DiskPageFile,
     atomic_write_bytes,
@@ -34,38 +34,16 @@ from ..storage import (
     open_pagefile,
 )
 from .base import TrajectoryIndex
-from .rstar import RStarTree
-from .rtree3d import RTree3D
-from .strtree import STRTree
+from .kinds import tree_class
 from .tbtree import TBTree
 
 __all__ = ["save_index", "load_index"]
 
 _FORMAT_VERSION = 2
 
-_KINDS = {
-    "rtree": RTree3D,
-    "rstar": RStarTree,
-    "tbtree": TBTree,
-    "strtree": STRTree,
-}
-
 #: Backends ``load_index`` accepts (building in memory and then loading
 #: from it makes no sense; ``"memory"`` is deliberately absent).
 _LOAD_BACKENDS = ("disk", "mmap")
-
-
-def _kind_of(index: TrajectoryIndex) -> str:
-    # Subclass order matters: STRTree and RStarTree are RTree3Ds.
-    if isinstance(index, STRTree):
-        return "strtree"
-    if isinstance(index, RStarTree):
-        return "rstar"
-    if isinstance(index, TBTree):
-        return "tbtree"
-    if isinstance(index, RTree3D):
-        return "rtree"
-    raise IndexError_(f"cannot persist index of type {type(index).__name__}")
 
 
 def _meta_path(path: Path) -> Path:
@@ -75,7 +53,7 @@ def _meta_path(path: Path) -> Path:
 def _build_meta(index: TrajectoryIndex, num_pages: int, digest: str) -> dict:
     meta = {
         "version": _FORMAT_VERSION,
-        "kind": _kind_of(index),
+        "kind": index.kind,
         "page_size": index.page_size,
         "num_pages": num_pages,
         "pages_sha256": digest,
@@ -160,9 +138,7 @@ def _read_meta(meta_file: Path) -> dict:
             f"{meta_file}: unsupported format version {version!r} "
             f"(this build reads version {_FORMAT_VERSION})"
         )
-    kind = meta.get("kind")
-    if kind not in _KINDS:
-        raise StorageError(f"{meta_file}: unknown index kind {kind!r}")
+    tree_class(meta.get("kind"), meta_file)
     return meta
 
 
@@ -214,13 +190,13 @@ def load_index(
             )
 
     pagefile = open_pagefile(backend, path, page_size=page_size)
-    index = _KINDS[meta["kind"]](pagefile=pagefile)
+    index = tree_class(meta["kind"])(pagefile=pagefile)
     index.root_page = meta["root_page"]
     index.num_nodes = meta["num_nodes"]
     index.num_entries = meta["num_entries"]
     index.max_speed = meta["max_speed"]
     index.trajectory_ids = set(meta["trajectory_ids"])
-    if meta["kind"] == "tbtree" and "active_leaf" in meta:
+    if isinstance(index, TBTree) and "active_leaf" in meta:
         index._active_leaf = {
             int(tid): page for tid, page in meta["active_leaf"].items()
         }

@@ -3,13 +3,12 @@
 Time is the third axis: every line segment is inserted with its (x, y, t)
 bounding box using Guttman insertion (least volume enlargement
 choose-subtree, quadratic split) while the tree is live.  A whole
-dataset handed to an empty tree (``bulk_insert``, ``bulk_load``) is
-packed bottom-up with Sort-Tile-Recursive instead.
+dataset handed to an empty tree (``bulk_insert``) is packed bottom-up
+with Sort-Tile-Recursive instead.
 """
 
 from __future__ import annotations
 
-from ..exceptions import IndexError_
 from ..geometry import MBR3D
 from .base import TrajectoryIndex, quadratic_split
 from .entry import InternalEntry, LeafEntry
@@ -30,6 +29,8 @@ __all__ = ["RTree3D"]
 
 class RTree3D(TrajectoryIndex):
     """A paged 3D R-tree with quadratic-split insertion."""
+
+    kind = "rtree"
 
     # ------------------------------------------------------------------
     # insertion
@@ -108,17 +109,11 @@ class RTree3D(TrajectoryIndex):
             ]
             self.touch(new_root)
             self.root_page = new_root.page_id
-            self._after_split(node, sibling, new_root.page_id)
             return
         parent = self.read_node(path[depth - 1])
         self._replace_child_entry(parent, node)
         parent.entries.append(InternalEntry(sibling.page_id, sibling.mbr()))
         self.touch(parent)
-        self._after_split(node, sibling, parent.page_id)
-
-    def _after_split(self, node: Node, sibling: Node, parent_page: int) -> None:
-        """Hook for subclasses that keep extra per-node metadata (the
-        STR-tree's parent map and trajectory-preservation state)."""
 
     # ------------------------------------------------------------------
     # deletion (Guttman condense-tree, trajectory-at-a-time)
@@ -218,31 +213,14 @@ class RTree3D(TrajectoryIndex):
     # ------------------------------------------------------------------
     # the static build: STR packing
     # ------------------------------------------------------------------
-    packs_static_builds = True
-
     def _pack(self, trajectories) -> None:
-        self._pack_rows(
-            [
-                row
-                for tr in trajectories
-                for row in trajectory_rows(tr.object_id, tr.samples)
-            ]
-        )
-
-    def bulk_load(self, entries: list[LeafEntry]) -> None:
-        """Build the tree bottom-up with Sort-Tile-Recursive packing
-        (:mod:`repro.index.packing`).  The tree must be empty; the
-        checks of :meth:`insert` apply, and nothing is allocated when
-        one of them fails."""
-        self._pack_rows([e.row for e in entries])
-
-    def _pack_rows(self, rows: list[tuple]) -> None:
-        """:meth:`bulk_load` of leaf rows: each leaf gets its rows, and
-        no entry object is built."""
-        if self.root_page != NO_PAGE:
-            raise IndexError_("bulk_load requires an empty index")
-        ids = {row[0] for row in rows}
-        self._admit(ids)
+        """Sort-Tile-Recursive packing (:mod:`repro.index.packing`):
+        each leaf gets its rows, and no entry object is built."""
+        rows = [
+            row
+            for tr in trajectories
+            for row in trajectory_rows(tr.object_id, tr.samples)
+        ]
         if not rows:
             return
         boxes = row_boxes(rows)
@@ -253,6 +231,6 @@ class RTree3D(TrajectoryIndex):
             pages.append(leaf.page_id)
             append_box(leaf_boxes, union_box(boxes, group))
         pack_upper_levels(self, pages, leaf_boxes)
-        self.trajectory_ids.update(ids)
+        self.trajectory_ids.update(row[0] for row in rows)
         self.max_speed = max(self.max_speed, max(row_speeds(rows)))
         self.num_entries = len(rows)

@@ -55,6 +55,8 @@ class TBTree(TrajectoryIndex):
     page, not at a fixed entry count.
     """
 
+    kind = "tbtree"
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._active_leaf: dict[int, int] = {}  # trajectory id -> leaf page
@@ -63,8 +65,6 @@ class TBTree(TrajectoryIndex):
     # ------------------------------------------------------------------
     # the static build: leaves cut per trajectory, upper levels packed
     # ------------------------------------------------------------------
-    packs_static_builds = True
-
     def _pack(self, trajectories) -> None:
         """Every trajectory becomes one chain of leaves
         (:meth:`_cut_chain`) on consecutive pages; the levels above are

@@ -43,7 +43,7 @@ import threading
 from pathlib import Path
 
 from ..exceptions import StorageError, TrajectoryError
-from ..index import load_index, save_index
+from ..index import load_index, save_index, tree_class
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search.bfmst import bfmst_search
@@ -57,7 +57,6 @@ __all__ = ["Generation", "IngestStore", "LiveView", "merged_kmst"]
 MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_FORMAT = 1
 
-_TREE_KINDS = ("rtree", "rstar", "tbtree", "strtree")
 #: The object ids a WAL record can carry (it packs them as int64).
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -223,11 +222,7 @@ class IngestStore:
         )
 
     def _initialise(self, tree: str, page_size: int) -> None:
-        if tree not in _TREE_KINDS:
-            raise StorageError(
-                f"unknown generation tree kind {tree!r}; expected one of "
-                f"{list(_TREE_KINDS)}"
-            )
+        tree_class(tree)
         self.directory.mkdir(parents=True, exist_ok=True)
         if (self.directory / MANIFEST_NAME).exists():
             raise StorageError(
@@ -265,11 +260,8 @@ class IngestStore:
                 f"{manifest_path}: unsupported store format "
                 f"{manifest.get('format')!r}"
             )
-        self.tree = manifest["tree"]
-        if self.tree not in _TREE_KINDS:
-            raise StorageError(
-                f"{manifest_path}: unknown tree kind {self.tree!r}"
-            )
+        self.tree = manifest.get("tree")
+        tree_class(self.tree, manifest_path)
         self.page_size = int(manifest["page_size"])
         self._wal_seq = int(manifest["wal_seq"])
         gen_number = int(manifest["generation"])
@@ -542,9 +534,7 @@ class IngestStore:
         return number
 
     def _build_generation_index(self):
-        from ..index.persistence import _KINDS
-
-        index = _KINDS[self.tree](page_size=self.page_size)
+        index = tree_class(self.tree)(page_size=self.page_size)
         index.bulk_insert(
             Trajectory(oid, pts)
             for oid, pts in sorted(self._history.items())

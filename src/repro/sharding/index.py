@@ -49,13 +49,11 @@ class ShardedIndex:
     def __init__(
         self,
         shards: list[TrajectoryIndex],
-        kind: str | None = None,
         partitioner_params: dict | None = None,
     ) -> None:
         if not shards:
             raise QueryError("a sharded index needs at least one shard")
         self.shards = shards
-        self.kind = kind
         self.partitioner_params = partitioner_params
         self.page_size = shards[0].page_size
 
@@ -66,6 +64,11 @@ class ShardedIndex:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
+
+    @property
+    def kind(self) -> str:
+        """The shards' tree kind (a key of :data:`repro.index.TREES`)."""
+        return self.shards[0].kind
 
     @property
     def num_nodes(self) -> int:
@@ -152,8 +155,6 @@ def build_sharded_index(
     Empty shards (possible under skewed range partitions) get an empty
     finalized index so shard ids stay aligned with the dataset's.
     """
-    from ..index.persistence import _kind_of
-
     shards: list[TrajectoryIndex] = []
     for shard_ds in sharded.shards:
         index = index_cls(page_size=page_size)
@@ -162,6 +163,5 @@ def build_sharded_index(
         shards.append(index)
     return ShardedIndex(
         shards,
-        kind=_kind_of(shards[0]),
         partitioner_params=sharded.partitioner.params(),
     )

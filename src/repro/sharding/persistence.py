@@ -42,7 +42,7 @@ import json
 from pathlib import Path
 
 from ..exceptions import StorageError
-from ..index import NO_PAGE
+from ..index import NO_PAGE, tree_class
 from ..index.persistence import load_index, save_index
 from ..storage import atomic_write_bytes
 from .index import ShardedIndex
@@ -136,6 +136,7 @@ def read_manifest(directory: str | Path) -> dict:
         raise StorageError(
             f"{manifest_path}: unsupported manifest version {version!r}"
         )
+    tree_class(manifest.get("kind"), manifest_path)
     records = manifest.get("shards")
     if not isinstance(records, list) or not records:
         raise StorageError(f"{manifest_path}: manifest lists no shards")
@@ -186,9 +187,13 @@ def load_sharded_index(
                 f"{shard_path}: manifest says {record['num_entries']} "
                 f"entries, sidecar says {index.num_entries}"
             )
+        if index.kind != manifest["kind"]:
+            raise StorageError(
+                f"{shard_path}: manifest says {manifest['kind']!r}, "
+                f"sidecar says {index.kind!r}"
+            )
         shards.append(index)
     return ShardedIndex(
         shards,
-        kind=manifest.get("kind"),
         partitioner_params=manifest.get("partitioner"),
     )

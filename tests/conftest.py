@@ -12,7 +12,6 @@ import pytest
 from hypothesis import strategies as st
 
 from repro import (
-    RStarTree,
     RTree3D,
     TBTree,
     Trajectory,
@@ -93,7 +92,7 @@ def hexes(values):
 def inserted(cls, dataset, **kwargs):
     """An index built the dynamic way — one ``insert`` per trajectory,
     so choose-subtree, splits and the TB-tree's leaf appends run.
-    (``bulk_insert`` packs an empty ``RTree3D``/``TBTree`` instead.)"""
+    (``bulk_insert`` packs the empty tree instead.)"""
     index = cls(**kwargs)
     for tr in dataset:
         index.insert(tr)
@@ -101,8 +100,8 @@ def inserted(cls, dataset, **kwargs):
 
 
 def packed(cls, dataset, **kwargs):
-    """An index built the static way: ``bulk_insert`` on an empty tree
-    (packs an ``RTree3D``/``TBTree``; other trees insert one by one)."""
+    """An index built the static way: ``bulk_insert`` packs the empty
+    tree in one pass."""
     index = cls(**kwargs)
     index.bulk_insert(dataset)
     return index
@@ -254,16 +253,6 @@ def small_rtree(small_dataset) -> RTree3D:
 def small_tbtree(small_dataset) -> TBTree:
     index = TBTree()
     index.bulk_insert(small_dataset)
-    index.finalize()
-    return index
-
-
-@pytest.fixture(scope="session")
-def small_rstar(small_dataset) -> RStarTree:
-    """The suite's one R*-tree over ``small_dataset`` — forced
-    reinsertion makes it by far the slowest build, so every read-only
-    user shares this finalized one."""
-    index = inserted(RStarTree, small_dataset)
     index.finalize()
     return index
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import RStarTree, RTree3D, STRTree, TBTree, Trajectory, generate_gstd
+from repro import TREES, RTree3D, TBTree, Trajectory, generate_gstd
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 from repro.datagen import make_query
@@ -24,25 +24,15 @@ def ids(matches):
     return [m.trajectory_id for m in matches]
 
 
-_TREES = {
-    "rtree": RTree3D,
-    "rstar": RStarTree,
-    "tbtree": TBTree,
-    "strtree": STRTree,
-}
-
-
 @pytest.fixture(
     scope="module",
-    params=["rtree", "rstar", "tbtree", "strtree", "rtree-packed", "tbtree-packed"],
+    params=["rtree", "tbtree", "rtree-packed", "tbtree-packed"],
 )
 def tree_and_dataset(request, small_dataset):
-    """The four trees as insertion grows them, plus the two packed
-    layouts ``bulk_insert`` gives an empty R-tree / TB-tree."""
+    """Both trees as insertion grows them, plus the two packed layouts
+    ``bulk_insert`` gives an empty R-tree / TB-tree."""
     kind, _, layout = request.param.partition("-")
-    if kind == "rstar":
-        return request.getfixturevalue("small_rstar"), small_dataset
-    index = (packed if layout else inserted)(_TREES[kind], small_dataset)
+    index = (packed if layout else inserted)(TREES[kind], small_dataset)
     index.finalize()
     return index, small_dataset
 
@@ -214,15 +204,18 @@ class TestRandomisedEquivalence:
         dataset = generate_gstd(
             12 + seed, samples_per_object=25, seed=seed, sampling_jitter=0.4
         )
-        for cls in (RTree3D, TBTree, STRTree, RStarTree):
-            index = cls(page_size=512)  # tiny pages -> deep trees
-            index.bulk_insert(dataset)
-            index.finalize()
-            rng = random.Random(seed)
-            for k in (1, 4):
-                query, period = make_query(dataset, 0.2, rng)
-                got, _ = bfmst_search(index, query, period, k=k)
-                want = linear_scan_kmst(dataset, query, period, k=k, exact=True)
-                assert ids(got) == ids(want), (
-                    f"seed={seed} tree={cls.__name__} k={k}"
-                )
+        for cls in (RTree3D, TBTree):
+            for build in (packed, inserted):
+                index = build(cls, dataset, page_size=512)  # deep trees
+                index.finalize()
+                rng = random.Random(seed)
+                for k in (1, 4):
+                    query, period = make_query(dataset, 0.2, rng)
+                    got, _ = bfmst_search(index, query, period, k=k)
+                    want = linear_scan_kmst(
+                        dataset, query, period, k=k, exact=True
+                    )
+                    assert ids(got) == ids(want), (
+                        f"seed={seed} tree={cls.__name__} "
+                        f"{build.__name__} k={k}"
+                    )

@@ -5,17 +5,16 @@ import random
 
 import pytest
 
-from repro import RTree3D, TBTree, bfmst_browse, generate_gstd
+from repro import TREES, RTree3D, bfmst_browse, generate_gstd
 from repro.search.linear_scan import linear_scan_kmst
 from repro.datagen import make_query
 from repro.exceptions import QueryError, TemporalCoverageError
 from repro.trajectory import TrajectoryDataset
 
 
-@pytest.fixture(scope="module", params=["rtree", "tbtree"])
+@pytest.fixture(scope="module", params=list(TREES))
 def browse_setup(request, small_dataset):
-    cls = RTree3D if request.param == "rtree" else TBTree
-    index = cls()
+    index = TREES[request.param]()
     index.bulk_insert(small_dataset)
     index.finalize()
     return index, small_dataset

@@ -11,9 +11,7 @@ import random
 import pytest
 
 from repro import (
-    RStarTree,
     RTree3D,
-    STRTree,
     TBTree,
     generate_gstd,
 )
@@ -33,8 +31,6 @@ from test_indexes import check_structure
 # touched holds ``min_fill`` and a packed tree must keep that promise.
 TREES = {
     "RTree3D": (RTree3D, inserted),
-    "RStarTree": (RStarTree, inserted),
-    "STRTree": (STRTree, inserted),
     "TBTree": (TBTree, inserted),
     "RTree3D-packed": (RTree3D, packed),
     "TBTree-packed": (TBTree, packed),

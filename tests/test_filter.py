@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    TREES,
     RTree3D,
     TBTree,
     Trajectory,
@@ -58,7 +59,6 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-TREES = {"rtree": RTree3D, "tbtree": TBTree}
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import MBR3D, RStarTree, RTree3D, STRTree, TBTree, Trajectory, generate_gstd
+from repro import MBR3D, TREES, RTree3D, TBTree, Trajectory, generate_gstd
 from repro.exceptions import IndexError_, TrajectoryError
 from repro.index import NO_PAGE, LeafEntry
 from repro.search import range_query_brute_force
@@ -54,25 +54,15 @@ def check_structure(index, min_fill=False):
     assert index.count_nodes() == index.num_nodes
 
 
-_TREES = {
-    "rtree": RTree3D,
-    "rstar": RStarTree,
-    "tbtree": TBTree,
-    "strtree": STRTree,
-}
-
-
 @pytest.fixture(
     scope="module",
-    params=["rtree", "rstar", "tbtree", "strtree", "rtree-packed", "tbtree-packed"],
+    params=["rtree", "tbtree", "rtree-packed", "tbtree-packed"],
 )
 def built_index(request, small_dataset):
-    """Every tree built by insertion, plus the two that pack built by
-    the static path — the common invariants hold for both layouts."""
+    """Both trees built by insertion and by the static path — the
+    common invariants hold for both layouts."""
     kind, _, layout = request.param.partition("-")
-    if kind == "rstar":
-        return request.getfixturevalue("small_rstar")
-    index = (packed if layout else inserted)(_TREES[kind], small_dataset)
+    index = (packed if layout else inserted)(TREES[kind], small_dataset)
     index.finalize()
     return index
 
@@ -184,129 +174,22 @@ class TestRTreeSpecific:
         check_structure(a)
         assert a.num_entries == tiny_dataset.total_segments()
 
-    def test_str_bulk_load(self, tiny_dataset):
-        entries = [
-            LeafEntry(tr.object_id, seg)
-            for tr in tiny_dataset
-            for seg in tr.segments()
-        ]
-        index = RTree3D()
-        index.bulk_load(entries)
-        check_structure(index)
-        assert index.num_entries == len(entries)
-        assert index.max_speed == pytest.approx(tiny_dataset.max_speed())
-
     def test_bulk_load_requires_empty_tree(self, tiny_dataset):
         index = RTree3D()
         index.insert(next(iter(tiny_dataset)))
         with pytest.raises(IndexError_):
-            index.bulk_load([])
+            index.bulk_insert([])
 
-    def test_bulk_load_empty_list_noop(self):
-        index = RTree3D()
-        index.bulk_load([])
-        assert index.root_page == NO_PAGE
+    def test_bulk_insert_of_nothing_is_a_noop(self):
+        for cls in TREES.values():
+            index = cls()
+            index.bulk_insert([])
+            assert index.root_page == NO_PAGE
+            assert index.num_nodes == 0
 
-    def test_bulk_load_is_denser_than_insertion(self, small_dataset):
+    def test_packing_is_denser_than_insertion(self, small_dataset):
         grown = inserted(RTree3D, small_dataset)
-        packed = RTree3D()
-        packed.bulk_load(
-            [
-                LeafEntry(tr.object_id, seg)
-                for tr in small_dataset
-                for seg in tr.segments()
-            ]
-        )
-        assert packed.num_nodes <= grown.num_nodes
-
-
-class TestRStarTreeSpecific:
-    def test_forced_reinsertion_fires(self, small_rstar):
-        assert small_rstar.reinsertions > 0
-        check_structure(small_rstar)
-
-    def test_structure_with_tiny_pages(self, tiny_dataset):
-        """Deep trees with fanout 8 exercise internal reinsertion and
-        the R* split path hard."""
-        index = RStarTree(page_size=512)
-        index.bulk_insert(tiny_dataset)
-        check_structure(index)
-
-    def test_interleaved_insertion_order(self):
-        """Segment-at-a-time interleaved arrival (the worst case for
-        reinsertion bookkeeping)."""
-        import itertools
-
-        trajs = [
-            Trajectory(i, [(i + 0.01 * j, 0.5 * i, float(j)) for j in range(15)])
-            for i in range(6)
-        ]
-        index = RStarTree(page_size=512)
-        index.trajectory_ids.update(range(6))
-        segs = [[(tr.object_id, s) for s in tr.segments()] for tr in trajs]
-        for batch in itertools.zip_longest(*segs):
-            for item in batch:
-                if item is not None:
-                    index.insert_entry(LeafEntry(*item))
-        check_structure(index)
-        assert index.num_entries == sum(tr.num_segments for tr in trajs)
-
-
-class TestSTRTreeSpecific:
-    def test_preservation_engages(self, small_dataset):
-        index = STRTree()
-        index.bulk_insert(small_dataset)
-        # Inserting trajectory-by-trajectory, the vast majority of
-        # segments should land next to their predecessor.
-        assert index.preservation_ratio() > 0.5
-        check_structure(index)
-
-    def test_reserve_zero_means_full_preservation_room(self, tiny_dataset):
-        index = STRTree(reserve=0)
-        index.bulk_insert(tiny_dataset)
-        check_structure(index)
-
-    def test_invalid_reserve_rejected(self):
-        with pytest.raises(IndexError_):
-            STRTree(reserve=-1)
-        with pytest.raises(IndexError_):
-            STRTree(page_size=512, reserve=8)  # capacity is 8 there
-
-    def test_default_reserve_adapts_to_page_size(self):
-        assert STRTree(page_size=512).reserve < STRTree().reserve + 1
-
-    def test_preservation_improves_trajectory_clustering(self, small_dataset):
-        """Compared to the plain R-tree, a trajectory's segments should
-        spread over fewer leaves."""
-
-        def leaves_per_trajectory(index):
-            spread: dict[int, set[int]] = {}
-            for node in index.nodes():
-                if node.is_leaf:
-                    for e in node.entries:
-                        spread.setdefault(e.trajectory_id, set()).add(
-                            node.page_id
-                        )
-            return sum(len(s) for s in spread.values()) / len(spread)
-
-        plain = inserted(RTree3D, small_dataset)
-        preserved = STRTree()
-        preserved.bulk_insert(small_dataset)
-        assert leaves_per_trajectory(preserved) <= leaves_per_trajectory(plain)
-
-    def test_bulk_load_then_insert(self, tiny_dataset):
-        trajectories = list(tiny_dataset)
-        entries = [
-            LeafEntry(tr.object_id, seg)
-            for tr in trajectories[:-1]
-            for seg in tr.segments()
-        ]
-        index = STRTree()
-        index.bulk_load(entries)
-        index.trajectory_ids.discard(trajectories[-1].object_id)
-        index.insert(trajectories[-1])
-        check_structure(index)
-        assert index.num_entries == tiny_dataset.total_segments()
+        assert packed(RTree3D, small_dataset).num_nodes <= grown.num_nodes
 
 
 class TestTBTreeSpecific:

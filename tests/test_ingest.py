@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import IngestStore, StorageError, TrajectoryError
+from repro import TREES, IngestStore, StorageError, TrajectoryError
 from repro.cli import main
 from repro.datagen import generate_gstd, make_query
 from repro.engine import EngineConfig, LiveQueryEngine
@@ -53,9 +53,7 @@ def feed(store, dataset):
 
 def oracle_answers(dataset, query, period, k, *, tree="tbtree"):
     """Ground truth: k-MST over a from-scratch index of ``dataset``."""
-    from repro.index.persistence import _KINDS
-
-    index = _KINDS[tree](page_size=4096)
+    index = TREES[tree](page_size=4096)
     for tr in dataset:
         index.insert(tr)
     index.finalize()

@@ -15,7 +15,7 @@ import zlib
 
 import pytest
 
-from repro import IngestStore
+from repro import TREES, IngestStore
 from repro.datagen import generate_gstd, make_query
 from repro.engine import LiveQueryEngine
 from repro.search import QuerySpec
@@ -41,9 +41,7 @@ def _oracle(dataset, query, period, k, *, tree):
     leaf, so the oracle has to group segments into leaves the way the
     store does — an insert-built oracle differs from a packed
     generation in the last ulp."""
-    from repro.index.persistence import _KINDS
-
-    index = _KINDS[tree](page_size=4096)
+    index = TREES[tree](page_size=4096)
     index.bulk_insert(dataset)
     index.finalize()
     if index.num_entries == 0:

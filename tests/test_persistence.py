@@ -10,9 +10,9 @@ import random
 import pytest
 
 from repro import (
-    RStarTree,
+    TREES,
+    IngestStore,
     RTree3D,
-    STRTree,
     TBTree,
     Trajectory,
     bfmst_search,
@@ -20,9 +20,12 @@ from repro import (
     load_index,
     save_index,
 )
+from repro.cli import main as cli_main
 from repro.datagen import make_query
+from repro.experiments import build_index
 from repro.exceptions import IndexError_, StorageError
 from repro.index import fsck, fsck_index
+from repro.ingest.store import MANIFEST_NAME as INGEST_MANIFEST_NAME
 from repro.sharding import (
     MANIFEST_NAME,
     ShardedDataset,
@@ -38,7 +41,7 @@ def dataset():
     return generate_gstd(15, samples_per_object=40, seed=21)
 
 
-@pytest.mark.parametrize("cls", [RTree3D, RStarTree, TBTree, STRTree])
+@pytest.mark.parametrize("cls", [RTree3D, TBTree])
 class TestRoundTrip:
     def test_search_results_survive_reload(self, cls, dataset, tmp_path):
         index = cls()
@@ -282,6 +285,15 @@ class TestShardedErrorHandling:
         manifest["shards"][0]["num_entries"] += 1
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(StorageError):
+            load_sharded_index(directory)
+
+    def test_tree_kind_mismatch(self, sharded_world, tmp_path):
+        directory = _save(sharded_world, tmp_path)
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        assert manifest["kind"] == "rtree"
+        manifest["kind"] = "tbtree"
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="sidecar says 'rtree'"):
             load_sharded_index(directory)
 
 
@@ -537,3 +549,112 @@ class TestFsck:
         report = fsck(directory)
         assert not report.ok
         assert any("missing shard" in e for e in report.errors)
+
+
+# ----------------------------------------------------------------------
+# retired tree kinds: every door refuses them with the registry's message
+# ----------------------------------------------------------------------
+def _set_field(path, key, value):
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+
+
+def _retired_index(kind, dataset, tmp_path):
+    _, path, _ = _saved_index(dataset, tmp_path)
+    _set_field(path.with_name(path.name + ".meta.json"), "kind", kind)
+    return path
+
+
+def _retired_shards(kind, dataset, tmp_path):
+    sharded = build_sharded_index(
+        ShardedDataset.partition(dataset, make_partitioner("hash", 2)), RTree3D
+    )
+    directory = tmp_path / "shards"
+    save_sharded_index(sharded, directory)
+    sharded.close()
+    _set_field(directory / MANIFEST_NAME, "kind", kind)
+    return directory
+
+
+def _retired_store(kind, dataset, tmp_path):
+    """A store with one generation, as a build that knew ``kind`` left
+    it: the manifest and the generation's sidecar both record it."""
+    directory = tmp_path / "store"
+    with IngestStore.create(directory) as store:
+        store.extend(
+            sorted(
+                ((tr.object_id, p.x, p.y, p.t) for tr in dataset for p in tr),
+                key=lambda e: e[3],
+            )
+        )
+        generation = store.compact()
+    pages = directory / f"gen-{generation:06d}.pages"
+    _set_field(directory / INGEST_MANIFEST_NAME, "tree", kind)
+    _set_field(pages.with_name(pages.name + ".meta.json"), "kind", kind)
+    return directory, pages
+
+
+def _raised(exc_type, call, *args):
+    with pytest.raises(exc_type) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def _fsck_exit_1(path, capsys):
+    assert cli_main(["fsck", str(path)]) == 1
+    return capsys.readouterr().out
+
+
+def _argparse_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+RETIRED_DOORS = {
+    "load_index": lambda kind, ds, tmp, cap: _raised(
+        StorageError, load_index, _retired_index(kind, ds, tmp)
+    ),
+    "fsck-index": lambda kind, ds, tmp, cap: _fsck_exit_1(
+        _retired_index(kind, ds, tmp), cap
+    ),
+    "load_sharded_index": lambda kind, ds, tmp, cap: _raised(
+        StorageError, load_sharded_index, _retired_shards(kind, ds, tmp)
+    ),
+    "fsck-shards": lambda kind, ds, tmp, cap: _fsck_exit_1(
+        _retired_shards(kind, ds, tmp), cap
+    ),
+    "IngestStore.open": lambda kind, ds, tmp, cap: _raised(
+        StorageError, IngestStore.open, _retired_store(kind, ds, tmp)[0]
+    ),
+    "fsck-generation": lambda kind, ds, tmp, cap: _fsck_exit_1(
+        _retired_store(kind, ds, tmp)[1], cap
+    ),
+    "IngestStore.create": lambda kind, ds, tmp, cap: _raised(
+        StorageError, lambda: IngestStore.create(tmp / "new", tree=kind)
+    ),
+    "repro-build": lambda kind, ds, tmp, cap: _argparse_exit_2(
+        ["build", str(tmp / "d.csv"), str(tmp / "i.pages"), "--tree", kind],
+        cap,
+    ),
+    "build_index": lambda kind, ds, tmp, cap: _raised(
+        ValueError, build_index, ds, kind
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["rstar", "strtree"])
+@pytest.mark.parametrize("door", RETIRED_DOORS)
+def test_retired_tree_kinds_are_refused_at_every_door(
+    door, kind, dataset, tmp_path, capsys
+):
+    """The R*-tree and the STR-tree are gone.  A file that records one,
+    or a caller that names one, gets a typed refusal naming the kind
+    and the accepted ones: ``StorageError`` from the storage doors,
+    exit 1 from ``repro fsck``, argparse's exit 2 from ``--tree``, and
+    ``ValueError`` from ``build_index``."""
+    text = RETIRED_DOORS[door](kind, dataset, tmp_path, capsys)
+    assert repr(kind) in text
+    assert all(repr(name) in text for name in TREES)

@@ -21,8 +21,11 @@ Covers the four contracts of the process-pool path:
 
 import json
 import multiprocessing
+import os
 import pickle
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,42 @@ class TestProcessExecutorIdentity:
             assert again.answer_json() == first.answer_json()
         finally:
             proc.close()
+
+    def test_dead_worker_costs_one_request_at_most(
+        self, dataset, workload, tmp_path
+    ):
+        """A worker killed between requests breaks its pool.  At most
+        one request fails; the engine starts a fresh pool, and every
+        later request answers like the serial executor."""
+        directory = tmp_path / "shards"
+        _save_sharded(dataset, RTree3D, "hash", directory)
+        serial = ShardedQueryEngine.open(
+            directory, config=EngineConfig(executor="serial"), backend="mmap"
+        )
+        proc = ShardedQueryEngine.open(
+            directory,
+            config=EngineConfig(executor="process", max_workers=2),
+            backend="mmap",
+        )
+        query, period = workload[0]
+        spec = QuerySpec("mst", query, period, k=3)
+        try:
+            want = serial.execute(spec).answer_json()
+            assert proc.execute(spec).answer_json() == want
+            victim = next(iter(proc.executor._pool._processes))
+            os.kill(victim, signal.SIGKILL)
+            failures = 0
+            for _ in range(3):
+                try:
+                    got = proc.execute(spec)
+                except BrokenProcessPool:
+                    failures += 1
+                    continue
+                assert got.answer_json() == want
+            assert failures <= 1
+        finally:
+            proc.close()
+            serial.close()
 
 
 # ----------------------------------------------------------------------

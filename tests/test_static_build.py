@@ -23,9 +23,7 @@ import pytest
 
 from repro import (
     IngestStore,
-    RStarTree,
     RTree3D,
-    STRTree,
     TBTree,
     Trajectory,
     generate_gstd,
@@ -47,30 +45,15 @@ from test_indexes import check_structure
 PACKING = [RTree3D, TBTree]
 
 
-def entries_of(trajectories):
-    return [LeafEntry(tr.object_id, s) for tr in trajectories for s in tr.segments()]
-
-
-def static_build(index, trajectories, through):
-    """The static entry points: ``bulk_insert`` on both trees, and the
-    R-tree's ``bulk_load`` of ready-made entries."""
-    if through == "bulk_load":
-        index.bulk_load(entries_of(trajectories))
-    else:
-        index.bulk_insert(trajectories)
-
-
 STATIC_PATHS = [
-    pytest.param(RTree3D, "bulk_load", id="RTree3D-bulk_load"),
-    pytest.param(RTree3D, "bulk_insert", id="RTree3D-bulk_insert"),
-    pytest.param(TBTree, "bulk_insert", id="TBTree-bulk_insert"),
+    pytest.param(cls, id=f"{cls.__name__}-bulk_insert") for cls in PACKING
 ]
 
 
 # ----------------------------------------------------------------------
 # the packed path rejects what insert rejects
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls, through", STATIC_PATHS)
+@pytest.mark.parametrize("cls", STATIC_PATHS)
 class TestRejectsWhatInsertRejects:
     def assert_untouched(self, index):
         assert index.root_page == NO_PAGE
@@ -79,29 +62,29 @@ class TestRejectsWhatInsertRejects:
         assert index.pagefile.num_pages == len(index._free_pages)
         assert list(index.nodes()) == []
 
-    def test_finalized_tree(self, tiny_dataset, cls, through):
+    def test_finalized_tree(self, tiny_dataset, cls):
         index = cls()
         index.finalize()
         with pytest.raises(IndexError_):
-            static_build(index, list(tiny_dataset), through)
+            index.bulk_insert(list(tiny_dataset))
         self.assert_untouched(index)
         assert index.trajectory_ids == set()
 
-    def test_non_integer_id(self, tiny_dataset, cls, through):
+    def test_non_integer_id(self, tiny_dataset, cls):
         index = cls()
         bad = list(tiny_dataset)[:3] + [Trajectory("str-id", [(0, 0, 0), (1, 1, 1)])]
         with pytest.raises(TrajectoryError):
-            static_build(index, bad, through)
+            index.bulk_insert(bad)
         self.assert_untouched(index)
         assert index.trajectory_ids == set()
 
-    def test_id_already_indexed(self, tiny_dataset, cls, through):
+    def test_id_already_indexed(self, tiny_dataset, cls):
         trajectories = list(tiny_dataset)
         taken = trajectories[2].object_id
         index = cls()
         index.trajectory_ids.add(taken)  # an empty tree that knows the id
         with pytest.raises(TrajectoryError):
-            static_build(index, trajectories, through)
+            index.bulk_insert(trajectories)
         self.assert_untouched(index)
         assert index.trajectory_ids == {taken}
 
@@ -118,16 +101,17 @@ def test_id_twice_in_one_dataset_rejected(tiny_dataset, cls):
 
 
 def test_packing_is_for_the_empty_rtree_and_tbtree_only(tiny_dataset):
-    """R* and STR-tree exist for their insertion policy; a tree that
-    already holds something is a live tree.  Both insert one by one."""
-    assert RStarTree.packs_static_builds is False
-    assert STRTree.packs_static_builds is False
+    """A tree that already holds something is a live tree: it grows by
+    ``insert``, and ``bulk_insert`` refuses it and leaves it as it was."""
     rest = list(tiny_dataset)
     for cls in PACKING:
         grown = inserted(cls, rest[:10], page_size=512)
-        reference = inserted(cls, rest, page_size=512)
-        grown.bulk_insert(rest[10:])
-        assert grown.num_nodes == reference.num_nodes
+        before = (grown.num_nodes, grown.num_entries, grown.pagefile.num_pages)
+        with pytest.raises(IndexError_):
+            grown.bulk_insert(rest[10:])
+        after = (grown.num_nodes, grown.num_entries, grown.pagefile.num_pages)
+        assert after == before
+        assert grown.trajectory_ids == {tr.object_id for tr in rest[:10]}
         check_structure(grown)
 
 
@@ -263,7 +247,7 @@ class TestPackedTreeStaysLive:
         assert all(e.trajectory_id != gone.object_id for e in index.leaf_entries())
 
     def test_tbtree_pack_then_insert(self):
-        """The TB-tree twin of ``test_bulk_load_then_insert``: append to
+        """The TB-tree twin of the test above: append to
         a packed object's chain, start a new object, delete a packed
         trajectory — chains stay in time order throughout."""
         dataset = generate_gstd(10, samples_per_object=60, seed=8)
