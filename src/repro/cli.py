@@ -7,7 +7,6 @@ Python::
     python -m repro build out.csv index.pages --tree rtree
     python -m repro info index.pages
     python -m repro query index.pages out.csv --object 3 --window 0.1 --k 5
-    python -m repro query index.pages out.csv --k 5 --backend mmap
     python -m repro fsck index.pages
     python -m repro stats index.pages out.csv --k 5
     python -m repro batch index.pages out.csv --queries 8 --k 5
@@ -54,6 +53,7 @@ from .experiments import (
     table2,
 )
 from .index import TREES, load_index, save_index
+from .sharding import PARTITIONER_KINDS
 from .trajectory import read_csv, read_json, write_csv, write_json
 
 __all__ = ["main", "build_parser"]
@@ -70,11 +70,6 @@ _FLAGS = {
     ),
     "k": dict(type=int, default=5),
     "seed": dict(type=int, default=1),
-    "backend": dict(
-        choices=("disk", "mmap"), default="disk",
-        help="page-store backend for serving (mmap is read-only, "
-        "zero-copy)",
-    ),
     "tree": dict(choices=tuple(TREES), default="rtree"),
     "page-size": dict(type=int, default=4096),
     "signatures": dict(
@@ -140,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("target", help="index file")
     query.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(query, *_SLICE_FLAGS, "backend")
+    _add_flags(query, *_SLICE_FLAGS)
 
     stats = verb(
         sub, "stats", _cmd_kmst,
@@ -149,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("target", help="index file or shard directory")
     stats.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(stats, *_SLICE_FLAGS, "backend")
+    _add_flags(stats, *_SLICE_FLAGS)
     stats.add_argument(
         "--output", default=None,
         help="write the JSON document here instead of stdout",
@@ -162,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("target", help="index file")
     batch.add_argument("dataset", help="dataset the queries are drawn from")
     batch.add_argument("--queries", type=int, default=8)
-    _add_flags(batch, "window", "k", "seed", "backend")
+    _add_flags(batch, "window", "k", "seed")
     batch.add_argument(
         "--executor", choices=("serial", "thread"), default="serial"
     )
@@ -220,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace", type=float, default=10.0,
         help="seconds to let admitted requests finish on SIGTERM",
     )
-    _add_flags(serve, "backend")
 
     shard_sub = sub.add_parser(
         "shard", help="build, query and inspect sharded indexes"
@@ -236,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbuild.add_argument("--shards", type=int, default=4)
     sbuild.add_argument(
         "--partitioner",
-        choices=("round_robin", "hash", "spatial", "temporal"),
+        choices=tuple(PARTITIONER_KINDS),
         default="hash",
     )
 
@@ -246,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     squery.add_argument("target", help="sharded manifest directory")
     squery.add_argument("dataset", help="dataset the query is drawn from")
-    _add_flags(squery, *_SLICE_FLAGS, "backend")
+    _add_flags(squery, *_SLICE_FLAGS)
     squery.add_argument(
         "--executor",
         choices=("serial", "thread", "process"),
         default="serial",
         help="shard fan-out: in-process serial/threaded, or one worker "
-        "process per shard over shared mmap pages",
+        "process per shard, each reopening its shard's page file",
     )
     squery.add_argument("--workers", type=int, default=None)
 
@@ -291,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     iquery = verb(
         ingest_sub, "query", _cmd_kmst,
         "run a k-MST query against the live store",
-        dataset=None, backend="disk", executor="serial", workers=None,
-        trace=False,
+        dataset=None, executor="serial", workers=None, trace=False,
     )
     iquery.add_argument("target", help="store directory")
     _add_flags(iquery, *_SLICE_FLAGS)
@@ -439,9 +432,7 @@ def _open_engine(args):
     draw_from = lambda: _read_dataset(args.dataset)
     with ExitStack() as under:
         if (target / SHARD_MANIFEST).exists():
-            engine = ShardedQueryEngine.open(
-                target, config=config, backend=args.backend
-            )
+            engine = ShardedQueryEngine.open(target, config=config)
             under.callback(engine.index.close)
         elif (target / INGEST_MANIFEST).exists():
             store = under.enter_context(IngestStore.open(target))
@@ -454,9 +445,7 @@ def _open_engine(args):
                 f"({INGEST_MANIFEST})"
             )
         else:
-            engine = QueryEngine.open(
-                target, config=config, backend=args.backend
-            )
+            engine = QueryEngine.open(target, config=config)
             under.callback(engine.index.pagefile.close)
         with engine:
             yield engine, draw_from

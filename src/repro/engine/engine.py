@@ -218,21 +218,13 @@ class QueryEngine:
         config: EngineConfig | None = None,
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
         buffer_max_pages: int = 1000,
-        backend: str = "disk",
         verify: bool = False,
     ) -> "QueryEngine":
-        """Open a saved index for querying.
-
-        ``backend`` selects the page store (``"disk"`` or the zero-copy
-        read-only ``"mmap"``); ``verify`` checks the page file's digest
-        against the sidecar before serving.
-        """
+        """Open a saved index for querying (read-only; ``verify``
+        checks the page file's digest against the sidecar before
+        serving)."""
         index = load_index(
-            index_path,
-            buffer_fraction,
-            buffer_max_pages,
-            backend=backend,
-            verify=verify,
+            index_path, buffer_fraction, buffer_max_pages, verify=verify
         )
         return cls(index, config=config)
 

@@ -8,11 +8,11 @@ duration — the engine enables the buffer manager's lock before
 spawning workers.  Request order is always preserved in the results.
 
 The **process-pool executor** is the multicore path: each worker
-process opens the shard's page file itself (mmap pages are shared by
-the OS across workers, so resident memory stays flat) and communicates
-only through the picklable work-unit messages of
-:mod:`repro.engine.planner` — a :class:`~repro.engine.planner.ShardPlan`
-in, a :class:`~repro.engine.planner.ShardAnswer` out.  Workers are
+process reopens the shard's page file itself (read-only, through the
+same ``load_index`` as the parent) and communicates only through the
+picklable work-unit messages of :mod:`repro.engine.planner` — a
+:class:`~repro.engine.planner.ShardPlan` in, a
+:class:`~repro.engine.planner.ShardAnswer` out.  Workers are
 spawned once (forkserver where available, spawn otherwise) and keep a
 warm per-process index cache keyed by shard path + generation
 signature, so steady-state queries pay no open/teardown cost.
@@ -124,10 +124,7 @@ def _worker_index(plan):
             index.signatures.close()
         index.pagefile.close()
     index = load_index(
-        plan.shard_path,
-        plan.buffer_fraction,
-        plan.buffer_max_pages,
-        backend=plan.backend,
+        plan.shard_path, plan.buffer_fraction, plan.buffer_max_pages
     )
     signature = (index.num_nodes, index.num_entries, index.root_page)
     if signature != plan.signature:

@@ -8,7 +8,7 @@ under it.  Every query pins a consistent snapshot (the stores' current
 generations plus frozen memtable copies), searches all parts under one
 shared k-th-best bound, and releases the pins — so a compaction racing
 a query retires the superseded generation without ever invalidating
-the reader's mmap, and the answers stay byte-identical to a
+the reader's open page file, and the answers stay byte-identical to a
 from-scratch rebuild over the stores' current data.
 
 Multiple stores compose exactly like shards: their object sets are

@@ -103,7 +103,6 @@ class ShardPlan:
     signature: tuple[int, int, int]
     vmax: float
     deadline: float | None = None
-    backend: str = "mmap"
     buffer_fraction: float = 0.10
     buffer_max_pages: int = 1000
 
@@ -121,7 +120,6 @@ class ShardPlan:
             "deadline": (
                 float(self.deadline) if self.deadline is not None else None
             ),
-            "backend": self.backend,
             "buffer_fraction": float(self.buffer_fraction),
             "buffer_max_pages": int(self.buffer_max_pages),
         }
@@ -170,7 +168,6 @@ class ShardPlan:
             signature=(sig[0], sig[1], sig[2]),
             vmax=float(vmax),
             deadline=float(deadline) if deadline is not None else None,
-            backend=doc.get("backend", "mmap"),
             buffer_fraction=float(doc.get("buffer_fraction", 0.10)),
             buffer_max_pages=int(doc.get("buffer_max_pages", 1000)),
         )

@@ -55,9 +55,7 @@ class ShardedQueryEngine(QueryEngine):
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
         buffer_max_pages: int = 1000,
         manifest_dir: str | Path | None = None,
-        backend: str = "disk",
     ):
-        self.backend = backend
         self._buffer_fraction = buffer_fraction
         self._buffer_max_pages = buffer_max_pages
         # Only an engine that knows its manifest directory knows the
@@ -86,18 +84,13 @@ class ShardedQueryEngine(QueryEngine):
         config: EngineConfig | None = None,
         buffer_fraction: float = SESSION_BUFFER_FRACTION,
         buffer_max_pages: int = 1000,
-        backend: str = "disk",
         verify: bool = False,
     ) -> "ShardedQueryEngine":
         """Open a saved sharded index directory for querying.
-        ``backend``/``verify`` are forwarded to the per-shard
+        ``verify`` is forwarded to the per-shard
         :func:`~repro.index.persistence.load_index`."""
         index = load_sharded_index(
-            manifest_dir,
-            buffer_fraction,
-            buffer_max_pages,
-            backend=backend,
-            verify=verify,
+            manifest_dir, buffer_fraction, buffer_max_pages, verify=verify
         )
         return cls(
             index,
@@ -105,7 +98,6 @@ class ShardedQueryEngine(QueryEngine):
             buffer_fraction=buffer_fraction,
             buffer_max_pages=buffer_max_pages,
             manifest_dir=manifest_dir,
-            backend=backend,
         )
 
     def signature(self) -> tuple:
@@ -165,7 +157,6 @@ class ShardedQueryEngine(QueryEngine):
                 signature=self._pins[shard_id].signature(),
                 vmax=vmax,
                 deadline=deadline,
-                backend=self.backend,
                 buffer_fraction=self._buffer_fraction,
                 buffer_max_pages=self._buffer_max_pages,
             )

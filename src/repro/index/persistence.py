@@ -10,9 +10,9 @@ Persistence is *atomic*: both files are written to temporaries in the
 destination directory, fsynced, and published with ``os.replace``; the
 metadata sidecar is committed last, so it acts as the commit point — a
 crash mid-save leaves either the complete old state or the complete
-new state, never a torn index.  ``load_index`` reopens the pair behind
-a chosen backend (``"disk"`` or the read-only zero-copy ``"mmap"``)
-and returns a *finalized* (query-only) index.
+new state, never a torn index.  ``load_index`` reopens the pair with
+the page file opened read-only and returns a *finalized* (query-only)
+index whose buffer refuses writes; read-only files load.
 
 v1 files (unframed pages, ``"version": 1`` sidecars) are rejected with
 an error naming the mismatch: rebuild them from the source dataset.
@@ -27,12 +27,7 @@ import json
 from pathlib import Path
 
 from ..exceptions import StorageError
-from ..storage import (
-    DiskPageFile,
-    atomic_write_bytes,
-    file_sha256,
-    open_pagefile,
-)
+from ..storage import DiskPageFile, atomic_write_bytes, file_sha256
 from .base import TrajectoryIndex
 from .kinds import tree_class
 from .tbtree import TBTree
@@ -40,10 +35,6 @@ from .tbtree import TBTree
 __all__ = ["save_index", "load_index"]
 
 _FORMAT_VERSION = 2
-
-#: Backends ``load_index`` accepts (building in memory and then loading
-#: from it makes no sense; ``"memory"`` is deliberately absent).
-_LOAD_BACKENDS = ("disk", "mmap")
 
 
 def _meta_path(path: Path) -> Path:
@@ -98,7 +89,7 @@ def save_index(
         # rename in commit_file publishes the complete file only.
         from ..storage import commit_file
 
-        with DiskPageFile(tmp, page_size=index.page_size) as dst:
+        with DiskPageFile.create(tmp, page_size=index.page_size) as dst:
             for pid in range(index.pagefile.num_pages):
                 dst.allocate()
                 dst.write(pid, index.pagefile.read(pid))
@@ -147,22 +138,17 @@ def load_index(
     buffer_fraction: float = 0.10,
     buffer_max_pages: int = 1000,
     *,
-    backend: str = "disk",
     verify: bool = False,
 ) -> TrajectoryIndex:
     """Reopen a saved index for querying (read-only).
 
-    ``backend`` selects the page store: ``"disk"`` (buffered file I/O)
-    or ``"mmap"`` (zero-copy read-only serving).  With ``verify=True``
-    the page file's SHA-256 is checked against the metadata digest
-    before the index is opened — full-file verification, as opposed to
-    the per-page checksums that always guard individual reads.
+    The page file is opened read-only, so the index's buffer refuses
+    writes and closing the page file syncs nothing.  With
+    ``verify=True`` the page file's SHA-256 is checked against the
+    metadata digest before the index is opened — full-file
+    verification, as opposed to the per-page checksums that always
+    guard individual reads.
     """
-    if backend not in _LOAD_BACKENDS:
-        raise StorageError(
-            f"unknown load backend {backend!r}; expected one of "
-            f"{list(_LOAD_BACKENDS)}"
-        )
     path = Path(path)
     meta = _read_meta(_meta_path(path))
     if not path.exists():
@@ -189,7 +175,7 @@ def load_index(
                 f"sidecar — the page file was modified after save"
             )
 
-    pagefile = open_pagefile(backend, path, page_size=page_size)
+    pagefile = DiskPageFile(path, page_size=page_size)
     index = tree_class(meta["kind"])(pagefile=pagefile)
     index.root_page = meta["root_page"]
     index.num_nodes = meta["num_nodes"]

@@ -18,13 +18,14 @@ throughput).
 
 Compaction (:meth:`compact`) freezes the current state into the next
 *generation*: a full index over every object's complete history, saved
-with the crash-safe ``save_index`` protocol and served read-only over
-the mmap backend, plus a JSON snapshot of the raw point history.  The
-manifest rewrite is the commit point; the WAL is rotated to a fresh
-file just before it and the superseded one deleted just after, so a
-crash at *any* instant recovers to either the old generation + full
-WAL or the new generation + empty WAL — the same logical state.
-Superseded generation files are removed once no reader pins them.
+with the crash-safe ``save_index`` protocol and served read-only
+through ``load_index``, plus a JSON snapshot of the raw point
+history.  The manifest rewrite is the commit point; the WAL is
+rotated to a fresh file just before it and the superseded one deleted
+just after, so a crash at *any* instant recovers to either the old
+generation + full WAL or the new generation + empty WAL — the same
+logical state.  Superseded generation files are removed once no
+reader pins them.
 
 Query path: :meth:`view` pins the current generation (refcounted — a
 racing compaction retires but never invalidates it) and snapshots the
@@ -368,7 +369,7 @@ class IngestStore:
 
     def _load_generation(self, number: int) -> Generation:
         pages, data = self._gen_paths(number)
-        index = load_index(pages, backend="mmap")
+        index = load_index(pages)
         index.buffer.enable_thread_safety()
         return Generation(number, index, pages, data)
 

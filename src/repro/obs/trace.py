@@ -62,7 +62,6 @@ def _io_as_dict(io) -> dict:
         "buffer_misses",
         "evictions",
         "fsyncs",
-        "mmap_reads",
         "checksum_failures",
     )
     out = {f: getattr(io, f) for f in fields if hasattr(io, f)}

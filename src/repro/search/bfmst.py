@@ -458,7 +458,6 @@ def _search_shard(
     io_after = index.pagefile.stats.diff(io_before)
     stats.buffer_hits = io_after.buffer_hits
     stats.buffer_misses = io_after.buffer_misses
-    stats.mmap_reads = io_after.mmap_reads
     stats.checksum_failures = io_after.checksum_failures
     return completed, valid
 

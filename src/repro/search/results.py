@@ -66,7 +66,6 @@ class SearchStats:
     total_nodes: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
-    mmap_reads: int = 0
     checksum_failures: int = 0
     terminated_early: bool = False
     refinement_candidates: int = 0

@@ -14,11 +14,8 @@ from .partitioners import (
     PARTITIONER_KINDS,
     HashPartitioner,
     Partitioner,
-    RoundRobinPartitioner,
-    SpatialPartitioner,
     TemporalPartitioner,
     make_partitioner,
-    partitioner_from_params,
 )
 from .persistence import (
     MANIFEST_NAME,
@@ -28,13 +25,10 @@ from .persistence import (
 
 __all__ = [
     "Partitioner",
-    "RoundRobinPartitioner",
     "HashPartitioner",
-    "SpatialPartitioner",
     "TemporalPartitioner",
     "PARTITIONER_KINDS",
     "make_partitioner",
-    "partitioner_from_params",
     "ShardedDataset",
     "ShardedIndex",
     "build_sharded_index",

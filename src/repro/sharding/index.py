@@ -130,11 +130,9 @@ class ShardedIndex:
         return sum(s.size_mb() for s in self.shards)
 
     def close(self) -> None:
-        """Close any disk-backed shard page files."""
+        """Close every shard's page file."""
         for s in self.shards:
-            close = getattr(s.pagefile, "close", None)
-            if close is not None:
-                close()
+            s.pagefile.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -5,22 +5,19 @@ A partitioner maps every trajectory of a dataset to exactly one of
 a candidate's DISSIM accumulation happens entirely inside one shard
 and the cross-shard search merges *disjoint* candidate sets.
 
-Four strategies cover the usual serving layouts:
+Two strategies, named in :data:`PARTITIONER_KINDS`:
 
-* :class:`RoundRobinPartitioner` — dataset order modulo shard count;
-  the load-balancing default when nothing is known about the data,
 * :class:`HashPartitioner` — a multiplicative hash of the (integer)
   trajectory id; stable under dataset reordering,
-* :class:`SpatialPartitioner` — equi-populated slabs over the
-  trajectory MBR centre's x coordinate (quantile boundaries are
-  computed from the dataset being partitioned and persisted in the
-  shard manifest),
-* :class:`TemporalPartitioner` — the same quantile scheme over the
-  trajectory's temporal midpoint; with staggered fleets this gives the
-  planner's time-extent pre-filter real pruning power.
+* :class:`TemporalPartitioner` — equi-populated slabs over the
+  trajectory's temporal midpoint (quantile boundaries are computed
+  from the dataset being partitioned); with staggered fleets this
+  gives the planner's time-extent pre-filter real pruning power.
 
-``partitioner.params()`` round-trips through the JSON shard manifest
-(:mod:`repro.sharding.persistence`) via :func:`partitioner_from_params`.
+``partitioner.params()`` is recorded in the JSON shard manifest
+(:mod:`repro.sharding.persistence`) as metadata: a loaded directory
+never rebuilds its partitioner, so one written with a retired kind
+still loads.
 """
 
 from __future__ import annotations
@@ -32,13 +29,10 @@ from ..trajectory import Trajectory, TrajectoryDataset
 
 __all__ = [
     "Partitioner",
-    "RoundRobinPartitioner",
     "HashPartitioner",
-    "SpatialPartitioner",
     "TemporalPartitioner",
     "PARTITIONER_KINDS",
     "make_partitioner",
-    "partitioner_from_params",
 ]
 
 # Knuth's multiplicative constant — spreads consecutive integer ids
@@ -67,31 +61,11 @@ class Partitioner:
         raise NotImplementedError
 
     def params(self) -> dict:
-        """JSON-ready manifest block reconstructing this partitioner."""
+        """JSON-ready manifest block describing this partitioner."""
         return {"kind": self.kind, "num_shards": self.num_shards}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(num_shards={self.num_shards})"
-
-
-class RoundRobinPartitioner(Partitioner):
-    """Dataset order modulo shard count (balanced by construction)."""
-
-    kind = "round_robin"
-
-    def __init__(self, num_shards: int) -> None:
-        super().__init__(num_shards)
-        self._next = 0
-        self._assigned: dict = {}
-
-    def shard_of(self, trajectory: Trajectory) -> int:
-        oid = trajectory.object_id
-        shard = self._assigned.get(oid)
-        if shard is None:
-            shard = self._next % self.num_shards
-            self._assigned[oid] = shard
-            self._next += 1
-        return shard
 
 
 class HashPartitioner(Partitioner):
@@ -108,19 +82,19 @@ class HashPartitioner(Partitioner):
         return (oid * _HASH_MULTIPLIER % _HASH_MODULUS) % self.num_shards
 
 
-class _QuantilePartitioner(Partitioner):
-    """Shared machinery of the range partitioners: sort every
-    trajectory's scalar key, cut at equi-populated quantiles, assign by
-    bisection.  Boundaries are the manifest-persisted state."""
+class TemporalPartitioner(Partitioner):
+    """Equi-populated slabs over the trajectory's temporal midpoint:
+    sort the midpoints, cut at quantiles, assign by bisection."""
 
-    def __init__(
-        self, num_shards: int, boundaries: list[float] | None = None
-    ) -> None:
+    kind = "temporal"
+
+    def __init__(self, num_shards: int) -> None:
         super().__init__(num_shards)
-        self.boundaries = list(boundaries) if boundaries is not None else None
+        self.boundaries: list[float] | None = None
 
-    def _key(self, trajectory: Trajectory) -> float:
-        raise NotImplementedError
+    @staticmethod
+    def _key(trajectory: Trajectory) -> float:
+        return (trajectory.t_start + trajectory.t_end) / 2.0
 
     def fit(self, dataset: TrajectoryDataset) -> "Partitioner":
         keys = sorted(self._key(tr) for tr in dataset)
@@ -135,8 +109,7 @@ class _QuantilePartitioner(Partitioner):
     def shard_of(self, trajectory: Trajectory) -> int:
         if self.boundaries is None:
             raise QueryError(
-                f"{self.kind} partitioner is unfitted: call fit(dataset) "
-                f"or construct it with explicit boundaries"
+                f"{self.kind} partitioner is unfitted: call fit(dataset)"
             )
         return bisect_right(self.boundaries, self._key(trajectory))
 
@@ -146,40 +119,14 @@ class _QuantilePartitioner(Partitioner):
         return out
 
 
-class SpatialPartitioner(_QuantilePartitioner):
-    """Equi-populated x-slabs over the trajectory MBR centre."""
-
-    kind = "spatial"
-
-    def _key(self, trajectory: Trajectory) -> float:
-        box = trajectory.mbr()
-        return (box.xmin + box.xmax) / 2.0
-
-
-class TemporalPartitioner(_QuantilePartitioner):
-    """Equi-populated slabs over the trajectory's temporal midpoint."""
-
-    kind = "temporal"
-
-    def _key(self, trajectory: Trajectory) -> float:
-        return (trajectory.t_start + trajectory.t_end) / 2.0
-
-
 PARTITIONER_KINDS = {
-    cls.kind: cls
-    for cls in (
-        RoundRobinPartitioner,
-        HashPartitioner,
-        SpatialPartitioner,
-        TemporalPartitioner,
-    )
+    cls.kind: cls for cls in (HashPartitioner, TemporalPartitioner)
 }
 
 
 def make_partitioner(kind: str, num_shards: int) -> Partitioner:
-    """``kind`` in round_robin | hash | spatial | temporal → instance
-    (range partitioners come back unfitted; ``fit`` runs at partition
-    time)."""
+    """``kind`` in hash | temporal → instance (a temporal partitioner
+    comes back unfitted; ``fit`` runs at partition time)."""
     try:
         cls = PARTITIONER_KINDS[kind]
     except KeyError:
@@ -187,16 +134,4 @@ def make_partitioner(kind: str, num_shards: int) -> Partitioner:
             f"unknown partitioner kind {kind!r}; expected one of "
             f"{sorted(PARTITIONER_KINDS)}"
         ) from None
-    return cls(num_shards)
-
-
-def partitioner_from_params(params: dict) -> Partitioner:
-    """Rebuild a partitioner from its manifest ``params()`` block."""
-    kind = params.get("kind")
-    if kind not in PARTITIONER_KINDS:
-        raise QueryError(f"unknown partitioner kind {kind!r} in manifest")
-    cls = PARTITIONER_KINDS[kind]
-    num_shards = int(params["num_shards"])
-    if issubclass(cls, _QuantilePartitioner):
-        return cls(num_shards, boundaries=params.get("boundaries"))
     return cls(num_shards)

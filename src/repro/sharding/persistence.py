@@ -153,15 +153,14 @@ def load_sharded_index(
     buffer_fraction: float = 0.10,
     buffer_max_pages: int = 1000,
     *,
-    backend: str = "disk",
     verify: bool = False,
 ) -> ShardedIndex:
     """Reopen a sharded index directory for querying (read-only).
 
-    ``backend``/``verify`` are forwarded to :func:`load_index` per
-    shard.  The ``buffer_max_pages`` budget is global: it is split
-    evenly across shards here, and the engine's planner re-budgets
-    proportionally to shard size when it opens a session.
+    ``verify`` is forwarded to :func:`load_index` per shard.  The
+    ``buffer_max_pages`` budget is global: it is split evenly across
+    shards here, and the engine's planner re-budgets proportionally to
+    shard size when it opens a session.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -171,16 +170,10 @@ def load_sharded_index(
     shards = []
     for record in records:
         shard_path = directory / record["file"]
-        # load_index would silently create an empty page file, so check
-        # existence first to turn a missing shard into a hard error.
         if not shard_path.exists():
             raise StorageError(f"missing shard file {shard_path}")
         index = load_index(
-            shard_path,
-            buffer_fraction,
-            per_shard_pages,
-            backend=backend,
-            verify=verify,
+            shard_path, buffer_fraction, per_shard_pages, verify=verify
         )
         if index.num_entries != record["num_entries"]:
             raise StorageError(

@@ -1,6 +1,6 @@
-"""Paged storage substrate: self-verifying page format, pluggable page
-file backends (memory/disk/mmap), LRU buffer manager, crash-safe file
-commitment, I/O stats."""
+"""Paged storage substrate: self-verifying page format, page files
+(in memory while building, on disk once saved), LRU buffer manager,
+crash-safe file commitment, I/O stats."""
 
 from .atomic import atomic_write_bytes, commit_file, file_sha256, fsync_directory
 from .buffer import LRUBufferManager
@@ -18,13 +18,10 @@ from .format import (
     verify_page,
 )
 from .pagefile import (
-    BACKENDS,
     PAGE_SIZE_DEFAULT,
     DiskPageFile,
     InMemoryPageFile,
-    MmapPageFile,
     PageFile,
-    open_pagefile,
 )
 from .stats import IOStats
 
@@ -33,9 +30,6 @@ __all__ = [
     "PageFile",
     "InMemoryPageFile",
     "DiskPageFile",
-    "MmapPageFile",
-    "BACKENDS",
-    "open_pagefile",
     "LRUBufferManager",
     "IOStats",
     "FORMAT_VERSION",

@@ -17,8 +17,8 @@ the hot upper index levels resident across a whole batch.  Pinning is
 advisory — if every resident page is pinned the cache is allowed to
 overflow its capacity rather than fail.
 
-Over a read-only backend (``pagefile.writable`` is ``False``, e.g. the
-mmap serving backend) the buffer runs in **read-only mode**: dirty
+Over a read-only page file (``pagefile.writable`` is ``False``: every
+loaded index) the buffer runs in **read-only mode**: dirty
 tracking is skipped entirely — evictions never serialise, ``flush`` is
 an inert no-op, and attempts to dirty a page are rejected loudly.
 """
@@ -149,7 +149,7 @@ class LRUBufferManager:
             if dirty and self.read_only:
                 raise StorageError(
                     f"page {page_id}: buffer is read-only "
-                    f"({type(self.pagefile).__name__} backend), cannot "
+                    f"({type(self.pagefile).__name__}), cannot "
                     f"install dirty pages"
                 )
             self._cache[page_id] = obj
@@ -165,7 +165,7 @@ class LRUBufferManager:
             if self.read_only:
                 raise StorageError(
                     f"page {page_id}: buffer is read-only "
-                    f"({type(self.pagefile).__name__} backend), cannot "
+                    f"({type(self.pagefile).__name__}), cannot "
                     f"dirty pages"
                 )
             if page_id not in self._cache:

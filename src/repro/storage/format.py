@@ -108,7 +108,7 @@ def _fail(message: str, *, checksum: bool = False):
 def unframe_page(data, page_id: int | None = None):
     """Verify one full (padded) page and return ``(kind, payload)``.
 
-    ``data`` may be ``bytes`` or a ``memoryview`` (the mmap backend);
+    ``data`` may be ``bytes`` or a ``memoryview``;
     the returned payload is a zero-copy slice of it.  Raises
     :class:`~repro.exceptions.ChecksumError` on CRC mismatch and
     :class:`~repro.exceptions.StorageError` for framing/version

@@ -1,29 +1,23 @@
-"""Fixed-size page files — the pluggable storage backends.
+"""Fixed-size page files.
 
 The disk substrate under the indexes: a flat array of fixed-size pages
 (4 KB by default, matching the paper's setup) addressed by integer page
-ids.  Three backends share one interface, selectable by name through
-:data:`BACKENDS` / :func:`open_pagefile`:
+ids.  Two stores share one interface:
 
-* ``"memory"`` — :class:`InMemoryPageFile`, a list of byte blocks;
-  fast, used while building and by the tests and benches,
-* ``"disk"`` — :class:`DiskPageFile`, a real file with one slot per
-  page.  Durable: ``flush(fsync=True)`` issues a real fsync barrier and
-  ``close()`` flushes + fsyncs before releasing the handle, so a
-  cleanly closed file never loses acknowledged writes,
-* ``"mmap"`` — :class:`MmapPageFile`, a **read-only** memory-mapped
-  view that serves pages as zero-copy ``memoryview`` slices; the
-  cold-start-fast serving backend (open cost is one ``mmap`` call, the
-  OS pages data in on demand and shares it across processes).
+* :class:`InMemoryPageFile`, a list of byte blocks: where every index
+  is built (and where the ingest memtable lives),
+* :class:`DiskPageFile`, a real file with one slot per page: the one
+  store a saved index is read through, opened read-only.  Only
+  :meth:`DiskPageFile.create` opens one writable, and ``close()``
+  fsyncs such a file before releasing it.
 
-All backends enforce the page-size invariant and count physical I/O;
-the read-only one advertises ``writable = False`` so the buffer
-manager can skip dirty tracking entirely.
+Both enforce the page-size invariant and count physical I/O; a
+read-only file advertises ``writable = False`` so the buffer manager
+skips dirty tracking entirely.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 from pathlib import Path
 
@@ -36,9 +30,6 @@ __all__ = [
     "PageFile",
     "InMemoryPageFile",
     "DiskPageFile",
-    "MmapPageFile",
-    "BACKENDS",
-    "open_pagefile",
 ]
 
 PAGE_SIZE_DEFAULT = 4096
@@ -47,9 +38,9 @@ PAGE_SIZE_DEFAULT = 4096
 class PageFile:
     """Abstract fixed-size page store."""
 
-    #: Whether the backend accepts ``allocate``/``write``.  Read-only
-    #: backends (mmap) advertise ``False`` and the buffer manager then
-    #: skips all dirty tracking.
+    #: Whether the store accepts ``allocate``/``write``.  A read-only
+    #: store advertises ``False`` and the buffer manager then skips all
+    #: dirty tracking.
     writable = True
 
     def __init__(self, page_size: int = PAGE_SIZE_DEFAULT, stats: IOStats | None = None):
@@ -64,8 +55,7 @@ class PageFile:
         raise NotImplementedError
 
     def read(self, page_id: int) -> bytes:
-        """Fetch the raw bytes of a page (exactly ``page_size`` long;
-        may be a ``memoryview`` on zero-copy backends)."""
+        """Fetch the raw bytes of a page (exactly ``page_size`` long)."""
         raise NotImplementedError
 
     def write(self, page_id: int, data: bytes) -> None:
@@ -75,10 +65,10 @@ class PageFile:
 
     def flush(self, fsync: bool = False) -> None:
         """Push buffered writes down; with ``fsync=True`` force them to
-        stable storage.  No-op on backends with nothing to sync."""
+        stable storage.  No-op on stores with nothing to sync."""
 
     def close(self) -> None:
-        """Release backend resources (durably, for disk files)."""
+        """Release the store's resources (durably, for written files)."""
 
     @property
     def num_pages(self) -> int:
@@ -108,7 +98,7 @@ class PageFile:
 
 
 class InMemoryPageFile(PageFile):
-    """Page store backed by a Python list (the default backend)."""
+    """Page store backed by a Python list (where indexes are built)."""
 
     def __init__(self, page_size: int = PAGE_SIZE_DEFAULT, stats: IOStats | None = None):
         super().__init__(page_size, stats)
@@ -144,96 +134,14 @@ class InMemoryPageFile(PageFile):
 
 
 class DiskPageFile(PageFile):
-    """Page store backed by a real file of fixed-size slots."""
+    """Page store backed by a real file of fixed-size slots.
 
-    def __init__(
-        self,
-        path: str | Path,
-        page_size: int = PAGE_SIZE_DEFAULT,
-        stats: IOStats | None = None,
-    ):
-        super().__init__(page_size, stats)
-        self._path = Path(path)
-        # "r+b" keeps existing content; create the file when absent.
-        mode = "r+b" if self._path.exists() else "w+b"
-        self._fh = open(self._path, mode)
-        self._fh.seek(0, os.SEEK_END)
-        size = self._fh.tell()
-        if size % page_size != 0:
-            raise StorageError(
-                f"{self._path}: size {size} is not a multiple of the "
-                f"page size {page_size}"
-            )
-        self._num_pages = size // page_size
-
-    def flush(self, fsync: bool = False) -> None:
-        """Drain Python's write buffer; with ``fsync=True`` also force
-        the kernel's to stable storage (a durability barrier)."""
-        self._fh.flush()
-        if fsync:
-            os.fsync(self._fh.fileno())
-            self.stats.fsyncs += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.registry.inc("storage.fsync")
-
-    def close(self) -> None:
-        """Durable close: every buffered write reaches stable storage
-        before the handle is released."""
-        if not self._fh.closed:
-            self.flush(fsync=True)
-            self._fh.close()
-
-    def allocate(self) -> int:
-        page_id = self._num_pages
-        self._fh.seek(page_id * self.page_size)
-        self._fh.write(b"\x00" * self.page_size)
-        # The zero-fill is a real page-sized write; count it so IOStats
-        # physical_writes matches what the kernel saw.
-        self.stats.physical_writes += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.registry.inc("storage.physical_writes")
-        self._num_pages += 1
-        return page_id
-
-    def read(self, page_id: int) -> bytes:
-        self._check(page_id)
-        self.stats.physical_reads += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.registry.inc("storage.physical_reads")
-        self._fh.seek(page_id * self.page_size)
-        data = self._fh.read(self.page_size)
-        if len(data) != self.page_size:
-            raise StorageError(f"{self._path}: short read on page {page_id}")
-        return data
-
-    def write(self, page_id: int, data: bytes) -> None:
-        self._check(page_id)
-        self.stats.physical_writes += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.registry.inc("storage.physical_writes")
-        self._fh.seek(page_id * self.page_size)
-        self._fh.write(self._pad(data))
-
-    @property
-    def num_pages(self) -> int:
-        return self._num_pages
-
-    def _check(self, page_id: int) -> None:
-        if not (0 <= page_id < self._num_pages):
-            raise StorageError(
-                f"page id {page_id} out of range [0, {self._num_pages})"
-            )
-
-
-class MmapPageFile(PageFile):
-    """Read-only page store serving zero-copy ``memoryview`` slices of
-    a memory-mapped file.
-
-    The serving backend: opening costs one ``mmap`` call regardless of
-    file size, the OS pages data in lazily (so cold starts touch only
-    what queries actually read) and the page cache is shared across
-    every process mapping the same index.  All mutation entry points
-    raise :class:`StorageError`.
+    ``DiskPageFile(path)`` opens an existing file **read-only**
+    (``writable`` is ``False``): every saved index is served this way,
+    so its buffer runs in read-only mode and closing it syncs nothing.
+    :meth:`create` starts a new, empty, writable file instead — what
+    ``save_index`` writes through.  Pages move with ``os.pread`` /
+    ``os.pwrite``: no shared file position, no Python-side buffer.
     """
 
     writable = False
@@ -246,53 +154,84 @@ class MmapPageFile(PageFile):
     ):
         super().__init__(page_size, stats)
         self._path = Path(path)
-        if not self._path.exists():
-            raise StorageError(f"{self._path}: no such page file to mmap")
-        self._fh = open(self._path, "rb")
-        size = os.fstat(self._fh.fileno()).st_size
+        try:
+            self._fh = open(
+                self._path, "w+b" if self.writable else "rb", buffering=0
+            )
+        except FileNotFoundError:
+            raise StorageError(f"{self._path}: no such page file") from None
+        self._fd = self._fh.fileno()
+        size = os.fstat(self._fd).st_size
         if size % page_size != 0:
+            self._fh.close()
             raise StorageError(
                 f"{self._path}: size {size} is not a multiple of the "
                 f"page size {page_size}"
             )
         self._num_pages = size // page_size
-        self._mm = (
-            mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-            if size
-            else None
-        )
-        self._view = memoryview(self._mm) if self._mm is not None else None
 
-    def allocate(self) -> int:
-        raise StorageError(f"{self._path}: mmap backend is read-only")
+    @classmethod
+    def create(
+        cls,
+        path: str | Path,
+        page_size: int = PAGE_SIZE_DEFAULT,
+        stats: IOStats | None = None,
+    ) -> "DiskPageFile":
+        """A new, empty, writable page file at ``path`` (an old file
+        there is truncated)."""
+        pagefile = cls.__new__(cls)
+        pagefile.writable = True
+        pagefile.__init__(path, page_size, stats)
+        return pagefile
 
-    def write(self, page_id: int, data: bytes) -> None:
-        raise StorageError(f"{self._path}: mmap backend is read-only")
-
-    def read(self, page_id: int):
-        self._check(page_id)
-        self.stats.mmap_reads += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.registry.inc("storage.mmap_reads")
-        start = page_id * self.page_size
-        return self._view[start : start + self.page_size]
+    def flush(self, fsync: bool = False) -> None:
+        """With ``fsync=True`` force written pages to stable storage (a
+        durability barrier); writes are unbuffered, so nothing else
+        waits."""
+        if fsync and self.writable:
+            os.fsync(self._fd)
+            self.stats.fsyncs += 1
+            if _obs.ACTIVE is not None:
+                _obs.ACTIVE.registry.inc("storage.fsync")
 
     def close(self) -> None:
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        if self._mm is not None:
-            try:
-                self._mm.close()
-            except BufferError:
-                # Zero-copy slices handed out by read() are still
-                # alive; dropping our reference lets the map unmap
-                # when the last slice is garbage-collected.  Safe for
-                # a read-only mapping.
-                pass
-            self._mm = None
+        """Release the handle; a writable file is fsynced first, so a
+        cleanly closed file never loses acknowledged writes."""
         if not self._fh.closed:
-            self._fh.close()
+            try:
+                self.flush(fsync=True)
+            finally:
+                self._fh.close()
+
+    def allocate(self) -> int:
+        page_id = self._num_pages
+        self._pwrite(page_id, b"\x00" * self.page_size)
+        self._num_pages += 1
+        return page_id
+
+    def read(self, page_id: int) -> bytes:
+        self._check(page_id)
+        self.stats.physical_reads += 1
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.registry.inc("storage.physical_reads")
+        data = os.pread(self._fd, self.page_size, page_id * self.page_size)
+        if len(data) != self.page_size:
+            raise StorageError(f"{self._path}: short read on page {page_id}")
+        return data
+
+    def write(self, page_id: int, data: bytes) -> None:
+        self._check(page_id)
+        self._pwrite(page_id, self._pad(data))
+
+    def _pwrite(self, page_id: int, data: bytes) -> None:
+        if not self.writable:
+            raise StorageError(f"{self._path}: page file is open read-only")
+        # The allocation zero-fill is a real page-sized write too;
+        # counting it keeps physical_writes equal to what the kernel saw.
+        self.stats.physical_writes += 1
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.registry.inc("storage.physical_writes")
+        os.pwrite(self._fd, data, page_id * self.page_size)
 
     @property
     def num_pages(self) -> int:
@@ -303,39 +242,3 @@ class MmapPageFile(PageFile):
             raise StorageError(
                 f"page id {page_id} out of range [0, {self._num_pages})"
             )
-
-
-#: Backend registry: the names the persistence layer, the engines and
-#: the CLI accept (``backend="mmap"`` etc.).
-BACKENDS: dict[str, type[PageFile]] = {
-    "memory": InMemoryPageFile,
-    "disk": DiskPageFile,
-    "mmap": MmapPageFile,
-}
-
-
-def open_pagefile(
-    backend: str,
-    path: str | Path | None = None,
-    page_size: int = PAGE_SIZE_DEFAULT,
-    stats: IOStats | None = None,
-) -> PageFile:
-    """Instantiate a backend by registry name.
-
-    ``path`` is required for the file-backed backends and rejected for
-    ``"memory"`` (mismatches are configuration bugs worth failing on).
-    """
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise StorageError(
-            f"unknown storage backend {backend!r}; expected one of "
-            f"{sorted(BACKENDS)}"
-        ) from None
-    if backend == "memory":
-        if path is not None:
-            raise StorageError("the memory backend takes no path")
-        return cls(page_size=page_size, stats=stats)
-    if path is None:
-        raise StorageError(f"the {backend} backend needs a path")
-    return cls(path, page_size=page_size, stats=stats)

@@ -6,10 +6,8 @@ space; these counters make both observable.  A single
 manager so a search can snapshot/diff it.
 
 Beyond the seed's six page-traffic counters, the durable storage
-engine adds three: ``fsyncs`` (explicit durability barriers issued by
-:meth:`~repro.storage.pagefile.DiskPageFile.flush`), ``mmap_reads``
-(zero-copy page serves from a
-:class:`~repro.storage.pagefile.MmapPageFile`), and
+engine adds two: ``fsyncs`` (explicit durability barriers issued by
+:meth:`~repro.storage.pagefile.DiskPageFile.flush`) and
 ``checksum_failures`` (framed pages rejected by read-time
 verification — see ``repro.storage.format``).
 """
@@ -32,7 +30,6 @@ class IOStats:
     buffer_misses: int = 0
     evictions: int = 0
     fsyncs: int = 0
-    mmap_reads: int = 0
     checksum_failures: int = 0
 
     def snapshot(self) -> "IOStats":

@@ -77,7 +77,7 @@ class TestStarvedBuffer:
 class TestDiskBackedIndex:
     def test_build_and_query_directly_on_disk(self, tiny_dataset, tmp_path):
         """The whole lifecycle on a real file, no in-memory stage."""
-        pagefile = DiskPageFile(tmp_path / "native.pages")
+        pagefile = DiskPageFile.create(tmp_path / "native.pages")
         index = RTree3D(pagefile=pagefile)
         index.bulk_insert(tiny_dataset)
         index.finalize()

@@ -649,9 +649,7 @@ class TestByteIdentity:
             assert match_keys(on) == match_keys(off)
             assert s_on.signature_checks > 0
 
-    @pytest.mark.parametrize(
-        "partitioner", ["round_robin", "hash", "spatial", "temporal"]
-    )
+    @pytest.mark.parametrize("partitioner", ["hash", "temporal"])
     def test_sharded(self, dataset, partitioner, tmp_path):
         from repro.sharding import (
             ShardedDataset,
@@ -712,7 +710,6 @@ class TestByteIdentity:
             engine = ShardedQueryEngine.open(
                 tmp_path / mode,
                 config=EngineConfig(executor=executor),
-                backend="mmap",
             )
             try:
                 result = engine.execute(

@@ -108,9 +108,7 @@ def test_random_interleavings_single_store(tmp_path, tree, kernels):
 # ----------------------------------------------------------------------
 # multi-store fleet, one store per partition
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "partitioner", ["round_robin", "hash", "spatial", "temporal"]
-)
+@pytest.mark.parametrize("partitioner", ["hash", "temporal"])
 def test_random_interleavings_partitioned_fleet(tmp_path, partitioner):
     dataset = generate_gstd(12, samples_per_object=14, seed=31)
     num_shards = 3

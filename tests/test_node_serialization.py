@@ -160,8 +160,8 @@ class TestNodeSerialisation:
                 Node.from_bytes(0, bytes(bad))
 
     def test_from_bytes_accepts_memoryview(self):
-        """The mmap backend serves memoryview slices; parsing must not
-        require a bytes copy."""
+        """Parsing takes a memoryview slice without requiring a bytes
+        copy."""
         node = Node(3, 0, entries=[leaf_entry(i) for i in range(4)])
         padded = node.to_bytes(4096).ljust(4096, b"\x00")
         back = Node.from_bytes(3, memoryview(padded))

@@ -78,7 +78,6 @@ def sharded_engine(shards_dir, executor):
     return ShardedQueryEngine.open(
         shards_dir,
         config=EngineConfig(executor=executor, max_workers=2),
-        backend="mmap",
     )
 
 

@@ -1,7 +1,8 @@
 """Round-trip tests for index persistence (save/load on disk) — single
 page files and sharded manifest directories, the v2 durability
 guarantees (atomic commit, truncation detection, digest verification),
-backend identity (disk vs mmap) and the v1 migration path."""
+built-vs-loaded answer identity, read-only loading and the v1
+migration path."""
 
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 from repro import (
     TREES,
     IngestStore,
+    QueryEngine,
+    QuerySpec,
     RTree3D,
     TBTree,
     Trajectory,
@@ -22,6 +25,7 @@ from repro import (
 )
 from repro.cli import main as cli_main
 from repro.datagen import make_query
+from repro.engine import ShardedQueryEngine
 from repro.experiments import build_index
 from repro.exceptions import IndexError_, StorageError
 from repro.index import fsck, fsck_index
@@ -371,76 +375,164 @@ class TestDurability:
         with pytest.raises(StorageError, match="digest"):
             load_index(path, verify=True)
 
-    def test_unknown_backend_rejected(self, dataset, tmp_path):
-        _, path, _ = _saved_index(dataset, tmp_path)
-        with pytest.raises(StorageError, match="backend"):
-            load_index(path, backend="tape")
-
 
 # ----------------------------------------------------------------------
-# backend identity — ISSUE acceptance: k-MST answers byte-identical on
-# memory/disk/mmap for both trees, across all four partitioners
+# built vs loaded: the saved-then-loaded index answers exactly as the
+# in-memory one it was saved from, for both trees and both partitioners
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls", [RTree3D, TBTree])
-class TestBackendIdentity:
-    def test_single_index_identical_on_all_backends(
-        self, cls, dataset, tmp_path
-    ):
-        index, path, _ = _saved_index(dataset, tmp_path, cls=cls)
-        disk = load_index(path, backend="disk")
-        mm = load_index(path, backend="mmap")
-        try:
-            rng = random.Random(7)
-            for _ in range(3):
-                query, period = make_query(dataset, 0.2, rng)
-                answers = []
-                for idx in (index, disk, mm):
-                    matches = bfmst_search(idx, None, query, period=period, k=5).matches
-                    answers.append(
-                        [
-                            (m.trajectory_id, m.dissim, m.error_bound, m.exact)
-                            for m in matches
-                        ]
-                    )
-                assert answers[0] == answers[1] == answers[2]
-            assert mm.pagefile.stats.mmap_reads > 0
-            assert mm.pagefile.stats.physical_reads == 0
-        finally:
-            disk.pagefile.close()
-            mm.pagefile.close()
-
-    @pytest.mark.parametrize(
-        "part", ["round_robin", "hash", "spatial", "temporal"]
-    )
-    def test_sharded_identical_on_all_backends(
-        self, cls, part, dataset, tmp_path
-    ):
-        sharded_ds = ShardedDataset.partition(
-            dataset, make_partitioner(part, 3)
+def _answers(engine, dataset, seed, n):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        query, period = make_query(dataset, 0.2, rng)
+        out.append(
+            engine.execute(QuerySpec("mst", query, period, k=5)).answer_json()
         )
-        index = build_sharded_index(sharded_ds, cls, page_size=1024)
+    return out
+
+
+@pytest.mark.parametrize("cls", [RTree3D, TBTree])
+class TestBuiltVsLoadedIdentity:
+    def test_single_index_loaded_equals_built(self, cls, dataset, tmp_path):
+        index = cls()
+        index.bulk_insert(dataset)
+        index.finalize()
+        path = tmp_path / "index.pages"
+        save_index(index, path, signatures=True)
+        with QueryEngine(index) as built:
+            want = _answers(built, dataset, 7, 3)
+        with QueryEngine.open(path) as loaded:
+            try:
+                assert _answers(loaded, dataset, 7, 3) == want
+                assert loaded.index.pagefile.stats.physical_reads > 0
+            finally:
+                loaded.index.pagefile.close()
+
+    @pytest.mark.parametrize("part", ["hash", "temporal"])
+    def test_sharded_loaded_equals_built(self, cls, part, dataset, tmp_path):
+        index = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner(part, 3)),
+            cls,
+            page_size=1024,
+        )
         directory = tmp_path / "shards"
-        save_sharded_index(index, directory)
-        disk = load_sharded_index(directory, backend="disk")
-        mm = load_sharded_index(directory, backend="mmap", verify=True)
-        try:
-            rng = random.Random(13)
-            for _ in range(2):
-                query, period = make_query(dataset, 0.2, rng)
-                answers = []
-                for idx in (index, disk, mm):
-                    result = bfmst_search(idx, None, query, period=period, k=5)
-                    answers.append(
-                        [
-                            (m.trajectory_id, m.dissim, m.error_bound, m.exact)
-                            for m in result.matches
-                        ]
-                    )
-                assert answers[0] == answers[1] == answers[2]
-        finally:
-            index.close()
-            disk.close()
-            mm.close()
+        save_sharded_index(index, directory, signatures=True)
+        with ShardedQueryEngine(index) as built:
+            want = _answers(built, dataset, 13, 2)
+        with ShardedQueryEngine.open(directory, verify=True) as loaded:
+            try:
+                assert _answers(loaded, dataset, 13, 2) == want
+            finally:
+                loaded.index.close()
+
+
+# ----------------------------------------------------------------------
+# every door that opens a saved index opens it read-only
+# ----------------------------------------------------------------------
+def _saved_files(dataset, tmp_path, door):
+    """The saved target a door opens, and its index/shard/generation
+    files (pages, ``.meta.json``, ``.sig``)."""
+    if door in ("load_sharded_index", "ShardedQueryEngine.open"):
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 2)),
+            RTree3D,
+        )
+        target = tmp_path / "shards"
+        save_sharded_index(sharded, target, signatures=True)
+        return target, sorted(target.iterdir())
+    if door == "IngestStore":
+        target = tmp_path / "store"
+        with IngestStore.create(target) as store:
+            store.extend(
+                sorted(
+                    ((tr.object_id, p.x, p.y, p.t) for tr in dataset for p in tr),
+                    key=lambda e: e[3],
+                )
+            )
+            store.compact()
+        return target, sorted(target.glob("gen-*"))
+    target = tmp_path / "index.pages"
+    index = RTree3D()
+    index.bulk_insert(dataset)
+    save_index(index, target, signatures=True)
+    return target, sorted(tmp_path.glob("index.pages*"))
+
+
+def _open_door(door, target):
+    """``(indexes, search, close)`` for one way of opening ``target``."""
+    if door == "load_index":
+        index = load_index(target)
+        return (
+            [index],
+            lambda q, p: bfmst_search(index, None, q, period=p, k=3),
+            index.pagefile.close,
+        )
+    if door == "load_sharded_index":
+        sharded = load_sharded_index(target)
+        return (
+            sharded.shards,
+            lambda q, p: bfmst_search(sharded, None, q, period=p, k=3),
+            sharded.close,
+        )
+    if door == "IngestStore":
+        store = IngestStore.open(target)
+        return (
+            [store._generation.index],
+            lambda q, p: store.kmst(q, p, k=3),
+            store.close,
+        )
+    opener = QueryEngine if door == "QueryEngine.open" else ShardedQueryEngine
+    engine = opener.open(target)
+    indexes = getattr(engine.index, "shards", [engine.index])
+
+    def close():
+        engine.close()
+        for index in indexes:
+            index.pagefile.close()
+
+    return (
+        indexes,
+        lambda q, p: engine.execute(QuerySpec("mst", q, p, k=3)),
+        close,
+    )
+
+
+@pytest.mark.parametrize(
+    "door",
+    [
+        "load_index",
+        "load_sharded_index",
+        "QueryEngine.open",
+        "ShardedQueryEngine.open",
+        "IngestStore",
+    ],
+)
+def test_saved_index_loads_read_only(door, dataset, tmp_path):
+    """A loaded index is read-only whatever opened it: the page file
+    refuses writes, the buffer is in read-only mode, and loading,
+    querying and closing issue no fsync.  The files are mode 0444, so
+    a non-root run also proves that nothing asks for write access."""
+    target, files = _saved_files(dataset, tmp_path, door)
+    for path in files:
+        path.chmod(0o444)
+    try:
+        indexes, search, close = _open_door(door, target)
+        query, period = make_query(dataset, 0.2, random.Random(5))
+        search(query, period)
+        close()
+        for index in indexes:
+            assert index.buffer.read_only is True
+            assert index.pagefile.writable is False
+            with pytest.raises(StorageError, match="read-only"):
+                index.pagefile.allocate()
+            with pytest.raises(StorageError, match="read-only"):
+                index.pagefile.write(0, b"x")
+            assert index.pagefile.stats.fsyncs == 0
+            assert index.pagefile.stats.physical_writes == 0
+        assert sum(ix.pagefile.stats.physical_reads for ix in indexes) > 0
+    finally:
+        for path in files:
+            path.chmod(0o644)
 
 
 # ----------------------------------------------------------------------
@@ -658,3 +750,38 @@ def test_retired_tree_kinds_are_refused_at_every_door(
     text = RETIRED_DOORS[door](kind, dataset, tmp_path, capsys)
     assert repr(kind) in text
     assert all(repr(name) in text for name in TREES)
+
+
+@pytest.mark.parametrize("kind", ["round_robin", "spatial"])
+def test_retired_partitioner_kinds_still_load(kind, dataset, tmp_path):
+    """The manifest's ``partitioner`` block is metadata a loaded
+    directory never rebuilds from: a directory written by a build that
+    still had the round-robin or spatial partitioner loads, passes
+    fsck and answers exactly as it did before the kind was rewritten."""
+    sharded = build_sharded_index(
+        ShardedDataset.partition(dataset, make_partitioner("temporal", 3)),
+        TBTree,
+        page_size=1024,
+    )
+    directory = tmp_path / "shards"
+    save_sharded_index(sharded, directory, signatures=True)
+    sharded.close()
+
+    def answers():
+        with ShardedQueryEngine.open(directory) as engine:
+            try:
+                return _answers(engine, dataset, 17, 3)
+            finally:
+                engine.index.close()
+
+    before = answers()
+    manifest = directory / MANIFEST_NAME
+    doc = json.loads(manifest.read_text())
+    doc["partitioner"]["kind"] = kind
+    manifest.write_text(json.dumps(doc, indent=2))
+
+    loaded = load_sharded_index(directory, verify=True)
+    assert loaded.partitioner_params["kind"] == kind
+    loaded.close()
+    assert fsck(directory).ok
+    assert answers() == before

@@ -3,7 +3,7 @@
 Covers the four contracts of the process-pool path:
 
 * **identity** — ``executor="process"`` answers are byte-identical to
-  ``executor="serial"`` across both trees × all four partitioners ×
+  ``executor="serial"`` across both trees × both partitioners ×
   k ∈ {1, 5, 10} (the answers travel as columnar
   :class:`~repro.engine.planner.ShardAnswer` buffers and merge through
   the same code path, so this is the acceptance property);
@@ -53,7 +53,7 @@ from repro.sharding import (
 
 from conftest import staggered_fleet, trajectories
 
-ALL_KINDS = ("round_robin", "hash", "spatial", "temporal")
+ALL_KINDS = ("hash", "temporal")
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +87,11 @@ class TestProcessExecutorIdentity:
         directory = tmp_path / "shards"
         _save_sharded(dataset, tree_cls, kind, directory)
         serial = ShardedQueryEngine.open(
-            directory, config=EngineConfig(executor="serial"), backend="mmap"
+            directory, config=EngineConfig(executor="serial")
         )
         proc = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         try:
             for query, period in workload:
@@ -112,7 +111,6 @@ class TestProcessExecutorIdentity:
         proc = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         query, period = workload[0]
         proc.execute(QuerySpec("mst", query, period, k=3))
@@ -139,7 +137,6 @@ class TestProcessExecutorIdentity:
         proc = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         query, period = workload[0]
         try:
@@ -160,12 +157,11 @@ class TestProcessExecutorIdentity:
         directory = tmp_path / "shards"
         _save_sharded(dataset, RTree3D, "hash", directory)
         serial = ShardedQueryEngine.open(
-            directory, config=EngineConfig(executor="serial"), backend="mmap"
+            directory, config=EngineConfig(executor="serial")
         )
         proc = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         query, period = workload[0]
         spec = QuerySpec("mst", query, period, k=3)
@@ -206,7 +202,6 @@ def _plan_for(query, **overrides) -> ShardPlan:
         signature=(12, 310, 4),
         vmax=3.5,
         deadline=1234.5,
-        backend="mmap",
     )
     fields.update(overrides)
     return ShardPlan(**fields)
@@ -309,7 +304,7 @@ class TestSerializationContract:
         directory = tmp_path / "shards"
         _save_sharded(dataset, RTree3D, "hash", directory)
         engine = ShardedQueryEngine.open(
-            directory, config=EngineConfig(executor="serial"), backend="mmap"
+            directory, config=EngineConfig(executor="serial")
         )
         try:
             stale = ShardAnswer(shard_id=0, signature=(0, 0, 0))
@@ -363,7 +358,6 @@ class TestDeadlinePropagation:
         engine = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         config = ServeConfig(port=0, workers=2, quota_rps=0.0)
         try:
@@ -389,7 +383,7 @@ class TestWorkerObsIsolation:
         directory = tmp_path / "shards"
         _save_sharded(dataset, RTree3D, "hash", directory)
         query = next(iter(dataset))
-        engine = ShardedQueryEngine.open(directory, backend="mmap")
+        engine = ShardedQueryEngine.open(directory)
         signature = engine.signature()[0]
         engine.close()
         plan = _plan_for(
@@ -417,12 +411,11 @@ class TestWorkerObsIsolation:
             QuerySpec("mst", q, p, k=3) for q, p in workloads
         ]
         serial = ShardedQueryEngine.open(
-            directory, config=EngineConfig(executor="serial"), backend="mmap"
+            directory, config=EngineConfig(executor="serial")
         )
         proc = ShardedQueryEngine.open(
             directory,
             config=EngineConfig(executor="process", max_workers=2),
-            backend="mmap",
         )
         try:
             want_batch = serial.run_batch(requests)

@@ -292,12 +292,11 @@ class TestPackedTreeStaysLive:
                 assert leaf.owner_id == tr.object_id
                 assert {e.trajectory_id for e in leaf.entries} == {tr.object_id}
 
-    @pytest.mark.parametrize("backend", ["disk", "mmap"])
-    def test_packed_tbtree_round_trip_keeps_chains(self, small_dataset, tmp_path, backend):
+    def test_packed_tbtree_round_trip_keeps_chains(self, small_dataset, tmp_path):
         index = packed(TBTree, small_dataset, page_size=512)
         index.finalize()
         save_index(index, tmp_path / "tb.pages", signatures=True)
-        loaded = load_index(tmp_path / "tb.pages", backend=backend, verify=True)
+        loaded = load_index(tmp_path / "tb.pages", verify=True)
         try:
             check_structure(loaded, min_fill=True)
             for tr in small_dataset:
@@ -397,7 +396,7 @@ def test_signatures_do_not_depend_on_how_the_tree_was_built(small_dataset, tmp_p
     unflushed = build_signatures(fresh)  # pages still dirty in the buffer
     fresh.finalize()
     save_index(fresh, tmp_path / "a.pages")
-    loaded = load_index(tmp_path / "a.pages", backend="mmap")
+    loaded = load_index(tmp_path / "a.pages")
     grown = inserted(cls, small_dataset, page_size=1024)
     try:
         stores = [unflushed, build_signatures(fresh), build_signatures(loaded),

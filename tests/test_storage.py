@@ -1,4 +1,4 @@
-"""Tests for the paged-storage layer: page files (memory, disk, mmap),
+"""Tests for the paged-storage layer: page files (memory, disk),
 the checksummed page format, the LRU buffer manager (including its
 read-only mode), and I/O accounting."""
 
@@ -9,14 +9,11 @@ import pytest
 from repro.exceptions import ChecksumError, PageOverflowError, StorageError
 from repro.storage import (
     PAGE_SIZE_DEFAULT,
-    BACKENDS,
     DiskPageFile,
     InMemoryPageFile,
     IOStats,
     LRUBufferManager,
-    MmapPageFile,
     frame_page,
-    open_pagefile,
     page_payload_capacity,
     unframe_page,
     verify_page,
@@ -96,7 +93,7 @@ class TestInMemoryPageFile:
 class TestDiskPageFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pages.bin"
-        with DiskPageFile(path, page_size=256) as pf:
+        with DiskPageFile.create(path, page_size=256) as pf:
             pid = pf.allocate()
             pf.write(pid, b"persisted")
         with DiskPageFile(path, page_size=256) as pf:
@@ -105,15 +102,61 @@ class TestDiskPageFile:
 
     def test_wrong_page_size_on_reopen_rejected(self, tmp_path):
         path = tmp_path / "pages.bin"
-        with DiskPageFile(path, page_size=256) as pf:
+        with DiskPageFile.create(path, page_size=256) as pf:
             pf.allocate()
         with pytest.raises(StorageError):
             DiskPageFile(path, page_size=100)
 
     def test_out_of_range(self, tmp_path):
-        with DiskPageFile(tmp_path / "p.bin", page_size=256) as pf:
+        with DiskPageFile.create(tmp_path / "p.bin", page_size=256) as pf:
             with pytest.raises(StorageError):
                 pf.read(0)
+
+    def test_reopened_file_is_read_only(self, tmp_path):
+        path = tmp_path / "pages.bin"
+        with DiskPageFile.create(path, page_size=256) as pf:
+            assert pf.writable is True
+            pf.write(pf.allocate(), b"x")
+        with DiskPageFile(path, page_size=256) as pf:
+            assert pf.writable is False
+            with pytest.raises(StorageError, match="read-only"):
+                pf.write(0, b"y")
+            with pytest.raises(StorageError, match="read-only"):
+                pf.allocate()
+            assert pf.num_pages == 1
+            assert pf.stats.physical_writes == 0
+        assert path.read_bytes().startswith(b"x")
+
+    def test_read_only_close_does_not_fsync(self, tmp_path):
+        path = tmp_path / "pages.bin"
+        with DiskPageFile.create(path, page_size=256) as pf:
+            pf.allocate()
+        pf = DiskPageFile(path, page_size=256)
+        pf.read(0)
+        pf.flush(fsync=True)
+        pf.close()
+        assert pf.stats.fsyncs == 0
+        assert pf.stats.physical_reads == 1
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(StorageError, match="no such page file"):
+            DiskPageFile(tmp_path / "nope.bin", page_size=256)
+        assert not (tmp_path / "nope.bin").exists()
+
+    def test_empty_file_ok(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with DiskPageFile(path, page_size=256) as pf:
+            assert pf.num_pages == 0
+            with pytest.raises(StorageError):
+                pf.read(0)
+
+    def test_create_truncates(self, tmp_path):
+        path = tmp_path / "pages.bin"
+        path.write_bytes(b"\x01" * 512)
+        with DiskPageFile.create(path, page_size=256) as pf:
+            assert pf.num_pages == 0
+        assert path.stat().st_size == 0
 
 
 class TestLRUBufferManager:
@@ -333,13 +376,13 @@ class TestPageFormat:
 
 class TestDiskDurability:
     def test_allocate_counts_physical_write(self, tmp_path):
-        with DiskPageFile(tmp_path / "p.bin", page_size=256) as pf:
+        with DiskPageFile.create(tmp_path / "p.bin", page_size=256) as pf:
             pf.allocate()
             pf.allocate()
             assert pf.stats.physical_writes == 2
 
     def test_flush_fsync_counted(self, tmp_path):
-        with DiskPageFile(tmp_path / "p.bin", page_size=256) as pf:
+        with DiskPageFile.create(tmp_path / "p.bin", page_size=256) as pf:
             pid = pf.allocate()
             pf.write(pid, b"x")
             pf.flush()
@@ -351,7 +394,7 @@ class TestDiskDurability:
         """The close() durability regression: data written but never
         explicitly flushed must survive the close."""
         path = tmp_path / "p.bin"
-        pf = DiskPageFile(path, page_size=256)
+        pf = DiskPageFile.create(path, page_size=256)
         pid = pf.allocate()
         pf.write(pid, b"must survive close")
         pf.close()  # no flush() call before this
@@ -360,116 +403,23 @@ class TestDiskDurability:
             assert back.read(pid).startswith(b"must survive close")
 
     def test_close_is_idempotent(self, tmp_path):
-        pf = DiskPageFile(tmp_path / "p.bin", page_size=256)
+        pf = DiskPageFile.create(tmp_path / "p.bin", page_size=256)
         pf.close()
         pf.close()  # must not raise on the closed handle
-
-
-class TestMmapPageFile:
-    @staticmethod
-    def make_file(tmp_path, pages=3, page_size=256):
-        path = tmp_path / "pages.bin"
-        with DiskPageFile(path, page_size=page_size) as pf:
-            for i in range(pages):
-                pf.allocate()
-                pf.write(i, bytes([i + 1]) * 16)
-        return path
-
-    def test_reads_match_disk(self, tmp_path):
-        path = self.make_file(tmp_path)
-        with MmapPageFile(path, page_size=256) as mm:
-            assert mm.num_pages == 3
-            for i in range(3):
-                assert bytes(mm.read(i)) == bytes([i + 1]) * 16 + b"\x00" * 240
-
-    def test_read_returns_zero_copy_memoryview(self, tmp_path):
-        path = self.make_file(tmp_path)
-        with MmapPageFile(path, page_size=256) as mm:
-            page = mm.read(0)
-            assert isinstance(page, memoryview)
-            assert len(page) == 256
-
-    def test_counts_mmap_reads_not_physical(self, tmp_path):
-        path = self.make_file(tmp_path)
-        with MmapPageFile(path, page_size=256) as mm:
-            mm.read(0)
-            mm.read(1)
-            assert mm.stats.mmap_reads == 2
-            assert mm.stats.physical_reads == 0
-
-    def test_writes_rejected(self, tmp_path):
-        path = self.make_file(tmp_path)
-        with MmapPageFile(path, page_size=256) as mm:
-            assert mm.writable is False
-            with pytest.raises(StorageError):
-                mm.write(0, b"x")
-            with pytest.raises(StorageError):
-                mm.allocate()
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            MmapPageFile(tmp_path / "nope.bin", page_size=256)
-
-    def test_size_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "odd.bin"
-        path.write_bytes(b"\x00" * 300)  # not a multiple of 256
-        with pytest.raises(StorageError):
-            MmapPageFile(path, page_size=256)
-
-    def test_empty_file_ok(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        path.write_bytes(b"")
-        with MmapPageFile(path, page_size=256) as mm:
-            assert mm.num_pages == 0
-            with pytest.raises(StorageError):
-                mm.read(0)
-
-    def test_out_of_range(self, tmp_path):
-        path = self.make_file(tmp_path)
-        with MmapPageFile(path, page_size=256) as mm:
-            with pytest.raises(StorageError):
-                mm.read(3)
-
-
-class TestBackendRegistry:
-    def test_names(self):
-        assert set(BACKENDS) == {"memory", "disk", "mmap"}
-
-    def test_open_memory(self):
-        pf = open_pagefile("memory", page_size=256)
-        assert isinstance(pf, InMemoryPageFile)
-
-    def test_open_disk_and_mmap(self, tmp_path):
-        path = tmp_path / "p.bin"
-        with open_pagefile("disk", path, page_size=256) as pf:
-            assert isinstance(pf, DiskPageFile)
-            pf.allocate()
-        with open_pagefile("mmap", path, page_size=256) as pf:
-            assert isinstance(pf, MmapPageFile)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            open_pagefile("floppy")
-
-    def test_path_rules(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_pagefile("memory", tmp_path / "p.bin")
-        with pytest.raises(StorageError):
-            open_pagefile("disk")
 
 
 class TestBufferReadOnlyMode:
     @staticmethod
     def make(tmp_path, capacity=2):
         path = tmp_path / "pages.bin"
-        with DiskPageFile(path, page_size=256) as pf:
+        with DiskPageFile.create(path, page_size=256) as pf:
             for i in range(4):
                 pf.allocate()
                 pf.write(i, bytes([i + 1]) * 4)
-        mm = MmapPageFile(path, page_size=256)
+        mm = DiskPageFile(path, page_size=256)
         return mm, LRUBufferManager(mm, capacity=capacity)
 
-    def test_read_only_flag_follows_backend(self, tmp_path):
+    def test_read_only_flag_follows_pagefile(self, tmp_path):
         mm, buf = self.make(tmp_path)
         assert buf.read_only is True
         rw = LRUBufferManager(InMemoryPageFile(page_size=256), capacity=2)
