@@ -1,12 +1,12 @@
 """Building per-trajectory signatures from a finished index.
 
-The builder walks the tree's pages once, reconstructs each trajectory's
-sample sequence from its leaf segments, and distils one thing per object: a
-TD-TR-simplified polyline (knots) with a certified radius per kept
-segment — the maximum Synchronized Euclidean Distance of the dropped
-samples, so the true position at time ``t`` is always within ``radius``
-of the simplified position at ``t``.  A signature is a few hundred
-bytes.
+The builder reads each trajectory's sample sequence back from the
+tree's leaf segments (one walk over the pages) and distils one thing
+per object: a TD-TR-simplified polyline (knots) with a certified
+radius per kept segment — the maximum Synchronized Euclidean Distance
+of the dropped samples, so the true position at time ``t`` is always
+within ``radius`` of the simplified position at ``t``.  A signature is
+a few hundred bytes.
 
 The builder also records, per leaf page, the distinct trajectory ids
 stored on it, so the search can skip reading a leaf whose candidates
@@ -21,8 +21,7 @@ from bisect import bisect_right
 
 from ..compression.tdtr import td_tr_columns
 from ..exceptions import IndexError_
-from ..index.node import payload_rows
-from ..storage.format import unframe_page
+from ..index.traversal import leaf_points
 
 __all__ = ["TrajectorySignatures", "build_signatures"]
 
@@ -154,49 +153,23 @@ def build_signatures(
 ) -> TrajectorySignatures:
     """Build signatures for every trajectory of a finished index.
 
-    Walks the tree's pages once, reading each as rows of numbers
-    (:func:`repro.index.node.payload_rows` — no node, entry or point
-    objects): leaf segments are regrouped per object (their endpoints
-    reconstruct the original sample sequence exactly — both endpoints
-    of every segment are original samples) and TD-TR-simplified with
-    certified radii.  Works the same on a tree built a moment ago and
-    on one loaded from disk; nodes still dirty in the buffer are
-    written to their pages first.
+    Reads each trajectory's samples back from the tree's leaves
+    (:func:`repro.index.leaf_points` — one walk over the pages) and
+    TD-TR-simplifies them with certified radii.  Works the same on a
+    tree built a moment ago and on one loaded from disk.
     """
     if getattr(index, "num_entries", 0) <= 0:
         raise IndexError_("cannot build signatures for an empty index")
 
-    index.buffer.flush(index._serializer)
-    samples: dict[int, dict[float, tuple[float, float]]] = {}
-    page_tid_sets: dict[int, set[int]] = {}
-    stack = [index.root_page]
-    while stack:
-        page = stack.pop()
-        _kind, payload = unframe_page(index.pagefile.read(page), page)
-        level, rows = payload_rows(page, payload)
-        if level:
-            stack.extend(row[0] for row in rows)
-            continue
-        tid_set = page_tid_sets[page] = set()
-        for tid, x1, y1, t1, x2, y2, t2 in rows:
-            seq = samples.get(tid)
-            if seq is None:
-                seq = samples[tid] = {}
-            tid_set.add(tid)
-            seq[t1] = (x1, y1)
-            seq[t2] = (x2, y2)
-
-    tids = array("q", sorted(samples))
+    points, page_tid_sets = leaf_points(index)
+    tids = array("q", sorted(points))
     knot_offsets = array("q", [0])
     knot_t = array("d")
     knot_x = array("d")
     knot_y = array("d")
     radii = array("d")
     for tid in tids:
-        seq = samples[tid]
-        t = sorted(seq)
-        x = [seq[ti][0] for ti in t]
-        y = [seq[ti][1] for ti in t]
+        x, y, t = zip(*points[tid])
         length = sum(
             math.hypot(x0 - x1, y0 - y1)
             for x0, y0, x1, y1 in zip(x, y, x[1:], y[1:])

@@ -10,7 +10,7 @@ from .node import NO_PAGE, NODE_OVERHEAD_BYTES, Node, node_capacity
 from .persistence import load_index, save_index
 from .rtree3d import RTree3D
 from .tbtree import TBTree
-from .traversal import best_first_nodes
+from .traversal import best_first_nodes, leaf_points
 
 __all__ = [
     "TrajectoryIndex",
@@ -30,6 +30,7 @@ __all__ = [
     "mindist_batch",
     "mindist_batch_python",
     "best_first_nodes",
+    "leaf_points",
     "save_index",
     "load_index",
     "fsck",

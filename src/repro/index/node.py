@@ -407,8 +407,8 @@ def payload_rows(page_id: int, data) -> tuple[int, list[tuple]]:
     y1, t1, x2, y2, t2)``, one per segment in page order; an internal
     node's are ``(child_page, xmin, ymin, tmin, xmax, ymax, tmax)``.
     :meth:`Node.from_payload` caches a leaf's rows as they come from
-    here; readers that want the numbers of many pages and no node (the
-    signature builder) call it directly.
+    here; readers that want the numbers of many pages and no node
+    (:func:`~repro.index.traversal.leaf_points`) call it directly.
     """
     _kind, level, _owner, _prev, _next, rows = _decode(page_id, data)
     return level, rows

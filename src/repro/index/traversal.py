@@ -10,6 +10,9 @@ the trace: nodes dequeued/enqueued, MINDIST evaluations per child
 level, and the priority queue's high-water mark (recorded even when
 the consumer abandons the generator early, e.g. on Heuristic 2
 termination).
+
+:func:`leaf_points` is the other walk: every page once, in no order,
+reading the trajectories back out of the leaves.
 """
 
 from __future__ import annotations
@@ -18,13 +21,61 @@ import heapq
 from typing import Iterator
 
 from ..obs import state as _obs
+from ..storage.format import unframe_page
 from ..trajectory import Trajectory
 from ..trajectory.columns import have_numpy
 from .base import TrajectoryIndex
 from .mindist import mindist_batch, mindist_batch_python
-from .node import NO_PAGE, Node
+from .node import NO_PAGE, Node, payload_rows
 
-__all__ = ["best_first_nodes"]
+__all__ = ["best_first_nodes", "leaf_points"]
+
+
+def leaf_points(
+    index: TrajectoryIndex,
+) -> tuple[dict[int, list[tuple[float, float, float]]], dict[int, set[int]]]:
+    """Every trajectory's samples, read back from the index's leaves.
+
+    Walks the tree's pages once, reading each as rows of numbers
+    (:func:`~repro.index.node.payload_rows` — no node, entry or point
+    objects), and regroups the leaf segments per object.  Both
+    endpoints of every segment are original samples stored as exact
+    doubles, so the samples come back float for float as they were
+    inserted.  Returns ``(points, leaf_tids)``: ``points`` maps each
+    trajectory id to its ``(x, y, t)`` samples in time order,
+    ``leaf_tids`` each leaf page to the ids stored on it.
+
+    Works the same on a tree built a moment ago (nodes still dirty in
+    the buffer are written to their pages first) and on one loaded
+    from disk, where every page read is verified: a damaged page raises
+    :class:`~repro.exceptions.StorageError`.
+    """
+    if index.root_page == NO_PAGE:
+        return {}, {}
+    index.buffer.flush(index._serializer)
+    samples: dict[int, dict[float, tuple[float, float, float]]] = {}
+    leaf_tids: dict[int, set[int]] = {}
+    stack = [index.root_page]
+    while stack:
+        page = stack.pop()
+        _kind, payload = unframe_page(index.pagefile.read(page), page)
+        level, rows = payload_rows(page, payload)
+        if level:
+            stack.extend(row[0] for row in rows)
+            continue
+        tids = leaf_tids[page] = set()
+        for tid, x1, y1, t1, x2, y2, t2 in rows:
+            seq = samples.get(tid)
+            if seq is None:
+                seq = samples[tid] = {}
+            tids.add(tid)
+            seq[t1] = (x1, y1, t1)
+            seq[t2] = (x2, y2, t2)
+    points = {}
+    while samples:  # free each object's map as its list is made
+        tid, seq = samples.popitem()
+        points[tid] = [seq[t] for t in sorted(seq)]
+    return points, leaf_tids
 
 
 def best_first_nodes(

@@ -7,7 +7,7 @@ An :class:`IngestStore` owns one directory::
       wal-000001.log           <- the active write-ahead log
       gen-000003.pages         <- current generation's index (v2 pages)
       gen-000003.pages.meta.json
-      gen-000003.data.json     <- point history snapshot at compaction
+      gen-000003.pages.sig     <- its signature sidecar
 
 Write path: :meth:`IngestStore.append` validates the point (integer
 id, finite coordinates, strictly increasing time per object), frames
@@ -19,13 +19,16 @@ throughput).
 Compaction (:meth:`compact`) freezes the current state into the next
 *generation*: a full index over every object's complete history, saved
 with the crash-safe ``save_index`` protocol and served read-only
-through ``load_index``, plus a JSON snapshot of the raw point
-history.  The manifest rewrite is the commit point; the WAL is
-rotated to a fresh file just before it and the superseded one deleted
-just after, so a crash at *any* instant recovers to either the old
-generation + full WAL or the new generation + empty WAL — the same
-logical state.  Superseded generation files are removed once no
-reader pins them.
+through ``load_index``.  The generation's pages are the only on-disk
+copy of the history it covers: opening the store reads every object's
+points back from the leaves (:func:`repro.index.leaf_points`).  An
+object with a single point has no segment to index, so compaction
+carries its point into the next WAL.  The manifest rewrite is the
+commit point; the WAL is rotated to a fresh file just before it and
+the superseded one deleted just after, so a crash at *any* instant
+recovers to either the old generation + full WAL or the new
+generation + the carried points — the same logical state.
+Superseded generation files are removed once no reader pins them.
 
 Query path: :meth:`view` pins the current generation (refcounted — a
 racing compaction retires but never invalidates it) and snapshots the
@@ -44,7 +47,7 @@ import threading
 from pathlib import Path
 
 from ..exceptions import StorageError, TrajectoryError
-from ..index import load_index, save_index, tree_class
+from ..index import leaf_points, load_index, save_index, tree_class
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search.bfmst import bfmst_search
@@ -56,7 +59,9 @@ from .wal import WriteAheadLog, recover_wal
 __all__ = ["Generation", "IngestStore", "LiveView", "merged_kmst"]
 
 MANIFEST_NAME = "MANIFEST.json"
-_MANIFEST_FORMAT = 1
+#: 2: a generation's points live in its pages only (format 1 stores
+#: kept a JSON copy beside them and are refused).
+_MANIFEST_FORMAT = 2
 
 #: The object ids a WAL record can carry (it packs them as int64).
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -80,13 +85,17 @@ class _Recorder:
 class Generation:
     """One published, immutable index generation (refcounted)."""
 
-    def __init__(self, number: int, index, pages_path: Path, data_path: Path) -> None:
+    def __init__(self, number: int, index, pages_path: Path) -> None:
         self.number = number
         self.index = index
         self.pages_path = pages_path
-        self.data_path = data_path
         self.refcount = 0
         self.retired = False
+
+    def close(self) -> None:
+        if self.index.signatures is not None:
+            self.index.signatures.close()
+        self.index.pagefile.close()
 
 
 def merged_kmst(
@@ -175,7 +184,6 @@ class IngestStore:
 
         #: authoritative in-memory history: object id -> [(x, y, t), ...]
         self._history: dict[int, list[tuple[float, float, float]]] = {}
-        self._last_t: dict[int, float] = {}
         self.num_points = 0
         self._generation: Generation | None = None
 
@@ -258,8 +266,9 @@ class IngestStore:
             ) from exc
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise StorageError(
-                f"{manifest_path}: unsupported store format "
-                f"{manifest.get('format')!r}"
+                f"{manifest_path}: store format {manifest.get('format')!r}, "
+                f"this build reads store format {_MANIFEST_FORMAT}; create "
+                f"a new store and feed the points again"
             )
         self.tree = manifest.get("tree")
         tree_class(self.tree, manifest_path)
@@ -272,9 +281,11 @@ class IngestStore:
 
         if gen_number >= 0:
             self._generation = self._load_generation(gen_number)
-            self._history = self._read_history(self._generation.data_path)
-            for oid, pts in self._history.items():
-                self._last_t[oid] = pts[-1][2]
+            try:
+                self._history, _ = leaf_points(self._generation.index)
+            except StorageError:
+                self._generation.close()
+                raise
             self.num_points = sum(len(pts) for pts in self._history.values())
 
         self._memtable = Memtable(self.page_size, registry=self._rec)
@@ -283,11 +294,11 @@ class IngestStore:
             raise StorageError(f"missing WAL file {wal_path}")
         records = recover_wal(wal_path, registry=self._rec)
         for i, rec in enumerate(records):
-            last = self._last_t.get(rec.object_id)
-            if last is not None and rec.t <= last:
+            history = self._history.get(rec.object_id)
+            if history and rec.t <= history[-1][2]:
                 raise StorageError(
                     f"{wal_path}: record {i} regresses time for object "
-                    f"{rec.object_id} ({rec.t} after {last})"
+                    f"{rec.object_id} ({rec.t} after {history[-1][2]})"
                 )
             self._apply(rec.object_id, rec.x, rec.y, rec.t)
         if records:
@@ -301,9 +312,7 @@ class IngestStore:
             self._closed = True
             self._wal.close()
             if self._generation is not None:
-                if self._generation.index.signatures is not None:
-                    self._generation.index.signatures.close()
-                self._generation.index.pagefile.close()
+                self._generation.close()
 
     def __enter__(self) -> "IngestStore":
         return self
@@ -318,11 +327,8 @@ class IngestStore:
     def _wal_name(seq: int) -> str:
         return f"wal-{seq:06d}.log"
 
-    def _gen_paths(self, number: int) -> tuple[Path, Path]:
-        return (
-            self.directory / f"gen-{number:06d}.pages",
-            self.directory / f"gen-{number:06d}.data.json",
-        )
+    def _gen_path(self, number: int) -> Path:
+        return self.directory / f"gen-{number:06d}.pages"
 
     def _write_manifest(self, manifest: dict) -> None:
         atomic_write_bytes(
@@ -348,15 +354,8 @@ class IngestStore:
         manifest's, and stray temporaries."""
         keep = {wal_name}
         if gen_number >= 0:
-            pages, data = self._gen_paths(gen_number)
-            keep.update(
-                {
-                    pages.name,
-                    pages.name + ".meta.json",
-                    pages.name + ".sig",
-                    data.name,
-                }
-            )
+            pages = self._gen_path(gen_number).name
+            keep.update({pages, pages + ".meta.json", pages + ".sig"})
         for path in self.directory.iterdir():
             name = path.name
             if name == MANIFEST_NAME or name in keep:
@@ -368,25 +367,10 @@ class IngestStore:
                 path.unlink(missing_ok=True)
 
     def _load_generation(self, number: int) -> Generation:
-        pages, data = self._gen_paths(number)
+        pages = self._gen_path(number)
         index = load_index(pages)
         index.buffer.enable_thread_safety()
-        return Generation(number, index, pages, data)
-
-    @staticmethod
-    def _read_history(data_path: Path) -> dict[int, list[tuple[float, float, float]]]:
-        try:
-            doc = json.loads(data_path.read_text())
-        except FileNotFoundError:
-            raise StorageError(f"missing generation data snapshot {data_path}")
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"{data_path}: corrupt data snapshot: {exc}"
-            ) from exc
-        return {
-            int(oid): [(float(x), float(y), float(t)) for x, y, t in pts]
-            for oid, pts in doc["objects"].items()
-        }
+        return Generation(number, index, pages)
 
     def _fault(self, site: str) -> None:
         if self._failpoints is not None:
@@ -415,11 +399,11 @@ class IngestStore:
                 raise TrajectoryError(
                     f"object {object_id}: non-finite point ({x}, {y}, {t})"
                 )
-            last = self._last_t.get(object_id)
-            if last is not None and t <= last:
+            history = self._history.get(object_id)
+            if history and t <= history[-1][2]:
                 raise TrajectoryError(
                     f"object {object_id}: timestamps must strictly increase "
-                    f"({t} after {last})"
+                    f"({t} after {history[-1][2]})"
                 )
             self._wal.append(object_id, x, y, t)
             if self.sync_every and self._wal.unsynced_appends >= self.sync_every:
@@ -449,7 +433,6 @@ class IngestStore:
     def _apply(self, object_id: int, x: float, y: float, t: float) -> None:
         history = self._history.setdefault(object_id, [])
         history.append((x, y, t))
-        self._last_t[object_id] = t
         self.num_points += 1
         if object_id in self._memtable:
             self._memtable.append(object_id, x, y, t)
@@ -490,28 +473,21 @@ class IngestStore:
         number = (
             0 if self._generation is None else self._generation.number + 1
         )
-        pages_path, data_path = self._gen_paths(number)
         self._fault("compact.begin")
 
         index = self._build_generation_index()
-        save_index(index, pages_path, signatures=True)
+        save_index(index, self._gen_path(number), signatures=True)
         self._fault("compact.pages_committed")
 
-        doc = {
-            "objects": {
-                str(oid): [list(p) for p in pts]
-                for oid, pts in sorted(self._history.items())
-            }
-        }
-        atomic_write_bytes(
-            data_path, json.dumps(doc).encode("ascii")
-        )
-        self._fault("compact.data_committed")
-
+        # The generation indexes segments, so an object with one point
+        # is not in it: its point goes on in the next WAL.
         old_wal_path = self._wal.path
         new_seq = self._wal_seq + 1
         new_wal_path = self.directory / self._wal_name(new_seq)
-        new_wal_path.touch()
+        with WriteAheadLog(new_wal_path) as carry:
+            for oid, pts in self._history.items():
+                if len(pts) == 1:
+                    carry.append(oid, *pts[0])
         fsync_directory(self.directory)
         self._fault("compact.wal_rotated")
 
@@ -553,9 +529,7 @@ class IngestStore:
             self._dispose(generation)
 
     def _dispose(self, generation: Generation) -> None:
-        if generation.index.signatures is not None:
-            generation.index.signatures.close()
-        generation.index.pagefile.close()
+        generation.close()
         generation.pages_path.unlink(missing_ok=True)
         generation.pages_path.with_name(
             generation.pages_path.name + ".meta.json"
@@ -563,7 +537,6 @@ class IngestStore:
         generation.pages_path.with_name(
             generation.pages_path.name + ".sig"
         ).unlink(missing_ok=True)
-        generation.data_path.unlink(missing_ok=True)
         self._rec.inc("ingest.generations_retired")
 
     def _unpin(self, generation: Generation) -> None:

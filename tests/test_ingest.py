@@ -351,6 +351,32 @@ class TestStoreQueries:
         with IngestStore.open(tmp_path / "s") as store:
             assert live_answers(store, query, period, 5) == want
 
+    @pytest.mark.parametrize("tree", ["tbtree", "rtree"])
+    def test_object_compacted_at_one_point_survives_reopen(
+        self, tmp_path, ingest_dataset, tree
+    ):
+        """A generation indexes segments, so an object holding a single
+        point at compaction is not in it: the point is carried into the
+        next WAL, and reopen reads back exactly the appended points."""
+        events = events_of(ingest_dataset)
+        half = len(events) // 2
+        lone = 10**6
+        appended = events[:half] + [(lone, 0.25, 0.75, 1.0)]
+        with IngestStore.create(tmp_path / "s", tree=tree) as store:
+            store.extend(appended)
+            store.compact()
+            assert store.info()["wal_bytes"] == WAL_RECORD_BYTES
+            appended += [(lone, 0.5, 0.5, 2.0)] + events[half:]
+            store.extend(appended[half + 1 :])
+
+        history = {}
+        for oid, x, y, t in appended:
+            history.setdefault(oid, []).append((x, y, t))
+        want = [Trajectory(oid, pts) for oid, pts in sorted(history.items())]
+        with IngestStore.open(tmp_path / "s") as store:
+            assert list(store.current_dataset()) == want
+            assert store.num_points == len(appended)
+
     def test_reopen_replays_wal_into_memtable(self, tmp_path, ingest_dataset):
         with IngestStore.create(tmp_path / "s") as store:
             feed(store, ingest_dataset)

@@ -11,6 +11,7 @@ never serves wrong answers.
 
 from __future__ import annotations
 
+import json
 import random
 import shutil
 
@@ -20,6 +21,7 @@ from repro import IngestStore, StorageError
 from repro.datagen import generate_gstd, make_query
 from repro.ingest import WAL_RECORD_BYTES
 from repro.search.api import bfmst_search
+from repro.storage.format import PAGE_HEADER_BYTES
 from repro.trajectory import Trajectory, TrajectoryDataset
 
 K = 4
@@ -214,7 +216,6 @@ class TestWalBitFlips:
 FAULT_SITES = [
     "compact.begin",
     "compact.pages_committed",
-    "compact.data_committed",
     "compact.wal_rotated",
     "compact.manifest_committed",
     "compact.done",
@@ -281,7 +282,7 @@ class TestCompactionCrash:
             store.compact()
         store.close()
 
-        # gen-1 pages/data and the rotated-to WAL exist but are
+        # gen-1's files and the rotated-to WAL exist but are
         # unreferenced (the scenario's own compaction used up wal-2)
         orphans = {p.name for p in target.glob("gen-000001*")}
         orphans |= {p.name for p in target.glob("wal-000003*")}
@@ -311,10 +312,39 @@ class TestCorruptMetadata:
         with pytest.raises(StorageError):
             IngestStore.open(target)
 
-    def test_corrupt_data_snapshot_raises(self, scenario, tmp_path):
+    def test_corrupt_generation_page_raises_at_open(self, scenario, tmp_path):
+        """The generation's pages are the only copy of its points, so
+        open reads every leaf back and a damaged one refuses."""
         root, *_ = scenario
-        target = _copy(root, tmp_path, "bad-data")
-        for p in target.glob("gen-*.data.json"):
-            p.write_bytes(b"\x00\x01\x02")
+        target = _copy(root, tmp_path, "bad-leaf")
+        (pages,) = target.glob("gen-*.pages")
+        with IngestStore.open(target) as store:
+            index = store._generation.index
+            leaf = next(
+                page
+                for page in range(index.pagefile.num_pages)
+                if index.read_node(page).is_leaf and page != index.root_page
+            )
+            page_size = index.page_size
+        blob = bytearray(pages.read_bytes())
+        blob[leaf * page_size + PAGE_HEADER_BYTES + 40] ^= 0x01
+        pages.write_bytes(bytes(blob))
         with pytest.raises(StorageError):
             IngestStore.open(target)
+
+    def test_format_1_store_is_refused_untouched(self, scenario, tmp_path):
+        """A store whose manifest says format 1 kept its points in a
+        JSON file beside the pages; open refuses it before deleting
+        anything, and says how to recover."""
+        root, *_ = scenario
+        target = _copy(root, tmp_path, "format-1")
+        manifest = json.loads((target / "MANIFEST.json").read_text())
+        manifest["format"] = 1
+        (target / "MANIFEST.json").write_text(json.dumps(manifest))
+        # files a format-1 store holds that a format-2 open would sweep
+        (target / "gen-000000.data.json").write_text('{"objects": {}}')
+        (target / "wal-000009.log").touch()
+        listing = sorted(p.name for p in target.iterdir())
+        with pytest.raises(StorageError, match="format 1.*format 2.*feed the points again"):
+            IngestStore.open(target)
+        assert sorted(p.name for p in target.iterdir()) == listing

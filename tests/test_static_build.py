@@ -34,7 +34,7 @@ from repro.compression import synchronized_euclidean_distance, td_tr_with_radii
 from repro.datagen import make_query
 from repro.exceptions import IndexError_, TrajectoryError
 from repro.filter import build_signatures
-from repro.index import NO_PAGE, LeafEntry, fsck
+from repro.index import NO_PAGE, LeafEntry, fsck, leaf_points
 from repro.index.packing import append_box, box_columns, even_chunks, str_tiles
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
@@ -325,7 +325,7 @@ class TestPackedTreeStaysLive:
         with IngestStore.create(tmp_path / "store", tree=tree, sync_every=0) as store:
             store.extend(events)
             number = store.compact()
-            pages, _data = store._gen_paths(number)
+            pages = store._gen_path(number)
             report = fsck(pages)
             assert report.ok, report.summary()
             generation = store._generation.index
@@ -386,6 +386,25 @@ def test_column_td_tr_keeps_the_scalar_knots(objects, samples):
         assert radii == want_radii
         assert_radii_certify(tr, kept, radii)
         assert_radii_certify(tr, want_kept, want_radii)
+
+
+@pytest.mark.parametrize("cls", PACKING)
+def test_leaf_points_are_the_inserted_samples(small_dataset, tmp_path, cls):
+    """Both endpoints of every leaf segment are samples, so the walk
+    gives each trajectory back float for float, grown or packed and
+    loaded, with every leaf page's ids."""
+    want = {tr.object_id: [(p.x, p.y, p.t) for p in tr] for tr in small_dataset}
+    assert leaf_points(inserted(cls, small_dataset, page_size=512))[0] == want
+    fresh = packed(cls, small_dataset, page_size=512)
+    fresh.finalize()
+    save_index(fresh, tmp_path / "a.pages")
+    loaded = load_index(tmp_path / "a.pages")
+    try:
+        points, leaf_tids = leaf_points(loaded)
+    finally:
+        loaded.pagefile.close()
+    assert points == want
+    assert set().union(*leaf_tids.values()) == set(want)
 
 
 @pytest.mark.parametrize("cls", PACKING)
