@@ -1,5 +1,4 @@
-"""Time-relaxed MST + query cost estimation — the paper's two
-future-work directions, working together.
+"""Time-relaxed MST — the first of the paper's future-work directions.
 
 Scenario: vehicle 1 drives a fixed commute route A -> B every day
 between 1:00 h and 2:00 h into the archive window.  Today the same
@@ -9,17 +8,12 @@ vehicle 1 first — at the delayed clock time the archived vehicle was
 already parked at B.  The *time-relaxed* query slides the window,
 recovers the match and reads off the delay.
 
-The selectivity histogram then predicts how expensive index-backed
-queries over different windows would be — the statistic a query
-optimiser would consult (the paper's other future-work direction).
-
 Run:  python examples/time_relaxed_search.py
 """
 
 import random
 
 from repro import (
-    SpatioTemporalHistogram,
     Trajectory,
     TrajectoryDataset,
     dissim_exact,
@@ -95,19 +89,6 @@ def main() -> None:
     print(
         f"\nvehicle {best.trajectory_id} wins with a recovered shift of "
         f"{-best_shift:.0f} s ~ the {delay:.0f} s delay."
-    )
-
-    print("\n=== query cost estimation (selectivity histogram) ===")
-    hist = SpatioTemporalHistogram(archive, nx=10, ny=10, nt=10)
-    for hours in (0.5, 1.0, 3.0):
-        est = hist.estimate_mst_cost(archive[1], 0.0, hours * HOUR)
-        print(
-            f"  {hours:3.1f} h window: ~{est.alive_segments:6.0f} segments "
-            f"alive, {est.corridor_fraction:.0%} near the query corridor"
-        )
-    print(
-        "Short windows leave most data outside the corridor — exactly "
-        "when BFMST's pruning pays off."
     )
 
 

@@ -89,13 +89,11 @@ from .obs import (
     QueryTrace,
     query_trace,
 )
-from .selectivity import MSTCostEstimate, SpatioTemporalHistogram
 from .search import (
     MSTMatch,
     QuerySpec,
     SearchResult,
     SearchStats,
-    bfmst_browse,
     bfmst_search,
     execute_spec,
     linear_scan_kmst,
@@ -153,7 +151,6 @@ __all__ = [
     "load_index",
     # search
     "bfmst_search",
-    "bfmst_browse",
     "linear_scan_kmst",
     "range_query",
     "nearest_neighbours",
@@ -179,9 +176,6 @@ __all__ = [
     "NOOP_REGISTRY",
     "QueryTrace",
     "query_trace",
-    # selectivity estimation (future-work extension)
-    "SpatioTemporalHistogram",
-    "MSTCostEstimate",
     # generators & compression
     "generate_gstd",
     "generate_trucks",

@@ -62,48 +62,18 @@ class TrajectoryIndex:
         self._serializer: Callable[[Node], bytes] = lambda node: node.to_bytes(
             self.page_size
         )
-        self._free_pages: list[int] = []  # recycled by deletions
         self._finalized = False
 
     # ------------------------------------------------------------------
     # node plumbing
     # ------------------------------------------------------------------
     def new_node(self, level: int, owner_id: int = NO_PAGE) -> Node:
-        """Allocate (or recycle) a page and return its fresh (dirty,
-        resident) node."""
-        if self._free_pages:
-            page_id = self._free_pages.pop()
-        else:
-            page_id = self.pagefile.allocate()
+        """Allocate a page and return its fresh (dirty, resident) node."""
+        page_id = self.pagefile.allocate()
         node = Node(page_id, level, owner_id=owner_id)
         self.buffer.put(page_id, node, self._serializer)
         self.num_nodes += 1
         return node
-
-    def release_node(self, node: Node) -> None:
-        """Deallocate a node: its page goes to the free list for reuse
-        by future allocations (deletions condense the tree)."""
-        self.buffer.discard(node.page_id)
-        self._free_pages.append(node.page_id)
-        self.num_nodes -= 1
-        self._on_release(node.page_id)
-
-    def _on_release(self, page_id: int) -> None:
-        """Hook for subclasses holding per-page metadata (parent maps,
-        active-leaf anchors) that must not survive page recycling."""
-
-    def delete_trajectory(self, trajectory_id: int) -> int:
-        """Remove every segment of one object; returns how many were
-        removed.  Concrete trees implement their own condensation."""
-        raise NotImplementedError
-
-    def _check_deletable(self, trajectory_id: int) -> None:
-        if self._finalized:
-            raise IndexError_("index is finalized (read-only); cannot delete")
-        if trajectory_id not in self.trajectory_ids:
-            raise TrajectoryError(
-                f"trajectory {trajectory_id} is not indexed"
-            )
 
     def read_node(self, page_id: int) -> Node:
         """Fetch a node through the buffer (counted as a node access)."""

@@ -4,8 +4,9 @@ Walks a persisted index — a single page file + sidecar, or a whole
 shard directory — and verifies everything that can be verified without
 deserialising a node: sidecar presence and version, page-count and
 digest agreement, and the v2 frame (magic, version, kind, CRC,
-padding) of **every page**.  All-zero pages are reported as ``free``
-(a released slot that was never rewritten), not as corruption.
+padding) of **every page**.  No writer leaves an all-zero page behind
+(every allocated page holds a node, framed when it is written), so a
+zeroed page is ``bad`` like any other damage.
 
 The result is a plain report object with per-page verdicts, so the CLI
 can print it and tests can assert on it; nothing here raises on
@@ -14,21 +15,19 @@ corruption — a broken index yields a report with ``ok == False``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exceptions import StorageError
 from ..storage import file_sha256, verify_page
-from .kinds import tree_class
-from .persistence import _FORMAT_VERSION, _meta_path
+from .persistence import _meta_path, _read_meta
 
 __all__ = ["PageVerdict", "FsckReport", "fsck_index", "fsck_sharded", "fsck"]
 
 
 @dataclass
 class PageVerdict:
-    """The verdict for one page: ``ok``, ``free``, or ``bad``."""
+    """The verdict for one page: ``ok`` or ``bad``."""
 
     page_id: int
     status: str
@@ -60,14 +59,14 @@ class FsckReport:
     def summary(self) -> str:
         """One line per problem (plus one for a clean bill of health)."""
         lines = []
-        counts = {"ok": 0, "free": 0, "bad": 0}
+        counts = {"ok": 0, "bad": 0}
         for p in self.pages:
-            counts[p.status] = counts.get(p.status, 0) + 1
+            counts[p.status] += 1
         if self.pages or not self.shards:
             state = "OK" if self.ok else "CORRUPT"
             lines.append(
                 f"{self.path}: {state} — {counts['ok']} ok, "
-                f"{counts['free']} free, {counts['bad']} bad pages"
+                f"{counts['bad']} bad pages"
             )
         for err in self.errors:
             lines.append(f"{self.path}: ERROR: {err}")
@@ -83,29 +82,12 @@ def fsck_index(path: str | Path) -> FsckReport:
     """Check one saved index (page file + ``.meta.json`` sidecar)."""
     path = Path(path)
     report = FsckReport(path=str(path))
-    meta_file = _meta_path(path)
 
     meta: dict | None = None
-    if not meta_file.exists():
-        report.errors.append(f"missing metadata sidecar {meta_file.name}")
-    else:
-        try:
-            meta = json.loads(meta_file.read_text())
-        except json.JSONDecodeError as exc:
-            report.errors.append(f"corrupt metadata sidecar: {exc}")
-        else:
-            version = meta.get("version")
-            if version != _FORMAT_VERSION:
-                report.errors.append(
-                    f"format version {version!r} (this build reads "
-                    f"version {_FORMAT_VERSION})"
-                )
-                meta = None
-            else:
-                try:
-                    tree_class(meta.get("kind"))
-                except StorageError as exc:
-                    report.errors.append(str(exc))
+    try:
+        meta = _read_meta(_meta_path(path))
+    except StorageError as exc:
+        report.errors.append(str(exc))
 
     if not path.exists():
         report.errors.append("missing page file")
@@ -140,7 +122,9 @@ def fsck_index(path: str | Path) -> FsckReport:
                 )
                 break
             if not data.strip(b"\x00"):
-                report.pages.append(PageVerdict(pid, "free"))
+                report.pages.append(
+                    PageVerdict(pid, "bad", f"page {pid}: zeroed page")
+                )
                 continue
             problem = verify_page(data, pid)
             if problem is None:

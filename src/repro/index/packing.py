@@ -12,8 +12,8 @@ sweep that kept this order.  What is dealt out to slabs and slices is
 exactly ``ceil(n / capacity)`` nodes, the fewest that can hold it, and
 every node within an item or so of ``n`` over that many.  So no node
 of a packed level falls under half the capacity (and so under
-``min_fill``), which the condense logic of ``delete_trajectory``
-assumes of every node it has not touched.
+``min_fill``), the floor the quadratic split keeps for every node an
+insertion makes.
 
 Boxes travel as six ``array('d')`` columns (``xmin, ymin, tmin, xmax,
 ymax, tmax``; :func:`box_columns`), item ``i`` of each describing box

@@ -110,13 +110,32 @@ def save_index(
     return meta
 
 
+#: The keys ``load_index`` reads without a default.
+_REQUIRED_KEYS = (
+    "kind",
+    "page_size",
+    "root_page",
+    "num_nodes",
+    "num_entries",
+    "max_speed",
+    "trajectory_ids",
+)
+
+
 def _read_meta(meta_file: Path) -> dict:
+    """The one reader of a ``.meta.json`` sidecar: the parsed document,
+    or a :class:`StorageError` naming the file and what is wrong."""
     if not meta_file.exists():
         raise StorageError(f"missing metadata sidecar {meta_file}")
     try:
-        meta = json.loads(meta_file.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(meta_file.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StorageError(f"{meta_file}: corrupt metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise StorageError(
+            f"{meta_file}: corrupt metadata: a JSON {type(meta).__name__}, "
+            f"not an object"
+        )
     version = meta.get("version")
     if version == 1:
         raise StorageError(
@@ -129,7 +148,16 @@ def _read_meta(meta_file: Path) -> dict:
             f"{meta_file}: unsupported format version {version!r} "
             f"(this build reads version {_FORMAT_VERSION})"
         )
-    tree_class(meta.get("kind"), meta_file)
+    for key in _REQUIRED_KEYS:
+        if key not in meta:
+            raise StorageError(f"{meta_file}: missing required key {key!r}")
+    page_size = meta["page_size"]
+    if type(page_size) is not int or page_size <= 0:
+        raise StorageError(
+            f"{meta_file}: key 'page_size' is {page_size!r}, not a "
+            f"positive integer"
+        )
+    tree_class(meta["kind"], meta_file)
     return meta
 
 

@@ -116,101 +116,6 @@ class RTree3D(TrajectoryIndex):
         self.touch(parent)
 
     # ------------------------------------------------------------------
-    # deletion (Guttman condense-tree, trajectory-at-a-time)
-    # ------------------------------------------------------------------
-    def delete_trajectory(self, trajectory_id: int) -> int:
-        """Remove every segment of ``trajectory_id``.
-
-        Underfull nodes are dissolved and their surviving leaf entries
-        re-inserted (the classic condense-tree); freed pages go to the
-        free list for reuse.  Only allowed before :meth:`finalize`.
-        """
-        self._check_deletable(trajectory_id)
-        orphans: list[LeafEntry] = []
-        deleted = 0
-        if self.root_page != NO_PAGE:
-            deleted, keep = self._delete_rec(
-                self.root_page, trajectory_id, orphans, is_root=True
-            )
-            if keep:
-                self._shrink_root()
-            else:
-                self.root_page = NO_PAGE
-        self.num_entries -= deleted + len(orphans)
-        self.trajectory_ids.discard(trajectory_id)
-        for entry in orphans:
-            self.insert_entry(entry)  # re-increments num_entries
-        return deleted
-
-    def _delete_rec(
-        self, page: int, tid: int, orphans: list, is_root: bool = False
-    ) -> tuple[int, bool]:
-        """Returns ``(entries deleted below, keep this node?)``."""
-        node = self.read_node(page)
-        if node.is_leaf:
-            before = len(node.entries)
-            node.entries = [e for e in node.entries if e.trajectory_id != tid]
-            deleted = before - len(node.entries)
-            if deleted:
-                self.touch(node)
-            if not is_root and (deleted and len(node.entries) < self.min_fill):
-                orphans.extend(node.entries)
-                self.release_node(node)
-                return (deleted, False)
-            if is_root and not node.entries:
-                self.release_node(node)
-                return (deleted, False)
-            return (deleted, True)
-
-        deleted = 0
-        changed = False
-        survivors = []
-        for e in node.entries:
-            child_deleted, keep = self._delete_rec(e.child_page, tid, orphans)
-            deleted += child_deleted
-            if not keep:
-                changed = True
-                continue
-            if child_deleted:
-                child = self.read_node(e.child_page)
-                survivors.append(InternalEntry(e.child_page, child.mbr()))
-                changed = True
-            else:
-                survivors.append(e)
-        node.entries = survivors
-        if changed:
-            self.touch(node)
-        underfull = len(node.entries) < self.min_fill
-        if not is_root and changed and underfull:
-            for e in node.entries:
-                self._dissolve_subtree(e.child_page, orphans)
-            self.release_node(node)
-            return (deleted, False)
-        if is_root and not node.entries:
-            self.release_node(node)
-            return (deleted, False)
-        return (deleted, True)
-
-    def _dissolve_subtree(self, page: int, orphans: list) -> None:
-        """Release a whole subtree, collecting its leaf entries."""
-        node = self.read_node(page)
-        if node.is_leaf:
-            orphans.extend(node.entries)
-        else:
-            for e in node.entries:
-                self._dissolve_subtree(e.child_page, orphans)
-        self.release_node(node)
-
-    def _shrink_root(self) -> None:
-        """Collapse single-child internal roots left by condensation."""
-        root = self.read_node(self.root_page)
-        while not root.is_leaf and len(root.entries) == 1:
-            child_page = root.entries[0].child_page
-            self.release_node(root)
-            self.root_page = child_page
-            root = self.read_node(child_page)
-
-    # ------------------------------------------------------------------
     # the static build: STR packing
     # ------------------------------------------------------------------
     def _pack(self, trajectories) -> None:

@@ -276,119 +276,6 @@ class TBTree(TrajectoryIndex):
         return parent
 
     # ------------------------------------------------------------------
-    # deletion
-    # ------------------------------------------------------------------
-    def delete_trajectory(self, trajectory_id: int) -> int:
-        """Remove a trajectory's whole leaf chain.
-
-        Detaches every chain leaf from the upper levels, then condenses
-        underfull internal nodes by re-attaching their surviving leaves
-        (leaf *nodes* are moved as units, so the single-trajectory and
-        chain properties of every other object are untouched).
-        """
-        self._check_deletable(trajectory_id)
-        chain = self.leaf_chain(trajectory_id)
-        deleted = sum(len(leaf) for leaf in chain)
-        for leaf in chain:
-            self._detach_leaf(leaf)
-        self._active_leaf.pop(trajectory_id, None)
-        self.trajectory_ids.discard(trajectory_id)
-        self.num_entries -= deleted
-        return deleted
-
-    def _detach_leaf(self, leaf: Node) -> None:
-        parent_page = self._parent_of.pop(leaf.page_id, None)
-        if parent_page is None:
-            # the leaf is the root
-            if self.root_page == leaf.page_id:
-                self.root_page = NO_PAGE
-            self.release_node(leaf)
-            return
-        parent = self.read_node(parent_page)
-        parent.entries = [
-            e for e in parent.entries if e.child_page != leaf.page_id
-        ]
-        self.touch(parent)
-        self.release_node(leaf)
-        self._condense(parent)
-
-    def _condense(self, node: Node) -> None:
-        """Dissolve underfull internal nodes bottom-up, re-attaching
-        their surviving leaves."""
-        while True:
-            parent_page = self._parent_of.get(node.page_id)
-            if parent_page is None:
-                # node is the root
-                if not node.entries:
-                    self.release_node(node)
-                    self.root_page = NO_PAGE
-                elif not node.is_leaf and len(node.entries) == 1:
-                    child_page = node.entries[0].child_page
-                    self._parent_of.pop(child_page, None)
-                    self.release_node(node)
-                    self.root_page = child_page
-                else:
-                    self._refresh_exact(node)
-                return
-            if len(node.entries) >= self.min_fill:
-                self._refresh_exact(node)
-                parent = self.read_node(parent_page)
-                self._replace_child_entry(parent, node)
-                self.touch(parent)
-                node = parent
-                continue
-            # dissolve: collect surviving leaves, remove from parent
-            leaves: list[int] = []
-            for e in node.entries:
-                self._collect_leaf_pages(e.child_page, leaves)
-            parent = self.read_node(parent_page)
-            parent.entries = [
-                e for e in parent.entries if e.child_page != node.page_id
-            ]
-            self.touch(parent)
-            self._parent_of.pop(node.page_id, None)
-            self.release_node(node)
-            for page in leaves:
-                self._attach_leaf(self.read_node(page))
-            node = self.read_node(parent_page)
-
-    def _collect_leaf_pages(self, page: int, out: list[int]) -> None:
-        node = self.read_node(page)
-        self._parent_of.pop(page, None)
-        if node.is_leaf:
-            out.append(page)
-            return
-        for e in node.entries:
-            self._collect_leaf_pages(e.child_page, out)
-        self.release_node(node)
-
-    def _refresh_exact(self, node: Node) -> None:
-        """Propagate an exact (possibly shrunken) MBR up the tree."""
-        child = node
-        while True:
-            parent_page = self._parent_of.get(child.page_id)
-            if parent_page is None:
-                return
-            parent = self.read_node(parent_page)
-            self._replace_child_entry(parent, child)
-            self.touch(parent)
-            child = parent
-
-    def _on_release(self, page_id: int) -> None:
-        self._parent_of.pop(page_id, None)
-        orphaned = [
-            child for child, parent in self._parent_of.items()
-            if parent == page_id
-        ]
-        for child in orphaned:
-            del self._parent_of[child]
-        stale = [
-            tid for tid, page in self._active_leaf.items() if page == page_id
-        ]
-        for tid in stale:
-            del self._active_leaf[tid]
-
-    # ------------------------------------------------------------------
     # TB-specific accessors
     # ------------------------------------------------------------------
     def leaf_chain(self, trajectory_id: int) -> list[Node]:

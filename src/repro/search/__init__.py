@@ -27,7 +27,6 @@ from .api import (
     resolve_context,
     time_relaxed_kmst,
 )
-from .browse import bfmst_browse
 from .linear_scan import linear_scan_with_stats
 from .nn import nearest_neighbours_brute_force, nearest_neighbours_with_stats
 from .range_query import range_query_brute_force, range_query_with_stats
@@ -52,7 +51,6 @@ __all__ = [
     "SearchStats",
     "SearchResult",
     # stats-bearing implementations & reference baselines
-    "bfmst_browse",
     "linear_scan_with_stats",
     "nearest_neighbours_with_stats",
     "nearest_neighbours_brute_force",

@@ -197,14 +197,6 @@ class LRUBufferManager:
             self._cache.clear()
             self._dirty.clear()
 
-    def discard(self, page_id: int) -> None:
-        """Drop one page from the cache without writing it back (used
-        when the page's node is deallocated)."""
-        with self._lock:
-            self._cache.pop(page_id, None)
-            self._dirty.discard(page_id)
-            self._pinned.discard(page_id)
-
     def resident(self, page_id: int) -> bool:
         return page_id in self._cache
 

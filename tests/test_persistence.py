@@ -28,7 +28,7 @@ from repro.datagen import make_query
 from repro.engine import ShardedQueryEngine
 from repro.experiments import build_index
 from repro.exceptions import IndexError_, StorageError
-from repro.index import fsck, fsck_index
+from repro.index import PageVerdict, fsck, fsck_index
 from repro.ingest.store import MANIFEST_NAME as INGEST_MANIFEST_NAME
 from repro.sharding import (
     MANIFEST_NAME,
@@ -641,6 +641,75 @@ class TestFsck:
         report = fsck(directory)
         assert not report.ok
         assert any("missing shard" in e for e in report.errors)
+
+
+    @pytest.mark.parametrize("cls", [RTree3D, TBTree])
+    def test_zeroed_page_is_bad(self, cls, dataset, tmp_path):
+        """Every page a writer allocates holds a framed node, so an
+        all-zero page is damage, not a free slot."""
+        _, path, meta = _saved_index(dataset, tmp_path, cls=cls)
+        page_size = meta["page_size"]
+        assert meta["num_pages"] > 3
+        with open(path, "r+b") as fh:
+            fh.seek(3 * page_size)
+            fh.write(bytes(page_size))
+        report = fsck_index(path)
+        assert not report.ok
+        assert report.bad_pages == [PageVerdict(3, "bad", "page 3: zeroed page")]
+        assert "zeroed page" in report.summary()
+        assert "free" not in report.summary()
+
+
+# ----------------------------------------------------------------------
+# a broken .meta.json is a StorageError naming the file and the key
+# ----------------------------------------------------------------------
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+BROKEN_META = {
+    "non-utf8": (lambda doc, raw: raw[:1] + b"\xff" + raw[1:], None),
+    "no-root_page": (
+        lambda doc, raw: json.dumps(_without(doc, "root_page")).encode(),
+        "'root_page'",
+    ),
+    "json-list": (lambda doc, raw: json.dumps([doc]).encode(), None),
+    "page_size-string": (
+        lambda doc, raw: json.dumps({**doc, "page_size": "512"}).encode(),
+        "'page_size'",
+    ),
+    "page_size-zero": (
+        lambda doc, raw: json.dumps({**doc, "page_size": 0}).encode(),
+        "'page_size'",
+    ),
+}
+
+META_DOORS = {
+    "load_index": lambda path, cap: _raised(StorageError, load_index, path),
+    "QueryEngine.open": lambda path, cap: _raised(
+        StorageError, QueryEngine.open, path
+    ),
+    "fsck": lambda path, cap: _fsck_exit_1(path, cap),
+}
+
+
+@pytest.mark.parametrize("door", META_DOORS)
+@pytest.mark.parametrize("case", BROKEN_META)
+def test_broken_meta_is_a_storage_error(case, door, dataset, tmp_path, capsys):
+    """``load_index``, ``QueryEngine.open`` and ``repro fsck`` read the
+    sidecar through one reader: a document that is not UTF-8, not an
+    object, lacks a key or holds a page size that is not a positive
+    int is refused with the file's name (and the key's), never with an
+    untyped error or a traceback."""
+    _, path, _ = _saved_index(dataset, tmp_path)
+    meta_file = path.with_name(path.name + ".meta.json")
+    raw = meta_file.read_bytes()
+    mutate, key = BROKEN_META[case]
+    meta_file.write_bytes(mutate(json.loads(raw), raw))
+    text = META_DOORS[door](path, capsys)
+    assert meta_file.name in text
+    if key is not None:
+        assert key in text
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ Contract:
   level falls under ``min_fill``;
 * a packed tree and an insert-built one answer every k-MST query like
   the exact linear scan (layout never changes an answer);
-* a packed tree stays a live tree: it takes ``insert`` and
-  ``delete_trajectory`` afterwards, TB-tree chains stay walkable, also
-  through ``save_index`` / ``load_index``, and ``repro fsck`` is clean;
+* a packed tree stays a live tree: it takes ``insert`` afterwards,
+  TB-tree chains stay walkable, also through ``save_index`` /
+  ``load_index``, and ``repro fsck`` is clean;
 * signatures built from the pages' numbers keep the knots and radii
   of the scalar TD-TR.
 """
@@ -59,7 +59,7 @@ class TestRejectsWhatInsertRejects:
         assert index.root_page == NO_PAGE
         assert index.num_nodes == 0
         assert index.num_entries == 0
-        assert index.pagefile.num_pages == len(index._free_pages)
+        assert index.pagefile.num_pages == 0
         assert list(index.nodes()) == []
 
     def test_finalized_tree(self, tiny_dataset, cls):
@@ -234,22 +234,18 @@ def test_packed_and_inserted_answer_like_the_exact_scan(
 # a packed tree is a live tree
 # ----------------------------------------------------------------------
 class TestPackedTreeStaysLive:
-    def test_rtree_pack_then_insert_and_delete(self, tiny_dataset):
+    def test_rtree_pack_then_insert(self, tiny_dataset):
         trajectories = list(tiny_dataset)
         index = packed(RTree3D, trajectories[:-2], page_size=512)
         for tr in trajectories[-2:]:
             index.insert(tr)
         check_structure(index)
         assert index.num_entries == tiny_dataset.total_segments()
-        gone = trajectories[3]
-        assert index.delete_trajectory(gone.object_id) == gone.num_segments
-        check_structure(index)
-        assert all(e.trajectory_id != gone.object_id for e in index.leaf_entries())
 
     def test_tbtree_pack_then_insert(self):
-        """The TB-tree twin of the test above: append to
-        a packed object's chain, start a new object, delete a packed
-        trajectory — chains stay in time order throughout."""
+        """The TB-tree twin of the test above: append to a packed
+        object's chain and start a new object — chains stay in time
+        order throughout."""
         dataset = generate_gstd(10, samples_per_object=60, seed=8)
         trajectories = list(dataset)
         grows = trajectories[0]
@@ -271,16 +267,6 @@ class TestPackedTreeStaysLive:
                 assert cur.prev_leaf == prev.page_id
             got = [e.segment for e in index.trajectory_segments(tr.object_id)]
             assert got == list(tr.segments())
-
-        # delete a packed trajectory
-        gone = trajectories[4]
-        assert index.delete_trajectory(gone.object_id) == gone.num_segments
-        check_structure(index)
-        assert index.trajectory_segments(gone.object_id) == []
-        for tr in trajectories:
-            if tr is not gone:
-                got = [e.segment for e in index.trajectory_segments(tr.object_id)]
-                assert got == list(tr.segments())
 
     def test_packed_tbtree_chains_sit_on_consecutive_pages(self, small_dataset):
         index = packed(TBTree, small_dataset, page_size=512)

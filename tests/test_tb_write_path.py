@@ -198,16 +198,14 @@ def test_packed_then_insert_matches_reference(page_size):
 
 
 @pytest.mark.parametrize("page_size", PAGE_SIZES)
-def test_insert_after_delete_matches_reference(page_size):
-    """Deletion condenses the tree (leaves re-attached, pages freed and
-    reused); appends and new objects after it land on the same pages."""
+def test_append_to_an_earlier_chain_matches_reference(page_size):
+    """Appends to an object inserted before the last ones grow its own
+    chain, not the newest leaf, and land on the same pages."""
     data = list(generate_gstd(16, 70, seed=11))
     trees = (TBTree(page_size=page_size), PerSegmentTB(page_size=page_size))
     for index in trees:
         for tr in data[:12]:
             index.insert(tr)
-        for tr in data[2:6]:
-            index.delete_trajectory(tr.object_id)
         for tr in data[12:]:
             index.insert(tr)
         last = data[8]
