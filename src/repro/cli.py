@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "serve", _cmd_serve,
         "serve queries over HTTP with admission control "
         "(POST /v1/query, GET /stats)",
-        executor="thread",
+        executor="serial",
     )
     serve.add_argument(
         "target",
@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=4,
-        help="query execution threads",
+        help="requests admitted to execution at once (a serial engine "
+        "still runs them one at a time)",
     )
     serve.add_argument(
         "--max-inflight", type=int, default=64,
@@ -651,11 +652,10 @@ def _cmd_shard_build(args) -> int:
 
 
 def _cmd_shard_inspect(args) -> int:
-    from .sharding import MANIFEST_NAME, load_sharded_index
+    from .sharding import load_sharded_index
+    from .sharding.persistence import read_manifest
 
-    manifest = json.loads(
-        (Path(args.directory) / MANIFEST_NAME).read_text()
-    )
+    manifest = read_manifest(args.directory)
     index = load_sharded_index(args.directory)
     try:
         part = manifest["partitioner"]

@@ -25,6 +25,7 @@ searches exactly as ``engine.execute`` does.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -64,10 +65,11 @@ class EngineConfig:
 
     ``executor`` is ``"serial"``, ``"thread"`` or ``"process"`` (the
     last needs shard page files to hand to its workers, so only an
-    engine opened from a shard directory accepts it); the threaded
-    executor treats the index as read-only and enables the buffer
-    manager's lock.  ``max_workers`` sizes its pool.  How a query is
-    searched is the index's business: see
+    engine opened from a shard directory accepts it).  A serial engine
+    runs one :meth:`QueryEngine.execute` at a time, behind a lock of
+    its own; the other two let concurrent requests into the index and
+    enable the buffer manager's lock instead.  ``max_workers`` sizes
+    the pool.  How a query is searched is the index's business: see
     :func:`repro.search.bfmst.bfmst_search`.
     """
 
@@ -200,8 +202,16 @@ class QueryEngine:
         self._pins = [
             PinnedIndex(ix, PIN_UPPER_LEVELS) for ix in pinned
         ]
-        if self.executor.kind == "thread":
-            self.enable_thread_safety()
+        # On an interpreter lock, two requests searched at once only
+        # convoy on it: a serial session admits one request at a time
+        # and its buffers need no lock.  The pooled kinds let several
+        # requests into the index, so they lock the buffers instead.
+        if self.executor.kind == "serial":
+            self._turn: threading.Lock | None = threading.Lock()
+        else:
+            self._turn = None
+            for pin in self._pins:
+                pin.index.buffer.enable_thread_safety()
         self.metrics.inc("engine.sessions")
         self.metrics.inc(
             "engine.pinned_pages", sum(pin.pinned for pin in self._pins)
@@ -242,13 +252,6 @@ class QueryEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def enable_thread_safety(self) -> None:
-        """Lock the session's buffer managers — required before
-        concurrent :meth:`execute` calls from multiple threads (the
-        threaded executor and the serving tier both do this)."""
-        for pin in self._pins:
-            pin.index.buffer.enable_thread_safety()
 
     def signature(self) -> tuple:
         """The index's current structural signature.  The serving
@@ -316,7 +319,11 @@ class QueryEngine:
         :class:`~repro.exceptions.DeadlineExceeded` — checked before
         any part is obtained and at every node the traversal dequeues,
         on whichever thread or worker process a part runs, so runaway
-        queries stop consuming their worker promptly.
+        queries stop consuming their worker promptly.  On a serial
+        engine a request first waits for the one before it to finish,
+        at most until its deadline: one that is still waiting then
+        raises :class:`~repro.exceptions.DeadlineExceeded` having read
+        no page.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -328,17 +335,33 @@ class QueryEngine:
             raise DeadlineExceeded(
                 f"deadline expired before the {kind} query started"
             )
-        self.metrics.inc("engine.queries")
-        self.metrics.inc("engine.queries.mst")
-        try:
-            with self._parts() as context:
-                result = _api.execute_spec(
-                    context, None, request, deadline=deadline
-                )
-        except DeadlineExceeded:
+        turn = self._turn
+        if turn is not None and not turn.acquire(
+            timeout=-1 if deadline is None
+            else max(0.0, deadline - time.monotonic())
+        ):
             self.metrics.inc("engine.deadline_misses")
-            raise
-        self._record(result)
+            raise DeadlineExceeded(
+                f"deadline expired while the {kind} query waited for the "
+                f"engine"
+            )
+        try:
+            if self._closed:
+                raise QueryError("engine is closed")
+            self.metrics.inc("engine.queries")
+            self.metrics.inc("engine.queries.mst")
+            try:
+                with self._parts() as context:
+                    result = _api.execute_spec(
+                        context, None, request, deadline=deadline
+                    )
+            except DeadlineExceeded:
+                self.metrics.inc("engine.deadline_misses")
+                raise
+            self._record(result)
+        finally:
+            if turn is not None:
+                turn.release()
         return result
 
     def run_batch(self, requests: list[QuerySpec]) -> BatchResult:

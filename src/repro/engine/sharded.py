@@ -15,9 +15,9 @@ overrides how a request obtains its parts:
   :func:`repro.search.bfmst.bfmst_search`: all selected shards advance
   under one shared k-th-best bound, then merge into a single
   ranking/refinement step.  The engine only says *where* the shards
-  run — here, on the session's thread pool, or
-  (``executor="process"``) in worker processes through
-  :meth:`ShardedQueryEngine.run_parts`.
+  run — one after another on the calling thread (``"serial"``, the
+  default), on the session's thread pool, or (``executor="process"``)
+  in worker processes through :meth:`ShardedQueryEngine.run_parts`.
 """
 
 from __future__ import annotations

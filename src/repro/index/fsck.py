@@ -93,7 +93,16 @@ def fsck_index(path: str | Path) -> FsckReport:
         report.errors.append("missing page file")
         return report
 
-    page_size = (meta or {}).get("page_size", 4096)
+    if meta is None:
+        # Only the sidecar knows the page size: a guessed one would
+        # call every page of a differently sized index bad.
+        report.errors.append(
+            "page size unknown without a readable sidecar; pages not checked"
+        )
+        _fsck_signatures(path, meta, report)
+        return report
+
+    page_size = meta["page_size"]
     size = path.stat().st_size
     if size % page_size != 0:
         report.errors.append(
@@ -101,15 +110,14 @@ def fsck_index(path: str | Path) -> FsckReport:
             f"{page_size} (truncated?)"
         )
     num_pages = size // page_size
-    if meta is not None:
-        want = meta.get("num_pages")
-        if want is not None and want != num_pages:
-            report.errors.append(
-                f"metadata records {want} pages, file holds {num_pages}"
-            )
-        digest = meta.get("pages_sha256")
-        if digest is not None and file_sha256(path) != digest:
-            report.errors.append("SHA-256 digest mismatch against sidecar")
+    want = meta.get("num_pages")
+    if want is not None and want != num_pages:
+        report.errors.append(
+            f"metadata records {want} pages, file holds {num_pages}"
+        )
+    digest = meta.get("pages_sha256")
+    if digest is not None and file_sha256(path) != digest:
+        report.errors.append("SHA-256 digest mismatch against sidecar")
 
     with open(path, "rb") as fh:
         for pid in range(num_pages):

@@ -27,7 +27,13 @@ import json
 from pathlib import Path
 
 from ..exceptions import StorageError
-from ..storage import DiskPageFile, atomic_write_bytes, file_sha256
+from ..storage import (
+    DiskPageFile,
+    atomic_write_bytes,
+    file_sha256,
+    json_field,
+    read_json_object,
+)
 from .base import TrajectoryIndex
 from .kinds import tree_class
 from .tbtree import TBTree
@@ -125,17 +131,7 @@ _REQUIRED_KEYS = (
 def _read_meta(meta_file: Path) -> dict:
     """The one reader of a ``.meta.json`` sidecar: the parsed document,
     or a :class:`StorageError` naming the file and what is wrong."""
-    if not meta_file.exists():
-        raise StorageError(f"missing metadata sidecar {meta_file}")
-    try:
-        meta = json.loads(meta_file.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StorageError(f"{meta_file}: corrupt metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise StorageError(
-            f"{meta_file}: corrupt metadata: a JSON {type(meta).__name__}, "
-            f"not an object"
-        )
+    meta = read_json_object(meta_file, "metadata sidecar")
     version = meta.get("version")
     if version == 1:
         raise StorageError(
@@ -149,14 +145,8 @@ def _read_meta(meta_file: Path) -> dict:
             f"(this build reads version {_FORMAT_VERSION})"
         )
     for key in _REQUIRED_KEYS:
-        if key not in meta:
-            raise StorageError(f"{meta_file}: missing required key {key!r}")
-    page_size = meta["page_size"]
-    if type(page_size) is not int or page_size <= 0:
-        raise StorageError(
-            f"{meta_file}: key 'page_size' is {page_size!r}, not a "
-            f"positive integer"
-        )
+        json_field(meta, meta_file, key)
+    json_field(meta, meta_file, "page_size", int, minimum=1)
     tree_class(meta["kind"], meta_file)
     return meta
 

@@ -51,7 +51,12 @@ from ..index import leaf_points, load_index, save_index, tree_class
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search.bfmst import bfmst_search
-from ..storage import atomic_write_bytes, fsync_directory
+from ..storage import (
+    atomic_write_bytes,
+    fsync_directory,
+    json_field,
+    read_json_object,
+)
 from ..trajectory import Trajectory, TrajectoryDataset
 from .memtable import Memtable
 from .wal import WriteAheadLog, recover_wal
@@ -258,12 +263,7 @@ class IngestStore:
                 f"{self.directory} is not an ingest store (no {MANIFEST_NAME}); "
                 f"use IngestStore.create"
             )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"{manifest_path}: corrupt manifest: {exc}"
-            ) from exc
+        manifest = read_json_object(manifest_path, "store manifest")
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise StorageError(
                 f"{manifest_path}: store format {manifest.get('format')!r}, "
@@ -272,10 +272,16 @@ class IngestStore:
             )
         self.tree = manifest.get("tree")
         tree_class(self.tree, manifest_path)
-        self.page_size = int(manifest["page_size"])
-        self._wal_seq = int(manifest["wal_seq"])
-        gen_number = int(manifest["generation"])
-        wal_name = manifest["wal"]
+        self.page_size = json_field(
+            manifest, manifest_path, "page_size", int, minimum=1
+        )
+        self._wal_seq = json_field(
+            manifest, manifest_path, "wal_seq", int, minimum=1
+        )
+        gen_number = json_field(
+            manifest, manifest_path, "generation", int, minimum=-1
+        )
+        wal_name = json_field(manifest, manifest_path, "wal", str)
 
         self._remove_orphans(gen_number, wal_name)
 

@@ -224,7 +224,8 @@ class _TopK:
 
 
 class _SharedTopK(_TopK):
-    """A :class:`_TopK` safe to share across shard searches.
+    """A :class:`_TopK` safe to share across parts searched on
+    concurrent threads (a serial multi-part search uses a plain one).
 
     The lock covers reads too: an unsynchronised ``threshold`` during
     another thread's in-place sort could observe a non-maximal tail
@@ -681,7 +682,9 @@ def bfmst_search(
     else:
         trace = before = None
 
-    top: _TopK = _SharedTopK(k) if len(selected) > 1 else _TopK(k)
+    # Only parts run concurrently share the bound across threads.
+    concurrent = not in_workers and executor is not None and len(selected) > 1
+    top: _TopK = _SharedTopK(k) if concurrent else _TopK(k)
 
     def run(pos: int):
         part = parts[pos]
@@ -722,7 +725,7 @@ def bfmst_search(
             for pos in selected
         }
         outcomes = executor.run_parts(specs, vmax, deadline)
-    elif executor is not None and len(selected) > 1:
+    elif concurrent:
         # Engine executors use the (index, item) map convention.
         outcomes = executor.map(lambda _i, pos: run(pos), selected)
     else:

@@ -3,9 +3,12 @@
 One event loop accepts connections and frames requests; admitted
 queries hop onto a bounded :class:`~concurrent.futures
 .ThreadPoolExecutor` via :meth:`loop.run_in_executor` where the
-blocking engine runs.  The engine must be thread-tolerant for
-``workers > 1`` — open it with ``EngineConfig(executor="thread")`` so
-the buffer manager takes its lock (the ``repro serve`` CLI does this).
+blocking engine runs.  ``workers`` bounds how many admitted requests
+are handed to the engine at once; the engine, not the server, decides
+how many of them it runs at once and which locks that takes.  A serial
+engine (what ``repro serve`` opens) runs one request at a time, so two
+requests never convoy on the interpreter lock, and a request still
+waiting for its turn at its deadline is a 504.
 
 Endpoints::
 
@@ -70,11 +73,6 @@ class ReproServer:
                 )
         self.engine = engine
         self.config = config if config is not None else ServeConfig()
-        if self.config.workers > 1:
-            # concurrent execute() calls need the engine's buffer lock
-            enable = getattr(engine, "enable_thread_safety", None)
-            if callable(enable):
-                enable()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.admission = AdmissionController(
             self.config.max_inflight,

@@ -44,7 +44,7 @@ from pathlib import Path
 from ..exceptions import StorageError
 from ..index import NO_PAGE, tree_class
 from ..index.persistence import load_index, save_index
-from ..storage import atomic_write_bytes
+from ..storage import atomic_write_bytes, json_field, read_json_object
 from .index import ShardedIndex
 
 __all__ = [
@@ -119,12 +119,7 @@ def read_manifest(directory: str | Path) -> dict:
     """Read and structurally validate a shard directory's manifest."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise StorageError(f"missing shard manifest {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"{manifest_path}: corrupt manifest: {exc}") from exc
+    manifest = read_json_object(manifest_path, "shard manifest")
     version = manifest.get("version")
     if version == 1:
         raise StorageError(
@@ -140,11 +135,19 @@ def read_manifest(directory: str | Path) -> dict:
     records = manifest.get("shards")
     if not isinstance(records, list) or not records:
         raise StorageError(f"{manifest_path}: manifest lists no shards")
-    if len(records) != manifest.get("num_shards"):
+    num_shards = json_field(manifest, manifest_path, "num_shards", int)
+    if len(records) != num_shards:
         raise StorageError(
-            f"{manifest_path}: num_shards={manifest.get('num_shards')} but "
+            f"{manifest_path}: num_shards={num_shards} but "
             f"{len(records)} shard records"
         )
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise StorageError(
+                f"{manifest_path}: shard record {i} is not an object"
+            )
+        json_field(record, manifest_path, "file", str)
+        json_field(record, manifest_path, "num_entries", int)
     return manifest
 
 

@@ -2,7 +2,14 @@
 (in memory while building, on disk once saved), LRU buffer manager,
 crash-safe file commitment, I/O stats."""
 
-from .atomic import atomic_write_bytes, commit_file, file_sha256, fsync_directory
+from .atomic import (
+    atomic_write_bytes,
+    commit_file,
+    file_sha256,
+    fsync_directory,
+    json_field,
+    read_json_object,
+)
 from .buffer import LRUBufferManager
 from .format import (
     FORMAT_VERSION,
@@ -47,4 +54,6 @@ __all__ = [
     "commit_file",
     "file_sha256",
     "fsync_directory",
+    "read_json_object",
+    "json_field",
 ]

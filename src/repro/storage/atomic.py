@@ -8,15 +8,32 @@ the final name — so a crash at any instant leaves either the complete
 old state or the complete new state, never a half-written file that
 later loads as garbage.  Directory entries are fsynced too (on POSIX)
 so the rename itself survives power loss.
+
+The JSON documents committed that way — an index's ``.meta.json``, a
+shard directory's ``manifest.json``, an ingest store's
+``MANIFEST.json`` — are read back through :func:`read_json_object` and
+:func:`json_field`, so damage to any of them is a
+:class:`~repro.exceptions.StorageError` naming the file (and the key),
+never an untyped error from the JSON layer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "commit_file", "fsync_directory", "file_sha256"]
+from ..exceptions import StorageError
+
+__all__ = [
+    "atomic_write_bytes",
+    "commit_file",
+    "fsync_directory",
+    "file_sha256",
+    "read_json_object",
+    "json_field",
+]
 
 
 def fsync_directory(directory: Path) -> None:
@@ -61,3 +78,43 @@ def file_sha256(path: str | Path, chunk_size: int = 1 << 20) -> str:
                 break
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object ``path`` holds, or a :class:`StorageError`
+    naming the file (``what`` says what the file is) when it is
+    missing, not UTF-8, not JSON or not an object."""
+    if not path.exists():
+        raise StorageError(f"missing {what} {path}")
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StorageError(f"{path}: corrupt {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StorageError(
+            f"{path}: corrupt {what}: a JSON {type(doc).__name__}, "
+            f"not an object"
+        )
+    return doc
+
+
+def json_field(
+    doc: dict, path: Path, key: str, kind: type | None = None,
+    minimum: int | None = None,
+):
+    """``doc[key]``, or a :class:`StorageError` naming ``path`` and
+    ``key`` when the key is missing, when its value is not exactly of
+    type ``kind`` (so ``true`` is not an int) or when an int is below
+    ``minimum``."""
+    if key not in doc:
+        raise StorageError(f"{path}: missing required key {key!r}")
+    value = doc[key]
+    if kind is not None and (
+        type(value) is not kind or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise StorageError(
+            f"{path}: key {key!r} is {value!r}, expected "
+            f"{kind.__name__}{bound}"
+        )
+    return value

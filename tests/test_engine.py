@@ -10,6 +10,12 @@ work as its first execution.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+
 import pytest
 
 from repro.datagen import generate_gstd, make_workload
@@ -232,3 +238,95 @@ class TestEngineSurface:
         assert isinstance(ex, ThreadedExecutor) and ex.max_workers == 2
         with pytest.raises(ValueError):
             make_executor("fork")
+
+
+class TestOneRequestAtATime:
+    """A serial engine runs one ``execute`` at a time behind its own
+    lock; a pooled one lets requests in together and locks its buffers
+    instead."""
+
+    @staticmethod
+    def _overlap(engine, request) -> int:
+        """How many of two simultaneous ``execute`` calls were inside
+        the search at once."""
+        inside = peak = 0
+        count = threading.Lock()
+        parts = engine._parts
+
+        @contextmanager
+        def watched():
+            nonlocal inside, peak
+            with parts() as context:
+                with count:
+                    inside += 1
+                    peak = max(peak, inside)
+                time.sleep(0.2)  # gives the other caller time to enter
+                try:
+                    yield context
+                finally:
+                    with count:
+                        inside -= 1
+
+        engine._parts = watched
+        start = threading.Barrier(2)
+        errors = []
+
+        def call():
+            start.wait(timeout=10)
+            try:
+                engine.execute(request)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        return peak
+
+    @pytest.mark.parametrize(
+        "executor, peak, locked_buffers",
+        [("serial", 1, False), ("thread", 2, True)],
+    )
+    def test_calls_overlap_only_on_a_pooled_engine(
+        self, executor, peak, locked_buffers, dataset, workload
+    ):
+        q, p = workload[0]
+        index = _build(RTree3D, dataset)
+        config = EngineConfig(executor=executor, max_workers=2)
+        with QueryEngine(index, config=config) as engine:
+            assert self._overlap(engine, QuerySpec("mst", q, p, k=3)) == peak
+            assert engine.metrics.value("engine.queries") == 2
+        assert (not isinstance(index.buffer._lock, nullcontext)) is locked_buffers
+
+    def test_many_callers_on_one_serial_sharded_engine(self, dataset, workload):
+        """More callers than cores and a short switch interval: every
+        answer equals its one-at-a-time answer, and no counter update
+        is lost although the buffers take no lock."""
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
+            RTree3D,
+            page_size=512,
+        )
+        requests = [QuerySpec("mst", q, p, k=3) for q, p in workload]
+        calls = 8 * len(requests)
+        with ShardedQueryEngine(sharded) as engine:
+            want = [engine.execute(r).answer_json() for r in requests]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(8) as pool:
+                    got = list(pool.map(
+                        lambda i: engine.execute(
+                            requests[i % len(requests)]
+                        ).answer_json(),
+                        range(calls),
+                        timeout=120,
+                    ))
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == [want[i % len(requests)] for i in range(calls)]
+            assert engine.metrics.value("engine.queries") == len(requests) + calls

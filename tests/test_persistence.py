@@ -598,6 +598,25 @@ class TestFsck:
         assert not report.ok
         assert any("sidecar" in e for e in report.errors)
 
+    def test_unreadable_sidecar_leaves_the_pages_unjudged(
+        self, dataset, tmp_path
+    ):
+        """Only the sidecar knows the page size: without it fsck names
+        the sidecar's error and judges no page, rather than walking a
+        512-byte index in 4096-byte steps and calling every page bad."""
+        _, path, meta = _saved_index(dataset, tmp_path, cls=TBTree,
+                                     page_size=512)
+        assert meta["num_pages"] > 1
+        meta_file = tmp_path / "index.pages.meta.json"
+        raw = bytearray(meta_file.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        meta_file.write_bytes(bytes(raw))
+        report = fsck_index(path)
+        assert not report.ok
+        assert report.pages == []
+        assert any(meta_file.name in e for e in report.errors)
+        assert any("page size unknown" in e for e in report.errors)
+
     def test_missing_page_file_is_an_error(self, dataset, tmp_path):
         _, path, _ = _saved_index(dataset, tmp_path)
         path.unlink()
@@ -727,20 +746,25 @@ def _retired_index(kind, dataset, tmp_path):
     return path
 
 
-def _retired_shards(kind, dataset, tmp_path):
+def _saved_shards(dataset, tmp_path):
     sharded = build_sharded_index(
         ShardedDataset.partition(dataset, make_partitioner("hash", 2)), RTree3D
     )
     directory = tmp_path / "shards"
     save_sharded_index(sharded, directory)
     sharded.close()
+    return directory
+
+
+def _retired_shards(kind, dataset, tmp_path):
+    directory = _saved_shards(dataset, tmp_path)
     _set_field(directory / MANIFEST_NAME, "kind", kind)
     return directory
 
 
-def _retired_store(kind, dataset, tmp_path):
-    """A store with one generation, as a build that knew ``kind`` left
-    it: the manifest and the generation's sidecar both record it."""
+def _saved_store(dataset, tmp_path):
+    """A store with one generation: its directory and the generation's
+    page file."""
     directory = tmp_path / "store"
     with IngestStore.create(directory) as store:
         store.extend(
@@ -750,7 +774,13 @@ def _retired_store(kind, dataset, tmp_path):
             )
         )
         generation = store.compact()
-    pages = directory / f"gen-{generation:06d}.pages"
+    return directory, directory / f"gen-{generation:06d}.pages"
+
+
+def _retired_store(kind, dataset, tmp_path):
+    """A store with one generation, as a build that knew ``kind`` left
+    it: the manifest and the generation's sidecar both record it."""
+    directory, pages = _saved_store(dataset, tmp_path)
     _set_field(directory / INGEST_MANIFEST_NAME, "tree", kind)
     _set_field(pages.with_name(pages.name + ".meta.json"), "kind", kind)
     return directory, pages
@@ -819,6 +849,117 @@ def test_retired_tree_kinds_are_refused_at_every_door(
     text = RETIRED_DOORS[door](kind, dataset, tmp_path, capsys)
     assert repr(kind) in text
     assert all(repr(name) in text for name in TREES)
+
+
+# ----------------------------------------------------------------------
+# a broken manifest is a StorageError naming the file and the key
+# ----------------------------------------------------------------------
+def _with_field(key, value):
+    return lambda doc, raw: json.dumps({**doc, key: value}).encode()
+
+
+def _with_record_field(key, value):
+    def mutate(doc, raw):
+        records = [{**r, key: value} for r in doc["shards"]]
+        return json.dumps({**doc, "shards": records}).encode()
+
+    return mutate
+
+
+#: Damage both manifests share: ``(mutate(doc, raw) -> bytes, key)``.
+BROKEN_JSON = {
+    "non-utf8": (lambda doc, raw: raw[:1] + b"\xff" + raw[1:], None),
+    "json-list": (lambda doc, raw: json.dumps([doc]).encode(), None),
+}
+
+BROKEN_SHARD_MANIFEST = {
+    **BROKEN_JSON,
+    "no-num_shards": (
+        lambda doc, raw: json.dumps(_without(doc, "num_shards")).encode(),
+        "'num_shards'",
+    ),
+    "num_shards-float": (_with_field("num_shards", 2.0), "'num_shards'"),
+    "record-not-object": (
+        lambda doc, raw: json.dumps({**doc, "shards": [1, 2]}).encode(),
+        "shard record 0",
+    ),
+    "record-file-int": (_with_record_field("file", 5), "'file'"),
+}
+
+SHARD_DOORS = {
+    "load_sharded_index": lambda d, cap: _raised(
+        StorageError, load_sharded_index, d
+    ),
+    "ShardedQueryEngine.open": lambda d, cap: _raised(
+        StorageError, ShardedQueryEngine.open, d
+    ),
+    "fsck": lambda d, cap: _fsck_exit_1(d, cap),
+    "shard-inspect": lambda d, cap: _cli_error(["shard", "inspect", str(d)], cap),
+}
+
+
+def _cli_error(argv, capsys):
+    assert cli_main(argv) == 1
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("door", SHARD_DOORS)
+@pytest.mark.parametrize("case", BROKEN_SHARD_MANIFEST)
+def test_broken_shard_manifest_is_a_storage_error(
+    case, door, dataset, tmp_path, capsys
+):
+    """A shard directory's ``manifest.json`` is read through the same
+    typed reader as a ``.meta.json``: not UTF-8, not an object, a
+    missing or ill-typed ``num_shards`` or a shard record that is not an
+    object with a string ``file`` is refused with the file's name (and
+    the key's), never with an untyped error or a traceback."""
+    directory = _saved_shards(dataset, tmp_path)
+    manifest = directory / MANIFEST_NAME
+    raw = manifest.read_bytes()
+    mutate, key = BROKEN_SHARD_MANIFEST[case]
+    manifest.write_bytes(mutate(json.loads(raw), raw))
+    text = SHARD_DOORS[door](directory, capsys)
+    assert str(manifest) in text
+    if key is not None:
+        assert key in text
+
+
+BROKEN_STORE_MANIFEST = {
+    **BROKEN_JSON,
+    "no-page_size": (
+        lambda doc, raw: json.dumps(_without(doc, "page_size")).encode(),
+        "'page_size'",
+    ),
+    "page_size-string": (_with_field("page_size", "4096"), "'page_size'"),
+    "wal_seq-float": (_with_field("wal_seq", 1.5), "'wal_seq'"),
+    "generation-string": (
+        lambda doc, raw: json.dumps(
+            {**doc, "generation": str(doc["generation"])}
+        ).encode(),
+        "'generation'",
+    ),
+    "no-wal": (
+        lambda doc, raw: json.dumps(_without(doc, "wal")).encode(),
+        "'wal'",
+    ),
+    "wal-int": (_with_field("wal", 5), "'wal'"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_STORE_MANIFEST)
+def test_broken_store_manifest_is_a_storage_error(case, dataset, tmp_path):
+    """An ingest store's ``MANIFEST.json`` goes through the same typed
+    reader: ``IngestStore.open`` refuses a damaged one with a
+    ``StorageError`` naming the file (and the key)."""
+    directory, _pages = _saved_store(dataset, tmp_path)
+    manifest = directory / INGEST_MANIFEST_NAME
+    raw = manifest.read_bytes()
+    mutate, key = BROKEN_STORE_MANIFEST[case]
+    manifest.write_bytes(mutate(json.loads(raw), raw))
+    text = _raised(StorageError, IngestStore.open, directory)
+    assert str(manifest) in text
+    if key is not None:
+        assert key in text
 
 
 @pytest.mark.parametrize("kind", ["round_robin", "spatial"])

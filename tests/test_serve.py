@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RTree3D, Trajectory, generate_gstd, make_workload
-from repro.engine import EngineConfig, QueryEngine
+from repro.engine import QueryEngine, ShardedQueryEngine
 from repro.exceptions import DeadlineExceeded, QueryError, ServeError
 from repro.obs import MetricsRegistry
 from repro.search.results import SearchResult, SearchStats
@@ -35,6 +35,12 @@ from repro.serve import (
     TokenBucket,
 )
 from repro.serve.client import ServeRejected
+from repro.sharding import (
+    ShardedDataset,
+    build_sharded_index,
+    make_partitioner,
+    save_sharded_index,
+)
 
 from conftest import trajectories
 
@@ -135,7 +141,7 @@ def served_world():
     index = RTree3D(page_size=1024)
     index.bulk_insert(dataset)
     index.finalize()
-    engine = QueryEngine(index, config=EngineConfig(executor="thread"))
+    engine = QueryEngine(index)
     config = ServeConfig(
         port=0, workers=2, max_body_bytes=64 * 1024, quota_rps=0.0
     )
@@ -341,6 +347,70 @@ class TestRejectionPaths:
             assert doc["config"]["max_inflight"] == 64
             assert doc["draining"] is False
             assert "serve.requests" in doc["serve"]["counters"]
+
+
+class TestServedSerialEngine:
+    """``repro serve`` opens a serial engine: the server hands it up to
+    ``workers`` requests at once and the engine runs them one at a
+    time."""
+
+    def test_concurrent_misses_over_four_shards(self, tmp_path):
+        dataset = generate_gstd(30, samples_per_object=20, seed=23)
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
+            RTree3D,
+            page_size=1024,
+        )
+        directory = tmp_path / "shards"
+        save_sharded_index(sharded, directory, signatures=True)
+        sharded.close()
+        specs = list(_specs(dataset, n=6, seed=4))
+        oracle = ShardedQueryEngine.open(directory)
+        want = {s.cache_key(): oracle.execute(s).answer_json() for s in specs}
+        oracle.close()
+        oracle.index.close()
+
+        engine = ShardedQueryEngine.open(directory)
+        config = ServeConfig(port=0, workers=2, cache_entries=0)
+        try:
+            with BackgroundServer(engine, config) as bg:
+
+                def one(spec):
+                    with ServeClient(*bg.address) as client:
+                        return spec, client.query(spec)
+
+                with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                    served = list(pool.map(one, specs * 2))
+        finally:
+            engine.close()
+            engine.index.close()
+        for spec, result in served:
+            assert result.served_from_cache is False
+            assert result.answer_json() == want[spec.cache_key()]
+        assert engine.metrics.value("engine.queries") == 2 * len(specs)
+
+    def test_waiting_for_the_engine_past_the_deadline_is_504(self):
+        dataset = generate_gstd(15, samples_per_object=15, seed=11)
+        index = RTree3D(page_size=1024)
+        index.bulk_insert(dataset)
+        index.finalize()
+        query, period = next(iter(make_workload(dataset, 1, 0.2, seed=5)))
+        spec = QuerySpec("mst", query, period, k=2, deadline_ms=50.0)
+        with QueryEngine(index) as engine:
+            with BackgroundServer(engine, ServeConfig(port=0, workers=2)) as bg:
+                reads = index.buffer.stats.logical_reads
+                engine._turn.acquire()  # the request before it is running
+                try:
+                    with ServeClient(*bg.address) as client:
+                        with pytest.raises(ServeRejected) as info:
+                            client.query(spec)
+                finally:
+                    engine._turn.release()
+                assert info.value.status == 504
+                assert info.value.reason == "deadline_exceeded"
+                assert index.buffer.stats.logical_reads == reads
+                assert engine.metrics.value("engine.deadline_misses") == 1
+                assert engine.metrics.value("engine.queries") == 0
 
 
 # ----------------------------------------------------------------------
