@@ -282,14 +282,19 @@ class SignatureFilter:
         return bounds.tolist()
 
     def _query_positions_block(self, lo, hi):
-        """``[probes, rows]`` query coordinates at a block's probe
-        times: one scalar evaluation per distinct ``(lo, hi)`` window
-        (the memo of :meth:`_query_positions`), fanned out to its rows."""
+        """Query coordinates at a block's probe times: one scalar
+        evaluation per distinct ``(lo, hi)`` window (the memo of
+        :meth:`_query_positions`), fanned out to ``[probes, rows]`` —
+        or, when every row shares one window (rows spanning the whole
+        query period, the common case), ``[probes, 1]`` columns that
+        broadcast against the rows."""
         np = self._np
         windows = list(zip(lo.tolist(), hi.tolist()))
         slots = {w: i for i, w in enumerate(dict.fromkeys(windows))}
         qpos = [self._query_positions(*window) for window in slots]
+        qx = np.array([x for x, _y in qpos]).T
+        qy = np.array([y for _x, y in qpos]).T
+        if len(slots) == 1:
+            return qx, qy
         fan = [slots[window] for window in windows]
-        qx = np.array([x for x, _y in qpos]).T[:, fan]
-        qy = np.array([y for _x, y in qpos]).T[:, fan]
-        return qx, qy
+        return qx[:, fan], qy[:, fan]

@@ -105,14 +105,21 @@ def best_first_nodes(
     imports, :func:`~repro.index.mindist.mindist_batch_python`
     otherwise — the results are bit-equal.
 
-    ``leaf_admit`` — when given — is consulted as ``leaf_admit(dist,
-    page_id)`` for every dequeued page *known* to be a leaf (its parent
-    was a level-1 node; the root is always read) before the page is
-    read.  Returning ``False`` skips the page entirely: no I/O, no
-    yield.  The signature filter uses this to avoid reading leaves all
-    of whose trajectories are already settled; the consumer's H2 check
-    — a function of the dequeue distance and its candidate state only —
-    is unaffected, because skipping changes neither.
+    ``leaf_admit`` — when given — is consulted as
+    ``leaf_admit(page_id)`` for every page *known* to be a leaf (its
+    parent is a level-1 node; the root is always read) twice: when its
+    parent is expanded, before its MINDIST is computed, and again when
+    it is dequeued, before the page is read.  Returning ``False`` skips
+    the page entirely: no MINDIST (at expansion), no heap slot, no I/O,
+    no yield.  The signature filter uses this to avoid leaves all of
+    whose trajectories are already settled.  Settled stays settled and
+    the consumer's threshold only tightens, so a leaf refused at
+    expansion would have been refused at its pop as well: the pages
+    yielded, and their order, are those of a pop-time check alone (the
+    later check catches the leaves settled while they waited).  The
+    consumer's H2 check — a function of the dequeue distance and its
+    candidate state only — is unaffected, because skipping changes
+    neither.
     """
     if index.root_page == NO_PAGE:
         return
@@ -126,11 +133,7 @@ def best_first_nodes(
     try:
         while heap:
             dist, _tie, page_id, known_leaf = heapq.heappop(heap)
-            if (
-                known_leaf
-                and leaf_admit is not None
-                and not leaf_admit(dist, page_id)
-            ):
+            if known_leaf and leaf_admit is not None and not leaf_admit(page_id):
                 if reg is not None:
                     reg.inc("index.leaves_skipped")
                 continue
@@ -146,10 +149,17 @@ def best_first_nodes(
             if node.is_leaf:
                 continue
             child_level = node.level - 1
-            dists = score(
-                query, [e.mbr for e in node.entries], t_start, t_end
-            )
-            for e, d in zip(node.entries, dists):
+            entries = node.entries
+            if child_level == 0 and leaf_admit is not None:
+                entries = [e for e in entries if leaf_admit(e.child_page)]
+                if reg is not None and len(entries) < len(node.entries):
+                    reg.inc(
+                        "index.leaves_skipped", len(node.entries) - len(entries)
+                    )
+                if not entries:
+                    continue
+            dists = score(query, [e.mbr for e in entries], t_start, t_end)
+            for e, d in zip(entries, dists):
                 if reg is not None:
                     reg.inc(f"index.mindist_evaluations.level_{child_level}")
                 if d is None:

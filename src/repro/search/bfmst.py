@@ -287,7 +287,10 @@ def _search_shard(
     answer-set member, because the k buffered upper bounds all lie at
     or below the threshold and thresholds only tighten), and a leaf
     page all of whose trajectories are already settled is skipped
-    without being read.
+    without being read.  The leaf predicate runs when the leaf's
+    parent is expanded (a refused leaf costs no MINDIST and no heap
+    slot) and again when the leaf is dequeued, by when the threshold
+    may have tightened.
 
     ``deadline`` — an absolute ``time.monotonic()`` instant — is
     checked at every node dequeue; past it the traversal raises
@@ -303,26 +306,25 @@ def _search_shard(
 
     if sig_filter is not None:
 
-        def leaf_admit(_dist: float, page_id: int) -> bool:
+        def leaf_admit(page_id: int) -> bool:
+            # True at the first trajectory that may still matter; the
+            # leaf's processing re-checks each one at its first touch.
             page_tids = sig_filter.page_tids(page_id)
             if page_tids is None:
                 return True
-            admit = False
             threshold = top.threshold
             check = math.isfinite(threshold)
             for tid in page_tids:
                 if tid in rejected or tid in completed:
                     continue
                 if tid in valid:
-                    admit = True
-                    continue
+                    return True
                 if check and sig_filter.should_prune(tid, threshold):
                     rejected.add(tid)
                     continue
-                admit = True
-            if not admit:
-                stats.leaf_skips += 1
-            return admit
+                return True
+            stats.leaf_skips += 1
+            return False
 
     else:
         leaf_admit = None

@@ -353,6 +353,40 @@ class TestBatchedBounds:
         tids = [tid for tid, _k, _r in rows]
         assert hexes(map(filt.bound, tids)) == hexes(scalar_bounds(filt, tids))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_one_shared_window_and_mixed_spans(self, mixed):
+        # Rows spanning the whole period share one probe window, whose
+        # query coordinates broadcast as [probes, 1] columns; a row
+        # starting inside the period brings a window of its own and
+        # the coordinates fan out to [probes, rows].
+        rng = random.Random(17)
+        rows = []
+        for tid in range(60):
+            start = 4.0 + tid / 8.0 if mixed and tid % 3 == 0 else -10.0
+            inner = sorted(rng.uniform(start, 50.0) for _ in range(rng.randint(0, 4)))
+            knots = [
+                (t, rng.uniform(-50, 50), rng.uniform(-50, 50))
+                for t in [start, *inner, 50.0]
+            ]
+            rows.append((tid, knots, [rng.uniform(0, 3) for _ in knots[1:]]))
+        store = synthetic_store(rows)
+        query = Trajectory(-1, [(0.0, 0.0, -30.0), (20.0, -5.0, 40.0), (1.0, 1.0, 130.0)])
+        filt = SignatureFilter(store, query, 0.0, 32.0, 1.5)
+        shapes = []
+        block = SignatureFilter._query_positions_block
+
+        def spy(self, lo, hi):
+            qx, qy = block(self, lo, hi)
+            shapes.append((qx.shape, qy.shape))
+            return qx, qy
+
+        tids = [tid for tid, _k, _r in rows]
+        with mock.patch.object(SignatureFilter, "_query_positions_block", spy):
+            got = [filt.bound(tid) for tid in tids]
+        assert hexes(got) == hexes(scalar_bounds(filt, tids))
+        columns = len(rows) if mixed else 1
+        assert shapes == [((filt.probes, columns),) * 2]
+
 
 # ----------------------------------------------------------------------
 # sidecar lifetime: nothing may keep a view of an mmap'd column
@@ -791,7 +825,14 @@ class TestCounters:
         reg = trace.registry
         assert reg.value("filter.signature_checks") == stats.signature_checks
         assert reg.value("filter.pruned") == stats.signature_pruned
-        assert reg.value("filter.leaf_skips") == stats.leaf_skips
+        assert stats.leaf_skips > 0
+        # A leaf is skipped at its parent's expansion or at its pop;
+        # the traversal and the search count the same skips.
+        assert (
+            reg.value("index.leaves_skipped")
+            == reg.value("filter.leaf_skips")
+            == stats.leaf_skips
+        )
         # Refinement never consults the signatures.
         assert stats.refinement_skipped == 0
         assert "filter.refinement_skipped" not in reg.counters

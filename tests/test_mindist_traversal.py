@@ -9,11 +9,16 @@ MINDIST.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import RTree3D, Trajectory, generate_gstd, mindist
+from repro import TREES, RTree3D, Trajectory, generate_gstd, mindist
 from repro.datagen import make_query
 from repro.geometry import MBR3D
 from repro.index import best_first_nodes
+from repro.obs import query_trace
+
+from conftest import inserted, packed
 
 
 class TestMindist:
@@ -104,3 +109,66 @@ class TestBestFirstTraversal:
         next(gen)
         first_cost = small_rtree.node_accesses - before
         assert first_cost == 1  # only the root was read
+
+
+@pytest.fixture(scope="module")
+def both_layouts():
+    """Both trees, packed and grown by insert, over one small set with
+    small pages, so there are several levels and many leaves."""
+    dataset = generate_gstd(30, samples_per_object=30, seed=4)
+    trees = {}
+    for kind, cls in sorted(TREES.items()):
+        for build in (packed, inserted):
+            index = build(cls, dataset, page_size=512)
+            index.finalize()
+            leaves = sorted(n.page_id for n in index.nodes() if n.is_leaf)
+            trees[kind, build.__name__] = (index, leaves)
+    return dataset, trees
+
+
+def _traced_walk(index, query, t0, t1, leaf_admit=None):
+    with query_trace() as trace:
+        walk = [
+            (d, n.page_id, n.level)
+            for d, n in best_first_nodes(
+                index, query, t0, t1, leaf_admit=leaf_admit
+            )
+        ]
+    return walk, trace.registry
+
+
+class TestLeafAdmit:
+    """A leaf the predicate refuses is dropped from the walk — at its
+    parent's expansion, before its MINDIST, or at its pop — and nothing
+    else about the walk changes."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_refused_leaves_vanish_and_cost_no_mindist(
+        self, both_layouts, data
+    ):
+        dataset, trees = both_layouts
+        index, leaves = trees[data.draw(st.sampled_from(sorted(trees)))]
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        length = data.draw(st.sampled_from([0.02, 0.1, 0.4, 1.0]))
+        query, (t0, t1) = make_query(dataset, length, rng)
+        dead = data.draw(st.sets(st.sampled_from(leaves)))
+
+        full, full_reg = _traced_walk(index, query, t0, t1)
+        kept, kept_reg = _traced_walk(
+            index, query, t0, t1, leaf_admit=lambda page: page not in dead
+        )
+        assert kept == [step for step in full if step[1] not in dead]
+
+        expanded = [page for _d, page, level in full if level == 1]
+        dead_children = sum(
+            e.child_page in dead
+            for page in expanded
+            for e in index.read_node(page).entries
+        )
+        assert (
+            full_reg.value("index.mindist_evaluations")
+            - kept_reg.value("index.mindist_evaluations")
+            == dead_children
+        )
+        assert kept_reg.value("index.leaves_skipped") == dead_children
