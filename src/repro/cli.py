@@ -124,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "every page's checksum frame",
     )
     fsck.add_argument("path", help="index file or sharded manifest directory")
-    fsck.add_argument(
-        "--verbose", action="store_true",
-        help="print a verdict for every page, not just the bad ones",
-    )
 
     query = verb(
         sub, "query", _cmd_kmst, "run a k-MST query",
@@ -153,15 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch = verb(
         sub, "batch", _cmd_batch,
         "run a k-MST workload through the batched query engine",
+        executor="serial", workers=None,
     )
     batch.add_argument("target", help="index file")
     batch.add_argument("dataset", help="dataset the queries are drawn from")
     batch.add_argument("--queries", type=int, default=8)
     _add_flags(batch, "window", "k", "seed")
-    batch.add_argument(
-        "--executor", choices=("serial", "thread"), default="serial"
-    )
-    batch.add_argument("--workers", type=int, default=None)
     batch.add_argument(
         "--output", default=None,
         help="write per-query + batch JSONL rows here",
@@ -193,28 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="admitted-request bound; the next request gets 429",
     )
     serve.add_argument(
-        "--quota-rps", type=float, default=0.0,
-        help="per-client sustained requests/second (0 disables quotas)",
-    )
-    serve.add_argument(
-        "--quota-burst", type=int, default=20,
-        help="per-client burst allowance",
-    )
-    serve.add_argument(
-        "--deadline-ms", type=float, default=10_000.0,
-        help="default per-query deadline budget",
-    )
-    serve.add_argument(
-        "--max-deadline-ms", type=float, default=60_000.0,
-        help="hard cap on any requested deadline budget",
-    )
-    serve.add_argument(
         "--cache-entries", type=int, default=256,
         help="hot-query result cache size (0 disables)",
-    )
-    serve.add_argument(
-        "--drain-grace", type=float, default=10.0,
-        help="seconds to let admitted requests finish on SIGTERM",
     )
 
     shard_sub = sub.add_parser(
@@ -401,12 +374,6 @@ def _cmd_fsck(args) -> int:
 
     report = run_fsck(args.path)
     print(report.summary())
-    if args.verbose:
-        for rep in [report] + report.shards:
-            for page in rep.pages:
-                detail = f": {page.detail}" if page.detail else ""
-                print(f"  {rep.path}: page {page.page_id}: "
-                      f"{page.status}{detail}")
     return 0 if report.ok else 1
 
 
@@ -588,33 +555,27 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         max_inflight=args.max_inflight,
-        quota_rps=args.quota_rps,
-        quota_burst=args.quota_burst,
-        default_deadline_ms=args.deadline_ms,
-        max_deadline_ms=args.max_deadline_ms,
         cache_entries=args.cache_entries,
-        drain_grace_s=args.drain_grace,
     )
 
-    async def run(engine) -> None:
-        server = ReproServer(engine, serve_config)
+    async def run(server) -> None:
         await server.start()
         host, port = server.address
         print(
-            f"serving {type(engine).__name__} on http://{host}:{port} "
+            f"serving {type(server.engine).__name__} on http://{host}:{port} "
             f"({serve_config.workers} workers, "
-            f"{serve_config.max_inflight} max inflight, "
-            f"quota {serve_config.quota_rps or 'off'} rps); "
+            f"{serve_config.max_inflight} max inflight); "
             "SIGTERM/Ctrl-C drains"
         )
         await server.serve_until_drained()
 
     with _open_engine(args) as (engine, _draw_from):
+        server = ReproServer(engine, serve_config)
         try:
-            asyncio.run(run(engine))
+            asyncio.run(run(server))
         except KeyboardInterrupt:
             pass
-    print("drained; all admitted requests finished")
+    print(server.drain_summary())
     return 0
 
 

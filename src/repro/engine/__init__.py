@@ -9,6 +9,7 @@ documentation.
 
 from .engine import (
     SESSION_BUFFER_FRACTION,
+    SESSION_MAX_PAGES,
     BatchResult,
     EngineConfig,
     QueryEngine,
@@ -36,6 +37,7 @@ __all__ = [
     "EngineConfig",
     "BatchResult",
     "SESSION_BUFFER_FRACTION",
+    "SESSION_MAX_PAGES",
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessPoolShardExecutor",

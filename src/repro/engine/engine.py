@@ -46,14 +46,15 @@ __all__ = [
     "PinnedIndex",
     "QueryEngine",
     "SESSION_BUFFER_FRACTION",
+    "SESSION_MAX_PAGES",
 ]
 
-#: Default buffer fraction for an engine *session*.  A one-off
-#: ``load_index`` opens at the paper's 10 % operating point; a session
-#: that executes many queries against the same index amortises a
-#: warmer buffer across all of them, so :meth:`QueryEngine.open` sizes
-#: it at 25 % (still capped at ``buffer_max_pages``).
+#: An engine *session*'s buffer pool: 25 % of its index, at most 1000
+#: pages (split across the shards of a sharded session).  A one-off
+#: ``load_index`` opens at the paper's 10 %; a session that executes
+#: many queries amortises a warmer buffer across all of them.
 SESSION_BUFFER_FRACTION = 0.25
+SESSION_MAX_PAGES = 1000
 
 #: How many index levels a session pins, counted from the root
 #: downwards (2 = the root and its children).
@@ -226,15 +227,16 @@ class QueryEngine:
         index_path: str | Path,
         *,
         config: EngineConfig | None = None,
-        buffer_fraction: float = SESSION_BUFFER_FRACTION,
-        buffer_max_pages: int = 1000,
         verify: bool = False,
     ) -> "QueryEngine":
         """Open a saved index for querying (read-only; ``verify``
         checks the page file's digest against the sidecar before
-        serving)."""
+        serving), its buffer pool sized for a session."""
         index = load_index(
-            index_path, buffer_fraction, buffer_max_pages, verify=verify
+            index_path,
+            SESSION_BUFFER_FRACTION,
+            SESSION_MAX_PAGES,
+            verify=verify,
         )
         return cls(index, config=config)
 

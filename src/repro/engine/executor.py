@@ -123,9 +123,7 @@ def _worker_index(plan):
         if index.signatures is not None:
             index.signatures.close()
         index.pagefile.close()
-    index = load_index(
-        plan.shard_path, plan.buffer_fraction, plan.buffer_max_pages
-    )
+    index = load_index(plan.shard_path)
     signature = (index.num_nodes, index.num_entries, index.root_page)
     if signature != plan.signature:
         if index.signatures is not None:
@@ -170,6 +168,8 @@ def _execute_shard_plan(plan):
             f"deadline expired before shard {plan.shard_id} started"
         )
     index = _worker_index(plan)
+    # The pool the parent's session budget gave this shard.
+    index.buffer.resize(plan.buffer_pages)
     spec = plan.spec
     t_start, t_end = _validate(spec.query, spec.period, spec.k)
     opts = spec.options

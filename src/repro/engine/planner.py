@@ -29,6 +29,7 @@ serialization contract to test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..exceptions import QueryError
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 #: Version tags of the two work-unit message envelopes.
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 ANSWER_VERSION = 1
 
 
@@ -60,14 +61,58 @@ class ShardSelection:
     pruned: list[int] = field(default_factory=list)
     reason: str = "all"  # "all" | "time"
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.selected) + len(self.pruned)
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise QueryError(message)
+
+
+def _envelope(doc, tag: str, version: int) -> None:
+    """``doc`` is an object carrying ``tag`` at this build's version."""
+    what = tag.replace("_", " ")
+    _require(isinstance(doc, dict), f"{what} must be an object")
+    got = doc.get(tag)
+    _require(
+        _is_int(got) and got == version,
+        f"unsupported {what} version {got!r} (this build speaks "
+        f"version {version})",
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_field(doc: dict, key: str, minimum: int) -> int:
+    value = doc.get(key)
+    _require(
+        _is_int(value) and value >= minimum,
+        f"{key} must be an integer >= {minimum}, got {value!r}",
+    )
+    return value
+
+
+def _signature_field(doc: dict) -> tuple[int, int, int]:
+    sig = doc.get("signature")
+    _require(
+        isinstance(sig, list) and len(sig) == 3 and all(map(_is_int, sig)),
+        f"signature must be [num_nodes, num_entries, root_page], "
+        f"got {sig!r}",
+    )
+    return (sig[0], sig[1], sig[2])
+
+
+def _column(doc: dict, key: str, check, what: str) -> list:
+    value = doc.get(key, [])
+    _require(
+        isinstance(value, list) and all(map(check, value)),
+        f"{key} must be a list of {what}, got {value!r}"[:200],
+    )
+    return value
 
 
 @dataclass
@@ -88,6 +133,9 @@ class ShardPlan:
     * ``vmax`` — resolved by the *parent* from the global maximum shard
       speed, because a per-shard recomputation would change bounds and
       break byte-identity with the serial executor.
+    * ``buffer_pages`` — the capacity the session's global budget
+      (:func:`budget_buffers`) gave this shard's pool; the worker sizes
+      its own copy of the pool to it.
     * ``deadline`` — absolute ``time.monotonic()`` deadline (system-wide
       on Linux, so it is meaningful across processes), the same value
       the in-process executors hand the traversal.
@@ -102,9 +150,8 @@ class ShardPlan:
     shard_path: str
     signature: tuple[int, int, int]
     vmax: float
+    buffer_pages: int
     deadline: float | None = None
-    buffer_fraction: float = 0.10
-    buffer_max_pages: int = 1000
 
     # ------------------------------------------------------------------
     # the one serialization contract
@@ -117,35 +164,17 @@ class ShardPlan:
             "shard_path": str(self.shard_path),
             "signature": [int(v) for v in self.signature],
             "vmax": float(self.vmax),
+            "buffer_pages": int(self.buffer_pages),
             "deadline": (
                 float(self.deadline) if self.deadline is not None else None
             ),
-            "buffer_fraction": float(self.buffer_fraction),
-            "buffer_max_pages": int(self.buffer_max_pages),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShardPlan":
-        _require(isinstance(doc, dict), f"shard plan must be an object")
-        version = doc.get("shard_plan")
-        _require(
-            version == PLAN_VERSION,
-            f"unsupported shard plan version {version!r} (this build "
-            f"speaks version {PLAN_VERSION})",
-        )
-        sig = doc.get("signature")
-        _require(
-            isinstance(sig, (list, tuple))
-            and len(sig) == 3
-            and all(isinstance(v, int) for v in sig),
-            f"signature must be [num_nodes, num_entries, root_page], "
-            f"got {sig!r}",
-        )
-        shard_id = doc.get("shard_id")
-        _require(
-            isinstance(shard_id, int) and shard_id >= 0,
-            f"shard_id must be a non-negative integer, got {shard_id!r}",
-        )
+        _envelope(doc, "shard_plan", PLAN_VERSION)
+        signature = _signature_field(doc)
+        shard_id = _int_field(doc, "shard_id", 0)
         shard_path = doc.get("shard_path")
         _require(
             isinstance(shard_path, str) and shard_path,
@@ -153,23 +182,23 @@ class ShardPlan:
         )
         vmax = doc.get("vmax")
         _require(
-            isinstance(vmax, (int, float)) and vmax >= 0.0,
-            f"vmax must be a non-negative number, got {vmax!r}",
+            _is_number(vmax) and 0.0 <= vmax < math.inf,
+            f"vmax must be a finite non-negative number, got {vmax!r}",
         )
         deadline = doc.get("deadline")
         _require(
-            deadline is None or isinstance(deadline, (int, float)),
-            f"deadline must be a number or null, got {deadline!r}",
+            deadline is None
+            or (_is_number(deadline) and math.isfinite(deadline)),
+            f"deadline must be a finite number or null, got {deadline!r}",
         )
         return cls(
             spec=QuerySpec.from_dict(doc.get("spec")),
             shard_id=shard_id,
             shard_path=shard_path,
-            signature=(sig[0], sig[1], sig[2]),
+            signature=signature,
             vmax=float(vmax),
+            buffer_pages=_int_field(doc, "buffer_pages", 1),
             deadline=float(deadline) if deadline is not None else None,
-            buffer_fraction=float(doc.get("buffer_fraction", 0.10)),
-            buffer_max_pages=int(doc.get("buffer_max_pages", 1000)),
         )
 
     def __reduce__(self):
@@ -283,26 +312,21 @@ class ShardAnswer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ShardAnswer":
-        _require(isinstance(doc, dict), "shard answer must be an object")
-        version = doc.get("shard_answer")
-        _require(
-            version == ANSWER_VERSION,
-            f"unsupported shard answer version {version!r} (this build "
-            f"speaks version {ANSWER_VERSION})",
+        _envelope(doc, "shard_answer", ANSWER_VERSION)
+        shard_id = _int_field(doc, "shard_id", 0)
+        signature = _signature_field(doc)
+        exact_tids = _column(doc, "exact_tids", _is_int, "integers")
+        exact_values = _column(doc, "exact_values", _is_number, "numbers")
+        exact_error_bounds = _column(
+            doc, "exact_error_bounds", _is_number, "numbers"
         )
-        sig = doc.get("signature")
-        _require(
-            isinstance(sig, (list, tuple)) and len(sig) == 3,
-            f"signature must be [num_nodes, num_entries, root_page], "
-            f"got {sig!r}",
+        window_counts = _column(
+            doc, "window_counts", lambda v: _is_int(v) and v >= 0,
+            "non-negative integers",
         )
-        exact_tids = list(doc.get("exact_tids", ()))
-        exact_values = list(doc.get("exact_values", ()))
-        exact_error_bounds = list(doc.get("exact_error_bounds", ()))
-        window_counts = list(doc.get("window_counts", ()))
-        window_data = list(doc.get("window_data", ()))
-        partial_tids = list(doc.get("partial_tids", ()))
-        partial_values = list(doc.get("partial_values", ()))
+        window_data = _column(doc, "window_data", _is_number, "numbers")
+        partial_tids = _column(doc, "partial_tids", _is_int, "integers")
+        partial_values = _column(doc, "partial_values", _is_number, "numbers")
         _require(
             len(exact_tids)
             == len(exact_values)
@@ -319,13 +343,13 @@ class ShardAnswer:
             len(partial_tids) == len(partial_values),
             "partial candidate columns have mismatched lengths",
         )
-        stats = doc.get("stats") or {}
-        counters = doc.get("counters") or {}
+        stats = doc.get("stats", {})
+        counters = doc.get("counters", {})
         _require(isinstance(stats, dict), "stats must be an object")
         _require(isinstance(counters, dict), "counters must be an object")
         return cls(
-            shard_id=int(doc.get("shard_id", 0)),
-            signature=(int(sig[0]), int(sig[1]), int(sig[2])),
+            shard_id=shard_id,
+            signature=signature,
             exact_tids=exact_tids,
             exact_values=exact_values,
             exact_error_bounds=exact_error_bounds,
@@ -347,13 +371,10 @@ class QueryPlanner:
 
     ``extents`` is the per-shard root-MBR list (``None`` marks an empty
     shard, which is always pruned).  The planner is stateless beyond
-    it; refresh it after a rebuild via :meth:`update_extents`.
+    it.
     """
 
     def __init__(self, extents: list[MBR3D | None]) -> None:
-        self.extents = list(extents)
-
-    def update_extents(self, extents: list[MBR3D | None]) -> None:
         self.extents = list(extents)
 
     def plan(self, query, period: tuple[float, float] | None) -> ShardSelection:

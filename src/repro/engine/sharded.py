@@ -29,7 +29,12 @@ from ..obs import state as _obs
 from ..search.results import SearchResult, SearchStats
 from ..sharding import ShardedIndex, load_sharded_index
 from ..sharding.persistence import read_manifest
-from .engine import SESSION_BUFFER_FRACTION, EngineConfig, QueryEngine
+from .engine import (
+    SESSION_BUFFER_FRACTION,
+    SESSION_MAX_PAGES,
+    EngineConfig,
+    QueryEngine,
+)
 from .planner import QueryPlanner, ShardPlan, budget_buffers
 
 __all__ = ["ShardedQueryEngine"]
@@ -52,12 +57,8 @@ class ShardedQueryEngine(QueryEngine):
         index: ShardedIndex,
         *,
         config: EngineConfig | None = None,
-        buffer_fraction: float = SESSION_BUFFER_FRACTION,
-        buffer_max_pages: int = 1000,
         manifest_dir: str | Path | None = None,
     ):
-        self._buffer_fraction = buffer_fraction
-        self._buffer_max_pages = buffer_max_pages
         # Only an engine that knows its manifest directory knows the
         # shard page files a worker process has to reopen.
         shard_paths = None
@@ -68,9 +69,10 @@ class ShardedQueryEngine(QueryEngine):
                 for record in read_manifest(directory)["shards"]
             ]
         # Global memory budget first, so the upper levels are pinned
-        # into correctly sized pools.
+        # into correctly sized pools.  A process-pool worker sizes its
+        # copy of a shard's pool to the same capacity.
         self.buffer_capacities = budget_buffers(
-            index.shards, buffer_fraction, buffer_max_pages
+            index.shards, SESSION_BUFFER_FRACTION, SESSION_MAX_PAGES
         )
         self.planner = QueryPlanner(index.extents())
         self._start(index, config, index.shards, shard_paths)
@@ -82,23 +84,18 @@ class ShardedQueryEngine(QueryEngine):
         manifest_dir: str | Path,
         *,
         config: EngineConfig | None = None,
-        buffer_fraction: float = SESSION_BUFFER_FRACTION,
-        buffer_max_pages: int = 1000,
         verify: bool = False,
     ) -> "ShardedQueryEngine":
         """Open a saved sharded index directory for querying.
         ``verify`` is forwarded to the per-shard
         :func:`~repro.index.persistence.load_index`."""
         index = load_sharded_index(
-            manifest_dir, buffer_fraction, buffer_max_pages, verify=verify
+            manifest_dir,
+            SESSION_BUFFER_FRACTION,
+            SESSION_MAX_PAGES,
+            verify=verify,
         )
-        return cls(
-            index,
-            config=config,
-            buffer_fraction=buffer_fraction,
-            buffer_max_pages=buffer_max_pages,
-            manifest_dir=manifest_dir,
-        )
+        return cls(index, config=config, manifest_dir=manifest_dir)
 
     def signature(self) -> tuple:
         """Structural signature of the whole sharded collection — the
@@ -157,8 +154,7 @@ class ShardedQueryEngine(QueryEngine):
                 signature=self._pins[shard_id].signature(),
                 vmax=vmax,
                 deadline=deadline,
-                buffer_fraction=self._buffer_fraction,
-                buffer_max_pages=self._buffer_max_pages,
+                buffer_pages=self.buffer_capacities[shard_id],
             )
             for shard_id, spec in specs.items()
         ]

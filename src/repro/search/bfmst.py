@@ -630,7 +630,8 @@ def bfmst_search(
     selected:
         Positions of the parts to search (the planner's pre-filter);
         ``None`` searches all.  Skipping a part whose extent cannot
-        overlap the query period is answer-preserving.
+        overlap the query period is answer-preserving; so is skipping
+        one whose every trajectory is excluded, which is done here.
     executor:
         Where :func:`search_part` runs.  ``None`` — here, one part
         after another.  Anything with ``.map(fn, items)`` (the engine's
@@ -674,6 +675,13 @@ def bfmst_search(
         for pos in selected:
             if not 0 <= pos < len(parts):
                 raise QueryError(f"shard id {pos} out of range [0, {len(parts)})")
+    # A part whose every trajectory is excluded (a live generation whose
+    # objects are all dirty) can contribute no candidate: it is left
+    # out as if the planner had pruned it.  V_max above still counts it.
+    selected = [
+        pos for pos in selected
+        if not parts[pos].trajectory_ids.issubset(excludes[pos])
+    ]
 
     stats = SearchStats(total_nodes=sum(p.num_nodes for p in parts))
     # Counter baseline so the SearchStats enrichment reports *this*

@@ -16,23 +16,22 @@ without bound:
 
 * at most ``max_inflight`` requests are admitted at once; the next
   one is rejected immediately with ``429`` (``reason: overload``),
-* per-client token buckets (``quota_rps``/``quota_burst``) meter
-  sustained rates and answer ``429`` with ``Retry-After``,
 * every admitted request carries a deadline budget (its own
-  ``deadline_ms``, clamped to ``max_deadline_ms``) that the engine
+  ``deadline_ms``, else 10 s; clamped to 60 s) that the engine
   enforces *inside* query execution — an expired budget surfaces as
   ``504`` instead of a stuck worker,
+* a body over 1 MiB is refused with ``413`` before it is read,
 * a small LRU result cache keyed on the engine's freshness
   :meth:`signature` serves repeated hot queries without touching the
   pool, and invalidates the moment the index changes,
-* ``SIGTERM``/``SIGINT`` drain gracefully: stop accepting, finish the
-  admitted work, then exit.
+* ``SIGTERM``/``SIGINT`` drain gracefully: stop accepting, give the
+  admitted work 10 s to finish, then exit (what is still running
+  then is counted as abandoned).
 
 ``GET /stats`` exposes the ``serve.*`` counters (see
 ``docs/OBSERVABILITY.md``) together with the engine's own metrics.
 """
 
-from .admission import AdmissionController, TokenBucket
 from .background import BackgroundServer
 from .cache import ResultCache
 from .client import ServeClient
@@ -40,11 +39,9 @@ from .config import ServeConfig
 from .server import ReproServer
 
 __all__ = [
-    "AdmissionController",
     "BackgroundServer",
     "ReproServer",
     "ResultCache",
     "ServeClient",
     "ServeConfig",
-    "TokenBucket",
 ]

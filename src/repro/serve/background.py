@@ -12,7 +12,6 @@ import asyncio
 import threading
 
 from ..exceptions import ServeError
-from ..obs import MetricsRegistry
 from .config import ServeConfig
 from .server import ReproServer
 
@@ -26,12 +25,9 @@ class BackgroundServer:
         self,
         engine,
         config: ServeConfig | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else ServeConfig()
-        self.registry = registry
         self.server: ReproServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -40,15 +36,10 @@ class BackgroundServer:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
         async def main() -> None:
+            self._loop = asyncio.get_running_loop()
             try:
-                self.server = ReproServer(
-                    self.engine, self.config, registry=self.registry
-                )
+                self.server = ReproServer(self.engine, self.config)
                 await self.server.start()
             except BaseException as exc:
                 self._startup_error = exc
@@ -57,10 +48,10 @@ class BackgroundServer:
             self._ready.set()
             await self.server.serve_until_drained()
 
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
+        # asyncio.run cancels what a drain left running (a connection
+        # whose request it abandoned) before closing the loop, as
+        # ``repro serve`` does.
+        asyncio.run(main())
 
     def start(self) -> "BackgroundServer":
         if self._thread is not None:

@@ -32,7 +32,10 @@ class ServeRejected(ServeError):
 
 
 class ServeClient:
-    """One keep-alive connection to a :class:`~repro.serve.ReproServer`."""
+    """One keep-alive connection to a :class:`~repro.serve.ReproServer`.
+
+    ``client_id`` is a label for the caller's own bookkeeping; it is
+    not sent."""
 
     def __init__(
         self,
@@ -48,8 +51,6 @@ class ServeClient:
         self._sock: socket.socket | None = None
         self._reader = None
         self._head = f"Host: {host}:{port}\r\n"
-        if client_id is not None:
-            self._head += f"X-Client-Id: {client_id}\r\n"
 
     # ------------------------------------------------------------------
     def _request(

@@ -15,39 +15,23 @@ class ServeConfig:
 
     ``max_inflight`` is the *only* queue in the tier: requests beyond
     it are rejected immediately with ``429`` rather than buffered, so
-    server memory stays bounded under any offered load.  ``quota_rps``
-    of 0 disables per-client metering; ``cache_entries`` of 0 disables
-    the result cache.  ``deadline_ms`` budgets: a request that names
-    none gets ``default_deadline_ms``; all requests are clamped to
-    ``max_deadline_ms``.
+    server memory stays bounded under any offered load.
+    ``cache_entries`` of 0 disables the result cache.  The deadline
+    budgets, the body limit and the drain grace are constants of
+    :mod:`repro.serve.server`.
     """
 
     host: str = "127.0.0.1"
     port: int = 8723
     workers: int = 4
     max_inflight: int = 64
-    quota_rps: float = 0.0
-    quota_burst: int = 20
-    max_clients: int = 1024
-    default_deadline_ms: float = 10_000.0
-    max_deadline_ms: float = 60_000.0
-    max_body_bytes: int = 1 << 20
     cache_entries: int = 256
-    drain_grace_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServeError("workers must be >= 1")
         if self.max_inflight < 1:
             raise ServeError("max_inflight must be >= 1")
-        if self.quota_rps < 0:
-            raise ServeError("quota_rps must be >= 0")
-        if self.quota_burst < 1:
-            raise ServeError("quota_burst must be >= 1")
-        if self.max_body_bytes < 1:
-            raise ServeError("max_body_bytes must be >= 1")
-        if self.default_deadline_ms <= 0 or self.max_deadline_ms <= 0:
-            raise ServeError("deadline budgets must be positive")
         if self.cache_entries < 0:
             raise ServeError("cache_entries must be >= 0")
 

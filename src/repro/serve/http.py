@@ -42,7 +42,7 @@ class BadRequest(Exception):
 
 
 class PayloadTooLarge(Exception):
-    """The declared body exceeds the server's ``max_body_bytes``."""
+    """The declared body exceeds the server's body limit."""
 
 
 @dataclass
@@ -93,18 +93,24 @@ async def read_request(
         name, sep, value = raw.decode("latin-1").partition(":")
         if not sep:
             raise BadRequest(f"malformed header: {raw[:80]!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise BadRequest("repeated Content-Length")
+        headers[name] = value.strip()
 
     if "transfer-encoding" in headers:
         raise BadRequest("chunked request bodies are not supported")
     body = b""
     if "content-length" in headers:
+        # ASCII digits only: ``int`` would also take ``+5``, ``1_0``
+        # and non-ASCII digits.
+        value = headers["content-length"]
+        if not (value.isascii() and value.isdigit()):
+            raise BadRequest(f"malformed Content-Length: {value[:40]!r}")
         try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise BadRequest("non-integer Content-Length") from None
-        if length < 0:
-            raise BadRequest("negative Content-Length")
+            length = int(value)
+        except ValueError:  # more digits than int() parses
+            raise BadRequest("Content-Length too long") from None
         if length > max_body_bytes:
             raise PayloadTooLarge(
                 f"body of {length} bytes exceeds the "

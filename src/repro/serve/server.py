@@ -18,7 +18,7 @@ Endpoints::
 
 Status codes: 400 malformed spec/framing (a kind other than ``mst``, a
 non-trajectory query, an unknown or ill-typed option included), 404/405 routing, 413
-body too large, 429 overload or quota (with ``Retry-After``), 422
+body too large, 429 overload (with ``Retry-After``), 422
 engine rejected the query, 500 unexpected, 503 draining, 504 deadline
 exceeded.
 """
@@ -34,7 +34,6 @@ import time
 
 from ..exceptions import DeadlineExceeded, ReproError, ServeError
 from ..obs import MetricsRegistry
-from .admission import AdmissionController
 from .cache import ResultCache
 from .config import ServeConfig
 from .http import (
@@ -45,7 +44,22 @@ from .http import (
     write_response,
 )
 
-__all__ = ["ReproServer"]
+__all__ = [
+    "DEFAULT_DEADLINE_MS",
+    "DRAIN_GRACE_S",
+    "MAX_BODY_BYTES",
+    "MAX_DEADLINE_MS",
+    "ReproServer",
+]
+
+#: The deadline budget of a request that names none.
+DEFAULT_DEADLINE_MS = 10_000.0
+#: Every request's budget is clamped to this.
+MAX_DEADLINE_MS = 60_000.0
+#: A declared body over this many bytes is answered ``413``.
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a drain waits for admitted requests before it gives up.
+DRAIN_GRACE_S = 10.0
 
 
 def _error_body(reason: str, detail: str) -> bytes:
@@ -61,8 +75,6 @@ class ReproServer:
         self,
         engine,
         config: ServeConfig | None = None,
-        *,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         for name in ("execute", "signature", "metrics"):
             if not hasattr(engine, name):
@@ -73,13 +85,11 @@ class ReproServer:
                 )
         self.engine = engine
         self.config = config if config is not None else ServeConfig()
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.admission = AdmissionController(
-            self.config.max_inflight,
-            self.config.quota_rps,
-            self.config.quota_burst,
-            self.config.max_clients,
-        )
+        self.metrics = MetricsRegistry()
+        # Admitted requests not yet answered; the event loop alone
+        # touches it, so a plain int suffices.
+        self.inflight = 0
+        self.abandoned = 0
         self.cache = ResultCache(self.config.cache_entries)
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -87,7 +97,6 @@ class ReproServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
-        self._started = asyncio.Event()
         self._stopped = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -97,10 +106,6 @@ class ReproServer:
         if self._server is None or not self._server.sockets:
             raise ServeError("server is not started")
         return self._server.sockets[0].getsockname()[:2]
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -120,41 +125,50 @@ class ReproServer:
                 # loop without signal support — drain() stays callable
                 # programmatically.
                 break
-        self._started.set()
 
     async def serve_until_drained(self) -> None:
-        """Run until :meth:`drain` completes (signal or programmatic)."""
-        if self._server is None:
-            await self.start()
+        """Once started, run until :meth:`drain` completes (signal or
+        programmatic)."""
         await self._stopped.wait()
 
     async def drain(self) -> None:
         """Stop accepting, let admitted requests finish (bounded by
-        ``drain_grace_s``), then release the pool."""
+        :data:`DRAIN_GRACE_S`), then release the pool.  Requests still
+        running when the grace runs out are counted in
+        ``serve.drain_abandoned`` and :attr:`abandoned`."""
         if self._draining:
             return
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = time.monotonic() + self.config.drain_grace_s
-        while self.admission.inflight > 0 and time.monotonic() < deadline:
+        deadline = time.monotonic() + DRAIN_GRACE_S
+        while self.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        self.abandoned = self.inflight
+        self.metrics.inc("serve.drain_abandoned", self.abandoned)
         self.metrics.inc("serve.drained")
         self._pool.shutdown(wait=False)
         self._stopped.set()
+
+    def drain_summary(self) -> str:
+        """The line ``repro serve`` prints once drained."""
+        if self.abandoned:
+            return (
+                f"drained; {self.abandoned} admitted requests abandoned "
+                f"after {DRAIN_GRACE_S:g} s"
+            )
+        return "drained; all admitted requests finished"
 
     # ------------------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_id = peer[0] if isinstance(peer, tuple) else str(peer)
         try:
             while True:
                 try:
                     request = await read_request(
-                        reader, max_body_bytes=self.config.max_body_bytes
+                        reader, max_body_bytes=MAX_BODY_BYTES
                     )
                 except EOFError:
                     break
@@ -172,7 +186,7 @@ class ReproServer:
                         keep_alive=False,
                     )
                     break
-                status, body, extra = await self._dispatch(request, peer_id)
+                status, body, extra = await self._dispatch(request)
                 keep = request.keep_alive and not self._draining
                 write_response(
                     writer, status, body, keep_alive=keep,
@@ -183,6 +197,11 @@ class ReproServer:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # The loop is closing over a request a drain abandoned:
+            # end the connection quietly (a handler task that ends
+            # cancelled is logged as an error by asyncio's streams).
+            pass
         finally:
             writer.close()
             try:
@@ -191,7 +210,7 @@ class ReproServer:
                 pass
 
     async def _dispatch(
-        self, request: Request, peer_id: str
+        self, request: Request
     ) -> tuple[int, bytes, dict | None]:
         self.metrics.inc("serve.requests")
         route = (request.method, request.path)
@@ -202,7 +221,7 @@ class ReproServer:
         if route == ("GET", "/stats"):
             return 200, self._stats_body(), None
         if route == ("POST", "/v1/query"):
-            return await self._handle_query(request, peer_id)
+            return await self._handle_query(request)
         if request.path in ("/healthz", "/stats", "/v1/query"):
             return 405, _error_body(
                 "method_not_allowed", f"{request.method} {request.path}"
@@ -210,20 +229,12 @@ class ReproServer:
         return 404, _error_body("not_found", request.path), None
 
     async def _handle_query(
-        self, request: Request, peer_id: str
+        self, request: Request
     ) -> tuple[int, bytes, dict | None]:
         from ..search.spec import QuerySpec
 
         if self._draining:
             return 503, _error_body("draining", "server is draining"), None
-
-        client_id = request.headers.get("x-client-id", peer_id)
-        retry_after = self.admission.check_quota(client_id)
-        if retry_after > 0:
-            self.metrics.inc("serve.rejected.quota")
-            return 429, _error_body(
-                "quota", f"client {client_id!r} is over its rate quota"
-            ), {"Retry-After": f"{retry_after:.3f}"}
 
         try:
             spec = QuerySpec.from_json(request.body.decode("utf-8"))
@@ -231,17 +242,18 @@ class ReproServer:
             self.metrics.inc("serve.rejected.malformed")
             return 400, _error_body("malformed", str(exc)), None
 
-        if not self.admission.try_admit():
+        if self.inflight >= self.config.max_inflight:
             self.metrics.inc("serve.rejected.overload")
             return 429, _error_body(
                 "overload",
-                f"{self.admission.max_inflight} requests already inflight",
+                f"{self.config.max_inflight} requests already inflight",
             ), {"Retry-After": "0.05"}
-        self.metrics.record_max("serve.queue_depth", self.admission.inflight)
+        self.inflight += 1
+        self.metrics.record_max("serve.queue_depth", self.inflight)
         try:
             return await self._execute_admitted(spec)
         finally:
-            self.admission.release()
+            self.inflight -= 1
 
     async def _execute_admitted(
         self, spec
@@ -254,8 +266,8 @@ class ReproServer:
         # is executor-agnostic.
         budget_ms = spec.deadline_ms
         if budget_ms is None:
-            budget_ms = self.config.default_deadline_ms
-        budget_ms = min(budget_ms, self.config.max_deadline_ms)
+            budget_ms = DEFAULT_DEADLINE_MS
+        budget_ms = min(budget_ms, MAX_DEADLINE_MS)
         deadline = time.monotonic() + budget_ms / 1000.0
 
         signature = self.engine.signature()
@@ -300,7 +312,7 @@ class ReproServer:
                 "metrics": self.engine.metrics.as_dict(),
             },
             "config": self.config.as_dict(),
-            "inflight": self.admission.inflight,
+            "inflight": self.inflight,
             "cache_entries": len(self.cache),
             "draining": self._draining,
         }

@@ -88,9 +88,16 @@ class LRUBufferManager:
         """Resize to ``fraction`` of the current page-file size, clamped
         to ``[min_pages, max_pages]`` (the paper's 10 % / 1000-page
         policy).  Returns the new capacity."""
+        want = int(self.pagefile.num_pages * fraction)
+        return self.resize(max(min_pages, min(max_pages, want)))
+
+    def resize(self, capacity: int) -> int:
+        """Set the capacity to ``capacity`` pages, evicting what no
+        longer fits.  Returns the new capacity."""
+        if capacity < 1:
+            raise StorageError(f"buffer capacity must be >= 1, got {capacity}")
         with self._lock:
-            want = int(self.pagefile.num_pages * fraction)
-            self.capacity = max(min_pages, min(max_pages, want))
+            self.capacity = capacity
             self._evict_overflow(getattr(self, "_serializer", None))
             return self.capacity
 

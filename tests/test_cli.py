@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -9,18 +11,8 @@ from repro.cli import main
 def small_csv(tmp_path):
     path = tmp_path / "ds.csv"
     rc = main(
-        [
-            "generate",
-            str(path),
-            "--kind",
-            "gstd",
-            "--objects",
-            "12",
-            "--samples",
-            "30",
-            "--seed",
-            "3",
-        ]
+        ["generate", str(path), "--kind", "gstd", "--objects", "12",
+         "--samples", "30", "--seed", "3"]
     )
     assert rc == 0
     return path
@@ -149,12 +141,11 @@ class TestShard:
         out_path = tmp_path / "trace.json"
         rc = main(
             ["stats", str(directory), str(small_csv), "--k", "3",
-             "--seed", "2", "--output", str(out_path)]
+             "--window", "0.3", "--seed", "2", "--output", str(out_path)]
         )
         assert rc == 0
-        import json
-
         doc = json.loads(out_path.read_text())
+        assert doc["query"]["window_fraction"] == 0.3
         assert len(doc["per_shard"]) == 3
         assert doc["shards_searched"] + doc["shards_pruned"] == 3
 
@@ -167,14 +158,25 @@ class TestShard:
 
 def test_one_kmst_verb_over_three_targets(small_csv, tmp_path, capsys):
     """``query``, ``shard query`` and ``ingest query`` are one verb:
-    over the same points they print the same ranks, and an unknown
-    ``--object`` is exit code 2 on each."""
+    over the same points they print the same ranks, whatever tree,
+    page size or partitioner holds them, and an unknown ``--object``
+    is exit code 2 on each."""
     csv = str(small_csv)
     index, shards, store = (str(tmp_path / n) for n in ("idx", "sh", "st"))
-    assert main(["build", csv, index, "--tree", "tbtree"]) == 0
-    assert main(["shard", "build", csv, shards, "--shards", "3"]) == 0
-    assert main(["ingest", "init", store]) == 0
-    assert main(["ingest", "feed", store, csv, "--compact-every", "200"]) == 0
+    assert main(
+        ["build", csv, index, "--tree", "tbtree", "--page-size", "1024"]
+    ) == 0
+    assert main(
+        ["shard", "build", csv, shards, "--shards", "3", "--tree", "tbtree",
+         "--partitioner", "temporal"]
+    ) == 0
+    assert main(
+        ["ingest", "init", store, "--tree", "rtree", "--page-size", "1024"]
+    ) == 0
+    assert main(
+        ["ingest", "feed", store, csv, "--sync-every", "16",
+         "--compact-every", "200"]
+    ) == 0
     capsys.readouterr()
     ranked = []
     for verb in (
@@ -184,12 +186,66 @@ def test_one_kmst_verb_over_three_targets(small_csv, tmp_path, capsys):
     ):
         assert main(verb + ["--object", "999"]) == 2
         assert "999" in capsys.readouterr().err
-        assert main(verb + ["--object", "3", "--k", "4", "--seed", "7"]) == 0
+        assert main(
+            verb + ["--object", "3", "--window", "0.2", "--k", "4",
+                    "--seed", "7"]
+        ) == 0
         out = capsys.readouterr().out
         assert "pruning power" in out
+        assert "20% slice of object 3" in out
         ranked.append([ln for ln in out.splitlines() if "DISSIM=" in ln])
     assert len(ranked[0]) == 4 and "object 3 " in ranked[0][0]
     assert ranked[0] == ranked[1] == ranked[2]
+
+
+def test_batch_runs_serially(small_csv, tmp_path, capsys):
+    index, out = str(tmp_path / "idx"), tmp_path / "batch.jsonl"
+    assert main(["build", str(small_csv), index]) == 0
+    assert main(
+        ["batch", index, str(small_csv), "--queries", "3", "--window", "0.2",
+         "--k", "2", "--seed", "4", "--output", str(out)]
+    ) == 0
+    assert "serial executor" in capsys.readouterr().out
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["type"] for r in rows] == ["query"] * 3 + ["batch"]
+    assert all(len(r["matches"]) == 2 for r in rows[:3])
+
+
+def test_unsigned_shards_are_served_unfiltered(small_csv, tmp_path, capsys):
+    directory = tmp_path / "sh"
+    assert main(
+        ["shard", "build", str(small_csv), str(directory), "--shards", "2",
+         "--no-signatures"]
+    ) == 0
+    assert not list(directory.glob("*.sig"))
+    capsys.readouterr()
+    assert main(
+        ["shard", "query", str(directory), str(small_csv), "--object", "3"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "object 3 " in out and "filter:" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "x", "--quota-rps", "5"],
+        ["serve", "x", "--quota-burst", "5"],
+        ["serve", "x", "--deadline-ms", "5"],
+        ["serve", "x", "--max-deadline-ms", "5"],
+        ["serve", "x", "--drain-grace", "5"],
+        ["batch", "x", "y", "--executor", "thread"],
+        ["batch", "x", "y", "--workers", "2"],
+        ["fsck", "x", "--verbose"],
+    ],
+    ids=lambda argv: argv[0] + argv[-2],
+)
+def test_retired_flags_are_usage_errors(argv, capsys):
+    """Flags that nothing set are gone: naming one is exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

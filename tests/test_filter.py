@@ -428,6 +428,7 @@ class TestSidecarLifetime:
                 shard_path=str(path),
                 signature=(index.num_nodes, index.num_entries, index.root_page),
                 vmax=index.max_speed + query.max_speed(),
+                buffer_pages=8,
             )
             return _execute_shard_plan(plan)
 
@@ -898,6 +899,7 @@ class TestShardPlanCodec:
             shard_path="shard_0000.pages",
             signature=(3, 50, 1),
             vmax=2.5,
+            buffer_pages=8,
         ).as_dict()
         assert "filter" not in doc
         assert ShardPlan.from_dict(doc).as_dict() == doc

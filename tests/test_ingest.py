@@ -29,7 +29,7 @@ from repro.ingest import (
     replay_wal,
 )
 from repro.search import QuerySpec
-from repro.search.api import bfmst_search
+from repro.search.api import bfmst_search, linear_scan_kmst
 from repro.storage import RECORD_HEADER_BYTES, frame_record, parse_record
 from repro.storage.format import KIND_WAL
 from repro.trajectory import Trajectory, write_json
@@ -413,6 +413,37 @@ class TestStoreQueries:
             with store.view() as view:
                 _gen_index, exclude = view.parts[0]
                 assert exclude == frozenset({oid})
+
+    def test_generation_of_all_dirty_objects_is_not_searched(
+        self, tmp_path, ingest_dataset
+    ):
+        """Reopened with a point of every object in the WAL, the store
+        excludes the whole generation: the search leaves it out as the
+        planner would a disjoint shard, and answers from the memtable."""
+        events = events_of(ingest_dataset)
+        half = len(events) // 2
+        with IngestStore.create(tmp_path / "s") as store:
+            store.extend(events[:half])
+            store.compact()
+            store.extend(events[half:])
+        rng = random.Random(14)
+        query, period = make_query(ingest_dataset, 0.3, rng)
+        with IngestStore.open(tmp_path / "s") as store:
+            with store.view() as view:
+                generation, exclude = view.parts[0]
+                assert generation.trajectory_ids <= exclude
+            spec = QuerySpec("mst", query, period, k=5)
+            with LiveQueryEngine(store) as engine:
+                result = engine.execute(spec)
+            want = linear_scan_kmst(
+                None, store.current_dataset(), query, period=period, k=5,
+                exact=True,
+            )
+        assert result.ids == want.ids
+        rows = result.stats.extra["per_shard"]
+        assert [row["pruned"] for row in rows] == [True, False]
+        assert rows[0]["node_accesses"] == 0
+        assert result.stats.node_accesses == rows[1]["node_accesses"]
 
     def test_auto_compaction_threshold(self, tmp_path):
         with IngestStore.create(

@@ -229,6 +229,7 @@ class TestDeadlinesStopTheTraversal:
         query, period = query_and_period
         with sharded_engine(shards_dir, "serial") as engine:
             signature = engine.signature()[0]
+            pages = engine.buffer_capacities[0]
             engine.index.close()
         plan = ShardPlan(
             spec=QuerySpec("mst", query, period, k=3),
@@ -236,6 +237,7 @@ class TestDeadlinesStopTheTraversal:
             shard_path=str(shards_dir / "shard_0000.pages"),
             signature=signature,
             vmax=10.0,
+            buffer_pages=pages,
             deadline=clock.deadline,
         )
         with pytest.raises(DeadlineExceeded, match="exceeded"):

@@ -20,6 +20,7 @@ Covers the four contracts of the process-pool path:
 """
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -201,10 +202,18 @@ def _plan_for(query, **overrides) -> ShardPlan:
         shard_path="/data/shards/shard_0001.pages",
         signature=(12, 310, 4),
         vmax=3.5,
+        buffer_pages=25,
         deadline=1234.5,
     )
     fields.update(overrides)
     return ShardPlan(**fields)
+
+
+#: Hostile values for any field of a work-unit message.
+HOSTILE = [
+    None, True, 0, -3, 5, 1.5, math.nan, math.inf, "x", "", [], {},
+    ["a", "b", "c"], [1, 2, 3], [1.5], [-1], [True],
+]
 
 
 class TestSerializationContract:
@@ -298,6 +307,90 @@ class TestSerializationContract:
         with pytest.raises(QueryError):
             ShardAnswer.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["spec", "shard_id", "shard_path", "signature", "vmax",
+         "buffer_pages", "deadline"],
+    )
+    def test_plan_decoder_mutation_table(self, field, dataset):
+        """Every hostile value of every plan field is a QueryError or
+        decodes to itself — never a bare TypeError or ValueError, and
+        never a value the worker would misread."""
+        doc = _plan_for(next(iter(dataset))).as_dict()
+        for value in HOSTILE:
+            bad = {**doc, field: value}
+            try:
+                plan = ShardPlan.from_dict(bad)
+            except QueryError:
+                continue
+            assert plan.as_dict() == bad, (field, value)
+        del doc[field]
+        if field != "deadline":
+            with pytest.raises(QueryError):
+                ShardPlan.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["shard_id", "signature", "exact_tids", "exact_values",
+         "exact_error_bounds", "window_counts", "window_data",
+         "partial_tids", "partial_values", "stats", "counters"],
+    )
+    def test_answer_decoder_mutation_table(self, field):
+        doc = ShardAnswer(
+            shard_id=1,
+            signature=(5, 40, 1),
+            exact_tids=[3],
+            exact_values=[2.5],
+            exact_error_bounds=[0.0],
+            window_counts=[1],
+            window_data=[0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+            partial_tids=[9],
+            partial_values=[4.0],
+            stats={"node_accesses": 3},
+            counters={"index.mindist_evaluations": 7},
+        ).as_dict()
+        for value in HOSTILE:
+            bad = {**doc, field: value}
+            try:
+                answer = ShardAnswer.from_dict(bad)
+            except QueryError:
+                continue
+            assert answer.as_dict() == bad, (field, value)
+
+    def test_worker_pool_takes_the_session_budget(
+        self, dataset, workload, tmp_path, monkeypatch
+    ):
+        """A pool worker sizes its shard's buffer pool to the capacity
+        the parent's global budget gave that shard."""
+        from repro.engine.executor import _WORKER_INDEXES
+
+        directory = tmp_path / "shards"
+        _save_sharded(dataset, RTree3D, "hash", directory)
+        engine = ShardedQueryEngine.open(
+            directory, config=EngineConfig(executor="process")
+        )
+        # The function a pool worker imports, run in this process.
+        monkeypatch.setattr(
+            engine.executor, "run_plans",
+            lambda plans: [_execute_shard_plan(plan) for plan in plans],
+        )
+        query, period = workload[0]
+        try:
+            result = engine.execute(QuerySpec("mst", query, period, k=3))
+            searched = [
+                row["shard"] for row in result.stats.extra["per_shard"]
+                if not row["pruned"]
+            ]
+            assert searched
+            for shard in searched:
+                path = str(directory / f"shard_{shard:04d}.pages")
+                index, _signature = _WORKER_INDEXES.pop(path)
+                assert index.buffer.capacity == engine.buffer_capacities[shard]
+                index.pagefile.close()
+        finally:
+            engine.close()
+            engine.index.close()
+
     def test_stale_answer_signature_is_rejected_at_merge(
         self, dataset, workload, tmp_path
     ):
@@ -359,7 +452,7 @@ class TestDeadlinePropagation:
             directory,
             config=EngineConfig(executor="process", max_workers=2),
         )
-        config = ServeConfig(port=0, workers=2, quota_rps=0.0)
+        config = ServeConfig(port=0, workers=2)
         try:
             with BackgroundServer(engine, config) as bg:
                 query, period = workload[0]

@@ -27,14 +27,14 @@ from repro.obs import MetricsRegistry
 from repro.search.results import SearchResult, SearchStats
 from repro.search.spec import QuerySpec
 from repro.serve import (
-    AdmissionController,
     BackgroundServer,
     ResultCache,
     ServeClient,
     ServeConfig,
-    TokenBucket,
 )
+from repro.serve import server as server_module
 from repro.serve.client import ServeRejected
+from repro.serve.server import MAX_BODY_BYTES
 from repro.sharding import (
     ShardedDataset,
     build_sharded_index,
@@ -142,10 +142,7 @@ def served_world():
     index.bulk_insert(dataset)
     index.finalize()
     engine = QueryEngine(index)
-    config = ServeConfig(
-        port=0, workers=2, max_body_bytes=64 * 1024, quota_rps=0.0
-    )
-    with BackgroundServer(engine, config) as bg:
+    with BackgroundServer(engine, ServeConfig(port=0, workers=2)) as bg:
         yield dataset, engine, bg
     engine.close()
 
@@ -155,6 +152,30 @@ def _specs(dataset, n=3, seed=2):
         make_workload(dataset, n, 0.2, seed=seed)
     ):
         yield QuerySpec("mst", query, period, k=3 + i)
+
+
+def _post_head(length: int) -> bytes:
+    return (
+        f"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("latin-1")
+
+
+def _raw_exchange(address, request: bytes) -> tuple[int, bytes]:
+    """Send raw request bytes on a fresh connection; return the reply's
+    status and body."""
+    import socket
+
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(request)
+        reader = sock.makefile("rb")
+        status = int(reader.readline()[9:12])
+        length = 0
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return status, reader.read(length)
 
 
 class TestServedAnswers:
@@ -217,11 +238,38 @@ class TestRejectionPaths:
             assert status == 400
 
     def test_oversized_body_is_413(self, served_world):
+        """The limit is judged from the declared length, before a byte
+        of the body is read; a body of exactly 1 MiB is read (and is
+        then merely malformed)."""
         *_x, bg = served_world
-        with ServeClient(*bg.address) as client:
-            status, _headers, payload = client.query_raw(b"x" * (80 * 1024))
-            assert status == 413
-            assert b"too_large" in payload
+        over = _raw_exchange(
+            bg.address, _post_head(MAX_BODY_BYTES + 1)
+        )
+        assert over[0] == 413 and b"too_large" in over[1]
+        at = _raw_exchange(
+            bg.address, _post_head(MAX_BODY_BYTES) + b"x" * MAX_BODY_BYTES
+        )
+        assert at[0] == 400 and b"malformed" in at[1]
+
+    @pytest.mark.parametrize(
+        "framing",
+        ["+{n}", "{n_}", "{n}\r\nContent-Length: {n}", " {n} {n}", "-{n}"],
+        ids=["plus-sign", "underscore", "repeated", "two-values", "negative"],
+    )
+    def test_content_length_is_ascii_digits_once(self, framing, served_world):
+        """``int`` would read ``+345`` and ``3_45`` as a length, and a
+        second header would silently win: each is a 400, even over a
+        spec that is otherwise well formed."""
+        dataset, _engine, bg = served_world
+        body = next(_specs(dataset)).to_json().encode()
+        n = str(len(body))
+        value = framing.format(n=n, n_=f"{n[0]}_{n[1:]}")
+        head = (
+            f"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        ).encode("latin-1")
+        status, payload = _raw_exchange(bg.address, head + body)
+        assert status == 400 and b"malformed" in payload
 
     def test_unroutable_requests(self, served_world):
         *_x, bg = served_world
@@ -478,6 +526,41 @@ class TestDeadlines:
             assert info.value.status == 504
 
 
+class _BudgetEngine(_StubEngine):
+    """Records the budget each request arrives with."""
+
+    def __init__(self):
+        super().__init__()
+        self.budgets = []
+
+    def execute(self, spec, *, deadline=None):
+        self.budgets.append(deadline - time.monotonic())
+        return super().execute(spec, deadline=deadline)
+
+
+class TestDeadlineBudgets:
+    @pytest.mark.parametrize(
+        "deadline_ms, low, high",
+        [
+            (None, 9.0, 10.0),  # no budget named: 10 s
+            (10_000_000.0, 59.0, 60.0),  # clamped to 60 s
+            (2_000.0, 1.0, 2.0),  # inside the clamp: its own
+        ],
+        ids=["default-10s", "clamped-60s", "own-2s"],
+    )
+    def test_budget(self, deadline_ms, low, high):
+        engine = _BudgetEngine()
+        config = ServeConfig(port=0, workers=1, cache_entries=0)
+        with BackgroundServer(engine, config) as bg:
+            with ServeClient(*bg.address) as client:
+                spec = QuerySpec(
+                    "mst", TINY, (0.0, 1.0), deadline_ms=deadline_ms
+                )
+                client.query(spec)
+        (budget,) = engine.budgets
+        assert low < budget <= high
+
+
 class TestBackpressure:
     def test_overload_rejects_immediately_and_recovers(self):
         engine = _BlockingEngine()
@@ -517,23 +600,6 @@ class TestBackpressure:
                 assert counters["serve.rejected.overload"] == 6
                 assert client.stats()["inflight"] == 0
 
-    def test_quota_rejections_carry_retry_after(self):
-        config = ServeConfig(
-            port=0, workers=1, quota_rps=0.5, quota_burst=1,
-            cache_entries=0,
-        )
-        with BackgroundServer(_StubEngine(), config) as bg:
-            with ServeClient(*bg.address, client_id="greedy") as client:
-                client.query(_any_spec())
-                with pytest.raises(ServeRejected) as info:
-                    client.query(_any_spec())
-                assert info.value.status == 429
-                assert info.value.reason == "quota"
-                assert info.value.retry_after > 0
-            # a different client id has its own bucket
-            with ServeClient(*bg.address, client_id="other") as client:
-                assert client.query(_any_spec()).algorithm == "stub"
-
     def test_drained_server_stops_accepting(self):
         bg = BackgroundServer(_StubEngine(), ServeConfig(port=0, workers=1))
         bg.start()
@@ -541,9 +607,46 @@ class TestBackpressure:
         with ServeClient(host, port) as client:
             client.query(_any_spec())
         bg.stop()
+        assert bg.server.drain_summary() == (
+            "drained; all admitted requests finished"
+        )
+        assert bg.server.metrics.value("serve.drain_abandoned") == 0
         with pytest.raises(ServeError):
             with ServeClient(host, port, timeout=2.0) as client:
                 client.query(_any_spec())
+
+    def test_drain_gives_up_after_the_grace(self, monkeypatch):
+        """A request still running when the grace runs out is counted
+        as abandoned, and the drain line says so."""
+        monkeypatch.setattr(server_module, "DRAIN_GRACE_S", 0.2)
+        engine = _BlockingEngine()
+        bg = BackgroundServer(engine, ServeConfig(port=0, workers=1))
+        bg.start()
+        address = bg.address
+
+        def stuck():
+            with ServeClient(*address, timeout=10.0) as client:
+                try:
+                    client.query(_any_spec())
+                except ServeError:
+                    pass
+
+        caller = threading.Thread(target=stuck, daemon=True)
+        caller.start()
+        try:
+            assert engine.entered.acquire(timeout=10.0)
+            started = time.monotonic()
+            bg.stop()
+            assert time.monotonic() - started < 5.0
+            server = bg.server
+            assert server.abandoned == 1
+            assert server.metrics.value("serve.drain_abandoned") == 1
+            assert server.drain_summary() == (
+                "drained; 1 admitted requests abandoned after 0.2 s"
+            )
+        finally:
+            engine.gate.set()
+            caller.join(timeout=15.0)
 
 
 class TestClientTransport:
@@ -593,36 +696,8 @@ class TestClientTransport:
 
 
 # ----------------------------------------------------------------------
-# admission / cache units
+# cache units
 # ----------------------------------------------------------------------
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=2.0, burst=2, now=clock[0])
-        assert bucket.acquire(0.0) == 0.0
-        assert bucket.acquire(0.0) == 0.0
-        wait = bucket.acquire(0.0)
-        assert wait == pytest.approx(0.5)
-        assert bucket.acquire(0.5) == 0.0
-
-    def test_controller_lru_caps_client_table(self):
-        ctl = AdmissionController(
-            4, quota_rps=1.0, quota_burst=1, max_clients=2
-        )
-        assert ctl.check_quota("a") == 0.0
-        assert ctl.check_quota("b") == 0.0
-        assert ctl.check_quota("c") == 0.0  # evicts "a"
-        assert ctl.check_quota("a") == 0.0  # fresh bucket again
-        assert len(ctl._buckets) == 2
-
-    def test_inflight_slots(self):
-        ctl = AdmissionController(2)
-        assert ctl.try_admit() and ctl.try_admit()
-        assert not ctl.try_admit()
-        ctl.release()
-        assert ctl.try_admit()
-
-
 class TestResultCache:
     def test_signature_change_invalidates(self):
         cache = ResultCache(4)
