@@ -5,11 +5,8 @@ The pure-Python implementations in :mod:`repro.distance.lcss` /
 same values orders of magnitude faster, which the Figure 9 quality
 bench needs (hundreds of full DP matrices per data point).
 
-numpy is an *optional* extra, so the import is deferred to first use:
-this module always imports, :func:`have_numpy` (the package's one
-probe, :mod:`repro.trajectory.columns`) says whether it can run, and
-callers that need the speed get an actionable :class:`ImportError`
-(the quality experiment falls back to the reference metrics instead).
+numpy is imported inside the functions, so importing this module (and
+``repro``) does not load it.
 
 The sequential in-row dependency of the edit DPs is eliminated with the
 classic running-extremum trick: for EDR,
@@ -22,10 +19,8 @@ a plain accumulated maximum.
 from __future__ import annotations
 
 from ..trajectory import Trajectory
-from ..trajectory.columns import _numpy, have_numpy
 
 __all__ = [
-    "have_numpy",
     "coords",
     "lcss_distance_fast",
     "edr_distance_fast",
@@ -42,13 +37,13 @@ def coords(traj: Trajectory):
     9 bench — cost a lookup, not a rebuild.  The array is shared and
     read-only; callers needing a private mutable copy must ``.copy()``.
     """
-    _numpy()
     return traj.columns().xy()
 
 
 def _match_matrix(a, b, eps: float):
     """Boolean ``(n, m)``: per-axis differences both within eps."""
-    np = _numpy()
+    import numpy as np
+
     dx = np.abs(a[:, None, 0] - b[None, :, 0]) <= eps
     dy = np.abs(a[:, None, 1] - b[None, :, 1]) <= eps
     return dx & dy
@@ -57,7 +52,8 @@ def _match_matrix(a, b, eps: float):
 def lcss_distance_fast(a, b, eps: float) -> float:
     """``1 - LCSS/min(n, m)``, equal to
     :func:`repro.distance.lcss.lcss_distance` with ``delta=None``."""
-    np = _numpy()
+    import numpy as np
+
     n, m = len(a), len(b)
     match = _match_matrix(a, b, eps)
     prev = np.zeros(m + 1, dtype=np.int64)
@@ -72,7 +68,8 @@ def lcss_distance_fast(a, b, eps: float) -> float:
 
 def edr_distance_fast(a, b, eps: float) -> int:
     """Raw EDR count, equal to :func:`repro.distance.edr.edr_distance`."""
-    np = _numpy()
+    import numpy as np
+
     n, m = len(a), len(b)
     match = _match_matrix(a, b, eps)
     idx = np.arange(1, m + 1, dtype=np.int64)
@@ -112,7 +109,8 @@ def dtw_distance_fast(a, b) -> float:
     ``T + min(accumulate-min(d - shift(T)), cur[block_start])`` — three
     vector ops per block instead of a Python iteration per cell.
     """
-    np = _numpy()
+    import numpy as np
+
     n, m = len(a), len(b)
     cost = np.hypot(
         a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1]

@@ -26,10 +26,13 @@ the numbers agree with that reference to the last bit.  There is no
 numpy twin: at the few windows per call a search sends, a vectorised
 pass costs more than the loop it replaces.
 
-numpy stays an *optional* extra for the MINDIST and filter passes:
-they run when it imports (:func:`repro.trajectory.columns.have_numpy`)
-and their loop-based twins, built on the scalar reference code and
-bit-equal, run otherwise.  Nobody chooses between them.
+Each search pass has one implementation, and the other two are numpy
+passes: MINDIST (:func:`repro.index.mindist.mindist_batch`, one batch
+per expanded node) and the signature filter's bound
+(:class:`repro.filter.SignatureFilter`, one pass over the whole
+sidecar).  Each beat a loop over its scalar reference on some
+workload, so numpy is a dependency and the loops are gone; the scalar
+references stay for the tests.
 """
 
 from __future__ import annotations

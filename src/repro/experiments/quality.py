@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 from ..compression import td_tr_fraction
 from ..distance import fast as _fast
-from ..distance.dtw import dtw_distance
-from ..distance.edr import edr_distance
-from ..distance.lcss import lcss_distance
 from ..search import linear_scan_kmst
 from ..trajectory import Trajectory, TrajectoryDataset
 
@@ -86,22 +83,6 @@ def _dp_value_fast(measure, query, q_arr, tr, eps: float) -> float:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def _dp_value_reference(measure, query, tr, eps: float) -> float:
-    """The same value via the pure-Python reference metrics — the
-    no-numpy fallback (orders of magnitude slower, identical results)."""
-    if measure == "LCSS":
-        return lcss_distance(query, tr, eps)
-    if measure == "EDR":
-        return float(edr_distance(query, tr, eps))
-    if measure == "LCSS-I":
-        return lcss_distance(_interpolated(query, tr), tr, eps)
-    if measure == "EDR-I":
-        return float(edr_distance(_interpolated(query, tr), tr, eps))
-    if measure == "DTW":
-        return dtw_distance(query, tr)
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def _most_similar_dp(
     measure: str,
     query: Trajectory,
@@ -112,13 +93,9 @@ def _most_similar_dp(
     ties, making failures deterministic)."""
     best_id = None
     best_val = None
-    use_fast = _fast.have_numpy()
-    q_arr = _fast.coords(query) if use_fast else None
+    q_arr = _fast.coords(query)
     for tr in dataset:
-        if use_fast:
-            val = _dp_value_fast(measure, query, q_arr, tr, eps)
-        else:
-            val = _dp_value_reference(measure, query, tr, eps)
+        val = _dp_value_fast(measure, query, q_arr, tr, eps)
         key = (val, tr.object_id)
         if best_val is None or key < best_val:
             best_val = key

@@ -12,8 +12,8 @@ bound, which certifies it can never enter the answer set.
 Signatures are built at index build / ingest compaction time
 (:func:`build_signatures`), persisted as a ``.sig`` sidecar next to the
 page file (:mod:`repro.filter.sidecar`), mmap-served read-only, and
-evaluated by :class:`SignatureFilter` — in one numpy pass over the
-sidecar when numpy imports, one row at a time otherwise (bit-equal).
+evaluated by :class:`SignatureFilter` in one numpy pass over the
+whole sidecar.
 A search filters a tree iff the tree carries a sidecar; an index built
 without one is served unfiltered.
 """

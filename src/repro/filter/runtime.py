@@ -21,16 +21,15 @@ The bound is valid for *partial* candidates too: a candidate's
 reported value is always an upper bound on (or the exact value of) its
 full-period DISSIM, which the signature bound lower-bounds.
 
-Without numpy the filter evaluates one trajectory per lookup.  With
-numpy (:func:`repro.trajectory.columns.have_numpy`) it evaluates
-*every* row of the sidecar on the first lookup of a query — a few
-dozen array operations over the stacked knot columns instead of one
-interpreter round trip per candidate — performing the
-exact same IEEE operations in the same order (probe times as ``lo +
-(j + 0.5) * L``, the knot index by bisection, interpolation as ``x_i +
-frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx + dy*dy)``, per-probe hinge,
-the ``M`` contributions added left to right), so the two are bit-equal
-and the host's numpy never changes an answer.
+On the first lookup of a query the filter evaluates *every* row of the
+sidecar in one numpy pass — a few dozen array operations over the
+stacked knot columns instead of one interpreter round trip per
+candidate.  It performs the same IEEE operations in the same order as
+the one-row scalar reference :meth:`SignatureFilter._evaluate` (probe
+times as ``lo + (j + 0.5) * L``, the knot index by bisection,
+interpolation as ``x_i + frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx +
+dy*dy)``, per-probe hinge, the ``M`` contributions added left to
+right), so the two are bit-equal; the tests hold the pass to it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import math
 from bisect import bisect_right
 
 from ..exceptions import QueryError
-from ..trajectory.columns import _numpy, have_numpy
 from .signature import TrajectorySignatures
 
 __all__ = ["SignatureFilter", "DEFAULT_PROBES"]
@@ -73,7 +71,6 @@ class SignatureFilter:
         "pruned",
         "_bounds",
         "_qpos",
-        "_np",
     )
 
     def __init__(
@@ -98,11 +95,9 @@ class SignatureFilter:
         self.probes = probes
         self.checks = 0
         self.pruned = 0
-        # One slot per sidecar row, allocated on the first lookup: the
-        # numpy kernel fills them all at once, the scalar one as asked.
-        self._bounds: list[float | None] | None = None
+        # One bound per sidecar row, all computed on the first lookup.
+        self._bounds: list[float] | None = None
         self._qpos: dict[tuple[float, float], tuple[list, list]] = {}
-        self._np = _numpy() if have_numpy() else None
 
     # ------------------------------------------------------------------
     # pruning interface
@@ -130,22 +125,16 @@ class SignatureFilter:
         pos = self.sigs.position(tid)
         if pos is None:
             return None
-        bounds = self._bounds
-        if bounds is None:
-            bounds = self._bounds = (
-                [None] * len(self.sigs)
-                if self._np is None
-                else self._probe_bounds_numpy()
-            )
-        lb = bounds[pos]
-        if lb is None:
-            lb = bounds[pos] = self._evaluate(*self.sigs.knots(tid))
-        return lb
+        if self._bounds is None:
+            self._bounds = self._probe_bounds()
+        return self._bounds[pos]
 
     # ------------------------------------------------------------------
     # bound evaluation
     # ------------------------------------------------------------------
     def _evaluate(self, kt, kx, ky, radii) -> float:
+        """One row's bound, one probe at a time: the scalar reference
+        :meth:`_probe_bounds` is held to, bit for bit."""
         if len(kt) < 2:
             return 0.0
         lo = kt[0] if kt[0] > self.t_start else self.t_start
@@ -162,8 +151,9 @@ class SignatureFilter:
 
     def _query_positions(self, lo: float, hi: float) -> tuple[list, list]:
         # Scalar interpolation against the query polyline at the probe
-        # times of ``[lo, hi]``, on both kernel paths — identical
-        # values by construction.  Memoised by probe window:
+        # times of ``[lo, hi]``, for the numpy pass and the reference
+        # alike — identical values by construction.  Memoised by probe
+        # window:
         # trajectories spanning the whole query period (the common
         # case) share one evaluation.
         cached = self._qpos.get((lo, hi))
@@ -212,13 +202,14 @@ class SignatureFilter:
             total += c
         return total
 
-    def _probe_bounds_numpy(self) -> list[float]:
+    def _probe_bounds(self) -> list[float]:
         """The bound of every sidecar row, each value bit-equal to
         :meth:`_evaluate` on that row's knots.  Work arrays are
         probe-major — ``[probes, rows]`` — so each per-probe step runs
         over contiguous rows; rows go through in blocks of
         ``_ROW_BLOCK``.  Nothing returned or kept views the columns."""
-        np = self._np
+        import numpy as np
+
         kt, kx, ky, radii, offsets = self.sigs.knot_columns(np)
         m = self.probes
         vmax = self.vmax
@@ -288,7 +279,8 @@ class SignatureFilter:
         or, when every row shares one window (rows spanning the whole
         query period, the common case), ``[probes, 1]`` columns that
         broadcast against the rows."""
-        np = self._np
+        import numpy as np
+
         windows = list(zip(lo.tolist(), hi.tolist()))
         slots = {w: i for i, w in enumerate(dict.fromkeys(windows))}
         qpos = [self._query_positions(*window) for window in slots]

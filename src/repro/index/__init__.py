@@ -5,7 +5,7 @@ from .base import TrajectoryIndex, quadratic_split
 from .entry import ENTRY_BYTES, InternalEntry, LeafEntry
 from .fsck import FsckReport, PageVerdict, fsck, fsck_index, fsck_sharded
 from .kinds import TREES, tree_class
-from .mindist import mindist, mindist_batch, mindist_batch_python
+from .mindist import mindist, mindist_batch
 from .node import NO_PAGE, NODE_OVERHEAD_BYTES, Node, node_capacity
 from .persistence import load_index, save_index
 from .rtree3d import RTree3D
@@ -28,7 +28,6 @@ __all__ = [
     "tree_class",
     "mindist",
     "mindist_batch",
-    "mindist_batch_python",
     "best_first_nodes",
     "leaf_points",
     "save_index",

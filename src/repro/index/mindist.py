@@ -20,13 +20,8 @@ from typing import Sequence
 from ..geometry import MBR3D, min_moving_point_rect_distance
 from ..obs import state as _obs
 from ..trajectory import Trajectory
-from ..trajectory.columns import _numpy
 
-__all__ = [
-    "mindist",
-    "mindist_batch",
-    "mindist_batch_python",
-]
+__all__ = ["mindist", "mindist_batch"]
 
 
 def mindist(
@@ -61,17 +56,6 @@ def mindist(
     return best
 
 
-def mindist_batch_python(
-    query: Trajectory,
-    boxes: Sequence[MBR3D],
-    t_start: float,
-    t_end: float,
-) -> list[float | None]:
-    """Loop-based reference batch: one scalar :func:`mindist` per box —
-    what the traversal runs when numpy does not import."""
-    return [mindist(query, box, t_start, t_end) for box in boxes]
-
-
 def mindist_batch(
     query: Trajectory,
     boxes: Sequence[MBR3D],
@@ -89,7 +73,8 @@ def mindist_batch(
     (breakpoints padded to six slots, vertex of each adjacent piece),
     so the values match the scalar path bit for bit.
     """
-    np = _numpy()
+    import numpy as np
+
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
         reg.inc("index.mindist_batched")

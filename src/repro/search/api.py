@@ -144,7 +144,8 @@ def bfmst_search(
     query's, and a part is filtered iff it carries a signature sidecar
     (see :mod:`repro.filter`).  Two keywords stay for callers that
     measure exactly that: ``kernels`` takes only ``None`` or ``"auto"``
-    (the platform picks the MINDIST and filter implementations), and
+    and selects nothing (MINDIST and the filter have one implementation
+    each; the keyword stays for callers that name it), and
     ``filter="off"`` ignores the sidecars (``"auto"`` is the default;
     answers are identical either way).  ``deadline`` is an absolute
     ``time.monotonic()`` instant past which the traversal raises
@@ -161,7 +162,7 @@ def bfmst_search(
         )
     if kernels is not None and kernels != "auto":
         raise QueryError(
-            f"kernels takes only None or 'auto' (the platform picks the "
+            f"kernels takes only None or 'auto' (each pass has one "
             f"implementation), got {kernels!r}"
         )
     options = {}

@@ -87,9 +87,8 @@ class SearchStats:
     h2_termination_depth: int = 0
     # kernel usage: how much of the query ran batched.
     # kernel_batches / kernel_segments count segment-DISSIM batches and
-    # the windows they covered (one kernel, with or without numpy);
-    # mindist_batched counts numpy node expansions, zero on a host
-    # without numpy.
+    # the windows they covered; mindist_batched counts the MINDIST
+    # batches, one per expanded node.
     kernel_batches: int = 0
     kernel_segments: int = 0
     mindist_batched: int = 0

@@ -27,10 +27,10 @@ any other kind or query type is a :class:`QueryError`.
 absolute deadline and the engines abort work past it (see
 :mod:`repro.serve`); it is therefore excluded from :meth:`cache_key`,
 which identifies the *answer* a spec determines.  ``kernels`` is
-reserved: the platform picks the MINDIST and filter implementations
-(numpy when it imports), so the field is always written ``null`` and
-read as ``null`` or ``"auto"`` — both one cache key — and any other
-value is rejected.
+reserved: MINDIST and the filter have one implementation each, so the
+field selects nothing; it is always written ``null`` and read as
+``null`` or ``"auto"`` — both one cache key — and any other value is
+rejected.
 
 Every number on the wire is finite: a NaN or infinite ``period`` end
 or ``deadline_ms`` is rejected rather than handed to the engine, where
@@ -263,8 +263,8 @@ class QuerySpec:
         kernels = doc.get("kernels")
         if kernels is not None and kernels != "auto":
             raise QueryError(
-                f"kernels is reserved: null or \"auto\" (the platform picks "
-                f"the implementation), got {kernels!r}"
+                f"kernels is reserved: null or \"auto\" (each pass has one "
+                f"implementation), got {kernels!r}"
             )
         deadline_ms = doc.get("deadline_ms")
         if deadline_ms is not None:

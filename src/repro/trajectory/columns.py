@@ -7,69 +7,21 @@ objects.  Because trajectories are immutable the columns can be built
 once and memoised forever — :meth:`Trajectory.columns` does exactly
 that, backed by this module.
 
-The columns themselves are :class:`array.array` buffers so the view is
-fully functional without numpy; when numpy *is* available the arrays
-are wrapped zero-copy (``np.frombuffer`` on the buffer protocol) and
-marked read-only.  numpy is imported on first use and memoised here:
-:func:`have_numpy` is the package's one probe for the optional extra.
+The columns themselves are :class:`array.array` buffers, which the
+segment kernel reads as they are; the numpy views over them (zero-copy,
+read-only) import numpy on first use, so building the columns never
+does.
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .dataset import TrajectoryDataset
     from .trajectory import Trajectory
 
-__all__ = ["TrajectoryColumns", "dataset_columns", "have_numpy"]
-
-#: numpy once probed: the module, ``False`` when it does not import,
-#: ``None`` before the first probe.  The one memo of the optional
-#: extra — every numpy path in the package asks :func:`have_numpy` or
-#: :func:`_numpy` here.
-_np = None
-
-
-def _numpy():
-    """Import numpy on first use, memoised; raises an actionable
-    :class:`ImportError` when it is not installed."""
-    global _np
-    if _np is None:
-        try:
-            import numpy
-
-            # A concurrent *failed* import can hand this thread the
-            # half-initialized module object (CPython returns the
-            # sys.modules entry it read before waiting on the import
-            # lock); probing an attribute rejects it instead of
-            # memoising a broken module as "numpy is available".
-            numpy.ndarray
-        except (ImportError, AttributeError):
-            _np = False
-        else:
-            _np = numpy
-    if _np is False:
-        raise ImportError(
-            "numpy is an optional extra: install it with `pip install "
-            "numpy` (or the project's `[test]` extra).  Without it the "
-            "search runs its pure-Python MINDIST and signature-filter "
-            "paths, and the quality experiment its reference metrics."
-        )
-    return _np
-
-
-def have_numpy() -> bool:
-    """``True`` when numpy imports.  The search takes its numpy
-    MINDIST and signature-filter passes then, and their pure-Python
-    twins (bit-equal) otherwise."""
-    try:
-        _numpy()
-    except ImportError:
-        return False
-    return True
+__all__ = ["TrajectoryColumns"]
 
 
 class TrajectoryColumns:
@@ -104,7 +56,8 @@ class TrajectoryColumns:
         return len(self.t)
 
     def _wrap(self, buf: array):
-        np = _numpy()
+        import numpy as np
+
         view = np.frombuffer(buf, dtype=np.float64)
         view.flags.writeable = False
         return view
@@ -130,33 +83,9 @@ class TrajectoryColumns:
     def xy(self):
         """Read-only ``(n, 2)`` float64 ndarray of the spatial samples."""
         if self._xy is None:
-            np = _numpy()
+            import numpy as np
+
             stacked = np.column_stack((self.x_view(), self.y_view()))
             stacked.flags.writeable = False
             self._xy = stacked
         return self._xy
-
-
-# Dataset-level cache, keyed like the engine's signature cache: the
-# entry is reused while the dataset still "looks the same"
-# (same cardinality and total sample count) and rebuilt after any
-# add/remove.  Weak keys keep thrown-away datasets collectable.
-_DATASET_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def dataset_columns(dataset: "TrajectoryDataset") -> dict:
-    """Columns for every trajectory in ``dataset``, memoised per dataset.
-
-    Returns a mapping ``object_id -> TrajectoryColumns``.  The cache key
-    is the dataset signature ``(len(dataset), total_samples)`` — the
-    same invalidation discipline the query engine applies to its index
-    signature — so mutating the dataset transparently rebuilds the
-    columns on next use.
-    """
-    signature = (len(dataset), dataset.total_samples())
-    entry = _DATASET_CACHE.get(dataset)
-    if entry is not None and entry[0] == signature:
-        return entry[1]
-    columns = {traj.object_id: traj.columns() for traj in dataset}
-    _DATASET_CACHE[dataset] = (signature, columns)
-    return columns

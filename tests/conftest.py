@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import builtins
 import math
 import random
 import zlib
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
@@ -19,51 +17,6 @@ from repro import (
     generate_gstd,
     make_workload,
 )
-from repro.trajectory import columns as _columns
-
-#: The MINDIST and signature-filter implementations this host can run:
-#: the pure-Python ones always, numpy's when it imports.
-KERNELS = ["python"] + (["numpy"] if _columns.have_numpy() else [])
-
-
-# ----------------------------------------------------------------------
-# running without numpy
-# ----------------------------------------------------------------------
-@contextmanager
-def numpy_blocked():
-    """Make ``import numpy`` fail and clear the package's one numpy
-    memo (:mod:`repro.trajectory.columns`) for the duration — both come
-    back afterwards — so the search takes its pure-Python paths as on a
-    host without numpy."""
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is not installed (simulated)")
-        return real_import(name, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_columns, "_np", None)
-        patch.setattr(builtins, "__import__", blocked)
-        yield
-
-
-@pytest.fixture()
-def no_numpy():
-    """The test runs as on a host without numpy."""
-    with numpy_blocked():
-        yield
-
-
-@pytest.fixture()
-def kernels(request):
-    """Indirect parameter over :data:`KERNELS`: ``"python"`` runs the
-    test under :func:`numpy_blocked`, ``"numpy"`` as the host is."""
-    if request.param == "python":
-        with numpy_blocked():
-            yield "python"
-    else:
-        yield request.param
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +169,7 @@ def _pin_global_rng(request):
     state = random.getstate()
     random.seed(seed)
     np_state = None
-    try:
+    try:  # CI runs the pure-Python layers' tests without numpy
         import numpy as np
 
         np_state = np.random.get_state()

@@ -76,9 +76,6 @@ class TestEuclidean:
 
 
 class TestFastAgreesWithReference:
-    @pytest.fixture(autouse=True)
-    def _needs_numpy(self):
-        pytest.importorskip("numpy")
     @given(trajectories(id_=0), trajectories(id_=1))
     @settings(max_examples=80, deadline=None)
     def test_lcss_fast(self, a, b):

@@ -1,5 +1,5 @@
-"""Lazy-numpy behaviour of repro.distance.fast and the quality
-experiment's pure-Python fallback."""
+"""The numpy LCSS / EDR / DTW of repro.distance.fast, which the quality
+experiment runs, against the pure-Python reference metrics."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.distance.dtw import dtw_distance
 from repro.distance.edr import edr_distance
 from repro.distance.lcss import lcss_distance
 from repro.experiments import quality
-
-from conftest import numpy_blocked
 
 MEASURES = ("LCSS", "EDR", "LCSS-I", "EDR-I", "DTW")
 
@@ -24,25 +22,8 @@ def world():
     return dataset, eps
 
 
-class TestLazyImport:
-    def test_have_numpy_true_in_test_env(self):
-        pytest.importorskip("numpy")
-        assert fast.have_numpy()
-
-    def test_import_error_is_actionable(self, no_numpy):
-        assert not fast.have_numpy()
-        with pytest.raises(ImportError, match="pip install numpy"):
-            fast._numpy()
-
-    def test_module_functions_raise_without_numpy(self, no_numpy, world):
-        dataset, _ = world
-        with pytest.raises(ImportError, match="optional"):
-            fast.coords(next(iter(dataset)))
-
-
 class TestQualityFallback:
     def test_fast_equals_reference_values(self, world):
-        pytest.importorskip("numpy")
         dataset, eps = world
         trs = list(dataset)[:3]
         for q in trs:
@@ -59,16 +40,26 @@ class TestQualityFallback:
                     dtw_distance(q, tr), abs=1e-9
                 )
 
+
+def _reference_value(measure, query, tr, eps):
+    if measure.endswith("-I"):
+        query = quality._interpolated(query, tr)
+    if measure.startswith("LCSS"):
+        return lcss_distance(query, tr, eps)
+    if measure.startswith("EDR"):
+        return float(edr_distance(query, tr, eps))
+    return dtw_distance(query, tr)
+
+
 def test_quality_winners_match_between_paths(world):
-    """The experiment picks identical winners with and without numpy."""
+    """The experiment picks the winners the reference metrics pick."""
     dataset, eps = world
     query = next(iter(dataset))
-    fast_winners = {
-        m: quality._most_similar_dp(m, query, dataset, eps) for m in MEASURES
-    }
-    with numpy_blocked():
-        slow_winners = {
-            m: quality._most_similar_dp(m, query, dataset, eps)
-            for m in MEASURES
-        }
-    assert slow_winners == fast_winners
+    for measure in MEASURES:
+        want = min(
+            dataset,
+            key=lambda tr: (
+                _reference_value(measure, query, tr, eps), tr.object_id
+            ),
+        ).object_id
+        assert quality._most_similar_dp(measure, query, dataset, eps) == want

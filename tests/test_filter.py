@@ -1,8 +1,8 @@
 """Signature filter tier tests (:mod:`repro.filter`).
 
 Covers the certified-radius construction, the provable-lower-bound
-property of the probe bound (with and without numpy, bit-equal — the
-batched numpy pass against the scalar reference), the binary sidecar
+property of the probe bound (the batched numpy pass bit-equal to the
+scalar reference), the binary sidecar
 round-trip, its lifetime and its corruption handling, byte-identity of
 filtered vs unfiltered answers across trees, partitioners, executors
 (including the process pool) and live ingestion, and the observability
@@ -50,14 +50,7 @@ from repro.index import fsck_index
 from repro.search.bfmst import bfmst_search
 from repro.search.results import SearchStats
 
-from conftest import KERNELS, hexes
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
+from conftest import hexes
 
 
 
@@ -157,10 +150,7 @@ class TestSignatureBuild:
 # the lower-bound property
 # ----------------------------------------------------------------------
 class TestLowerBound:
-    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
-    def test_bound_never_exceeds_exact_dissim(
-        self, dataset, rtree, sigs, kernels
-    ):
+    def test_bound_never_exceeds_exact_dissim(self, dataset, rtree, sigs):
         for query, period in workload(dataset, n=6, length=0.25):
             vmax = rtree.max_speed + query.max_speed()
             filt = SignatureFilter(sigs, query, period[0], period[1], vmax)
@@ -169,7 +159,6 @@ class TestLowerBound:
                 exact = dissim_exact(query, dataset.get(tid), period)
                 assert lb <= exact + 1e-9 * max(1.0, exact)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     def test_kernels_bit_equal(self, dataset, rtree, sigs):
         for query, period in workload(dataset, n=4, length=0.3, seed=7):
             vmax = rtree.max_speed + query.max_speed()
@@ -232,7 +221,7 @@ def synthetic_store(rows):
 
 def scalar_bounds(filt, tids):
     """The scalar reference (:meth:`SignatureFilter._evaluate`) for each
-    trajectory, whatever pass ``filt.bound`` takes on this host."""
+    trajectory."""
     return [filt._evaluate(*filt.sigs.knots(tid)) for tid in tids]
 
 
@@ -284,9 +273,8 @@ def covering_queries(draw):
     return Trajectory(-1, [(draw(coordinate), draw(coordinate), t) for t in times])
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestBatchedBounds:
-    """With numpy the filter computes every row's bound in one pass; each
+    """The filter computes every row's bound in one numpy pass; each
     must be bit-equal to the scalar ``_evaluate`` value, no tolerance."""
 
     @given(
@@ -391,7 +379,6 @@ class TestBatchedBounds:
 # ----------------------------------------------------------------------
 # sidecar lifetime: nothing may keep a view of an mmap'd column
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestSidecarLifetime:
     """``close()`` releases the mmap; a surviving ndarray view of a
     column would make that raise ``BufferError``."""
@@ -674,15 +661,6 @@ class TestByteIdentity:
             assert s_on.signature_checks > 0
             assert s_off.signature_checks == 0
             assert s_off.signature_pruned == 0
-
-    @pytest.mark.parametrize("kernels", KERNELS, indirect=True)
-    def test_single_index_kernels(self, served, dataset, kernels):
-        index = served["rtree"]
-        for query, period in workload(dataset, n=2, seed=55):
-            on, s_on = bfmst_search(index, query, period, k=5)
-            off, _ = bfmst_search(index, query, period, k=5, filter="off")
-            assert match_keys(on) == match_keys(off)
-            assert s_on.signature_checks > 0
 
     @pytest.mark.parametrize("partitioner", ["hash", "temporal"])
     def test_sharded(self, dataset, partitioner, tmp_path):

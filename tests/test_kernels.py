@@ -1,10 +1,6 @@
 """The kernel layer: columnar trajectory views, the one segment-DISSIM
-kernel against its scalar reference, the batched MINDIST kernels, and
-end-to-end parity of the BFMST search with numpy and without it (its
-pure-Python MINDIST and filter paths) on both trees and through the
-sharded engine path."""
-
-from contextlib import nullcontext
+kernel against its scalar reference, the numpy MINDIST batch against
+scalar ``mindist``, and the kernel counters a traced search reports."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,22 +20,14 @@ from repro.distance.kernels import segment_dissim_batch
 from repro.distance.trinomial import DistanceTrinomial
 from repro.engine import QueryEngine
 from repro.exceptions import QueryError, TemporalCoverageError
-from repro.geometry import MBR3D, STSegment, distance_trinomial_coefficients
-from repro.index.mindist import mindist, mindist_batch, mindist_batch_python
+from repro.geometry import MBR3D, distance_trinomial_coefficients
+from repro.index.mindist import mindist, mindist_batch
 from repro.obs import query_trace
 from repro.search import QuerySpec
 from repro.search import api as search_api
 from repro.search.bfmst import bfmst_search
-from repro.sharding import (
-    PARTITIONER_KINDS,
-    ShardedDataset,
-    build_sharded_index,
-    make_partitioner,
-)
-from repro.trajectory import columns as columns_mod
-from repro.trajectory import dataset_columns
 
-from conftest import hexes, numpy_blocked, work_counters
+from conftest import hexes, work_counters
 
 coord = st.floats(min_value=-50.0, max_value=50.0)
 
@@ -147,7 +135,8 @@ class TestColumnarView:
     @given(trajectories())
     @settings(max_examples=30, deadline=None)
     def test_numpy_views_are_zero_copy_and_read_only(self, traj):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         cols = traj.columns()
         t = cols.t_view()
         assert t.dtype == np.float64
@@ -161,23 +150,7 @@ class TestColumnarView:
         assert xy[:, 0].tolist() == [p.x for p in traj.samples]
         assert xy[:, 1].tolist() == [p.y for p in traj.samples]
 
-    def test_dataset_columns_cached_until_dataset_changes(self):
-        dataset = TrajectoryDataset()
-        dataset.add(Trajectory(1, [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)]))
-        dataset.add(Trajectory(2, [(2.0, 0.0, 0.0), (1.0, 3.0, 2.0)]))
-        first = dataset_columns(dataset)
-        assert set(first) == {1, 2}
-        assert first[1] is dataset.get(1).columns()
-        # same signature -> the cached mapping is returned as-is
-        assert dataset_columns(dataset) is first
-        # structural change -> new signature -> fresh mapping
-        dataset.add(Trajectory(3, [(0.0, 0.0, 0.0), (5.0, 5.0, 5.0)]))
-        second = dataset_columns(dataset)
-        assert second is not first
-        assert set(second) == {1, 2, 3}
-
     def test_coords_served_from_columns(self):
-        pytest.importorskip("numpy")
         traj = Trajectory(7, [(0.0, 1.0, 0.0), (2.0, 3.0, 1.0)])
         arr = fast.coords(traj)
         assert arr is traj.columns().xy()
@@ -259,12 +232,18 @@ class TestSegmentDissimBatch:
 # ----------------------------------------------------------------------
 # batched MINDIST
 # ----------------------------------------------------------------------
+def scalar_mindists(query, boxes, period):
+    """The scalar reference: :func:`mindist` box by box."""
+    return [mindist(query, box, *period) for box in boxes]
+
+
 class TestMindistBatch:
     @pytest.mark.parametrize(
         "tree_cls", (RTree3D, TBTree), ids=lambda c: c.__name__
     )
     def test_matches_scalar_on_every_tree_node(self, tree_cls, gstd_world):
-        pytest.importorskip("numpy")
+        """One batch is the scalar MINDIST per box, counted as one
+        ``index.mindist_batched`` and one evaluation per box."""
         dataset, query, period = gstd_world
         index = build_tree(tree_cls, dataset)
         checked = 0
@@ -272,9 +251,13 @@ class TestMindistBatch:
             boxes = [e.mbr for e in node.entries]
             if not boxes:
                 continue
-            got = mindist_batch(query, boxes, *period)
-            want = mindist_batch_python(query, boxes, *period)
-            assert got == want
+            with query_trace() as trace:
+                got = mindist_batch(query, boxes, *period)
+            assert got == scalar_mindists(query, boxes, period)
+            assert trace.registry.value("index.mindist_batched") == 1
+            assert trace.registry.value("index.mindist_evaluations") == len(
+                boxes
+            )
             checked += len(boxes)
         assert checked > 50
 
@@ -288,7 +271,6 @@ class TestMindistBatch:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_matches_scalar_on_random_boxes(self, data, traj):
-        pytest.importorskip("numpy")
         n = data.draw(st.integers(min_value=1, max_value=8))
         boxes = []
         tspan = st.floats(
@@ -301,11 +283,9 @@ class TestMindistBatch:
             boxes.append(MBR3D(x1, y1, t1, x2, y2, t2))
         period = (traj.t_start, traj.t_end)
         got = mindist_batch(traj, boxes, *period)
-        want = mindist_batch_python(traj, boxes, *period)
-        assert hexes(got) == hexes(want)
+        assert hexes(got) == hexes(scalar_mindists(traj, boxes, period))
 
     def test_instant_window_and_disjoint_boxes(self):
-        pytest.importorskip("numpy")
         traj = Trajectory(-1, [(0.0, 0.0, 0.0), (10.0, 0.0, 10.0)])
         instant = MBR3D(2.0, 1.0, 5.0, 3.0, 2.0, 5.0)  # tmin == tmax
         disjoint = MBR3D(0.0, 0.0, 20.0, 1.0, 1.0, 30.0)  # after lifetime
@@ -315,110 +295,13 @@ class TestMindistBatch:
 
 
 # ----------------------------------------------------------------------
-# BFMST parity: with numpy vs without it
-# ----------------------------------------------------------------------
-def assert_same_answers(got, want):
-    """Same ids, DISSIMs, error bounds and exact flags, to the bit."""
-
-    def keys(matches):
-        return [
-            (m.trajectory_id, m.dissim.hex(), m.error_bound.hex(), m.exact)
-            for m in matches
-        ]
-
-    assert keys(got) == keys(want)
-
-
-class TestBFMSTKernelParity:
-    @pytest.mark.parametrize(
-        "tree_cls", (RTree3D, TBTree), ids=lambda c: c.__name__
-    )
-    def test_single_tree_identical_rankings(self, tree_cls, gstd_world):
-        pytest.importorskip("numpy")
-        dataset, query, period = gstd_world
-        index = build_tree(tree_cls, dataset)
-        for k in (1, 5, 10):
-            vector, v_stats = bfmst_search(index, query, period, k)
-            with numpy_blocked():
-                scalar, s_stats = bfmst_search(index, query, period, k)
-            assert_same_answers(vector, scalar)
-            assert v_stats.candidates_rejected == s_stats.candidates_rejected
-            assert v_stats.node_accesses == s_stats.node_accesses
-
-    @pytest.mark.parametrize("partitioner_kind", PARTITIONER_KINDS)
-    def test_sharded_identical_rankings(self, partitioner_kind, gstd_world):
-        pytest.importorskip("numpy")
-        dataset, query, period = gstd_world
-        sharded_ds = ShardedDataset.partition(
-            dataset, make_partitioner(partitioner_kind, 3)
-        )
-        sharded = build_sharded_index(sharded_ds, RTree3D, page_size=512)
-        try:
-            vector = search_api.bfmst_search(
-                sharded, None, query, period=period, k=5
-            )
-            with numpy_blocked():
-                scalar = search_api.bfmst_search(
-                    sharded, None, query, period=period, k=5
-                )
-            assert_same_answers(vector.matches, scalar.matches)
-        finally:
-            sharded.close()
-
-    @given(worlds())
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    def test_parity_on_arbitrary_worlds(self, world):
-        pytest.importorskip("numpy")
-        dataset, query, period = world
-        for tree_cls in (RTree3D, TBTree):
-            index = build_tree(tree_cls, dataset)
-            vector, _ = bfmst_search(index, query, period, 3)
-            with numpy_blocked():
-                scalar, _ = bfmst_search(index, query, period, 3)
-            assert_same_answers(vector, scalar)
-
-    def test_engine_dispatch_and_batch_caches(self, gstd_world):
-        pytest.importorskip("numpy")
-        dataset, query, period = gstd_world
-        answers = {}
-        for mode in ("numpy", "python"):
-            index = build_tree(RTree3D, dataset)
-            with QueryEngine(index) as engine, (
-                numpy_blocked() if mode == "python" else nullcontext()
-            ):
-                request = QuerySpec("mst", query, period, k=5)
-                with query_trace(index):
-                    first = engine.execute(request)
-                # the engine keeps no per-query memo: the second run
-                # traverses again and does the same work
-                with query_trace(index):
-                    second = engine.execute(request)
-                assert second.answer_json() == first.answer_json()
-                assert work_counters(second.stats) == work_counters(
-                    first.stats
-                )
-                # segment DISSIM has one kernel, which batches on every
-                # host; MINDIST batches through numpy only where it is
-                assert first.stats.kernel_batches > 0
-                batched = first.stats.mindist_batched > 0
-                assert batched == (mode == "numpy")
-                answers[mode] = first.matches
-        assert_same_answers(answers["numpy"], answers["python"])
-
-
-# ----------------------------------------------------------------------
 # observability counters
 # ----------------------------------------------------------------------
 class TestKernelCounters:
     def test_numpy_path_reports_kernel_usage(self, gstd_world):
-        pytest.importorskip("numpy")
         dataset, query, period = gstd_world
         index = build_tree(RTree3D, dataset)
-        with query_trace(index, name="kernels-numpy") as trace:
+        with query_trace(index, name="kernels") as trace:
             _matches, stats = bfmst_search(index, query, period, 5)
         assert stats.kernel_batches > 0
         assert stats.kernel_segments > 0
@@ -426,55 +309,43 @@ class TestKernelCounters:
         doc = stats.as_dict()
         assert doc["kernel_batches"] == stats.kernel_batches
         assert trace.registry.value("distance.kernel_batches") > 0
-        assert trace.registry.value("index.mindist_batched") > 0
+        assert (
+            trace.registry.value("index.mindist_batched")
+            == stats.mindist_batched
+        )
 
-    def test_scalar_paths_report_zero(self, gstd_world, no_numpy):
+    def test_engine_repeats_the_same_work(self, gstd_world):
         dataset, query, period = gstd_world
         index = build_tree(RTree3D, dataset)
-        with query_trace(index, name="kernels-python"):
-            _matches, stats = bfmst_search(index, query, period, 5)
-        # segment DISSIM has one kernel, which batches on every host
-        assert stats.kernel_batches > 0
-        assert stats.kernel_segments > 0
-        assert stats.mindist_batched == 0
+        with QueryEngine(index) as engine:
+            request = QuerySpec("mst", query, period, k=5)
+            with query_trace(index):
+                first = engine.execute(request)
+            # the engine keeps no per-query memo: the second run
+            # traverses again and does the same work
+            with query_trace(index):
+                second = engine.execute(request)
+        assert second.answer_json() == first.answer_json()
+        assert work_counters(second.stats) == work_counters(first.stats)
+        assert first.stats.kernel_batches > 0
+        assert first.stats.mindist_batched > 0
 
     @pytest.mark.parametrize(
         "tree_cls", (RTree3D, TBTree), ids=lambda c: c.__name__
     )
     def test_unspecified_kernels_mean_auto(self, tree_cls, gstd_world):
-        """The documented entry point, with no ``kernels`` or with the
-        one value it takes, runs the numpy passes and answers exactly as
-        the pure-Python ones do."""
-        pytest.importorskip("numpy")
+        """The documented entry point answers alike with no ``kernels``
+        and with the one value it takes."""
         dataset, query, period = gstd_world
         index = build_tree(tree_cls, dataset)
-        with query_trace(index, name="kernels-default"):
-            default = search_api.bfmst_search(
-                index, None, query, period=period, k=5
-            )
-        assert default.stats.kernel_batches > 0
-        assert default.stats.mindist_batched > 0
+        default = search_api.bfmst_search(
+            index, None, query, period=period, k=5
+        )
         auto = search_api.bfmst_search(
             index, None, query, period=period, k=5, kernels="auto"
         )
-        with numpy_blocked():
-            scalar = search_api.bfmst_search(
-                index, None, query, period=period, k=5
-            )
-        assert_same_answers(default.matches, auto.matches)
-        assert_same_answers(default.matches, scalar.matches)
-
-
-# ----------------------------------------------------------------------
-# numpy-less fallback
-# ----------------------------------------------------------------------
-class TestPythonFallback:
-    def test_resolution_without_numpy(self, no_numpy):
-        """One probe answers for the whole package."""
-        assert not columns_mod.have_numpy()
-        assert not fast.have_numpy()
-        with pytest.raises(ImportError, match="optional extra"):
-            columns_mod._numpy()
+        keys = [(m.trajectory_id, m.dissim.hex()) for m in default.matches]
+        assert keys == [(m.trajectory_id, m.dissim.hex()) for m in auto.matches]
 
     def test_unknown_mode_rejected(self, gstd_world):
         """The unified entry point keeps ``kernels`` for callers that
@@ -490,22 +361,3 @@ class TestPythonFallback:
             doc = QuerySpec("mst", query, period).as_dict()
             with pytest.raises(QueryError, match="kernels"):
                 QuerySpec.from_dict({**doc, "kernels": mode})
-
-    def test_columns_build_without_numpy_views_raise(self, no_numpy):
-        traj = Trajectory(1, [(0.0, 1.0, 0.0), (2.0, 3.0, 1.0)])
-        cols = traj.columns()
-        assert list(cols.t) == [0.0, 1.0]
-        with pytest.raises(ImportError, match="optional"):
-            cols.t_view()
-
-    def test_bfmst_auto_matches_classic_without_numpy(self, no_numpy):
-        dataset = generate_gstd(8, samples_per_object=10, seed=3)
-        (query, period), = make_workload(dataset, 1, 0.2, seed=3)
-        index = build_tree(RTree3D, dataset)
-        classic, _ = bfmst_search(index, query, period, 3)
-        for mode in ("auto", None):  # unspecified means auto
-            got = search_api.bfmst_search(
-                index, None, query, period=period, k=3, kernels=mode
-            )
-            assert_same_answers(got.matches, classic)
-            assert got.stats.kernel_batches == 0  # untraced: nothing counted

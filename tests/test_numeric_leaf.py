@@ -9,7 +9,7 @@ Contract:
   ``mbr``; the rows a ``Node`` caches are ``payload_rows`` of its page;
 * ``segment_dissim_batch`` over ``(STSegment, lo, hi)`` items is
   bit-equal to the window kernel on the same windows and to the scalar
-  ``segment_dissim``, with numpy and without it;
+  ``segment_dissim``;
 * no write leaves a leaf searched through stale rows: live trees,
   packed trees written after the pack and the ingest memtable answer
   like the exact scan after every insert;
@@ -50,7 +50,7 @@ from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 from repro.storage import unframe_page
 
-from conftest import KERNELS, numpy_blocked, packed
+from conftest import packed
 
 TREES = [RTree3D, TBTree]
 T1 = itemgetter(3)
@@ -104,8 +104,7 @@ def test_read_nodes_keep_the_harness_surface(small_dataset, cls, page_size):
     assert leaves > 1
 
 
-@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
-def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
+def test_segment_items_and_windows_are_bit_equal(small_dataset):
     query, (lo, hi) = make_query(small_dataset, 0.3, random.Random(8))
     items = []
     for tr in small_dataset:
@@ -115,8 +114,6 @@ def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
                 items.append((seg, a, b))
     assert len(items) > 100
     windows = [segment_window(*item) for item in items]
-    # The segment kernel never uses numpy: both ids run the one
-    # kernel, against the scalar reference.
     got = segment_dissim_batch(query, items)
     assert got == window_dissim_batch(query, windows)
     assert got == [segment_dissim(query, *item) for item in items]
@@ -126,9 +123,8 @@ def test_segment_items_and_windows_are_bit_equal(small_dataset, kernels):
 # no stale rows after a write
 # ----------------------------------------------------------------------
 def assert_like_scan(search, live, rng, queries=2, k=4):
-    """``search(query, period, k)`` ranks like the exact scan, with
-    numpy and without it, on periods every trajectory of ``live``
-    covers."""
+    """``search(query, period, k)`` ranks like the exact scan on
+    periods every trajectory of ``live`` covers."""
     lo = max(tr.t_start for tr in live)
     hi = min(tr.t_end for tr in live)
     pool = TrajectoryDataset(tr.sliced(lo, hi) for tr in live)
@@ -136,8 +132,6 @@ def assert_like_scan(search, live, rng, queries=2, k=4):
         query, period = make_query(pool, 0.2, rng)
         want = ids(linear_scan_kmst(live, query, period, k=k, exact=True))
         assert ids(search(query, period, k)) == want
-        with numpy_blocked():
-            assert ids(search(query, period, k)) == want
 
 
 def assert_rows_current(index, live):

@@ -24,7 +24,7 @@ from repro.obs import query_trace
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 
-from conftest import KERNELS, packed
+from conftest import packed
 
 CELLS = [(length, k) for k in (1, 5, 10) for length in (0.02, 0.05, 0.10)]
 
@@ -85,9 +85,8 @@ def _run(index, dataset, length, k):
     return matches, want, stats
 
 
-@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
 @pytest.mark.parametrize("length,k", CELLS)
-def test_work_counts_pinned(loaded, dataset, length, k, kernels):
+def test_work_counts_pinned(loaded, dataset, length, k):
     tree, index = loaded
     matches, want, stats = _run(index, dataset, length, k)
     assert [m.trajectory_id for m in matches] == [

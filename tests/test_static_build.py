@@ -39,7 +39,7 @@ from repro.index.packing import append_box, box_columns, even_chunks, str_tiles
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 
-from conftest import KERNELS, inserted, packed
+from conftest import inserted, packed
 from test_indexes import check_structure
 
 PACKING = [RTree3D, TBTree]
@@ -202,14 +202,13 @@ def layouts(small_dataset):
     return out
 
 
-@pytest.mark.parametrize("kernels", KERNELS, indirect=True)
 # The layouts carry sidecars, so "auto" is the filter-on case.
 @pytest.mark.parametrize("filter_mode", ["off", "auto"], ids=["off", "on"])
 @pytest.mark.parametrize("k", [1, 5, 10])
 @pytest.mark.parametrize("page_size", [512, 4096])
 @pytest.mark.parametrize("cls", PACKING)
 def test_packed_and_inserted_answer_like_the_exact_scan(
-    layouts, small_dataset, cls, page_size, k, filter_mode, kernels
+    layouts, small_dataset, cls, page_size, k, filter_mode
 ):
     """Both layouts return the exact scan's ranking, and the values
     they report for it agree with each other within 1e-9 relative (a
