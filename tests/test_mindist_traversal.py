@@ -126,6 +126,13 @@ def both_layouts():
     return dataset, trees
 
 
+def _overlaps(box, query, t0, t1):
+    """The box's time extent meets the query period clipped to the
+    query's lifetime (where :func:`mindist` is not ``None``)."""
+    lo, hi = max(t0, query.t_start), min(t1, query.t_end)
+    return max(box.tmin, lo) <= min(box.tmax, hi)
+
+
 def _traced_walk(index, query, t0, t1, leaf_admit=None):
     with query_trace() as trace:
         walk = [
@@ -160,9 +167,10 @@ class TestLeafAdmit:
         )
         assert kept == [step for step in full if step[1] not in dead]
 
+        # Only children inside the query period are scored or asked.
         expanded = [page for _d, page, level in full if level == 1]
         dead_children = sum(
-            e.child_page in dead
+            e.child_page in dead and _overlaps(e.mbr, query, t0, t1)
             for page in expanded
             for e in index.read_node(page).entries
         )
@@ -172,3 +180,30 @@ class TestLeafAdmit:
             == dead_children
         )
         assert kept_reg.value("index.leaves_skipped") == dead_children
+
+    def test_admit_is_never_asked_about_a_leaf_outside_the_period(
+        self, both_layouts
+    ):
+        """An entry that misses the query period is dropped before
+        ``leaf_admit`` or MINDIST sees it."""
+        dataset, trees = both_layouts
+        rng = random.Random(3)
+        passed_by = 0
+        for index, _leaves in trees.values():
+            for length in (0.02, 0.1, 0.4):
+                query, (t0, t1) = make_query(dataset, length, rng)
+                asked = []
+                walk = best_first_nodes(
+                    index, query, t0, t1,
+                    leaf_admit=lambda page: asked.append(page) or True,
+                )
+                entries = {}
+                for _d, node in walk:
+                    if node.level == 1:
+                        entries.update((e.child_page, e.mbr) for e in node.entries)
+                assert asked
+                assert all(_overlaps(entries[p], query, t0, t1) for p in asked)
+                passed_by += sum(
+                    not _overlaps(box, query, t0, t1) for box in entries.values()
+                )
+        assert passed_by  # the walks expand nodes with such children
