@@ -8,7 +8,6 @@ documentation.
 """
 
 from .engine import (
-    SESSION_BUFFER_FRACTION,
     SESSION_MAX_PAGES,
     BatchResult,
     EngineConfig,
@@ -36,7 +35,6 @@ __all__ = [
     "LiveQueryEngine",
     "EngineConfig",
     "BatchResult",
-    "SESSION_BUFFER_FRACTION",
     "SESSION_MAX_PAGES",
     "SerialExecutor",
     "ThreadedExecutor",

@@ -45,15 +45,14 @@ __all__ = [
     "BatchResult",
     "PinnedIndex",
     "QueryEngine",
-    "SESSION_BUFFER_FRACTION",
     "SESSION_MAX_PAGES",
 ]
 
-#: An engine *session*'s buffer pool: 25 % of its index, at most 1000
-#: pages (split across the shards of a sharded session).  A one-off
-#: ``load_index`` opens at the paper's 10 %; a session that executes
-#: many queries amortises a warmer buffer across all of them.
-SESSION_BUFFER_FRACTION = 0.25
+#: An engine *session*'s buffer pool holds its whole index, at most
+#: 1000 pages (split across the shards of a sharded session).  A
+#: one-off ``load_index`` opens at the paper's 10 %; a session that
+#: executes many queries decodes each page once.  A resident leaf
+#: stays compact (:mod:`repro.index.node`), little more than its page.
 SESSION_MAX_PAGES = 1000
 
 #: How many index levels a session pins, counted from the root
@@ -232,12 +231,7 @@ class QueryEngine:
         """Open a saved index for querying (read-only; ``verify``
         checks the page file's digest against the sidecar before
         serving), its buffer pool sized for a session."""
-        index = load_index(
-            index_path,
-            SESSION_BUFFER_FRACTION,
-            SESSION_MAX_PAGES,
-            verify=verify,
-        )
+        index = load_index(index_path, 1.0, SESSION_MAX_PAGES, verify=verify)
         return cls(index, config=config)
 
     def close(self) -> None:

@@ -30,7 +30,6 @@ from ..search.results import SearchResult, SearchStats
 from ..sharding import ShardedIndex, load_sharded_index
 from ..sharding.persistence import read_manifest
 from .engine import (
-    SESSION_BUFFER_FRACTION,
     SESSION_MAX_PAGES,
     EngineConfig,
     QueryEngine,
@@ -72,7 +71,7 @@ class ShardedQueryEngine(QueryEngine):
         # into correctly sized pools.  A process-pool worker sizes its
         # copy of a shard's pool to the same capacity.
         self.buffer_capacities = budget_buffers(
-            index.shards, SESSION_BUFFER_FRACTION, SESSION_MAX_PAGES
+            index.shards, 1.0, SESSION_MAX_PAGES
         )
         self.planner = QueryPlanner(index.extents())
         self._start(index, config, index.shards, shard_paths)
@@ -90,10 +89,7 @@ class ShardedQueryEngine(QueryEngine):
         ``verify`` is forwarded to the per-shard
         :func:`~repro.index.persistence.load_index`."""
         index = load_sharded_index(
-            manifest_dir,
-            SESSION_BUFFER_FRACTION,
-            SESSION_MAX_PAGES,
-            verify=verify,
+            manifest_dir, 1.0, SESSION_MAX_PAGES, verify=verify
         )
         return cls(index, config=config, manifest_dir=manifest_dir)
 

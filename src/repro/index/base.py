@@ -10,6 +10,7 @@ search, and structural introspection used by the invariant tests.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Callable, Iterator
 
 from ..exceptions import IndexError_, TrajectoryError
@@ -59,8 +60,12 @@ class TrajectoryIndex:
         self.trajectory_ids: set[int] = set()
         self.max_speed = 0.0  # fastest indexed segment (the dataset half of V_max)
         self.node_accesses = 0  # cumulative read_node calls
-        self._serializer: Callable[[Node], bytes] = lambda node: node.to_bytes(
-            self.page_size
+        # Holds no reference to the index: the buffer keeps the
+        # serialiser too, and a closure over ``self`` would tie the
+        # index and every resident node into a cycle that only the
+        # cyclic collector frees.
+        self._serializer: Callable[[Node], bytes] = methodcaller(
+            "to_bytes", self.page_size
         )
         self._finalized = False
 

@@ -10,9 +10,11 @@ work as its first execution.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 
@@ -20,6 +22,7 @@ import pytest
 
 from repro.datagen import generate_gstd, make_workload
 from repro.engine import (
+    SESSION_MAX_PAGES,
     BatchResult,
     EngineConfig,
     QueryEngine,
@@ -29,11 +32,16 @@ from repro.engine import (
 )
 from repro.engine.engine import PinnedIndex
 from repro.exceptions import QueryError
-from repro.index import RTree3D, TBTree
+from repro.index import RTree3D, TBTree, save_index
 from repro.obs import query_trace
 from repro.search import QuerySpec
 from repro.search.bfmst import bfmst_search as raw_bfmst
-from repro.sharding import ShardedDataset, build_sharded_index, make_partitioner
+from repro.sharding import (
+    ShardedDataset,
+    build_sharded_index,
+    make_partitioner,
+    save_sharded_index,
+)
 
 from conftest import work_counters
 
@@ -168,6 +176,88 @@ class TestCaches:
         assert first_work["trapezoid_evals"] > 0
         assert repeat_work == first_work
         assert repeat_answer == first_answer
+
+
+class TestSessionPool:
+    """A session's pool holds its whole index (up to
+    ``SESSION_MAX_PAGES``): after one pass every page is resident, so a
+    second pass of the same requests reads the same pages and misses
+    none."""
+
+    @staticmethod
+    def _open(kind, tree_cls, dataset, tmp_path):
+        if kind == "single":
+            path = tmp_path / "index.pages"
+            save_index(_build(tree_cls, dataset), path, signatures=True)
+            return QueryEngine.open(path)
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 3)),
+            tree_cls,
+            page_size=512,
+        )
+        try:
+            save_sharded_index(sharded, tmp_path / "shards", signatures=True)
+        finally:
+            sharded.close()
+        return ShardedQueryEngine.open(tmp_path / "shards")
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @pytest.mark.parametrize("tree_cls", [RTree3D, TBTree])
+    def test_second_pass_misses_nothing(
+        self, kind, tree_cls, dataset, workload, tmp_path
+    ):
+        engine = self._open(kind, tree_cls, dataset, tmp_path)
+        indexes = [pin.index for pin in engine._pins]
+        try:
+            assert sum(ix.pagefile.num_pages for ix in indexes) < SESSION_MAX_PAGES
+            for ix in indexes:
+                assert ix.buffer.capacity >= ix.pagefile.num_pages
+            requests = [QuerySpec("mst", q, p, k=3) for q, p in workload]
+
+            def one_pass():
+                before = engine.cache_counters()
+                answers = [_key(r.matches) for r in engine.run_batch(requests)]
+                after = engine.cache_counters()
+                hits, misses = (
+                    after[f"engine.buffer.{n}"] - before[f"engine.buffer.{n}"]
+                    for n in ("hits", "misses")
+                )
+                return answers, hits + misses, misses
+
+            first, reads, misses = one_pass()
+            assert misses > 0
+            again, reads_again, misses_again = one_pass()
+        finally:
+            engine.close()
+            for ix in indexes:
+                ix.pagefile.close()
+        assert again == first
+        assert reads_again == reads
+        assert misses_again == 0
+
+    def test_closed_engine_frees_its_index_without_the_cycle_collector(
+        self, dataset, workload, tmp_path
+    ):
+        # Nothing the index hands its buffer (the node serialiser above
+        # all) may point back at the index: then dropping the last
+        # reference frees the index and every page it decoded at once.
+        path = tmp_path / "index.pages"
+        save_index(_build(TBTree, dataset), path, signatures=True)
+        q, p = workload[0]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            engine = QueryEngine.open(path)
+            engine.execute(QuerySpec("mst", q, p, k=3))
+            index = weakref.ref(engine.index)
+            engine.close()
+            engine.index.pagefile.close()
+            del engine
+            assert index() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestInvalidation:
