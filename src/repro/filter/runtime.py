@@ -30,6 +30,31 @@ times as ``lo + (j + 0.5) * L``, the knot index by bisection,
 interpolation as ``x_i + frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx +
 dy*dy)``, per-probe hinge, the ``M`` contributions added left to
 right), so the two are bit-equal; the tests hold the pass to it.
+
+**Knot counts without bisection.**  The pass needs, per probe, the
+number of its row's knots at or below it (``bisect_right``).  It counts
+the other way round, once per knot: how many of its row's probe times
+lie strictly below the knot.  The inverse of the probe formula,
+``ceil((t_k - lo) / L - 0.5)`` clipped to ``[0, M]``, estimates it, and
+exact comparisons against the probe times, computed as the pass
+computes them, move the estimate until it is exact (on the benchmark's
+stores it always is already).  Probe times rise with ``j``, so a knot
+is at or below probe ``j`` exactly when its count is at most ``j``: a
+histogram of the counts per row (``bincount`` into ``[M + 1, rows]``),
+summed down the probes, gives every probe its bisection result.  This
+relies on knot times ascending strictly within a row, which the sidecar
+loader checks.  When every covered row shares one window ``(lo, hi)``
+— rows spanning the whole period, the common case — the probe times
+and query positions are one ``[M, 1]`` column.  What depends on the
+store alone (the per-segment differences, the knot-aligned radii, the
+row of each knot) is memoised with the store
+(:meth:`TrajectorySignatures.pass_columns`).
+
+**Page minima.**  The same pass reduces the bounds to each leaf page's
+least (``np.minimum.reduceat`` over the sidecar's leaf-tid CSR; ``-inf``
+when a tid on the page has no signature, ``inf`` for a page of none).
+A page whose least bound exceeds the threshold holds no trajectory the
+signature tier would let through.
 """
 
 from __future__ import annotations
@@ -70,6 +95,7 @@ class SignatureFilter:
         "checks",
         "pruned",
         "_bounds",
+        "_page_min",
         "_qpos",
     )
 
@@ -95,8 +121,10 @@ class SignatureFilter:
         self.probes = probes
         self.checks = 0
         self.pruned = 0
-        # One bound per sidecar row, all computed on the first lookup.
+        # One bound per sidecar row and the least per leaf page, all
+        # computed on the first lookup.
         self._bounds: list[float] | None = None
+        self._page_min: list[float] | None = None
         self._qpos: dict[tuple[float, float], tuple[list, list]] = {}
 
     # ------------------------------------------------------------------
@@ -126,7 +154,7 @@ class SignatureFilter:
         if pos is None:
             return None
         if self._bounds is None:
-            self._bounds = self._probe_bounds()
+            self._bounds, self._page_min = self._probe_bounds()
         return self._bounds[pos]
 
     # ------------------------------------------------------------------
@@ -202,85 +230,150 @@ class SignatureFilter:
             total += c
         return total
 
-    def _probe_bounds(self) -> list[float]:
+    def _probe_bounds(self) -> tuple[list[float], list[float]]:
         """The bound of every sidecar row, each value bit-equal to
-        :meth:`_evaluate` on that row's knots.  Work arrays are
-        probe-major — ``[probes, rows]`` — so each per-probe step runs
-        over contiguous rows; rows go through in blocks of
-        ``_ROW_BLOCK``.  Nothing returned or kept views the columns."""
+        :meth:`_evaluate` on that row's knots, and the least bound of
+        each leaf page's trajectories.  Work arrays are probe-major —
+        ``[probes, rows]`` — so each per-probe step runs over contiguous
+        rows; rows go through in blocks of ``_ROW_BLOCK``.  Nothing
+        returned or kept views the columns."""
         import numpy as np
 
-        kt, kx, ky, radii, offsets = self.sigs.knot_columns(np)
+        sigs = self.sigs
+        kt, kx, ky, _radii, offsets = sigs.knot_columns(np)
+        (
+            rows, first, last, knot_row, dt, dx, dy, radius,
+            page_rows, page_starts, page_filled,
+        ) = sigs.pass_columns(np)
         m = self.probes
         vmax = self.vmax
-        starts = offsets[:-1]
-        counts = offsets[1:] - starts
-        bounds = np.zeros(len(counts))
-        rows = np.flatnonzero(counts >= 2)
-        first = kt[starts[rows]]
-        last = kt[offsets[1:][rows] - 1]
+        bounds = np.zeros(len(offsets))
+        bounds[-1] = -np.inf  # the row of a leaf tid without a signature
         lo = np.where(first > self.t_start, first, self.t_start)
         hi = np.where(last < self.t_end, last, self.t_end)
         covered = lo < hi
-        rows, lo, hi = rows[covered], lo[covered], hi[covered]
+        if not covered.all():
+            rows, lo, hi = rows[covered], lo[covered], hi[covered]
+        length = (hi - lo) / m
+
+        # Every knot of a covered row, with the row's place in ``rows``
+        # (ascending, as the knots are stored), and how many of its
+        # row's probe times lie strictly below it.
+        if len(rows) == len(offsets) - 1:  # every row: places are rows
+            knot_place, knot_t = knot_row, kt
+        else:
+            place = np.full(len(offsets) - 1, -1)
+            place[rows] = np.arange(len(rows))
+            knot_place = place.take(knot_row)
+            knots = np.flatnonzero(knot_place >= 0)
+            knot_place = knot_place.take(knots)
+            knot_t = kt.take(knots)
+        if len(rows) and lo.min() == lo.max() and hi.min() == hi.max():
+            below = self._probes_below(knot_t, lo[0], length[0])
+        else:
+            below = self._probes_below(
+                knot_t, lo.take(knot_place), length.take(knot_place)
+            )
+
         steps = (np.arange(m) + 0.5)[:, None]
         for at in range(0, len(rows), _ROW_BLOCK):
             block = slice(at, at + _ROW_BLOCK)
-            row, b_lo, b_hi = rows[block], lo[block], hi[block]
-            start, count = starts[row], counts[row]
-            length = (b_hi - b_lo) / m
-            times = b_lo + steps * length
-            qx, qy = self._query_positions_block(b_lo, b_hi)
+            row, b_lo, b_length = rows[block], lo[block], length[block]
+            width = len(row)
+            qx, qy = self._query_positions_block(b_lo, hi[block])
+            if qx.shape[1] == 1:  # one window: probe times as a column
+                b_length = b_length[0]
+                times = b_lo[0] + steps * b_length
+            else:
+                times = b_lo + steps * b_length
 
-            # bisect_right(row's knots, t) for every probe at once, as
-            # a count: ``known`` knots are <= t, and each halving step
-            # asks whether ``step`` more are (knots ascend, so looking
-            # at the last of them answers for all).
-            known = np.zeros(times.shape, dtype=np.int64)
-            before_row = start - 1
-            step = 1 << (int(count.max()).bit_length() - 1)
-            while step:
-                reach = known + step
-                # Past the row's end the clamped read is masked out.
-                more = kt[before_row + np.minimum(reach, count)] <= times
-                more &= reach <= count
-                known += step * more
-                step >>= 1
-            idx = np.clip(known - 1, 0, count - 2)
+            # bisect_right(row's knots, t) for every probe at once: a
+            # knot is at or below probe ``j`` exactly when at most ``j``
+            # of its row's probes lie strictly below it, so the counts
+            # are running sums over a histogram of ``below``.
+            k0, k1 = np.searchsorted(knot_place, (at, at + width))
+            slots = below[k0:k1] * width + (knot_place[k0:k1] - at)
+            known = np.bincount(slots, minlength=(m + 1) * width)
+            known = known.reshape(m + 1, width).cumsum(axis=0)[:m]
+            known -= 1
+            seg = np.maximum(known, 0, out=known)
+            np.minimum(seg, offsets[row + 1] - offsets[row] - 2, out=seg)
+            seg += offsets[row]
 
-            seg = start + idx
-            t0 = kt[seg]
-            frac = (times - t0) / (kt[seg + 1] - t0)
-            x0 = kx[seg]
-            y0 = ky[seg]
-            dx = qx - (x0 + frac * (kx[seg + 1] - x0))
-            dy = qy - (y0 + frac * (ky[seg + 1] - y0))
-            # The radii column omits one slot per row.
-            d = np.sqrt(dx * dx + dy * dy) - radii[seg - row]
+            # x_i + frac * (x_{i+1} - x_i), as the scalar path; the
+            # in-place steps only reuse buffers.
+            frac = np.subtract(times, kt.take(seg), out=np.empty(seg.shape))
+            frac /= dt.take(seg)
+            ex = dx.take(seg)
+            ex *= frac
+            ex += kx.take(seg)
+            np.subtract(qx, ex, out=ex)
+            ey = dy.take(seg)
+            ey *= frac
+            ey += ky.take(seg)
+            np.subtract(qy, ey, out=ey)
+            ex *= ex
+            ey *= ey
+            ex += ey
+            d = np.sqrt(ex, out=ex)
+            d -= radius.take(seg)
             np.maximum(d, 0.0, out=d)
             if vmax > 0.0:
-                far = d * length - vmax * length * length * 0.25
+                far = d * b_length - vmax * b_length * b_length * 0.25
                 near = d * d / vmax
-                contributions = np.where(d >= vmax * length * 0.5, far, near)
+                contributions = np.where(d >= vmax * b_length * 0.5, far, near)
             else:
-                contributions = d * length
+                contributions = d * b_length
             # Probe by probe, matching the scalar path's left-to-right
             # accumulation (numpy's pairwise summation would reorder it).
-            total = np.zeros(len(row))
+            total = np.zeros(width)
             for contribution in contributions:
                 total += contribution
             bounds[row] = total
-        return bounds.tolist()
+
+        page_min = np.full(len(page_filled), np.inf)
+        if len(page_starts):
+            page_min[page_filled] = np.minimum.reduceat(
+                bounds.take(page_rows), page_starts
+            )
+        return bounds[:-1].tolist(), page_min.tolist()
+
+    def _probes_below(self, t, lo, length):
+        """For each knot time in ``t``, how many of its row's probe
+        times ``lo + (j + 0.5) * length`` lie strictly below it: the
+        inverse of that formula rounded up, then moved a probe at a
+        time until exact comparisons against the probe times, computed
+        as the pass computes them, agree.  The counts come back as
+        integer-valued floats' ``int64`` cast."""
+        import numpy as np
+
+        m = self.probes
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            below = np.ceil((t - lo) / length - 0.5)
+        # fmax/fmin drop a NaN (a zero-length window): the loop fixes it.
+        below = np.fmin(np.fmax(below, 0.0), m)
+        while True:
+            # ``(below - 1) + 0.5`` and ``below - 0.5`` are one double.
+            over = (below > 0.0) & (lo + (below - 0.5) * length >= t)
+            under = (below < m) & (lo + (below + 0.5) * length < t)
+            if not (over.any() or under.any()):
+                return below.astype(np.int64)
+            below += under
+            below -= over
 
     def _query_positions_block(self, lo, hi):
         """Query coordinates at a block's probe times: one scalar
         evaluation per distinct ``(lo, hi)`` window (the memo of
         :meth:`_query_positions`), fanned out to ``[probes, rows]`` —
         or, when every row shares one window (rows spanning the whole
-        query period, the common case), ``[probes, 1]`` columns that
+        query period, the common case, told by two min/max compares
+        without visiting the rows), ``[probes, 1]`` columns that
         broadcast against the rows."""
         import numpy as np
 
+        if lo.min() == lo.max() and hi.min() == hi.max():
+            qx, qy = self._query_positions(float(lo[0]), float(hi[0]))
+            return np.array(qx)[:, None], np.array(qy)[:, None]
         windows = list(zip(lo.tolist(), hi.tolist()))
         slots = {w: i for i, w in enumerate(dict.fromkeys(windows))}
         qpos = [self._query_positions(*window) for window in slots]

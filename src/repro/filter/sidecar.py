@@ -26,6 +26,14 @@ Layout (little-endian, all array sections 8-byte aligned):
 
 Loading mmaps the file read-only and serves the arrays as zero-copy
 ``memoryview`` casts; :meth:`TrajectorySignatures.close` releases them.
+Before that it checks what the bound pass and the leaf lookups rely on,
+so a damaged file with a valid CRC is a :class:`StorageError` too, not
+an ``IndexError`` deep in numpy or a wrong bound: ids strictly
+ascending (trajectories and leaf pages), each CSR offset section
+starting at 0, never decreasing (knot offsets strictly increasing:
+every trajectory has a knot) and ending at its section's size, knot
+times finite and strictly ascending within each trajectory, and every
+leaf tid one of the trajectory ids.
 Version 1 also carried a grid-cell cover per trajectory; it is refused
 by the version check — rebuild the sidecar.
 """
@@ -36,6 +44,9 @@ import mmap
 import struct
 import zlib
 from array import array
+from itertools import compress
+from math import isfinite
+from operator import ge, le, lt
 from pathlib import Path
 
 from ..exceptions import StorageError
@@ -189,6 +200,8 @@ def load_signatures(
             arrays.append(view)
             offset += 8 * count
 
+        _check_structure(sig_path, *arrays[:3], *arrays[6:])
+
         def close(_views=views, _mm=mm):
             for v in _views:
                 v.release()
@@ -213,3 +226,35 @@ def load_signatures(
             v.release()
         mm.close()
         raise
+
+
+def _check_structure(
+    sig_path, tids, knot_offsets, knot_t, leaf_pages, leaf_tid_offsets, leaf_tids
+) -> None:
+    """Raise :class:`StorageError` naming ``sig_path`` unless the
+    sections hang together (see the module docstring)."""
+
+    def fail(what: str):
+        raise StorageError(f"{sig_path}: signature sidecar {what}")
+
+    for name, ids in (("trajectory ids", tids), ("leaf page ids", leaf_pages)):
+        if not all(map(lt, ids[:-1], ids[1:])):
+            fail(f"{name} are not strictly ascending")
+    for name, offsets, size, step, complaint in (
+        ("knot offsets", knot_offsets, len(knot_t), lt, "do not increase"),
+        ("leaf-tid offsets", leaf_tid_offsets, len(leaf_tids), le, "decrease"),
+    ):
+        if offsets[0] != 0 or offsets[-1] != size:
+            fail(f"{name} do not span their section (0 .. {size})")
+        if not all(map(step, offsets[:-1], offsets[1:])):
+            fail(f"{name} {complaint}")
+    if not all(map(isfinite, knot_t)):
+        fail("holds a knot time that is not finite")
+    # Where the times fail to rise, a new trajectory must start.  (No
+    # local may hold a slice: a raise would keep the buffer exported.)
+    if not set(knot_offsets[1:-1]).issuperset(
+        compress(range(1, len(knot_t)), map(ge, knot_t[:-1], knot_t[1:]))
+    ):
+        fail("knot times are not strictly ascending within a trajectory")
+    if not set(tids).issuperset(leaf_tids):
+        fail("names a leaf tid that has no signature")

@@ -54,6 +54,7 @@ class TrajectorySignatures:
         "_tid_pos",
         "_leaf_pos",
         "_knot_columns",
+        "_pass_columns",
         "_close",
     )
 
@@ -86,6 +87,7 @@ class TrajectorySignatures:
         self._tid_pos = {tid: i for i, tid in enumerate(tids)}
         self._leaf_pos = {page: i for i, page in enumerate(leaf_pages)}
         self._knot_columns = None
+        self._pass_columns = None
         self._close = close
 
     def __len__(self) -> int:
@@ -130,6 +132,58 @@ class TrajectorySignatures:
             )
         return columns
 
+    def pass_columns(self, np) -> tuple:
+        """What the bound pass derives from the store alone, memoised
+        until :meth:`close` like :meth:`knot_columns` (each a fresh
+        array, none a view of a backing buffer):
+
+        * ``rows``, ``first``, ``last`` — the rows of two knots or
+          more, and their first and last knot times;
+        * ``knot_row`` — the row each knot belongs to;
+        * ``dt``, ``dx``, ``dy``, ``radius`` — per knot, the difference
+          to the next knot's ``t``/``x``/``y`` (the subtractions the
+          pass would do per probe, so the same bits) and the radius of
+          the segment the knot starts; the last knot of a row starts
+          no segment, and nothing reads its slots;
+        * ``page_rows`` — the row of each leaf page's tids, ``len(self)``
+          for a tid the store has no signature for;
+        * ``page_starts`` and ``page_filled`` — where each non-empty
+          leaf page's tids start, and which pages have any.
+        """
+        columns = self._pass_columns
+        if columns is None:
+            kt, kx, ky, radii, offsets = self.knot_columns(np)
+            counts = np.diff(offsets)
+            rows = np.flatnonzero(counts >= 2)
+            knot_row = np.repeat(np.arange(len(counts)), counts)
+            radius = np.zeros(len(kt))
+            # Every knot but a row's last starts a segment, in order.
+            starts_segment = np.ones(len(kt), dtype=bool)
+            starts_segment[offsets[1:][counts > 0] - 1] = False
+            radius[starts_segment] = radii
+            leaf_tids = np.frombuffer(self.leaf_tids, dtype=np.int64)
+            tids = np.frombuffer(self.tids, dtype=np.int64)
+            page_rows = np.searchsorted(tids, leaf_tids)
+            known = page_rows < len(tids)
+            known[known] = tids[page_rows[known]] == leaf_tids[known]
+            page_rows[~known] = len(tids)
+            leaf_offsets = np.frombuffer(self.leaf_tid_offsets, dtype=np.int64)
+            page_filled = np.diff(leaf_offsets) > 0
+            columns = self._pass_columns = (
+                rows,
+                kt[offsets[rows]],
+                kt[offsets[rows + 1] - 1],
+                knot_row,
+                np.diff(kt),
+                np.diff(kx),
+                np.diff(ky),
+                radius,
+                page_rows,
+                leaf_offsets[:-1][page_filled],
+                page_filled,
+            )
+        return columns
+
     def page_tids(self, page_id: int) -> list[int] | None:
         """Distinct trajectory ids on a leaf page (``None`` when the
         page is unknown — the caller must then read the page)."""
@@ -142,7 +196,7 @@ class TrajectorySignatures:
     def close(self) -> None:
         """Release the mmap backing (no-op for in-memory stores).  The
         ndarray views go first — they export the buffers they wrap."""
-        self._knot_columns = None
+        self._knot_columns = self._pass_columns = None
         if self._close is not None:
             close, self._close = self._close, None
             close()

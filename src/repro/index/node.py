@@ -53,6 +53,7 @@ __all__ = [
     "Node",
     "node_capacity",
     "tb_leaf_payload_size",
+    "same_point",
     "payload_rows",
     "NO_PAGE",
     "HEADER_BYTES",
@@ -113,13 +114,22 @@ def tb_leaf_payload_size(entries: list) -> int:
     size = 0
     prev_end = None
     for e in entries:
-        s = e.segment
-        if prev_end is not None and s.start == prev_end:
+        row = e.row
+        if prev_end is not None and same_point(row[1:4], prev_end):
             size += TB_CHAIN_STEP_BYTES
         else:
             size += TB_CHAIN_START_BYTES
-        prev_end = s.end
+        prev_end = row[4:]
     return size
+
+
+def same_point(a: tuple, b: tuple) -> bool:
+    """True when two ``(x, y, t)`` points are the same doubles — the
+    test for a segment starting where the last one ended, which a chain
+    then stores once.  Equal by value, and, where a coordinate is zero,
+    by bits too: ``-0.0 == 0.0``, but one stored point reads back as
+    one of them."""
+    return a == b and (0.0 not in a or _POINT_FMT.pack(*a) == _POINT_FMT.pack(*b))
 
 
 class Node:
@@ -483,7 +493,7 @@ def _chained_body(rows: list[tuple]) -> bytes:
     for _tid, x1, y1, t1, x2, y2, t2 in rows:
         start = (x1, y1, t1)
         end = (x2, y2, t2)
-        if prev_end is not None and start == prev_end:
+        if prev_end is not None and same_point(start, prev_end):
             chains[-1].append(end)
         else:
             chains.append([start, end])

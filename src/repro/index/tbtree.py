@@ -31,6 +31,7 @@ from .node import (
     TB_CHAIN_START_BYTES,
     TB_CHAIN_STEP_BYTES,
     Node,
+    same_point,
     tb_leaf_payload_size,
 )
 from .packing import (
@@ -147,7 +148,7 @@ class TBTree(TrajectoryIndex):
                     f"TB-tree requires temporally ordered insertion per "
                     f"trajectory (object {tid})"
                 )
-            if row[1:4] == last[4:]:
+            if same_point(row[1:4], last[4:]):
                 size += TB_CHAIN_STEP_BYTES
             else:
                 size += TB_CHAIN_START_BYTES

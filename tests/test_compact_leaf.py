@@ -11,8 +11,11 @@ Contract:
   random periods including empty and whole-lifetime ones; ``len()``
   and ``rows`` agree too, before and after the full list is built.  The
   page's rows are read here by a decoder of the test's own, and equal
-  the rows written (by value: a chain joint is stored once, so a
-  ``-0.0`` at one comes back as the ``0.0`` it equals);
+  the rows written float for float: a chain joint is stored once only
+  where the two points are the same doubles, so a segment starting at
+  ``-0.0`` after one ending at ``0.0`` opens a chain of its own, by
+  every writer (the page writer, the payload size count and the
+  TB-tree's append);
 * every corrupt payload the page codec rejects raises the same
   ``IndexError_`` when decoded into a node as when read as rows.
 
@@ -30,9 +33,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import IndexError_
-from repro.index import Node
+from repro.index import Node, TBTree
 from repro.index.entry import ENTRY_FMT
-from repro.index.node import payload_rows
+from repro.index.node import HEADER_BYTES, payload_rows, tb_leaf_payload_size
 from repro.storage import frame_page, unframe_page
 
 PAGE = 4096
@@ -152,6 +155,42 @@ def test_rows_of_a_page_are_the_rows_stored(leaf):
     image, built, read = written_and_read(chained, rows)
     assert bits(payload_rows(0, unframe_page(image)[1])[1]) == bits(built.rows)
     assert [e.row for e in read.entries] == rows
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def zero_joint_rows(draw):
+    """One trajectory's rows in time order, its points often on signed
+    zeros: each segment starts where the last ended, except that every
+    zero there is redrawn with either sign."""
+    rows = []
+    x, y, t = draw(signed_zero), draw(signed_zero), draw(times)
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        x, y, t = (draw(signed_zero) if v == 0.0 else v for v in (x, y, t))
+        t2 = t + draw(st.integers(min_value=1, max_value=6)) / 4
+        x2, y2 = draw(st.one_of(signed_zero, coords)), draw(st.one_of(signed_zero, coords))
+        rows.append((OWNER, x, y, t, x2, y2, t2))
+        x, y, t = x2, y2, t2
+    return rows
+
+
+@given(zero_joint_rows())
+@settings(max_examples=200, deadline=None)
+def test_signed_zeros_at_chain_joints_come_back_bit_for_bit(rows):
+    image, built, read = written_and_read(True, rows)
+    assert bits(built.rows) == bits(rows)
+    assert bits(read.rows) == bits(rows)
+    body = len(unframe_page(image)[1]) - HEADER_BYTES
+    assert tb_leaf_payload_size(read.entries) == body
+    # The TB-tree's append counts the same chains the page then holds.
+    tree = TBTree(page_size=PAGE)
+    for row in rows:
+        tree.insert_row(row)
+    leaf = tree.read_node(tree.root_page)
+    assert leaf.payload_bytes == body
+    assert bits(Node.from_bytes(0, leaf.to_bytes(PAGE)).rows) == bits(rows)
 
 
 def test_readers_on_threads_share_a_compact_leaf():

@@ -230,8 +230,13 @@ coordinate = st.floats(min_value=-100.0, max_value=100.0)
 #: Query periods.  Against the first three, a row spanning the whole
 #: period has unit-length (or half-length) subintervals, so its probes
 #: sit at k + 0.5 or k + 0.25 — exactly on knots drawn from the
-#: half-integer grid below.
+#: half-integer grid below.  The test also ends periods on knot times.
 PERIODS = [(0.0, 32.0), (8.0, 40.0), (0.0, 16.0), (10.25, 11.0), (-3.0, 70.0)]
+
+#: Knot gaps: from far below a probe spacing (many knots between two
+#: probes) to far above it (rows starting or ending inside a period,
+#: or spanning all of it in one segment).
+GAPS = [1e-9, 1e-6, 0.1, 0.5, 1.0, 2.5, 16.0, 1e3, 1e6]
 
 
 @st.composite
@@ -241,7 +246,7 @@ def signature_rows(draw):
         count = draw(st.integers(min_value=2, max_value=7))
         gaps = draw(
             st.lists(
-                st.sampled_from([0.5, 1.0, 2.5, 16.0, 0.1]),
+                st.sampled_from(GAPS),
                 min_size=count - 1,
                 max_size=count - 1,
             )
@@ -278,17 +283,28 @@ class TestBatchedBounds:
     must be bit-equal to the scalar ``_evaluate`` value, no tolerance."""
 
     @given(
+        data=st.data(),
         rows=signature_rows(),
         query=covering_queries(),
-        period=st.sampled_from(PERIODS),
         vmax=st.sampled_from([0.0, 0.5, 3.0, 50.0]),
         probes=st.sampled_from([1, 5, 32]),
         block=st.sampled_from([1, 2, 1024]),
     )
     @settings(max_examples=200, deadline=None)
     def test_equal_to_scalar_on_every_row(
-        self, rows, query, period, vmax, probes, block
+        self, data, rows, query, vmax, probes, block
     ):
+        # A period from the list, or one ending on a knot time (inside
+        # the query's lifetime), starting on another or on a listed start.
+        ends = sorted(
+            {t for _tid, knots, _r in rows for t, _x, _y in knots if -30 < t < 130}
+        )
+        period = data.draw(st.sampled_from(PERIODS))
+        if ends and data.draw(st.booleans()):
+            end = data.draw(st.sampled_from(ends))
+            starts = [t for t in ends + [lo for lo, _hi in PERIODS] if t < end]
+            if starts:
+                period = (data.draw(st.sampled_from(starts)), end)
         store = synthetic_store(rows)
         filt = SignatureFilter(
             store, query, period[0], period[1], vmax, probes=probes
@@ -598,6 +614,62 @@ class TestSidecar:
             load_index(path)
         assert main(["fsck", str(path)]) == 1
         assert "version 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "section,slot,value,message",
+        [
+            ("tids", 0, lambda a: a[1], "trajectory ids are not strictly"),
+            ("leaf_pages", 1, lambda a: a[0], "leaf page ids are not strictly"),
+            ("knot_offsets", 0, lambda a: 1, "knot offsets do not span"),
+            ("knot_offsets", -1, lambda a: a[-1] + 1, "knot offsets do not span"),
+            ("knot_offsets", 1, lambda a: a[2] + 1, "knot offsets do not increase"),
+            ("knot_offsets", 1, lambda a: a[0], "knot offsets do not increase"),
+            ("leaf_tid_offsets", 0, lambda a: 2, "leaf-tid offsets do not span"),
+            ("leaf_tid_offsets", -1, lambda a: a[-1] - 1, "leaf-tid offsets do not span"),
+            ("leaf_tid_offsets", 1, lambda a: a[2] + 1, "leaf-tid offsets decrease"),
+            ("knot_t", 1, lambda a: math.nan, "not finite"),
+            ("knot_t", 0, lambda a: -math.inf, "not finite"),
+            ("knot_t", 1, lambda a: a[0], "not strictly ascending within"),
+            ("leaf_tids", 0, lambda a: max(a) + 1000, "no signature"),
+        ],
+    )
+    def test_structural_damage_is_a_storage_error(
+        self, rtree, tmp_path, section, slot, value, message
+    ):
+        """A sidecar whose CRC holds but whose sections do not hang
+        together is refused at load, naming the file — never an
+        ``IndexError`` from the bound pass or a wrong bound."""
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path, signatures=True)
+        sig_path = signature_sidecar_path(path)
+        blob = bytearray(sig_path.read_bytes()[:-4])
+        header = struct.Struct("<4sI3q1d4q")
+        *_, n, pages, knots, leaf_tids = header.unpack_from(blob)
+        layout = [
+            ("tids", "q", n),
+            ("knot_offsets", "q", n + 1),
+            ("knot_t", "d", knots),
+            ("knot_x", "d", knots),
+            ("knot_y", "d", knots),
+            ("radii", "d", knots - n),
+            ("leaf_pages", "q", pages),
+            ("leaf_tid_offsets", "q", pages + 1),
+            ("leaf_tids", "q", leaf_tids),
+        ]
+        at = header.size
+        for name, fmt, count in layout:
+            if name == section:
+                break
+            at += 8 * count
+        items = list(struct.unpack_from(f"<{count}{fmt}", blob, at))
+        items[slot] = value(items)
+        struct.pack_into(f"<{count}{fmt}", blob, at, *items)
+        sig_path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(StorageError, match=message) as caught:
+            load_signatures(sig_path)
+        assert str(sig_path) in str(caught.value)
+        with pytest.raises(StorageError):
+            load_index(path)
 
     def test_binding_mismatch_rejected(self, rtree, dataset, tmp_path):
         other = TBTree()

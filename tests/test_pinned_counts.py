@@ -3,18 +3,17 @@
 A small GSTD set is packed into both trees, saved with its signature
 sidecar and loaded back, and one query per harness cell — query length
 {2 %, 5 %, 10 %} x k {1, 5, 10} — runs under a trace.  The counts that
-decide what the search reads and integrates (node accesses, entries,
-candidates, Heuristic 1 rejections, trapezoid and exact integrals, the
-buffer's logical reads and the leaves the signature tier skips) must
-equal the recorded ones exactly; MINDIST evaluations may only fall.
-Every answer must still be the linear scan's.  How a page is held once
-read (and so how many reads hit the buffer) is free to change: the
-logical reads are pinned, the hits and misses are not.
+decide what the search reads, scores and integrates (node accesses,
+nodes enqueued, MINDIST evaluations, entries, candidates, Heuristic 1
+rejections, trapezoid and exact integrals, the buffer's logical reads,
+the leaves the signature tier skips, and its checks and prunes) must
+equal the recorded ones exactly.  Every answer must still be the
+linear scan's.  How a page is held once read (and so how many reads
+hit the buffer) is free to change: the logical reads are pinned, the
+hits and misses are not.
 
-The constants were recorded before leaves were skipped at expansion;
-skipping a settled leaf before its MINDIST is computed changes none of
-the pinned counts.  A change that moves one of them changes what the
-search does, and must re-record them with its reasons.
+A change that moves one of these counts changes what the search does,
+and must re-record them with its reasons.
 """
 
 import inspect
@@ -43,28 +42,32 @@ EXACT = (
     "exact_integral_evals",
     "storage.logical_reads",
     "leaf_skips",
+    "index.nodes_enqueued",
+    "signature_checks",
+    "signature_pruned",
+    "mindist_evaluations",
 )
 
-#: ``(tree, length, k)`` -> the EXACT counts, then mindist_evaluations.
+#: ``(tree, length, k)`` -> the EXACT counts.
 PINNED = {
-    ('rtree', 0.02, 1): (18, 6, 4, 0, 8, 0, 18, 7, 87),
-    ('rtree', 0.05, 1): (20, 9, 5, 1, 22, 0, 20, 6, 88),
-    ('rtree', 0.1, 1): (34, 46, 20, 7, 83, 0, 34, 15, 118),
-    ('rtree', 0.02, 5): (22, 21, 12, 1, 32, 15, 22, 4, 75),
-    ('rtree', 0.05, 5): (41, 53, 20, 7, 86, 20, 41, 15, 117),
-    ('rtree', 0.1, 5): (68, 138, 38, 21, 252, 36, 68, 16, 198),
-    ('rtree', 0.02, 10): (33, 43, 27, 3, 67, 28, 33, 14, 102),
-    ('rtree', 0.05, 10): (56, 66, 25, 5, 112, 50, 56, 47, 206),
-    ('rtree', 0.1, 10): (87, 146, 35, 13, 238, 86, 87, 39, 256),
-    ('tbtree', 0.02, 1): (34, 8, 5, 1, 13, 0, 34, 98, 219),
-    ('tbtree', 0.05, 1): (33, 20, 7, 1, 33, 0, 33, 105, 196),
-    ('tbtree', 0.1, 1): (67, 105, 26, 11, 202, 0, 67, 151, 291),
-    ('tbtree', 0.02, 5): (42, 32, 17, 2, 50, 15, 42, 65, 187),
-    ('tbtree', 0.05, 5): (48, 70, 24, 2, 118, 20, 48, 72, 180),
-    ('tbtree', 0.1, 5): (57, 114, 25, 8, 221, 36, 57, 94, 243),
-    ('tbtree', 0.02, 10): (65, 61, 39, 4, 103, 28, 65, 81, 204),
-    ('tbtree', 0.05, 10): (70, 109, 38, 1, 184, 50, 70, 80, 243),
-    ('tbtree', 0.1, 10): (66, 158, 34, 5, 263, 86, 66, 86, 251),
+    ('rtree', 0.02, 1): (18, 6, 4, 0, 8, 0, 18, 7, 33, 42, 38, 33),
+    ('rtree', 0.05, 1): (20, 9, 5, 1, 22, 0, 20, 6, 45, 49, 40, 45),
+    ('rtree', 0.1, 1): (34, 46, 20, 7, 83, 0, 34, 15, 72, 107, 78, 72),
+    ('rtree', 0.02, 5): (22, 21, 12, 1, 32, 15, 22, 4, 35, 45, 32, 35),
+    ('rtree', 0.05, 5): (41, 53, 20, 7, 86, 20, 41, 15, 63, 84, 53, 63),
+    ('rtree', 0.1, 5): (68, 138, 38, 21, 252, 36, 68, 16, 108, 126, 69, 108),
+    ('rtree', 0.02, 10): (33, 43, 27, 3, 67, 28, 33, 14, 52, 96, 64, 52),
+    ('rtree', 0.05, 10): (56, 66, 25, 5, 112, 50, 56, 47, 79, 125, 88, 79),
+    ('rtree', 0.1, 10): (87, 146, 35, 13, 238, 86, 87, 39, 111, 142, 85, 111),
+    ('tbtree', 0.02, 1): (34, 8, 5, 1, 13, 0, 34, 98, 41, 112, 98, 41),
+    ('tbtree', 0.05, 1): (33, 20, 7, 1, 33, 0, 33, 105, 33, 122, 105, 33),
+    ('tbtree', 0.1, 1): (67, 105, 26, 11, 202, 0, 67, 151, 97, 185, 92, 97),
+    ('tbtree', 0.02, 5): (42, 32, 17, 2, 50, 15, 42, 65, 59, 110, 65, 59),
+    ('tbtree', 0.05, 5): (48, 70, 24, 2, 118, 20, 48, 72, 51, 128, 72, 51),
+    ('tbtree', 0.1, 5): (57, 114, 25, 8, 221, 36, 57, 94, 58, 156, 94, 58),
+    ('tbtree', 0.02, 10): (65, 61, 39, 4, 103, 28, 65, 81, 69, 165, 81, 69),
+    ('tbtree', 0.05, 10): (70, 109, 38, 1, 184, 50, 70, 80, 76, 166, 80, 76),
+    ('tbtree', 0.1, 10): (66, 158, 34, 5, 263, 86, 66, 86, 71, 161, 86, 71),
 }
 
 
@@ -102,9 +105,7 @@ def test_work_counts_pinned(loaded, dataset, length, k):
         m.trajectory_id for m in want
     ]
     assert stats.signature_checks > 0
-    *exact, mindist = PINNED[tree, length, k]
-    assert [counts[name] for name in EXACT] == exact
-    assert stats.mindist_evaluations <= mindist
+    assert tuple(counts[name] for name in EXACT) == PINNED[tree, length, k]
 
 
 def test_untraced_search_never_calls_the_metrics_registry(
