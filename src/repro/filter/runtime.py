@@ -124,7 +124,7 @@ class SignatureFilter:
         # One bound per sidecar row and the least per leaf page, all
         # computed on the first lookup.
         self._bounds: list[float] | None = None
-        self._page_min: list[float] | None = None
+        self._page_min = None  # ndarray, one slot per leaf page and one past
         self._qpos: dict[tuple[float, float], tuple[list, list]] = {}
 
     # ------------------------------------------------------------------
@@ -156,6 +156,35 @@ class SignatureFilter:
         if self._bounds is None:
             self._bounds, self._page_min = self._probe_bounds()
         return self._bounds[pos]
+
+    def page_min(self, page_id: int) -> float | None:
+        """The least bound of a leaf page's trajectories: ``None`` for
+        a page the sidecar does not know, ``-inf`` when one of its
+        trajectories has no signature, ``inf`` for a page of none.
+        Above the threshold, every trajectory on the page is settled
+        or certified out, unless it is a live candidate."""
+        slot = self.sigs.page_slot(page_id)
+        if slot is None:
+            return None
+        return self._minima()[slot]
+
+    def page_minima(self, page_ids):
+        """:meth:`page_min` of many pages at once (an ``int64`` array
+        in, a float64 array out), ``-inf`` for a page the sidecar does
+        not know, so that no compare refuses it."""
+        import numpy as np
+
+        leaf_pages = self.sigs.pass_columns(np).leaf_pages
+        slots = np.searchsorted(leaf_pages, page_ids)
+        known = slots < len(leaf_pages)
+        known[known] = leaf_pages[slots[known]] == page_ids[known]
+        slots[~known] = len(leaf_pages)
+        return self._minima().take(slots)
+
+    def _minima(self):
+        if self._page_min is None:
+            self._bounds, self._page_min = self._probe_bounds()
+        return self._page_min
 
     # ------------------------------------------------------------------
     # bound evaluation
@@ -230,25 +259,26 @@ class SignatureFilter:
             total += c
         return total
 
-    def _probe_bounds(self) -> tuple[list[float], list[float]]:
+    def _probe_bounds(self) -> tuple[list[float], "numpy.ndarray"]:
         """The bound of every sidecar row, each value bit-equal to
         :meth:`_evaluate` on that row's knots, and the least bound of
-        each leaf page's trajectories.  Work arrays are probe-major —
-        ``[probes, rows]`` — so each per-probe step runs over contiguous
-        rows; rows go through in blocks of ``_ROW_BLOCK``.  Nothing
-        returned or kept views the columns."""
+        each leaf page's trajectories (and ``-inf`` in one slot past
+        them, for a page the sidecar does not know).  Work arrays are
+        probe-major — ``[probes, rows]`` — so each per-probe step runs
+        over contiguous rows; rows go through in blocks of
+        ``_ROW_BLOCK``.  Nothing returned or kept views the columns."""
         import numpy as np
 
         sigs = self.sigs
         kt, kx, ky, _radii, offsets = sigs.knot_columns(np)
-        (
-            rows, first, last, knot_row, dt, dx, dy, radius,
-            page_rows, page_starts, page_filled,
-        ) = sigs.pass_columns(np)
+        columns = sigs.pass_columns(np)
+        rows, knot_row = columns.rows, columns.knot_row
+        dt, dx, dy, radius = columns.dt, columns.dx, columns.dy, columns.radius
         m = self.probes
         vmax = self.vmax
         bounds = np.zeros(len(offsets))
         bounds[-1] = -np.inf  # the row of a leaf tid without a signature
+        first, last = columns.first, columns.last
         lo = np.where(first > self.t_start, first, self.t_start)
         hi = np.where(last < self.t_end, last, self.t_end)
         covered = lo < hi
@@ -331,20 +361,21 @@ class SignatureFilter:
                 total += contribution
             bounds[row] = total
 
-        page_min = np.full(len(page_filled), np.inf)
-        if len(page_starts):
-            page_min[page_filled] = np.minimum.reduceat(
-                bounds.take(page_rows), page_starts
+        # One slot past the pages: a page the sidecar does not know.
+        page_min = np.full(len(columns.page_filled) + 1, np.inf)
+        page_min[-1] = -np.inf
+        if len(columns.page_starts):
+            page_min[:-1][columns.page_filled] = np.minimum.reduceat(
+                bounds.take(columns.page_rows), columns.page_starts
             )
-        return bounds[:-1].tolist(), page_min.tolist()
+        return bounds[:-1].tolist(), page_min
 
     def _probes_below(self, t, lo, length):
         """For each knot time in ``t``, how many of its row's probe
         times ``lo + (j + 0.5) * length`` lie strictly below it: the
         inverse of that formula rounded up, then moved a probe at a
         time until exact comparisons against the probe times, computed
-        as the pass computes them, agree.  The counts come back as
-        integer-valued floats' ``int64`` cast."""
+        as the pass computes them, agree.  Returns ``int64`` counts."""
         import numpy as np
 
         m = self.probes

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from typing import NamedTuple
 
 from ..compression.tdtr import td_tr_columns
 from ..exceptions import IndexError_
@@ -29,6 +30,36 @@ __all__ = ["TrajectorySignatures", "build_signatures"]
 #: length (the paper's ``p`` parameterisation; 2 % keeps signatures tiny
 #: while the radii stay small enough to prune with).
 DEFAULT_SIMPLIFY_P = 0.02
+
+
+class PassColumns(NamedTuple):
+    """What the bound pass and the page lookups derive from a store
+    alone (:meth:`TrajectorySignatures.pass_columns`); each a fresh
+    array, none a view of a backing buffer."""
+
+    #: The rows of two knots or more, and their first and last knot times.
+    rows: object
+    first: object
+    last: object
+    #: The row each knot belongs to.
+    knot_row: object
+    #: Per knot, the difference to the next knot's ``t``/``x``/``y`` (the
+    #: subtractions the pass would do per probe, so the same bits), and
+    #: the radius of the segment the knot starts.  The last knot of a row
+    #: starts no segment, and nothing reads its slots.
+    dt: object
+    dx: object
+    dy: object
+    radius: object
+    #: The row of each leaf page's tids, ``len(store)`` for a tid the
+    #: store has no signature for.
+    page_rows: object
+    #: Where each non-empty leaf page's tids start, and which pages have any.
+    page_starts: object
+    page_filled: object
+    #: The leaf page ids, ascending.
+    leaf_pages: object
+
 
 class TrajectorySignatures:
     """Column-oriented signature store for one index.
@@ -132,30 +163,14 @@ class TrajectorySignatures:
             )
         return columns
 
-    def pass_columns(self, np) -> tuple:
-        """What the bound pass derives from the store alone, memoised
-        until :meth:`close` like :meth:`knot_columns` (each a fresh
-        array, none a view of a backing buffer):
-
-        * ``rows``, ``first``, ``last`` — the rows of two knots or
-          more, and their first and last knot times;
-        * ``knot_row`` — the row each knot belongs to;
-        * ``dt``, ``dx``, ``dy``, ``radius`` — per knot, the difference
-          to the next knot's ``t``/``x``/``y`` (the subtractions the
-          pass would do per probe, so the same bits) and the radius of
-          the segment the knot starts; the last knot of a row starts
-          no segment, and nothing reads its slots;
-        * ``page_rows`` — the row of each leaf page's tids, ``len(self)``
-          for a tid the store has no signature for;
-        * ``page_starts`` and ``page_filled`` — where each non-empty
-          leaf page's tids start, and which pages have any.
-        """
+    def pass_columns(self, np) -> PassColumns:
+        """The store's :class:`PassColumns`, memoised until
+        :meth:`close` like :meth:`knot_columns`."""
         columns = self._pass_columns
         if columns is None:
             kt, kx, ky, radii, offsets = self.knot_columns(np)
             counts = np.diff(offsets)
             rows = np.flatnonzero(counts >= 2)
-            knot_row = np.repeat(np.arange(len(counts)), counts)
             radius = np.zeros(len(kt))
             # Every knot but a row's last starts a segment, in order.
             starts_segment = np.ones(len(kt), dtype=bool)
@@ -169,20 +184,26 @@ class TrajectorySignatures:
             page_rows[~known] = len(tids)
             leaf_offsets = np.frombuffer(self.leaf_tid_offsets, dtype=np.int64)
             page_filled = np.diff(leaf_offsets) > 0
-            columns = self._pass_columns = (
-                rows,
-                kt[offsets[rows]],
-                kt[offsets[rows + 1] - 1],
-                knot_row,
-                np.diff(kt),
-                np.diff(kx),
-                np.diff(ky),
-                radius,
-                page_rows,
-                leaf_offsets[:-1][page_filled],
-                page_filled,
+            columns = self._pass_columns = PassColumns(
+                rows=rows,
+                first=kt[offsets[rows]],
+                last=kt[offsets[rows + 1] - 1],
+                knot_row=np.repeat(np.arange(len(counts)), counts),
+                dt=np.diff(kt),
+                dx=np.diff(kx),
+                dy=np.diff(ky),
+                radius=radius,
+                page_rows=page_rows,
+                page_starts=leaf_offsets[:-1][page_filled],
+                page_filled=page_filled,
+                leaf_pages=np.array(self.leaf_pages, dtype=np.int64),
             )
         return columns
+
+    def page_slot(self, page_id: int) -> int | None:
+        """A leaf page's position among :attr:`leaf_pages` (``None``
+        when the page is unknown)."""
+        return self._leaf_pos.get(page_id)
 
     def page_tids(self, page_id: int) -> list[int] | None:
         """Distinct trajectory ids on a leaf page (``None`` when the

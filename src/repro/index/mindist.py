@@ -21,7 +21,7 @@ from ..geometry import MBR3D, min_moving_point_rect_distance
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 
-__all__ = ["mindist", "mindist_batch"]
+__all__ = ["mindist", "mindist_batch", "mindist_columns"]
 
 
 def mindist(
@@ -64,50 +64,70 @@ def mindist_batch(
 ) -> list[float | None]:
     """MINDIST of the query against many node-entry MBBs at once.
 
-    Vectorised equivalent of calling :func:`mindist` per box — this is
-    what node expansion does: one batch per dequeued internal node.
-    All overlapping (query segment, box) pairs are evaluated in a
-    handful of numpy passes; per pair the piecewise-quadratic minimum
-    uses the same fixed candidate set as
+    Vectorised equivalent of calling :func:`mindist` per box: the boxes
+    go to :func:`mindist_columns` as columns, and a box whose temporal
+    extent misses the (query-period-clipped) query lifetime comes back
+    ``None``, like the scalar path's early return.
+    """
+    import numpy as np
+
+    results: list[float | None] = [None] * len(boxes)
+    bounds = np.array(
+        [(b.tmin, b.tmax, b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes]
+    ).reshape(len(boxes), 6)
+    order, dists = mindist_columns(query, *bounds.T, t_start, t_end)
+    for j, d in zip(order.tolist(), dists.tolist()):
+        results[j] = d
+    return results
+
+
+def mindist_columns(
+    query: Trajectory, tmin, tmax, xmin, ymin, xmax, ymax, t_start, t_end
+):
+    """MINDIST of the query against boxes given as six float64 columns:
+    ``(order, dists)``, the positions of the boxes whose temporal extent
+    meets the (query-period-clipped) query lifetime and their MINDIST.
+
+    This is the one batch core: node expansion (which keeps its
+    children as columns) calls it directly, :func:`mindist_batch` with
+    the columns of its boxes.  All overlapping (query segment, box)
+    pairs are evaluated in a handful of numpy passes; per pair the
+    piecewise-quadratic minimum uses the same fixed candidate set as
     :func:`~repro.geometry.segment.min_moving_point_rect_distance`
     (breakpoints padded to six slots, vertex of each adjacent piece),
-    so the values match the scalar path bit for bit.
+    so the values match the scalar path bit for bit.  A traced call
+    counts one batch and one evaluation per box.
     """
     import numpy as np
 
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
         reg.inc("index.mindist_batched")
-        reg.inc("index.mindist_evaluations", len(boxes))
+        reg.inc("index.mindist_evaluations", len(tmin))
 
     cols = query.columns()
     qt_buf = cols.t
     n = len(qt_buf)
     q_lo = qt_buf[0]
     q_hi = qt_buf[-1]
-
-    results: list[float | None] = [None] * len(boxes)
-    if not len(boxes):
-        return results
-    boxes = list(boxes)
     qt = cols.t_view()
     qx = cols.x_view()
     qy = cols.y_view()
 
     # Vectorised overlap filter: boxes whose temporal extent misses the
-    # (query-period-clipped) query lifetime stay None, like the scalar
-    # path's early return.
-    tmin = np.array([b.tmin for b in boxes])
-    tmax = np.array([b.tmax for b in boxes])
+    # (query-period-clipped) query lifetime are left out.
     lo = np.maximum(tmin, max(t_start, q_lo))
     hi = np.minimum(tmax, min(t_end, q_hi))
-    order = np.nonzero(lo <= hi)[0]
+    order = np.flatnonzero(lo <= hi)
     if not order.size:
-        return results
-    ord_list = order.tolist()
-    lo = lo[order]
-    hi = hi[order]
-    sel = [boxes[j] for j in ord_list]
+        return order, np.empty(0)
+    if order.size < len(tmin):
+        lo = lo[order]
+        hi = hi[order]
+        xmin = xmin[order]
+        ymin = ymin[order]
+        xmax = xmax[order]
+        ymax = ymax[order]
 
     # Exactly the segments Trajectory.segments_overlapping yields
     # (every k in the range has ts <= hi and te >= lo), plus the
@@ -132,10 +152,10 @@ def mindist_batch(
     sye = qy[k + 1]
     p_lo = lo.repeat(counts)
     p_hi = hi.repeat(counts)
-    xmin = np.array([b.xmin for b in sel]).repeat(counts)
-    ymin = np.array([b.ymin for b in sel]).repeat(counts)
-    xmax = np.array([b.xmax for b in sel]).repeat(counts)
-    ymax = np.array([b.ymax for b in sel]).repeat(counts)
+    xmin = xmin.repeat(counts)
+    ymin = ymin.repeat(counts)
+    xmax = xmax.repeat(counts)
+    ymax = ymax.repeat(counts)
     # Pathological segments (subnormal durations) overflow the velocity
     # to inf and turn positions into nan, exactly like the scalar code
     # — which warns for neither, so neither do we.  The scalar
@@ -214,6 +234,4 @@ def mindist_batch(
             pdy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
             pair_dist = np.where(instant, np.hypot(pdx, pdy), pair_dist)
         box_best = np.minimum.reduceat(pair_dist, starts)
-    for j, d in zip(ord_list, box_best.tolist()):
-        results[j] = d
-    return results
+    return order, box_best

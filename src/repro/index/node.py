@@ -155,7 +155,10 @@ class Node:
       written to is read through it.
 
     Internal nodes decode straight into
-    :class:`~repro.index.entry.InternalEntry` objects.
+    :class:`~repro.index.entry.InternalEntry` objects.  A resident
+    internal node also keeps its children as columns once a search has
+    asked for them (:meth:`child_columns`), and drops them on every
+    write, as a leaf drops its compact form.
 
     A chained (TB-tree) leaf that the tree is growing also carries
     :attr:`payload_bytes`, its entry payload size as
@@ -176,6 +179,7 @@ class Node:
         "_rows",
         "_page",
         "_sweep",
+        "_columns",
         "payload_bytes",
     )
 
@@ -206,6 +210,7 @@ class Node:
         self._rows: list[tuple] | None = rows
         self._page = page
         self._sweep: tuple[list[tuple], bool] | None = None
+        self._columns: tuple | None = None
         self.payload_bytes: int | None = None
 
     # ------------------------------------------------------------------
@@ -218,13 +223,15 @@ class Node:
         if entries is None:
             make = LeafEntry.from_row if self.level == 0 else InternalEntry.from_row
             entries = self._entries = [make(row) for row in self.rows]
-        self._rows = self._page = self._sweep = self.payload_bytes = None
+        self._rows = self._page = self._sweep = self._columns = None
+        self.payload_bytes = None
         return entries
 
     @entries.setter
     def entries(self, entries: list) -> None:
         self._entries = entries
-        self._rows = self._page = self._sweep = self.payload_bytes = None
+        self._rows = self._page = self._sweep = self._columns = None
+        self.payload_bytes = None
 
     @property
     def rows(self) -> list[tuple]:
@@ -241,14 +248,36 @@ class Node:
     @rows.setter
     def rows(self, rows: list[tuple]) -> None:
         self._rows = rows
-        self._entries = self._page = self._sweep = self.payload_bytes = None
+        self._entries = self._page = self._sweep = self._columns = None
+        self.payload_bytes = None
 
     def append_row(self, row: tuple) -> None:
         """Add one row after the last (a TB-tree leaf's append); the
         caller keeps :attr:`payload_bytes`."""
         rows = self.rows
-        self._entries = self._page = self._sweep = None
+        self._entries = self._page = self._sweep = self._columns = None
         rows.append(row)
+
+    def child_columns(self, np) -> tuple:
+        """An internal node's children as ``(pages, page_ids, boxes)``:
+        the child page ids as a list and as an ``int64`` array, and a
+        ``[6, children]`` float64 array of the boxes' ``xmin, ymin,
+        tmin, xmax, ymax, tmax``, in entry order.  Built on first use
+        and kept until the node is written (threads racing the first
+        call each build equal columns, and one set wins)."""
+        columns = self._columns
+        if columns is None:
+            rows = self._rows
+            if rows is None:
+                rows = [e.row for e in self._entries]
+            pages = [row[0] for row in rows]
+            boxes = np.array([row[1:] for row in rows]).reshape(len(rows), 6)
+            columns = self._columns = (
+                pages,
+                np.array(pages, dtype=np.int64),
+                np.ascontiguousarray(boxes.T),
+            )
+        return columns
 
     def rows_in_period(self, t_start: float, t_end: float) -> list[tuple]:
         """A leaf's rows sorted by ``t1``, cut to those that may overlap

@@ -24,7 +24,7 @@ from ..obs import state as _obs
 from ..storage.format import unframe_page
 from ..trajectory import Trajectory
 from .base import TrajectoryIndex
-from .mindist import mindist_batch
+from .mindist import mindist_columns
 from .node import NO_PAGE, Node, payload_rows
 
 __all__ = ["best_first_nodes", "leaf_points"]
@@ -84,6 +84,7 @@ def best_first_nodes(
     t_end: float,
     *,
     leaf_admit=None,
+    leaf_refuse=None,
 ) -> Iterator[tuple[float, Node]]:
     """Yield ``(mindist, node)`` pairs in increasing MINDIST order.
 
@@ -102,9 +103,12 @@ def best_first_nodes(
     middle of the period, not to whichever the tree's layout happens to
     list first (a packed tree lists them corner to corner).
 
-    The children left are scored in one
-    :func:`~repro.index.mindist.mindist_batch` call (numpy, bit-equal
-    to the scalar :func:`~repro.index.mindist.mindist` per entry).
+    An expanded node's children are read as columns
+    (:meth:`~repro.index.node.Node.child_columns`): the period test is
+    one vector compare, the children left are scored in one
+    :func:`~repro.index.mindist.mindist_columns` call (numpy, bit-equal
+    to the scalar :func:`~repro.index.mindist.mindist` per entry), and
+    the tie keys are computed elementwise with the scalar operations.
 
     ``leaf_admit`` — when given — is consulted as
     ``leaf_admit(page_id)`` for every page *known* to be a leaf (its
@@ -113,8 +117,15 @@ def best_first_nodes(
     parent is expanded, before its MINDIST is computed, and again when
     it is dequeued, before the page is read.  Returning ``False`` skips
     the page entirely: no MINDIST (at expansion), no heap slot, no I/O,
-    no yield.  The signature filter uses this to avoid leaves all of
-    whose trajectories are already settled.  Settled stays settled and
+    no yield.  ``leaf_refuse`` — optional, and only with
+    ``leaf_admit`` — answers for all of an expanded node's leaf
+    children at once, before ``leaf_admit``: given their page ids as an
+    ``int64`` array, it returns a boolean array, ``True`` for each
+    page to skip (or ``None`` to refuse none), and only the pages it
+    lets through are asked one by one.  It must refuse only pages
+    ``leaf_admit`` would refuse at that moment.  The signature filter
+    uses the pair to avoid leaves all of whose trajectories are already
+    settled.  Settled stays settled and
     the consumer's threshold only tightens, so a leaf refused at
     expansion would have been refused at its pop as well: the pages
     yielded, and their order, are those of a pop-time check alone (the
@@ -125,6 +136,8 @@ def best_first_nodes(
     """
     if index.root_page == NO_PAGE:
         return
+    import numpy as np
+
     trace = _obs.ACTIVE
     reg = trace.registry if trace is not None else None
     high_water = 1
@@ -152,32 +165,41 @@ def best_first_nodes(
             if node.is_leaf:
                 continue
             child_level = node.level - 1
-            entries = [
-                e
-                for e in node.entries
-                if max(e.mbr.tmin, lo) <= min(e.mbr.tmax, hi)
-            ]
-            if child_level == 0 and leaf_admit is not None:
-                admitted = [e for e in entries if leaf_admit(e.child_page)]
-                if reg is not None and len(admitted) < len(entries):
-                    reg.inc(
-                        "index.leaves_skipped", len(entries) - len(admitted)
-                    )
-                entries = admitted
-            if not entries:
-                continue
-            boxes = [e.mbr for e in entries]
-            dists = mindist_batch(query, boxes, t_start, t_end)
-            for box, e, d in zip(boxes, entries, dists):
-                dx = (box.xmin + box.xmax) / 2.0 - here.x
-                dy = (box.ymin + box.ymax) / 2.0 - here.y
-                heapq.heappush(
-                    heap, (d, dx * dx + dy * dy, e.child_page, child_level == 0)
+            pages, page_ids, (xmin, ymin, tmin, xmax, ymax, tmax) = (
+                node.child_columns(np)
+            )
+            overlap = np.maximum(tmin, lo) <= np.minimum(tmax, hi)
+            pick = np.flatnonzero(overlap)
+            if child_level == 0 and leaf_admit is not None and len(pick):
+                asked = len(pick)
+                if leaf_refuse is not None:
+                    refused = leaf_refuse(page_ids[pick])
+                    if refused is not None:
+                        pick = pick[~refused]
+                pick = np.array(
+                    [i for i in pick.tolist() if leaf_admit(pages[i])],
+                    dtype=np.intp,
                 )
+                if reg is not None and len(pick) < asked:
+                    reg.inc("index.leaves_skipped", asked - len(pick))
+            if not len(pick):
+                continue
+            xmin, ymin = xmin[pick], ymin[pick]
+            xmax, ymax = xmax[pick], ymax[pick]
+            order, dists = mindist_columns(
+                query, tmin[pick], tmax[pick], xmin, ymin, xmax, ymax,
+                t_start, t_end,
+            )
+            dx = (xmin + xmax) / 2.0 - here.x
+            dy = (ymin + ymax) / 2.0 - here.y
+            ties = (dx * dx + dy * dy)[order].tolist()
+            leaf = child_level == 0
+            for d, tie, i in zip(dists.tolist(), ties, pick[order].tolist()):
+                heapq.heappush(heap, (d, tie, pages[i], leaf))
             if reg is not None:
                 level = f"index.mindist_evaluations.level_{child_level}"
-                reg.inc(level, len(boxes))
-                reg.inc("index.nodes_enqueued", len(boxes))
+                reg.inc(level, len(pick))
+                reg.inc("index.nodes_enqueued", len(pick))
                 if len(heap) > high_water:
                     high_water = len(heap)
     finally:

@@ -314,6 +314,15 @@ def _search_shard(
                 return True
             threshold = top.threshold
             check = math.isfinite(threshold)
+            if (
+                check
+                and sig_filter.page_min(page_id) > threshold
+                and valid.keys().isdisjoint(page_tids)
+            ):
+                # Every trajectory on the page is settled or certified
+                # out: the loop below would refuse it too.
+                stats.leaf_skips += 1
+                return False
             for tid in page_tids:
                 if tid in rejected or tid in completed:
                     continue
@@ -326,11 +335,29 @@ def _search_shard(
             stats.leaf_skips += 1
             return False
 
+        def leaf_refuse(page_ids):
+            # An expanded node's leaf children at once: refused when the
+            # least bound on the page exceeds the threshold, unless the
+            # page holds a live candidate, which the loop above admits
+            # whatever its bound.
+            threshold = top.threshold
+            if not math.isfinite(threshold):
+                return None
+            refused = sig_filter.page_minima(page_ids) > threshold
+            if valid:
+                for i in refused.nonzero()[0].tolist():
+                    tids = sig_filter.page_tids(int(page_ids[i]))
+                    if not valid.keys().isdisjoint(tids):
+                        refused[i] = False
+            stats.leaf_skips += int(refused.sum())
+            return refused
+
     else:
-        leaf_admit = None
+        leaf_admit = leaf_refuse = None
 
     for node_dist, node in best_first_nodes(
-        index, query, t_start, t_end, leaf_admit=leaf_admit
+        index, query, t_start, t_end,
+        leaf_admit=leaf_admit, leaf_refuse=leaf_refuse,
     ):
         dequeued += 1
         if deadline is not None and monotonic() >= deadline:

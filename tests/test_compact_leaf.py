@@ -170,7 +170,7 @@ def zero_joint_rows(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         x, y, t = (draw(signed_zero) if v == 0.0 else v for v in (x, y, t))
         t2 = t + draw(st.integers(min_value=1, max_value=6)) / 4
-        x2, y2 = draw(st.one_of(signed_zero, coords)), draw(st.one_of(signed_zero, coords))
+        x2, y2 = (draw(st.one_of(signed_zero, coords)) for _ in range(2))
         rows.append((OWNER, x, y, t, x2, y2, t2))
         x, y, t = x2, y2, t2
     return rows

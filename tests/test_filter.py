@@ -20,6 +20,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,7 @@ from repro.filter import (
 from repro.filter import runtime as filter_runtime
 from repro.filter.signature import segment_index
 from repro.index import fsck_index
+from repro.search import bfmst
 from repro.search.bfmst import bfmst_search
 from repro.search.results import SearchStats
 
@@ -320,6 +322,36 @@ class TestBatchedBounds:
         assert filt.bound(absent) is None
         assert not filt.should_prune(absent, -1.0)
 
+    @given(
+        lo=st.floats(min_value=-1e6, max_value=1e6),
+        span=st.sampled_from(GAPS),
+        scale=st.floats(min_value=0.01, max_value=1.0),
+        probes=st.sampled_from([1, 5, 32]),
+        vmax=st.sampled_from([0.0, 3.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_knots_on_and_beside_probe_times(self, lo, span, scale, probes, vmax):
+        """Knots exactly on the probe times and one ulp either side:
+        where the inverse of the probe formula rounds the wrong way, the
+        exact comparisons must put each knot on the right side of each
+        probe."""
+        hi = lo + span * scale
+        if not lo < hi:
+            return
+        length = (hi - lo) / probes
+        times = [lo + (j + 0.5) * length for j in range(probes)]
+        near = {math.nextafter(t, d) for t in times for d in (-math.inf, math.inf)}
+        knot_t = sorted({lo - 1.0, hi + 1.0, *times, *near})
+        knots = [(t, t % 7.0, -t % 5.0) for t in knot_t]
+        filt = SignatureFilter(
+            synthetic_store([(0, knots, [0.5] * (len(knots) - 1))]),
+            Trajectory(-1, [(1.0, 2.0, lo - 2.0), (3.0, -1.0, hi + 2.0)]),
+            lo, hi, vmax, probes=probes,
+        )
+        below = filt._probes_below(np.array(knot_t), lo, length)
+        assert below.tolist() == [sum(p < t for p in times) for t in knot_t]
+        assert hexes([filt.bound(0)]) == hexes(scalar_bounds(filt, [0]))
+
     def test_named_corners(self):
         far = 1e3  # the query sits this far from every row
         rows = [
@@ -390,6 +422,64 @@ class TestBatchedBounds:
         assert hexes(got) == hexes(scalar_bounds(filt, tids))
         columns = len(rows) if mixed else 1
         assert shapes == [((filt.probes, columns),) * 2]
+
+
+# ----------------------------------------------------------------------
+# leaves refused by their page's least bound
+# ----------------------------------------------------------------------
+class _HeldTop(bfmst._TopK):
+    """A k-th-best bound held at ``inf`` until ``target`` first reports
+    a value, and at ``level`` from then on."""
+
+    def __init__(self, target, level):
+        super().__init__(1)
+        self.target, self.level, self.armed = target, level, False
+
+    def update(self, tid, upper):
+        super().update(tid, upper)
+        self.armed = self.armed or tid == self.target
+
+    @property
+    def threshold(self):
+        return self.level if self.armed else math.inf
+
+
+class TestLeafRefusal:
+    """An expanded node refuses a leaf child whose least signature
+    bound exceeds the threshold, and the pop does too — but never a
+    leaf holding a live candidate, which the per-trajectory check
+    admits whatever its bound."""
+
+    def test_live_candidates_next_leaf_is_admitted(self):
+        data = generate_gstd(40, samples_per_object=120, seed=5)
+        tree = TBTree(page_size=512)
+        tree.bulk_insert(data)
+        tree.finalize()
+        tree.signatures = build_signatures(tree)
+        for target in data.ids()[:6]:
+            source = data.get(target)
+            assert len(tree.leaf_chain(target)) > 1
+            # Near the target but not on it: its bound is positive.
+            query = Trajectory(-1, [(p.x + 0.05, p.y + 0.05, p.t) for p in source])
+            period = (source.t_start, source.t_end)
+            vmax = tree.max_speed + query.max_speed()
+
+            def make_filter():
+                return SignatureFilter(tree.signatures, query, *period, vmax)
+
+            bound = make_filter().bound(target)
+            assert bound > 0.0
+            # From the target's first leaf on, its bound exceeds the
+            # threshold while its next leaves wait; with the heuristics
+            # off only the signature tier could drop them.
+            top = _HeldTop(target, bound / 2)
+            records, stats = bfmst.search_part(
+                tree, query, *period, vmax, False, False, top, (),
+                sig_filter=make_filter(),
+            )
+            (record,) = [r for r in records if r.tid == target]
+            assert record.exact  # every leaf of the target was read
+            assert stats.leaf_skips > 0  # and other leaves were refused
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +820,9 @@ class TestByteIdentity:
             on, s_on = bfmst_search(index, query, period, k=k)
             off, s_off = bfmst_search(index, query, period, k=k, filter="off")
             assert match_keys(on) == match_keys(off)
-            assert s_on.signature_checks > 0
+            # The filter acted: per-trajectory checks, or leaves refused
+            # by their page's least bound (which count no check).
+            assert s_on.signature_checks + s_on.leaf_skips > 0
             assert s_off.signature_checks == 0
             assert s_off.signature_pruned == 0
 
