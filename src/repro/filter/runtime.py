@@ -26,8 +26,8 @@ sidecar in one numpy pass — a few dozen array operations over the
 stacked knot columns instead of one interpreter round trip per
 candidate.  It performs the same IEEE operations in the same order as
 the one-row scalar reference :meth:`SignatureFilter._evaluate` (probe
-times as ``lo + (j + 0.5) * L``, the knot index by bisection,
-interpolation as ``x_i + frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx +
+times as ``lo + (j + 0.5) * L``, the knot index
+``bisect_right(knots, t) - 1`` clamped to the polyline, interpolation as ``x_i + frac * (x_{i+1} - x_i)``, ``sqrt(dx*dx +
 dy*dy)``, per-probe hinge, the ``M`` contributions added left to
 right), so the two are bit-equal; the tests hold the pass to it.
 
@@ -54,7 +54,12 @@ row of each knot) is memoised with the store
 least (``np.minimum.reduceat`` over the sidecar's leaf-tid CSR; ``-inf``
 when a tid on the page has no signature, ``inf`` for a page of none).
 A page whose least bound exceeds the threshold holds no trajectory the
-signature tier would let through.
+signature tier would let through, except a live candidate (one the
+search is already accumulating, which its per-trajectory check admits
+whatever its bound): the search refuses such a leaf with one compare
+(:meth:`SignatureFilter.page_min`, and :meth:`~SignatureFilter.page_minima`
+for all of an expanded node's leaf children at once), and checks the
+live candidates only on the pages that compare refuses.
 """
 
 from __future__ import annotations

@@ -64,18 +64,32 @@ def mindist_batch(
 ) -> list[float | None]:
     """MINDIST of the query against many node-entry MBBs at once.
 
-    Vectorised equivalent of calling :func:`mindist` per box: the boxes
-    go to :func:`mindist_columns` as columns, and a box whose temporal
-    extent misses the (query-period-clipped) query lifetime comes back
-    ``None``, like the scalar path's early return.
+    Vectorised equivalent of calling :func:`mindist` per box, through
+    the core :func:`mindist_columns` runs: a box whose temporal extent
+    misses the (query-period-clipped) query lifetime comes back
+    ``None``, like the scalar path's early return, and only the boxes
+    left have their spatial bounds gathered.
     """
     import numpy as np
 
     results: list[float | None] = [None] * len(boxes)
-    bounds = np.array(
-        [(b.tmin, b.tmax, b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes]
-    ).reshape(len(boxes), 6)
-    order, dists = mindist_columns(query, *bounds.T, t_start, t_end)
+    order, lo, hi = _overlapping(
+        query,
+        np.array([b.tmin for b in boxes]),
+        np.array([b.tmax for b in boxes]),
+        t_start,
+        t_end,
+    )
+    sel = [boxes[j] for j in order.tolist()]
+    dists = _scored(
+        query,
+        lo,
+        hi,
+        np.array([b.xmin for b in sel]),
+        np.array([b.ymin for b in sel]),
+        np.array([b.xmax for b in sel]),
+        np.array([b.ymax for b in sel]),
+    )
     for j, d in zip(order.tolist(), dists.tolist()):
         results[j] = d
     return results
@@ -88,46 +102,55 @@ def mindist_columns(
     ``(order, dists)``, the positions of the boxes whose temporal extent
     meets the (query-period-clipped) query lifetime and their MINDIST.
 
-    This is the one batch core: node expansion (which keeps its
-    children as columns) calls it directly, :func:`mindist_batch` with
-    the columns of its boxes.  All overlapping (query segment, box)
-    pairs are evaluated in a handful of numpy passes; per pair the
-    piecewise-quadratic minimum uses the same fixed candidate set as
-    :func:`~repro.geometry.segment.min_moving_point_rect_distance`
-    (breakpoints padded to six slots, vertex of each adjacent piece),
-    so the values match the scalar path bit for bit.  A traced call
-    counts one batch and one evaluation per box.
+    Node expansion, which keeps its children as columns, calls this;
+    :func:`mindist_batch` runs the same two steps on its boxes.  A
+    traced call counts one batch and one evaluation per box.
     """
+    order, lo, hi = _overlapping(query, tmin, tmax, t_start, t_end)
+    if len(order) < len(tmin):
+        xmin, ymin, xmax, ymax = xmin[order], ymin[order], xmax[order], ymax[order]
+    return order, _scored(query, lo, hi, xmin, ymin, xmax, ymax)
+
+
+def _overlapping(query: Trajectory, tmin, tmax, t_start, t_end):
+    """``(order, lo, hi)``: the positions of the boxes whose time extent
+    meets the query period clipped to the query's lifetime, and that
+    overlap's ends, per box left (one vector pass; counted as one
+    MINDIST batch and one evaluation per box)."""
     import numpy as np
 
     reg = _obs.ACTIVE.registry if _obs.ACTIVE is not None else None
     if reg is not None:
         reg.inc("index.mindist_batched")
         reg.inc("index.mindist_evaluations", len(tmin))
+    qt = query.columns().t
+    lo = np.maximum(tmin, max(t_start, qt[0]))
+    hi = np.minimum(tmax, min(t_end, qt[-1]))
+    order = np.flatnonzero(lo <= hi)
+    if len(order) < len(tmin):
+        lo, hi = lo[order], hi[order]
+    return order, lo, hi
 
+
+def _scored(query: Trajectory, lo, hi, xmin, ymin, xmax, ymax):
+    """MINDIST per box over its overlap ``[lo, hi]`` with the query.
+
+    All (query segment, box) pairs are evaluated in a handful of numpy
+    passes; per pair the piecewise-quadratic minimum uses the same
+    fixed candidate set as
+    :func:`~repro.geometry.segment.min_moving_point_rect_distance`
+    (breakpoints padded to six slots, vertex of each adjacent piece),
+    so the values match the scalar path bit for bit.
+    """
+    import numpy as np
+
+    if not len(lo):
+        return np.empty(0)
     cols = query.columns()
-    qt_buf = cols.t
-    n = len(qt_buf)
-    q_lo = qt_buf[0]
-    q_hi = qt_buf[-1]
+    n = len(cols.t)
     qt = cols.t_view()
     qx = cols.x_view()
     qy = cols.y_view()
-
-    # Vectorised overlap filter: boxes whose temporal extent misses the
-    # (query-period-clipped) query lifetime are left out.
-    lo = np.maximum(tmin, max(t_start, q_lo))
-    hi = np.minimum(tmax, min(t_end, q_hi))
-    order = np.flatnonzero(lo <= hi)
-    if not order.size:
-        return order, np.empty(0)
-    if order.size < len(tmin):
-        lo = lo[order]
-        hi = hi[order]
-        xmin = xmin[order]
-        ymin = ymin[order]
-        xmax = xmax[order]
-        ymax = ymax[order]
 
     # Exactly the segments Trajectory.segments_overlapping yields
     # (every k in the range has ts <= hi and te >= lo), plus the
@@ -234,4 +257,4 @@ def mindist_columns(
             pdy = np.maximum(np.maximum(ymin - py, 0.0), py - ymax)
             pair_dist = np.where(instant, np.hypot(pdx, pdy), pair_dist)
         box_best = np.minimum.reduceat(pair_dist, starts)
-    return order, box_best
+    return box_best
