@@ -64,8 +64,8 @@ def mindist_batch(
 ) -> list[float | None]:
     """MINDIST of the query against many node-entry MBBs at once.
 
-    Vectorised equivalent of calling :func:`mindist` per box, through
-    the core :func:`mindist_columns` runs: a box whose temporal extent
+    Vectorised equivalent of calling :func:`mindist` per box, by the
+    two steps :func:`mindist_columns` runs: a box whose temporal extent
     misses the (query-period-clipped) query lifetime comes back
     ``None``, like the scalar path's early return, and only the boxes
     left have their spatial bounds gathered.
