@@ -148,9 +148,10 @@ def _execute_shard_plan(plan):
     ``time.monotonic()`` deadline in the plan is checked up front and
     then by the traversal at every node dequeue (the monotonic clock is
     system-wide on Linux, so the parent's deadline is meaningful
-    here).  The search itself is the same
-    :func:`~repro.search.bfmst.search_part` the in-process executors
-    run, under a bound of this worker's own.  Returns a
+    here).  The search itself is
+    :func:`~repro.search.bfmst.search_part`: the traversal an
+    in-process search runs over all its shards, here over this one,
+    under a bound of this worker's own.  Returns a
     :class:`~repro.engine.planner.ShardAnswer`.
     """
     from ..exceptions import DeadlineExceeded
@@ -158,7 +159,7 @@ def _execute_shard_plan(plan):
     from ..search.bfmst import (
         _TopK,
         _validate,
-        make_signature_filter,
+        make_signature_filters,
         search_part,
     )
     from .planner import ShardAnswer
@@ -176,8 +177,8 @@ def _execute_shard_plan(plan):
 
     # The sidecar (auto-attached by load_index) feeds a worker-local
     # signature filter.
-    sig_filter = make_signature_filter(
-        index, spec.query, t_start, t_end, plan.vmax
+    (sig_filter,) = make_signature_filters(
+        [index], spec.query, t_start, t_end, plan.vmax
     )
 
     registry = MetricsRegistry()

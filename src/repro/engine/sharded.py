@@ -12,12 +12,13 @@ overrides how a request obtains its parts:
 * every shard's upper levels are pinned in its own pool
   (:class:`~repro.engine.engine.PinnedIndex`, one per shard),
 * the cross-shard k-MST itself is the one driver,
-  :func:`repro.search.bfmst.bfmst_search`: all selected shards advance
-  under one shared k-th-best bound, then merge into a single
-  ranking/refinement step.  The engine only says *where* the shards
-  run — one after another on the calling thread (``"serial"``, the
-  default), on the session's thread pool, or (``executor="process"``)
-  in worker processes through :meth:`ShardedQueryEngine.run_parts`.
+  :func:`repro.search.bfmst.bfmst_search`: the selected shards are
+  searched as one tree — one best-first heap, one k-th-best bound, one
+  signature pass — on the calling thread (``"serial"``, the default,
+  and ``"thread"`` alike), then ranked and refined once.  Only
+  ``executor="process"`` sends them elsewhere: to worker processes,
+  one shard each under a bound of its own, through
+  :meth:`ShardedQueryEngine.run_parts`.
 """
 
 from __future__ import annotations
@@ -104,25 +105,24 @@ class ShardedQueryEngine(QueryEngine):
     # the parts seam
     # ------------------------------------------------------------------
     def search_context(self, query, period) -> dict:
-        """Plan the shard fan-out for one query: the selected shards
-        and where they run."""
+        """Plan one query: the selected shards, and — on a process
+        engine — the workers that search them.  Any other engine
+        searches them here, as one tree."""
         plan = self.planner.plan(query, period)
         self.metrics.inc("engine.planner.plans")
         self.metrics.inc("engine.planner.shards_selected", len(plan.selected))
         self.metrics.inc("engine.planner.shards_pruned", len(plan.pruned))
         context = {"selected": plan.selected}
-        if self.executor.kind == "thread":
-            context["executor"] = self.executor
-        elif self.executor.kind == "process":
+        if self.executor.kind == "process":
             # The multicore path: plans out, answers back (run_parts).
             context["executor"] = self
         return context
 
     def _run_requests(self, requests: list) -> list[SearchResult]:
-        """One request after another: the session executor is spent
-        *per query, across shards* — nesting batch-level and
-        shard-level fan-out would deadlock a bounded pool and help
-        nothing on a shared one."""
+        """One request after another: a process engine spends its
+        pool *per query, across shards* (its executor has no batch
+        ``map``), and the other kinds search a query's shards on the
+        calling thread."""
         return [self.execute(request) for request in requests]
 
     def run_parts(self, specs: dict, vmax: float, deadline) -> list:

@@ -1,5 +1,9 @@
 """Executor session semantics: one pool per instance, reused across
-batches, shut down with close() — plus the engine-owned executor."""
+batches, shut down with close() — plus the engine-owned executor, and
+a sharded engine's work repeating under either in-process kind."""
+
+import itertools
+import sys
 
 import pytest
 
@@ -8,8 +12,16 @@ from repro.engine import (
     EngineConfig,
     QueryEngine,
     SerialExecutor,
+    ShardedQueryEngine,
     ThreadedExecutor,
     make_executor,
+)
+from repro.obs import query_trace
+from repro.sharding import (
+    ShardedDataset,
+    build_sharded_index,
+    make_partitioner,
+    save_sharded_index,
 )
 
 
@@ -91,3 +103,93 @@ class TestEngineOwnedExecutor:
             # threaded batches must have locked the buffer manager
             assert index.buffer._lock is not None
         assert engine.executor._pool is None  # close() tears it down
+
+
+class TestShardWorkRepeats:
+    """A sharded engine does the same work for the same specs, run
+    after run, on the serial and the thread kind alike: both search a
+    query's shards as one tree on the calling thread, so no count
+    depends on which shard a scheduler lets tighten the bound first."""
+
+    @pytest.fixture(scope="class")
+    def shards(self, tmp_path_factory):
+        dataset = generate_gstd(80, samples_per_object=30, seed=31)
+        sharded = build_sharded_index(
+            ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
+            RTree3D,
+            page_size=512,
+        )
+        directory = tmp_path_factory.mktemp("repeat") / "shards"
+        save_sharded_index(sharded, directory, signatures=True)
+        sharded.close()
+        workload = make_workload(dataset, 24, 0.1, seed=17)
+        specs = [
+            QuerySpec("mst", query, period, k=k)
+            for (query, period), k in zip(workload, itertools.cycle((1, 5, 10)))
+        ]
+        return directory, specs
+
+    @staticmethod
+    def run(directory, specs, executor):
+        """Every spec once on a fresh engine: its answer and its work."""
+        engine = ShardedQueryEngine.open(
+            directory, config=EngineConfig(executor=executor, max_workers=2)
+        )
+        rows = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # any thread interleaving would show
+        try:
+            for spec in specs:
+                with query_trace():
+                    result = engine.execute(spec)
+                s = result.stats
+                rows.append(
+                    (
+                        result.answer_json(),
+                        s.node_accesses,
+                        s.signature_checks,
+                        s.trapezoid_evals,
+                        s.buffer_hits,
+                        s.buffer_misses,
+                        s.extra["per_shard"],
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+            engine.index.close()
+        return rows
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_two_runs_do_equal_work(self, shards, executor):
+        directory, specs = shards
+        first = self.run(directory, specs, executor)
+        assert all(row[2] > 0 for row in first)  # the filter took part
+        assert self.run(directory, specs, executor) == first
+
+    def test_a_thread_pool_is_no_search_executor(self, shards):
+        """The driver searches here or hands plans to ``run_parts``;
+        an executor that only maps is refused before any part runs."""
+        from repro.exceptions import QueryError
+        from repro.search.bfmst import bfmst_search
+        from repro.sharding import load_sharded_index
+
+        directory, specs = shards
+        sharded = load_sharded_index(directory)
+        try:
+            with ThreadedExecutor(2) as pool, pytest.raises(
+                QueryError, match="run_parts"
+            ):
+                bfmst_search(
+                    sharded, specs[0].query, specs[0].period, k=3,
+                    executor=pool,
+                )
+            assert pool._pool is None
+        finally:
+            sharded.close()
+
+    def test_thread_kind_does_the_serial_work(self, shards):
+        directory, specs = shards
+        assert self.run(directory, specs, "thread") == self.run(
+            directory, specs, "serial"
+        )

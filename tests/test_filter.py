@@ -191,9 +191,10 @@ class TestLowerBound:
 # ----------------------------------------------------------------------
 # the batched numpy pass against the scalar reference
 # ----------------------------------------------------------------------
-def synthetic_store(rows):
+def synthetic_store(rows, pages=()):
     """A signature store over hand-made rows of
-    ``(tid, [(t, x, y), ...], [radius, ...])`` — no index needed."""
+    ``(tid, [(t, x, y), ...], [radius, ...])`` and leaf pages of
+    ``(page_id, [tid, ...])``, ascending — no index needed."""
     tids = array("q")
     offsets = array("q", [0])
     kt, kx, ky, radii = array("d"), array("d"), array("d"), array("d")
@@ -215,9 +216,11 @@ def synthetic_store(rows):
         knot_x=kx,
         knot_y=ky,
         radii=radii,
-        leaf_pages=array("q"),
-        leaf_tid_offsets=array("q", [0]),
-        leaf_tids=array("q"),
+        leaf_pages=array("q", [page for page, _tids in pages]),
+        leaf_tid_offsets=array(
+            "q", itertools.accumulate((len(t) for _p, t in pages), initial=0)
+        ),
+        leaf_tids=array("q", [tid for _page, on in pages for tid in on]),
     )
 
 
@@ -422,6 +425,77 @@ class TestBatchedBounds:
         assert hexes(got) == hexes(scalar_bounds(filt, tids))
         columns = len(rows) if mixed else 1
         assert shapes == [((filt.probes, columns),) * 2]
+
+
+@st.composite
+def part_stores(draw):
+    """Two to four sidecar stores of unequal sizes whose trajectory and
+    leaf page ids collide (a tid ``99`` on a page has no signature),
+    and maybe one part without a sidecar, as a live memtable is."""
+    stores = []
+    for _part in range(draw(st.integers(min_value=2, max_value=4))):
+        rows = draw(signature_rows())
+        tids = [tid for tid, _k, _r in rows]
+        pages = [
+            (
+                page,
+                sorted(
+                    draw(st.lists(st.sampled_from([*tids, 99]), unique=True))
+                ),
+            )
+            for page in sorted(draw(st.sets(st.integers(0, 6), max_size=4)))
+        ]
+        stores.append((synthetic_store(rows, pages), pages))
+    if draw(st.booleans()):
+        stores.insert(draw(st.integers(0, len(stores))), (None, []))
+    return stores
+
+
+class TestStackedBounds:
+    """Several parts' sidecars priced by one pass: each part's bounds
+    must be bit-equal to the scalar ``_evaluate`` on that part's own
+    knots, and each ``(part, page)`` minimum the least bound on that
+    part's page, whatever ids the other parts use."""
+
+    @given(
+        stores=part_stores(),
+        query=covering_queries(),
+        period=st.sampled_from(PERIODS),
+        vmax=st.sampled_from([0.0, 0.5, 3.0, 50.0]),
+        probes=st.sampled_from([1, 5, 32]),
+        block=st.sampled_from([1, 3, 1024]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_part_as_if_priced_alone(
+        self, stores, query, period, vmax, probes, block
+    ):
+        filters = SignatureFilter.over_parts(
+            [store for store, _pages in stores], query, *period, vmax,
+            probes=probes,
+        )
+        for (store, pages), filt in zip(stores, filters):
+            if store is None:
+                assert filt is None
+                continue
+            alone = SignatureFilter(store, query, *period, vmax, probes=probes)
+            tids = list(store.tids)
+            with mock.patch.object(filter_runtime, "_ROW_BLOCK", block):
+                got = [filt.bound(tid) for tid in tids]
+            want = scalar_bounds(alone, tids)
+            assert hexes(got) == hexes(want)
+            bound = dict(zip(tids, want))
+            least = [
+                min((bound.get(t, -math.inf) for t in on), default=math.inf)
+                for _page, on in pages
+            ]
+            ids = [page for page, _on in pages]
+            assert hexes([filt.page_min(page) for page in ids]) == hexes(least)
+            asked = np.array([*ids, 7], dtype=np.int64)  # 7: no such page
+            assert hexes(filt.page_minima(asked).tolist()) == hexes(
+                [*least, -math.inf]
+            )
+            assert filt.page_min(7) is None
+            assert filt.bound(99) is None
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestBestFirstTraversal:
     def test_nondecreasing_mindist_order(self, small_dataset, small_rtree):
         rng = random.Random(8)
         query, (t0, t1) = make_query(small_dataset, 0.3, rng)
-        dists = [d for d, _n in best_first_nodes(small_rtree, query, t0, t1)]
+        dists = [d for d, _p, _n in best_first_nodes([small_rtree], query, t0, t1)]
         assert dists, "traversal yielded nothing"
         assert dists == sorted(dists)
 
@@ -91,7 +91,8 @@ class TestBestFirstTraversal:
         rng = random.Random(9)
         query, (t0, t1) = make_query(small_dataset, 0.2, rng)
         visited = {
-            n.page_id for _d, n in best_first_nodes(small_rtree, query, t0, t1)
+            n.page_id
+            for _d, _p, n in best_first_nodes([small_rtree], query, t0, t1)
         }
         for node in small_rtree.nodes():
             if node.is_leaf and node.mbr().overlaps_period(t0, t1):
@@ -99,13 +100,13 @@ class TestBestFirstTraversal:
 
     def test_empty_index_yields_nothing(self):
         q = Trajectory(0, [(0, 0, 0), (1, 1, 1)])
-        assert list(best_first_nodes(RTree3D(), q, 0, 1)) == []
+        assert list(best_first_nodes([RTree3D()], q, 0, 1)) == []
 
     def test_consuming_lazily_reads_fewer_nodes(self, small_dataset, small_rtree):
         rng = random.Random(10)
         query, (t0, t1) = make_query(small_dataset, 0.2, rng)
         before = small_rtree.node_accesses
-        gen = best_first_nodes(small_rtree, query, t0, t1)
+        gen = best_first_nodes([small_rtree], query, t0, t1)
         next(gen)
         first_cost = small_rtree.node_accesses - before
         assert first_cost == 1  # only the root was read
@@ -137,8 +138,8 @@ def _traced_walk(index, query, t0, t1, leaf_admit=None):
     with query_trace() as trace:
         walk = [
             (d, n.page_id, n.level)
-            for d, n in best_first_nodes(
-                index, query, t0, t1, leaf_admit=leaf_admit
+            for d, _p, n in best_first_nodes(
+                [index], query, t0, t1, leaf_admit=leaf_admit
             )
         ]
     return walk, trace.registry
@@ -163,7 +164,7 @@ class TestLeafAdmit:
 
         full, full_reg = _traced_walk(index, query, t0, t1)
         kept, kept_reg = _traced_walk(
-            index, query, t0, t1, leaf_admit=lambda page: page not in dead
+            index, query, t0, t1, leaf_admit=lambda _part, page: page not in dead
         )
         assert kept == [step for step in full if step[1] not in dead]
 
@@ -194,11 +195,11 @@ class TestLeafAdmit:
                 query, (t0, t1) = make_query(dataset, length, rng)
                 asked = []
                 walk = best_first_nodes(
-                    index, query, t0, t1,
-                    leaf_admit=lambda page: asked.append(page) or True,
+                    [index], query, t0, t1,
+                    leaf_admit=lambda _part, page: asked.append(page) or True,
                 )
                 entries = {}
-                for _d, node in walk:
+                for _d, _p, node in walk:
                     if node.level == 1:
                         entries.update((e.child_page, e.mbr) for e in node.entries)
                 assert asked

@@ -20,6 +20,12 @@ trajectories with one compare, where the per-trajectory loop counted a
 check (and a prune) for each, so both counts fell (to no prunes at all
 on the TB-tree, whose leaves hold one trajectory each) while every
 other count, and every answer, stayed the same.
+
+The same set split into four ``hash`` shards, each packed and saved
+with its sidecar, and opened by a serial sharded engine, pins the shard
+plan's counts the same way (``PINNED_SHARDS``): the engine searches the
+shards as one tree, so they repeat exactly.  They were recorded when
+that search replaced one traversal per shard.
 """
 
 import inspect
@@ -29,11 +35,19 @@ import pytest
 
 from repro import TREES, load_index, save_index
 from repro.datagen import generate_gstd, make_query
+from repro.engine import ShardedQueryEngine
 from repro.obs import query_trace
 from repro.obs import registry as obs_registry
 from repro.obs import state as obs_state
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
+from repro.search.spec import QuerySpec
+from repro.sharding import (
+    ShardedDataset,
+    build_sharded_index,
+    make_partitioner,
+    save_sharded_index,
+)
 
 from conftest import packed
 
@@ -77,6 +91,30 @@ PINNED = {
 }
 
 
+#: ``(tree, length, k)`` -> the EXACT counts of the 4-shard ``hash``
+#: plan, searched by a serial :class:`ShardedQueryEngine`.
+PINNED_SHARDS = {
+    ('rtree', 0.02, 1): (34, 9, 6, 0, 13, 0, 34, 37, 60, 21, 10, 60),
+    ('rtree', 0.05, 1): (48, 15, 9, 1, 23, 0, 48, 35, 89, 53, 24, 89),
+    ('rtree', 0.1, 1): (47, 26, 9, 3, 43, 0, 47, 59, 71, 78, 56, 71),
+    ('rtree', 0.02, 5): (34, 16, 8, 0, 23, 15, 34, 21, 66, 48, 37, 66),
+    ('rtree', 0.05, 5): (59, 45, 17, 6, 79, 20, 59, 37, 90, 72, 44, 90),
+    ('rtree', 0.1, 5): (87, 150, 38, 24, 289, 36, 87, 38, 134, 133, 54, 134),
+    ('rtree', 0.02, 10): (50, 35, 23, 4, 58, 28, 50, 19, 85, 69, 43, 85),
+    ('rtree', 0.05, 10): (78, 79, 31, 6, 139, 50, 78, 29, 100, 122, 65, 100),
+    ('rtree', 0.1, 10): (114, 150, 39, 17, 251, 86, 114, 22, 151, 132, 57, 151),
+    ('tbtree', 0.02, 1): (50, 11, 7, 1, 18, 0, 50, 108, 54, 20, 0, 54),
+    ('tbtree', 0.05, 1): (34, 6, 2, 0, 8, 0, 34, 118, 35, 2, 0, 35),
+    ('tbtree', 0.1, 1): (81, 113, 28, 9, 218, 0, 81, 152, 127, 111, 0, 127),
+    ('tbtree', 0.02, 5): (60, 30, 17, 4, 50, 15, 60, 103, 81, 53, 0, 81),
+    ('tbtree', 0.05, 5): (59, 78, 27, 3, 133, 20, 59, 93, 56, 65, 0, 56),
+    ('tbtree', 0.1, 5): (78, 162, 35, 11, 311, 36, 78, 85, 80, 93, 0, 80),
+    ('tbtree', 0.02, 10): (72, 65, 40, 2, 106, 28, 72, 80, 75, 88, 0, 75),
+    ('tbtree', 0.05, 10): (75, 91, 32, 2, 155, 50, 75, 88, 76, 70, 0, 76),
+    ('tbtree', 0.1, 10): (75, 152, 32, 3, 248, 86, 75, 88, 80, 74, 0, 80),
+}
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_gstd(120, samples_per_object=40, seed=23)
@@ -91,6 +129,22 @@ def loaded(request, dataset, tmp_path_factory):
     index = load_index(path)
     yield request.param, index
     index.pagefile.close()
+
+
+@pytest.fixture(scope="module", params=sorted(TREES))
+def shard_engine(request, dataset, tmp_path_factory):
+    sharded = build_sharded_index(
+        ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
+        TREES[request.param],
+        page_size=512,
+    )
+    directory = tmp_path_factory.mktemp(request.param) / "shards"
+    save_sharded_index(sharded, directory, signatures=True)
+    sharded.close()
+    engine = ShardedQueryEngine.open(directory)
+    yield request.param, engine
+    engine.close()
+    engine.index.close()
 
 
 def _run(index, dataset, length, k):
@@ -112,6 +166,22 @@ def test_work_counts_pinned(loaded, dataset, length, k):
     ]
     assert stats.signature_checks > 0
     assert tuple(counts[name] for name in EXACT) == PINNED[tree, length, k]
+
+
+@pytest.mark.parametrize("length,k", CELLS)
+def test_shard_plan_counts_pinned(shard_engine, dataset, length, k):
+    tree, engine = shard_engine
+    rng = random.Random(int(length * 100) * 100 + k)
+    query, period = make_query(dataset, length, rng)
+    with query_trace() as trace:
+        result = engine.execute(QuerySpec("mst", query, period, k))
+    want = linear_scan_kmst(dataset, query, period, k=k, exact=True)
+    assert [m.trajectory_id for m in result.matches] == [
+        m.trajectory_id for m in want
+    ]
+    assert result.stats.extra["shards_searched"] == 4
+    counts = {**vars(result.stats), **trace.counters}
+    assert tuple(counts[name] for name in EXACT) == PINNED_SHARDS[tree, length, k]
 
 
 def test_untraced_search_never_calls_the_metrics_registry(
