@@ -46,7 +46,7 @@ import math
 import threading
 from pathlib import Path
 
-from ..exceptions import StorageError, TrajectoryError
+from ..exceptions import QueryError, StorageError, TrajectoryError
 from ..index import leaf_points, load_index, save_index, tree_class
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
@@ -115,8 +115,28 @@ def merged_kmst(
 
     ``options`` are :func:`repro.search.bfmst.bfmst_search`'s.
     Compacted generations carry signature sidecars and get filtered;
-    the memtable part has none and is searched unfiltered."""
+    the memtable part has none and is searched unfiltered.
+
+    The stores' id spaces are their own, but the search keeps one
+    candidate per id: an id that two views would both report (neither
+    excludes it) is a :class:`~repro.exceptions.QueryError`.  One
+    view's parts never share one (its generation excludes the ids the
+    memtable serves)."""
     parts = [part for view in views for part in view.parts]
+    if len(views) > 1:
+        excluded = frozenset(options.get("exclude_ids") or ())
+        seen: set = set()
+        for view in views:
+            ids = set()
+            for index, extra in view.parts:
+                ids |= index.trajectory_ids - excluded - frozenset(extra or ())
+            shared = seen & ids
+            if shared:
+                raise QueryError(
+                    f"trajectory ids {sorted(shared)[:5]} are in more than "
+                    f"one store; merged_kmst needs the views' ids disjoint"
+                )
+            seen |= ids
     return bfmst_search(parts, query, period, k, **options)
 
 

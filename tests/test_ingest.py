@@ -26,6 +26,7 @@ from repro.ingest import (
     WalRecord,
     WriteAheadLog,
     recover_wal,
+    merged_kmst,
     replay_wal,
 )
 from repro.search import QuerySpec
@@ -460,6 +461,65 @@ class TestStoreQueries:
         query = Trajectory(-1, [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
         with IngestStore.create(tmp_path / "s") as store:
             assert live_answers(store, query, None, 3) == []
+
+
+class TestMergedViews:
+    """``merged_kmst`` over two stores: one search keeps one candidate
+    per id, so the stores' reported ids must be disjoint."""
+
+    def two_stores(self, tmp_path, first, second):
+        stores = []
+        for name, dataset in (("a", first), ("b", second)):
+            store = IngestStore.create(tmp_path / name)
+            feed(store, dataset)
+            store.compact()
+            stores.append(store)
+        return stores
+
+    def test_disjoint_ids_answer_as_one_store(self, tmp_path, ingest_dataset):
+        rng = random.Random(13)
+        query, period = make_query(ingest_dataset, 0.3, rng)
+        left = [tr for tr in ingest_dataset if tr.object_id % 2 == 0]
+        right = [tr for tr in ingest_dataset if tr.object_id % 2 == 1]
+        stores = self.two_stores(tmp_path, left, right)
+        try:
+            views = [store.view() for store in stores]
+            matches, _stats = merged_kmst(views, query, period, 5)
+            got = [(m.trajectory_id, m.dissim) for m in matches]
+            assert got == oracle_answers(ingest_dataset, query, period, 5)
+            for view in views:
+                view.close()
+        finally:
+            for store in stores:
+                store.close()
+
+    def test_colliding_ids_rejected_unless_excluded(
+        self, tmp_path, ingest_dataset
+    ):
+        rng = random.Random(14)
+        query, period = make_query(ingest_dataset, 0.3, rng)
+        # Object 3 is in both stores, under different points in the second.
+        moved = [
+            Trajectory(3, [(p.x + 0.5, p.y, p.t) for p in tr])
+            for tr in ingest_dataset
+            if tr.object_id == 3
+        ]
+        others = [tr for tr in ingest_dataset if tr.object_id != 3]
+        stores = self.two_stores(tmp_path, ingest_dataset, moved)
+        try:
+            views = [store.view() for store in stores]
+            with pytest.raises(QueryError, match=r"\[3\] are in more than one"):
+                merged_kmst(views, query, period, 5)
+            matches, _stats = merged_kmst(
+                views, query, period, 5, exclude_ids={3}
+            )
+            got = [(m.trajectory_id, m.dissim) for m in matches]
+            assert got == oracle_answers(others, query, period, 5)
+            for view in views:
+                view.close()
+        finally:
+            for store in stores:
+                store.close()
 
 
 # ----------------------------------------------------------------------
