@@ -1,0 +1,182 @@
+"""Paired in-process comparison of two source trees' query engines.
+
+    python benchmarks/paired_engine.py OLD_TREE NEW_TREE \
+        [--workload tbtree_engine] [--passes 8] [--seed 1]
+
+Each tree is a checkout (for example a ``git archive`` of a commit
+unpacked into a directory) holding ``src/repro``.  Both packages are
+copied into one scratch directory as ``repro_old`` and ``repro_new``
+and imported side by side in this process: the package imports itself
+only relatively, so a renamed copy is the same program.  One GSTD
+dataset is written to CSV once, and each build reads it back, builds
+its index with its own shipped defaults, saves it with its signature
+sidecar and opens a ``QueryEngine`` on it, as the end-to-end harness's
+engine workloads do (``benchmarks/e2e``, whose sizes and query cells
+this tool copies; it imports nothing from there).
+
+A pass opens both engines afresh, warms each with the same queries,
+then runs the query pool alternately, query by query (old then new on
+even queries, new then old on odd ones), timing each ``execute`` on
+the thread's CPU clock.  The two builds thus see the same host drift
+within a pass, which back-to-back runs of the harness do not.  Answers
+are compared id for id (a near-tie may swap two ids).  Printed: each pass's mean CPU ms per query for
+both builds, their ratio (new / old), the median ratio over passes and
+the number of passes the new build won.
+
+Giving the same tree twice measures the tool's own A/A spread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import random
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+#: The engine workloads of ``benchmarks/e2e/inputs.py``, full scale.
+WORKLOADS = {
+    "rtree_engine": {"objects": 500, "samples": 80, "tree": "rtree", "pool": 90},
+    "tbtree_engine": {"objects": 500, "samples": 80, "tree": "tbtree", "pool": 54},
+}
+QUERY_LENGTHS = (0.02, 0.05, 0.10)
+KS = (1, 5, 10)
+WARMUP = 9
+DATASET_SEED = 7
+
+
+def load_build(tree: Path, name: str, scratch: Path):
+    """Copy ``tree/src/repro`` to ``scratch/name`` and import it."""
+    source = tree / "src" / "repro"
+    if not (source / "__init__.py").is_file():
+        raise SystemExit(f"{tree}: no src/repro package")
+    shutil.copytree(
+        source, scratch / name, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return importlib.import_module(name)
+
+
+class Side:
+    """One build: its package, its saved index and its query specs."""
+
+    def __init__(self, pkg, csv_path: Path, tree: str, out: Path, queries, warmup):
+        datasets = importlib.import_module(f"{pkg.__name__}.experiments.datasets")
+        self.pkg = pkg
+        data = pkg.TrajectoryDataset(
+            tr.with_id(int(tr.object_id)) for tr in pkg.read_csv(csv_path)
+        )
+        index = datasets.build_index(data, tree)
+        out.mkdir()
+        self.path = out / "index.pages"
+        pkg.save_index(index, self.path, signatures=True)
+        self.specs = [self.spec(q) for q in queries]
+        self.warmup = [self.spec(q) for q in warmup]
+        self.engine = None
+
+    def spec(self, query):
+        qid, points, period, k = query
+        trajectory = self.pkg.Trajectory(qid, points)
+        return self.pkg.QuerySpec("mst", trajectory, period, k)
+
+    def open(self) -> None:
+        self.engine = self.pkg.QueryEngine.open(self.path)
+        for spec in self.warmup:
+            self.engine.execute(spec)
+
+    def run(self, i: int) -> tuple[float, list[int]]:
+        start = time.thread_time()
+        result = self.engine.execute(self.specs[i])
+        cpu = time.thread_time() - start
+        return cpu, [m.trajectory_id for m in result.matches]
+
+    def close(self) -> None:
+        self.engine.close()
+        self.engine.index.pagefile.close()
+        self.engine = None
+
+
+def make_queries(pkg, data, n: int, rng: random.Random, first_id: int):
+    """``n`` queries cycling the harness's 9 (length, k) cells, as plain
+    ``(id, points, period, k)`` data each build turns into its own spec."""
+    out = []
+    for i in range(n):
+        length, k = QUERY_LENGTHS[i % 3], KS[(i // 3) % 3]
+        query, period = pkg.make_query(data, length, rng, query_id=-(first_id + i))
+        out.append((query.object_id, [(p.x, p.y, p.t) for p in query], period, k))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="tree holding the baseline src/repro")
+    parser.add_argument("new", type=Path, help="tree holding the candidate src/repro")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="tbtree_engine")
+    parser.add_argument("--passes", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=1, help="query pool seed")
+    args = parser.parse_args(argv)
+    size = WORKLOADS[args.workload]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        packages = scratch / "packages"
+        packages.mkdir()
+        sys.path.insert(0, str(packages))
+        old_pkg = load_build(args.old.resolve(), "repro_old", packages)
+        new_pkg = load_build(args.new.resolve(), "repro_new", packages)
+
+        data = old_pkg.generate_gstd(
+            size["objects"], size["samples"], seed=DATASET_SEED,
+            speed_sigma=0.6, heading="random",
+        )
+        csv_path = scratch / "dataset.csv"
+        old_pkg.write_csv(data, csv_path)
+        rng = random.Random(f"{args.seed}:{args.workload}")
+        queries = make_queries(old_pkg, data, size["pool"], rng, 1)
+        warmup = make_queries(old_pkg, data, WARMUP, rng, 10**6)
+        sides = [
+            Side(pkg, csv_path, size["tree"], scratch / name, queries, warmup)
+            for pkg, name in ((old_pkg, "old"), (new_pkg, "new"))
+        ]
+
+        print(
+            f"{args.workload}: {size['objects']} objects x {size['samples']} "
+            f"samples, {len(queries)} queries per pass, CPU ms per query"
+        )
+        print(f"{'pass':>4} {'old':>9} {'new':>9} {'new/old':>8}")
+        ratios = []
+        differ = 0
+        for p in range(args.passes):
+            for side in sides if p % 2 == 0 else sides[::-1]:
+                side.open()
+            cpu = [[], []]
+            gc.collect()
+            for i in range(len(queries)):
+                order = (0, 1) if i % 2 == 0 else (1, 0)
+                answers = {}
+                for s in order:
+                    seconds, answers[s] = sides[s].run(i)
+                    cpu[s].append(seconds)
+                differ += answers[0] != answers[1]
+            for side in sides:
+                side.close()
+            old_ms, new_ms = (1000 * statistics.fmean(c) for c in cpu)
+            ratios.append(new_ms / old_ms)
+            print(f"{p:>4} {old_ms:>9.3f} {new_ms:>9.3f} {ratios[-1]:>8.3f}")
+        wins = sum(r < 1.0 for r in ratios)
+        print(
+            f"median new/old {statistics.median(ratios):.3f} "
+            f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
+            f"new faster in {wins}/{len(ratios)} passes; "
+            f"{differ} answers with different ids"
+        )
+        sys.path.remove(str(packages))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

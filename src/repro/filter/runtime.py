@@ -263,6 +263,54 @@ class SignatureFilter:
         slots[~known] = len(every)
         return owner._page_min.take(slots)
 
+    @staticmethod
+    def seed_pages(filters, excludes, k: int) -> list[tuple[int, int]]:
+        """Up to ``k`` ``(part, page_id)`` leaf pages to read before a
+        traversal starts, least bound first (ties by their place in the
+        stack): pages of the parts with a filter in ``filters`` that
+        hold one trajectory, held by no other page, whose signature
+        spans the query period and which ``excludes[part]`` does not
+        hold.  Reading such a page completes its trajectory."""
+        import numpy as np
+
+        ranked = []
+        for part, sig_filter in enumerate(filters):
+            if sig_filter is None:
+                continue
+            owner = sig_filter._priced()
+            columns = owner._stack.pass_columns(np)
+            if not len(columns.seed_pages):  # no page holds one whole trajectory
+                continue
+            first, end = sig_filter._pages
+            if end is None:
+                end = len(columns.leaf_pages)
+            a, b = np.searchsorted(columns.seed_pages, (first, end))
+            span = slice(a, b)
+            keep = (columns.seed_first[span] <= owner.t_start) & (
+                columns.seed_last[span] >= owner.t_end
+            )
+            slots = columns.seed_pages[span][keep]
+            if len(slots):
+                ranked.append((
+                    owner._page_min.take(slots),
+                    np.full(len(slots), part),
+                    columns.leaf_pages.take(slots),
+                    columns.seed_tids[span][keep],
+                ))
+        if not ranked:
+            return []
+        bounds, owners, pages, tids = (
+            np.concatenate(column) for column in zip(*ranked)
+        )
+        seeds = []
+        for i in np.argsort(bounds, kind="stable").tolist():
+            part = int(owners[i])
+            if int(tids[i]) not in excludes[part]:
+                seeds.append((part, int(pages[i])))
+                if len(seeds) == k:
+                    break
+        return seeds
+
     def _priced(self) -> "SignatureFilter":
         """The filter whose pass prices this one's rows, after its pass."""
         owner = self._owner or self

@@ -71,6 +71,14 @@ class PassColumns(NamedTuple):
     leaf_pages: object
     #: Where each row's knots start, and one past the last row's end.
     offsets: object
+    #: The leaf pages a seed may read (:meth:`~repro.filter.runtime.SignatureFilter.seed_pages`),
+    #: ascending: each holds one tid, which no other page holds and whose
+    #: polyline has two knots or more.  Per page, that tid and its first
+    #: and last knot times.
+    seed_pages: object
+    seed_tids: object
+    seed_first: object
+    seed_last: object
 
 
 class TrajectorySignatures:
@@ -215,7 +223,16 @@ def _derive_pass_columns(np, store) -> PassColumns:
     known[known] = tids[page_rows[known]] == leaf_tids[known]
     page_rows[~known] = len(tids)
     leaf_offsets = np.frombuffer(store.leaf_tid_offsets, dtype=np.int64)
-    page_filled = np.diff(leaf_offsets) > 0
+    tids_per_page = np.diff(leaf_offsets)
+    page_filled = tids_per_page > 0
+    lone = np.flatnonzero(tids_per_page == 1)
+    lone_rows = page_rows.take(leaf_offsets.take(lone))
+    pages_of_row = np.bincount(page_rows, minlength=len(tids) + 1)
+    counts_of_row = np.append(counts, 0)  # the unknown tid's row: none
+    seed = (pages_of_row.take(lone_rows) == 1) & (
+        counts_of_row.take(lone_rows) >= 2
+    )
+    seed_rows = lone_rows[seed]
     return PassColumns(
         rows=rows,
         first=kt[offsets[rows]],
@@ -230,6 +247,10 @@ def _derive_pass_columns(np, store) -> PassColumns:
         page_filled=page_filled,
         leaf_pages=np.array(store.leaf_pages, dtype=np.int64),
         offsets=offsets.copy(),
+        seed_pages=lone[seed],
+        seed_tids=tids.take(seed_rows),
+        seed_first=kt[offsets[seed_rows]],
+        seed_last=kt[offsets[seed_rows + 1] - 1],
     )
 
 
@@ -295,7 +316,13 @@ class StackedSignatures:
             "leaf_pages": np.empty(pages, dtype=np.int64),
             "offsets": np.empty(len(self) + 1, dtype=np.int64),
         }
-        short = {"rows": [], "first": [], "last": [], "page_starts": []}
+        short = {
+            name: []
+            for name in (
+                "rows", "first", "last", "page_starts",
+                "seed_pages", "seed_tids", "seed_first", "seed_last",
+            )
+        }
         for i, store in enumerate(self.stores):
             part = _derive_pass_columns(np, store)
             row_base, knot_base = self.row_base[i], self.knot_base[i]
@@ -307,6 +334,10 @@ class StackedSignatures:
             short["first"].append(part.first)
             short["last"].append(part.last)
             short["page_starts"].append(part.page_starts + tid_base[i])
+            short["seed_pages"].append(part.seed_pages + self.page_base[i])
+            short["seed_tids"].append(part.seed_tids)
+            short["seed_first"].append(part.seed_first)
+            short["seed_last"].append(part.seed_last)
             np.add(part.knot_row, row_base, out=out["knot_row"][knot])
             # The slot of a store's last knot starts no segment: the
             # differences leave it at zero, and nothing reads it.

@@ -277,8 +277,21 @@ def _search_shard(
     slot) and again when the leaf is dequeued, by when the threshold
     may have tightened.
 
+    Before the first node is read, the search is *seeded*: up to
+    ``top.k`` leaf pages that each hold one whole trajectory spanning
+    the period, least signature bound first
+    (:meth:`~repro.filter.runtime.SignatureFilter.seed_pages`), go
+    through the same leaf step as a dequeued leaf.  Each completes its
+    trajectory, so once k are read the threshold is finite at the first
+    expansion, and the page-minimum refusal and both heuristics work
+    from the first node on.  A seeded trajectory is settled: the
+    traversal refuses its page if it meets it.  Heuristic 2 stays
+    sound, because every segment not yet seen still lies in an unread
+    node.  Each seeded read counts one node access, one leaf access
+    and one signature check on its part.
+
     ``deadline`` — an absolute ``time.monotonic()`` instant — is
-    checked at every node dequeue; past it the traversal raises
+    checked at every node read; past it the search raises
     :class:`~repro.exceptions.DeadlineExceeded`.
     """
     io_before = [index.pagefile.stats.snapshot() for index in parts]
@@ -345,38 +358,9 @@ def _search_shard(
     else:
         leaf_admit = leaf_refuse = None
 
-    for node_dist, part, node in best_first_nodes(
-        parts, query, t_start, t_end,
-        leaf_admit=leaf_admit, leaf_refuse=leaf_refuse,
-    ):
-        dequeued += 1
+    def read_leaf(part: int, node) -> None:
+        # The leaf step, of a seeded page and of a dequeued leaf alike.
         stats = part_stats[part]
-        # Each dequeue is exactly one read_node call on this part's
-        # tree, and nothing else in this search reads its nodes.
-        stats.node_accesses += 1
-        if deadline is not None and monotonic() >= deadline:
-            raise DeadlineExceeded("query exceeded its deadline budget")
-        # ---- Heuristic 2: MINDISSIMINC early termination -------------
-        threshold = top.threshold
-        if use_heuristic2 and math.isfinite(threshold):
-            base = node_dist * period_len
-            if base > threshold:
-                # The paper's shortcut: only compute the candidate
-                # OPTDISSIMINC's when the cheap bound already exceeds
-                # the threshold (Definition 6 is a min, so otherwise
-                # MINDISSIMINC <= base <= threshold anyway).
-                if all(
-                    c.partial.optdissim_inc(node_dist) > threshold
-                    for c in valid.values()
-                ):
-                    for ended in part_stats:
-                        ended.terminated_early = True
-                        ended.h2_termination_depth = dequeued
-                    break
-
-        if not node.is_leaf:
-            stats.internal_accesses += 1
-            continue
         stats.leaf_accesses += 1
         rejected = rejected_by_part[part]
         sig_filter = filters[part]
@@ -473,6 +457,51 @@ def _search_shard(
                     del valid[tid]
                     rejected.add(tid)
                     stats.candidates_rejected += 1
+
+    # ---- seed: the bound is finite before the first expansion --------
+    seeds = SignatureFilter.seed_pages(filters, rejected_by_part, top.k)
+    for part, page_id in seeds:
+        if deadline is not None and monotonic() >= deadline:
+            raise DeadlineExceeded("query exceeded its deadline budget")
+        part_stats[part].node_accesses += 1
+        filters[part].checks += 1
+        read_leaf(part, parts[part].read_node(page_id))
+    if seeds and _obs.ACTIVE is not None:
+        _obs.ACTIVE.registry.inc("search.bfmst.seeded_leaves", len(seeds))
+
+    for node_dist, part, node in best_first_nodes(
+        parts, query, t_start, t_end,
+        leaf_admit=leaf_admit, leaf_refuse=leaf_refuse,
+    ):
+        dequeued += 1
+        stats = part_stats[part]
+        # Each dequeue is exactly one read_node call on this part's
+        # tree; the seeded pages are the only other reads.
+        stats.node_accesses += 1
+        if deadline is not None and monotonic() >= deadline:
+            raise DeadlineExceeded("query exceeded its deadline budget")
+        # ---- Heuristic 2: MINDISSIMINC early termination -------------
+        threshold = top.threshold
+        if use_heuristic2 and math.isfinite(threshold):
+            base = node_dist * period_len
+            if base > threshold:
+                # The paper's shortcut: only compute the candidate
+                # OPTDISSIMINC's when the cheap bound already exceeds
+                # the threshold (Definition 6 is a min, so otherwise
+                # MINDISSIMINC <= base <= threshold anyway).
+                if all(
+                    c.partial.optdissim_inc(node_dist) > threshold
+                    for c in valid.values()
+                ):
+                    for ended in part_stats:
+                        ended.terminated_early = True
+                        ended.h2_termination_depth = dequeued
+                    break
+
+        if not node.is_leaf:
+            stats.internal_accesses += 1
+            continue
+        read_leaf(part, node)
 
     for index, stats, sig_filter, before in zip(
         parts, part_stats, filters, io_before

@@ -42,6 +42,21 @@ def hexes(values):
     return [None if v is None else float.hex(v) for v in values]
 
 
+def assert_ranks_like_the_scan(got, want):
+    """The ids of the exact scan in its order, under the tie rule of
+    ``benchmarks/e2e/truth.py`` (ids whose true DISSIMs agree within
+    1e-9 relative may swap), each certified interval covering the true
+    DISSIM of the id it ranks."""
+    assert len(got) == len(want)
+    truth = {m.trajectory_id: m.dissim for m in want}
+    for g, w in zip(got, want):
+        assert g.trajectory_id in truth
+        true = truth[g.trajectory_id]
+        assert true == pytest.approx(w.dissim, rel=1e-9, abs=1e-12)
+        slack = 1e-9 * max(1.0, true)
+        assert g.lower - slack <= true <= g.upper + slack
+
+
 def inserted(cls, dataset, **kwargs):
     """An index built the dynamic way — one ``insert`` per trajectory,
     so choose-subtree, splits and the TB-tree's leaf appends run.

@@ -115,41 +115,75 @@ PINNED_SHARDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def dataset():
+#: ``length, k`` -> the EXACT counts of the TB-tree at 4096-byte pages,
+#: where every leaf holds one whole trajectory and the search seeds its
+#: bound from up to k of them.
+PINNED_4096 = {
+    (0.02, 1): (4, 2, 1, 0, 2, 0, 4, 120, 2, 1, 0, 2),
+    (0.05, 1): (4, 3, 1, 0, 3, 0, 4, 120, 2, 1, 0, 2),
+    (0.1, 1): (4, 5, 1, 0, 5, 0, 4, 120, 2, 1, 0, 2),
+    (0.02, 5): (11, 14, 8, 2, 23, 15, 11, 117, 6, 15, 0, 6),
+    (0.05, 5): (20, 48, 17, 3, 83, 20, 20, 108, 15, 42, 0, 15),
+    (0.1, 5): (21, 83, 18, 7, 158, 36, 21, 107, 17, 46, 0, 17),
+    (0.02, 10): (26, 38, 23, 2, 62, 28, 26, 107, 20, 54, 0, 20),
+    (0.05, 10): (24, 59, 21, 3, 102, 50, 24, 109, 14, 44, 0, 14),
+    (0.1, 10): (21, 79, 18, 6, 138, 86, 21, 112, 11, 35, 0, 11),
+}
+
+
+#: ``length, k`` -> the EXACT counts of the 4-shard ``hash`` TB plan at
+#: 4096-byte pages, searched by a serial :class:`ShardedQueryEngine`.
+PINNED_SHARDS_4096 = {
+    (0.02, 1): (5, 2, 1, 0, 2, 0, 5, 120, 0, 1, 0, 0),
+    (0.05, 1): (5, 3, 1, 0, 3, 0, 5, 120, 0, 1, 0, 0),
+    (0.1, 1): (5, 5, 1, 0, 5, 0, 5, 120, 0, 1, 0, 0),
+    (0.02, 5): (12, 14, 8, 2, 23, 15, 12, 117, 4, 15, 0, 4),
+    (0.05, 5): (18, 40, 14, 2, 68, 20, 18, 111, 15, 38, 0, 15),
+    (0.1, 5): (23, 87, 19, 8, 167, 36, 23, 106, 18, 51, 0, 18),
+    (0.02, 10): (27, 37, 23, 2, 61, 28, 27, 107, 21, 57, 0, 21),
+    (0.05, 10): (25, 59, 21, 3, 102, 50, 25, 109, 13, 45, 0, 13),
+    (0.1, 10): (22, 79, 18, 6, 138, 86, 22, 112, 10, 36, 0, 10),
+}
+
+
+def make_dataset():
     return generate_gstd(120, samples_per_object=40, seed=23)
 
 
-@pytest.fixture(scope="module", params=sorted(TREES))
-def loaded(request, dataset, tmp_path_factory):
-    built = packed(TREES[request.param], dataset, page_size=512)
+def open_index(tree, page_size, dataset, directory):
+    """The packed tree, saved with its sidecar and loaded back."""
+    built = packed(TREES[tree], dataset, page_size=page_size)
     built.finalize()
-    path = tmp_path_factory.mktemp(request.param) / "index.pages"
+    path = directory / "index.pages"
     save_index(built, path, signatures=True)
-    index = load_index(path)
-    yield request.param, index
-    index.pagefile.close()
+    return load_index(path)
 
 
-@pytest.fixture(scope="module", params=sorted(TREES))
-def shard_engine(request, dataset, tmp_path_factory):
+def open_shard_engine(tree, page_size, dataset, directory):
+    """The 4-shard ``hash`` plan, saved with sidecars, opened by a
+    serial sharded engine."""
     sharded = build_sharded_index(
         ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
-        TREES[request.param],
-        page_size=512,
+        TREES[tree],
+        page_size=page_size,
     )
-    directory = tmp_path_factory.mktemp(request.param) / "shards"
-    save_sharded_index(sharded, directory, signatures=True)
+    save_sharded_index(sharded, directory / "shards", signatures=True)
     sharded.close()
-    engine = ShardedQueryEngine.open(directory)
-    yield request.param, engine
+    return ShardedQueryEngine.open(directory / "shards")
+
+
+def close_shard_engine(engine):
     engine.close()
     engine.index.close()
 
 
-def _run(index, dataset, length, k):
+def _query(dataset, length, k):
     rng = random.Random(int(length * 100) * 100 + k)
-    query, period = make_query(dataset, length, rng)
+    return make_query(dataset, length, rng)
+
+
+def _run(index, dataset, length, k):
+    query, period = _query(dataset, length, k)
     with query_trace(index) as trace:
         matches, stats = bfmst_search(index, query, period, k=k)
     want = linear_scan_kmst(dataset, query, period, k=k, exact=True)
@@ -157,31 +191,96 @@ def _run(index, dataset, length, k):
     return matches, want, stats, counts
 
 
+def _run_shards(engine, dataset, length, k):
+    query, period = _query(dataset, length, k)
+    with query_trace() as trace:
+        result = engine.execute(QuerySpec("mst", query, period, k))
+    want = linear_scan_kmst(dataset, query, period, k=k, exact=True)
+    counts = {**vars(result.stats), **trace.counters}
+    return result, want, counts
+
+
+def exact_counts(counts) -> tuple:
+    # A trace counter nothing incremented is absent: a search whose
+    # seeded bound refuses every leaf child enqueues no node.
+    return tuple(counts.get(name, 0) for name in EXACT)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return make_dataset()
+
+
+@pytest.fixture(scope="module", params=sorted(TREES))
+def loaded(request, dataset, tmp_path_factory):
+    index = open_index(
+        request.param, 512, dataset, tmp_path_factory.mktemp(request.param)
+    )
+    yield request.param, index
+    index.pagefile.close()
+
+
+@pytest.fixture(scope="module")
+def loaded_4096(dataset, tmp_path_factory):
+    index = open_index("tbtree", 4096, dataset, tmp_path_factory.mktemp("tb4k"))
+    yield index
+    index.pagefile.close()
+
+
+@pytest.fixture(scope="module", params=sorted(TREES))
+def shard_engine(request, dataset, tmp_path_factory):
+    engine = open_shard_engine(
+        request.param, 512, dataset, tmp_path_factory.mktemp(request.param)
+    )
+    yield request.param, engine
+    close_shard_engine(engine)
+
+
+@pytest.fixture(scope="module")
+def shard_engine_4096(dataset, tmp_path_factory):
+    engine = open_shard_engine(
+        "tbtree", 4096, dataset, tmp_path_factory.mktemp("tb4k-shards")
+    )
+    yield engine
+    close_shard_engine(engine)
+
+
+def same_ids(got, want):
+    assert [m.trajectory_id for m in got] == [m.trajectory_id for m in want]
+
+
 @pytest.mark.parametrize("length,k", CELLS)
 def test_work_counts_pinned(loaded, dataset, length, k):
     tree, index = loaded
     matches, want, stats, counts = _run(index, dataset, length, k)
-    assert [m.trajectory_id for m in matches] == [
-        m.trajectory_id for m in want
-    ]
+    same_ids(matches, want)
     assert stats.signature_checks > 0
-    assert tuple(counts[name] for name in EXACT) == PINNED[tree, length, k]
+    assert exact_counts(counts) == PINNED[tree, length, k]
+
+
+@pytest.mark.parametrize("length,k", CELLS)
+def test_work_counts_pinned_4096(loaded_4096, dataset, length, k):
+    matches, want, stats, counts = _run(loaded_4096, dataset, length, k)
+    same_ids(matches, want)
+    assert counts["search.bfmst.seeded_leaves"] == k
+    assert exact_counts(counts) == PINNED_4096[length, k]
 
 
 @pytest.mark.parametrize("length,k", CELLS)
 def test_shard_plan_counts_pinned(shard_engine, dataset, length, k):
     tree, engine = shard_engine
-    rng = random.Random(int(length * 100) * 100 + k)
-    query, period = make_query(dataset, length, rng)
-    with query_trace() as trace:
-        result = engine.execute(QuerySpec("mst", query, period, k))
-    want = linear_scan_kmst(dataset, query, period, k=k, exact=True)
-    assert [m.trajectory_id for m in result.matches] == [
-        m.trajectory_id for m in want
-    ]
+    result, want, counts = _run_shards(engine, dataset, length, k)
+    same_ids(result.matches, want)
     assert result.stats.extra["shards_searched"] == 4
-    counts = {**vars(result.stats), **trace.counters}
-    assert tuple(counts[name] for name in EXACT) == PINNED_SHARDS[tree, length, k]
+    assert exact_counts(counts) == PINNED_SHARDS[tree, length, k]
+
+
+@pytest.mark.parametrize("length,k", CELLS)
+def test_shard_plan_counts_pinned_4096(shard_engine_4096, dataset, length, k):
+    result, want, counts = _run_shards(shard_engine_4096, dataset, length, k)
+    same_ids(result.matches, want)
+    assert counts["search.bfmst.seeded_leaves"] == k
+    assert exact_counts(counts) == PINNED_SHARDS_4096[length, k]
 
 
 def test_untraced_search_never_calls_the_metrics_registry(
@@ -209,10 +308,54 @@ def test_untraced_search_never_calls_the_metrics_registry(
                     )
     assert obs_state.ACTIVE is None
     for length, k in CELLS:
-        rng = random.Random(int(length * 100) * 100 + k)
-        query, period = make_query(dataset, length, rng)
+        query, period = _query(dataset, length, k)
         bfmst_search(index, query, period, k=k)
     assert calls == []
     with query_trace(index):  # the guard sees a traced search's calls
         bfmst_search(index, query, period, k=k)
     assert "MetricsRegistry.inc" in calls
+
+
+def print_literals() -> None:
+    """Print every pinned block as a literal, measured on this checkout,
+    for pasting over the blocks above when a change moves a count."""
+    import tempfile
+    from pathlib import Path
+
+    dataset = make_dataset()
+    blocks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, trees, page_size, keyed in (
+            ("PINNED", sorted(TREES), 512, True),
+            ("PINNED_SHARDS", sorted(TREES), 512, True),
+            ("PINNED_4096", ["tbtree"], 4096, False),
+            ("PINNED_SHARDS_4096", ["tbtree"], 4096, False),
+        ):
+            rows = []
+            for tree in trees:
+                directory = tmp / f"{name}-{tree}"
+                directory.mkdir()
+                if "SHARDS" in name:
+                    engine = open_shard_engine(tree, page_size, dataset, directory)
+                    for length, k in CELLS:
+                        counts = _run_shards(engine, dataset, length, k)[2]
+                        rows.append(((tree, length, k), exact_counts(counts)))
+                    close_shard_engine(engine)
+                else:
+                    index = open_index(tree, page_size, dataset, directory)
+                    for length, k in CELLS:
+                        counts = _run(index, dataset, length, k)[3]
+                        rows.append(((tree, length, k), exact_counts(counts)))
+                    index.pagefile.close()
+            lines = [f"{name} = {{"]
+            for (tree, length, k), counts in rows:
+                key = (tree, length, k) if keyed else (length, k)
+                lines.append(f"    {key!r}: {counts!r},")
+            blocks.append("\n".join([*lines, "}"]))
+    print("\n\n".join(blocks))
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_pinned_counts.py
+    print_literals()

@@ -39,7 +39,7 @@ from repro.index.packing import append_box, box_columns, even_chunks, str_tiles
 from repro.search.bfmst import bfmst_search
 from repro.search.linear_scan import linear_scan_kmst
 
-from conftest import inserted, packed
+from conftest import assert_ranks_like_the_scan, inserted, packed
 from test_indexes import check_structure
 
 PACKING = [RTree3D, TBTree]
@@ -170,21 +170,6 @@ class TestEvenTiles:
 # ----------------------------------------------------------------------
 # exactness across layouts
 # ----------------------------------------------------------------------
-def assert_ranks_like_the_scan(got, want):
-    """The ids of the exact scan in its order, under the tie rule of
-    ``benchmarks/e2e/truth.py`` (ids whose true DISSIMs agree within
-    1e-9 relative may swap), each certified interval covering the true
-    DISSIM of the id it ranks."""
-    assert len(got) == len(want)
-    truth = {m.trajectory_id: m.dissim for m in want}
-    for g, w in zip(got, want):
-        assert g.trajectory_id in truth
-        true = truth[g.trajectory_id]
-        assert true == pytest.approx(w.dissim, rel=1e-9, abs=1e-12)
-        slack = 1e-9 * max(1.0, true)
-        assert g.lower - slack <= true <= g.upper + slack
-
-
 @pytest.fixture(scope="module")
 def layouts(small_dataset):
     """(tree, page size) -> the packed and the insert-built index,
