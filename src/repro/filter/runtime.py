@@ -264,13 +264,15 @@ class SignatureFilter:
         return owner._page_min.take(slots)
 
     @staticmethod
-    def seed_pages(filters, excludes, k: int) -> list[tuple[int, int]]:
+    def seed_pages(filters, excluded, k: int) -> list[tuple[int, int]]:
         """Up to ``k`` ``(part, page_id)`` leaf pages to read before a
         traversal starts, least bound first (ties by their place in the
         stack): pages of the parts with a filter in ``filters`` that
-        hold one trajectory, held by no other page, whose signature
-        spans the query period and which ``excludes[part]`` does not
-        hold.  Reading such a page completes its trajectory."""
+        hold one trajectory, held by no other page of its part, whose
+        signature spans the query period and which ``excluded`` does
+        not hold.  Reading such a page completes its trajectory: a
+        slice of it in another part meets the period at most at an
+        endpoint."""
         import numpy as np
 
         ranked = []
@@ -305,7 +307,7 @@ class SignatureFilter:
         seeds = []
         for i in np.argsort(bounds, kind="stable").tolist():
             part = int(owners[i])
-            if int(tids[i]) not in excludes[part]:
+            if int(tids[i]) not in excluded:
                 seeds.append((part, int(pages[i])))
                 if len(seeds) == k:
                     break

@@ -9,13 +9,14 @@ leaf keeps its payload byte count, so the fit check compares the new
 segment with the last one only) plus one walk up the tree's height to
 grow the ancestors' boxes.
 
-An object lives in the memtable with its **entire** point history
-("dirty-set" semantics): the first post-compaction point of an object
-adopts the full history from the store, so the merged query path can
-search the memtable for dirty objects and the immutable generation for
-everything else — two disjoint sets whose union is exactly the
-from-scratch dataset, which is what makes live answers byte-identical
-to a rebuild.
+An object lives in the memtable with the points it received since
+the last compaction, plus its *joint sample*: the first post-compaction
+point of an object adopts the object's previous point (the last one
+the generation or the carried WAL holds) with it, so the memtable's
+first segment of the object is the one a rebuild would make.  The
+merged query path searches the generation and the memtable as two
+time slices of each such object that meet at the joint sample, which
+is what makes live answers byte-identical to a rebuild.
 
 :meth:`Memtable.snapshot` freezes the current tree for lock-free
 querying: the build buffer is flushed and the in-memory page list is
@@ -38,45 +39,39 @@ __all__ = ["Memtable"]
 class Memtable:
     """Mutable TB-tree plus the point buffers feeding it."""
 
-    def __init__(self, page_size: int = 4096, *, registry=None) -> None:
+    def __init__(self, page_size: int = 4096) -> None:
         self.page_size = page_size
-        self._registry = registry
         self._tree = TBTree(page_size=page_size)
-        #: object id -> full point history (``(x, y, t)`` tuples) of
-        #: every object that has received a point since the last
-        #: compaction (the dirty set), including single-point objects
+        #: object id -> the points (``(x, y, t)`` tuples) of every
+        #: object that has received a point since the last compaction,
+        #: from its joint sample on, including single-point objects
         #: whose first segment has not materialised yet.
         self._points: dict[int, list[tuple[float, float, float]]] = {}
-        #: every point the memtable holds, seeded history included
+        #: every point the memtable holds, joint samples included
         self.num_points = 0
         #: only the points that arrived since this memtable was born —
-        #: the compaction-threshold measure (seeding an object's history
-        #: re-counts old points in ``num_points`` but not here)
+        #: the compaction-threshold measure (an adopted joint sample
+        #: counts in ``num_points`` but not here)
         self.new_points = 0
-
-    def _inc(self, name: str, n: int = 1) -> None:
-        if self._registry is not None:
-            self._registry.inc(name, n)
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
     def adopt(self, object_id: int, history: list[tuple[float, float, float]]) -> None:
-        """Bring a (possibly pre-existing) object into the dirty set
-        with its full history; further points go through :meth:`append`.
-        """
+        """Bring an object into the memtable with ``history`` — the
+        store passes its joint sample and its new point, or the first
+        point of a new object; the last point is the new one.  Further
+        points go through :meth:`append`."""
         if object_id in self._points:
             raise TrajectoryError(f"object {object_id} already in memtable")
         self._points[object_id] = pts = list(history)
         self.num_points += len(pts)
-        self.new_points += 1  # the point that made the object dirty
+        self.new_points += 1  # the point that brought the object in
         if len(pts) >= 2:
             self._tree.insert(Trajectory(object_id, pts))
-            self._inc("ingest.memtable_seeds")
-            self._inc("ingest.memtable_seeded_segments", len(pts) - 1)
 
     def append(self, object_id: int, x: float, y: float, t: float) -> None:
-        """Absorb one more point of an already-dirty object."""
+        """Absorb one more point of an object already in the memtable."""
         pts = self._points[object_id]
         px, py, pt = pts[-1]
         if not pt < t:
@@ -106,10 +101,6 @@ class Memtable:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    @property
-    def dirty_ids(self) -> set[int]:
-        return set(self._points)
 
     @property
     def num_entries(self) -> int:

@@ -32,11 +32,16 @@ Superseded generation files are removed once no reader pins them.
 
 Query path: :meth:`view` pins the current generation (refcounted — a
 racing compaction retires but never invalidates it) and snapshots the
-memtable (O(pages) shallow copy).  A view searches the generation
-*excluding* the dirty objects and the memtable snapshot (which holds
-every dirty object's full history) under one shared k-th-best bound —
-two disjoint candidate sets whose union is exactly the from-scratch
-dataset, making every answer byte-identical to a full rebuild.
+memtable (O(pages) shallow copy).  The memtable holds only what came
+after the generation: an object's first point after a compaction
+brings its *joint sample* (its last point before this one, which the
+generation or the carried WAL already holds) and itself, so the
+generation holds each object's history up to the joint sample and the
+memtable the rest, two time slices that meet at one instant.  A view
+searches both, with no exclusions, as parts of one search under one
+k-th-best bound that keeps one candidate per id: an object's windows
+are the rebuild's segments, and its value is their time-ordered sum,
+so every answer is byte-identical to a full rebuild.
 """
 
 from __future__ import annotations
@@ -117,19 +122,22 @@ def merged_kmst(
     Compacted generations carry signature sidecars and get filtered;
     the memtable part has none and is searched unfiltered.
 
-    The stores' id spaces are their own, but the search keeps one
-    candidate per id: an id that two views would both report (neither
-    excludes it) is a :class:`~repro.exceptions.QueryError`.  One
-    view's parts never share one (its generation excludes the ids the
-    memtable serves)."""
+    The search keeps one candidate per id and sums its windows from
+    every part, so two parts may share an id only where that id's time
+    ranges in them meet at most at an endpoint.  One view's parts do
+    so by construction (the store's strictly-increasing-time check
+    makes the memtable start at each object's joint sample); nothing
+    is checked per query.  The stores' id spaces are their own, so an
+    id that two views would both report (the query does not exclude
+    it) is a :class:`~repro.exceptions.QueryError`."""
     parts = [part for view in views for part in view.parts]
     if len(views) > 1:
         excluded = frozenset(options.get("exclude_ids") or ())
         seen: set = set()
         for view in views:
             ids = set()
-            for index, extra in view.parts:
-                ids |= index.trajectory_ids - excluded - frozenset(extra or ())
+            for index in view.parts:
+                ids |= index.trajectory_ids - excluded
             shared = seen & ids
             if shared:
                 raise QueryError(
@@ -143,10 +151,13 @@ def merged_kmst(
 class LiveView:
     """A consistent, pinned snapshot of one store for querying.
 
-    ``parts`` is a list of ``(index, exclude_ids)`` pairs: the pinned
-    generation index (dirty objects excluded) and the frozen memtable
-    snapshot.  Close (or use as a context manager) to release the
-    generation pin.
+    ``parts`` is the list of indexes it searches: the pinned
+    generation and the frozen memtable snapshot, either left out when
+    empty.  They share the ids of the objects that have points on both
+    sides of the last compaction, as two time slices meeting at the
+    object's joint sample, the only way two parts may share an id (see
+    :func:`merged_kmst`).  Close (or use as a context manager) to
+    release the generation pin.
     """
 
     def __init__(self, store: "IngestStore", generation: Generation | None, parts) -> None:
@@ -314,7 +325,7 @@ class IngestStore:
                 raise
             self.num_points = sum(len(pts) for pts in self._history.values())
 
-        self._memtable = Memtable(self.page_size, registry=self._rec)
+        self._memtable = Memtable(self.page_size)
         wal_path = self.directory / wal_name
         if not wal_path.exists():
             raise StorageError(f"missing WAL file {wal_path}")
@@ -463,7 +474,9 @@ class IngestStore:
         if object_id in self._memtable:
             self._memtable.append(object_id, x, y, t)
         else:
-            self._memtable.adopt(object_id, history)
+            # The joint sample and the new point: the memtable's slice
+            # starts where the generation's (or the carried WAL's) ends.
+            self._memtable.adopt(object_id, history[-2:])
         self._rec.inc("ingest.memtable_points")
 
     def _check_open(self) -> None:
@@ -528,7 +541,7 @@ class IngestStore:
         self._wal.close()
         self._wal = WriteAheadLog(new_wal_path, registry=self._rec)
         old_wal_path.unlink(missing_ok=True)
-        self._memtable = Memtable(self.page_size, registry=self._rec)
+        self._memtable = Memtable(self.page_size)
         if old_generation is not None:
             self._retire(old_generation)
         self._rec.inc("ingest.compactions")
@@ -586,16 +599,11 @@ class IngestStore:
             if generation is not None and generation.index.num_entries > 0:
                 generation.refcount += 1
                 self._rec.inc("ingest.generation_pins")
-                exclude = (
-                    frozenset(snapshot.trajectory_ids)
-                    if snapshot is not None
-                    else frozenset()
-                )
-                parts.append((generation.index, exclude))
+                parts.append(generation.index)
             else:
                 generation = None
             if snapshot is not None:
-                parts.append((snapshot, frozenset()))
+                parts.append(snapshot)
             return LiveView(self, generation, parts)
 
     def kmst(

@@ -34,11 +34,18 @@ nodes (:func:`~repro.index.best_first_nodes`), one candidate map, one
 k-th-best bound and one Heuristic 2 check, and one signature pass over
 the parts' stacked sidecars
 (:meth:`~repro.filter.runtime.SignatureFilter.over_parts`).  Each part
-keeps its own exclusions and its own counters.  A pool worker searches
-its one part the same way (:func:`search_part`), under a bound of its
-own.  Trajectories are never split across parts, so the candidates
-from different parts never meet before the common ranking/refinement
-step.
+keeps its own counters.  A pool worker searches its one part the same
+way (:func:`search_part`), under a bound of its own.
+
+**Time slices.**  DISSIM is an integral over the period, so an object's
+value is the sum of its values over time slices.  Two parts may hold
+one id where its time ranges in them meet at most at an endpoint (a
+live store's generation and memtable, which meet at each object's
+joint sample): the one candidate of the id gathers its windows from
+every part, and a rejection or a completion settles the id in every
+part.  Heuristic 1, Heuristic 2, the signature tier and the seed stay
+exact over such parts (docs/ALGORITHMS.md, "Time slices across
+parts").
 
 A candidate's final DISSIM is the **canonical sum** of its retrieved
 window integrals in time order — not the arrival-order association the
@@ -80,14 +87,11 @@ def make_signature_filters(
 ) -> list[SignatureFilter | None]:
     """Build the per-query :class:`SignatureFilter` of every part,
     ``None`` for a part that carries no signature sidecar (an empty
-    tree never gets one) and for a ``None`` part.  The sidecars are
-    stacked and priced by one pass (:meth:`SignatureFilter.over_parts`)."""
-    stores = []
-    for index in parts:
-        sigs = getattr(index, "signatures", None)
-        if getattr(index, "num_entries", 0) <= 0:
-            sigs = None
-        stores.append(sigs)
+    tree never gets one).  The sidecars are stacked and priced by one
+    pass (:meth:`SignatureFilter.over_parts`)."""
+    stores = [
+        index.signatures if index.num_entries > 0 else None for index in parts
+    ]
     return SignatureFilter.over_parts(stores, query, t_start, t_end, vmax)
 
 
@@ -238,7 +242,7 @@ def _search_shard(
     use_heuristic1: bool,
     use_heuristic2: bool,
     top: _TopK,
-    excludes: list,
+    exclude_ids,
     part_stats: list[SearchStats],
     *,
     filters: list[SignatureFilter | None],
@@ -250,8 +254,11 @@ def _search_shard(
     The parts are searched as one tree (one heap, see
     :func:`~repro.index.best_first_nodes`): one ``(completed, valid)``
     candidate map pair, returned, one threshold and one Heuristic 2
-    check serve them all.  Part ``i`` skips the trajectories in
-    ``excludes[i]`` and the ones its own checks reject, is filtered by
+    check serve them all, and so does one settled set: every part
+    skips the trajectories in ``exclude_ids`` and every one that a
+    check in any part rejected (Heuristic 1, the signature tier, a leaf
+    page's admission), so the slice of a rejected object in another
+    part is never made a candidate again.  Part ``i`` is filtered by
     ``filters[i]`` (``None``: unfiltered), and counts its work into
     ``part_stats[i]``, mutated in place: the nodes read from its tree,
     the entries, candidates and rejections of its leaves, its leaf
@@ -299,7 +306,8 @@ def _search_shard(
 
     valid: dict[int, _Candidate] = {}
     completed: dict[int, _Candidate] = {}
-    rejected_by_part: list[set[int]] = [set(ids) for ids in excludes]
+    # Excluded or rejected, in whichever part: one membership test.
+    rejected: set[int] = set(exclude_ids)
     dequeued = 0
 
     if any(sig_filter is not None for sig_filter in filters):
@@ -324,7 +332,6 @@ def _search_shard(
                 # out: the loop below would refuse it too.
                 part_stats[part].leaf_skips += 1
                 return False
-            rejected = rejected_by_part[part]
             for tid in page_tids:
                 if tid in rejected or tid in completed:
                     continue
@@ -362,7 +369,6 @@ def _search_shard(
         # The leaf step, of a seeded page and of a dequeued leaf alike.
         stats = part_stats[part]
         stats.leaf_accesses += 1
-        rejected = rejected_by_part[part]
         sig_filter = filters[part]
 
         # ---- leaf processing: temporal plane sweep -------------------
@@ -459,7 +465,7 @@ def _search_shard(
                     stats.candidates_rejected += 1
 
     # ---- seed: the bound is finite before the first expansion --------
-    seeds = SignatureFilter.seed_pages(filters, rejected_by_part, top.k)
+    seeds = SignatureFilter.seed_pages(filters, rejected, top.k)
     for part, page_id in seeds:
         if deadline is not None and monotonic() >= deadline:
             raise DeadlineExceeded("query exceeded its deadline budget")
@@ -546,7 +552,7 @@ def search_part(
         use_heuristic1,
         use_heuristic2,
         top,
-        [exclude_ids],
+        exclude_ids,
         [stats],
         filters=[sig_filter],
         deadline=deadline,
@@ -649,16 +655,19 @@ def bfmst_search(
         :class:`RTree3D` or :class:`TBTree` — one part, whose stats
         carry no ``per_shard`` block; anything with ``.shards`` (a
         :class:`~repro.sharding.ShardedIndex`) — one part per shard; or
-        a list of ``(index, exclude_ids)`` pairs (a live store's pinned
-        generation and memtable, see :class:`repro.ingest.LiveView`),
-        where each part's own exclusions are unioned onto
-        ``exclude_ids`` — that is how dirty objects are masked out of
-        an immutable generation while the memtable serves them.  No
-        trajectory id may be left to two parts: the search keeps one
-        candidate per id across the parts, so two objects under one id
-        would be summed into one.  A sharded index's shards and a live
-        store's view are disjoint by construction;
-        :func:`repro.ingest.merged_kmst` checks the views it is given.
+        a list of indexes (a live store's pinned generation and
+        memtable, see :class:`repro.ingest.LiveView`).  The search
+        keeps one candidate per id across the parts and sums its
+        windows from all of them, so two parts may share an id only
+        where that id's time ranges in them meet at most at an
+        endpoint; two objects under one id would be summed into one.
+        A sharded index's shards are disjoint, and a live view's parts
+        meet at each object's joint sample, by construction (the
+        store's strictly-increasing-time check); nothing on the search
+        path checks it.  :func:`repro.ingest.merged_kmst` checks that
+        several views report disjoint ids.  A process-backed executor
+        ranks each part's candidates apart, so its parts (a sharded
+        index's shards) share no id.
     query:
         The query trajectory ``Q``.
     period:
@@ -686,8 +695,7 @@ def bfmst_search(
     selected:
         Positions of the parts to search (the planner's pre-filter);
         ``None`` searches all.  Skipping a part whose extent cannot
-        overlap the query period is answer-preserving; so is skipping
-        one whose every trajectory is excluded, which is done here.
+        overlap the query period is answer-preserving.
     executor:
         ``None`` — the selected parts are searched here, as one tree
         (:func:`_search_shard`).  Anything with ``.run_parts(specs,
@@ -718,14 +726,9 @@ def bfmst_search(
         )
     one_tree = not isinstance(index, list) and not hasattr(index, "shards")
     if isinstance(index, list):
-        parts = [part for part, _extra in index]
-        excludes = [
-            frozenset(exclude_ids) | frozenset(extra) if extra else exclude_ids
-            for _part, extra in index
-        ]
+        parts = index
     else:
         parts = [index] if one_tree else index.shards
-        excludes = [exclude_ids] * len(parts)
     vmax = max((p.max_speed for p in parts), default=0.0) + query.max_speed()
     if selected is None:
         selected = list(range(len(parts)))
@@ -734,15 +737,6 @@ def bfmst_search(
         for pos in selected:
             if not 0 <= pos < len(parts):
                 raise QueryError(f"shard id {pos} out of range [0, {len(parts)})")
-    # A part whose every trajectory is excluded (a live generation whose
-    # objects are all dirty) can contribute no candidate: it is left
-    # out as if the planner had pruned it, and its sidecar unpriced.
-    # V_max above still counts it.
-    hopeless = {
-        pos for pos, part in enumerate(parts)
-        if part.trajectory_ids.issubset(excludes[pos])
-    }
-    selected = [pos for pos in selected if pos not in hopeless]
 
     stats = SearchStats(total_nodes=sum(p.num_nodes for p in parts))
     # Counter baseline so the SearchStats enrichment reports *this*
@@ -763,7 +757,7 @@ def bfmst_search(
                 {
                     "use_heuristic1": use_heuristic1,
                     "use_heuristic2": use_heuristic2,
-                    "exclude_ids": excludes[pos],
+                    "exclude_ids": exclude_ids,
                 },
             )
             for pos in selected
@@ -777,11 +771,7 @@ def bfmst_search(
         # from query to query; a part the planner pruned misses the
         # period, and so do its rows, which the pass skips.
         filters = (
-            make_signature_filters(
-                [None if pos in hopeless else part
-                 for pos, part in enumerate(parts)],
-                query, t_start, t_end, vmax,
-            )
+            make_signature_filters(parts, query, t_start, t_end, vmax)
             if filter == "auto"
             else [None] * len(parts)
         )
@@ -797,7 +787,7 @@ def bfmst_search(
             use_heuristic1,
             use_heuristic2,
             _TopK(k),
-            [excludes[pos] for pos in selected],
+            exclude_ids,
             searched,
             filters=[filters[pos] for pos in selected],
             deadline=deadline,

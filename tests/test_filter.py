@@ -995,9 +995,9 @@ class TestByteIdentity:
                     store.append(oid, x, y, t)
             store.compact()
             # Leave two objects' tails in the memtable: the merged
-            # search mixes a signature-carrying generation (serving the
-            # clean objects, filtered) with the unfiltered memtable
-            # part (serving the dirty ones).
+            # search mixes a signature-carrying generation (every
+            # object's history to the compaction, filtered) with the
+            # unfiltered memtable part (the two tails).
             for t, oid, x, y in events:
                 if held_back(t, oid):
                     store.append(oid, x, y, t)

@@ -35,6 +35,8 @@ from repro.storage import RECORD_HEADER_BYTES, frame_record, parse_record
 from repro.storage.format import KIND_WAL
 from repro.trajectory import Trajectory, write_json
 
+from conftest import assert_ranks_like_the_scan
+
 
 # ----------------------------------------------------------------------
 # helpers
@@ -402,37 +404,51 @@ class TestStoreQueries:
             store.append(1, 1e6, 1e6, 1e6)
             assert store.compact() == 1
 
-    def test_dirty_object_adopts_full_history(self, tmp_path, ingest_dataset):
+    def test_first_point_after_compaction_adopts_its_joint_sample(
+        self, tmp_path, ingest_dataset
+    ):
         with IngestStore.create(tmp_path / "s") as store:
             feed(store, ingest_dataset)
             store.compact()
             oid = store.ids()[0]
-            n_before = len(store.trajectory(oid))
+            joint = list(store.trajectory(oid))[-1]
             store.append(oid, 0.5, 0.5, 1e9)
-            # the whole history is in the memtable, not just the new point
-            assert store.memtable_points == n_before + 1
+            # The joint sample and the new point, not the whole history:
+            # the memtable's first segment is the one a rebuild makes.
+            assert store.memtable_points == 2
+            assert store._memtable.points_of(oid) == [
+                (joint.x, joint.y, joint.t), (0.5, 0.5, 1e9)
+            ]
             with store.view() as view:
-                _gen_index, exclude = view.parts[0]
-                assert exclude == frozenset({oid})
+                generation, memtable = view.parts
+                # Both slices are searched; nothing is excluded.
+                assert oid in generation.trajectory_ids
+                assert memtable.trajectory_ids == {oid}
 
-    def test_generation_of_all_dirty_objects_is_not_searched(
-        self, tmp_path, ingest_dataset
-    ):
-        """Reopened with a point of every object in the WAL, the store
-        excludes the whole generation: the search leaves it out as the
-        planner would a disjoint shard, and answers from the memtable."""
-        events = events_of(ingest_dataset)
+    def _reopened_with_every_object_in_the_wal(self, tmp_path, dataset):
+        events = events_of(dataset)
         half = len(events) // 2
         with IngestStore.create(tmp_path / "s") as store:
             store.extend(events[:half])
             store.compact()
             store.extend(events[half:])
+        return IngestStore.open(tmp_path / "s"), events[half:]
+
+    def test_reopened_store_searches_its_generation_unexcluded(
+        self, tmp_path, ingest_dataset
+    ):
+        """Reopened with a point of every object in the WAL, the store
+        searches its generation with no exclusions beside the memtable,
+        and answers as the exact scan does."""
         rng = random.Random(14)
         query, period = make_query(ingest_dataset, 0.3, rng)
-        with IngestStore.open(tmp_path / "s") as store:
+        store, _tail = self._reopened_with_every_object_in_the_wal(
+            tmp_path, ingest_dataset
+        )
+        with store:
             with store.view() as view:
-                generation, exclude = view.parts[0]
-                assert generation.trajectory_ids <= exclude
+                generation, memtable = view.parts
+                assert generation.trajectory_ids == memtable.trajectory_ids
             spec = QuerySpec("mst", query, period, k=5)
             with LiveQueryEngine(store) as engine:
                 result = engine.execute(spec)
@@ -442,9 +458,34 @@ class TestStoreQueries:
             )
         assert result.ids == want.ids
         rows = result.stats.extra["per_shard"]
-        assert [row["pruned"] for row in rows] == [True, False]
-        assert rows[0]["node_accesses"] == 0
-        assert result.stats.node_accesses == rows[1]["node_accesses"]
+        assert [row["pruned"] for row in rows] == [False, False]
+        assert rows[0]["node_accesses"] > 0
+        assert result.stats.node_accesses == sum(
+            row["node_accesses"] for row in rows
+        )
+
+    def test_reopen_replays_only_the_wal(self, tmp_path, ingest_dataset):
+        """A reopen re-indexes the WAL's R records over M objects, plus
+        at most one joint sample per object — never whole histories."""
+        store, tail = self._reopened_with_every_object_in_the_wal(
+            tmp_path, ingest_dataset
+        )
+        rng = random.Random(15)
+        with store:
+            records = store.metrics.value("ingest.wal_replayed_records")
+            objects = len({oid for oid, *_ in tail})
+            assert records == len(tail)
+            assert store.memtable_points <= records + objects
+            assert store.memtable_points < store.num_points
+            for length in (0.1, 0.5, 1.0):
+                query, period = make_query(ingest_dataset, length, rng)
+                for k in (1, 5):
+                    matches, _stats = store.kmst(query, period, k)
+                    want = linear_scan_kmst(
+                        None, store.current_dataset(), query,
+                        period=period, k=k, exact=True,
+                    )
+                    assert_ranks_like_the_scan(matches, want.matches)
 
     def test_auto_compaction_threshold(self, tmp_path):
         with IngestStore.create(
@@ -452,8 +493,8 @@ class TestStoreQueries:
         ) as store:
             for i in range(25):
                 store.append(1, float(i), 0.0, float(i))
-            # 25 appends / threshold 10 -> at least two compactions, and
-            # adopted history must not re-trigger immediately
+            # 25 appends / threshold 10 -> two compactions: an adopted
+            # joint sample does not count toward the threshold
             assert store.metrics.value("ingest.compactions") == 2
             assert store.generation_number == 1
 

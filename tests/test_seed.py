@@ -11,8 +11,9 @@ those seed nothing.
 The property test draws the configuration the seed can meet — both
 trees at both page sizes, k past the number of eligible pages,
 exclusions covering the would-be seeds, query lengths up to the whole
-lifetime, a 4-shard ``hash`` TB index and a live view whose generation
-is partly excluded — and holds every answer to the exact linear scan.
+lifetime, a 4-shard ``hash`` TB index and a live view whose memtable
+holds a time slice of some objects — and holds every answer to the
+exact linear scan.
 """
 
 import random
@@ -43,8 +44,9 @@ LAYOUTS = (
     "rtree-512", "rtree-4096", "tbtree-512", "tbtree-4096",
     "tbtree-4096-shards", "tbtree-4096-live",
 )
-#: Objects whose next point makes them dirty in the live store.
-DIRTY = 5
+#: Objects that get a point after the live store's compaction, so the
+#: memtable holds a slice of them.
+SLICED = 5
 
 
 def _dataset(seed):
@@ -62,8 +64,8 @@ def _saved(cls, dataset, page_size, directory):
 @pytest.fixture(scope="module")
 def worlds(tmp_path_factory):
     """``seed`` -> ``(dataset, layouts)``: every layout of LAYOUTS as
-    ``(searchable, parts, each part's own exclusions, oracle dataset)``;
-    the live view's oracle holds its dirty objects' extra point."""
+    ``(searchable, parts, oracle dataset)``; the live view's oracle
+    holds its sliced objects' extra point."""
     out = {}
     opened = []
     for seed in DATA_SEEDS:
@@ -76,9 +78,7 @@ def worlds(tmp_path_factory):
                     tmp_path_factory.mktemp(f"{name}{page_size}"),
                 )
                 opened.append(index.pagefile)
-                layouts[f"{name}-{page_size}"] = (
-                    index, [index], [frozenset()], dataset
-                )
+                layouts[f"{name}-{page_size}"] = (index, [index], dataset)
         sharded = build_sharded_index(
             ShardedDataset.partition(dataset, make_partitioner("hash", 4)),
             TBTree,
@@ -89,9 +89,7 @@ def worlds(tmp_path_factory):
         sharded.close()
         shards = load_sharded_index(directory)
         opened.append(shards)
-        layouts["tbtree-4096-shards"] = (
-            shards, list(shards.shards), [frozenset()] * 4, dataset
-        )
+        layouts["tbtree-4096-shards"] = (shards, list(shards.shards), dataset)
         store = IngestStore.create(
             tmp_path_factory.mktemp("live") / "store", tree="tbtree"
         )
@@ -101,16 +99,13 @@ def worlds(tmp_path_factory):
         ):
             store.append(oid, x, y, t)
         store.compact()
-        for oid in dataset.ids()[:DIRTY]:
+        for oid in dataset.ids()[:SLICED]:
             last = list(dataset[oid])[-1]
             store.append(oid, last.x + 1.0, last.y, last.t + 10.0)
         view = store.view()
         opened.append(view)
         layouts["tbtree-4096-live"] = (
-            view.parts,
-            [index for index, _extra in view.parts],
-            [frozenset(extra) for _index, extra in view.parts],
-            store.current_dataset(),
+            view.parts, view.parts, store.current_dataset()
         )
         out[seed] = (dataset, layouts)
     yield out
@@ -123,16 +118,15 @@ def _filters(parts, query, period):
     return make_signature_filters(parts, query, *period, vmax)
 
 
-def would_be_seeds(parts, excludes, query, period, k):
-    """The trajectory ids a search that excludes nothing more than the
-    parts' own exclusions would seed."""
+def would_be_seeds(parts, query, period, k):
+    """The trajectory ids a search that excludes nothing would seed."""
     filters = _filters(parts, query, period)
-    seeds = SignatureFilter.seed_pages(filters, excludes, k)
+    seeds = SignatureFilter.seed_pages(filters, set(), k)
     return {tid for part, page in seeds for tid in filters[part].page_tids(page)}
 
 
-def eligible(parts, excludes, query, period):
-    return len(would_be_seeds(parts, excludes, query, period, 10**9))
+def eligible(parts, query, period):
+    return len(would_be_seeds(parts, query, period, 10**9))
 
 
 class TestEligibility:
@@ -140,17 +134,17 @@ class TestEligibility:
         dataset, layouts = worlds[DATA_SEEDS[0]]
         query, period = make_query(dataset, 1.0, random.Random(1))
         counts = {
-            name: eligible(parts, excludes, query, period)
-            for name, (_target, parts, excludes, _data) in layouts.items()
+            name: eligible(parts, query, period)
+            for name, (_target, parts, _data) in layouts.items()
         }
         assert counts["tbtree-512"] == 0
         assert counts["rtree-512"] == 0
         # Every TB leaf at 4096 B holds one whole trajectory.
         assert counts["tbtree-4096"] == len(dataset)
         assert counts["tbtree-4096-shards"] == len(dataset)
-        # The live view's generation seeds its clean objects only; the
-        # memtable, which serves the dirty ones, has no sidecar.
-        assert counts["tbtree-4096-live"] == len(dataset) - DIRTY
+        # The live view's generation seeds every object: the memtable's
+        # slices, which have no sidecar, start where the period ends.
+        assert counts["tbtree-4096-live"] == len(dataset)
 
     def test_a_seed_needs_the_whole_period(self):
         full = _dataset(5)
@@ -166,18 +160,18 @@ class TestEligibility:
         source = cut[min(whole)]
         inside, across = (100.0, 900.0), (500.0, 1500.0)
         query = source.sliced(*inside).with_id(-1)
-        assert eligible([index], [frozenset()], query, inside) == len(cut)
+        assert eligible([index], query, inside) == len(cut)
         for k in (1, 5, len(cut)):
             got, _stats = bfmst_search(index, query, inside, k=k)
             want = linear_scan_kmst(cut, query, inside, k=k, exact=True)
             assert_ranks_like_the_scan(got, want)
         query = source.sliced(*across).with_id(-1)
-        seeds = would_be_seeds([index], [frozenset()], query, across, 10**9)
+        seeds = would_be_seeds([index], query, across, 10**9)
         assert seeds == whole
 
     def test_seeded_reads_are_counted_once(self, worlds):
         dataset, layouts = worlds[DATA_SEEDS[0]]
-        index, _parts, _excludes, _data = layouts["tbtree-4096"]
+        index, _parts, _data = layouts["tbtree-4096"]
         query, period = make_query(dataset, 0.3, random.Random(5))
         for k in (1, 4, len(dataset) + 2):
             with query_trace(index) as trace:
@@ -196,7 +190,7 @@ class TestEligibility:
 
     def test_filter_off_seeds_nothing(self, worlds):
         dataset, layouts = worlds[DATA_SEEDS[0]]
-        index, _parts, _excludes, _data = layouts["tbtree-4096"]
+        index, _parts, _data = layouts["tbtree-4096"]
         query, period = make_query(dataset, 0.3, random.Random(5))
         with query_trace(index) as trace:
             bfmst_search(index, query, period, k=3, filter="off")
@@ -205,7 +199,7 @@ class TestEligibility:
     @pytest.mark.parametrize("layout", ["rtree-512", "rtree-4096", "tbtree-512"])
     def test_mixed_and_split_leaves_seed_nothing(self, worlds, layout):
         dataset, layouts = worlds[DATA_SEEDS[0]]
-        index, _parts, _excludes, _data = layouts[layout]
+        index, _parts, _data = layouts[layout]
         query, period = make_query(dataset, 0.3, random.Random(5))
         with query_trace(index) as trace:
             bfmst_search(index, query, period, k=3)
@@ -230,13 +224,13 @@ def test_seeded_search_answers_like_the_exact_scan(
     worlds, seed, layout, length, query_seed, extra_k, exclusion, data
 ):
     dataset, layouts = worlds[seed]
-    target, parts, excludes, oracle = layouts[layout]
+    target, parts, oracle = layouts[layout]
     query, period = make_query(dataset, length, random.Random(query_seed))
     # k from 1 to past the number of eligible pages.
-    k = 1 + extra_k % (eligible(parts, excludes, query, period) + 3)
+    k = 1 + extra_k % (eligible(parts, query, period) + 3)
     excluded = set()
     if exclusion in ("seeds", "seeds+random"):
-        excluded |= would_be_seeds(parts, excludes, query, period, k)
+        excluded |= would_be_seeds(parts, query, period, k)
     if exclusion in ("random", "seeds+random"):
         excluded |= set(
             data.draw(st.sets(st.sampled_from(dataset.ids()), max_size=6))

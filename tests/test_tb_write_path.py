@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro import IngestStore, TBTree, Trajectory
+from repro import TBTree, Trajectory
 from repro.datagen import generate_gstd
 from repro.exceptions import IndexError_, TrajectoryError
 from repro.geometry import STPoint, STSegment
@@ -25,7 +25,6 @@ from repro.index import tbtree as tbtree_module
 from repro.index.base import TrajectoryIndex
 from repro.index.node import NODE_OVERHEAD_BYTES, tb_leaf_payload_size
 from repro.ingest import Memtable
-from repro.obs import MetricsRegistry
 
 from conftest import packed
 
@@ -286,30 +285,3 @@ def test_append_rejects_time_that_does_not_increase():
         memtable.append(1, 2.0, 0.0, 1.0)
     assert memtable.points_of(1) == [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)]
     assert memtable.num_entries == 1
-
-
-# ----------------------------------------------------------------------
-# observability
-# ----------------------------------------------------------------------
-def test_seeded_segments_counter_counts_adopted_history(tmp_path):
-    events = fleet_feed(8, 30, seed=2)
-    with IngestStore.create(tmp_path / "s", auto_compact_points=0) as store:
-        store.extend(events[:100])
-        store.compact()
-        before = {oid: len(store.trajectory(oid)) for oid in store.ids()}
-        store.extend(events[100:160])
-        adopted = {oid for oid, *_ in events[100:160]}
-        expected = sum(before.get(oid, 0) for oid in adopted)
-        seeds = sum(1 for oid in adopted if before.get(oid, 0) >= 1)
-        assert store.metrics.value("ingest.memtable_seeded_segments") == expected
-        assert store.metrics.value("ingest.memtable_seeds") == seeds
-
-
-def test_memtable_counts_seeded_segments():
-    registry = MetricsRegistry()
-    memtable = Memtable(registry=registry)
-    memtable.adopt(1, [(0.0, 0.0, 0.0)])  # a new object: nothing seeded
-    memtable.adopt(2, [(0.0, 0.0, float(i)) for i in range(7)])
-    memtable.append(1, 1.0, 1.0, 1.0)  # a first segment is no seeding
-    assert registry.value("ingest.memtable_seeds") == 1
-    assert registry.value("ingest.memtable_seeded_segments") == 6
