@@ -23,6 +23,22 @@ are compared id for id (a near-tie may swap two ids).  Printed: each pass's mean
 both builds, their ratio (new / old), the median ratio over passes and
 the number of passes the new build won.
 
+``--workload ingest_live`` compares the two builds' write paths
+instead, on the feed of the harness's ``ingest_live`` at ``--seconds
+15`` (150 objects x 160 samples, time-ordered; a quarter preloaded and
+compacted, then 2 400 points, then the 3 600-point flat-out segment,
+auto-compacting every 1 600 points, WAL synced every 64).  A pass
+creates one store per build in a scratch directory, times each set-up
+(preload + compact) on the thread's CPU clock, feeds both stores the
+untimed middle, then the flat-out segment in 200-point chunks, old
+then new on even chunks and new then old on odd ones, each chunk and
+the closing ``sync()`` on the thread's CPU clock, with one timed
+``view()`` after each chunk (the reader's pin and memtable snapshot).
+Printed per pass: both sides' set-up and flat-out CPU ms and the
+flat-out ratio (new / old), and whether both stores' generation files
+were equal byte for byte; then the medians and the passes won.  The
+``--seed`` is not used: the feed is fixed, as in the harness.
+
 Giving the same tree twice measures the tool's own A/A spread.
 """
 
@@ -30,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import random
 import shutil
@@ -48,6 +65,11 @@ QUERY_LENGTHS = (0.02, 0.05, 0.10)
 KS = (1, 5, 10)
 WARMUP = 9
 DATASET_SEED = 7
+#: ``ingest_live`` of ``benchmarks/e2e/inputs.py`` at ``--seconds 15``.
+INGEST = {
+    "objects": 150, "samples": 160, "preload": 6000, "paced": 2400,
+    "flat": 3600, "compact_every": 1600, "sync_every": 64, "chunk": 200,
+}
 
 
 def load_build(tree: Path, name: str, scratch: Path):
@@ -100,6 +122,119 @@ class Side:
         self.engine = None
 
 
+class IngestSide:
+    """One build's store, fed the shared event list."""
+
+    def __init__(self, pkg, events, directory: Path):
+        self.pkg = pkg
+        self.events = events
+        self.directory = directory
+        self.store = None
+
+    def setup(self) -> float:
+        """Create the store, preload it and compact; CPU seconds."""
+        start = time.thread_time()
+        self.store = self.pkg.IngestStore.create(
+            self.directory,
+            sync_every=INGEST["sync_every"],
+            auto_compact_points=INGEST["compact_every"],
+        )
+        self.store.extend(self.events[: INGEST["preload"]])
+        self.store.compact()
+        return time.thread_time() - start
+
+    def feed(self, lo: int, hi: int) -> float:
+        """Append ``events[lo:hi]``; CPU seconds."""
+        append = self.store.append
+        start = time.thread_time()
+        for event in self.events[lo:hi]:
+            append(*event)
+        return time.thread_time() - start
+
+    def sync(self) -> float:
+        start = time.thread_time()
+        self.store.sync()
+        return time.thread_time() - start
+
+    def view(self) -> float:
+        """Pin and release one view; CPU seconds."""
+        start = time.thread_time()
+        self.store.view().close()
+        return time.thread_time() - start
+
+    def close(self) -> dict:
+        """Close the store and remove it; returns its generation files'
+        digests by name."""
+        self.store.close()
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(self.directory.glob("gen-*"))
+        }
+        shutil.rmtree(self.directory)
+        return digests
+
+
+def run_ingest(old_pkg, new_pkg, passes: int, scratch: Path) -> None:
+    """The ``ingest_live`` mode (see the module docstring)."""
+    data = old_pkg.generate_gstd(
+        INGEST["objects"], INGEST["samples"], seed=DATASET_SEED,
+        speed_sigma=0.6, heading="random",
+    )
+    events = sorted((p.t, tr.object_id, p.x, p.y) for tr in data for p in tr)
+    half = INGEST["preload"] + INGEST["paced"]
+    final = half + INGEST["flat"]
+    events = [(oid, x, y, t) for t, oid, x, y in events[:final]]
+    print(
+        f"ingest_live: {len(events)} points, flat-out segment "
+        f"{INGEST['flat']} points from {half}, CPU ms"
+    )
+    print(
+        f"{'pass':>4} {'setup old':>9} {'new':>8} {'flat old':>9} "
+        f"{'new':>8} {'new/old':>8} {'view us':>8} {'new':>7} files"
+    )
+    flat_ratios, setup_ratios = [], []
+    views = [[], []]
+    for p in range(passes):
+        sides = [
+            IngestSide(pkg, events, scratch / f"{name}-{p}")
+            for pkg, name in ((old_pkg, "old"), (new_pkg, "new"))
+        ]
+        gc.collect()
+        setup = [0.0, 0.0]
+        for s in (0, 1) if p % 2 == 0 else (1, 0):
+            setup[s] = sides[s].setup()
+        for side in sides:
+            side.feed(INGEST["preload"], half)
+        flat = [0.0, 0.0]
+        view = [[], []]
+        for i, lo in enumerate(range(half, final, INGEST["chunk"])):
+            for s in (0, 1) if i % 2 == 0 else (1, 0):
+                flat[s] += sides[s].feed(lo, min(final, lo + INGEST["chunk"]))
+                view[s].append(sides[s].view())
+        for s in (0, 1) if p % 2 == 0 else (1, 0):
+            flat[s] += sides[s].sync()
+        digests = [side.close() for side in sides]
+        same = "equal" if digests[0] == digests[1] else "DIFFER"
+        flat_ratios.append(flat[1] / flat[0])
+        setup_ratios.append(setup[1] / setup[0])
+        view_us = [1e6 * statistics.fmean(v) for v in view]
+        for s in (0, 1):
+            views[s].append(view_us[s])
+        print(
+            f"{p:>4} {1000 * setup[0]:>9.1f} {1000 * setup[1]:>8.1f} "
+            f"{1000 * flat[0]:>9.1f} {1000 * flat[1]:>8.1f} "
+            f"{flat_ratios[-1]:>8.3f} {view_us[0]:>8.0f} {view_us[1]:>7.0f} {same}"
+        )
+    print(
+        f"flat-out median new/old {statistics.median(flat_ratios):.3f} "
+        f"(min {min(flat_ratios):.3f}, max {max(flat_ratios):.3f}), new "
+        f"faster in {sum(r < 1.0 for r in flat_ratios)}/{passes} passes; "
+        f"set-up median {statistics.median(setup_ratios):.3f}, new faster "
+        f"in {sum(r < 1.0 for r in setup_ratios)}/{passes}; view() median "
+        f"{statistics.median(views[0]):.0f} / {statistics.median(views[1]):.0f} us"
+    )
+
+
 def make_queries(pkg, data, n: int, rng: random.Random, first_id: int):
     """``n`` queries cycling the harness's 9 (length, k) cells, as plain
     ``(id, points, period, k)`` data each build turns into its own spec."""
@@ -115,11 +250,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="tree holding the baseline src/repro")
     parser.add_argument("new", type=Path, help="tree holding the candidate src/repro")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="tbtree_engine")
+    parser.add_argument(
+        "--workload", choices=sorted([*WORKLOADS, "ingest_live"]),
+        default="tbtree_engine",
+    )
     parser.add_argument("--passes", type=int, default=8)
     parser.add_argument("--seed", type=int, default=1, help="query pool seed")
     args = parser.parse_args(argv)
-    size = WORKLOADS[args.workload]
 
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -128,6 +265,11 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(packages))
         old_pkg = load_build(args.old.resolve(), "repro_old", packages)
         new_pkg = load_build(args.new.resolve(), "repro_new", packages)
+        if args.workload == "ingest_live":
+            run_ingest(old_pkg, new_pkg, args.passes, scratch)
+            sys.path.remove(str(packages))
+            return 0
+        size = WORKLOADS[args.workload]
 
         data = old_pkg.generate_gstd(
             size["objects"], size["samples"], seed=DATASET_SEED,

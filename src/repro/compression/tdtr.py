@@ -49,7 +49,7 @@ def td_tr(traj: Trajectory, tolerance: float) -> Trajectory:
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
     x, y, t = traj.coordinate_arrays()
-    keep = _select_indices(t, x, y, tolerance, _worst_sed)
+    keep, _errors = _select_spans(t, x, y, tolerance, _worst_sed)
     return Trajectory(traj.object_id, [traj[i] for i in keep])
 
 
@@ -89,14 +89,13 @@ def td_tr_columns(t, x, y, tolerance: float) -> tuple[list[int], list[float]]:
     Every SED is the expression of
     :func:`synchronized_euclidean_distance`, term for term, so the
     kept indexes and radii are the ones that function would give.
+    Each radius is the error the selection measured on the span it
+    kept, so no span is walked twice.
     """
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
-    kept = _select_indices(t, x, y, tolerance, _worst_sed)
-    radii = [
-        max(_worst_sed(t, x, y, a, b)[1], 0.0) for a, b in zip(kept, kept[1:])
-    ]
-    return kept, radii
+    kept, errors = _select_spans(t, x, y, tolerance, _worst_sed)
+    return kept, [max(errors[a], 0.0) for a in kept[:-1]]
 
 
 def douglas_peucker(traj: Trajectory, tolerance: float) -> Trajectory:
@@ -105,7 +104,7 @@ def douglas_peucker(traj: Trajectory, tolerance: float) -> Trajectory:
     if tolerance < 0.0:
         raise TrajectoryError(f"negative tolerance {tolerance}")
     x, y, t = traj.coordinate_arrays()
-    keep = _select_indices(t, x, y, tolerance, _worst_perpendicular)
+    keep, _errors = _select_spans(t, x, y, tolerance, _worst_perpendicular)
     return Trajectory(traj.object_id, [traj[i] for i in keep])
 
 
@@ -128,14 +127,23 @@ def _worst_sed(t, x, y, a: int, b: int) -> tuple[int, float]:
     span = t[b] - ta
     dx = x[b] - xa
     dy = y[b] - ya
+    hypot = math.hypot
     worst_i = -1
     worst_err = -1.0
-    for i in range(a + 1, b):
-        frac = 0.0 if span <= 0.0 else (t[i] - ta) / span
-        err = math.hypot(x[i] - (xa + frac * dx), y[i] - (ya + frac * dy))
-        if err > worst_err:
-            worst_err = err
-            worst_i = i
+    if span > 0.0:
+        for i in range(a + 1, b):
+            frac = (t[i] - ta) / span
+            err = hypot(x[i] - (xa + frac * dx), y[i] - (ya + frac * dy))
+            if err > worst_err:
+                worst_err = err
+                worst_i = i
+    else:  # a span of no time: every sample is compared with its start
+        frac = 0.0
+        for i in range(a + 1, b):
+            err = hypot(x[i] - (xa + frac * dx), y[i] - (ya + frac * dy))
+            if err > worst_err:
+                worst_err = err
+                worst_i = i
     return worst_i, worst_err
 
 
@@ -159,9 +167,14 @@ def _worst_perpendicular(t, x, y, a: int, b: int) -> tuple[int, float]:
     return worst_i, worst_err
 
 
-def _select_indices(t, x, y, tolerance: float, worst_in_span) -> list[int]:
-    """Shared top-down recursion; returns the sorted kept indexes."""
+def _select_spans(
+    t, x, y, tolerance: float, worst_in_span
+) -> tuple[list[int], dict[int, float]]:
+    """Shared top-down recursion; returns the sorted kept indexes and,
+    per kept span ``kept[j] -> kept[j+1]``, keyed by ``kept[j]``, the
+    error of its worst inner sample (-1.0 when it has none)."""
     keep = {0, len(t) - 1}
+    errors = {}
     stack = [(0, len(t) - 1)]
     while stack:
         a, b = stack.pop()
@@ -170,4 +183,6 @@ def _select_indices(t, x, y, tolerance: float, worst_in_span) -> list[int]:
             keep.add(worst_i)
             stack.append((a, worst_i))
             stack.append((worst_i, b))
-    return sorted(keep)
+        else:
+            errors[a] = worst_err
+    return sorted(keep), errors

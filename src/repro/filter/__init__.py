@@ -9,9 +9,11 @@ byte-identical to unfiltered search by construction: a candidate is only
 pruned when its lower bound strictly exceeds the current k-th-best upper
 bound, which certifies it can never enter the answer set.
 
-Signatures are built at index build / ingest compaction time
-(:func:`build_signatures`), persisted as a ``.sig`` sidecar next to the
-page file (:mod:`repro.filter.sidecar`), mmap-served read-only, and
+Signatures are built at index build time (:func:`build_signatures`,
+reading the tree back) or at ingest compaction from the samples the
+store holds (:func:`signatures_from_points`), persisted as a ``.sig``
+sidecar next to the page file (:mod:`repro.filter.sidecar`),
+mmap-served read-only, and
 evaluated by :class:`SignatureFilter` in one numpy pass over the
 whole sidecar.
 A search filters a tree iff the tree carries a sidecar; an index built
@@ -24,11 +26,16 @@ from .sidecar import (
     signature_sidecar_path,
     write_signatures,
 )
-from .signature import TrajectorySignatures, build_signatures
+from .signature import (
+    TrajectorySignatures,
+    build_signatures,
+    signatures_from_points,
+)
 
 __all__ = [
     "TrajectorySignatures",
     "build_signatures",
+    "signatures_from_points",
     "SignatureFilter",
     "write_signatures",
     "load_signatures",

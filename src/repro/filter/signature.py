@@ -1,7 +1,8 @@
 """Building per-trajectory signatures from a finished index.
 
-The builder reads each trajectory's sample sequence back from the
-tree's leaf segments (one walk over the pages) and distils one thing
+The builder takes each trajectory's sample sequence — read back from
+the tree's leaf segments (one walk over the pages), or handed over by
+whoever packed the tree from samples in hand — and distils one thing
 per object: a TD-TR-simplified polyline (knots) with a certified
 radius per kept segment — the maximum Synchronized Euclidean Distance
 of the dropped samples, so the true position at time ``t`` is always
@@ -20,9 +21,10 @@ pass.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_right
+from math import hypot
+from operator import sub
 from typing import NamedTuple
 
 from ..compression.tdtr import td_tr_columns
@@ -33,6 +35,7 @@ __all__ = [
     "StackedSignatures",
     "TrajectorySignatures",
     "build_signatures",
+    "signatures_from_points",
     "stack_signatures",
 ]
 
@@ -433,13 +436,28 @@ def build_signatures(
 
     Reads each trajectory's samples back from the tree's leaves
     (:func:`repro.index.leaf_points` — one walk over the pages) and
-    TD-TR-simplifies them with certified radii.  Works the same on a
+    hands them to :func:`signatures_from_points`.  Works the same on a
     tree built a moment ago and on one loaded from disk.
     """
     if getattr(index, "num_entries", 0) <= 0:
         raise IndexError_("cannot build signatures for an empty index")
+    points, leaf_tids = leaf_points(index)
+    return signatures_from_points(
+        index, points, leaf_tids, simplify_p=simplify_p
+    )
 
-    points, page_tid_sets = leaf_points(index)
+
+def signatures_from_points(
+    index, points, leaf_tids, *, simplify_p: float = DEFAULT_SIMPLIFY_P
+) -> TrajectorySignatures:
+    """The signatures of ``index`` from its samples in hand: ``points``
+    maps every indexed trajectory id to its ``(x, y, t)`` samples in
+    time order, ``leaf_tids`` every leaf page to the ids stored on it —
+    what :func:`repro.index.leaf_points` reads back, or what the pack
+    was given and returned (:meth:`~repro.index.base.TrajectoryIndex.pack`).
+    Each trajectory is TD-TR-simplified with certified radii.  Equal
+    inputs give equal stores, byte for byte, whichever route made them.
+    """
     tids = array("q", sorted(points))
     knot_offsets = array("q", [0])
     knot_t = array("d")
@@ -448,10 +466,8 @@ def build_signatures(
     radii = array("d")
     for tid in tids:
         x, y, t = zip(*points[tid])
-        length = sum(
-            math.hypot(x0 - x1, y0 - y1)
-            for x0, y0, x1, y1 in zip(x, y, x[1:], y[1:])
-        )
+        # the travelled length, leg by leg in time order
+        length = sum(map(hypot, map(sub, x, x[1:]), map(sub, y, y[1:])))
         kept, seg_radii = td_tr_columns(t, x, y, simplify_p * length)
         knot_t.extend(t[i] for i in kept)
         knot_x.extend(x[i] for i in kept)
@@ -459,12 +475,12 @@ def build_signatures(
         radii.extend(seg_radii)
         knot_offsets.append(len(knot_t))
 
-    leaf_pages = array("q", sorted(page_tid_sets))
+    leaf_pages = array("q", sorted(leaf_tids))
     leaf_tid_offsets = array("q", [0])
-    leaf_tids = array("q")
+    page_tids = array("q")
     for page in leaf_pages:
-        leaf_tids.extend(sorted(page_tid_sets[page]))
-        leaf_tid_offsets.append(len(leaf_tids))
+        page_tids.extend(sorted(leaf_tids[page]))
+        leaf_tid_offsets.append(len(page_tids))
 
     return TrajectorySignatures(
         binding=(index.num_nodes, index.num_entries, index.root_page),
@@ -477,7 +493,7 @@ def build_signatures(
         radii=radii,
         leaf_pages=leaf_pages,
         leaf_tid_offsets=leaf_tid_offsets,
-        leaf_tids=leaf_tids,
+        leaf_tids=page_tids,
     )
 
 

@@ -11,7 +11,7 @@ search, and structural introspection used by the invariant tests.
 from __future__ import annotations
 
 from operator import methodcaller
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..exceptions import IndexError_, TrajectoryError
 from ..geometry import MBR3D
@@ -136,19 +136,46 @@ class TrajectoryIndex:
 
     def bulk_insert(self, dataset: TrajectoryDataset) -> None:
         """Index a whole dataset on an empty tree: the *static build*,
-        packed bottom-up in one pass (:meth:`_pack`).  A tree that
+        packed bottom-up in one pass (:meth:`pack`).  A tree that
         already holds something is live; grow it with :meth:`insert`.
         """
+        trajectories = list(dataset)
+        self._admit_pack(tr.object_id for tr in trajectories)
+        # Each object's sample tuples are made as the pack reaches it,
+        # so they never all exist at once.
+        self._pack(
+            (tr.object_id, [(p.x, p.y, p.t) for p in tr.samples])
+            for tr in trajectories
+        )
+
+    def pack(self, objects) -> dict[int, Iterable[int]]:
+        """The static build from samples in hand: ``objects`` yields
+        ``(object_id, samples)`` pairs whose ``samples`` are ``(x, y,
+        t)`` float tuples already held to :class:`Trajectory`'s rules
+        (two or more, finite, strictly increasing ``t``) — by a
+        ``Trajectory`` in :meth:`bulk_insert`, by the ingest store's
+        append checks for a compaction — so no point is checked again.
+        Returns each leaf page's object ids (a TB-tree leaf has one),
+        the map :func:`~repro.index.leaf_points` reads back."""
+        objects = list(objects)
+        self._admit_pack(oid for oid, _samples in objects)
+        leaf_tids: dict[int, Iterable[int]] = {}
+        self._pack(objects, leaf_tids)
+        return leaf_tids
+
+    def _admit_pack(self, object_ids) -> None:
+        """:meth:`_admit`, on a tree the static build may fill: an
+        empty one."""
         if self.root_page != NO_PAGE:
             raise IndexError_(
                 "bulk_insert packs an empty tree; use insert() on a live one"
             )
-        trajectories = list(dataset)
-        self._admit(tr.object_id for tr in trajectories)
-        self._pack(trajectories)
+        self._admit(object_ids)
 
-    def _pack(self, trajectories: list[Trajectory]) -> None:
-        """Pack admitted trajectories into this (empty) tree."""
+    def _pack(self, objects, leaf_tids: dict | None = None) -> None:
+        """Pack admitted ``(object_id, samples)`` pairs, iterated once,
+        into this (empty) tree, filling ``leaf_tids`` with each leaf
+        page's ids when given."""
         raise NotImplementedError
 
     def finalize(

@@ -55,12 +55,13 @@ def append_box(boxes: tuple[array, ...], box: tuple) -> None:
         col.append(value)
 
 
-def trajectory_rows(object_id: int, points) -> list[tuple]:
+def trajectory_rows(object_id: int, samples) -> list[tuple]:
     """The leaf rows (:func:`repro.index.node.payload_rows`) of the
-    segments between consecutive sample ``points`` of one object."""
+    segments between consecutive ``(x, y, t)`` ``samples`` of one
+    object."""
     return [
-        (object_id, a.x, a.y, a.t, b.x, b.y, b.t)
-        for a, b in zip(points, points[1:])
+        (object_id, x1, y1, t1, x2, y2, t2)
+        for (x1, y1, t1), (x2, y2, t2) in zip(samples, samples[1:])
     ]
 
 

@@ -68,7 +68,7 @@ def _build_meta(index: TrajectoryIndex, num_pages: int, digest: str) -> dict:
 
 
 def save_index(
-    index: TrajectoryIndex, path: str | Path, *, signatures: bool = False
+    index: TrajectoryIndex, path: str | Path, *, signatures=False
 ) -> dict:
     """Atomically write the index's pages and metadata next to each
     other; returns the metadata dict (the sharding layer embeds it in
@@ -84,6 +84,10 @@ def save_index(
     after the metadata: the sidecar is an accelerator, never part of
     the commit point, so a crash between the two leaves a valid index
     that simply serves unfiltered.  Empty indexes get no sidecar.
+    ``signatures`` may also be the store itself, built for this index
+    from samples in hand (:func:`repro.filter.signatures_from_points`;
+    ``load_index`` refuses one bound to another tree); ``True`` builds
+    it by reading the tree back (:func:`repro.filter.build_signatures`).
     """
     path = Path(path)
     if path.exists():
@@ -106,12 +110,14 @@ def save_index(
         raise
     meta = _build_meta(index, num_pages, file_sha256(path))
     atomic_write_bytes(_meta_path(path), json.dumps(meta).encode("ascii"))
-    if signatures and index.num_entries > 0:
+    if signatures is not False and index.num_entries > 0:
         from ..filter import build_signatures, signature_sidecar_path
         from ..filter import write_signatures as _write_sigs
 
+        if signatures is True:
+            signatures = build_signatures(index)
         meta["signatures"] = _write_sigs(
-            build_signatures(index), signature_sidecar_path(path)
+            signatures, signature_sidecar_path(path)
         )
     return meta
 

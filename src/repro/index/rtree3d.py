@@ -118,13 +118,13 @@ class RTree3D(TrajectoryIndex):
     # ------------------------------------------------------------------
     # the static build: STR packing
     # ------------------------------------------------------------------
-    def _pack(self, trajectories) -> None:
+    def _pack(self, objects, leaf_tids=None) -> None:
         """Sort-Tile-Recursive packing (:mod:`repro.index.packing`):
         each leaf gets its rows, and no entry object is built."""
         rows = [
             row
-            for tr in trajectories
-            for row in trajectory_rows(tr.object_id, tr.samples)
+            for oid, samples in objects
+            for row in trajectory_rows(oid, samples)
         ]
         if not rows:
             return
@@ -132,8 +132,10 @@ class RTree3D(TrajectoryIndex):
         pages, leaf_boxes = [], box_columns()
         for group in str_tiles(boxes, self.capacity):
             leaf = self.new_node(level=0)
-            leaf.rows = [rows[i] for i in group]
+            leaf.rows = leaf_rows = [rows[i] for i in group]
             pages.append(leaf.page_id)
+            if leaf_tids is not None:
+                leaf_tids[leaf.page_id] = {row[0] for row in leaf_rows}
             append_box(leaf_boxes, union_box(boxes, group))
         pack_upper_levels(self, pages, leaf_boxes)
         self.trajectory_ids.update(row[0] for row in rows)

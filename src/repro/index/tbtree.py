@@ -66,24 +66,26 @@ class TBTree(TrajectoryIndex):
     # ------------------------------------------------------------------
     # the static build: leaves cut per trajectory, upper levels packed
     # ------------------------------------------------------------------
-    def _pack(self, trajectories) -> None:
-        """Every trajectory becomes one chain of leaves
-        (:meth:`_cut_chain`) on consecutive pages; the levels above are
-        STR-packed over the leaf boxes."""
+    def _pack(self, objects, leaf_tids=None) -> None:
+        """Every object becomes one chain of leaves (:meth:`_cut_chain`)
+        on consecutive pages; the levels above are STR-packed over the
+        leaf boxes."""
         pages, boxes = [], box_columns()
-        for tr in trajectories:
-            for leaf, pts in self._cut_chain(tr.object_id, tr.samples):
+        for oid, samples in objects:
+            for leaf, pts in self._cut_chain(oid, samples):
                 pages.append(leaf.page_id)
+                if leaf_tids is not None:
+                    leaf_tids[leaf.page_id] = (oid,)
                 append_box(boxes, _samples_box(pts))
         if pages:
             self._parent_of = pack_upper_levels(self, pages, boxes)
 
     def _cut_chain(self, oid: int, samples):
-        """Cut a fresh object's samples into its chain of leaves, each
-        filled by the payload rule :meth:`insert_row` applies (the
-        segments of a trajectory share endpoints, so a leaf is one point
-        chain), ``prev_leaf``/``next_leaf`` linked.  Yields each new
-        leaf with its samples before allocating the next."""
+        """Cut a fresh object's ``(x, y, t)`` samples into its chain of
+        leaves, each filled by the payload rule :meth:`insert_row`
+        applies (the segments of a trajectory share endpoints, so a leaf
+        is one point chain), ``prev_leaf``/``next_leaf`` linked.  Yields
+        each new leaf with its samples before allocating the next."""
         room = self.page_size - NODE_OVERHEAD_BYTES - TB_CHAIN_START_BYTES
         per_leaf = 1 + room // TB_CHAIN_STEP_BYTES
         prev = None
@@ -117,7 +119,8 @@ class TBTree(TrajectoryIndex):
         segments one by one, for one attach and one walk per leaf."""
         oid = trajectory.object_id
         self._admit([oid])
-        for leaf, pts in self._cut_chain(oid, trajectory.samples):
+        samples = [(p.x, p.y, p.t) for p in trajectory.samples]
+        for leaf, pts in self._cut_chain(oid, samples):
             self._attach_leaf(leaf, MBR3D(*_samples_box(pts[:2])))
             if len(pts) > 2:
                 self._adjust_upwards(leaf.page_id, MBR3D(*_samples_box(pts[1:])))
@@ -308,7 +311,8 @@ class TBTree(TrajectoryIndex):
 
 
 def _samples_box(pts) -> tuple:
-    """``(xmin, ymin, tmin, xmax, ymax, tmax)`` of time-ordered samples."""
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return (min(xs), min(ys), pts[0].t, max(xs), max(ys), pts[-1].t)
+    """``(xmin, ymin, tmin, xmax, ymax, tmax)`` of time-ordered
+    ``(x, y, t)`` samples."""
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    return (min(xs), min(ys), pts[0][2], max(xs), max(ys), pts[-1][2])

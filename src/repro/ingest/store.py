@@ -17,12 +17,13 @@ the default, fsyncs every append; raise it to trade durability lag for
 throughput).
 
 Compaction (:meth:`compact`) freezes the current state into the next
-*generation*: a full index over every object's complete history, saved
-with the crash-safe ``save_index`` protocol and served read-only
-through ``load_index``.  The generation's pages are the only on-disk
-copy of the history it covers: opening the store reads every object's
-points back from the leaves (:func:`repro.index.leaf_points`).  An
-object with a single point has no segment to index, so compaction
+*generation*: a full index over every object's complete history,
+packed with its signatures straight from the validated history in
+memory, saved with the crash-safe ``save_index`` protocol and served
+read-only through ``load_index``.  The generation's pages are the only
+on-disk copy of the history it covers: opening the store reads every
+object's points back from the leaves (:func:`repro.index.leaf_points`).
+An object with a single point has no segment to index, so compaction
 carries its point into the next WAL.  The manifest rewrite is the
 commit point; the WAL is rotated to a fresh file just before it and
 the superseded one deleted just after, so a crash at *any* instant
@@ -52,6 +53,7 @@ import threading
 from pathlib import Path
 
 from ..exceptions import QueryError, StorageError, TrajectoryError
+from ..filter import signatures_from_points
 from ..index import leaf_points, load_index, save_index, tree_class
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
@@ -514,8 +516,8 @@ class IngestStore:
         )
         self._fault("compact.begin")
 
-        index = self._build_generation_index()
-        save_index(index, self._gen_path(number), signatures=True)
+        index, signatures = self._build_generation_index()
+        save_index(index, self._gen_path(number), signatures=signatures)
         self._fault("compact.pages_committed")
 
         # The generation indexes segments, so an object with one point
@@ -550,14 +552,20 @@ class IngestStore:
         return number
 
     def _build_generation_index(self):
-        index = tree_class(self.tree)(page_size=self.page_size)
-        index.bulk_insert(
-            Trajectory(oid, pts)
+        """The next generation's tree and its signatures, both from the
+        history in hand, which the append checks (or the reopen's)
+        already validated: one pack, and no page read back."""
+        objects = {
+            oid: pts
             for oid, pts in sorted(self._history.items())
             if len(pts) >= 2
-        )
+        }
+        index = tree_class(self.tree)(page_size=self.page_size)
+        leaf_tids = index.pack(objects.items())
         index.finalize()
-        return index
+        if not objects:
+            return index, False
+        return index, signatures_from_points(index, objects, leaf_tids)
 
     # ------------------------------------------------------------------
     # generation pinning

@@ -91,6 +91,10 @@ class ReproServer:
         self.inflight = 0
         self.abandoned = 0
         self.cache = ResultCache(self.config.cache_entries)
+        # (signature, spec_key) -> the future its running miss resolves
+        # once it has finished (single-flight); the event loop alone
+        # touches it.
+        self._flights: dict[tuple, asyncio.Future] = {}
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-serve",
@@ -272,12 +276,43 @@ class ReproServer:
 
         signature = self.engine.signature()
         spec_key = spec.cache_key()
-        cached = self.cache.get(signature, spec_key)
-        if cached is not None:
-            self.metrics.inc("serve.cache.hits")
-            return 200, cached, {"X-Repro-Cache": "hit"}
+        key = (signature, spec_key)
+        while True:
+            cached = self.cache.get(signature, spec_key)
+            if cached is not None:
+                self.metrics.inc("serve.cache.hits")
+                return 200, cached, {"X-Repro-Cache": "hit"}
+            leader = self._flights.get(key)
+            if leader is None:
+                break
+            # Single-flight: the same spec is running; wait for it to
+            # finish, then read the cache.  A leader that failed left
+            # nothing there, and this request runs on its own budget.
+            self.metrics.inc("serve.cache.coalesced")
+            try:
+                await asyncio.wait_for(
+                    asyncio.shield(leader), deadline - time.monotonic()
+                )
+            except asyncio.TimeoutError:
+                self.metrics.inc("serve.deadline_misses")
+                return 504, _error_body(
+                    "deadline_exceeded",
+                    "deadline expired waiting for the same query to finish",
+                ), None
         self.metrics.inc("serve.cache.misses")
+        if self.cache.capacity <= 0:  # nothing to share through
+            return await self._run_miss(spec, deadline, signature, spec_key)
 
+        flight = self._flights[key] = asyncio.get_running_loop().create_future()
+        try:
+            return await self._run_miss(spec, deadline, signature, spec_key)
+        finally:
+            del self._flights[key]
+            flight.set_result(None)
+
+    async def _run_miss(
+        self, spec, deadline: float, signature, spec_key: str
+    ) -> tuple[int, bytes, dict | None]:
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         try:

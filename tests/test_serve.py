@@ -649,6 +649,62 @@ class TestBackpressure:
             caller.join(timeout=15.0)
 
 
+class _CountingEngine(_BlockingEngine):
+    """Counts its runs; the first ``fail_first`` of them are refused."""
+
+    def __init__(self, fail_first=0):
+        super().__init__()
+        self.runs = 0
+        self.fail_first = fail_first
+
+    def execute(self, spec, *, deadline=None):
+        self.runs += 1
+        if self.runs <= self.fail_first:
+            self.entered.release()
+            assert self.gate.wait(timeout=30.0), "test gate never opened"
+            raise QueryError("refused")
+        return super().execute(spec, deadline=deadline)
+
+
+class TestSingleFlight:
+    """Two concurrent misses on one spec run the engine once while the
+    cache is on: the second waits for the first, then reads the cache."""
+
+    def _pair(self, engine):
+        config = ServeConfig(port=0, workers=2, cache_entries=8)
+        request = _post_head(len(body := _any_spec().to_json().encode())) + body
+        with BackgroundServer(engine, config) as bg:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                first = pool.submit(_raw_exchange, bg.address, request)
+                assert engine.entered.acquire(timeout=10.0)
+                second = pool.submit(_raw_exchange, bg.address, request)
+                metrics = bg.server.metrics
+                give_up = time.monotonic() + 10.0
+                while metrics.value("serve.cache.coalesced") < 1:
+                    assert time.monotonic() < give_up, "no follower waited"
+                    time.sleep(0.005)
+                engine.gate.set()
+                replies = [first.result(timeout=10.0), second.result(timeout=10.0)]
+            return replies, bg.server.metrics
+
+    def test_one_execute_two_equal_bodies(self):
+        engine = _CountingEngine()
+        replies, metrics = self._pair(engine)
+        assert engine.runs == 1
+        (status_a, body_a), (status_b, body_b) = replies
+        assert status_a == status_b == 200
+        assert body_a == body_b
+        assert metrics.value("serve.cache.misses") == 1
+        assert metrics.value("serve.cache.hits") == 1
+
+    def test_a_failed_leader_leaves_the_follower_its_own_run(self):
+        engine = _CountingEngine(fail_first=1)
+        replies, metrics = self._pair(engine)
+        assert engine.runs == 2
+        assert [status for status, _body in replies] == [422, 200]
+        assert metrics.value("serve.cache.misses") == 2
+
+
 class TestClientTransport:
     def test_each_request_leaves_as_one_write(self, monkeypatch):
         """Headers and body go out in a single ``sendall`` that fits
