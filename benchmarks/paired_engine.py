@@ -19,9 +19,13 @@ then runs the query pool alternately, query by query (old then new on
 even queries, new then old on odd ones), timing each ``execute`` on
 the thread's CPU clock.  The two builds thus see the same host drift
 within a pass, which back-to-back runs of the harness do not.  Answers
-are compared id for id (a near-tie may swap two ids).  Printed: each pass's mean CPU ms per query for
-both builds, their ratio (new / old), the median ratio over passes and
-the number of passes the new build won.
+are compared id for id (a near-tie may swap two ids).  Printed: each
+pass's mean CPU ms per query for both builds, their ratio (new / old),
+the median ratio over passes and the number of passes the new build
+won; then, beside the times, each build's work per query, averaged
+over the pool (the counts repeat from pass to pass): node and leaf
+accesses, entries processed, candidates created, Heuristic 1
+rejections and signature checks.
 
 ``--workload ingest_live`` compares the two builds' write paths
 instead, on the feed of the harness's ``ingest_live`` at ``--seconds
@@ -65,6 +69,15 @@ QUERY_LENGTHS = (0.02, 0.05, 0.10)
 KS = (1, 5, 10)
 WARMUP = 9
 DATASET_SEED = 7
+#: The per-query work printed beside the times: ``SearchStats`` fields.
+COUNTS = (
+    ("node accesses", "node_accesses"),
+    ("leaf accesses", "leaf_accesses"),
+    ("entries", "entries_processed"),
+    ("candidates created", "candidates_created"),
+    ("H1 rejections", "candidates_rejected"),
+    ("signature checks", "signature_checks"),
+)
 #: ``ingest_live`` of ``benchmarks/e2e/inputs.py`` at ``--seconds 15``.
 INGEST = {
     "objects": 150, "samples": 160, "preload": 6000, "paced": 2400,
@@ -110,11 +123,13 @@ class Side:
         for spec in self.warmup:
             self.engine.execute(spec)
 
-    def run(self, i: int) -> tuple[float, list[int]]:
+    def run(self, i: int) -> tuple[float, list[int], list[int]]:
+        """One query: CPU seconds, the answer's ids and its ``COUNTS``."""
         start = time.thread_time()
         result = self.engine.execute(self.specs[i])
         cpu = time.thread_time() - start
-        return cpu, [m.trajectory_id for m in result.matches]
+        counts = [getattr(result.stats, field) for _name, field in COUNTS]
+        return cpu, [m.trajectory_id for m in result.matches], counts
 
     def close(self) -> None:
         self.engine.close()
@@ -292,6 +307,7 @@ def main(argv=None) -> int:
         print(f"{'pass':>4} {'old':>9} {'new':>9} {'new/old':>8}")
         ratios = []
         differ = 0
+        work = [[0] * len(COUNTS), [0] * len(COUNTS)]
         for p in range(args.passes):
             for side in sides if p % 2 == 0 else sides[::-1]:
                 side.open()
@@ -301,8 +317,10 @@ def main(argv=None) -> int:
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 answers = {}
                 for s in order:
-                    seconds, answers[s] = sides[s].run(i)
+                    seconds, answers[s], counts = sides[s].run(i)
                     cpu[s].append(seconds)
+                    if p == 0:
+                        work[s] = [a + b for a, b in zip(work[s], counts)]
                 differ += answers[0] != answers[1]
             for side in sides:
                 side.close()
@@ -316,6 +334,10 @@ def main(argv=None) -> int:
             f"new faster in {wins}/{len(ratios)} passes; "
             f"{differ} answers with different ids"
         )
+        print(f"work per query {'old':>9} {'new':>9}")
+        for (name, _field), old, new in zip(COUNTS, *work):
+            n = len(queries)
+            print(f"{name:<18} {old / n:>9.1f} {new / n:>9.1f}")
         sys.path.remove(str(packages))
     return 0
 

@@ -212,16 +212,22 @@ class PartialDissim:
     # ------------------------------------------------------------------
     # speed-dependent bounds
     # ------------------------------------------------------------------
-    def bounds(self, vmax: float) -> tuple[float, float]:
+    def bounds(
+        self, vmax: float, opt_vmax: float | None = None
+    ) -> tuple[float, float]:
         """``(OPTDISSIM, PESDISSIM)`` in one pass over the rows and
-        their gaps (Definitions 3-4, Lemmas 2-3).
+        their gaps (Definitions 3-4, Lemmas 2-3); OPTDISSIM under
+        ``opt_vmax`` when it is given (a tighter speed bound that holds
+        for this pair), else both under ``vmax``.
 
         Each starts from the *certified* end of the retrieved integral
         — lower for OPTDISSIM, upper for PESDISSIM — so the bracket
         survives the trapezoid approximation error; the gap terms
         follow left to right."""
-        if not vmax >= 0.0:
-            raise QueryError(f"negative vmax {vmax}")
+        if opt_vmax is None:
+            opt_vmax = vmax
+        if not (vmax >= 0.0 and opt_vmax >= 0.0):
+            raise QueryError(f"negative vmax {vmax} or {opt_vmax}")
         approx, error_bound = self._sums()
         opt = approx - error_bound
         pes = approx
@@ -230,12 +236,12 @@ class PartialDissim:
         prev_d = None
         for lo, hi, _a, _e, d_lo, d_hi in self._rows:
             if lo - cursor > eps:
-                opt += _optimistic_gap(cursor, lo, prev_d, d_lo, vmax)
+                opt += _optimistic_gap(cursor, lo, prev_d, d_lo, opt_vmax)
                 pes += _pessimistic_gap(cursor, lo, prev_d, d_lo, vmax)
             cursor = hi
             prev_d = d_hi
         if self.t_end - cursor > eps:
-            opt += _optimistic_gap(cursor, self.t_end, prev_d, None, vmax)
+            opt += _optimistic_gap(cursor, self.t_end, prev_d, None, opt_vmax)
             pes += _pessimistic_gap(cursor, self.t_end, prev_d, None, vmax)
         return max(opt, 0.0), pes
 

@@ -1,18 +1,23 @@
 """Query-time signature evaluation: a provable DISSIM lower bound.
 
-For one query ``Q`` over period ``[t1, tn]`` with relative speed bound
-``V_max``, :class:`SignatureFilter` turns a trajectory's signature into
-a number ``lb`` with ``lb <= DISSIM(Q, S, t1, tn)``.
+For one query ``Q`` over period ``[t1, tn]``, :class:`SignatureFilter`
+turns a trajectory's signature into a number ``lb`` with
+``lb <= DISSIM(Q, S, t1, tn)``.
 
 **Probe bound.**  The covered stretch ``[lo, hi]`` (period ∩ signature
 span) is cut into ``M`` equal subintervals probed at their midpoints
 ``t_j``.  The true position at ``t_j`` lies within the segment radius
 ``r_j`` of the simplified polyline (the TD-TR radii are certified), so
-``d_j = max(0, |Q(t_j) - P(t_j)| - r_j) <= d(t_j)``, and the distance
-function is ``V_max``-Lipschitz, so over the whole subinterval
-``d(t) >= max(0, d_j - V_max |t - t_j|)``.  Integrating that hinge
-exactly gives, with ``L`` the subinterval length and ``c = V_max L/2``:
-``d_j L - V_max L^2/4`` when ``d_j >= c``, else ``d_j^2 / V_max``.
+``d_j = max(0, |Q(t_j) - P(t_j)| - r_j) <= d(t_j)``.  The distance
+``|Q(t) - S(t)|`` changes no faster than the two objects' speeds
+added, so it is ``V``-Lipschitz with ``V = v_max(Q) + v_max(S)``, the
+query's maximum segment speed plus the row's own (the sidecar's speed
+column), capped at the search's global ``V_max``; over the whole
+subinterval ``d(t) >= max(0, d_j - V |t - t_j|)``.  Integrating that
+hinge exactly gives, with ``L`` the subinterval length and
+``c = V L/2``: ``d_j L - V L^2/4`` when ``d_j >= c``, else
+``d_j^2 / V`` (``d_j L`` when ``V`` is 0).  A row's own speed is
+enough because the bound only spans that row's slice.
 Summing the ``M`` pieces lower-bounds the integral over ``[lo, hi]``,
 and the integrand is non-negative elsewhere, so the sum lower-bounds
 the full DISSIM.
@@ -54,12 +59,12 @@ row of each knot) is memoised with the stack the pass prices
 least (``np.minimum.reduceat`` over the sidecar's leaf-tid CSR; ``-inf``
 when a tid on the page has no signature, ``inf`` for a page of none).
 A page whose least bound exceeds the threshold holds no trajectory the
-signature tier would let through, except a live candidate (one the
-search is already accumulating, which its per-trajectory check admits
-whatever its bound): the search refuses such a leaf with one compare
-(:meth:`SignatureFilter.page_min`, and :meth:`~SignatureFilter.page_minima`
-for all of an expanded node's leaf children at once), and checks the
-live candidates only on the pages that compare refuses.
+signature tier would let through, live candidates (those the search is
+already accumulating) included: the search refuses such a leaf with
+one compare (:meth:`SignatureFilter.page_min`, and
+:meth:`~SignatureFilter.page_minima` for all of an expanded node's leaf
+children at once), and rejects the live candidates on the pages that
+compare refuses.
 
 **Several parts, one pass.**  The pass always prices a stack of
 stores (:func:`~repro.filter.signature.stack_signatures`): a filter
@@ -99,7 +104,9 @@ class SignatureFilter:
     """Per-query evaluator of the signature lower bound.
 
     One instance is built per ``(query, period, vmax)`` triple — the
-    engine creates it at the top of each search — and memoises the
+    engine creates it at the top of each search; ``vmax`` is the
+    search's global ``V_max``, which caps every row's pair speed — and
+    memoises the
     per-trajectory bounds, so repeated checks against a tightening
     threshold cost one lookup.  The filters :meth:`over_parts` returns
     share the memo of one pass over the parts' stacked stores.
@@ -111,6 +118,7 @@ class SignatureFilter:
         "t_start",
         "t_end",
         "vmax",
+        "query_speed",
         "probes",
         "checks",
         "pruned",
@@ -142,6 +150,7 @@ class SignatureFilter:
         self.t_start = t_start
         self.t_end = t_end
         self.vmax = vmax
+        self.query_speed = query.max_speed()
         self.probes = probes
         self.checks = 0
         self.pruned = 0
@@ -237,7 +246,7 @@ class SignatureFilter:
         a page the sidecar does not know, ``-inf`` when one of its
         trajectories has no signature, ``inf`` for a page of none.
         Above the threshold, every trajectory on the page is settled
-        or certified out, unless it is a live candidate."""
+        or certified out, live candidates included."""
         slot = self.sigs.page_slot(page_id)
         if slot is None:
             return None
@@ -323,16 +332,18 @@ class SignatureFilter:
     # ------------------------------------------------------------------
     # bound evaluation
     # ------------------------------------------------------------------
-    def _evaluate(self, kt, kx, ky, radii) -> float:
-        """One row's bound, one probe at a time: the scalar reference
-        :meth:`_probe_bounds` is held to, bit for bit."""
+    def _evaluate(self, kt, kx, ky, radii, speed) -> float:
+        """One row's bound, one probe at a time, for a row whose
+        trajectory's maximum segment speed is ``speed``: the scalar
+        reference :meth:`_probe_bounds` is held to, bit for bit."""
         if len(kt) < 2:
             return 0.0
         lo = kt[0] if kt[0] > self.t_start else self.t_start
         hi = kt[-1] if kt[-1] < self.t_end else self.t_end
         if lo >= hi:
             return 0.0
-        return self._probe_bound_python(kt, kx, ky, radii, lo, hi)
+        vmax = min(self.query_speed + speed, self.vmax)
+        return self._probe_bound_python(kt, kx, ky, radii, lo, hi, vmax)
 
     def _probe_times(self, lo: float, hi: float) -> tuple[float, list[float]]:
         span = hi - lo
@@ -359,10 +370,9 @@ class SignatureFilter:
         self._qpos[(lo, hi)] = (qx, qy)
         return qx, qy
 
-    def _probe_bound_python(self, kt, kx, ky, radii, lo, hi) -> float:
+    def _probe_bound_python(self, kt, kx, ky, radii, lo, hi, vmax) -> float:
         length, times = self._probe_times(lo, hi)
         qx, qy = self._query_positions(lo, hi)
-        vmax = self.vmax
         cap = vmax * length * 0.5
         last = len(kt) - 2
         contributions = []
@@ -414,7 +424,8 @@ class SignatureFilter:
         rows, knot_row = columns.rows, columns.knot_row
         dt, dx, dy, radius = columns.dt, columns.dx, columns.dy, columns.radius
         m = self.probes
-        vmax = self.vmax
+        # Each row's pair speed, as :meth:`_evaluate` takes it.
+        speed = np.minimum(self.query_speed + columns.speed, self.vmax)
         bounds = np.zeros(len(offsets))
         bounds[-1] = -np.inf  # the row of a leaf tid without a signature
         first, last = columns.first, columns.last
@@ -448,6 +459,7 @@ class SignatureFilter:
         for at in range(0, len(rows), _ROW_BLOCK):
             block = slice(at, at + _ROW_BLOCK)
             row, b_lo, b_length = rows[block], lo[block], length[block]
+            vmax = speed.take(row)
             width = len(row)
             qx, qy = self._query_positions_block(b_lo, hi[block])
             if qx.shape[1] == 1:  # one window: probe times as a column
@@ -494,14 +506,16 @@ class SignatureFilter:
             # The hinge, written into the buffers ``frac`` and ``ey`` no
             # longer need: the same operations and choice as
             # ``where(d >= cap, d * L - vmax * L * L / 4, d * d / vmax)``,
-            # with fewer arrays alive at once.
+            # with fewer arrays alive at once.  A row of speed 0 takes
+            # ``d * L - 0.0``, the scalar path's ``d * L``: its cap is
+            # 0, and ``d >= 0`` always chooses it.
             contributions = np.multiply(d, b_length, out=frac)
-            if vmax > 0.0:
-                contributions -= vmax * b_length * b_length * 0.25
-                near = np.multiply(d, d, out=ey)
+            contributions -= vmax * b_length * b_length * 0.25
+            near = np.multiply(d, d, out=ey)
+            with np.errstate(divide="ignore", invalid="ignore"):
                 near /= vmax
-                np.copyto(near, contributions, where=d >= vmax * b_length * 0.5)
-                contributions = near
+            np.copyto(near, contributions, where=d >= vmax * b_length * 0.5)
+            contributions = near
             # Probe by probe, matching the scalar path's left-to-right
             # accumulation (numpy's pairwise summation would reorder it).
             total = np.zeros(width)

@@ -9,7 +9,7 @@ which simply serves unfiltered.
 Layout (little-endian, all array sections 8-byte aligned):
 
 ========================  =======================================
-``<4sI``                  magic ``RSIG``, format version (2)
+``<4sI``                  magic ``RSIG``, format version (3)
 ``<3q``                   binding: num_nodes, num_entries, root_page
 ``<d``                    simplify_p
 ``<4q``                   n_traj, n_leaf_pages, total_knots,
@@ -18,6 +18,7 @@ Layout (little-endian, all array sections 8-byte aligned):
 ``(n_traj+1) × q``        knot offsets (CSR)
 ``total_knots × d`` ×3    knot t / x / y
 ``(total_knots-n) × d``   per-segment radii
+``n_traj × d``            per-trajectory maximum segment speed
 ``n_leaf_pages × q``      leaf page ids (sorted)
 ``(n_leaf_pages+1) × q``  leaf-tid offsets (CSR)
 ``total_leaf_tids × q``   per-leaf trajectory ids (sorted)
@@ -32,10 +33,12 @@ an ``IndexError`` deep in numpy or a wrong bound: ids strictly
 ascending (trajectories and leaf pages), each CSR offset section
 starting at 0, never decreasing (knot offsets strictly increasing:
 every trajectory has a knot) and ending at its section's size, knot
-times finite and strictly ascending within each trajectory, and every
-leaf tid one of the trajectory ids.
-Version 1 also carried a grid-cell cover per trajectory; it is refused
-by the version check — rebuild the sidecar.
+times finite and strictly ascending within each trajectory, every
+speed finite and non-negative, and every leaf tid one of the
+trajectory ids.
+Version 1 also carried a grid-cell cover per trajectory, and version 2
+had no speed column; both are refused by the version check — rebuild
+the sidecar.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import struct
 import zlib
 from array import array
 from itertools import compress
-from math import isfinite
+from math import inf, isfinite
 from operator import ge, le, lt
 from pathlib import Path
 
@@ -56,7 +59,7 @@ from .signature import TrajectorySignatures
 __all__ = ["signature_sidecar_path", "write_signatures", "load_signatures"]
 
 MAGIC = b"RSIG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<4sI3q1d4q")
 
@@ -99,6 +102,7 @@ def write_signatures(sigs: TrajectorySignatures, sig_path: str | Path) -> dict:
         _as_bytes("d", sigs.knot_x),
         _as_bytes("d", sigs.knot_y),
         _as_bytes("d", sigs.radii),
+        _as_bytes("d", sigs.speeds),
         _as_bytes("q", sigs.leaf_pages),
         _as_bytes("q", sigs.leaf_tid_offsets),
         _as_bytes("q", sigs.leaf_tids),
@@ -183,6 +187,7 @@ def load_signatures(
             ("d", total_knots),
             ("d", total_knots),
             ("d", total_knots - n_traj),
+            ("d", n_traj),
             ("q", n_leaf_pages),
             ("q", n_leaf_pages + 1),
             ("q", total_leaf_tids),
@@ -216,9 +221,10 @@ def load_signatures(
             knot_x=arrays[3],
             knot_y=arrays[4],
             radii=arrays[5],
-            leaf_pages=arrays[6],
-            leaf_tid_offsets=arrays[7],
-            leaf_tids=arrays[8],
+            speeds=arrays[6],
+            leaf_pages=arrays[7],
+            leaf_tid_offsets=arrays[8],
+            leaf_tids=arrays[9],
             close=close,
         )
     except StorageError:
@@ -229,7 +235,14 @@ def load_signatures(
 
 
 def _check_structure(
-    sig_path, tids, knot_offsets, knot_t, leaf_pages, leaf_tid_offsets, leaf_tids
+    sig_path,
+    tids,
+    knot_offsets,
+    knot_t,
+    speeds,
+    leaf_pages,
+    leaf_tid_offsets,
+    leaf_tids,
 ) -> None:
     """Raise :class:`StorageError` naming ``sig_path`` unless the
     sections hang together (see the module docstring)."""
@@ -256,5 +269,8 @@ def _check_structure(
         compress(range(1, len(knot_t)), map(ge, knot_t[:-1], knot_t[1:]))
     ):
         fail("knot times are not strictly ascending within a trajectory")
+    # A NaN fails both compares.
+    if not all(0.0 <= speed < inf for speed in speeds):
+        fail("holds a speed that is negative or not finite")
     if not set(tids).issuperset(leaf_tids):
         fail("names a leaf tid that has no signature")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from math import hypot
-from operator import sub
+from operator import sub, truediv
 from typing import NamedTuple
 
 from ..compression.tdtr import td_tr_columns
@@ -56,6 +56,8 @@ class PassColumns(NamedTuple):
     last: object
     #: The row each knot belongs to.
     knot_row: object
+    #: Per row, the trajectory's maximum segment speed.
+    speed: object
     #: Per knot, the difference to the next knot's ``t``/``x``/``y`` (the
     #: subtractions the pass would do per probe, so the same bits), and
     #: the radius of the segment the knot starts.  The last knot of a row
@@ -102,6 +104,7 @@ class TrajectorySignatures:
         "knot_x",
         "knot_y",
         "radii",
+        "speeds",
         "leaf_pages",
         "leaf_tid_offsets",
         "leaf_tids",
@@ -122,6 +125,7 @@ class TrajectorySignatures:
         knot_x,
         knot_y,
         radii,
+        speeds,
         leaf_pages,
         leaf_tid_offsets,
         leaf_tids,
@@ -135,6 +139,7 @@ class TrajectorySignatures:
         self.knot_x = knot_x
         self.knot_y = knot_y
         self.radii = radii
+        self.speeds = speeds
         self.leaf_pages = leaf_pages
         self.leaf_tid_offsets = leaf_tid_offsets
         self.leaf_tids = leaf_tids
@@ -152,6 +157,12 @@ class TrajectorySignatures:
 
     def position(self, tid: int) -> int | None:
         return self._tid_pos.get(tid)
+
+    def speed(self, tid: int) -> float | None:
+        """One trajectory's maximum segment speed (``None`` when the
+        store has no signature for it)."""
+        i = self._tid_pos.get(tid)
+        return None if i is None else self.speeds[i]
 
     def knots(self, tid: int) -> tuple[list, list, list, list] | None:
         """``(t, x, y, radii)`` of one trajectory's simplified polyline
@@ -240,6 +251,7 @@ def _derive_pass_columns(np, store) -> PassColumns:
         rows=rows,
         first=kt[offsets[rows]],
         last=kt[offsets[rows + 1] - 1],
+        speed=np.array(store.speeds, dtype=np.float64),
         knot_row=np.repeat(np.arange(len(counts)), counts),
         dt=np.diff(kt),
         dx=np.diff(kx),
@@ -318,6 +330,7 @@ class StackedSignatures:
             "page_filled": np.empty(pages, dtype=bool),
             "leaf_pages": np.empty(pages, dtype=np.int64),
             "offsets": np.empty(len(self) + 1, dtype=np.int64),
+            "speed": np.empty(len(self)),
         }
         short = {
             name: []
@@ -352,6 +365,7 @@ class StackedSignatures:
             page_rows[part.page_rows == len(store)] = len(self)
             out["page_filled"][page] = part.page_filled
             out["leaf_pages"][page] = part.leaf_pages
+            out["speed"][rows] = part.speed
             np.add(part.offsets[:-1], knot_base, out=out["offsets"][rows])
         out["offsets"][-1] = knots
         return PassColumns(
@@ -455,8 +469,11 @@ def signatures_from_points(
     time order, ``leaf_tids`` every leaf page to the ids stored on it —
     what :func:`repro.index.leaf_points` reads back, or what the pack
     was given and returned (:meth:`~repro.index.base.TrajectoryIndex.pack`).
-    Each trajectory is TD-TR-simplified with certified radii.  Equal
-    inputs give equal stores, byte for byte, whichever route made them.
+    Each trajectory is TD-TR-simplified with certified radii, and its
+    maximum segment speed is taken with the index's own arithmetic
+    (:func:`repro.index.packing.row_speeds`), so the largest is the
+    index's ``max_speed``.  Equal inputs give equal stores, byte for
+    byte, whichever route made them.
     """
     tids = array("q", sorted(points))
     knot_offsets = array("q", [0])
@@ -464,10 +481,16 @@ def signatures_from_points(
     knot_x = array("d")
     knot_y = array("d")
     radii = array("d")
+    speeds = array("d")
     for tid in tids:
         x, y, t = zip(*points[tid])
         # the travelled length, leg by leg in time order
         length = sum(map(hypot, map(sub, x, x[1:]), map(sub, y, y[1:])))
+        # the fastest leg, each as row_speeds takes it
+        dt = list(map(sub, t[1:], t))
+        vx = map(truediv, map(sub, x[1:], x), dt)
+        vy = map(truediv, map(sub, y[1:], y), dt)
+        speeds.append(max(map(hypot, vx, vy)))
         kept, seg_radii = td_tr_columns(t, x, y, simplify_p * length)
         knot_t.extend(t[i] for i in kept)
         knot_x.extend(x[i] for i in kept)
@@ -491,6 +514,7 @@ def signatures_from_points(
         knot_x=knot_x,
         knot_y=knot_y,
         radii=radii,
+        speeds=speeds,
         leaf_pages=leaf_pages,
         leaf_tid_offsets=leaf_tid_offsets,
         leaf_tids=page_tids,

@@ -141,13 +141,15 @@ def bfmst_search(
     period=None, k=1, ...) -> SearchResult`` (``dataset`` may be
     ``None`` — BFMST reads only the index).  The index decides how it
     is searched: ``V_max`` is its parts' maximum speed plus the
-    query's, and a part is filtered iff it carries a signature sidecar
-    (see :mod:`repro.filter`).  Two keywords stay for callers that
-    measure exactly that: ``kernels`` takes only ``None`` or ``"auto"``
-    and selects nothing (MINDIST and the filter have one implementation
-    each; the keyword stays for callers that name it), and
-    ``filter="off"`` ignores the sidecars (``"auto"`` is the default;
-    answers are identical either way).  ``deadline`` is an absolute
+    query's, each candidate's own speed bound comes from the sidecars'
+    speed column where there is one, and a part is filtered iff it
+    carries a signature sidecar (see :mod:`repro.filter`).  Two
+    keywords stay for callers that measure exactly that: ``kernels``
+    takes only ``None`` or ``"auto"`` and selects nothing (MINDIST and
+    the filter have one implementation each; the keyword stays for
+    callers that name it), and ``filter="off"`` skips the signature
+    tier (``"auto"`` is the default; answers are identical either
+    way).  ``deadline`` is an absolute
     ``time.monotonic()`` instant past which the traversal raises
     :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else steers
     the search — the planner's shard selection, the executor the parts

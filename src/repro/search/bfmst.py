@@ -7,7 +7,11 @@ heuristics:
 
 * **Heuristic 1** — a candidate whose OPTDISSIM (speed-dependent lower
   bound) exceeds the current k-th best upper value can never make the
-  answer: move it to *Rejected*.
+  answer: move it to *Rejected*.  On a part with a signature sidecar
+  a live candidate is also held to its signature bound — at its first
+  touch in each leaf, and whenever a leaf page's least bound refuses a
+  page holding it — so the test is in effect
+  ``max(OPTDISSIM, signature bound) > threshold``.
 * **Heuristic 2** — when the dequeued node's MINDISSIMINC
   (speed-independent lower bound, Definition 6) exceeds the current
   k-th best, no remaining node can improve any candidate: terminate.
@@ -46,6 +50,12 @@ every part, and a rejection or a completion settles the id in every
 part.  Heuristic 1, Heuristic 2, the signature tier and the seed stay
 exact over such parts (docs/ALGORITHMS.md, "Time slices across
 parts").
+
+**Per-pair speeds.**  ``|Q(t) - X(t)|`` changes no faster than the
+two objects' speeds added, so the speed-dependent bounds of a
+candidate ``X`` use the query's speed plus ``X``'s own, read from the
+sidecars and capped at the paper's global ``V_max``
+(:func:`_pair_speeds`; docs/ALGORITHMS.md, "Per-pair speeds").
 
 A candidate's final DISSIM is the **canonical sum** of its retrieved
 window integrals in time order — not the arrival-order association the
@@ -95,6 +105,53 @@ def make_signature_filters(
     return SignatureFilter.over_parts(stores, query, t_start, t_end, vmax)
 
 
+def _pair_speeds(
+    parts, t_start: float, t_end: float, query_speed: float, vmax: float
+):
+    """A function of a trajectory id ``X`` returning its two speed
+    bounds, ``(OPTDISSIM's, PESDISSIM's)``.
+
+    The first is ``query_speed + s(X)`` capped at ``vmax``, where
+    ``s(X)`` is the largest over the ``parts`` holding ``X`` of its
+    sidecar speed there, or of the part's ``max_speed`` where the part
+    has no sidecar or its sidecar no row for ``X``.  The second is the
+    same when every part holding ``X`` has a sidecar row for it and
+    those rows span ``[t_start, t_end]`` — ``X`` then completes before
+    the search ends if it ever holds a top-k place, so its reported
+    value is its DISSIM — and ``vmax`` otherwise, so that a candidate
+    that never completes reports the same PESDISSIM with or without a
+    sidecar."""
+    sources = [
+        (index.trajectory_ids, index.signatures, index.max_speed)
+        for index in parts
+    ]
+
+    def pair_speeds(tid: int) -> tuple[float, float]:
+        own = 0.0
+        known = True
+        first, last = math.inf, -math.inf
+        for ids, store, fallback in sources:
+            if tid not in ids:
+                continue
+            row = None if store is None else store.position(tid)
+            if row is None:
+                speed, known = fallback, False
+            else:
+                speed = store.speeds[row]
+                offsets = store.knot_offsets
+                first = min(first, store.knot_t[offsets[row]])
+                last = max(last, store.knot_t[offsets[row + 1] - 1])
+            if speed > own:
+                own = speed
+        speed = query_speed + own
+        if speed > vmax:
+            speed = vmax
+        spans = known and first <= t_start and last >= t_end
+        return speed, (speed if spans else vmax)
+
+    return pair_speeds
+
+
 _LO = itemgetter(0)
 
 
@@ -103,12 +160,17 @@ class _Candidate:
     windows (``(lo, hi, x1, y1, t1, x2, y2, t2)``, see
     :mod:`repro.distance.kernels`) with their integrals, kept so the
     final value and the exact refinement are canonical time-ordered
-    sums, and ambiguous answers can be re-integrated exactly."""
+    sums, and ambiguous answers can be re-integrated exactly.
+    ``speeds`` are the pair's speed bounds for OPTDISSIM and PESDISSIM
+    (:func:`_pair_speeds`)."""
 
-    __slots__ = ("tid", "partial", "windows", "integrals", "total")
+    __slots__ = ("tid", "partial", "windows", "integrals", "total", "speeds")
 
-    def __init__(self, tid: int, t_start: float, t_end: float) -> None:
+    def __init__(
+        self, tid: int, t_start: float, t_end: float, speeds: tuple
+    ) -> None:
         self.tid = tid
+        self.speeds = speeds
         self.partial = PartialDissim(t_start, t_end)
         self.windows: list[tuple] = []
         self.integrals: list[IntegralResult] = []
@@ -279,10 +341,14 @@ def _search_shard(
     answer-set member, because the k buffered upper bounds all lie at
     or below the threshold and thresholds only tighten), and a leaf
     page all of whose trajectories are already settled is skipped
-    without being read.  The leaf predicate runs when the leaf's
-    parent is expanded (a refused leaf costs no MINDIST and no heap
-    slot) and again when the leaf is dequeued, by when the threshold
-    may have tightened.
+    without being read.  A live candidate is held to its bound too:
+    at its first touch in each leaf of a filtered part (in the batch
+    decision and in the replay), and on a leaf page the filter
+    refuses, it is rejected once its bound exceeds the threshold,
+    counted in ``candidates_rejected`` (not as a signature check).
+    The leaf predicate runs when the leaf's parent is expanded (a
+    refused leaf costs no MINDIST and no heap slot) and again when the
+    leaf is dequeued, by when the threshold may have tightened.
 
     Before the first node is read, the search is *seeded*: up to
     ``top.k`` leaf pages that each hold one whole trajectory spanning
@@ -303,12 +369,23 @@ def _search_shard(
     """
     io_before = [index.pagefile.stats.snapshot() for index in parts]
     period_len = t_end - t_start
+    pair_speeds = _pair_speeds(parts, t_start, t_end, query.max_speed(), vmax)
 
     valid: dict[int, _Candidate] = {}
     completed: dict[int, _Candidate] = {}
     # Excluded or rejected, in whichever part: one membership test.
     rejected: set[int] = set(exclude_ids)
     dequeued = 0
+
+    def past_bound(sig_filter, tid: int, threshold: float) -> bool:
+        # A live candidate's signature check: not a counted one.
+        bound = sig_filter.bound(tid)
+        return bound is not None and bound > threshold
+
+    def reject_live(part: int, tid: int) -> None:
+        del valid[tid]
+        rejected.add(tid)
+        part_stats[part].candidates_rejected += 1
 
     if any(sig_filter is not None for sig_filter in filters):
 
@@ -323,32 +400,34 @@ def _search_shard(
                 return True
             threshold = top.threshold
             check = math.isfinite(threshold)
-            if (
-                check
-                and sig_filter.page_min(page_id) > threshold
-                and valid.keys().isdisjoint(page_tids)
-            ):
+            if check and sig_filter.page_min(page_id) > threshold:
                 # Every trajectory on the page is settled or certified
-                # out: the loop below would refuse it too.
+                # out, live candidates included: those are rejected.
+                for tid in page_tids:
+                    if tid in valid:
+                        reject_live(part, tid)
                 part_stats[part].leaf_skips += 1
                 return False
             for tid in page_tids:
                 if tid in rejected or tid in completed:
                     continue
-                if tid in valid:
+                if not check:
                     return True
-                if check and sig_filter.should_prune(tid, threshold):
+                if tid in valid:
+                    if not past_bound(sig_filter, tid, threshold):
+                        return True
+                    reject_live(part, tid)
+                elif sig_filter.should_prune(tid, threshold):
                     rejected.add(tid)
-                    continue
-                return True
+                else:
+                    return True
             part_stats[part].leaf_skips += 1
             return False
 
         def leaf_refuse(part: int, page_ids):
             # An expanded node's leaf children at once: refused when the
-            # least bound on the page exceeds the threshold, unless the
-            # page holds a live candidate, which the loop above admits
-            # whatever its bound.
+            # least bound on the page exceeds the threshold; the live
+            # candidates on a refused page are rejected.
             sig_filter = filters[part]
             threshold = top.threshold
             if sig_filter is None or not math.isfinite(threshold):
@@ -356,9 +435,9 @@ def _search_shard(
             refused = sig_filter.page_minima(page_ids) > threshold
             if valid:
                 for i in refused.nonzero()[0].tolist():
-                    tids = sig_filter.page_tids(int(page_ids[i]))
-                    if not valid.keys().isdisjoint(tids):
-                        refused[i] = False
+                    for tid in sig_filter.page_tids(int(page_ids[i])):
+                        if tid in valid:
+                            reject_live(part, tid)
             part_stats[part].leaf_skips += int(refused.sum())
             return refused
 
@@ -398,38 +477,44 @@ def _search_shard(
             wanted = batched.get(tid)
             if wanted is None:
                 wanted = not (tid in rejected or tid in completed)
-                if wanted and sig_check and tid not in valid:
-                    # First touch of this trajectory in this leaf:
-                    # when its signature bound already exceeds the
-                    # threshold now, the (monotonically tightening)
-                    # threshold guarantees the sequential replay
-                    # below prunes it too, so its integrals need
-                    # not be batched at all.
-                    lb = sig_filter.bound(tid)
-                    wanted = lb is None or not lb > batch_threshold
+                if wanted and sig_check:
+                    # First touch of this trajectory in this leaf, a
+                    # live candidate or not: when its signature bound
+                    # already exceeds the threshold now, the
+                    # (monotonically tightening) threshold guarantees
+                    # the sequential replay below rejects it too, so
+                    # its integrals need not be batched at all.
+                    wanted = not past_bound(sig_filter, tid, batch_threshold)
                 batched[tid] = wanted
             if wanted:
                 batch_items.append(window)
         results = iter(
             window_dissim_batch(query, batch_items) if batch_items else ()
         )
+        touched: set[int] = set()
         for tid, window in zip(tids, windows):
             result = next(results) if batched[tid] else None
             if tid in rejected or tid in completed:
                 continue
             cand = valid.get(tid)
-            if cand is None:
-                if sig_filter is not None:
-                    # Signature tier: reject at first touch when the
-                    # certified lower bound beats the current k-th-best
-                    # upper bound — before any DISSIM integral.
-                    threshold = top.threshold
-                    if math.isfinite(threshold) and sig_filter.should_prune(
-                        tid, threshold
-                    ):
-                        rejected.add(tid)
+            if sig_filter is not None and tid not in touched:
+                # Signature tier, at the first touch in this leaf:
+                # reject when the certified lower bound beats the
+                # current k-th-best upper bound — a new trajectory
+                # before any DISSIM integral (a counted check), a live
+                # candidate before any more.
+                touched.add(tid)
+                threshold = top.threshold
+                if math.isfinite(threshold):
+                    if cand is None:
+                        if sig_filter.should_prune(tid, threshold):
+                            rejected.add(tid)
+                            continue
+                    elif past_bound(sig_filter, tid, threshold):
+                        reject_live(part, tid)
                         continue
-                cand = _Candidate(tid, t_start, t_end)
+            if cand is None:
+                cand = _Candidate(tid, t_start, t_end, pair_speeds(tid))
                 valid[tid] = cand
                 stats.candidates_created += 1
             integral, d_lo, d_hi = result
@@ -455,7 +540,8 @@ def _search_shard(
                 top.update(tid, cand.total.upper)
                 continue
 
-            opt, pes = partial.bounds(vmax)
+            opt_speed, pes_speed = cand.speeds
+            opt, pes = partial.bounds(pes_speed, opt_speed)
             top.update(tid, pes)
             if use_heuristic1:
                 threshold = top.threshold
@@ -643,10 +729,14 @@ def bfmst_search(
     Everything that steers the search is plain data; nothing here
     changes the answer, only the work done and where it runs.  The
     paper's ``V_max`` is the maximum speed over *all* parts plus the
-    query's — the value an unsharded search would use, which (together
-    with the canonical window summation) makes the answer bit-identical
-    however the data is split, and which dominates the true maximum,
-    so the bounds are safe.
+    query's — the value an unsharded search would use, and the cap of
+    every candidate's own pair speed (:func:`_pair_speeds`), which
+    depends only on the parts that hold the candidate.  Together with
+    the canonical window summation that makes the answer bit-identical
+    however the data is split.  An answer that never completed its
+    coverage (a trajectory not spanning the period) reports its
+    PESDISSIM under the global ``V_max``, so sidecars change no
+    reported value, only the work done.
 
     Parameters
     ----------
@@ -688,9 +778,10 @@ def bfmst_search(
         ``"auto"`` (the default) runs the signature tier on every part
         that carries a signature sidecar: candidates whose signature
         lower bound certifies them out of the answer are rejected
-        before any page read or integral.  ``"off"`` ignores the
-        sidecars, for measuring what they save; answers are
-        byte-identical by construction.  A process-backed executor's
+        before any page read or integral.  ``"off"`` skips that tier,
+        for measuring what it saves; answers are byte-identical by
+        construction.  Either way a sidecar's speed column prices each
+        candidate's speed-dependent bounds (:func:`_pair_speeds`).  A process-backed executor's
         workers always run ``"auto"``, so it refuses ``"off"``.
     selected:
         Positions of the parts to search (the planner's pre-filter);

@@ -33,7 +33,7 @@ class Trajectory:
         required so that the trajectory spans a positive time interval.
     """
 
-    __slots__ = ("object_id", "_samples", "_times", "_columns")
+    __slots__ = ("object_id", "_samples", "_times", "_columns", "_max_speed")
 
     def __init__(self, object_id, samples: Iterable[STPoint | tuple]) -> None:
         pts: list[STPoint] = []
@@ -62,6 +62,7 @@ class Trajectory:
         self._samples: tuple[STPoint, ...] = tuple(pts)
         self._times: tuple[float, ...] = tuple(p.t for p in pts)
         self._columns = None
+        self._max_speed = None
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -182,8 +183,11 @@ class Trajectory:
         return sum(seg.spatial_length() for seg in self.segments())
 
     def max_speed(self) -> float:
-        """Largest segment speed; 0 for a stationary object."""
-        return max(seg.speed for seg in self.segments())
+        """Largest segment speed; 0 for a stationary object.  Memoised:
+        a search reads the query's several times."""
+        if self._max_speed is None:
+            self._max_speed = max(seg.speed for seg in self.segments())
+        return self._max_speed
 
     def mean_speed(self) -> float:
         """Distance travelled divided by lifetime duration."""

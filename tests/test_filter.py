@@ -194,7 +194,8 @@ class TestLowerBound:
 def synthetic_store(rows, pages=()):
     """A signature store over hand-made rows of
     ``(tid, [(t, x, y), ...], [radius, ...])`` and leaf pages of
-    ``(page_id, [tid, ...])``, ascending — no index needed."""
+    ``(page_id, [tid, ...])``, ascending — no index needed.  Each row's
+    speed is its largest knot-to-knot speed."""
     tids = array("q")
     offsets = array("q", [0])
     kt, kx, ky, radii = array("d"), array("d"), array("d"), array("d")
@@ -207,6 +208,13 @@ def synthetic_store(rows, pages=()):
             ky.append(y)
         radii.extend(row_radii)
         offsets.append(len(kt))
+    speeds = [
+        max(
+            math.hypot(x2 - x1, y2 - y1) / (t2 - t1)
+            for (t1, x1, y1), (t2, x2, y2) in zip(knots, knots[1:])
+        )
+        for _tid, knots, _r in rows
+    ]
     return TrajectorySignatures(
         binding=(0, 0, 0),
         simplify_p=0.0,
@@ -216,6 +224,7 @@ def synthetic_store(rows, pages=()):
         knot_x=kx,
         knot_y=ky,
         radii=radii,
+        speeds=array("d", speeds),
         leaf_pages=array("q", [page for page, _tids in pages]),
         leaf_tid_offsets=array(
             "q", itertools.accumulate((len(t) for _p, t in pages), initial=0)
@@ -227,7 +236,8 @@ def synthetic_store(rows, pages=()):
 def scalar_bounds(filt, tids):
     """The scalar reference (:meth:`SignatureFilter._evaluate`) for each
     trajectory."""
-    return [filt._evaluate(*filt.sigs.knots(tid)) for tid in tids]
+    sigs = filt.sigs
+    return [filt._evaluate(*sigs.knots(tid), sigs.speed(tid)) for tid in tids]
 
 
 coordinate = st.floats(min_value=-100.0, max_value=100.0)
@@ -520,11 +530,11 @@ class _HeldTop(bfmst._TopK):
 
 class TestLeafRefusal:
     """An expanded node refuses a leaf child whose least signature
-    bound exceeds the threshold, and the pop does too — but never a
-    leaf holding a live candidate, which the per-trajectory check
-    admits whatever its bound."""
+    bound exceeds the threshold, and the pop does too — and a live
+    candidate on such a leaf is rejected with it, as it is at its
+    first touch in a leaf once its bound exceeds the threshold."""
 
-    def test_live_candidates_next_leaf_is_admitted(self):
+    def test_live_candidate_past_its_bound_is_rejected(self):
         data = generate_gstd(40, samples_per_object=120, seed=5)
         tree = TBTree(page_size=512)
         tree.bulk_insert(data)
@@ -532,7 +542,8 @@ class TestLeafRefusal:
         tree.signatures = build_signatures(tree)
         for target in data.ids()[:6]:
             source = data.get(target)
-            assert len(tree.leaf_chain(target)) > 1
+            chain = [node.page_id for node in tree.leaf_chain(target)]
+            assert len(chain) > 1
             # Near the target but not on it: its bound is positive.
             query = Trajectory(-1, [(p.x + 0.05, p.y + 0.05, p.t) for p in source])
             period = (source.t_start, source.t_end)
@@ -545,15 +556,24 @@ class TestLeafRefusal:
             assert bound > 0.0
             # From the target's first leaf on, its bound exceeds the
             # threshold while its next leaves wait; with the heuristics
-            # off only the signature tier could drop them.
+            # off only the signature tier can drop it, and it must.
             top = _HeldTop(target, bound / 2)
-            records, stats = bfmst.search_part(
-                tree, query, *period, vmax, False, False, top, (),
-                sig_filter=make_filter(),
-            )
-            (record,) = [r for r in records if r.tid == target]
-            assert record.exact  # every leaf of the target was read
-            assert stats.leaf_skips > 0  # and other leaves were refused
+            read = []
+            real_read = tree.read_node
+
+            def spy(page_id):
+                read.append(page_id)
+                return real_read(page_id)
+
+            with mock.patch.object(tree, "read_node", spy):
+                records, stats = bfmst.search_part(
+                    tree, query, *period, vmax, False, False, top, (),
+                    sig_filter=make_filter(),
+                )
+            assert target not in [r.tid for r in records]
+            assert stats.candidates_rejected >= 1  # not a signature check
+            assert len(set(chain) & set(read)) < len(chain)
+            assert stats.leaf_skips > 0
 
 
 # ----------------------------------------------------------------------
@@ -779,6 +799,29 @@ class TestSidecar:
         assert main(["fsck", str(path)]) == 1
         assert "version 1" in capsys.readouterr().out
 
+    def test_version_2_sidecar_refused_with_rebuild_hint(
+        self, rtree, tmp_path, capsys
+    ):
+        # Version 2 was version 3 without the speed column.
+        from repro.cli import main
+
+        path = tmp_path / "idx.pages"
+        save_index(rtree, path, signatures=True)
+        sig_path = signature_sidecar_path(path)
+        blob = bytearray(sig_path.read_bytes()[:-4])
+        header = struct.Struct("<4sI3q1d4q")
+        *_, n, _pages, knots, _leaf_tids = header.unpack_from(blob)
+        speeds = header.size + 8 * (n + (n + 1) + 3 * knots + (knots - n))
+        del blob[speeds : speeds + 8 * n]
+        struct.pack_into("<I", blob, 4, 2)
+        sig_path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(StorageError, match=r"version 2 .*rebuild"):
+            load_signatures(sig_path)
+        with pytest.raises(StorageError, match="rebuild"):
+            load_index(path)
+        assert main(["fsck", str(path)]) == 1
+        assert "version 2" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "section,slot,value,message",
         [
@@ -795,6 +838,9 @@ class TestSidecar:
             ("knot_t", 0, lambda a: -math.inf, "not finite"),
             ("knot_t", 1, lambda a: a[0], "not strictly ascending within"),
             ("leaf_tids", 0, lambda a: max(a) + 1000, "no signature"),
+            ("speeds", 0, lambda a: math.nan, "speed that is negative or not"),
+            ("speeds", -1, lambda a: math.inf, "speed that is negative or not"),
+            ("speeds", 1, lambda a: -a[1] - 1e-300, "speed that is negative"),
         ],
     )
     def test_structural_damage_is_a_storage_error(
@@ -816,6 +862,7 @@ class TestSidecar:
             ("knot_x", "d", knots),
             ("knot_y", "d", knots),
             ("radii", "d", knots - n),
+            ("speeds", "d", n),
             ("leaf_pages", "q", pages),
             ("leaf_tid_offsets", "q", pages + 1),
             ("leaf_tids", "q", leaf_tids),
@@ -834,6 +881,8 @@ class TestSidecar:
         assert str(sig_path) in str(caught.value)
         with pytest.raises(StorageError):
             load_index(path)
+        report = fsck_index(path)
+        assert any(message in err for err in report.errors), report.errors
 
     def test_binding_mismatch_rejected(self, rtree, dataset, tmp_path):
         other = TBTree()

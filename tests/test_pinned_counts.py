@@ -21,6 +21,15 @@ check (and a prune) for each, so both counts fell (to no prunes at all
 on the TB-tree, whose leaves hold one trajectory each) while every
 other count, and every answer, stayed the same.
 
+Every block was re-recorded when each candidate's speed-dependent
+bounds took the candidate's own speed (the sidecar's speed column)
+instead of the dataset's fastest, and live candidates were held to
+their signature bound: node accesses, entries, candidates created,
+trapezoid integrals, logical reads, nodes enqueued, MINDIST
+evaluations and signature checks fell or stayed in every cell,
+Heuristic 1 rejections and leaf skips rose, and the exact integrals
+and every answer stayed the same.
+
 The same set split into four ``hash`` shards, each packed and saved
 with its sidecar, and opened by a serial sharded engine, pins the shard
 plan's counts the same way (``PINNED_SHARDS``): the engine searches the
@@ -70,47 +79,47 @@ EXACT = (
 
 #: ``(tree, length, k)`` -> the EXACT counts.
 PINNED = {
-    ('rtree', 0.02, 1): (18, 6, 4, 0, 8, 0, 18, 7, 33, 13, 9, 33),
-    ('rtree', 0.05, 1): (20, 9, 5, 1, 22, 0, 20, 6, 45, 41, 32, 45),
-    ('rtree', 0.1, 1): (34, 46, 20, 7, 83, 0, 34, 15, 72, 77, 48, 72),
-    ('rtree', 0.02, 5): (22, 21, 12, 1, 32, 15, 22, 4, 35, 37, 24, 35),
-    ('rtree', 0.05, 5): (41, 53, 20, 7, 86, 20, 41, 15, 63, 80, 49, 63),
-    ('rtree', 0.1, 5): (68, 138, 38, 21, 252, 36, 68, 16, 108, 108, 51, 108),
-    ('rtree', 0.02, 10): (33, 43, 27, 3, 67, 28, 33, 14, 52, 82, 50, 52),
-    ('rtree', 0.05, 10): (56, 66, 25, 5, 112, 50, 56, 47, 79, 109, 72, 79),
-    ('rtree', 0.1, 10): (87, 146, 35, 13, 238, 86, 87, 39, 111, 129, 72, 111),
+    ('rtree', 0.02, 1): (17, 5, 4, 2, 7, 0, 17, 9, 32, 11, 7, 32),
+    ('rtree', 0.05, 1): (17, 8, 5, 3, 12, 0, 17, 16, 37, 25, 20, 37),
+    ('rtree', 0.1, 1): (28, 27, 13, 12, 51, 0, 28, 39, 51, 56, 34, 51),
+    ('rtree', 0.02, 5): (20, 19, 12, 5, 27, 15, 20, 8, 33, 36, 23, 33),
+    ('rtree', 0.05, 5): (36, 45, 20, 9, 74, 20, 36, 21, 58, 75, 46, 58),
+    ('rtree', 0.1, 5): (60, 98, 35, 25, 168, 36, 60, 41, 91, 107, 54, 91),
+    ('rtree', 0.02, 10): (32, 39, 26, 7, 63, 28, 32, 20, 49, 79, 48, 49),
+    ('rtree', 0.05, 10): (43, 58, 24, 8, 97, 50, 43, 32, 70, 92, 62, 70),
+    ('rtree', 0.1, 10): (75, 120, 32, 16, 197, 86, 75, 57, 95, 124, 70, 95),
     ('tbtree', 0.02, 1): (34, 8, 5, 1, 13, 0, 34, 98, 41, 14, 0, 41),
-    ('tbtree', 0.05, 1): (33, 20, 7, 1, 33, 0, 33, 105, 33, 17, 0, 33),
-    ('tbtree', 0.1, 1): (67, 105, 26, 11, 202, 0, 67, 151, 97, 93, 0, 97),
-    ('tbtree', 0.02, 5): (42, 32, 17, 2, 50, 15, 42, 65, 59, 45, 0, 59),
-    ('tbtree', 0.05, 5): (48, 70, 24, 2, 118, 20, 48, 72, 51, 56, 0, 51),
-    ('tbtree', 0.1, 5): (57, 114, 25, 8, 221, 36, 57, 94, 58, 62, 0, 58),
-    ('tbtree', 0.02, 10): (65, 61, 39, 4, 103, 28, 65, 81, 69, 84, 0, 69),
+    ('tbtree', 0.05, 1): (33, 20, 7, 1, 33, 0, 33, 105, 32, 16, 0, 32),
+    ('tbtree', 0.1, 1): (60, 76, 20, 8, 146, 0, 60, 163, 93, 77, 0, 93),
+    ('tbtree', 0.02, 5): (42, 31, 17, 3, 50, 15, 42, 65, 59, 45, 0, 59),
+    ('tbtree', 0.05, 5): (47, 68, 23, 1, 113, 20, 47, 73, 51, 54, 0, 51),
+    ('tbtree', 0.1, 5): (54, 101, 22, 6, 194, 36, 54, 97, 56, 54, 0, 56),
+    ('tbtree', 0.02, 10): (65, 61, 39, 4, 103, 28, 65, 81, 68, 83, 0, 68),
     ('tbtree', 0.05, 10): (70, 109, 38, 1, 184, 50, 70, 80, 76, 86, 0, 76),
-    ('tbtree', 0.1, 10): (66, 158, 34, 5, 263, 86, 66, 86, 71, 75, 0, 71),
+    ('tbtree', 0.1, 10): (66, 157, 34, 5, 263, 86, 66, 86, 71, 75, 0, 71),
 }
 
 
 #: ``(tree, length, k)`` -> the EXACT counts of the 4-shard ``hash``
 #: plan, searched by a serial :class:`ShardedQueryEngine`.
 PINNED_SHARDS = {
-    ('rtree', 0.02, 1): (34, 9, 6, 0, 13, 0, 34, 37, 60, 21, 10, 60),
-    ('rtree', 0.05, 1): (48, 15, 9, 1, 23, 0, 48, 35, 89, 53, 24, 89),
-    ('rtree', 0.1, 1): (47, 26, 9, 3, 43, 0, 47, 59, 71, 78, 56, 71),
-    ('rtree', 0.02, 5): (34, 16, 8, 0, 23, 15, 34, 21, 66, 48, 37, 66),
-    ('rtree', 0.05, 5): (59, 45, 17, 6, 79, 20, 59, 37, 90, 72, 44, 90),
-    ('rtree', 0.1, 5): (87, 150, 38, 24, 289, 36, 87, 38, 134, 133, 54, 134),
-    ('rtree', 0.02, 10): (50, 35, 23, 4, 58, 28, 50, 19, 85, 69, 43, 85),
-    ('rtree', 0.05, 10): (78, 79, 31, 6, 139, 50, 78, 29, 100, 122, 65, 100),
-    ('rtree', 0.1, 10): (114, 150, 39, 17, 251, 86, 114, 22, 151, 132, 57, 151),
+    ('rtree', 0.02, 1): (34, 8, 6, 2, 11, 0, 34, 39, 58, 20, 9, 58),
+    ('rtree', 0.05, 1): (47, 11, 8, 6, 16, 0, 47, 48, 76, 41, 13, 76),
+    ('rtree', 0.1, 1): (41, 19, 7, 5, 34, 0, 41, 76, 55, 44, 31, 55),
+    ('rtree', 0.02, 5): (33, 15, 8, 1, 22, 15, 33, 22, 65, 43, 33, 65),
+    ('rtree', 0.05, 5): (56, 37, 15, 6, 62, 20, 56, 43, 83, 68, 46, 83),
+    ('rtree', 0.1, 5): (79, 112, 36, 29, 204, 36, 79, 64, 112, 123, 52, 112),
+    ('rtree', 0.02, 10): (50, 35, 23, 5, 58, 28, 50, 19, 83, 67, 43, 83),
+    ('rtree', 0.05, 10): (70, 69, 29, 10, 122, 50, 70, 41, 88, 114, 57, 88),
+    ('rtree', 0.1, 10): (98, 122, 36, 18, 199, 86, 98, 41, 141, 118, 55, 141),
     ('tbtree', 0.02, 1): (50, 11, 7, 1, 18, 0, 50, 108, 54, 20, 0, 54),
     ('tbtree', 0.05, 1): (34, 6, 2, 0, 8, 0, 34, 118, 35, 2, 0, 35),
-    ('tbtree', 0.1, 1): (81, 113, 28, 9, 218, 0, 81, 152, 127, 111, 0, 127),
-    ('tbtree', 0.02, 5): (60, 30, 17, 4, 50, 15, 60, 103, 81, 53, 0, 81),
-    ('tbtree', 0.05, 5): (59, 78, 27, 3, 133, 20, 59, 93, 56, 65, 0, 56),
-    ('tbtree', 0.1, 5): (78, 162, 35, 11, 311, 36, 78, 85, 80, 93, 0, 80),
-    ('tbtree', 0.02, 10): (72, 65, 40, 2, 106, 28, 72, 80, 75, 88, 0, 75),
-    ('tbtree', 0.05, 10): (75, 91, 32, 2, 155, 50, 75, 88, 76, 70, 0, 76),
+    ('tbtree', 0.1, 1): (76, 93, 24, 14, 178, 0, 76, 175, 114, 92, 0, 114),
+    ('tbtree', 0.02, 5): (60, 29, 17, 5, 50, 15, 60, 103, 81, 53, 0, 81),
+    ('tbtree', 0.05, 5): (59, 75, 27, 6, 133, 20, 59, 93, 56, 65, 0, 56),
+    ('tbtree', 0.1, 5): (76, 151, 33, 11, 293, 36, 76, 87, 78, 87, 0, 78),
+    ('tbtree', 0.02, 10): (72, 65, 40, 2, 106, 28, 72, 80, 74, 87, 0, 74),
+    ('tbtree', 0.05, 10): (75, 90, 32, 3, 155, 50, 75, 88, 76, 70, 0, 76),
     ('tbtree', 0.1, 10): (75, 152, 32, 3, 248, 86, 75, 88, 80, 74, 0, 80),
 }
 
@@ -123,11 +132,11 @@ PINNED_4096 = {
     (0.05, 1): (4, 3, 1, 0, 3, 0, 4, 120, 2, 1, 0, 2),
     (0.1, 1): (4, 5, 1, 0, 5, 0, 4, 120, 2, 1, 0, 2),
     (0.02, 5): (11, 14, 8, 2, 23, 15, 11, 117, 6, 15, 0, 6),
-    (0.05, 5): (20, 48, 17, 3, 83, 20, 20, 108, 15, 42, 0, 15),
-    (0.1, 5): (21, 83, 18, 7, 158, 36, 21, 107, 17, 46, 0, 17),
-    (0.02, 10): (26, 38, 23, 2, 62, 28, 26, 107, 20, 54, 0, 20),
+    (0.05, 5): (18, 42, 15, 3, 73, 20, 18, 110, 15, 38, 0, 15),
+    (0.1, 5): (20, 78, 17, 6, 149, 36, 20, 108, 15, 42, 0, 15),
+    (0.02, 10): (26, 37, 23, 3, 62, 28, 26, 107, 20, 54, 0, 20),
     (0.05, 10): (24, 59, 21, 3, 102, 50, 24, 109, 14, 44, 0, 14),
-    (0.1, 10): (21, 79, 18, 6, 138, 86, 21, 112, 11, 35, 0, 11),
+    (0.1, 10): (21, 79, 18, 6, 138, 86, 21, 112, 10, 34, 0, 10),
 }
 
 
@@ -138,11 +147,11 @@ PINNED_SHARDS_4096 = {
     (0.05, 1): (5, 3, 1, 0, 3, 0, 5, 120, 0, 1, 0, 0),
     (0.1, 1): (5, 5, 1, 0, 5, 0, 5, 120, 0, 1, 0, 0),
     (0.02, 5): (12, 14, 8, 2, 23, 15, 12, 117, 4, 15, 0, 4),
-    (0.05, 5): (18, 40, 14, 2, 68, 20, 18, 111, 15, 38, 0, 15),
-    (0.1, 5): (23, 87, 19, 8, 167, 36, 23, 106, 18, 51, 0, 18),
+    (0.05, 5): (17, 37, 13, 2, 63, 20, 17, 112, 15, 36, 0, 15),
+    (0.1, 5): (22, 81, 18, 7, 158, 36, 22, 107, 16, 47, 0, 16),
     (0.02, 10): (27, 37, 23, 2, 61, 28, 27, 107, 21, 57, 0, 21),
     (0.05, 10): (25, 59, 21, 3, 102, 50, 25, 109, 13, 45, 0, 13),
-    (0.1, 10): (22, 79, 18, 6, 138, 86, 22, 112, 10, 36, 0, 10),
+    (0.1, 10): (22, 79, 18, 6, 138, 86, 22, 112, 8, 34, 0, 8),
 }
 
 
