@@ -11,7 +11,7 @@ Python::
     python -m repro stats index.pages out.csv --k 5
     python -m repro batch index.pages out.csv --queries 8 --k 5
     python -m repro shard build out.csv shards/ --shards 4 --partitioner hash
-    python -m repro shard query shards/ out.csv --k 5 --executor thread
+    python -m repro shard query shards/ out.csv --k 5
     python -m repro shard inspect shards/
     python -m repro stats shards/ out.csv --k 5
     python -m repro ingest init store/ --tree tbtree
@@ -126,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument("path", help="index file or sharded manifest directory")
 
     query = verb(
-        sub, "query", _cmd_kmst, "run a k-MST query",
-        executor="serial", workers=None, trace=False,
+        sub, "query", _cmd_kmst, "run a k-MST query", trace=False,
     )
     query.add_argument("target", help="index file")
     query.add_argument("dataset", help="dataset the query is drawn from")
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = verb(
         sub, "stats", _cmd_kmst,
         "run a k-MST query under a live trace and print JSON counters",
-        executor="serial", workers=None, trace=True,
+        trace=True,
     )
     stats.add_argument("target", help="index file or shard directory")
     stats.add_argument("dataset", help="dataset the query is drawn from")
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch = verb(
         sub, "batch", _cmd_batch,
         "run a k-MST workload through the batched query engine",
-        executor="serial", workers=None,
     )
     batch.add_argument("target", help="index file")
     batch.add_argument("dataset", help="dataset the queries are drawn from")
@@ -164,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "serve", _cmd_serve,
         "serve queries over HTTP with admission control "
         "(POST /v1/query, GET /stats)",
-        executor="serial",
     )
     serve.add_argument(
         "target",
@@ -215,20 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     squery.add_argument("target", help="sharded manifest directory")
     squery.add_argument("dataset", help="dataset the query is drawn from")
     _add_flags(squery, *_SLICE_FLAGS)
-    squery.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="where the shards are searched: in this process as one "
-        "tree on the calling thread (serial; thread, which starts no "
-        "pool here), or one worker process per shard, each reopening "
-        "its shard's page file (process)",
-    )
-    squery.add_argument(
-        "--workers", type=int, default=None,
-        help="size of the process executor's pool; the serial and "
-        "thread executors start no pool and leave it unused",
-    )
 
     sinspect = verb(
         shard_sub, "inspect", _cmd_shard_inspect,
@@ -265,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     iquery = verb(
         ingest_sub, "query", _cmd_kmst,
         "run a k-MST query against the live store",
-        dataset=None, executor="serial", workers=None, trace=False,
+        dataset=None, trace=False,
     )
     iquery.add_argument("target", help="store directory")
     _add_flags(iquery, *_SLICE_FLAGS)
@@ -391,26 +374,20 @@ def _open_engine(args):
     ``draw_from()`` is the dataset a query is sliced from (the dataset
     file, or what a live store holds now); the engine itself reads no
     dataset."""
-    from .engine import (
-        EngineConfig,
-        LiveQueryEngine,
-        QueryEngine,
-        ShardedQueryEngine,
-    )
+    from .engine import LiveQueryEngine, QueryEngine, ShardedQueryEngine
     from .ingest import IngestStore
     from .ingest.store import MANIFEST_NAME as INGEST_MANIFEST
     from .sharding import MANIFEST_NAME as SHARD_MANIFEST
 
-    config = EngineConfig(executor=args.executor, max_workers=args.workers)
     target = Path(args.target)
     draw_from = lambda: _read_dataset(args.dataset)
     with ExitStack() as under:
         if (target / SHARD_MANIFEST).exists():
-            engine = ShardedQueryEngine.open(target, config=config)
+            engine = ShardedQueryEngine.open(target)
             under.callback(engine.index.close)
         elif (target / INGEST_MANIFEST).exists():
             store = under.enter_context(IngestStore.open(target))
-            engine = LiveQueryEngine(store, config=config)
+            engine = LiveQueryEngine(store)
             draw_from = store.current_dataset
         elif target.is_dir():
             raise ReproError(
@@ -419,7 +396,7 @@ def _open_engine(args):
                 f"({INGEST_MANIFEST})"
             )
         else:
-            engine = QueryEngine.open(target, config=config)
+            engine = QueryEngine.open(target)
             under.callback(engine.index.pagefile.close)
         with engine:
             yield engine, draw_from

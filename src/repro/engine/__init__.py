@@ -2,7 +2,7 @@
 
 See :mod:`repro.engine.engine` for the session body every engine
 shares, :mod:`repro.engine.planner` + :mod:`repro.engine.sharded` for
-shard-parallel serving, :mod:`repro.engine.live` for live stores and
+sharded serving, :mod:`repro.engine.live` for live stores and
 ``docs/ENGINE.md`` / ``docs/SHARDING.md`` for the narrative
 documentation.
 """
@@ -13,17 +13,9 @@ from .engine import (
     EngineConfig,
     QueryEngine,
 )
-from .executor import (
-    ProcessPoolShardExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    make_executor,
-)
 from .live import LiveQueryEngine
 from .planner import (
     QueryPlanner,
-    ShardAnswer,
-    ShardPlan,
     ShardSelection,
     budget_buffers,
 )
@@ -36,13 +28,7 @@ __all__ = [
     "EngineConfig",
     "BatchResult",
     "SESSION_MAX_PAGES",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ProcessPoolShardExecutor",
-    "make_executor",
     "QueryPlanner",
     "ShardSelection",
-    "ShardPlan",
-    "ShardAnswer",
     "budget_buffers",
 ]

@@ -38,7 +38,6 @@ from ..obs import state as _obs
 from ..search import api as _api
 from ..search.results import SearchResult
 from ..search.spec import QuerySpec
-from .executor import make_executor
 
 __all__ = [
     "EngineConfig",
@@ -59,27 +58,32 @@ SESSION_MAX_PAGES = 1000
 #: downwards (2 = the root and its children).
 PIN_UPPER_LEVELS = 2
 
+#: The executor kinds an :class:`EngineConfig` accepts.
+EXECUTOR_KINDS = ("serial", "thread", "process")
+
+
 @dataclass
 class EngineConfig:
-    """Where an engine session runs its work.
+    """An engine session's configuration.
 
-    ``executor`` is ``"serial"``, ``"thread"`` or ``"process"`` (the
-    last needs shard page files to hand to its workers, so only an
-    engine opened from a shard directory accepts it).  A serial engine
-    runs one :meth:`QueryEngine.execute` at a time, behind a lock of
-    its own; the other two let concurrent requests into the index and
-    enable the buffer manager's lock instead.  ``max_workers`` sizes
-    the pool: the process kind's searches a query's shards, and on a
-    one-tree or live engine the thread kind's runs a batch's requests.
-    A sharded engine of the thread kind starts no pool: it runs a
-    batch one request at a time and searches each query's shards as
-    one tree on the calling thread, as the serial kind does.  How a
-    query is searched is the index's business: see
-    :func:`repro.search.bfmst.bfmst_search`.
+    ``executor`` is ``"serial"``, ``"thread"`` or ``"process"``; any
+    other kind is refused here, before an engine is built.  Every kind
+    runs the same session: one :meth:`QueryEngine.execute` at a time,
+    behind a lock of the engine's own, each query's parts searched as
+    one tree on the calling thread, and no thread or process started.
+    ``max_workers`` is accepted and unused.  How a query is searched is
+    the index's business: see :func:`repro.search.bfmst.bfmst_search`.
     """
 
     executor: str = "serial"
     max_workers: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"unknown executor kind {self.executor!r} "
+                f"({'|'.join(EXECUTOR_KINDS)})"
+            )
 
 
 @dataclass
@@ -182,41 +186,21 @@ class QueryEngine:
     ):
         self._start(index, config, [index])
 
-    def _start(self, index, config, pinned, shard_paths=None) -> None:
+    def _start(self, index, config, pinned) -> None:
         """The shared constructor body: ``pinned`` are the indexes whose
         buffer pools belong to this session (one, one per shard, or
         none for a live engine, whose generations come and go)."""
         self.index = index
         self.config = config if config is not None else EngineConfig()
-        # The process pool fans out *paths*, not objects: workers reopen
-        # the shard page files themselves.
-        self.shard_paths: list[str] | None = shard_paths
-        if self.config.executor == "process" and shard_paths is None:
-            raise QueryError(
-                "executor=\"process\" needs shard page-file paths; open "
-                "a sharded engine from a manifest directory "
-                "(ShardedQueryEngine.open(...)) or pass manifest_dir="
-            )
         self.metrics = MetricsRegistry()
         self._closed = False
-        # One executor per session: a pool is reused across requests
-        # and shut down with the engine.
-        self.executor = make_executor(
-            self.config.executor, self.config.max_workers
-        )
         self._pins = [
             PinnedIndex(ix, PIN_UPPER_LEVELS) for ix in pinned
         ]
         # On an interpreter lock, two requests searched at once only
-        # convoy on it: a serial session admits one request at a time
-        # and its buffers need no lock.  The pooled kinds let several
-        # requests into the index, so they lock the buffers instead.
-        if self.executor.kind == "serial":
-            self._turn: threading.Lock | None = threading.Lock()
-        else:
-            self._turn = None
-            for pin in self._pins:
-                pin.index.buffer.enable_thread_safety()
+        # convoy on it: a session admits one request at a time, and its
+        # buffers need no lock.
+        self._turn = threading.Lock()
         self.metrics.inc("engine.sessions")
         self.metrics.inc(
             "engine.pinned_pages", sum(pin.pinned for pin in self._pins)
@@ -240,12 +224,11 @@ class QueryEngine:
         return cls(index, config=config)
 
     def close(self) -> None:
-        """Release the buffer pins and the session executor's pool
-        (what the engine was handed — index, stores — stays open)."""
+        """Release the buffer pins (what the engine was handed — index,
+        stores — stays open)."""
         if not self._closed:
             for pin in self._pins:
                 pin.release()
-            self.executor.close()
             self._closed = True
 
     def __enter__(self):
@@ -291,13 +274,6 @@ class QueryEngine:
         one index."""
         return {}
 
-    def _run_requests(self, requests: list[QuerySpec]) -> list[SearchResult]:
-        """Where a batch spends the session executor: here, across the
-        requests."""
-        return self.executor.map(
-            lambda _i, request: self.execute(request), requests
-        )
-
     def _record(self, result: SearchResult) -> None:
         """Mirror one answer's counters into the session registry (the
         view ``GET /stats`` serves)."""
@@ -319,12 +295,11 @@ class QueryEngine:
         query past its deadline raises
         :class:`~repro.exceptions.DeadlineExceeded` — checked before
         any part is obtained and at every node the traversal dequeues,
-        on whichever thread or worker process a part runs, so runaway
-        queries stop consuming their worker promptly.  On a serial
-        engine a request first waits for the one before it to finish,
-        at most until its deadline: one that is still waiting then
-        raises :class:`~repro.exceptions.DeadlineExceeded` having read
-        no page.
+        so a runaway query stops promptly.  A request first waits for
+        the one before it to finish, at most until its deadline: one
+        that is still waiting then raises
+        :class:`~repro.exceptions.DeadlineExceeded` having read no
+        page.
         """
         if self._closed:
             raise QueryError("engine is closed")
@@ -336,8 +311,7 @@ class QueryEngine:
             raise DeadlineExceeded(
                 f"deadline expired before the {kind} query started"
             )
-        turn = self._turn
-        if turn is not None and not turn.acquire(
+        if not self._turn.acquire(
             timeout=-1 if deadline is None
             else max(0.0, deadline - time.monotonic())
         ):
@@ -361,18 +335,18 @@ class QueryEngine:
                 raise
             self._record(result)
         finally:
-            if turn is not None:
-                turn.release()
+            self._turn.release()
         return result
 
     def run_batch(self, requests: list[QuerySpec]) -> BatchResult:
-        """Execute the batch and return answers in request order with
-        throughput and buffer hit/miss telemetry."""
+        """Execute the batch, one request after another, and return
+        answers in request order with throughput and buffer hit/miss
+        telemetry."""
         if self._closed:
             raise QueryError("engine is closed")
         before = self.cache_counters()
         t0 = time.perf_counter()
-        results = self._run_requests(requests)
+        results = [self.execute(request) for request in requests]
         wall = time.perf_counter() - t0
         after = self.cache_counters()
         # This batch's buffer traffic, into the session registry and
@@ -390,7 +364,7 @@ class QueryEngine:
             results=results,
             wall_time_s=wall,
             queries_per_sec=qps,
-            executor=self.executor.kind,
+            executor=self.config.executor,
             cache_counters=after,
             metrics=dict(self.metrics.counters),
         )

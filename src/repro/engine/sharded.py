@@ -14,28 +14,22 @@ overrides how a request obtains its parts:
 * the cross-shard k-MST itself is the one driver,
   :func:`repro.search.bfmst.bfmst_search`: the selected shards are
   searched as one tree — one best-first heap, one k-th-best bound, one
-  signature pass — on the calling thread (``"serial"``, the default,
-  and ``"thread"`` alike), then ranked and refined once.  Only
-  ``executor="process"`` sends them elsewhere: to worker processes,
-  one shard each under a bound of its own, through
-  :meth:`ShardedQueryEngine.run_parts`.
+  signature pass — on the calling thread, then ranked and refined
+  once, whatever the configured executor kind.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..exceptions import QueryError
-from ..obs import state as _obs
-from ..search.results import SearchResult, SearchStats
+from ..search.results import SearchResult
 from ..sharding import ShardedIndex, load_sharded_index
-from ..sharding.persistence import read_manifest
 from .engine import (
     SESSION_MAX_PAGES,
     EngineConfig,
     QueryEngine,
 )
-from .planner import QueryPlanner, ShardPlan, budget_buffers
+from .planner import QueryPlanner, budget_buffers
 
 __all__ = ["ShardedQueryEngine"]
 
@@ -44,7 +38,7 @@ class ShardedQueryEngine(QueryEngine):
     """Session owner for a sharded index.
 
     Use as a context manager, or call :meth:`close` to release the
-    shard pins and the executor's pool::
+    shard pins::
 
         with ShardedQueryEngine(sharded_index) as engine:
             batch = engine.run_batch([
@@ -57,25 +51,12 @@ class ShardedQueryEngine(QueryEngine):
         index: ShardedIndex,
         *,
         config: EngineConfig | None = None,
-        manifest_dir: str | Path | None = None,
     ):
-        # Only an engine that knows its manifest directory knows the
-        # shard page files a worker process has to reopen.
-        shard_paths = None
-        if manifest_dir is not None:
-            directory = Path(manifest_dir)
-            shard_paths = [
-                str(directory / record["file"])
-                for record in read_manifest(directory)["shards"]
-            ]
         # Global memory budget first, so the upper levels are pinned
-        # into correctly sized pools.  A process-pool worker sizes its
-        # copy of a shard's pool to the same capacity.
-        self.buffer_capacities = budget_buffers(
-            index.shards, 1.0, SESSION_MAX_PAGES
-        )
+        # into correctly sized pools.
+        budget_buffers(index.shards, 1.0, SESSION_MAX_PAGES)
         self.planner = QueryPlanner(index.extents())
-        self._start(index, config, index.shards, shard_paths)
+        self._start(index, config, index.shards)
         self.metrics.inc("engine.shards", len(index.shards))
 
     @classmethod
@@ -92,7 +73,7 @@ class ShardedQueryEngine(QueryEngine):
         index = load_sharded_index(
             manifest_dir, 1.0, SESSION_MAX_PAGES, verify=verify
         )
-        return cls(index, config=config, manifest_dir=manifest_dir)
+        return cls(index, config=config)
 
     def signature(self) -> tuple:
         """Structural signature of the whole sharded collection — the
@@ -105,95 +86,12 @@ class ShardedQueryEngine(QueryEngine):
     # the parts seam
     # ------------------------------------------------------------------
     def search_context(self, query, period) -> dict:
-        """Plan one query: the selected shards, and — on a process
-        engine — the workers that search them.  Any other engine
-        searches them here, as one tree."""
+        """Plan one query: the shards it searches, as one tree."""
         plan = self.planner.plan(query, period)
         self.metrics.inc("engine.planner.plans")
         self.metrics.inc("engine.planner.shards_selected", len(plan.selected))
         self.metrics.inc("engine.planner.shards_pruned", len(plan.pruned))
-        context = {"selected": plan.selected}
-        if self.executor.kind == "process":
-            # The multicore path: plans out, answers back (run_parts).
-            context["executor"] = self
-        return context
-
-    def _run_requests(self, requests: list) -> list[SearchResult]:
-        """One request after another: a process engine spends its
-        pool *per query, across shards* (its executor has no batch
-        ``map``), and the other kinds search a query's shards on the
-        calling thread."""
-        return [self.execute(request) for request in requests]
-
-    def run_parts(self, specs: dict, vmax: float, deadline) -> list:
-        """Search shards in the process pool — the ``executor`` this
-        engine hands the search driver when ``executor="process"``.
-
-        ``specs`` maps each selected shard id to the
-        :class:`~repro.search.QuerySpec` its worker runs.  One
-        self-contained :class:`~repro.engine.planner.ShardPlan` per
-        shard goes out (spec + shard path + generation signature + the
-        driver-resolved ``vmax`` + the absolute deadline); every
-        :class:`~repro.engine.planner.ShardAnswer` coming back is
-        validated against the open store and returned as the driver's
-        ``(shard_id, records, stats)`` triple.  Worker
-        counter deltas are folded into the active trace registry here,
-        before the driver harvests it, so the
-        :class:`~repro.search.SearchStats` enrichment and per-shard
-        breakdown stay executor-agnostic.
-        """
-        plans = [
-            ShardPlan(
-                spec=spec,
-                shard_id=shard_id,
-                shard_path=self.shard_paths[shard_id],
-                signature=self._pins[shard_id].signature(),
-                vmax=vmax,
-                deadline=deadline,
-                buffer_pages=self.buffer_capacities[shard_id],
-            )
-            for shard_id, spec in specs.items()
-        ]
-        trace = _obs.ACTIVE
-        reg = trace.registry if trace is not None else None
-        outcomes = []
-        for answer in self.executor.run_plans(plans):
-            self._validate_answer(answer)
-            # The traversal's heap high-water is a worker-side gauge,
-            # carried in the stats dict; it belongs to the trace, not
-            # to the untraced stats block.
-            high_water = answer.stats.pop("heap_high_water", 0)
-            if reg is not None and reg.enabled:
-                for name, value in answer.counters.items():
-                    if value:
-                        reg.inc(name, value)
-                if high_water:
-                    reg.gauge("index.heap_high_water").record_max(high_water)
-            outcomes.append(
-                (
-                    answer.shard_id,
-                    answer.to_records(),
-                    SearchStats.from_dict(answer.stats),
-                )
-            )
-        return outcomes
-
-    def _validate_answer(self, answer) -> None:
-        """Reject a :class:`~repro.engine.planner.ShardAnswer` whose
-        generation signature no longer matches the open store — merging
-        it would mix results from different index generations."""
-        if not 0 <= answer.shard_id < len(self._pins):
-            raise QueryError(
-                f"shard answer names unknown shard {answer.shard_id} "
-                f"(engine has {len(self._pins)})"
-            )
-        current = self._pins[answer.shard_id].signature()
-        if tuple(answer.signature) != current:
-            raise QueryError(
-                f"shard {answer.shard_id} answer signature "
-                f"{tuple(answer.signature)} does not match the open "
-                f"store {current}; the index changed under the worker"
-            )
+        return {"selected": plan.selected}
 
     # ------------------------------------------------------------------
     # telemetry

@@ -152,10 +152,9 @@ def bfmst_search(
     way).  ``deadline`` is an absolute
     ``time.monotonic()`` instant past which the traversal raises
     :class:`~repro.exceptions.DeadlineExceeded`.  Whatever else steers
-    the search — the planner's shard selection, the executor the parts
-    run on — is the context's ``search_context(query, period)``, plain
-    data handed to the one driver
-    (:func:`repro.search.bfmst.bfmst_search`) unchanged.
+    the search — the planner's shard selection — is the context's
+    ``search_context(query, period)``, plain data handed to the one
+    driver (:func:`repro.search.bfmst.bfmst_search`) unchanged.
     """
     if not isinstance(query, Trajectory):
         raise TypeError(

@@ -38,8 +38,7 @@ nodes (:func:`~repro.index.best_first_nodes`), one candidate map, one
 k-th-best bound and one Heuristic 2 check, and one signature pass over
 the parts' stacked sidecars
 (:meth:`~repro.filter.runtime.SignatureFilter.over_parts`).  Each part
-keeps its own counters.  A pool worker searches its one part the same
-way (:func:`search_part`), under a bound of its own.
+keeps its own counters.
 
 **Time slices.**  DISSIM is an integral over the period, so an object's
 value is the sum of its values over time slices.  Two parts may hold
@@ -80,14 +79,9 @@ from ..index import TrajectoryIndex, best_first_nodes
 from ..obs import state as _obs
 from ..trajectory import Trajectory
 from .results import MSTMatch, SearchStats
-from .spec import QuerySpec
 
 __all__ = [
     "bfmst_search",
-    "search_part",
-    "CandidateRecord",
-    "candidate_records",
-    "merge_shard_records",
     "make_signature_filters",
 ]
 
@@ -184,78 +178,6 @@ class _Candidate:
         for i in sorted(range(len(windows)), key=lambda i: windows[i][0]):
             total = total + self.integrals[i]
         return total
-
-
-class CandidateRecord:
-    """One candidate's contribution to the global ranking, detached
-    from the live traversal state.
-
-    This is the neutral currency between a shard search and the merge
-    step: the in-process paths convert :class:`_Candidate` maps into
-    records (:func:`candidate_records`), and the process-pool executor
-    ships the same records across the process boundary inside a
-    columnar :class:`~repro.engine.planner.ShardAnswer`.  ``windows``
-    — ``(lo, hi, x1, y1, t1, x2, y2, t2)`` rows, time-clipped — are
-    carried only for completed (``exact=True``) candidates so the merge
-    step can re-integrate them exactly during refinement.
-    """
-
-    __slots__ = ("tid", "dissim", "error_bound", "exact", "windows")
-
-    def __init__(
-        self,
-        tid: int,
-        dissim: float,
-        error_bound: float,
-        exact: bool,
-        windows: list[tuple] = (),
-    ) -> None:
-        self.tid = tid
-        self.dissim = dissim
-        self.error_bound = error_bound
-        self.exact = exact
-        self.windows = windows
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CandidateRecord(tid={self.tid}, dissim={self.dissim!r}, "
-            f"error_bound={self.error_bound!r}, exact={self.exact}, "
-            f"windows={len(self.windows)})"
-        )
-
-
-def candidate_records(
-    completed: dict[int, "_Candidate"],
-    valid: dict[int, "_Candidate"],
-    vmax: float,
-) -> list[CandidateRecord]:
-    """Detach one shard's candidate maps into merge-ready records.
-
-    Completed candidates report their canonical time-ordered total
-    (value and Lemma 1 error bound) plus the retrieved windows for
-    exact refinement; never-completed candidates report their certified
-    PESDISSIM upper bound and carry no windows (they are never
-    refined).
-    """
-    records: list[CandidateRecord] = []
-    for cand in completed.values():
-        total = cand.total if cand.total is not None else cand.canonical_total()
-        records.append(
-            CandidateRecord(
-                cand.tid,
-                total.upper,
-                total.error_bound,
-                True,
-                cand.windows,
-            )
-        )
-    for cand in valid.values():
-        records.append(
-            CandidateRecord(
-                cand.tid, cand.partial.pesdissim(vmax), 0.0, False, ()
-            )
-        )
-    return records
 
 
 class _TopK:
@@ -608,44 +530,6 @@ def _search_shard(
     return completed, valid
 
 
-def search_part(
-    index: TrajectoryIndex,
-    query: Trajectory,
-    t_start: float,
-    t_end: float,
-    vmax: float,
-    use_heuristic1: bool,
-    use_heuristic2: bool,
-    top: _TopK,
-    exclude_ids,
-    sig_filter: SignatureFilter | None = None,
-    deadline: float | None = None,
-) -> tuple[list[CandidateRecord], SearchStats]:
-    """One part searched alone under ``top``: the traversal of
-    :func:`_search_shard` over ``[index]``, detached into merge-ready
-    records plus the part's counters.
-
-    A pool worker (:func:`repro.engine.executor._execute_shard_plan`)
-    runs this on its one shard, under a bound of its own.
-    """
-    stats = SearchStats(total_nodes=index.num_nodes)
-    completed, valid = _search_shard(
-        [index],
-        query,
-        t_start,
-        t_end,
-        vmax,
-        use_heuristic1,
-        use_heuristic2,
-        top,
-        exclude_ids,
-        [stats],
-        filters=[sig_filter],
-        deadline=deadline,
-    )
-    return candidate_records(completed, valid, vmax), stats
-
-
 def _validate(query, period, k):
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -715,7 +599,6 @@ def bfmst_search(
     *,
     filter: str = "auto",
     selected: list[int] | None = None,
-    executor=None,
     deadline: float | None = None,
 ) -> tuple[list[MSTMatch], SearchStats]:
     """Run a k-MST search and return ``(matches, stats)``.
@@ -727,7 +610,7 @@ def bfmst_search(
     process as one tree (one heap, one k-th-best bound, one signature
     pass), and the candidates are ranked/refined once, globally.
     Everything that steers the search is plain data; nothing here
-    changes the answer, only the work done and where it runs.  The
+    changes the answer, only the work done.  The
     paper's ``V_max`` is the maximum speed over *all* parts plus the
     query's — the value an unsharded search would use, and the cap of
     every candidate's own pair speed (:func:`_pair_speeds`), which
@@ -755,9 +638,7 @@ def bfmst_search(
         meet at each object's joint sample, by construction (the
         store's strictly-increasing-time check); nothing on the search
         path checks it.  :func:`repro.ingest.merged_kmst` checks that
-        several views report disjoint ids.  A process-backed executor
-        ranks each part's candidates apart, so its parts (a sharded
-        index's shards) share no id.
+        several views report disjoint ids.
     query:
         The query trajectory ``Q``.
     period:
@@ -781,21 +662,11 @@ def bfmst_search(
         before any page read or integral.  ``"off"`` skips that tier,
         for measuring what it saves; answers are byte-identical by
         construction.  Either way a sidecar's speed column prices each
-        candidate's speed-dependent bounds (:func:`_pair_speeds`).  A process-backed executor's
-        workers always run ``"auto"``, so it refuses ``"off"``.
+        candidate's speed-dependent bounds (:func:`_pair_speeds`).
     selected:
         Positions of the parts to search (the planner's pre-filter);
         ``None`` searches all.  Skipping a part whose extent cannot
         overlap the query period is answer-preserving.
-    executor:
-        ``None`` — the selected parts are searched here, as one tree
-        (:func:`_search_shard`).  Anything with ``.run_parts(specs,
-        vmax, deadline)`` (a process-backed
-        :class:`~repro.engine.ShardedQueryEngine`) — in other
-        processes, from plain data: one ``QuerySpec`` per part out,
-        ``(position, records, stats)`` triples back, each worker
-        searching its part by :func:`search_part` under a bound of its
-        own.
     deadline:
         An absolute ``time.monotonic()`` instant; the traversal checks
         it at every node dequeue and raises
@@ -804,17 +675,6 @@ def bfmst_search(
     t_start, t_end = _validate(query, period, k)
     if filter not in ("auto", "off"):
         raise QueryError(f"filter must be 'auto' or 'off', got {filter!r}")
-    if executor is not None and not hasattr(executor, "run_parts"):
-        raise QueryError(
-            "executor must be None (search here) or have run_parts "
-            "(search in worker processes)"
-        )
-    if filter == "off" and executor is not None:
-        raise QueryError(
-            "filter='off' needs the parts searched in this process; a "
-            "process-backed executor's workers filter iff a shard has "
-            "a sidecar"
-        )
     one_tree = not isinstance(index, list) and not hasattr(index, "shards")
     if isinstance(index, list):
         parts = index
@@ -838,66 +698,56 @@ def bfmst_search(
     else:
         trace = before = None
 
-    if executor is not None:
-        specs = {
-            pos: QuerySpec(
-                "mst",
-                query,
-                (t_start, t_end),
-                k,
-                {
-                    "use_heuristic1": use_heuristic1,
-                    "use_heuristic2": use_heuristic2,
-                    "exclude_ids": exclude_ids,
-                },
-            )
-            for pos in selected
-        }
-        outcomes = executor.run_parts(specs, vmax, deadline)
-        records = [r for _pos, part_records, _s in outcomes for r in part_records]
-        part_stats = [(pos, s) for pos, _records, s in outcomes]
-    else:
-        # Every sidecar that can contribute in one stack, whether the
-        # planner selected its part or not, so the stack stays the same
-        # from query to query; a part the planner pruned misses the
-        # period, and so do its rows, which the pass skips.
-        filters = (
-            make_signature_filters(parts, query, t_start, t_end, vmax)
-            if filter == "auto"
-            else [None] * len(parts)
-        )
-        searched = [
-            SearchStats(total_nodes=parts[pos].num_nodes) for pos in selected
-        ]
-        completed, valid = _search_shard(
-            [parts[pos] for pos in selected],
-            query,
-            t_start,
-            t_end,
-            vmax,
-            use_heuristic1,
-            use_heuristic2,
-            _TopK(k),
-            exclude_ids,
-            searched,
-            filters=[filters[pos] for pos in selected],
-            deadline=deadline,
-        )
-        records = candidate_records(completed, valid, vmax)
-        part_stats = list(zip(selected, searched))
-
-    matches = merge_shard_records(
-        records,
-        part_stats,
-        selected=selected,
-        shard_nodes=None if one_tree else [p.num_nodes for p in parts],
-        query=query,
-        k=k,
-        refine=refine,
-        stats=stats,
-        trace=trace,
-        before=before,
+    # Every sidecar that can contribute in one stack, whether the
+    # planner selected its part or not, so the stack stays the same
+    # from query to query; a part the planner pruned misses the
+    # period, and so do its rows, which the pass skips.
+    filters = (
+        make_signature_filters(parts, query, t_start, t_end, vmax)
+        if filter == "auto"
+        else [None] * len(parts)
     )
+    searched = [
+        SearchStats(total_nodes=parts[pos].num_nodes) for pos in selected
+    ]
+    completed, valid = _search_shard(
+        [parts[pos] for pos in selected],
+        query,
+        t_start,
+        t_end,
+        vmax,
+        use_heuristic1,
+        use_heuristic2,
+        _TopK(k),
+        exclude_ids,
+        searched,
+        filters=[filters[pos] for pos in selected],
+        deadline=deadline,
+    )
+
+    for part_stats in searched:
+        stats.accumulate(part_stats)
+    if not one_tree:
+        # One row per part; a planner-pruned part did no work: the zero
+        # counters of a fresh SearchStats, under the same keys.
+        by_part = dict(zip(selected, searched))
+        per_shard = [
+            _per_shard_row(
+                shard_id,
+                shard_id not in by_part,
+                by_part.get(shard_id) or SearchStats(total_nodes=part.num_nodes),
+            )
+            for shard_id, part in enumerate(parts)
+        ]
+        stats.extra["per_shard"] = per_shard
+        stats.extra["shards_searched"] = len(selected)
+        stats.extra["shards_pruned"] = len(parts) - len(selected)
+
+    matches = _assemble(completed, valid, vmax, query, k, refine, stats)
+    if trace is not None:
+        _harvest(trace, stats, before)
+        if not one_tree:
+            _harvest_shards(trace.registry, per_shard, len(parts))
     return matches, stats
 
 
@@ -919,93 +769,52 @@ def _per_shard_row(shard_id: int, pruned: bool, s: SearchStats) -> dict:
     }
 
 
-def merge_shard_records(
-    records: list[CandidateRecord],
-    part_stats,
-    *,
-    selected: list[int],
-    shard_nodes: list[int] | None,
-    query: Trajectory,
-    k: int,
-    refine: bool,
-    stats: SearchStats,
-    trace=None,
-    before=None,
-) -> list[MSTMatch]:
-    """Merge a search's candidate records into the global ranked answer.
-
-    ``records`` are every searched part's candidates (from one search
-    over the parts in this process, or concatenated from the pool
-    workers' :class:`~repro.engine.planner.ShardAnswer` buffers), and
-    ``part_stats`` one ``(position, stats)`` pair per searched part.
-    Aggregates the part counters into ``stats``, ranks/refines the
-    records, and — when ``trace``/``before`` are given — harvests the
-    trace counters.  ``shard_nodes`` sizes the ``per_shard`` breakdown
-    (with a row for every planner-pruned part); ``None`` — a bare
-    index, searched as one part — reports none.
-
-    Every executor's results pass through this one merge, so they are
-    byte-identical by construction.
-    """
-    per_shard: list[dict] = []
-    for shard_id, s in part_stats:
-        stats.accumulate(s)
-        per_shard.append(_per_shard_row(shard_id, False, s))
-    if shard_nodes is not None:
-        searched = set(selected)
-        for shard_id in range(len(shard_nodes)):
-            if shard_id not in searched:
-                # A planner-pruned shard did no work: the zero counters
-                # of a fresh SearchStats, under the same keys.
-                idle = SearchStats(total_nodes=shard_nodes[shard_id])
-                per_shard.append(_per_shard_row(shard_id, True, idle))
-        per_shard.sort(key=lambda row: row["shard"])
-        stats.extra["per_shard"] = per_shard
-        stats.extra["shards_searched"] = len(selected)
-        stats.extra["shards_pruned"] = len(shard_nodes) - len(selected)
-
-    matches = _assemble(records, query, k, refine, stats)
-    if trace is not None:
-        _harvest(trace, stats, before)
-    if trace is not None and shard_nodes is not None:
-        reg = trace.registry
-        reg.inc("search.bfmst.sharded_queries")
-        reg.inc("search.bfmst.shards_searched", len(selected))
-        reg.inc("search.bfmst.shards_pruned", len(shard_nodes) - len(selected))
-        for row in per_shard:
-            if not row["pruned"]:
-                label = row["shard"]
-                reg.inc(f"search.shard.{label}.queries")
-                reg.inc(
-                    f"search.shard.{label}.node_accesses",
-                    row["node_accesses"],
-                )
-                reg.inc(
-                    f"search.shard.{label}.entries_processed",
-                    row["entries_processed"],
-                )
-    return matches
+def _harvest_shards(reg, per_shard: list[dict], num_parts: int) -> None:
+    """The per-part rows of a search over several parts, into the
+    trace registry."""
+    searched = [row for row in per_shard if not row["pruned"]]
+    reg.inc("search.bfmst.sharded_queries")
+    reg.inc("search.bfmst.shards_searched", len(searched))
+    reg.inc("search.bfmst.shards_pruned", num_parts - len(searched))
+    for row in searched:
+        label = row["shard"]
+        reg.inc(f"search.shard.{label}.queries")
+        reg.inc(f"search.shard.{label}.node_accesses", row["node_accesses"])
+        reg.inc(
+            f"search.shard.{label}.entries_processed",
+            row["entries_processed"],
+        )
 
 
 def _assemble(
-    records: list[CandidateRecord],
+    completed: dict[int, _Candidate],
+    valid: dict[int, _Candidate],
+    vmax: float,
     query: Trajectory,
     k: int,
     refine: bool,
     stats: SearchStats,
 ) -> list[MSTMatch]:
-    """Rank the candidate records, exactly re-integrating the ambiguous
-    ones (the paper's post-processing step, Section 4.4)."""
+    """Rank the candidates, exactly re-integrating the ambiguous ones
+    (the paper's post-processing step, Section 4.4).
+
+    A completed candidate reports its canonical time-ordered total
+    (value and Lemma 1 error bound), and its retrieved windows are what
+    a refinement re-integrates; a never-completed one reports its
+    certified PESDISSIM upper bound and is never refined."""
     scored = [
-        MSTMatch(r.tid, r.dissim, r.error_bound, exact=r.exact)
-        for r in records
+        MSTMatch(c.tid, c.total.upper, c.total.error_bound, exact=True)
+        for c in completed.values()
     ]
+    scored.extend(
+        MSTMatch(c.tid, c.partial.pesdissim(vmax), 0.0, exact=False)
+        for c in valid.values()
+    )
     scored.sort(key=lambda m: (m.upper, m.trajectory_id))
     if not scored:
         return []
 
     if refine and _needs_refinement(scored, k):
-        by_tid = {r.tid: r for r in records}
         trace = _obs.ACTIVE
         timed = (
             trace.time("search.bfmst.refinement")
@@ -1020,7 +829,7 @@ def _assemble(
                     continue
                 # Time-ordered summation: the exact value must not
                 # depend on segment arrival order either.
-                windows = sorted(by_tid[m.trajectory_id].windows, key=_LO)
+                windows = sorted(completed[m.trajectory_id].windows, key=_LO)
                 exact_total = 0.0
                 for integral, _dl, _dh in window_dissim_batch(
                     query, windows, exact=True

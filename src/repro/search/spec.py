@@ -172,7 +172,7 @@ class QuerySpec:
     trajectory; ``options`` are the BFMST switches of :data:`OPTIONS`
     (``use_heuristic1``, ``use_heuristic2``, ``refine``,
     ``exclude_ids``).  ``deadline_ms`` is the caller's latency budget,
-    enforced by deadline-aware executors.
+    enforced by the engines and the traversal.
     """
 
     kind: str

@@ -262,12 +262,10 @@ class ReproServer:
     async def _execute_admitted(
         self, spec
     ) -> tuple[int, bytes, dict | None]:
-        # The absolute monotonic deadline computed here crosses every
-        # executor boundary as plain data: the engines hand it to the
-        # traversal as an argument, and a process-pool
-        # ShardedQueryEngine carries it as a ShardPlan field (the
-        # monotonic clock is system-wide on Linux), so 504 enforcement
-        # is executor-agnostic.
+        # The absolute monotonic deadline computed here is plain data:
+        # the engine checks it while a request waits for its turn and
+        # hands it to the traversal, which checks it at every node it
+        # reads, so a query past it is a 504 wherever it stands.
         budget_ms = spec.deadline_ms
         if budget_ms is None:
             budget_ms = DEFAULT_DEADLINE_MS

@@ -4,7 +4,7 @@ The serving-scale layer: partition a trajectory collection into N
 disjoint shards, build one paged index per shard, and persist the whole
 thing as a directory with a JSON manifest.  The cross-shard search
 (:func:`repro.search.bfmst.bfmst_search` over the shards) and the
-planner/executor engine (:class:`repro.engine.ShardedQueryEngine`)
+planner-fronted engine (:class:`repro.engine.ShardedQueryEngine`)
 build on these primitives.
 """
 

@@ -51,8 +51,8 @@ class LRUBufferManager:
         self._dirty: set[int] = set()
         self._pinned: set[int] = set()
         # Null context by default; enable_thread_safety() swaps in a
-        # real lock (the engine's threaded executor needs it, nothing
-        # else pays for it).
+        # real lock (a live store's generations, which several readers
+        # share, need it; nothing else pays for it).
         self._lock = nullcontext()
 
     # ------------------------------------------------------------------
@@ -60,7 +60,7 @@ class LRUBufferManager:
     # ------------------------------------------------------------------
     def enable_thread_safety(self) -> None:
         """Guard every cache operation with an RLock so concurrent
-        readers (the engine's threaded executor) cannot race the LRU
+        readers (of a live store's generation) cannot race the LRU
         bookkeeping.  Irreversible for the buffer's lifetime."""
         if isinstance(self._lock, nullcontext):
             self._lock = threading.RLock()

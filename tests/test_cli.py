@@ -131,13 +131,6 @@ class TestShard:
         assert "DISSIM=" in out
         assert "shards searched" in out
 
-        rc = main(
-            ["shard", "query", str(directory), str(small_csv),
-             "--k", "3", "--seed", "2", "--executor", "thread",
-             "--workers", "2"]
-        )
-        assert rc == 0
-
         out_path = tmp_path / "trace.json"
         rc = main(
             ["stats", str(directory), str(small_csv), "--k", "3",
@@ -236,6 +229,8 @@ def test_unsigned_shards_are_served_unfiltered(small_csv, tmp_path, capsys):
         ["serve", "x", "--drain-grace", "5"],
         ["batch", "x", "y", "--executor", "thread"],
         ["batch", "x", "y", "--workers", "2"],
+        ["shard", "query", "x", "y", "--executor", "thread"],
+        ["shard", "query", "x", "y", "--workers", "2"],
         ["fsck", "x", "--verbose"],
     ],
     ids=lambda argv: argv[0] + argv[-2],

@@ -27,8 +27,6 @@ from repro.engine import (
     EngineConfig,
     QueryEngine,
     ShardedQueryEngine,
-    ThreadedExecutor,
-    make_executor,
 )
 from repro.engine.engine import PinnedIndex
 from repro.exceptions import QueryError
@@ -323,17 +321,15 @@ class TestEngineSurface:
         assert "engine.buffer.hits" in doc["cache"]
 
     def test_executor_factory(self):
-        assert make_executor("serial").kind == "serial"
-        ex = make_executor("thread", 2)
-        assert isinstance(ex, ThreadedExecutor) and ex.max_workers == 2
-        with pytest.raises(ValueError):
-            make_executor("fork")
+        for kind in ("serial", "thread", "process"):
+            assert EngineConfig(executor=kind, max_workers=2).executor == kind
+        with pytest.raises(ValueError, match="unknown executor kind"):
+            EngineConfig(executor="fork")
 
 
 class TestOneRequestAtATime:
-    """A serial engine runs one ``execute`` at a time behind its own
-    lock; a pooled one lets requests in together and locks its buffers
-    instead."""
+    """An engine of any kind runs one ``execute`` at a time behind its
+    own lock, and its buffers take none."""
 
     @staticmethod
     def _overlap(engine, request) -> int:
@@ -377,20 +373,15 @@ class TestOneRequestAtATime:
         assert errors == []
         return peak
 
-    @pytest.mark.parametrize(
-        "executor, peak, locked_buffers",
-        [("serial", 1, False), ("thread", 2, True)],
-    )
-    def test_calls_overlap_only_on_a_pooled_engine(
-        self, executor, peak, locked_buffers, dataset, workload
-    ):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_calls_never_overlap(self, executor, dataset, workload):
         q, p = workload[0]
         index = _build(RTree3D, dataset)
         config = EngineConfig(executor=executor, max_workers=2)
         with QueryEngine(index, config=config) as engine:
-            assert self._overlap(engine, QuerySpec("mst", q, p, k=3)) == peak
+            assert self._overlap(engine, QuerySpec("mst", q, p, k=3)) == 1
             assert engine.metrics.value("engine.queries") == 2
-        assert (not isinstance(index.buffer._lock, nullcontext)) is locked_buffers
+        assert isinstance(index.buffer._lock, nullcontext)
 
     def test_many_callers_on_one_serial_sharded_engine(self, dataset, workload):
         """More callers than cores and a short switch interval: every

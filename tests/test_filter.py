@@ -4,8 +4,8 @@ Covers the certified-radius construction, the provable-lower-bound
 property of the probe bound (the batched numpy pass bit-equal to the
 scalar reference), the binary sidecar
 round-trip, its lifetime and its corruption handling, byte-identity of
-filtered vs unfiltered answers across trees, partitioners, executors
-(including the process pool) and live ingestion, and the observability
+filtered vs unfiltered answers across trees, partitioners, executor
+kinds and live ingestion, and the observability
 counters the tier reports.
 """
 
@@ -565,12 +565,13 @@ class TestLeafRefusal:
                 read.append(page_id)
                 return real_read(page_id)
 
+            stats = SearchStats(total_nodes=tree.num_nodes)
             with mock.patch.object(tree, "read_node", spy):
-                records, stats = bfmst.search_part(
-                    tree, query, *period, vmax, False, False, top, (),
-                    sig_filter=make_filter(),
+                completed, valid = bfmst._search_shard(
+                    [tree], query, *period, vmax, False, False, top, (),
+                    [stats], filters=[make_filter()],
                 )
-            assert target not in [r.tid for r in records]
+            assert target not in completed and target not in valid
             assert stats.candidates_rejected >= 1  # not a signature check
             assert len(set(chain) & set(read)) < len(chain)
             assert stats.leaf_skips > 0
@@ -593,43 +594,6 @@ class TestSidecarLifetime:
         index.signatures.close()
         index.pagefile.close()
         signature_sidecar_path(path).unlink()
-
-    def test_stale_worker_cache_entry_closes(self, dataset, tmp_path):
-        from repro.engine.executor import _WORKER_INDEXES, _execute_shard_plan
-        from repro.engine.planner import ShardPlan
-        from repro.search.spec import QuerySpec
-
-        path = tmp_path / "shard_0000.pages"
-        query, period = workload(dataset, n=1)[0]
-
-        def run_generation(objects):
-            for suffix in ("", ".meta.json", ".sig"):
-                path.with_name(path.name + suffix).unlink(missing_ok=True)
-            index = RTree3D()
-            index.bulk_insert([dataset.get(t) for t in objects])
-            index.finalize()
-            save_index(index, path, signatures=True)
-            plan = ShardPlan(
-                spec=QuerySpec("mst", query, period, k=3),
-                shard_id=0,
-                shard_path=str(path),
-                signature=(index.num_nodes, index.num_entries, index.root_page),
-                vmax=index.max_speed + query.max_speed(),
-                buffer_pages=8,
-            )
-            return _execute_shard_plan(plan)
-
-        try:
-            first = run_generation(dataset.ids())
-            assert first.stats["signature_checks"] > 0
-            # Same path, new generation: the worker drops its stale
-            # mapping — sidecar included — before reopening.
-            second = run_generation(dataset.ids()[:12])
-            assert second.stats["signature_checks"] > 0
-        finally:
-            index, _signature = _WORKER_INDEXES.pop(str(path))
-            index.signatures.close()
-            index.pagefile.close()
 
     def test_retired_ingest_generation_closes(self, tmp_path):
         from repro.ingest import IngestStore
@@ -911,19 +875,6 @@ class TestFilterModes:
             with pytest.raises(QueryError, match="'auto' or 'off'"):
                 bfmst_search(rtree, query, period, k=3, filter=mode)
 
-    def test_off_refused_for_worker_processes(self, rtree, dataset):
-        # Pool workers filter iff their shard has a sidecar, so "off"
-        # cannot be honoured there: refused before any part runs.
-        class Pool:
-            def run_parts(self, specs, vmax, deadline):
-                raise AssertionError("no part may run")
-
-        query, period = workload(dataset, n=1)[0]
-        with pytest.raises(QueryError, match="process"):
-            bfmst_search(
-                rtree, query, period, k=3, filter="off", executor=Pool()
-            )
-
     def test_auto_without_sidecar_is_silent(self, rtree, dataset):
         query, period = workload(dataset, n=1)[0]
         matches, stats = bfmst_search(rtree, query, period, k=3)
@@ -1006,6 +957,7 @@ class TestByteIdentity:
         query, period = workload(dataset, n=1, seed=77)[0]
         results = {}
         stats = {}
+        # The process kind searches in this process, as the serial one.
         for mode, executor in (("off", "serial"), ("on", "process")):
             engine = ShardedQueryEngine.open(
                 tmp_path / mode,
@@ -1021,7 +973,6 @@ class TestByteIdentity:
                 engine.close()
                 engine.index.close()
         assert results["on"] == results["off"]
-        # Worker-side filter counters ride the ShardAnswer home.
         assert stats["on"].signature_checks > 0
         assert stats["off"].signature_checks == 0
 
@@ -1143,28 +1094,3 @@ class TestCounters:
             index.pagefile.close()
         assert work["off"][0] >= 2.0 * work["auto"][0]  # exact-DISSIM integrations
         assert work["off"][1] >= 1.5 * work["auto"][1]  # node accesses
-
-
-# ----------------------------------------------------------------------
-# plan codec
-# ----------------------------------------------------------------------
-class TestShardPlanCodec:
-    def test_plan_names_no_filter_mode(self, dataset):
-        from repro.engine.planner import ShardPlan
-        from repro.search.spec import QuerySpec
-
-        # The worker filters iff its shard carries a sidecar, so the
-        # plan has no mode to carry; it round-trips without one.
-        query = dataset.get(dataset.ids()[0])
-        doc = ShardPlan(
-            spec=QuerySpec(
-                "mst", query, period=(query.t_start, query.t_end), k=3
-            ),
-            shard_id=0,
-            shard_path="shard_0000.pages",
-            signature=(3, 50, 1),
-            vmax=2.5,
-            buffer_pages=8,
-        ).as_dict()
-        assert "filter" not in doc
-        assert ShardPlan.from_dict(doc).as_dict() == doc

@@ -1,7 +1,8 @@
 """Generation pinning under concurrency.
 
-Queries on :class:`~repro.engine.LiveQueryEngine`'s threaded executor
-race a writer thread that appends and compacts as fast as it can.  A
+Queries on a :class:`~repro.engine.LiveQueryEngine`, from reader
+threads of their own, race a writer thread that appends and compacts
+as fast as it can.  A
 query must keep the generation it pinned — its answers can never be
 torn between two generations — and every pin must be matched by an
 unpin (checked via the ``ingest.generation_*`` counters), with retired
@@ -17,7 +18,7 @@ import pytest
 
 from repro import IngestStore
 from repro.datagen import generate_gstd, make_query
-from repro.engine import EngineConfig, LiveQueryEngine
+from repro.engine import LiveQueryEngine
 from repro.search import QuerySpec
 from repro.search.api import bfmst_search
 from repro.trajectory import Trajectory
@@ -77,24 +78,44 @@ def test_threaded_queries_race_compactions(base_store):
         except Exception as exc:  # surfaced after the join
             writer_error.append(exc)
 
+    requests = [QuerySpec("mst", query, period, k=4)] * 32
+    results = []
+    reader_error = []
+
+    def reader(engine, share):
+        try:
+            for request in share:
+                results.append(engine.execute(request))
+        except Exception as exc:  # surfaced after the join
+            reader_error.append(exc)
+
     thread = threading.Thread(target=writer, name="ingest-writer")
     thread.start()
     try:
-        requests = [QuerySpec("mst", query, period, k=4)] * 32
-        with LiveQueryEngine(
-            store, EngineConfig(executor="thread", max_workers=4)
-        ) as engine:
-            batch = engine.run_batch(requests)
+        with LiveQueryEngine(store) as engine:
+            readers = [
+                threading.Thread(
+                    target=reader, args=(engine, requests[i::4]),
+                    name=f"reader-{i}",
+                )
+                for i in range(4)
+            ]
+            for r in readers:
+                r.start()
+            for r in readers:
+                r.join(timeout=60)
+            assert not any(r.is_alive() for r in readers)
     finally:
         stop.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert not writer_error, writer_error
+    assert not reader_error, reader_error
 
     # every racing query saw a consistent pinned snapshot: the noise
     # object lives outside the period, so all answers are the baseline
-    assert len(batch.results) == len(requests)
-    for result in batch.results:
+    assert len(results) == len(requests)
+    for result in results:
         got = [(m.trajectory_id, m.dissim) for m in result.matches]
         assert got == want
 

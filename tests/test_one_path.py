@@ -1,6 +1,6 @@
 """One k-MST search path behind every entry point.
 
-The bare index, the three engines and the pool worker all run
+The bare index and the three engines, of every executor kind, all run
 :func:`repro.search.bfmst.bfmst_search` over parts, so an option or a
 deadline means the same wherever a spec is executed.  These tests pin
 that down across the entry points at once; the per-feature identity
@@ -10,7 +10,10 @@ matrices live in their own files.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,17 +25,15 @@ from repro.engine import (
     LiveQueryEngine,
     QueryEngine,
     ShardedQueryEngine,
-    ShardPlan,
 )
-from repro.engine.executor import _execute_shard_plan
 from repro.exceptions import DeadlineExceeded, QueryError
 from repro.index import TBTree
+from repro.obs import query_trace
 from repro.search import QuerySpec, bfmst as bfmst_module, bfmst_search
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.sharding import (
     ShardedDataset,
     build_sharded_index,
-    load_sharded_index,
     make_partitioner,
     save_sharded_index,
 )
@@ -158,9 +159,7 @@ class TestOptionsMeanTheSameEverywhere:
     ):
         query, period = query_and_period
         with sharded_engine(shards_dir, "process") as engine:
-            assert engine.executor._pool is None  # the pool starts lazily
             via_api = bfmst_search(engine, None, query, period=period, k=3)
-            assert engine.executor._pool is not None
             spec = QuerySpec("mst", query, period, k=3)
             assert via_api.answer_json() == engine.execute(spec).answer_json()
             engine.index.close()
@@ -223,27 +222,6 @@ class TestDeadlinesStopTheTraversal:
             assert engine.metrics.value("engine.deadline_misses") == 1
             engine.index.close()
 
-    def test_pool_worker(self, clock, query_and_period, shards_dir):
-        # What a pool worker imports and runs, called in-process so the
-        # patched clock applies (expired-before-open is test_procpool's).
-        query, period = query_and_period
-        with sharded_engine(shards_dir, "serial") as engine:
-            signature = engine.signature()[0]
-            pages = engine.buffer_capacities[0]
-            engine.index.close()
-        plan = ShardPlan(
-            spec=QuerySpec("mst", query, period, k=3),
-            shard_id=0,
-            shard_path=str(shards_dir / "shard_0000.pages"),
-            signature=signature,
-            vmax=10.0,
-            buffer_pages=pages,
-            deadline=clock.deadline,
-        )
-        with pytest.raises(DeadlineExceeded, match="exceeded"):
-            _execute_shard_plan(plan)
-        assert next(clock.reads) == clock.after + 1
-
     def test_live_engine_releases_its_pins(
         self, clock, dataset, query_and_period, tmp_path
     ):
@@ -262,20 +240,35 @@ class TestDeadlinesStopTheTraversal:
 # ----------------------------------------------------------------------
 # one session body behind the three engine classes
 # ----------------------------------------------------------------------
-@pytest.fixture(params=("single", "sharded", "live"))
-def any_engine(request, dataset, single_index, shards_dir, tmp_path):
-    """The same data behind each engine class, serial executor."""
-    if request.param == "single":
-        with QueryEngine(single_index) as engine:
+ENGINES = ("single", "sharded", "live")
+
+
+@contextmanager
+def engine_of(which, executor, dataset, single_index, shards_dir, directory):
+    """The same data behind the engine class ``which``, of the given
+    executor kind (a live store is made in ``directory``)."""
+    config = EngineConfig(executor=executor, max_workers=2)
+    if which == "single":
+        with QueryEngine(single_index, config=config) as engine:
             yield engine
-    elif request.param == "sharded":
-        with sharded_engine(shards_dir, "serial") as engine:
+    elif which == "sharded":
+        with sharded_engine(shards_dir, executor) as engine:
             yield engine
             engine.index.close()
     else:
-        with live_store(tmp_path / "s", dataset, "mixed") as store:
-            with LiveQueryEngine(store) as engine:
+        with live_store(directory, dataset, "mixed") as store:
+            with LiveQueryEngine(store, config) as engine:
                 yield engine
+
+
+@pytest.fixture(params=ENGINES)
+def any_engine(request, dataset, single_index, shards_dir, tmp_path):
+    """The same data behind each engine class, serial executor."""
+    with engine_of(
+        request.param, "serial", dataset, single_index, shards_dir,
+        tmp_path / "s",
+    ) as engine:
+        yield engine
 
 
 def test_one_behaviour_three_engines(any_engine, query_and_period):
@@ -301,7 +294,7 @@ def test_one_behaviour_three_engines(any_engine, query_and_period):
 
     batch = engine.run_batch([spec] * 2)
     assert isinstance(batch, BatchResult) and len(batch) == 2
-    assert batch.executor == engine.executor.kind == "serial"
+    assert batch.executor == engine.config.executor == "serial"
     assert set(batch.cache_counters) == {
         "engine.buffer.hits", "engine.buffer.misses", "engine.buffer.pinned"
     }
@@ -321,20 +314,66 @@ def test_one_behaviour_three_engines(any_engine, query_and_period):
             call(spec)
 
 
-def test_process_executor_needs_shard_paths(
-    dataset, single_index, shards_dir, tmp_path
+def _work(engine, specs) -> list[tuple]:
+    """Every spec once: its answer and the work it did."""
+    rows = []
+    for spec in specs:
+        with query_trace():
+            result = engine.execute(spec)
+        s = result.stats
+        rows.append(
+            (
+                result.answer_json(),
+                s.node_accesses,
+                s.leaf_accesses,
+                s.entries_processed,
+                s.candidates_created,
+                s.candidates_rejected,
+                s.signature_checks,
+                s.trapezoid_evals,
+                s.extra.get("per_shard"),
+            )
+        )
+    return rows
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("which", ENGINES)
+def test_every_kind_runs_the_serial_session(
+    which, executor, dataset, single_index, shards_dir, tmp_path
 ):
-    """Only an engine that can hand its workers page-file paths takes
-    ``executor="process"``; the others refuse it rather than run
-    in-process under its name."""
-    config = EngineConfig(executor="process")
-    sharded = load_sharded_index(shards_dir)  # an index, no manifest_dir
-    with live_store(tmp_path / "s", dataset, "uncompacted") as store:
-        for build in (
-            lambda: QueryEngine(single_index, config=config),
-            lambda: LiveQueryEngine(store, config),
-            lambda: ShardedQueryEngine(sharded, config=config),
+    """Every executor kind, on every engine class, answers as the
+    serial kind does with the same work, and starts no thread and no
+    process; an unknown kind is refused when the engine is built."""
+    workload = make_workload(dataset, 4, 0.3, seed=21)
+    specs = [
+        QuerySpec("mst", query, period, k=k)
+        for (query, period), k in zip(workload, (1, 3, 5, 10))
+    ]
+    with engine_of(
+        which, "serial", dataset, single_index, shards_dir, tmp_path / "a"
+    ) as engine:
+        want = _work(engine, specs)
+
+    threads = threading.active_count()
+
+    def started_nothing():
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    with engine_of(
+        which, executor, dataset, single_index, shards_dir, tmp_path / "b"
+    ) as engine:
+        assert _work(engine, specs) == want
+        started_nothing()
+        batch = engine.run_batch(specs)
+        assert batch.executor == executor
+        assert [r.answer_json() for r in batch] == [row[0] for row in want]
+        started_nothing()
+    started_nothing()
+
+    with pytest.raises(ValueError, match="unknown executor kind 'fork'"):
+        with engine_of(
+            which, "fork", dataset, single_index, shards_dir, tmp_path / "c"
         ):
-            with pytest.raises(QueryError, match="shard page-file paths"):
-                build()
-    sharded.close()
+            pass  # pragma: no cover - the kind is refused first
