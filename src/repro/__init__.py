@@ -23,8 +23,8 @@ Quickstart::
     for m in result:
         print(m.trajectory_id, m.dissim)
 
-For batches, open a :class:`repro.engine.QueryEngine` — it keeps the
-hot index levels pinned in the buffer pool across queries::
+For batches, open a :class:`repro.engine.QueryEngine` — its buffer
+pool stays warm across queries::
 
     from repro import QueryEngine, QuerySpec
 

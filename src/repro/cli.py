@@ -513,7 +513,7 @@ def _cmd_batch(args) -> int:
         cache = batch.cache_counters
         print(
             f"  buffer: {cache['engine.buffer.hits']} hits, "
-            f"{cache['engine.buffer.pinned']} pages pinned"
+            f"{cache['engine.buffer.misses']} misses"
         )
         if args.output:
             with open(args.output, "w") as fh:

@@ -2,10 +2,11 @@
 
 A :class:`QueryEngine` owns an index and its buffer manager for a
 session and executes k-MST queries (:class:`~repro.search.QuerySpec`)
-one by one or in batches.  What a session keeps warm is the buffer
-pool, with the upper index levels pinned (:class:`PinnedIndex`); the
-traversal itself keeps no state between queries, so the same request
-executed twice does the same work.
+one by one or in batches.  What a session keeps warm is its plain LRU
+buffer pool, sized to hold the whole index (up to
+:data:`SESSION_MAX_PAGES`); the traversal itself keeps no state
+between queries, so the same request executed twice does the same
+work.
 
 Everything a session does around a search lives here once — the closed
 check, the deadline, the ``engine.*`` / ``filter.*`` counting into one
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exceptions import DeadlineExceeded, QueryError
-from ..index import NO_PAGE, TrajectoryIndex, load_index
+from ..index import TrajectoryIndex, load_index
 from ..obs import MetricsRegistry
 from ..obs import state as _obs
 from ..search import api as _api
@@ -42,7 +43,6 @@ from ..search.spec import QuerySpec
 __all__ = [
     "EngineConfig",
     "BatchResult",
-    "PinnedIndex",
     "QueryEngine",
     "SESSION_MAX_PAGES",
 ]
@@ -53,10 +53,6 @@ __all__ = [
 #: executes many queries decodes each page once.  A resident leaf
 #: stays compact (:mod:`repro.index.node`), little more than its page.
 SESSION_MAX_PAGES = 1000
-
-#: How many index levels a session pins, counted from the root
-#: downwards (2 = the root and its children).
-PIN_UPPER_LEVELS = 2
 
 #: The executor kinds an :class:`EngineConfig` accepts.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -114,62 +110,15 @@ class BatchResult:
         }
 
 
-class PinnedIndex:
-    """One index's share of a session: its top ``levels`` levels pinned
-    in its buffer pool and its structural signature remembered, so the
-    pins follow a rebuild or insertion."""
-
-    def __init__(self, index: TrajectoryIndex, levels: int):
-        self.index = index
-        self.levels = levels
-        self._pinned_at = None
-        self.refresh()
-
-    def signature(self) -> tuple:
-        """``(num_nodes, num_entries, root_page)`` as the index is now."""
-        return (
-            self.index.num_nodes,
-            self.index.num_entries,
-            self.index.root_page,
-        )
-
-    def refresh(self) -> bool:
-        """Pin again if the index changed shape since the last pin;
-        returns ``True`` when it had."""
-        current = self.signature()
-        if current == self._pinned_at:
-            return False
-        self._pinned_at = current
-        self.pinned = self._pin()
-        return True
-
-    def release(self) -> None:
-        self.index.buffer.unpin_all()
-
-    def _pin(self) -> int:
-        buf = self.index.buffer
-        buf.unpin_all()
-        if self.levels <= 0 or self.index.root_page == NO_PAGE:
-            return 0
-        floor = self.index.height - self.levels  # pin node.level >= floor
-        pinned = 0
-        stack = [self.index.root_page]
-        while stack:
-            page_id = stack.pop()
-            node = self.index.read_node(page_id)
-            if node.level < floor:
-                continue
-            buf.pin(page_id)
-            pinned += 1
-            if not node.is_leaf and node.level > floor:
-                stack.extend(e.child_page for e in node.entries)
-        return pinned
+def _signature(index: TrajectoryIndex) -> tuple:
+    """``(num_nodes, num_entries, root_page)`` as the index is now."""
+    return (index.num_nodes, index.num_entries, index.root_page)
 
 
 class QueryEngine:
     """Session owner for an index, executing k-MST queries.
 
-    Use as a context manager, or call :meth:`close` to release pins::
+    Use as a context manager, or call :meth:`close` when done::
 
         with QueryEngine(index) as engine:
             batch = engine.run_batch([
@@ -186,25 +135,21 @@ class QueryEngine:
     ):
         self._start(index, config, [index])
 
-    def _start(self, index, config, pinned) -> None:
-        """The shared constructor body: ``pinned`` are the indexes whose
+    def _start(self, index, config, indexes) -> None:
+        """The shared constructor body: ``indexes`` are the indexes whose
         buffer pools belong to this session (one, one per shard, or
         none for a live engine, whose generations come and go)."""
         self.index = index
         self.config = config if config is not None else EngineConfig()
         self.metrics = MetricsRegistry()
         self._closed = False
-        self._pins = [
-            PinnedIndex(ix, PIN_UPPER_LEVELS) for ix in pinned
-        ]
+        self._indexes = list(indexes)
+        self._seen = [_signature(ix) for ix in self._indexes]
         # On an interpreter lock, two requests searched at once only
         # convoy on it: a session admits one request at a time, and its
         # buffers need no lock.
         self._turn = threading.Lock()
         self.metrics.inc("engine.sessions")
-        self.metrics.inc(
-            "engine.pinned_pages", sum(pin.pinned for pin in self._pins)
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -224,12 +169,9 @@ class QueryEngine:
         return cls(index, config=config)
 
     def close(self) -> None:
-        """Release the buffer pins (what the engine was handed — index,
+        """Refuse further queries (what the engine was handed — index,
         stores — stays open)."""
-        if not self._closed:
-            for pin in self._pins:
-                pin.release()
-            self._closed = True
+        self._closed = True
 
     def __enter__(self):
         return self
@@ -242,18 +184,18 @@ class QueryEngine:
         tier's result cache compares signatures across requests: a
         changed signature means previously cached answers may be
         stale."""
-        return self._pins[0].signature()
+        return _signature(self.index)
 
     def check_signature(self) -> bool:
-        """Pin again whichever index changed shape since the last
-        query; returns ``True`` when one had."""
+        """Count an invalidation for each index that changed shape
+        since the last query; returns ``True`` when one had."""
         changed = False
-        for pin in self._pins:
-            if pin.refresh():
+        for i, index in enumerate(self._indexes):
+            current = _signature(index)
+            if current != self._seen[i]:
+                self._seen[i] = current
                 changed = True
                 self.metrics.inc("engine.cache.invalidations")
-                self.metrics.inc("engine.sessions")
-                self.metrics.inc("engine.pinned_pages", pin.pinned)
         return changed
 
     # ------------------------------------------------------------------
@@ -264,7 +206,7 @@ class QueryEngine:
         """Obtain what one request searches, as a search context
         (``.index``, ``search_context``), and release it
         however the search ends.  Here: the session's own index, its
-        pins brought up to date."""
+        signature checked."""
         self.check_signature()
         yield self
 
@@ -373,16 +315,10 @@ class QueryEngine:
     # telemetry
     # ------------------------------------------------------------------
     def cache_counters(self) -> dict[str, int]:
-        """Session totals of the buffer pools: hits, misses and pages
-        pinned, summed over the session's indexes."""
-        hits = misses = pinned = 0
-        for pin in self._pins:
-            buf = pin.index.buffer
-            hits += buf.stats.buffer_hits
-            misses += buf.stats.buffer_misses
-            pinned += len(buf.pinned_pages)
+        """Session totals of the buffer pools: hits and misses, summed
+        over the session's indexes."""
+        stats = [ix.buffer.stats for ix in self._indexes]
         return {
-            "engine.buffer.hits": hits,
-            "engine.buffer.misses": misses,
-            "engine.buffer.pinned": pinned,
+            "engine.buffer.hits": sum(s.buffer_hits for s in stats),
+            "engine.buffer.misses": sum(s.buffer_misses for s in stats),
         }

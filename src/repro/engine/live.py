@@ -52,7 +52,8 @@ class LiveQueryEngine(QueryEngine):
         if not stores:
             raise QueryError("LiveQueryEngine needs at least one store")
         self.stores = list(stores)
-        # No session-long pins: a request pins the generations it reads.
+        # No session-owned index: a request pins the generations it
+        # reads.
         self._start(None, config, [])
 
     def signature(self) -> tuple:

@@ -9,8 +9,6 @@ overrides how a request obtains its parts:
   selects the shards whose extents can intersect the query and splits
   one global buffer budget across the shard pools
   (:func:`~repro.engine.planner.budget_buffers`),
-* every shard's upper levels are pinned in its own pool
-  (:class:`~repro.engine.engine.PinnedIndex`, one per shard),
 * the cross-shard k-MST itself is the one driver,
   :func:`repro.search.bfmst.bfmst_search`: the selected shards are
   searched as one tree — one best-first heap, one k-th-best bound, one
@@ -28,6 +26,7 @@ from .engine import (
     SESSION_MAX_PAGES,
     EngineConfig,
     QueryEngine,
+    _signature,
 )
 from .planner import QueryPlanner, budget_buffers
 
@@ -37,8 +36,7 @@ __all__ = ["ShardedQueryEngine"]
 class ShardedQueryEngine(QueryEngine):
     """Session owner for a sharded index.
 
-    Use as a context manager, or call :meth:`close` to release the
-    shard pins::
+    Use as a context manager, or call :meth:`close` when done::
 
         with ShardedQueryEngine(sharded_index) as engine:
             batch = engine.run_batch([
@@ -52,8 +50,6 @@ class ShardedQueryEngine(QueryEngine):
         *,
         config: EngineConfig | None = None,
     ):
-        # Global memory budget first, so the upper levels are pinned
-        # into correctly sized pools.
         budget_buffers(index.shards, 1.0, SESSION_MAX_PAGES)
         self.planner = QueryPlanner(index.extents())
         self._start(index, config, index.shards)
@@ -80,7 +76,7 @@ class ShardedQueryEngine(QueryEngine):
         tuple of per-shard signatures.  Any shard changing shape
         changes it, so serving-tier result caches invalidate
         collection-wide."""
-        return tuple(pin.signature() for pin in self._pins)
+        return tuple(_signature(shard) for shard in self._indexes)
 
     # ------------------------------------------------------------------
     # the parts seam

@@ -9,13 +9,8 @@ module provides exactly that policy
 The buffer caches *deserialised objects* (index nodes) keyed by page
 id: a hit returns the cached object without touching the page file, a
 miss reads the raw page and runs the caller-supplied loader.  Dirty
-objects are serialised and written back on eviction or flush.
-
-Pages can be *pinned* (:meth:`LRUBufferManager.pin`): pinned pages are
-never chosen as eviction victims, which is how the query engine keeps
-the hot upper index levels resident across a whole batch.  Pinning is
-advisory — if every resident page is pinned the cache is allowed to
-overflow its capacity rather than fail.
+objects are serialised and written back on eviction or flush.  The
+victim is always the least recently used page.
 
 Over a read-only page file (``pagefile.writable`` is ``False``: every
 loaded index) the buffer runs in **read-only mode**: dirty
@@ -49,14 +44,14 @@ class LRUBufferManager:
         self.read_only = not getattr(pagefile, "writable", True)
         self._cache: OrderedDict[int, object] = OrderedDict()
         self._dirty: set[int] = set()
-        self._pinned: set[int] = set()
+        self._serializer: Callable[[object], bytes] | None = None
         # Null context by default; enable_thread_safety() swaps in a
         # real lock (a live store's generations, which several readers
         # share, need it; nothing else pays for it).
         self._lock = nullcontext()
 
     # ------------------------------------------------------------------
-    # concurrency & pinning
+    # concurrency
     # ------------------------------------------------------------------
     def enable_thread_safety(self) -> None:
         """Guard every cache operation with an RLock so concurrent
@@ -65,19 +60,10 @@ class LRUBufferManager:
         if isinstance(self._lock, nullcontext):
             self._lock = threading.RLock()
 
-    def pin(self, page_id: int) -> None:
-        """Exempt a page from eviction (it need not be resident yet)."""
-        self._pinned.add(page_id)
-
-    def unpin(self, page_id: int) -> None:
-        self._pinned.discard(page_id)
-
     def unpin_all(self) -> None:
-        self._pinned.clear()
-
-    @property
-    def pinned_pages(self) -> frozenset[int]:
-        return frozenset(self._pinned)
+        """Does nothing: no page is ever pinned.  Kept only because the
+        end-to-end harness (``benchmarks/e2e/child.py``,
+        ``close_index``) still calls it; delete it with that call."""
 
     # ------------------------------------------------------------------
     # paper's sizing policy
@@ -98,7 +84,7 @@ class LRUBufferManager:
             raise StorageError(f"buffer capacity must be >= 1, got {capacity}")
         with self._lock:
             self.capacity = capacity
-            self._evict_overflow(getattr(self, "_serializer", None))
+            self._evict_overflow(self._serializer)
             return self.capacity
 
     # ------------------------------------------------------------------
@@ -139,7 +125,7 @@ class LRUBufferManager:
                 self.stats.checksum_failures += 1
                 raise
             self._cache[page_id] = obj
-            self._serializer = serializer or getattr(self, "_serializer", None)
+            self._serializer = serializer or self._serializer
             self._evict_overflow(self._serializer)
             return obj
 
@@ -185,7 +171,7 @@ class LRUBufferManager:
         if self.read_only:
             return 0
         with self._lock:
-            ser = serializer or getattr(self, "_serializer", None)
+            ser = serializer or self._serializer
             written = 0
             for page_id in sorted(self._dirty):
                 if page_id in self._cache:
@@ -213,18 +199,7 @@ class LRUBufferManager:
     # ------------------------------------------------------------------
     def _evict_overflow(self, serializer) -> None:
         while len(self._cache) > self.capacity:
-            victim_id = None
-            if self._pinned:
-                # LRU-first among the unpinned residents.
-                for pid in self._cache:
-                    if pid not in self._pinned:
-                        victim_id = pid
-                        break
-                if victim_id is None:
-                    return  # everything resident is pinned: allow overflow
-                victim = self._cache.pop(victim_id)
-            else:
-                victim_id, victim = self._cache.popitem(last=False)
+            victim_id, victim = self._cache.popitem(last=False)
             self.stats.evictions += 1
             if _obs.ACTIVE is not None:
                 _obs.ACTIVE.registry.inc("storage.evictions")

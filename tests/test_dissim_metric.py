@@ -5,6 +5,9 @@
   candidate's coverage record (:class:`repro.PartialDissim`) adds its
   retrieved windows on exactly this fact, and splitting a part by time
   would too.
+* **Identity.**  ``DISSIM(T, T) == 0`` exactly, and so is the
+  trapezoid approximation's error bound: every piece integrates a
+  distance that is zero throughout.
 * **Symmetry.**  ``DISSIM(Q, T) == DISSIM(T, Q)``, bit for bit.
 * **The triangle inequality** over a common period, which a pivot
   bound ``|D(Q, P) - D(P, T)| <= D(Q, T)`` needs.
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import dissim_exact
+from repro import dissim, dissim_exact
+from repro.distance import IntegralResult
 
 from conftest import cotemporal_trajectories, cotemporal_trajectory_pairs
 
@@ -71,6 +75,20 @@ class TestAdditivity:
         whole = dissim_exact(q, t, (a, c))
         parts = dissim_exact(q, t, (a, b)) + dissim_exact(q, t, (b, c))
         assert parts == pytest.approx(whole, rel=1e-13, abs=1e-13)
+
+
+class TestIdentity:
+    @given(cotemporal_trajectories(1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_self_distance_is_zero(self, single, f_lo, f_hi):
+        """Each interval's trinomial has every coefficient zero, so no
+        piece may leave a residue, not even a 0/0 in the degenerate
+        paths."""
+        (t,) = single
+        period = _period(f_lo, f_hi, t.t_end)
+        assume(period[0] < period[1])
+        assert dissim_exact(t, t, period) == 0.0
+        assert dissim(t, t, period) == IntegralResult(0.0, 0.0)
 
 
 class TestSymmetry:

@@ -1,8 +1,8 @@
-"""The batched query engine: correctness with pinned buffers,
-re-pinning after a rebuild, executors and telemetry.
+"""The batched query engine: correctness over a warm buffer pool,
+invalidation after a rebuild, executors and telemetry.
 
-The load-bearing property: a batch run through the engine — with
-buffer pinning active — returns answers *identical* to one-off
+The load-bearing property: a batch run through the engine — its
+buffer pool warm — returns answers *identical* to one-off
 :func:`repro.search.bfmst.bfmst_search` calls on a pristine stack, and
 the engine keeps no per-query state: a repeated request does the same
 work as its first execution.
@@ -28,7 +28,6 @@ from repro.engine import (
     QueryEngine,
     ShardedQueryEngine,
 )
-from repro.engine.engine import PinnedIndex
 from repro.exceptions import QueryError
 from repro.index import RTree3D, TBTree, save_index
 from repro.obs import query_trace
@@ -36,6 +35,7 @@ from repro.search import QuerySpec
 from repro.search.bfmst import bfmst_search as raw_bfmst
 from repro.sharding import (
     ShardedDataset,
+    ShardedIndex,
     build_sharded_index,
     make_partitioner,
     save_sharded_index,
@@ -84,7 +84,7 @@ class TestBatchedIdentity:
         with QueryEngine(index) as engine:
             requests = [
                 QuerySpec("mst", q, p, k=k) for q, p in workload
-            ] * 2  # repeats run against warm, pinned buffers
+            ] * 2  # repeats run against warm buffers
             batch = engine.run_batch(requests)
             for i, (q, p) in enumerate(workload):
                 want, _stats = raw_bfmst(index, q, p, k)
@@ -205,7 +205,7 @@ class TestSessionPool:
         self, kind, tree_cls, dataset, workload, tmp_path
     ):
         engine = self._open(kind, tree_cls, dataset, tmp_path)
-        indexes = [pin.index for pin in engine._pins]
+        indexes = engine._indexes
         try:
             assert sum(ix.pagefile.num_pages for ix in indexes) < SESSION_MAX_PAGES
             for ix in indexes:
@@ -278,12 +278,27 @@ class TestInvalidation:
         assert _key(result.results[0].matches) == _key(want)
         engine.close()
 
-    def test_pinning_tracks_rebuild(self, dataset):
-        index = _build(RTree3D, dataset)
-        pin = PinnedIndex(index, 1)
-        assert index.buffer.pinned_pages == {index.root_page}
-        pin.release()
-        assert index.buffer.pinned_pages == frozenset()
+    def test_one_invalidation_per_changed_shard(self, dataset):
+        trajectories = list(dataset)
+        shards = [RTree3D(page_size=512) for _ in range(3)]
+        for i, tr in enumerate(trajectories[:-1]):
+            shards[i % 3].insert(tr)
+        sharded = ShardedIndex(shards)
+        (q, p), = make_workload(dataset, 1, query_length=0.2, seed=9)
+        spec = QuerySpec("mst", q, p, k=2)
+        engine = ShardedQueryEngine(sharded)
+        try:
+            engine.execute(spec)
+            before = engine.signature()
+            sharded.shards[1].insert(trajectories[-1])
+            assert engine.signature() != before
+            engine.execute(spec)
+            engine.execute(spec)
+            counters = engine.metrics.counters
+            assert counters["engine.cache.invalidations"] == 1
+            assert counters["engine.sessions"] == 1  # constructions only
+        finally:
+            engine.close()
 
 
 class TestEngineSurface:

@@ -296,7 +296,7 @@ def test_one_behaviour_three_engines(any_engine, query_and_period):
     assert isinstance(batch, BatchResult) and len(batch) == 2
     assert batch.executor == engine.config.executor == "serial"
     assert set(batch.cache_counters) == {
-        "engine.buffer.hits", "engine.buffer.misses", "engine.buffer.pinned"
+        "engine.buffer.hits", "engine.buffer.misses"
     }
     assert batch.metrics["engine.queries"] == 4  # the refused one is not one
     assert batch.metrics["engine.batches"] == 1

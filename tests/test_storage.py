@@ -256,28 +256,6 @@ class TestLRUBufferManager:
         with pytest.raises(StorageError):
             buf.get(b, lambda data: data)
 
-    def test_all_pinned_overflows_instead_of_failing(self):
-        """Pinning is advisory: when every resident page is pinned the
-        cache overflows its capacity rather than erroring or evicting
-        a pinned page."""
-        pf, buf = self.make(capacity=2)
-        pids = [pf.allocate() for _ in range(4)]
-        for pid in pids:
-            pf.write(pid, bytes([pid + 1]))
-        loader = lambda data: data[0]
-        for pid in pids:
-            buf.pin(pid)
-            buf.get(pid, loader)
-        assert len(buf) == 4  # over capacity, nothing evicted
-        assert all(buf.resident(pid) for pid in pids)
-        assert pf.stats.evictions == 0
-        # unpinning lets the next miss shrink the cache again
-        buf.unpin_all()
-        extra = pf.allocate()
-        pf.write(extra, b"\x09")
-        buf.get(extra, loader)
-        assert len(buf) <= 2
-
     def test_threaded_eviction_writes_back_in_order(self):
         """Concurrent updates through a tiny locked buffer: every
         page's final content must be the last value written, whether
