@@ -199,7 +199,10 @@ class LiveView:
 class IngestStore:
     """Crash-safe online write path over one directory (see module
     docstring).  Thread-safe: appends/compactions serialise on one
-    lock, queries run against pinned views outside it."""
+    lock, queries run against pinned views outside it.  A second,
+    short lock guards what a view reads (the memtable, the current
+    generation, the pin counts); a compaction takes it only to publish,
+    so readers never wait out a pack or its fsyncs."""
 
     def __init__(
         self,
@@ -215,6 +218,9 @@ class IngestStore:
         self.metrics = MetricsRegistry()
         self._rec = _Recorder(self.metrics)
         self._lock = threading.RLock()
+        #: guards the memtable, ``_generation`` and the refcounts;
+        #: taken after ``_lock`` when both are held
+        self._view_lock = threading.Lock()
         self._closed = False
         self.sync_every = sync_every
         self.auto_compact_points = auto_compact_points
@@ -345,7 +351,7 @@ class IngestStore:
         self._wal = WriteAheadLog(wal_path, registry=self._rec)
 
     def close(self) -> None:
-        with self._lock:
+        with self._lock, self._view_lock:
             if self._closed:
                 return
             self._closed = True
@@ -447,7 +453,8 @@ class IngestStore:
             self._wal.append(object_id, x, y, t)
             if self.sync_every and self._wal.unsynced_appends >= self.sync_every:
                 self._wal.sync()
-            self._apply(object_id, x, y, t)
+            with self._view_lock:
+                self._apply(object_id, x, y, t)
             if (
                 self.auto_compact_points
                 and self._memtable.new_points >= self.auto_compact_points
@@ -532,20 +539,26 @@ class IngestStore:
         fsync_directory(self.directory)
         self._fault("compact.wal_rotated")
 
+        # Views switch to the new generation and an empty memtable in
+        # one step: both hold the same points as the old pair.
+        old_generation = self._generation
+        generation = self._load_generation(number)
+        with self._view_lock:
+            self._generation = generation
+            self._memtable = Memtable(self.page_size)
+
         # the commit point: after this rename the store *is* at the
         # new generation; before it, recovery sees the old one.
-        old_generation = self._generation
         self._wal_seq = new_seq
-        self._generation = self._load_generation(number)
         self._write_manifest(self._manifest())
         self._fault("compact.manifest_committed")
 
         self._wal.close()
         self._wal = WriteAheadLog(new_wal_path, registry=self._rec)
         old_wal_path.unlink(missing_ok=True)
-        self._memtable = Memtable(self.page_size)
         if old_generation is not None:
-            self._retire(old_generation)
+            with self._view_lock:
+                self._retire(old_generation)
         self._rec.inc("ingest.compactions")
         self._rec.inc("ingest.generations_published")
         self._fault("compact.done")
@@ -587,7 +600,7 @@ class IngestStore:
         self._rec.inc("ingest.generations_retired")
 
     def _unpin(self, generation: Generation) -> None:
-        with self._lock:
+        with self._view_lock:
             generation.refcount -= 1
             self._rec.inc("ingest.generation_unpins")
             if generation.retired and generation.refcount == 0:
@@ -599,7 +612,7 @@ class IngestStore:
     def view(self) -> LiveView:
         """Pin a consistent snapshot: the current generation (if any)
         plus a frozen memtable copy."""
-        with self._lock:
+        with self._view_lock:
             self._check_open()
             snapshot = self._memtable.snapshot()
             parts = []
