@@ -20,7 +20,6 @@ import math
 import statistics
 import sys
 import time
-from array import array
 from operator import add
 from pathlib import Path
 
@@ -30,13 +29,15 @@ import inputs  # noqa: E402  (benchmarks/e2e/inputs.py)
 
 from repro import RTree3D, TBTree, query_trace  # noqa: E402
 from repro.filter import build_signatures  # noqa: E402
-from repro.index import LeafEntry, packing  # noqa: E402
+from repro.index import packing  # noqa: E402
 from repro.index.packing import (  # noqa: E402
     append_box,
     box_columns,
     even_chunks,
     pack_upper_levels,
+    row_boxes,
     shares,
+    trajectory_rows,
     union_box,
 )
 from repro.search.bfmst import bfmst_search  # noqa: E402  (the bare driver)
@@ -58,13 +59,13 @@ def tiles(boxes, capacity, axes):
     return groups
 
 
-def trajectory_runs(entries, boxes, capacity, run_length):
+def trajectory_runs(rows, boxes, capacity, run_length):
     """Leaves made of whole runs of ``run_length`` consecutive segments
     of one trajectory (Pfoser's preservation idea, packed): the runs
     are tiled by their own boxes, ``capacity // run_length`` to a leaf."""
     runs, start = [], 0
-    for i in range(1, len(entries) + 1):
-        if i == len(entries) or entries[i].trajectory_id != entries[start].trajectory_id:
+    for i in range(1, len(rows) + 1):
+        if i == len(rows) or rows[i][0] != rows[start][0]:
             span = list(range(start, i))
             runs.extend(even_chunks(span, math.ceil(len(span) / run_length)))
             start = i
@@ -113,18 +114,22 @@ def pack_tbtree(data, axes) -> TBTree:
 
 def pack(data, leaf_groups) -> RTree3D:
     index = RTree3D()
-    entries = [LeafEntry(tr.object_id, seg) for tr in data for seg in tr.segments()]
-    boxes = tuple(array("d", col) for col in zip(*(e.mbr.as_tuple() for e in entries)))
+    rows = [
+        row
+        for tr in data
+        for row in trajectory_rows(tr.object_id, [(p.x, p.y, p.t) for p in tr.samples])
+    ]
+    boxes = row_boxes(rows)
     pages, leaf_boxes = [], box_columns()
-    for group in leaf_groups(entries, boxes, index.capacity):
+    for group in leaf_groups(rows, boxes, index.capacity):
         leaf = index.new_node(level=0)
-        leaf.entries = [entries[i] for i in group]
+        leaf.rows = [rows[i] for i in group]
         pages.append(leaf.page_id)
         append_box(leaf_boxes, union_box(boxes, group))
     pack_upper_levels(index, pages, leaf_boxes)
     index.trajectory_ids.update(tr.object_id for tr in data)
     index.max_speed = data.max_speed()
-    index.num_entries = len(entries)
+    index.num_entries = len(rows)
     index.finalize()
     return index
 

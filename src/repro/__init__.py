@@ -84,8 +84,6 @@ from .index import TREES, RTree3D, TBTree, load_index, mindist, save_index
 from .ingest import IngestStore, LiveView, WriteAheadLog
 from .obs import (
     MetricsRegistry,
-    NoopRegistry,
-    NOOP_REGISTRY,
     QueryTrace,
     query_trace,
 )
@@ -172,8 +170,6 @@ __all__ = [
     "WriteAheadLog",
     # observability
     "MetricsRegistry",
-    "NoopRegistry",
-    "NOOP_REGISTRY",
     "QueryTrace",
     "query_trace",
     # generators & compression

@@ -202,8 +202,8 @@ class QueryEngine:
     # the parts seam
     # ------------------------------------------------------------------
     @contextmanager
-    def _parts(self):
-        """Obtain what one request searches, as a search context
+    def _parts(self, request):
+        """Obtain what ``request`` searches, as a search context
         (``.index``, ``search_context``), and release it
         however the search ends.  Here: the session's own index, its
         signature checked."""
@@ -268,7 +268,7 @@ class QueryEngine:
             self.metrics.inc("engine.queries")
             self.metrics.inc("engine.queries.mst")
             try:
-                with self._parts() as context:
+                with self._parts(request) as context:
                     result = _api.execute_spec(
                         context, None, request, deadline=deadline
                     )

@@ -11,9 +11,13 @@ a query retires the superseded generation without ever invalidating
 the reader's open page file, and the answers stay byte-identical to a
 from-scratch rebuild over the stores' current data.
 
-Multiple stores compose exactly like shards: their object sets are
-expected to be disjoint (e.g. a stream partitioned by any of the
-sharding partitioners) and the merged search covers their union.
+Multiple stores compose exactly like shards: their object sets must
+be disjoint (e.g. a stream partitioned by any of the sharding
+partitioners) and the merged search covers their union.  Each request
+checks that on the views it pins, as
+:func:`~repro.ingest.store.merged_kmst` does: an id in two stores that
+the request does not exclude is a
+:class:`~repro.exceptions.QueryError`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from contextlib import contextmanager
 
 from ..exceptions import QueryError
 from ..ingest import IngestStore
+from ..ingest.store import check_disjoint_ids
 from .engine import EngineConfig, QueryEngine
 
 __all__ = ["LiveQueryEngine"]
@@ -66,14 +71,17 @@ class LiveQueryEngine(QueryEngine):
         )
 
     @contextmanager
-    def _parts(self):
-        """Pin a consistent view of every store for one request and
-        release the pins however the search ends, so ingestion and
-        compaction proceed beside the readers."""
+    def _parts(self, request):
+        """Pin a consistent view of every store for one request, check
+        that their ids are disjoint (:func:`check_disjoint_ids`, under
+        the request's ``exclude_ids``), and release the pins however
+        the search ends, so ingestion and compaction proceed beside the
+        readers."""
         views = []
         try:
             for store in self.stores:
                 views.append(store.view())
+            check_disjoint_ids(views, request.options.get("exclude_ids"))
             yield _Snapshot(views, self.search_context)
         finally:
             for view in views:

@@ -17,8 +17,9 @@ from ..exceptions import IndexError_, TrajectoryError
 from ..geometry import MBR3D
 from ..storage import InMemoryPageFile, LRUBufferManager, PageFile
 from ..trajectory import Trajectory, TrajectoryDataset
-from .entry import InternalEntry, LeafEntry
+from .entry import LeafEntry
 from .node import NO_PAGE, Node, node_capacity
+from .packing import row_speeds, trajectory_rows
 
 __all__ = ["TrajectoryIndex", "quadratic_split"]
 
@@ -103,7 +104,9 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
     # build interface
     # ------------------------------------------------------------------
-    def insert_entry(self, entry: LeafEntry) -> None:
+    def insert_row(self, row: tuple) -> None:
+        """Index one segment, as its leaf row ``(trajectory_id, x1, y1,
+        t1, x2, y2, t2)``, on a live tree."""
         raise NotImplementedError
 
     def _admit(self, object_ids) -> None:
@@ -125,14 +128,14 @@ class TrajectoryIndex:
 
     def insert(self, trajectory: Trajectory) -> None:
         """Index every line segment of ``trajectory`` — the dynamic
-        path: one ``insert_entry`` per segment on a live tree."""
+        path: one :meth:`insert_row` per segment on a live tree."""
         oid = trajectory.object_id
         self._admit([oid])
         self.trajectory_ids.add(oid)
-        for seg in trajectory.segments():
-            if seg.speed > self.max_speed:
-                self.max_speed = seg.speed
-            self.insert_entry(LeafEntry(oid, seg))
+        rows = trajectory_rows(oid, [(p.x, p.y, p.t) for p in trajectory.samples])
+        self.max_speed = max(self.max_speed, max(row_speeds(rows)))
+        for row in rows:
+            self.insert_row(row)
 
     def bulk_insert(self, dataset: TrajectoryDataset) -> None:
         """Index a whole dataset on an empty tree: the *static build*,
@@ -212,7 +215,7 @@ class TrajectoryIndex:
                 )
             else:
                 stack.extend(
-                    e.child_page for e in node.entries if e.mbr.intersects(box)
+                    row[0] for row in node.rows if box.intersects(MBR3D(*row[1:]))
                 )
         return out
 
@@ -228,7 +231,7 @@ class TrajectoryIndex:
             node = self.read_node(stack.pop())
             yield node
             if not node.is_leaf:
-                stack.extend(e.child_page for e in node.entries)
+                stack.extend(row[0] for row in node.rows)
 
     def leaf_entries(self) -> Iterator[LeafEntry]:
         """Every indexed segment."""
@@ -250,44 +253,64 @@ class TrajectoryIndex:
     # ------------------------------------------------------------------
     @staticmethod
     def _replace_child_entry(parent: Node, child: Node) -> None:
-        """Refresh the parent's entry for ``child`` with its exact MBB."""
-        for i, e in enumerate(parent.entries):
-            if e.child_page == child.page_id:
-                parent.entries[i] = InternalEntry(child.page_id, child.mbr())
+        """Refresh the parent's row for ``child`` with its exact box."""
+        for i, row in enumerate(parent.rows):
+            if row[0] == child.page_id:
+                parent.replace_row(i, (child.page_id, *child.box()))
                 return
         raise IndexError_(
             f"node {parent.page_id} has no entry for child {child.page_id}"
         )
 
     @staticmethod
-    def _union_child_entry(parent: Node, child_page: int, box: MBR3D) -> None:
-        """Grow the parent's entry for ``child_page`` to cover ``box``
-        (exact on insertion — subtree coverage only grows)."""
-        for i, e in enumerate(parent.entries):
-            if e.child_page == child_page:
-                if not e.mbr.contains(box):
-                    parent.entries[i] = InternalEntry(child_page, e.mbr.union(box))
+    def _union_child_entry(parent: Node, child_page: int, box: tuple) -> None:
+        """Grow the parent's row for ``child_page`` to cover ``box``
+        (exact on insertion — subtree coverage only grows), by
+        :meth:`MBR3D.union <repro.geometry.MBR3D.union>`'s ``min`` and
+        ``max``; a row that already covers it is left as it is."""
+        for i, row in enumerate(parent.rows):
+            if row[0] == child_page:
+                grown = (
+                    child_page,
+                    *map(min, row[1:4], box[:3]),
+                    *map(max, row[4:], box[3:]),
+                )
+                if grown != row:
+                    parent.replace_row(i, grown)
                 return
         raise IndexError_(
             f"node {parent.page_id} has no entry for child {child_page}"
         )
 
 
-def quadratic_split(
-    entries: list, capacity: int, min_fill: int
-) -> tuple[list, list]:
-    """Guttman's quadratic split over entries exposing ``.mbr``.
+def choice_key(row: tuple, box: tuple) -> tuple:
+    """The choose-subtree order of an internal ``row`` for a new
+    ``box``: least volume enlargement, then smaller volume, then
+    smaller margin — by :meth:`MBR3D.enlargement
+    <repro.geometry.MBR3D.enlargement>`, ``volume`` and ``margin``'s
+    arithmetic, so the first row with the least key is the child they
+    choose."""
+    _child, xmin, ymin, tmin, xmax, ymax, tmax = row
+    volume = (xmax - xmin) * (ymax - ymin) * (tmax - tmin)
+    dx = max(xmax, box[3]) - min(xmin, box[0])
+    dy = max(ymax, box[4]) - min(ymin, box[1])
+    dt = max(tmax, box[5]) - min(tmin, box[2])
+    margin = (xmax - xmin) + (ymax - ymin) + (tmax - tmin)
+    return (dx * dy * dt - volume, volume, margin)
 
-    Returns two groups, each with at least ``min_fill`` entries.
+
+def quadratic_split(
+    rows: list[tuple], boxes: list[tuple], capacity: int, min_fill: int
+) -> tuple[list, list]:
+    """Guttman's quadratic split of a node's ``rows``, row ``i``
+    bounded by ``boxes[i]`` (:meth:`repro.index.node.Node.boxes`).
+
+    Returns two groups, each with at least ``min_fill`` rows.
     Degenerate (zero-volume) boxes are common for trajectory segments,
     so volume comparisons fall back to margins when everything is flat.
     """
-    if len(entries) < 2:
+    if len(rows) < 2:
         raise IndexError_("cannot split fewer than two entries")
-
-    # Work on raw coordinate tuples: the O(n^2) seed/next scans below
-    # sit on the split hot path and must not allocate box objects.
-    boxes = [e.mbr.as_tuple() for e in entries]
 
     def measure(xmin, ymin, tmin, xmax, ymax, tmax) -> float:
         vol = (xmax - xmin) * (ymax - ymin) * (tmax - tmin)
@@ -330,11 +353,11 @@ def quadratic_split(
                 best_waste = waste
                 best_pair = (i, j)
     i, j = best_pair
-    group_a = [entries[i]]
-    group_b = [entries[j]]
+    group_a = [rows[i]]
+    group_b = [rows[j]]
     box_a = boxes[i]
     box_b = boxes[j]
-    rest = [(entries[k], boxes[k]) for k in range(n) if k not in (i, j)]
+    rest = [(rows[k], boxes[k]) for k in range(n) if k not in (i, j)]
 
     while rest:
         # Force-assign when a group must take everything left to reach

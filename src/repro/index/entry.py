@@ -5,11 +5,14 @@ for trajectory R-trees, cf. Pfoser et al. [13]): the owning object id
 plus the segment's two spatiotemporal endpoints, from which the 3D MBB
 is derived.  Internal entries hold a child page id and the child's MBB.
 
-Both serialise to a fixed 56-byte layout so a 4 KB page holds 72 of
-them — the index fanout is *derived from the byte layout*, not chosen.
-The same seven numbers, as a tuple, are an entry's *row*
-(:attr:`LeafEntry.row`, :attr:`InternalEntry.row`): the form a page
-decodes into (:func:`repro.index.node.payload_rows`).
+Both are stored in a fixed 56-byte layout (:data:`ENTRY_FMT`) so a
+4 KB page holds 72 of them — the index fanout is *derived from the
+byte layout*, not chosen.  The same seven numbers, as a tuple, are an
+entry's *row* (:attr:`LeafEntry.row`, :attr:`InternalEntry.row`): the
+form a node keeps, every writer builds and a page decodes into
+(:class:`repro.index.node.Node`).  The entry classes are output values
+only — what a range search, the introspection walks and the read-only
+:attr:`repro.index.node.Node.entries` view hand out.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ ENTRY_BYTES = ENTRY_FMT.size
 class LeafEntry:
     """One trajectory line segment owned by ``trajectory_id``.
 
-    The segment's 3D box is precomputed: ``mbr`` sits on every index
-    write path (choose-subtree, splits) and must not be rebuilt per
-    access.  Searches never build these objects; they read a leaf's
-    rows (:attr:`repro.index.node.Node.rows`).
+    The segment's 3D box is computed once, as ``mbr``.  Neither the
+    searches nor the writers build these objects; they work on a
+    leaf's rows (:attr:`repro.index.node.Node.rows`).
     """
 
     __slots__ = ("trajectory_id", "segment", "mbr")
@@ -85,13 +87,6 @@ class LeafEntry:
         tid, x1, y1, t1, x2, y2, t2 = row
         return cls(tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2)))
 
-    def to_bytes(self) -> bytes:
-        return ENTRY_FMT.pack(*self.row)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "LeafEntry":
-        return cls.from_row(ENTRY_FMT.unpack(data))
-
 
 @dataclass(frozen=True, slots=True)
 class InternalEntry:
@@ -109,10 +104,3 @@ class InternalEntry:
     def from_row(cls, row) -> "InternalEntry":
         child, xmin, ymin, tmin, xmax, ymax, tmax = row
         return cls(child, MBR3D(xmin, ymin, tmin, xmax, ymax, tmax))
-
-    def to_bytes(self) -> bytes:
-        return ENTRY_FMT.pack(*self.row)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "InternalEntry":
-        return cls.from_row(ENTRY_FMT.unpack(data))

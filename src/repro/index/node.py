@@ -1,28 +1,20 @@
 """Index nodes and their page serialisation.
 
-A node is one page worth of entries.  Leaf nodes (level 0) hold
-trajectory segments, internal nodes hold
-:class:`~repro.index.entry.InternalEntry` child pointers.  The TB-tree
-additionally stamps each leaf with the single trajectory it bundles and
-doubly links the leaves of one trajectory (``prev_leaf``/``next_leaf``).
+A node is one page worth of *rows*, the seven numbers of an entry's
+fixed 56-byte layout (:mod:`repro.index.entry`): a leaf row is
+``(trajectory_id, x1, y1, t1, x2, y2, t2)``, one per trajectory
+segment, and an internal row is ``(child_page, xmin, ymin, tmin, xmax,
+ymax, tmax)``, a child pointer and the child subtree's box.  The
+TB-tree additionally stamps each leaf with the single trajectory it
+bundles and doubly links the leaves of one trajectory
+(``prev_leaf``/``next_leaf``).
 
-A leaf's numbers are read as *rows*: ``(trajectory_id, x1, y1, t1, x2,
-y2, t2)`` tuples, one per segment.  A leaf decoded from a page stays
-*compact* while it is resident: it keeps the page's numbers in one
-flat buffer (the entry bytes of an R-leaf, the point chain of a
-TB-tree leaf as an ``array('d')``) plus the time columns a period is
-bisected on, and builds tuples only for the rows a search asks for
-(:meth:`Node.rows_in_period`).  A TB-tree leaf of several chains —
-written only when a trajectory's segments do not join up — is decoded
-into its rows.  Asking for all of them
-(:attr:`Node.rows` — the nearest-neighbour and range searches, the
-introspection walks) builds the full list once; writing to the leaf
-(:attr:`Node.entries`, :meth:`Node.append_row`, the setters — the
-writers and the ingest memtable) drops the compact form, and the node
-keeps the list form from then on.  The
-:class:`~repro.index.entry.LeafEntry` objects the writers mutate are a
-view built from the rows on first access of :attr:`Node.entries`.
-:func:`payload_rows` reads a page straight into rows.
+Rows are the only form a node keeps and a writer touches; a leaf
+decoded from a page is read through a *compact* form until something
+writes to it (:class:`Node`).  :attr:`Node.entries` is a read-only
+view of the rows as :class:`~repro.index.entry.LeafEntry` or
+:class:`~repro.index.entry.InternalEntry` values.  :func:`payload_rows`
+reads a page straight into rows.
 
 Serialisation sits on the self-verifying v2 page format
 (:mod:`repro.storage.format`): :meth:`Node.to_bytes` frames the node
@@ -53,6 +45,7 @@ __all__ = [
     "Node",
     "node_capacity",
     "tb_leaf_payload_size",
+    "row_box",
     "same_point",
     "payload_rows",
     "NO_PAGE",
@@ -101,8 +94,8 @@ def node_capacity(page_size: int) -> int:
     return cap
 
 
-def tb_leaf_payload_size(entries: list) -> int:
-    """Serialized byte size of a TB-tree chained leaf's entries.
+def tb_leaf_payload_size(rows: list[tuple]) -> int:
+    """Serialized byte size of a TB-tree chained leaf's rows.
 
     A TB leaf bundles segments of *one* trajectory in temporal order,
     so consecutive segments normally share an endpoint; each maximal
@@ -113,14 +106,20 @@ def tb_leaf_payload_size(entries: list) -> int:
     """
     size = 0
     prev_end = None
-    for e in entries:
-        row = e.row
+    for row in rows:
         if prev_end is not None and same_point(row[1:4], prev_end):
             size += TB_CHAIN_STEP_BYTES
         else:
             size += TB_CHAIN_START_BYTES
         prev_end = row[4:]
     return size
+
+
+def row_box(row: tuple) -> tuple:
+    """``(xmin, ymin, tmin, xmax, ymax, tmax)`` of a leaf row, by
+    :meth:`repro.geometry.STSegment.mbr`'s arithmetic."""
+    _tid, x1, y1, t1, x2, y2, t2 = row
+    return (min(x1, x2), min(y1, y2), t1, max(x1, x2), max(y1, y2), t2)
 
 
 def same_point(a: tuple, b: tuple) -> bool:
@@ -135,37 +134,29 @@ def same_point(a: tuple, b: tuple) -> bool:
 class Node:
     """One index node, always resident behind the buffer manager.
 
-    A leaf holds its segments in up to three forms, and every reader
-    sees the same rows whichever it reads:
+    A node holds its rows in one of two forms, and every reader sees
+    the same rows whichever it reads:
 
-    * *compact* — as decoded from a page: a :class:`_PackedLeaf` (R-leaf)
-      or :class:`_ChainedLeaf` (TB-tree leaf of one chain) that holds
-      the page's numbers flat and builds only the rows
-      :meth:`rows_in_period` returns;
+    * *compact* — a leaf as decoded from a page: a :class:`_PackedLeaf`
+      (the entry bytes of an R-leaf) or :class:`_ChainedLeaf` (the
+      point chain of a TB-tree leaf of one chain) that holds the page's
+      numbers flat, with the time columns a period is bisected on, and
+      builds only the rows :meth:`rows_in_period` returns;
     * *rows* — :attr:`rows`, the full list of row tuples in page order:
-      what a writer builds, and what a compact leaf builds once when
-      something asks for the whole list (and then keeps beside its
-      compact form, so a reader on another thread never finds neither);
-    * *entries* — the :class:`~repro.index.entry.LeafEntry` view
-      (:attr:`entries`), built from the rows when something asks for
-      it.  Whoever takes :attr:`entries` may change the list, so taking
-      it drops the other forms; the next read of :attr:`rows` rebuilds
-      them from the objects, once.  :meth:`append_row` and the
-      setters drop the compact form too: only a leaf nobody has
-      written to is read through it.
+      what a writer builds, what an internal node and a TB-tree leaf of
+      several chains decode into, and what a compact leaf builds once
+      when something asks for the whole list (and then keeps beside
+      its compact form, so a reader on another thread never finds
+      neither).
 
-    Internal nodes decode straight into
-    :class:`~repro.index.entry.InternalEntry` objects.  A resident
-    internal node also keeps its children as columns once a search has
-    asked for them (:meth:`child_columns`), and drops them on every
-    write, as a leaf drops its compact form.
-
-    A chained (TB-tree) leaf that the tree is growing also carries
-    :attr:`payload_bytes`, its entry payload size as
-    :func:`tb_leaf_payload_size` counts it, so an append checks the fit
-    without re-measuring the leaf.  It is ``None`` until counted — on a
-    node decoded from a page — and is dropped whenever the entries are
-    handed out or replaced.
+    Every write — the :attr:`rows` setter, :meth:`append_row`,
+    :meth:`replace_row` — drops the compact form and the caches derived
+    from the rows: the sorted rows :meth:`rows_in_period` bisects, an
+    internal node's :meth:`child_columns`, and :attr:`payload_bytes`,
+    a growing TB-tree leaf's payload size as
+    :func:`tb_leaf_payload_size` counts it (``None`` until counted),
+    which the writer sets again after its write.  Nothing else changes
+    a node's rows.
     """
 
     __slots__ = (
@@ -175,7 +166,6 @@ class Node:
         "prev_leaf",
         "next_leaf",
         "chained",
-        "_entries",
         "_rows",
         "_page",
         "_sweep",
@@ -187,13 +177,12 @@ class Node:
         self,
         page_id: int,
         level: int,
-        entries: list | None = None,
+        rows: list[tuple] | None = None,
         owner_id: int = NO_PAGE,
         prev_leaf: int = NO_PAGE,
         next_leaf: int = NO_PAGE,
         chained: bool = False,
         *,
-        rows: list[tuple] | None = None,
         page: "_PackedLeaf | _ChainedLeaf | None" = None,
     ) -> None:
         self.page_id = page_id
@@ -204,9 +193,8 @@ class Node:
         self.next_leaf = next_leaf
         # Chained leaves (TB-tree) use the shared-endpoint layout.
         self.chained = chained
-        if entries is None and rows is None and page is None:
-            entries = []
-        self._entries: list | None = entries
+        if rows is None and page is None:
+            rows = []
         self._rows: list[tuple] | None = rows
         self._page = page
         self._sweep: tuple[list[tuple], bool] | None = None
@@ -214,62 +202,91 @@ class Node:
         self.payload_bytes: int | None = None
 
     # ------------------------------------------------------------------
-    # the forms of a node's entries
+    # rows: the one form a writer touches
     # ------------------------------------------------------------------
     @property
-    def entries(self) -> list:
-        """The entries as objects, for writers and introspection."""
-        entries = self._entries
-        if entries is None:
-            make = LeafEntry.from_row if self.level == 0 else InternalEntry.from_row
-            entries = self._entries = [make(row) for row in self.rows]
-        self._rows = self._page = self._sweep = self._columns = None
-        self.payload_bytes = None
-        return entries
-
-    @entries.setter
-    def entries(self, entries: list) -> None:
-        self._entries = entries
-        self._rows = self._page = self._sweep = self._columns = None
-        self.payload_bytes = None
-
-    @property
     def rows(self) -> list[tuple]:
-        """The entries as :func:`payload_rows` tuples, in page order."""
+        """The rows (:func:`payload_rows` tuples), in page order.  A
+        reader must not change the list: writes go through the setter,
+        :meth:`append_row` and :meth:`replace_row`."""
         rows = self._rows
         if rows is None:
-            page = self._page
-            if page is not None:
-                rows = self._rows = page.rows()
-            else:
-                rows = self._rows = [e.row for e in self._entries]
+            rows = self._rows = self._page.rows()
         return rows
 
     @rows.setter
     def rows(self, rows: list[tuple]) -> None:
         self._rows = rows
-        self._entries = self._page = self._sweep = self._columns = None
-        self.payload_bytes = None
+        self._invalidate()
 
     def append_row(self, row: tuple) -> None:
-        """Add one row after the last (a TB-tree leaf's append); the
-        caller keeps :attr:`payload_bytes`."""
+        """Add one row after the last."""
         rows = self.rows
-        self._entries = self._page = self._sweep = self._columns = None
+        self._invalidate()
         rows.append(row)
+
+    def replace_row(self, i: int, row: tuple) -> None:
+        """Put ``row`` in place of row ``i``."""
+        rows = self.rows
+        self._invalidate()
+        rows[i] = row
+
+    def _invalidate(self) -> None:
+        """Forget the compact form and every cache of the rows."""
+        self._page = self._sweep = self._columns = None
+        self.payload_bytes = None
+
+    @property
+    def entries(self) -> list:
+        """The rows as :class:`~repro.index.entry.LeafEntry` or
+        :class:`~repro.index.entry.InternalEntry` values, for
+        introspection: a fresh list on each call, built without
+        changing the node."""
+        rows = self._rows
+        if rows is None:
+            rows = self._page.rows()
+        make = LeafEntry.from_row if self.level == 0 else InternalEntry.from_row
+        return [make(row) for row in rows]
+
+    def boxes(self) -> list[tuple]:
+        """Each row's ``(xmin, ymin, tmin, xmax, ymax, tmax)`` box, in
+        row order."""
+        if self.level == 0:
+            return list(map(row_box, self.rows))
+        return [row[1:] for row in self.rows]
+
+    def box(self) -> tuple:
+        """The box covering every row, folded in row order with
+        :meth:`MBR3D.union <repro.geometry.MBR3D.union>`'s ``min`` and
+        ``max``; raises on an empty node."""
+        boxes = self.boxes()
+        if not boxes:
+            raise IndexError_(f"node {self.page_id} is empty, no MBR")
+        xmin, ymin, tmin, xmax, ymax, tmax = boxes[0]
+        for x0, y0, t0, x1, y1, t1 in boxes[1:]:
+            xmin = min(xmin, x0)
+            ymin = min(ymin, y0)
+            tmin = min(tmin, t0)
+            xmax = max(xmax, x1)
+            ymax = max(ymax, y1)
+            tmax = max(tmax, t1)
+        return (xmin, ymin, tmin, xmax, ymax, tmax)
+
+    def mbr(self) -> MBR3D:
+        """Bounding box of all rows (:meth:`box`); raises on an empty
+        node."""
+        return MBR3D(*self.box())
 
     def child_columns(self, np) -> tuple:
         """An internal node's children as ``(pages, page_ids, boxes)``:
         the child page ids as a list and as an ``int64`` array, and a
         ``[6, children]`` float64 array of the boxes' ``xmin, ymin,
-        tmin, xmax, ymax, tmax``, in entry order.  Built on first use
+        tmin, xmax, ymax, tmax``, in row order.  Built on first use
         and kept until the node is written (threads racing the first
         call each build equal columns, and one set wins)."""
         columns = self._columns
         if columns is None:
             rows = self._rows
-            if rows is None:
-                rows = [e.row for e in self._entries]
             pages = [row[0] for row in rows]
             boxes = np.array([row[1:] for row in rows]).reshape(len(rows), 6)
             columns = self._columns = (
@@ -315,24 +332,11 @@ class Node:
 
     def __len__(self) -> int:
         rows = self._rows
-        if rows is not None:
-            return len(rows)
-        page = self._page
-        return len(page) if page is not None else len(self._entries)
+        return len(rows) if rows is not None else len(self._page)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
         return f"Node(page={self.page_id}, {kind}, entries={len(self)})"
-
-    def mbr(self) -> MBR3D:
-        """Bounding box of all entries; raises on an empty node."""
-        entries = self.entries
-        if not entries:
-            raise IndexError_(f"node {self.page_id} is empty, no MBR")
-        out = entries[0].mbr
-        for e in entries[1:]:
-            out = out.union(e.mbr)
-        return out
 
     # ------------------------------------------------------------------
     # serialisation
@@ -384,27 +388,22 @@ class Node:
     def from_payload(cls, page_id: int, data) -> "Node":
         """Parse a raw (unframed) node payload — what
         :meth:`from_bytes` finds inside a verified page frame.  A leaf
-        comes back compact, except a chained leaf of several chains,
-        which comes back as its rows."""
+        comes back compact, except a chained leaf of several chains;
+        that one and an internal node come back as their rows."""
         kind, level, owner, prev_leaf, next_leaf, body = _decode(page_id, data)
-        if kind == _KIND_INTERNAL:
-            entries = [InternalEntry.from_row(row) for row in body]
-            return cls(page_id, level, entries, owner, prev_leaf, next_leaf)
-        chained = kind == _KIND_TB_LEAF
-        rows = page = None
-        if chained and isinstance(body, list):
-            rows = body
+        if isinstance(body, list):
+            # an internal node, or a chained leaf of several chains
+            rows, page = body, None
         else:
-            page = body
+            rows, page = None, body
         return cls(
             page_id,
-            0,
-            None,
+            level,
+            rows,
             owner,
             prev_leaf,
             next_leaf,
-            chained=chained,
-            rows=rows,
+            chained=kind == _KIND_TB_LEAF,
             page=page,
         )
 

@@ -27,9 +27,6 @@ import math
 from array import array
 from operator import add
 
-from ..geometry import MBR3D
-from .entry import InternalEntry
-
 __all__ = [
     "box_columns",
     "append_box",
@@ -153,10 +150,7 @@ def pack_upper_levels(index, pages: list[int], boxes: tuple[array, ...]) -> dict
         upper_pages, upper_boxes = [], box_columns()
         for group in str_tiles(boxes, index.capacity):
             node = index.new_node(level)
-            node.entries = [
-                InternalEntry(pages[i], MBR3D(*[col[i] for col in boxes]))
-                for i in group
-            ]
+            node.rows = [(pages[i], *[col[i] for col in boxes]) for i in group]
             for i in group:
                 parent_of[pages[i]] = node.page_id
             upper_pages.append(node.page_id)

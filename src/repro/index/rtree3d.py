@@ -9,10 +9,8 @@ with Sort-Tile-Recursive instead.
 
 from __future__ import annotations
 
-from ..geometry import MBR3D
-from .base import TrajectoryIndex, quadratic_split
-from .entry import InternalEntry, LeafEntry
-from .node import NO_PAGE, Node
+from .base import TrajectoryIndex, choice_key, quadratic_split
+from .node import NO_PAGE, Node, row_box
 from .packing import (
     append_box,
     box_columns,
@@ -35,45 +33,35 @@ class RTree3D(TrajectoryIndex):
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def insert_entry(self, entry: LeafEntry) -> None:
+    def insert_row(self, row: tuple) -> None:
         if self.root_page == NO_PAGE:
             root = self.new_node(level=0)
             self.root_page = root.page_id
-            root.entries.append(entry)
+            root.append_row(row)
             self.touch(root)
             self.num_entries += 1
             return
-        path = self._choose_path(entry.mbr)
+        box = row_box(row)
+        path = self._choose_path(box)
         leaf = self.read_node(path[-1])
-        leaf.entries.append(entry)
+        leaf.append_row(row)
         self.touch(leaf)
         self.num_entries += 1
-        self._propagate(path, entry.mbr)
+        self._propagate(path, box)
 
-    def _choose_path(self, box: MBR3D) -> list[int]:
+    def _choose_path(self, box: tuple) -> list[int]:
         """Page ids from the root down to the chosen leaf, picking the
         child needing the least volume enlargement (ties: smaller
-        volume, then smaller margin)."""
+        volume, then smaller margin; :func:`choice_key`)."""
         path = [self.root_page]
         node = self.read_node(self.root_page)
         while not node.is_leaf:
-            best = None
-            best_key = None
-            for e in node.entries:
-                key = (
-                    e.mbr.enlargement(box),
-                    e.mbr.volume(),
-                    e.mbr.margin(),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = e
-            assert best is not None
-            path.append(best.child_page)
-            node = self.read_node(best.child_page)
+            best = min(node.rows, key=lambda row: choice_key(row, box))
+            path.append(best[0])
+            node = self.read_node(best[0])
         return path
 
-    def _propagate(self, path: list[int], new_box: MBR3D) -> None:
+    def _propagate(self, path: list[int], new_box: tuple) -> None:
         """Walk the insertion path bottom-up, splitting overflowing
         nodes and growing parent entries.
 
@@ -84,7 +72,7 @@ class RTree3D(TrajectoryIndex):
         """
         for depth in range(len(path) - 1, -1, -1):
             node = self.read_node(path[depth])
-            if len(node.entries) > self.capacity:
+            if len(node) > self.capacity:
                 self._split(node, path, depth)
             elif depth > 0:
                 parent = self.read_node(path[depth - 1])
@@ -93,26 +81,26 @@ class RTree3D(TrajectoryIndex):
 
     def _split(self, node: Node, path: list[int], depth: int) -> None:
         group_a, group_b = quadratic_split(
-            node.entries, self.capacity, self.min_fill
+            node.rows, node.boxes(), self.capacity, self.min_fill
         )
-        node.entries = group_a
+        node.rows = group_a
         self.touch(node)
         sibling = self.new_node(node.level)
-        sibling.entries = group_b
+        sibling.rows = group_b
         self.touch(sibling)
         if depth == 0:
             # Root split: grow the tree by one level.
             new_root = self.new_node(node.level + 1)
-            new_root.entries = [
-                InternalEntry(node.page_id, node.mbr()),
-                InternalEntry(sibling.page_id, sibling.mbr()),
+            new_root.rows = [
+                (node.page_id, *node.box()),
+                (sibling.page_id, *sibling.box()),
             ]
             self.touch(new_root)
             self.root_page = new_root.page_id
             return
         parent = self.read_node(path[depth - 1])
         self._replace_child_entry(parent, node)
-        parent.entries.append(InternalEntry(sibling.page_id, sibling.mbr()))
+        parent.append_row((sibling.page_id, *sibling.box()))
         self.touch(parent)
 
     # ------------------------------------------------------------------

@@ -22,15 +22,15 @@ consecutive pages, and the upper levels are packed over them.
 from __future__ import annotations
 
 from ..exceptions import IndexError_
-from ..geometry import MBR3D
-from .base import TrajectoryIndex, quadratic_split
-from .entry import InternalEntry, LeafEntry
+from .base import TrajectoryIndex, choice_key, quadratic_split
+from .entry import LeafEntry
 from .node import (
     NODE_OVERHEAD_BYTES,
     NO_PAGE,
     TB_CHAIN_START_BYTES,
     TB_CHAIN_STEP_BYTES,
     Node,
+    row_box,
     same_point,
     tb_leaf_payload_size,
 )
@@ -121,12 +121,9 @@ class TBTree(TrajectoryIndex):
         self._admit([oid])
         samples = [(p.x, p.y, p.t) for p in trajectory.samples]
         for leaf, pts in self._cut_chain(oid, samples):
-            self._attach_leaf(leaf, MBR3D(*_samples_box(pts[:2])))
+            self._attach_leaf(leaf, _samples_box(pts[:2]))
             if len(pts) > 2:
-                self._adjust_upwards(leaf.page_id, MBR3D(*_samples_box(pts[1:])))
-
-    def insert_entry(self, entry: LeafEntry) -> None:
-        self.insert_row(entry.row)
+                self._adjust_upwards(leaf.page_id, _samples_box(pts[1:]))
 
     def insert_row(self, row: tuple) -> None:
         """Append one segment, as its leaf row ``(trajectory_id, x1, y1,
@@ -137,16 +134,16 @@ class TBTree(TrajectoryIndex):
         and a segment adds one chain step when it starts where the
         leaf's last segment ends, a chain start otherwise.
         """
-        tid, x1, y1, t1, x2, y2, t2 = row
-        box = MBR3D(min(x1, x2), min(y1, y2), t1, max(x1, x2), max(y1, y2), t2)
+        tid = row[0]
+        box = row_box(row)
         leaf_page = self._active_leaf.get(tid)
         if leaf_page is not None:
             leaf = self.read_node(leaf_page)
             size = leaf.payload_bytes
             if size is None:  # decoded from a page: count it once
-                size = tb_leaf_payload_size(leaf.entries)
+                size = tb_leaf_payload_size(leaf.rows)
             last = leaf.rows[-1]
-            if t1 < last[6]:
+            if row[3] < last[6]:
                 raise IndexError_(
                     f"TB-tree requires temporally ordered insertion per "
                     f"trajectory (object {tid})"
@@ -166,7 +163,7 @@ class TBTree(TrajectoryIndex):
         self.num_entries += 1
 
     def _start_new_leaf(
-        self, tid: int, row: tuple, box: MBR3D, prev_leaf_page: int | None
+        self, tid: int, row: tuple, box: tuple, prev_leaf_page: int | None
     ) -> None:
         leaf = self.new_node(level=0, owner_id=tid)
         leaf.chained = True
@@ -180,11 +177,11 @@ class TBTree(TrajectoryIndex):
         self._active_leaf[tid] = leaf.page_id
         self._attach_leaf(leaf, box)
 
-    def _attach_leaf(self, leaf: Node, leaf_box: MBR3D | None = None) -> None:
+    def _attach_leaf(self, leaf: Node, leaf_box: tuple | None = None) -> None:
         """Hang a leaf off the upper levels of the tree, by ``leaf_box``
-        (its MBR unless given)."""
+        (its box unless given)."""
         if leaf_box is None:
-            leaf_box = leaf.mbr()
+            leaf_box = leaf.box()
         if self.root_page == NO_PAGE:
             self.root_page = leaf.page_id
             return
@@ -192,9 +189,9 @@ class TBTree(TrajectoryIndex):
         if root.is_leaf:
             # Two leaves now: grow the first internal level.
             new_root = self.new_node(level=1)
-            new_root.entries = [
-                InternalEntry(root.page_id, root.mbr()),
-                InternalEntry(leaf.page_id, leaf_box),
+            new_root.rows = [
+                (root.page_id, *root.box()),
+                (leaf.page_id, *leaf_box),
             ]
             self.touch(new_root)
             self._parent_of[root.page_id] = new_root.page_id
@@ -204,16 +201,9 @@ class TBTree(TrajectoryIndex):
         # Descend to the level-1 node with least volume enlargement.
         target = root
         while target.level > 1:
-            best = min(
-                target.entries,
-                key=lambda e: (
-                    e.mbr.enlargement(leaf_box),
-                    e.mbr.volume(),
-                    e.mbr.margin(),
-                ),
-            )
-            target = self.read_node(best.child_page)
-        target.entries.append(InternalEntry(leaf.page_id, leaf_box))
+            best = min(target.rows, key=lambda row: choice_key(row, leaf_box))
+            target = self.read_node(best[0])
+        target.append_row((leaf.page_id, *leaf_box))
         self.touch(target)
         self._parent_of[leaf.page_id] = target.page_id
         self._split_or_adjust(target, leaf_box)
@@ -221,7 +211,7 @@ class TBTree(TrajectoryIndex):
     # ------------------------------------------------------------------
     # upward maintenance via the parent map
     # ------------------------------------------------------------------
-    def _adjust_upwards(self, page_id: int, box) -> None:
+    def _adjust_upwards(self, page_id: int, box: tuple) -> None:
         """Grow ancestor entries to also cover ``box`` (exact on
         insertion: subtree coverage only ever grows, so a union beats
         an O(fanout) recompute)."""
@@ -234,11 +224,11 @@ class TBTree(TrajectoryIndex):
             self.touch(parent)
             page_id = parent_page
 
-    def _split_or_adjust(self, node: Node, box) -> None:
+    def _split_or_adjust(self, node: Node, box: tuple) -> None:
         """Handle a possible overflow of an internal node, walking up;
         ``box`` is the newly inserted coverage to fold into ancestors."""
         while True:
-            if len(node.entries) > self.capacity:
+            if len(node) > self.capacity:
                 parent = self._split_internal(node)
                 if parent is None:
                     return
@@ -251,21 +241,21 @@ class TBTree(TrajectoryIndex):
         """Split an overflowing internal node; returns the parent to
         continue on, or ``None`` when a new root was installed."""
         group_a, group_b = quadratic_split(
-            node.entries, self.capacity, self.min_fill
+            node.rows, node.boxes(), self.capacity, self.min_fill
         )
-        node.entries = group_a
+        node.rows = group_a
         self.touch(node)
         sibling = self.new_node(node.level)
-        sibling.entries = group_b
+        sibling.rows = group_b
         self.touch(sibling)
-        for e in group_b:
-            self._parent_of[e.child_page] = sibling.page_id
+        for row in group_b:
+            self._parent_of[row[0]] = sibling.page_id
         parent_page = self._parent_of.get(node.page_id)
         if parent_page is None:
             new_root = self.new_node(node.level + 1)
-            new_root.entries = [
-                InternalEntry(node.page_id, node.mbr()),
-                InternalEntry(sibling.page_id, sibling.mbr()),
+            new_root.rows = [
+                (node.page_id, *node.box()),
+                (sibling.page_id, *sibling.box()),
             ]
             self.touch(new_root)
             self._parent_of[node.page_id] = new_root.page_id
@@ -274,7 +264,7 @@ class TBTree(TrajectoryIndex):
             return None
         parent = self.read_node(parent_page)
         self._replace_child_entry(parent, node)
-        parent.entries.append(InternalEntry(sibling.page_id, sibling.mbr()))
+        parent.append_row((sibling.page_id, *sibling.box()))
         self.touch(parent)
         self._parent_of[sibling.page_id] = parent_page
         return parent

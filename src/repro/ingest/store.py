@@ -129,25 +129,34 @@ def merged_kmst(
     ranges in them meet at most at an endpoint.  One view's parts do
     so by construction (the store's strictly-increasing-time check
     makes the memtable start at each object's joint sample); nothing
-    is checked per query.  The stores' id spaces are their own, so an
-    id that two views would both report (the query does not exclude
-    it) is a :class:`~repro.exceptions.QueryError`."""
+    is checked per query.  The stores' id spaces are their own, so
+    several views are held to :func:`check_disjoint_ids` first."""
+    check_disjoint_ids(views, options.get("exclude_ids"))
     parts = [part for view in views for part in view.parts]
-    if len(views) > 1:
-        excluded = frozenset(options.get("exclude_ids") or ())
-        seen: set = set()
-        for view in views:
-            ids = set()
-            for index in view.parts:
-                ids |= index.trajectory_ids - excluded
-            shared = seen & ids
-            if shared:
-                raise QueryError(
-                    f"trajectory ids {sorted(shared)[:5]} are in more than "
-                    f"one store; merged_kmst needs the views' ids disjoint"
-                )
-            seen |= ids
     return bfmst_search(parts, query, period, k, **options)
+
+
+def check_disjoint_ids(views: list["LiveView"], exclude_ids=None) -> None:
+    """Raise :class:`~repro.exceptions.QueryError` when an id that two
+    of ``views`` hold is not in ``exclude_ids``: the search would sum
+    two stores' objects into one candidate.  One view is not checked
+    (its parts share ids by construction, see :func:`merged_kmst`)."""
+    if len(views) < 2:
+        return
+    excluded = frozenset(exclude_ids or ())
+    seen: set = set()
+    for view in views:
+        ids = set()
+        for index in view.parts:
+            ids |= index.trajectory_ids - excluded
+        shared = seen & ids
+        if shared:
+            raise QueryError(
+                f"trajectory ids {sorted(shared)[:5]} are in more than "
+                f"one store; a search over several stores needs their "
+                f"ids disjoint"
+            )
+        seen |= ids
 
 
 class LiveView:

@@ -21,8 +21,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NoopRegistry,
-    NOOP_REGISTRY,
     Timer,
 )
 from .trace import QueryTrace, query_trace
@@ -34,8 +32,6 @@ __all__ = [
     "Timer",
     "Histogram",
     "MetricsRegistry",
-    "NoopRegistry",
-    "NOOP_REGISTRY",
     "DEFAULT_HISTOGRAM_BOUNDS",
     "QueryTrace",
     "query_trace",

@@ -13,11 +13,6 @@ A :class:`MetricsRegistry` creates instruments on first use and can
 serialise the whole set to JSON (and back — see :meth:`from_dict`), so
 benchmark runs can persist machine-readable counter lines next to
 their timings.
-
-:class:`NoopRegistry` (singleton :data:`NOOP_REGISTRY`) is the
-zero-cost stand-in: every mutating method is inert and every accessor
-returns shared do-nothing instruments, so hooks wired against it never
-record anything.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ __all__ = [
     "Timer",
     "Histogram",
     "MetricsRegistry",
-    "NoopRegistry",
-    "NOOP_REGISTRY",
     "DEFAULT_HISTOGRAM_BOUNDS",
 ]
 
@@ -176,8 +169,6 @@ class Histogram:
 class MetricsRegistry:
     """Create-on-first-use instrument store with JSON round-tripping."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -290,82 +281,3 @@ class MetricsRegistry:
         self._gauges.clear()
         self._timers.clear()
         self._histograms.clear()
-
-
-class _NoopCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> int:
-        return 0
-
-
-class _NoopGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def record_max(self, value: float) -> None:
-        pass
-
-
-class _NoopTimer(Timer):
-    __slots__ = ()
-
-    def record(self, seconds: float) -> None:
-        pass
-
-    @contextmanager
-    def time(self):
-        yield self
-
-
-class _NoopHistogram(Histogram):
-    __slots__ = ()
-
-    def record(self, value: float) -> None:
-        pass
-
-
-class NoopRegistry(MetricsRegistry):
-    """A registry whose instruments discard everything.
-
-    The default registry of the observability layer: hooks wired
-    against it stay inert, so instrumented code paths cost nothing
-    beyond the guard check.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._noop_counter = _NoopCounter("noop")
-        self._noop_gauge = _NoopGauge("noop")
-        self._noop_timer = _NoopTimer("noop")
-        self._noop_histogram = _NoopHistogram("noop")
-
-    def counter(self, name: str) -> Counter:
-        return self._noop_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._noop_gauge
-
-    def timer(self, name: str) -> Timer:
-        return self._noop_timer
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] | None = None
-    ) -> Histogram:
-        return self._noop_histogram
-
-    def inc(self, name: str, n: int = 1) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def record_max(self, name: str, value: float) -> None:
-        pass
-
-
-NOOP_REGISTRY = NoopRegistry()

@@ -92,11 +92,6 @@ class QueryTrace:
         self._io_before = None
         self._t0 = None
 
-    @property
-    def enabled(self) -> bool:
-        """False when backed by the no-op registry."""
-        return self.registry.enabled
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -161,8 +156,7 @@ def query_trace(source=None, *, name: str = "query", registry=None):
 
     Installs the trace in the process-global slot (nesting restores the
     previous trace on exit) and snapshots/diffs the I/O stats reachable
-    from ``source``.  Pass ``registry=NOOP_REGISTRY`` to exercise the
-    trace lifecycle with inert instruments.
+    from ``source``.
     """
     trace = QueryTrace(name=name, io=source, registry=registry)
     previous = _state.ACTIVE

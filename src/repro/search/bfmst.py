@@ -693,10 +693,7 @@ def bfmst_search(
     # Counter baseline so the SearchStats enrichment reports *this*
     # query's work even when one trace spans several queries.
     trace = _obs.ACTIVE
-    if trace is not None and trace.registry.enabled:
-        before = _counters_before(trace)
-    else:
-        trace = before = None
+    before = _counters_before(trace) if trace is not None else None
 
     # Every sidecar that can contribute in one stack, whether the
     # planner selected its part or not, so the stack stays the same

@@ -20,6 +20,7 @@ from ..geometry import (
     STPoint,
     STSegment,
     min_moving_point_rect_distance,
+    point_rect_distance,
 )
 from ..index import NO_PAGE, TrajectoryIndex
 from ..obs import state as _obs
@@ -31,10 +32,6 @@ __all__ = [
     "nearest_neighbours_with_stats",
     "nearest_neighbours_brute_force",
 ]
-
-
-def _point_rect(p: Point, box) -> float:
-    return box.spatial.mindist_to_point(p)
 
 
 def _segment_point_distance(seg, p: Point, t_start: float, t_end: float) -> float | None:
@@ -108,14 +105,13 @@ def nearest_neighbours_with_stats(
                 stats.candidates_created += 1
                 heapq.heappush(heap, (d, counter, 1, tid))
         else:
-            for e in node.entries:
-                if not e.mbr.overlaps_period(t_start, t_end):
-                    continue
+            for child, xmin, ymin, tmin, xmax, ymax, tmax in node.rows:
+                if tmax < t_start or t_end < tmin:
+                    continue  # no temporal overlap
                 counter += 1
                 stats.mindist_evaluations += 1
-                heapq.heappush(
-                    heap, (_point_rect(point, e.mbr), counter, 0, e.child_page)
-                )
+                d = point_rect_distance(point.x, point.y, xmin, ymin, xmax, ymax)
+                heapq.heappush(heap, (d, counter, 0, child))
     return out, stats
 
 

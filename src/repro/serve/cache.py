@@ -21,23 +21,23 @@ class ResultCache:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._bodies: OrderedDict[tuple, bytes] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._bodies)
 
     def get(self, signature: tuple, spec_key: str) -> bytes | None:
         if self.capacity <= 0:
             return None
-        body = self._entries.get((signature, spec_key))
+        body = self._bodies.get((signature, spec_key))
         if body is not None:
-            self._entries.move_to_end((signature, spec_key))
+            self._bodies.move_to_end((signature, spec_key))
         return body
 
     def put(self, signature: tuple, spec_key: str, body: bytes) -> None:
         if self.capacity <= 0:
             return
-        self._entries[(signature, spec_key)] = body
-        self._entries.move_to_end((signature, spec_key))
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._bodies[(signature, spec_key)] = body
+        self._bodies.move_to_end((signature, spec_key))
+        while len(self._bodies) > self.capacity:
+            self._bodies.popitem(last=False)

@@ -183,7 +183,7 @@ def test_signed_zeros_at_chain_joints_come_back_bit_for_bit(rows):
     assert bits(built.rows) == bits(rows)
     assert bits(read.rows) == bits(rows)
     body = len(unframe_page(image)[1]) - HEADER_BYTES
-    assert tb_leaf_payload_size(read.entries) == body
+    assert tb_leaf_payload_size(read.rows) == body
     # The TB-tree's append counts the same chains the page then holds.
     tree = TBTree(page_size=PAGE)
     for row in rows:

@@ -355,9 +355,9 @@ class TestOneRequestAtATime:
         parts = engine._parts
 
         @contextmanager
-        def watched():
+        def watched(request):
             nonlocal inside, peak
-            with parts() as context:
+            with parts(request) as context:
                 with count:
                     inside += 1
                     peak = max(peak, inside)

@@ -4,7 +4,7 @@ machinery (trinomial coefficients, moving-point-vs-rectangle minimum)."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TrajectoryError
@@ -90,8 +90,10 @@ class TestSTSegment:
         assert box.tmin == 0 and box.tmax == 5
 
     @given(segments(), st.floats(min_value=0.0, max_value=1.0))
+    # ts + 1.0 * duration rounds one ulp past te here
+    @example(seg(0.0, 0.0, 1.639885220449171, 1.0, 1.0, 6.023450123915038), 1.0)
     def test_interpolated_point_inside_mbr(self, s, frac):
-        t = s.ts + frac * s.duration
+        t = min(s.ts + frac * s.duration, s.te)
         assert s.mbr().contains_point(s.st_point_at(t))
 
 

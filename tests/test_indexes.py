@@ -224,11 +224,9 @@ class TestTBTreeSpecific:
         index = TBTree()
         tr = Trajectory(1, [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
         index.insert(tr)
-        from repro.geometry import STPoint, STSegment
-
-        stale = LeafEntry(1, STSegment(STPoint(0, 0, 0.2), STPoint(1, 1, 0.7)))
+        stale = (1, 0.0, 0.0, 0.2, 1.0, 1.0, 0.7)
         with pytest.raises(IndexError_):
-            index.insert_entry(stale)
+            index.insert_row(stale)
 
     def test_interleaved_trajectory_insertion(self):
         """Segments of different objects arriving interleaved (the
@@ -240,8 +238,8 @@ class TestTBTreeSpecific:
         segs_b = [LeafEntry(2, s) for s in b.segments()]
         index.trajectory_ids.update([1, 2])
         for ea, eb in zip(segs_a, segs_b):
-            index.insert_entry(ea)
-            index.insert_entry(eb)
+            index.insert_row(ea.row)
+            index.insert_row(eb.row)
         index.num_entries = len(segs_a) + len(segs_b)
         assert [e.segment for e in index.trajectory_segments(1)] == [
             e.segment for e in segs_a

@@ -33,7 +33,7 @@ from repro.search import QuerySpec
 from repro.search.api import bfmst_search, linear_scan_kmst
 from repro.storage import RECORD_HEADER_BYTES, frame_record, parse_record
 from repro.storage.format import KIND_WAL
-from repro.trajectory import Trajectory, write_json
+from repro.trajectory import Trajectory, TrajectoryDataset, write_json
 
 from conftest import assert_ranks_like_the_scan
 
@@ -644,6 +644,36 @@ class TestLiveQueryEngine:
                 result = engine.execute(QuerySpec("mst", query, period, k=5))
                 got = [(m.trajectory_id, m.dissim) for m in result.matches]
             assert got == want
+        finally:
+            store_a.close()
+            store_b.close()
+
+    def test_engine_rejects_shared_ids_unless_excluded(self, tmp_path):
+        """An id in two stores is refused per request, as
+        ``merged_kmst`` refuses it, and answers once excluded."""
+        data = generate_gstd(20, samples_per_object=30, seed=3)
+        query, period = make_query(data, 0.3, random.Random(5))
+        moved = [
+            Trajectory(3, [(p.x + 0.5, p.y, p.t) for p in tr])
+            for tr in data
+            if tr.object_id == 3
+        ]
+        others = TrajectoryDataset(tr for tr in data if tr.object_id != 3)
+        store_a = IngestStore.create(tmp_path / "a")
+        store_b = IngestStore.create(tmp_path / "b")
+        try:
+            feed(store_a, data)
+            feed(store_b, moved)
+            with LiveQueryEngine([store_a, store_b]) as engine:
+                with pytest.raises(QueryError, match=r"\[3\] are in more than one"):
+                    engine.execute(QuerySpec("mst", query, period, k=5))
+                result = engine.execute(
+                    QuerySpec("mst", query, period, k=5, options={"exclude_ids": {3}})
+                )
+            want = linear_scan_kmst(
+                None, others, query, period=period, k=5, exact=True
+            )
+            assert_ranks_like_the_scan(result.matches, want.matches)
         finally:
             store_a.close()
             store_b.close()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ChecksumError, IndexError_, PageOverflowError, StorageError
 from repro.geometry import MBR3D, STPoint, STSegment
 from repro.index import ENTRY_BYTES, InternalEntry, LeafEntry, Node, node_capacity
-from repro.index.node import NODE_OVERHEAD_BYTES
+from repro.index.node import HEADER_BYTES, NODE_OVERHEAD_BYTES
 from repro.storage import frame_page, unframe_page
 
 
@@ -31,21 +31,20 @@ def leaf_entry(tid=1, x1=0.0, y1=0.0, t1=0.0, x2=1.0, y2=1.0, t2=1.0):
     return LeafEntry(tid, STSegment(STPoint(x1, y1, t1), STPoint(x2, y2, t2)))
 
 
+def leaf_row(*args):
+    return leaf_entry(*args).row
+
+
+def payload(node: Node) -> bytes:
+    return unframe_page(node.to_bytes(4096))[1]
+
+
 class TestEntries:
-    def test_leaf_entry_round_trip(self):
-        e = leaf_entry(42, 0.5, -1.25, 3.0, 7.125, 2.5, 9.0)
-        back = LeafEntry.from_bytes(e.to_bytes())
-        assert back == e
-        assert back.mbr == e.mbr
-
-    def test_internal_entry_round_trip(self):
-        e = InternalEntry(17, MBR3D(0, 1, 2, 3, 4, 5))
-        back = InternalEntry.from_bytes(e.to_bytes())
-        assert back == e
-
     def test_entry_sizes_match(self):
-        assert len(leaf_entry().to_bytes()) == ENTRY_BYTES
-        assert len(InternalEntry(1, MBR3D(0, 0, 0, 1, 1, 1)).to_bytes()) == ENTRY_BYTES
+        leaf = Node(0, 0, [leaf_row()])
+        internal = Node(1, 1, [(1, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)])
+        assert len(payload(leaf)) == HEADER_BYTES + ENTRY_BYTES
+        assert len(payload(internal)) == HEADER_BYTES + ENTRY_BYTES
 
     def test_leaf_entry_mbr_precomputed(self):
         e = leaf_entry(1, 5.0, 2.0, 0.0, 1.0, 8.0, 4.0)
@@ -61,8 +60,9 @@ class TestEntries:
     )
     @settings(max_examples=50)
     def test_round_trip_preserves_exact_floats(self, tid, x):
-        e = LeafEntry(tid, STSegment(STPoint(x, 0.0, 0.0), STPoint(x, 1.0, 1.0)))
-        assert LeafEntry.from_bytes(e.to_bytes()) == e
+        row = (tid, x, 0.0, 0.0, x, 1.0, 1.0)
+        back = Node.from_bytes(0, Node(0, 0, [row]).to_bytes(4096))
+        assert back.rows == [row]
 
 
 class TestNodeCapacity:
@@ -78,7 +78,7 @@ class TestNodeCapacity:
 
 class TestNodeSerialisation:
     def test_leaf_round_trip(self):
-        node = Node(3, level=0, entries=[leaf_entry(i) for i in range(5)],
+        node = Node(3, level=0, rows=[leaf_row(i) for i in range(5)],
                     owner_id=9, prev_leaf=1, next_leaf=7)
         data = node.to_bytes(4096)
         back = Node.from_bytes(3, data)
@@ -90,7 +90,7 @@ class TestNodeSerialisation:
 
     def test_internal_round_trip(self):
         entries = [InternalEntry(i, MBR3D(0, 0, 0, i + 1, 1, 1)) for i in range(4)]
-        node = Node(8, level=2, entries=entries)
+        node = Node(8, level=2, rows=[e.row for e in entries])
         back = Node.from_bytes(8, node.to_bytes(4096))
         assert not back.is_leaf
         assert back.level == 2
@@ -98,14 +98,14 @@ class TestNodeSerialisation:
 
     def test_overflowing_node_rejected(self):
         cap = node_capacity(4096)
-        node = Node(0, 0, entries=[leaf_entry(i) for i in range(cap + 1)])
+        node = Node(0, 0, rows=[leaf_row(i) for i in range(cap + 1)])
         with pytest.raises(PageOverflowError):
             node.to_bytes(4096)
 
     def test_node_mbr_unions_entries(self):
-        node = Node(0, 0, entries=[
-            leaf_entry(1, 0, 0, 0, 1, 1, 1),
-            leaf_entry(2, 5, -2, 2, 6, 0, 3),
+        node = Node(0, 0, rows=[
+            leaf_row(1, 0, 0, 0, 1, 1, 1),
+            leaf_row(2, 5, -2, 2, 6, 0, 3),
         ])
         assert node.mbr() == MBR3D(0, -2, 0, 6, 1, 3)
 
@@ -114,7 +114,7 @@ class TestNodeSerialisation:
             Node(0, 0).mbr()
 
     def test_corrupt_kind_rejected(self):
-        node = Node(0, 0, entries=[leaf_entry()])
+        node = Node(0, 0, rows=[leaf_row()])
 
         def poke(payload):
             payload[0] = 99
@@ -123,7 +123,7 @@ class TestNodeSerialisation:
             Node.from_bytes(0, corrupt_payload(node, poke))
 
     def test_inconsistent_level_rejected(self):
-        node = Node(0, 0, entries=[leaf_entry()])
+        node = Node(0, 0, rows=[leaf_row()])
 
         def poke(payload):
             payload[1] = 3  # leaf kind with level 3
@@ -140,7 +140,7 @@ class TestNodeSerialisation:
             Node.from_payload(0, b"\x01\x00")
 
     def test_count_beyond_payload_rejected(self):
-        node = Node(0, 0, entries=[leaf_entry()])
+        node = Node(0, 0, rows=[leaf_row()])
 
         def poke(payload):
             payload[2] = 200  # count low byte
@@ -151,7 +151,7 @@ class TestNodeSerialisation:
     def test_bit_flip_in_framed_page_detected(self):
         """Poking the framed image itself (not the payload) trips the
         frame verification before any node field is trusted."""
-        node = Node(0, 0, entries=[leaf_entry(i) for i in range(5)])
+        node = Node(0, 0, rows=[leaf_row(i) for i in range(5)])
         data = node.to_bytes(4096)
         for offset in (0, 5, 20, len(data) - 1):
             bad = bytearray(data)
@@ -162,7 +162,7 @@ class TestNodeSerialisation:
     def test_from_bytes_accepts_memoryview(self):
         """Parsing takes a memoryview slice without requiring a bytes
         copy."""
-        node = Node(3, 0, entries=[leaf_entry(i) for i in range(4)])
+        node = Node(3, 0, rows=[leaf_row(i) for i in range(4)])
         padded = node.to_bytes(4096).ljust(4096, b"\x00")
         back = Node.from_bytes(3, memoryview(padded))
         assert back.entries == node.entries
@@ -180,7 +180,7 @@ class TestChainedLeafSerialisation:
 
     def test_round_trip_contiguous(self):
         entries = self.contiguous_entries(10)
-        node = Node(4, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(4, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
         back = Node.from_bytes(4, node.to_bytes(4096))
         assert back.chained
         assert back.entries == entries
@@ -198,19 +198,19 @@ class TestChainedLeafSerialisation:
             LeafEntry(5, STSegment(STPoint(10, 10, 11 + i), STPoint(11, 11, 12 + i)))
             for i in range(0, 1)
         )
-        node = Node(4, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(4, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
         back = Node.from_bytes(4, node.to_bytes(4096))
         assert back.entries == entries
 
     def test_payload_size_matches_serialisation(self):
         from repro.index.node import tb_leaf_payload_size
 
-        entries = self.contiguous_entries(20)
-        node = Node(0, 0, entries=entries, owner_id=5, chained=True)
+        rows = [e.row for e in self.contiguous_entries(20)]
+        node = Node(0, 0, rows=rows, owner_id=5, chained=True)
         data = node.to_bytes(4096)
         # serialisation pads nothing itself; length = frame + node
         # header + payload
-        assert len(data) == NODE_OVERHEAD_BYTES + tb_leaf_payload_size(entries)
+        assert len(data) == NODE_OVERHEAD_BYTES + tb_leaf_payload_size(rows)
 
     def test_chained_capacity_exceeds_flat_capacity(self):
         """The whole point: a 4 KB chained leaf holds ~167 contiguous
@@ -218,7 +218,7 @@ class TestChainedLeafSerialisation:
         from repro.index import node_capacity
 
         entries = self.contiguous_entries(167)
-        node = Node(0, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(0, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
         node.to_bytes(4096)  # fits
         assert len(entries) > 2 * node_capacity(4096)
 
@@ -226,13 +226,13 @@ class TestChainedLeafSerialisation:
         from repro.exceptions import PageOverflowError
 
         entries = self.contiguous_entries(168)
-        node = Node(0, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(0, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
         with pytest.raises(PageOverflowError):
             node.to_bytes(4096)
 
     def test_corrupt_chain_rejected(self):
         entries = self.contiguous_entries(3)
-        node = Node(0, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(0, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
 
         def poke(payload):
             payload[32] = 0  # chain length 0 is invalid
@@ -245,7 +245,7 @@ class TestChainedLeafSerialisation:
         """Tampering with the framed image (the old pre-frame attack)
         now dies at the frame, not in the chain decoder."""
         entries = self.contiguous_entries(3)
-        node = Node(0, 0, entries=entries, owner_id=5, chained=True)
+        node = Node(0, 0, rows=[e.row for e in entries], owner_id=5, chained=True)
         data = bytearray(node.to_bytes(4096))
         data[48] ^= 0xFF  # first chain-layout byte of the payload
         with pytest.raises(ChecksumError):

@@ -1,5 +1,6 @@
-"""One numeric leaf: a page decodes into rows and the searches read
-them; the entry objects stay a view for writers and introspection.
+"""One numeric leaf: a page decodes into rows, the searches read them
+and the writers build them; the entry objects are a read-only view for
+introspection.
 
 Contract:
 
@@ -7,6 +8,8 @@ Contract:
   ``entries`` are ``LeafEntry`` objects with ``segment``, ``mbr``,
   ``t_start`` and ``t_end``; internal entries have ``child_page`` and
   ``mbr``; the rows a ``Node`` caches are ``payload_rows`` of its page;
+  taking ``entries`` changes nothing: a loaded leaf stays compact and
+  an internal node keeps its child columns;
 * ``segment_dissim_batch`` over ``(STSegment, lo, hi)`` items is
   bit-equal to the window kernel on the same windows and to the scalar
   ``segment_dissim``;
@@ -34,6 +37,8 @@ from repro import (
     Trajectory,
     TrajectoryDataset,
     generate_gstd,
+    load_index,
+    save_index,
 )
 from repro.datagen import make_query
 from repro.distance import segment_dissim
@@ -100,8 +105,37 @@ def test_read_nodes_keep_the_harness_surface(small_dataset, cls, page_size):
             assert isinstance(e.segment, STSegment)
             assert e.mbr == e.segment.mbr()
             assert (e.t_start, e.t_end) == (e.segment.ts, e.segment.te)
-        assert node.rows == rows  # rebuilt from the objects: same numbers
+        assert node.rows is rows  # the view changed nothing
     assert leaves > 1
+
+
+@pytest.mark.parametrize("cls", TREES)
+def test_entries_view_leaves_a_loaded_node_as_it_was(small_dataset, cls, tmp_path):
+    np = pytest.importorskip("numpy")
+    path = tmp_path / "index.pages"
+    save_index(packed(cls, small_dataset, page_size=512), path)
+    index = load_index(path)
+    try:
+        root = index.read_node(index.root_page)
+        columns = root.child_columns(np)
+        assert [e.child_page for e in root.entries] == columns[0]
+        assert len(root.entries) == len(root)
+        assert root.child_columns(np) is columns  # still cached
+        leaf = index.read_node(columns[0][0])
+        while not leaf.is_leaf:
+            leaf = index.read_node(leaf.rows[0][0])
+        compact = leaf._page
+        assert compact is not None
+        entries = leaf.entries
+        assert [e.row for e in entries] == payload_rows(
+            leaf.page_id,
+            unframe_page(index.pagefile.read(leaf.page_id), leaf.page_id)[1],
+        )[1]
+        assert leaf._page is compact  # still compact
+        assert leaf.entries == entries  # a fresh list of equal values
+        assert leaf.entries is not entries
+    finally:
+        index.pagefile.close()
 
 
 def test_segment_items_and_windows_are_bit_equal(small_dataset):
@@ -179,7 +213,7 @@ def test_writes_into_resident_leaves_are_searched(cls):
     longer = grown(old)
     for seg in list(longer.segments())[old.num_segments :]:
         index.max_speed = max(index.max_speed, seg.speed)
-        index.insert_entry(LeafEntry(old.object_id, seg))
+        index.insert_row(LeafEntry(old.object_id, seg).row)
     live.add(longer)
     assert_rows_current(index, live)
     assert_like_scan(search, live, rng)

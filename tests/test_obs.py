@@ -1,5 +1,5 @@
 """Tests for the observability layer (repro.obs): instrument
-semantics, registry JSON round-tripping, no-op inertness, the
+semantics, registry JSON round-tripping, the
 query-trace lifecycle, and the SearchStats enrichment a live trace
 feeds through the whole stack."""
 
@@ -8,9 +8,7 @@ import json
 import pytest
 
 from repro import (
-    NOOP_REGISTRY,
     MetricsRegistry,
-    NoopRegistry,
     QueryTrace,
     RTree3D,
     generate_gstd,
@@ -110,30 +108,6 @@ class TestRegistry:
         reg.inc("a")
         reg.reset()
         assert reg.counters == {}
-
-
-class TestNoopRegistry:
-    def test_everything_is_inert(self):
-        reg = NoopRegistry()
-        reg.inc("a", 10)
-        reg.observe("h", 5.0)
-        reg.record_max("g", 5.0)
-        with reg.time("t"):
-            pass
-        assert not reg.enabled
-        assert reg.counters == {}
-        assert reg.counter("a").inc(100) == 0
-        assert reg.gauge("g").value == 0.0
-        assert reg.timer("t").count == 0
-        assert reg.histogram("h").count == 0
-        assert reg.as_dict() == {
-            "counters": {}, "gauges": {}, "timers": {}, "histograms": {},
-        }
-
-    def test_singleton_is_a_noop(self):
-        assert isinstance(NOOP_REGISTRY, NoopRegistry)
-        NOOP_REGISTRY.inc("never")
-        assert NOOP_REGISTRY.counters == {}
 
 
 def _tiny_index(seed=5, num_objects=12, samples=15):
@@ -239,16 +213,6 @@ class TestTracedSearch:
         assert stats.mindist_evaluations == 0
         assert stats.heap_high_water == 0
         assert stats.exact_integral_evals == 0
-
-    def test_noop_registry_records_nothing(self):
-        _dataset, index, query, period = _tiny_index()
-        with query_trace(index, registry=NOOP_REGISTRY) as trace:
-            _matches, stats = bfmst_search(index, query, period, k=3)
-        assert not trace.enabled
-        assert trace.counters == {}
-        assert stats.mindist_evaluations == 0
-        # the IOStats composition still works: it predates the registry
-        assert trace.io is not None and trace.io.logical_reads > 0
 
     def test_tracing_does_not_change_answers(self):
         _dataset, index, query, period = _tiny_index()

@@ -238,7 +238,7 @@ class TestPackedTreeStaysLive:
 
         # append the rest of a packed object's samples to its chain
         for seg in list(grows.segments())[30:]:
-            index.insert_entry(LeafEntry(grows.object_id, seg))
+            index.insert_row(LeafEntry(grows.object_id, seg).row)
         # start a new object
         index.insert(trajectories[-1])
         check_structure(index)

@@ -2,9 +2,9 @@
 same pages as the segment-by-segment reference.
 
 The reference (:class:`PerSegmentTB`) is the plain TB-tree insertion
-of Pfoser et al.: every segment goes through ``insert_entry``, whose
+of Pfoser et al.: every segment goes through ``insert_row``, whose
 fit check re-measures the whole leaf with :func:`tb_leaf_payload_size`
-over ``leaf.entries + [entry]``.  The tree under test keeps a running
+over ``leaf.rows + [row]``.  The tree under test keeps a running
 byte count on the active leaf and seeds a new object one leaf at a
 time; its pages must be byte-identical to the reference's.  Pure
 Python: CI also runs this file without numpy.
@@ -32,29 +32,30 @@ PAGE_SIZES = (512, 1024, 4096)
 
 
 class PerSegmentTB(TBTree):
-    """The reference write path: one ``insert_entry`` per segment, the
+    """The reference write path: one ``insert_row`` per segment, the
     fit checked by measuring the grown leaf."""
 
     def insert(self, trajectory) -> None:
         TrajectoryIndex.insert(self, trajectory)
 
-    def insert_entry(self, entry: LeafEntry) -> None:
+    def insert_row(self, row: tuple) -> None:
+        entry = LeafEntry.from_row(row)
         tid = entry.trajectory_id
         leaf_page = self._active_leaf.get(tid)
         if leaf_page is not None:
             leaf = self.read_node(leaf_page)
             if entry.segment.ts < leaf.entries[-1].segment.te:
                 raise IndexError_(f"out of order (object {tid})")
-            payload = tb_leaf_payload_size(leaf.entries + [entry])
+            payload = tb_leaf_payload_size(leaf.rows + [row])
             if NODE_OVERHEAD_BYTES + payload <= self.page_size:
-                leaf.entries.append(entry)
+                leaf.append_row(row)
                 self.touch(leaf)
                 self.num_entries += 1
-                self._adjust_upwards(leaf.page_id, entry.mbr)
+                self._adjust_upwards(leaf.page_id, entry.mbr.as_tuple())
                 return
         leaf = self.new_node(level=0, owner_id=tid)
         leaf.chained = True
-        leaf.entries.append(entry)
+        leaf.append_row(row)
         if leaf_page is not None:
             leaf.prev_leaf = leaf_page
             prev = self.read_node(leaf_page)
@@ -86,7 +87,7 @@ class ReferenceMemtable:
         if oid in self.tree.trajectory_ids:
             seg = STSegment(STPoint(*prev), STPoint(x, y, t))
             self.tree.max_speed = max(self.tree.max_speed, seg.speed)
-            self.tree.insert_entry(LeafEntry(oid, seg))
+            self.tree.insert_row(LeafEntry(oid, seg).row)
         elif len(pts) >= 2:
             self.tree.insert(Trajectory(oid, pts))
 
@@ -167,7 +168,7 @@ def test_temporal_gap_opens_a_second_chain_in_the_leaf(page_size):
     for index in (tree, reference):
         index.trajectory_ids.update([1, 2])
         for e in entries:
-            index.insert_entry(e)
+            index.insert_row(e.row)
     assert_same_tree(tree, reference)
     chains = [
         sum(a[4:] != b[1:4] for a, b in zip(leaf.rows, leaf.rows[1:])) + 1
@@ -191,7 +192,7 @@ def test_packed_then_insert_matches_reference(page_size):
         index.buffer.flush(index._serializer)
         index.buffer.drop()
         for seg in list(grows.segments())[30:]:
-            index.insert_entry(LeafEntry(grows.object_id, seg))
+            index.insert_row(LeafEntry(grows.object_id, seg).row)
         index.insert(data[-1])
     assert_same_tree(tree, reference)
 
@@ -210,8 +211,8 @@ def test_append_to_an_earlier_chain_matches_reference(page_size):
         last = data[8]
         for i in range(1, 80):
             t = last.t_end + i
-            index.insert_entry(
-                segment(last.object_id, (float(i), 0.0, t - 1), (i + 1.0, 0.5, t))
+            index.insert_row(
+                segment(last.object_id, (float(i), 0.0, t - 1), (i + 1.0, 0.5, t)).row
             )
     assert_same_tree(*trees)
 
@@ -224,7 +225,7 @@ def test_append_measures_each_leaf_at_most_once(monkeypatch):
     monkeypatch.setattr(
         tbtree_module,
         "tb_leaf_payload_size",
-        lambda entries: measured.append(1) or tb_leaf_payload_size(entries),
+        lambda rows: measured.append(1) or tb_leaf_payload_size(rows),
     )
     memtable = Memtable(512)
     memtable.adopt(1, [(0.0, 0.0, 0.0)])
@@ -243,7 +244,7 @@ def test_append_measures_each_leaf_at_most_once(monkeypatch):
     tree.buffer.flush(tree._serializer)
     tree.buffer.drop()
     for i in range(1, n + 1):
-        tree.insert_entry(segment(1, (i, 0.0, i), (i + 1.0, 0.0, i + 1.0)))
+        tree.insert_row(segment(1, (i, 0.0, i), (i + 1.0, 0.0, i + 1.0)).row)
     assert len(measured) <= len(tree.leaf_chain(1))
 
 
