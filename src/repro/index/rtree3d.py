@@ -108,7 +108,7 @@ class RTree3D(TrajectoryIndex):
     # ------------------------------------------------------------------
     def _pack(self, objects, leaf_tids=None) -> None:
         """Sort-Tile-Recursive packing (:mod:`repro.index.packing`):
-        each leaf gets its rows, and no entry object is built."""
+        each leaf gets its rows."""
         rows = [
             row
             for oid, samples in objects
